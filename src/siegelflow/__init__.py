@@ -53,7 +53,6 @@ from .sympl import (
     SymplecticMap,
     act_on_siegel,
     compose,
-    halfform_phase_of_g,
     random_siegel,
     random_symplectic,
     transform_z_coords,

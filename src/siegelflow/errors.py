@@ -1,8 +1,8 @@
 """Exception types raised by the numerical kernels.
 
 Every guard corresponds to a contract violation that is detectable at run
-time: loss of group structure through round-off, a square root continued
-across too coarse a path, an integral that stopped being Gaussian, and so on.
+time: loss of group structure through round-off, an integral that stopped
+being Gaussian, and so on.
 """
 
 
@@ -19,7 +19,11 @@ class NonUnitaryError(SiegelFlowError):
 
 
 class BranchDiscontinuityError(SiegelFlowError):
-    """A square-root continuation step would jump the argument by >= pi/2."""
+    """A sampled square-root continuation step would jump the argument by >= pi/2.
+
+    Raised only by ``sympl.continue_sqrt_phase``, the sampled reference for
+    the closed-form branches; the library's own branches never raise it.
+    """
 
 
 class NotIntegrableError(SiegelFlowError):

@@ -19,6 +19,7 @@ Gauss-Hermite quadrature oracle guards every frozen formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -398,6 +399,16 @@ def from_fock_coefficients(coeffs, omega: SiegelPoint) -> PolyFockSection:
 # quadrature oracle
 
 
+@lru_cache(maxsize=16)
+def _hermite_table(nodes: int):
+    """Gauss-Hermite nodes u and log weights log w + u^2, read-only."""
+    u, w = hermgauss(nodes)
+    logw = np.log(w) + u**2
+    u.flags.writeable = False
+    logw.flags.writeable = False
+    return u, logw
+
+
 def quadrature_integrate(
     f,
     n: int,
@@ -424,8 +435,7 @@ def quadrature_integrate(
     ginv_half = (v_eig / np.sqrt(w_eig)) @ v_eig.T
     logdet_half = 0.5 * float(np.sum(np.log(w_eig)))
 
-    u, w = hermgauss(nodes)
-    logw = np.log(w) + u**2
+    u, logw = _hermite_table(nodes)
 
     def evaluate(u_nodes, logw_nodes):
         if m <= 2:
@@ -448,8 +458,7 @@ def quadrature_integrate(
     scale = np.exp(-logdet_half) / (2 * np.pi) ** n
     result = evaluate(u, logw) * scale
     if check:
-        u2, w2 = hermgauss(2 * nodes)
-        refined = evaluate(u2, np.log(w2) + u2**2) * scale
+        refined = evaluate(*_hermite_table(2 * nodes)) * scale
         if abs(refined - result) > rtol * max(1.0, abs(refined)):
             raise GridTooCoarseError(
                 f"doubling nodes moved the result by {abs(refined - result):.3e}"

@@ -22,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
-from ._gaussint import kernel_apply_poly
+from ._gaussint import half_logdet, kernel_apply_poly
 from ._point import SiegelPoint, diagonal_point, standard_point
 from .errors import NoBoundaryLimitError, PolarizationMismatchError
 from .sections import (
@@ -34,6 +33,7 @@ from .sections import (
     HalfFormFrame,
     PolyFockSection,
     Section,
+    _hermite_table,
     coord_matrix,
     difference_norm,
     gram_matrix,
@@ -161,8 +161,7 @@ def profile_difference_norm(p1: BoundaryProfile, p2: BoundaryProfile, nodes: int
     w_eig, v_eig = np.linalg.eigh(width)
     ginv_half = (v_eig / np.sqrt(w_eig)) @ v_eig.T
     logdet_half = 0.5 * float(np.sum(np.log(w_eig)))
-    u, w = hermgauss(nodes)
-    logw = np.log(w) + u**2
+    u, logw = _hermite_table(nodes)
     grids = np.meshgrid(*([u] * n), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1) @ ginv_half.T
     lw = np.stack(np.meshgrid(*([logw] * n), indexing="ij"), axis=-1).sum(-1).ravel()
@@ -304,25 +303,15 @@ def boundary_difference_norm(s1: CorrectedBoundarySection, s2: CorrectedBoundary
 # the standard-form transform kernels
 
 
-def _sqrt_det_branch(fn, omega: SiegelPoint, steps: int = 64) -> complex:
-    """sqrt(fn(Omega)) continued from the base point i*I where fn = 1."""
-    from .sympl import continue_sqrt_phase
+def _pairing_log_pref(omega: SiegelPoint) -> complex:
+    """log of det(2 Omega2)^{1/4} / det(-i Omega)^{1/2}.
 
-    base = standard_point(omega.n)
-    s = np.linspace(0.0, 1.0, steps + 1)
-    vals = np.array(
-        [
-            fn(
-                SiegelPoint(
-                    (1 - sj) * base.omega1 + sj * omega.omega1,
-                    (1 - sj) * base.omega2 + sj * omega.omega2,
-                )
-            )
-            for sj in s
-        ]
-    )
-    phase = continue_sqrt_phase(vals / np.abs(vals), 1.0 + 0.0j)
-    return phase * np.sqrt(abs(vals[-1]))
+    The root is continued from i*I, where det(-i Omega) = 1.  Re(-i Omega) =
+    Omega2 is positive definite along the way, so the continued root is
+    half_logdet's branch.  The map into Omega uses the conjugate.
+    """
+    _, logdet2 = np.linalg.slogdet(2.0 * omega.omega2)
+    return 0.25 * logdet2 - half_logdet(-1j * omega.omega)
 
 
 def _btrans_std(profile: BoundaryProfile, omega: SiegelPoint) -> Section:
@@ -334,9 +323,7 @@ def _btrans_std(profile: BoundaryProfile, omega: SiegelPoint) -> Section:
     b11 = np.eye(n) - s2h @ nc_inv @ s2h
     b12 = s2h @ nc_inv
     b22 = -nc_inv
-    sqrt_det = _sqrt_det_branch(lambda om: np.conj(np.linalg.det(-1j * om.omega)), omega)
-    _, logdet2 = np.linalg.slogdet(2.0 * omega.omega2)
-    log_pref = 0.25 * logdet2 - np.log(sqrt_det)
+    log_pref = np.conj(_pairing_log_pref(omega))
 
     s = b22 + profile.m
     q, r, sc, poly = kernel_apply_poly(
@@ -359,9 +346,7 @@ def _invb_std(section: Section, omega: SiegelPoint) -> BoundaryProfile:
     b11 = np.eye(n) - s2h @ nn_inv @ s2h
     b12 = s2h @ nn_inv
     b22 = -nn_inv
-    sqrt_det = _sqrt_det_branch(lambda om: np.linalg.det(-1j * om.omega), omega)
-    _, logdet2 = np.linalg.slogdet(2.0 * omega.omega2)
-    log_pref = 0.25 * logdet2 - np.log(sqrt_det)
+    log_pref = _pairing_log_pref(omega)
 
     e = coord_matrix(omega)
     ebar = np.conj(e)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._gaussint import generating_poly, integrate_out
+from ._gaussint import generating_poly, half_logdet, integrate_out
 from ._point import SiegelPoint, diagonal_point, standard_point
 from .errors import TruncationOverflowError
 from .sections import (
@@ -36,11 +36,10 @@ from .sections import (
     gram_matrix,
     pair_halfforms,
 )
-from .siegel import complex_structure_of, geodesic_between, geodesic_eval
+from .siegel import complex_structure_of
 from .sympl import (
     MetaplecticElement,
     act_on_siegel,
-    continue_sqrt_phase,
     transform_z_coords,
     xi_matrix,
 )
@@ -107,18 +106,15 @@ def transport_coherent_standard(alpha, lam, t: float) -> GaussianSection:
     )
 
 
-def transport_halfform(omega: SiegelPoint, omega_p: SiegelPoint, steps: int = 64) -> HalfFormFrame:
+def transport_halfform(omega: SiegelPoint, omega_p: SiegelPoint) -> HalfFormFrame:
     """Transport of sqrt(d^n z): unit phase det(Xi')^{1/2}/|det Xi'|^{1/2}.
 
-    The square root is continued along the connecting geodesic from the
-    start, where det Xi = det Omega2 is positive.
+    The square root is the one continued along the connecting geodesic from
+    the start, where det Xi = det Omega2 is positive.  Xi(gamma(t), Omega)
+    has real part (Im gamma(t) + Omega2)/2, positive definite along the
+    whole path, so that continuation is half_logdet in closed form.
     """
-    spec = geodesic_between(omega, omega_p)
-    ts = np.linspace(0.0, 1.0, steps + 1)
-    vals = np.array(
-        [np.linalg.det(xi_matrix(geodesic_eval(spec, t), omega)) for t in ts]
-    )
-    phase = continue_sqrt_phase(vals / np.abs(vals), 1.0 + 0.0j)
+    phase = np.exp(half_logdet(xi_matrix(omega_p, omega)))
     return HalfFormFrame(omega_p, phase / abs(phase))
 
 
@@ -244,15 +240,15 @@ def transport_kernel_apply(
 # metaplectic action on sections
 
 
-def metaplectic_act(mp: MetaplecticElement, obj, steps: int = 64):
+def metaplectic_act(mp: MetaplecticElement, obj):
     """Lifted symplectic action on (corrected) sections.
 
     Gaussian data transforms through the unitary coordinate change; the
     half-form coefficient picks up the tracked branch phase at the source
     point."""
     if isinstance(obj, CorrectedSection):
-        section = metaplectic_act(mp, obj.section, steps=steps)
-        phase = mp.phase_at(obj.frame, steps=steps) * obj.halfform.phase
+        section = metaplectic_act(mp, obj.section)
+        phase = mp.phase_at(obj.frame) * obj.halfform.phase
         return CorrectedSection(section, HalfFormFrame(section.frame, phase / abs(phase)))
     omega = obj.frame
     target = act_on_siegel(mp.g, omega)

@@ -9,7 +9,6 @@ from siegelflow import (
     act_on_siegel,
     compose,
     diagonal_point,
-    halfform_phase_of_g,
     random_siegel,
     random_symplectic,
     standard_point,
@@ -117,7 +116,7 @@ class TestCoordinateChange:
 class TestMetaplectic:
     def test_identity_phase(self):
         mp = MetaplecticElement.principal_lift(SymplecticMap.identity(1))
-        assert abs(halfform_phase_of_g(mp, diagonal_point([3.0])) - 1.0) < 1e-12
+        assert abs(mp.phase_at(diagonal_point([3.0])) - 1.0) < 1e-12
 
     def test_two_lifts_differ_by_sign(self, rng):
         g = random_symplectic(rng, 1)
@@ -157,7 +156,9 @@ class TestMetaplectic:
         block_rotation = SymplecticMap(c * i2, s * i2, -s * i2, c * i2)
         mp = MetaplecticElement.principal_lift(block_rotation)
         target = diagonal_point([1e-3, 1e-3])
-        with pytest.raises(BranchDiscontinuityError):
-            mp.phase_at(target, steps=1)
-        # a fine path continues without complaint
-        mp.phase_at(target, steps=128)
+        # in one step this segment turns the argument by 2.28 > pi/2; the
+        # closed form agrees with a fine sampling of it
+        s = np.linspace(0.0, 1.0, 129)[:, None, None]
+        path = (1 - s) * mp.reference.omega + s * target.omega
+        vals = np.conj(np.linalg.det(block_rotation.c @ path + block_rotation.d))
+        assert abs(mp.phase_at(target) - continue_sqrt_phase(vals, mp.branch)) < 1e-12
