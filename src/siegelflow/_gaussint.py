@@ -16,6 +16,8 @@ through these integrals via generating parameters.
 
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 
 from .errors import NotIntegrableError
@@ -126,20 +128,11 @@ def kernel_apply_poly(S, Lmat, ell0, k0, poly, gen_dir):
 def generating_poly(beta: complex, gamma: complex, eps: complex, k: int) -> np.ndarray:
     """Coefficients in w of k! [s^k] exp(beta s + (1/2) gamma s^2 + eps s w).
 
-    The result is a polynomial of degree <= k in w, returned as an array of
-    length k + 1 (ascending powers).
+    Ascending powers, length k + 1: C(k, c) eps^c f_{k-c}, where f_j =
+    j! [s^j] exp(beta s + (1/2) gamma s^2) obeys f_{j+1} = beta f_j + j gamma f_{j-1}.
     """
-    from math import factorial
-
-    out = np.zeros(k + 1, dtype=complex)
-    for a in range(k + 1):
-        for b in range((k - a) // 2 + 1):
-            c = k - a - 2 * b
-            out[c] += (
-                beta**a
-                * (0.5 * gamma) ** b
-                * eps**c
-                * float(factorial(k))
-                / (factorial(a) * factorial(b) * factorial(c))
-            )
-    return out
+    beta, gamma, eps = complex(beta), complex(gamma), complex(eps)
+    f = [1.0 + 0.0j, beta]
+    for j in range(1, k):
+        f.append(beta * f[j] + j * gamma * f[j - 1])
+    return np.array([comb(k, c) * eps**c * f[k - c] for c in range(k + 1)], dtype=complex)

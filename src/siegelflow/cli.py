@@ -31,6 +31,7 @@ import inspect
 import json
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -71,8 +72,14 @@ def _point_json(p: SiegelPoint) -> dict:
 
 
 def _load_input(args) -> dict:
-    text = sys.stdin.read() if args.input in (None, "-") else open(args.input).read()
-    return json.loads(text)
+    try:
+        text = sys.stdin.read() if args.input in (None, "-") else Path(args.input).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read {args.input}: {exc.strerror}") from exc
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError(f"input must be a JSON object, not {type(data).__name__}")
+    return data
 
 
 def _emit(report: dict, out_path: str | None) -> None:
@@ -247,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="siegelflow",
         description="Geodesic transport of Gaussian states and its boundary transforms.",
     )
-    parser.add_argument("--n", type=int, default=1, choices=range(1, 5), help="default dimension")
     parser.add_argument("--seed", type=int, default=42, help="seed for randomized checks")
     parser.add_argument("--tol", type=float, default=None, help="tolerance override")
     parser.add_argument("--nodes", type=int, default=64, help="quadrature nodes per dimension")

@@ -349,10 +349,6 @@ def corrected_inner_product(a: CorrectedSection, b: CorrectedSection) -> complex
     return np.conj(a.halfform.phase) * b.halfform.phase * inner_product_cross_frame(a.section, b.section)
 
 
-def corrected_vacuum(omega: SiegelPoint) -> CorrectedSection:
-    return CorrectedSection(vacuum(omega), HalfFormFrame(omega))
-
-
 # ---------------------------------------------------------------------------
 # Fock expansion (n = 1)
 

@@ -265,21 +265,19 @@ def metaplectic_act(mp: MetaplecticElement, obj):
 # Fock-basis connection and the transport ODE (n = 1)
 
 
-from functools import lru_cache
+def _fock_connection_bands(n_trunc: int):
+    """(diag, off) with diag[k] = k and off[j] = sqrt((j + 2)(j + 1)): P_tau
+    is diag on the diagonal and -off at (j + 2, j); P_taubar is its transpose."""
+    diag = np.arange(n_trunc, dtype=float)
+    return diag, np.sqrt(diag[2:] * diag[1:-1])
 
 
-@lru_cache(maxsize=16)
 def _fock_connection_patterns(n_trunc: int):
-    """tau-independent matrix patterns of the Fock-frame connection."""
-    k = np.arange(n_trunc)
-    p_tau = np.diag(k.astype(complex))
-    p_taubar = np.diag(k.astype(complex))
-    for kk in range(2, n_trunc):
-        p_tau[kk, kk - 2] = -np.sqrt(kk * (kk - 1))
-        p_taubar[kk - 2, kk] = -np.sqrt(kk * (kk - 1))
-    p_tau.flags.writeable = False
-    p_taubar.flags.writeable = False
-    return p_tau, p_taubar
+    """Dense tau-independent patterns (P_tau, P_taubar) of the connection."""
+    diag, off = _fock_connection_bands(n_trunc)
+    p_tau = np.diag(diag).astype(complex)
+    p_tau[np.arange(2, n_trunc), np.arange(n_trunc - 2)] = -off
+    return p_tau, p_tau.T
 
 
 def fock_connection_matrix(tau: complex, n_trunc: int):
@@ -290,8 +288,7 @@ def fock_connection_matrix(tau: complex, n_trunc: int):
         A_tau[k, l]    = (i / 4 tau2) (k delta_{kl} - sqrt(k(k-1)) delta_{k, l+2})
         A_taubar[k, l] = (i / 4 tau2) (l delta_{kl} - sqrt(l(l-1)) delta_{k+2, l})
     """
-    tau = complex(tau)
-    tau2 = tau.imag
+    tau2 = complex(tau).imag
     if tau2 <= 0:
         raise ValueError("tau must lie in the upper half-plane")
     p_tau, p_taubar = _fock_connection_patterns(n_trunc)
@@ -335,34 +332,42 @@ def transport_ode_coeffs(
     """Integrate dc/dt = -A(gamma'(t)) c with classical RK4.
 
     ``tau_of_t`` maps t to the path point in the upper half-plane; the
-    connection matrix is re-evaluated (with the path velocity by central
-    differences of the supplied map) at every stage.  ``progress``, when
-    given, is called as progress(step, steps) roughly a hundred times over
-    the run; it must not mutate the state.
+    connection (path velocity by central differences of the supplied map)
+    is re-evaluated at t, t + h/2 and t + h of every step and applied band
+    by band, O(len(c0)) per stage.  ``progress``, when given, is called as
+    progress(step, steps) about a hundred times; it must not mutate the state.
     """
     c = np.asarray(c0, dtype=complex).copy()
-    n_basis = c.size
     h = t_end / steps
     eps = 1e-6 * max(abs(t_end), 1.0)
-    p_tau, p_taubar = _fock_connection_patterns(n_basis)
+    diag, off = _fock_connection_bands(c.size)
     report_every = max(1, steps // 100)
 
-    def rhs(t, c):
+    def connection(t):
+        # (a, b) = (i / 4 tau2) (dtau, conj(dtau)) at t; rhs is -(a P_tau + b P_taubar) c
         tau = complex(tau_of_t(t))
         if tau.imag <= 0:
             raise ValueError("path left the upper half-plane")
         dtau = (complex(tau_of_t(t + eps)) - complex(tau_of_t(t - eps))) / (2 * eps)
         pref = 0.25j / tau.imag
-        return -pref * ((p_tau @ c) * dtau + (p_taubar @ c) * np.conj(dtau))
+        return pref * dtau, pref * dtau.conjugate()
 
-    t = 0.0
+    def rhs(a, b, c):
+        out = -(a + b) * diag * c
+        out[2:] += a * off * c[:-2]
+        out[:-2] += b * off * c[2:]
+        return out
+
+    t, at_t = 0.0, connection(0.0)
     for step in range(steps):
-        k1 = rhs(t, c)
-        k2 = rhs(t + 0.5 * h, c + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, c + 0.5 * h * k2)
-        k4 = rhs(t + h, c + h * k3)
+        at_mid = connection(t + 0.5 * h)
+        at_end = connection(t + h)
+        k1 = rhs(*at_t, c)
+        k2 = rhs(*at_mid, c + 0.5 * h * k1)
+        k3 = rhs(*at_mid, c + 0.5 * h * k2)
+        k4 = rhs(*at_end, c + h * k3)
         c = c + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
+        t, at_t = t + h, at_end
         if progress is not None and (step + 1) % report_every == 0:
             progress(step + 1, steps)
     return c

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from siegelflow.cli import main
 
@@ -57,6 +58,20 @@ class TestGeodesicCommand:
         code, _, err = run_cli(["geodesic"], "{not json", capsys, monkeypatch)
         assert code == 2
         assert "input error" in err
+
+    @pytest.mark.parametrize("payload", ["[]", "3", '"omega"', "null"])
+    def test_non_object_json_exits_2(self, payload, capsys, monkeypatch):
+        code, out, err = run_cli(["geodesic"], payload, capsys, monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error:") and "JSON object" in err
+
+    def test_unreadable_input_path_exits_2(self, tmp_path, capsys, monkeypatch):
+        missing = tmp_path / "missing.json"
+        code, out, err = run_cli(["geodesic", "--in", str(missing)], "", capsys, monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error:") and str(missing) in err
 
 
 class TestTransportCommand:

@@ -36,7 +36,11 @@ from siegelflow import (
 )
 from siegelflow.sections import coord_matrix, gram_matrix
 from siegelflow.sympl import act_on_siegel
-from siegelflow.transport import bogoliubov_scale_via_structures, ladder_matrices
+from siegelflow.transport import (
+    bogoliubov_scale_via_structures,
+    ladder_matrices,
+    transport_ode_coeffs,
+)
 
 from conftest import random_gaussian_section
 
@@ -299,6 +303,28 @@ class TestFockConnection:
         assert np.abs(b - np.conj(0.1 + 0.2j) * np.eye(2)).max() < 1e-12
 
 
+def _dense_rk4(c0, tau_of_t, t_end, steps):
+    """Classical RK4 for dc/dt = -A(dtau) c with the dense connection matrices."""
+    c = np.asarray(c0, dtype=complex).copy()
+    h = t_end / steps
+    eps = 1e-6 * max(abs(t_end), 1.0)
+
+    def rhs(t, c):
+        dtau = (tau_of_t(t + eps) - tau_of_t(t - eps)) / (2 * eps)
+        a_tau, a_taubar = fock_connection_matrix(tau_of_t(t), c.size)
+        return -(a_tau * dtau + a_taubar * np.conj(dtau)) @ c
+
+    t = 0.0
+    for _ in range(steps):
+        k1 = rhs(t, c)
+        k2 = rhs(t + 0.5 * h, c + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, c + 0.5 * h * k2)
+        k4 = rhs(t + h, c + h * k3)
+        c = c + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += h
+    return c
+
+
 class TestTransportODE:
     def test_zero_rate_is_identity(self):
         out = transport_ode(fock_state(3, I1), 0.0, 1.0, 100)
@@ -334,6 +360,25 @@ class TestTransportODE:
                       progress=lambda step, total: seen.append((step, total)))
         assert seen and seen[-1] == (300, 300)
         assert all(total == 300 for _, total in seen)
+
+    @pytest.mark.parametrize("n_basis", [8, 48, 256])
+    @pytest.mark.parametrize("steps", [1, 200])
+    def test_banded_rhs_matches_dense_reference(self, n_basis, steps):
+        # a non-geodesic path whose velocity has a real part, so the diagonal
+        # band enters with weight 2 Re(dtau)
+        def tau_of_t(t):
+            return 0.4 * t + 1j * (1.0 + t * t)
+
+        rng = np.random.default_rng(n_basis + steps)
+        c0 = rng.normal(size=n_basis) + 1j * rng.normal(size=n_basis)
+        c0 /= np.sqrt(np.arange(1, n_basis + 1)) ** 3
+        got = transport_ode_coeffs(c0, tau_of_t, 0.6, steps)
+        want = _dense_rk4(c0, tau_of_t, 0.6, steps)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_path_leaving_the_half_plane_raises(self):
+        with pytest.raises(ValueError, match="upper half-plane"):
+            transport_ode_coeffs(np.ones(8), lambda t: 1j * (1.0 - t), 2.0, 40)
 
     def test_result_serialization_schema(self, rng):
         om, omp = random_siegel(rng, 1), random_siegel(rng, 1)
