@@ -1,6 +1,6 @@
 """Closed-form complex Gaussian integrals over R^m.
 
-The single primitive is
+The base integral is
 
     integral over R^m of exp( (1/2) v^T S v + l^T v + k ) dv
         = (2 pi)^{m/2} det(-S)^{-1/2} exp( k - (1/2) l^T S^{-1} l ),
@@ -10,13 +10,24 @@ branch of det(-S)^{-1/2} is the analytic continuation from real SPD
 matrices: every eigenvalue of -S has positive real part, so summing
 principal logarithms of the eigenvalues is the continuous choice.
 
-Also provides series-coefficient helpers used to push polynomial factors
-through these integrals via generating parameters.
+Every Gaussian-times-polynomial operation of the library reduces to these
+primitives:
+
+  * ``gauss_log_integral``: log of the base integral;
+  * ``integrate_out``: the base integral over some of the variables, as a
+    Gaussian in the rest;
+  * ``exp_bivariate_series``: the one series recurrence, Taylor
+    coefficients of an exponentiated quadratic in two generating
+    parameters (one-parameter series are its first column);
+  * ``kernel_apply_poly``: the push of a polynomial-times-Gaussian through
+    a Gaussian kernel, via ``generating_poly``;
+  * ``_poly_gauss_pairing``: the integral of a Gaussian times two
+    polynomial factors, which every closed-form inner product uses.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 
@@ -67,18 +78,6 @@ def integrate_out(S: np.ndarray, L: np.ndarray, ell0: np.ndarray, k: complex):
     r = -L.T @ Sinv_l
     s = complex(k) - 0.5 * complex(ell0 @ Sinv_l) + 0.5 * m * np.log(2 * np.pi) - half_logdet(-S)
     return Q, r, s
-
-
-def exp_series(m2: complex, b1: complex, nmax: int) -> np.ndarray:
-    """Taylor coefficients e[j] = [z^j] exp((1/2) m2 z^2 + b1 z), j <= nmax."""
-    e = np.zeros(nmax + 1, dtype=complex)
-    e[0] = 1.0
-    for j in range(nmax):
-        acc = b1 * e[j]
-        if j >= 1:
-            acc += m2 * e[j - 1]
-        e[j + 1] = acc / (j + 1)
-    return e
 
 
 def exp_bivariate_series(b1, b2, g11, g12, g22, jmax: int, kmax: int) -> np.ndarray:
@@ -136,3 +135,26 @@ def generating_poly(beta: complex, gamma: complex, eps: complex, k: int) -> np.n
     for j in range(1, k):
         f.append(beta * f[j] + j * gamma * f[j - 1])
     return np.array([comb(k, c) * eps**c * f[k - c] for c in range(k + 1)], dtype=complex)
+
+
+def _poly_gauss_pairing(S, ell, k, a, b, p1, p2) -> complex:
+    """Integral of exp((1/2) v^T S v + ell^T v + k) p1(a . v) p2(b . v) dv.
+
+    p1, p2 are ascending coefficients; the directions a, b are read only when
+    a factor is a polynomial.  The moment of (a . v)^j (b . v)^l is j! l!
+    [s^j t^l] of the integral with linear term ell + s a + t b.
+    """
+    log = gauss_log_integral(S, ell, k)
+    if len(p1) == 1 and len(p2) == 1:
+        return p1[0] * p2[0] * np.exp(log)
+    x0 = np.linalg.solve(S, ell)
+    xa = np.linalg.solve(S, a)
+    xb = np.linalg.solve(S, b)
+    series = exp_bivariate_series(
+        -a @ x0, -b @ x0, -a @ xa, -a @ xb, -b @ xb, len(p1) - 1, len(p2) - 1
+    )
+    total = 0.0 + 0.0j
+    for j in range(len(p1)):
+        for l in range(len(p2)):
+            total += p1[j] * p2[l] * float(factorial(j)) * float(factorial(l)) * series[j, l]
+    return total * np.exp(log)

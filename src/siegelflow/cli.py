@@ -63,8 +63,25 @@ from .transport import (
 SCHEMA_VERSION = 1
 
 
-def _parse_point(data: dict) -> SiegelPoint:
-    return SiegelPoint(np.asarray(data["omega1"], dtype=float), np.asarray(data["omega2"], dtype=float))
+def _real_array(value, name: str, ndim: int) -> np.ndarray:
+    """``value`` as a real array of ``ndim`` dimensions; ValueError naming the field."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != ndim:
+        raise ValueError(f"{name} must be a {ndim}-dimensional array of numbers")
+    return arr
+
+
+def _parse_point(data: dict, field: str) -> SiegelPoint:
+    point = data[field]
+    if not isinstance(point, dict):
+        raise ValueError(f"{field} must be an object with omega1 and omega2")
+    return SiegelPoint(
+        _real_array(point["omega1"], f"{field}.omega1", 2),
+        _real_array(point["omega2"], f"{field}.omega2", 2),
+    )
 
 
 def _point_json(p: SiegelPoint) -> dict:
@@ -106,8 +123,8 @@ def _report(command: str, inputs: dict, results: list[dict], outputs: dict, t0: 
 def cmd_geodesic(args) -> int:
     t0 = time.time()
     data = _load_input(args)
-    omega = _parse_point(data["omega"])
-    omega_p = _parse_point(data["omega_p"])
+    omega = _parse_point(data, "omega")
+    omega_p = _parse_point(data, "omega_p")
     spec = geodesic_between(omega, omega_p)
     residual = spec.endpoint_residual()
     samples = {
@@ -134,8 +151,12 @@ def cmd_geodesic(args) -> int:
 
 def _parse_state(data: dict, omega: SiegelPoint):
     state = data.get("state", {"alpha": [[0.0, 0.0]] * omega.n})
+    if not isinstance(state, dict):
+        raise ValueError("state must be an object with alpha or section")
     if "alpha" in state:
-        arr = np.asarray(state["alpha"], dtype=float)
+        arr = _real_array(state["alpha"], "state.alpha", 2)
+        if arr.shape != (omega.n, 2):
+            raise ValueError(f"state.alpha must hold {omega.n} [re, im] pairs")
         alpha = arr[:, 0] + 1j * arr[:, 1]
         return alpha, coherent_state(alpha, omega)
     return None, section_from_json(state["section"])
@@ -144,8 +165,8 @@ def _parse_state(data: dict, omega: SiegelPoint):
 def cmd_transport(args) -> int:
     t0 = time.time()
     data = _load_input(args)
-    omega = _parse_point(data["omega"])
-    omega_p = _parse_point(data["omega_p"])
+    omega = _parse_point(data, "omega")
+    omega_p = _parse_point(data, "omega_p")
     alpha, psi = _parse_state(data, omega)
     results: list[dict] = []
     outputs: dict = {}
@@ -183,7 +204,7 @@ def cmd_transport(args) -> int:
         )
 
     if args.triangle:
-        omega_pp = _parse_point(data["omega_pp"])
+        omega_pp = _parse_point(data, "omega_pp")
         start = CorrectedSection(psi, HalfFormFrame(omega))
         around = transport_corrected(
             transport_corrected(

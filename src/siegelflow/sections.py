@@ -24,13 +24,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from ._gaussint import (
-    exp_bivariate_series,
-    exp_series,
-    gauss_log_integral,
-    generating_poly,
-    integrate_out,
-)
+from ._gaussint import _poly_gauss_pairing, exp_bivariate_series, kernel_apply_poly
 from ._point import SiegelPoint
 from .errors import (
     GridTooCoarseError,
@@ -195,37 +189,15 @@ def inner_product_cross_frame(psi1: Section, psi2: Section) -> complex:
     """<psi1, psi2> with each section evaluated on V in its own coordinates."""
     s1, l1, k1 = _gaussian_data(psi1)
     s2, l2, k2 = _gaussian_data(psi2)
-    s = np.conj(s1) + s2
-    ell = np.conj(l1) + l2
-    k = np.conj(k1) + k2
-    n = psi1.n
     p1, p2 = _poly_coeffs(psi1), _poly_coeffs(psi2)
-    if len(p1) == 1 and len(p2) == 1:
-        log = gauss_log_integral(s, ell, k) - n * LOG2PI
-        return np.conj(p1[0]) * p2[0] * np.exp(log)
-    if n != 1:
-        raise ValueError("polynomial sections require n = 1")
-    a = np.conj(coord_matrix(psi1.frame))[0]  # conj(z1) direction
-    bdir = coord_matrix(psi2.frame)[0]
-    base = np.exp(gauss_log_integral(s, ell, k) - n * LOG2PI)
-    x0 = np.linalg.solve(s, ell)
-    xa = np.linalg.solve(s, a)
-    xb = np.linalg.solve(s, bdir)
-    series = exp_bivariate_series(
-        -a @ x0, -bdir @ x0, -a @ xa, -a @ xb, -bdir @ xb,
-        len(p1) - 1, len(p2) - 1,
+    a = b = None
+    if len(p1) > 1 or len(p2) > 1:
+        # polynomial factors are functions of z1 (conjugated) and z2 (n = 1)
+        a, b = np.conj(coord_matrix(psi1.frame))[0], coord_matrix(psi2.frame)[0]
+    return _poly_gauss_pairing(
+        np.conj(s1) + s2, np.conj(l1) + l2, np.conj(k1) + k2 - psi1.n * LOG2PI,
+        a, b, np.conj(p1), p2,
     )
-    from math import factorial
-
-    total = 0.0 + 0.0j
-    for j in range(len(p1)):
-        for k2i in range(len(p2)):
-            total += (
-                np.conj(p1[j]) * p2[k2i]
-                * float(factorial(j)) * float(factorial(k2i))
-                * series[j, k2i]
-            )
-    return total * base
 
 
 def norm(psi: Section) -> float:
@@ -237,26 +209,19 @@ def bergman_project(psi: Section, omega_p: SiegelPoint) -> Section:
 
     Applies the reproducing kernel exp(z'^T conj(z') - |z'|^2/2 - |z|^2/2) of
     the target frame; idempotent, and the identity on sections already
-    holomorphic for Omega'.
+    holomorphic for Omega'.  A polynomial factor is pushed through the
+    kernel along the source z-direction.
     """
-    ep = coord_matrix(omega_p)
-    gp = gram_matrix(omega_p)
     s_psi, l_psi, k_psi = _gaussian_data(psi)
-    s = s_psi - gp
     poly = _poly_coeffs(psi)
+    gen_dir = coord_matrix(psi.frame)[0] if len(poly) > 1 else None
+    q, r, c, poly = kernel_apply_poly(
+        s_psi - gram_matrix(omega_p), coord_matrix(omega_p).conj().T, l_psi, k_psi, poly, gen_dir
+    )
+    c = c - psi.n * LOG2PI
     if len(poly) == 1:
-        q, r, sc = integrate_out(s, ep.conj().T, l_psi, k_psi)
-        return GaussianSection(omega_p, q, r, sc + np.log(poly[0]) - psi.n * LOG2PI)
-    # polynomial input (n = 1): generating parameter along the source z-direction
-    a = coord_matrix(psi.frame)[0]
-    lmat = np.column_stack([a, ep.conj().T[:, 0]])
-    q, r, sc = integrate_out(s, lmat, l_psi, k_psi)
-    out = np.zeros(len(poly), dtype=complex)
-    for k, pk in enumerate(poly):
-        if pk != 0:
-            term = generating_poly(r[0], q[0, 0], q[0, 1], k)
-            out[: k + 1] += pk * term
-    return PolyFockSection(omega_p, out, q[1, 1], r[1], sc - LOG2PI)
+        return GaussianSection(omega_p, q, r, c)
+    return PolyFockSection(omega_p, poly, q[0, 0], r[0], c)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +333,7 @@ def fock_coefficients(psi: Section, n_trunc: int = N_TRUNC_DEFAULT) -> np.ndarra
     else:
         m, b, c = psi.m, psi.b, psi.c
         poly = psi.coeffs
-    series = exp_series(m, b, n_trunc - 1)
+    series = exp_bivariate_series(b, 0.0, m, 0.0, 0.0, n_trunc - 1, 0)[:, 0]
     full = np.convolve(poly, series)[:n_trunc]
     if len(full) < n_trunc:
         full = np.pad(full, (0, n_trunc - len(full)))
@@ -405,6 +370,34 @@ def _hermite_table(nodes: int):
     return u, logw
 
 
+def _hermite_grid_sum(f, gram: np.ndarray, nodes: int) -> complex:
+    """Tensor-product Gauss-Hermite estimate of integral f dv over R^m, with
+    the grid placed for the SPD envelope exp(-v^T G v).
+
+    Summation order is fixed by the grid layout, so results are
+    bit-identical for a given configuration; above two dimensions the grid
+    is summed in slices along the first axis to bound memory.
+    """
+    m = gram.shape[0]
+    w_eig, v_eig = np.linalg.eigh(gram)
+    if w_eig.min() <= 0:
+        raise ValueError("gram matrix must be SPD")
+    ginv_half = (v_eig / np.sqrt(w_eig)) @ v_eig.T
+    u, logw = _hermite_table(nodes)
+    head = m if m <= 2 else m - 1
+    grids = np.meshgrid(*([u] * head), indexing="ij")
+    pts = np.stack([gr.ravel() for gr in grids], axis=-1)
+    lw = np.stack(np.meshgrid(*([logw] * head), indexing="ij"), axis=-1).sum(-1).ravel()
+    if m <= 2:
+        total = complex((f(pts @ ginv_half.T) * np.exp(lw)).sum())
+    else:
+        total = 0.0 + 0.0j
+        for uj, lj in zip(u, logw):
+            sl = np.concatenate([np.full((pts.shape[0], 1), uj), pts], axis=1)
+            total += complex((f(sl @ ginv_half.T) * np.exp(lj + lw)).sum())
+    return total * np.exp(-0.5 * float(np.sum(np.log(w_eig))))
+
+
 def quadrature_integrate(
     f,
     n: int,
@@ -421,40 +414,13 @@ def quadrature_integrate(
     placed for that envelope.  Summation order is fixed by the grid layout,
     so results are bit-identical for a given configuration.
     """
-    m = 2 * n
     if n > 2:
         raise ValueError("the tensor-product grid is practical for n <= 2 only")
-    g = 0.5 * np.eye(m) if gram is None else np.asarray(gram, dtype=float)
-    w_eig, v_eig = np.linalg.eigh(g)
-    if w_eig.min() <= 0:
-        raise ValueError("gram matrix must be SPD")
-    ginv_half = (v_eig / np.sqrt(w_eig)) @ v_eig.T
-    logdet_half = 0.5 * float(np.sum(np.log(w_eig)))
-
-    u, logw = _hermite_table(nodes)
-
-    def evaluate(u_nodes, logw_nodes):
-        if m <= 2:
-            grids = np.meshgrid(*([u_nodes] * m), indexing="ij")
-            pts = np.stack([gr.ravel() for gr in grids], axis=-1)
-            lw = np.stack(np.meshgrid(*([logw_nodes] * m), indexing="ij"), axis=-1).sum(-1).ravel()
-            vals = f(pts @ ginv_half.T) * np.exp(lw)
-            return complex(vals.sum())
-        # chunk over the first axis to bound memory
-        grids = np.meshgrid(*([u_nodes] * (m - 1)), indexing="ij")
-        tail = np.stack([gr.ravel() for gr in grids], axis=-1)
-        lw_tail = np.stack(np.meshgrid(*([logw_nodes] * (m - 1)), indexing="ij"), axis=-1).sum(-1).ravel()
-        total = 0.0 + 0.0j
-        for j in range(len(u_nodes)):
-            pts = np.concatenate([np.full((tail.shape[0], 1), u_nodes[j]), tail], axis=1)
-            vals = f(pts @ ginv_half.T) * np.exp(logw_nodes[j] + lw_tail)
-            total += complex(vals.sum())
-        return total
-
-    scale = np.exp(-logdet_half) / (2 * np.pi) ** n
-    result = evaluate(u, logw) * scale
+    g = 0.5 * np.eye(2 * n) if gram is None else np.asarray(gram, dtype=float)
+    scale = (2 * np.pi) ** -n
+    result = _hermite_grid_sum(f, g, nodes) * scale
     if check:
-        refined = evaluate(*_hermite_table(2 * nodes)) * scale
+        refined = _hermite_grid_sum(f, g, 2 * nodes) * scale
         if abs(refined - result) > rtol * max(1.0, abs(refined)):
             raise GridTooCoarseError(
                 f"doubling nodes moved the result by {abs(refined - result):.3e}"

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._gaussint import half_logdet, kernel_apply_poly
+from ._gaussint import _poly_gauss_pairing, half_logdet, kernel_apply_poly
 from ._point import SiegelPoint, diagonal_point, standard_point
 from .errors import NoBoundaryLimitError, PolarizationMismatchError
 from .sections import (
@@ -33,7 +33,7 @@ from .sections import (
     HalfFormFrame,
     PolyFockSection,
     Section,
-    _hermite_table,
+    _hermite_grid_sum,
     coord_matrix,
     difference_norm,
     gram_matrix,
@@ -119,35 +119,11 @@ class BoundaryProfile:
 def profile_inner_product(p1: BoundaryProfile, p2: BoundaryProfile) -> complex:
     """(2 pi)^{-n/2} integral of conj(p1) p2 over R^n, in closed form."""
     n = p1.n
-    s = np.conj(p1.m) + p2.m
-    ell = np.conj(p1.b) + p2.b
-    k = np.conj(p1.c) + p2.c
-    if len(p1.coeffs) == 1 and len(p2.coeffs) == 1:
-        from ._gaussint import gauss_log_integral
-
-        return np.conj(p1.coeffs[0]) * p2.coeffs[0] * np.exp(
-            gauss_log_integral(s, ell, k) - 0.5 * n * LOG2PI
-        )
-    from math import factorial
-
-    from ._gaussint import exp_bivariate_series, gauss_log_integral
-
-    e1 = np.array([1.0 + 0.0j])
-    base = np.exp(gauss_log_integral(s, ell, k) - 0.5 * n * LOG2PI)
-    x0 = np.linalg.solve(s, ell)
-    xa = np.linalg.solve(s, e1)
-    series = exp_bivariate_series(
-        -e1 @ x0, -e1 @ x0, -e1 @ xa, -e1 @ xa, -e1 @ xa,
-        len(p1.coeffs) - 1, len(p2.coeffs) - 1,
+    e1 = np.eye(n)[0]
+    return _poly_gauss_pairing(
+        np.conj(p1.m) + p2.m, np.conj(p1.b) + p2.b, np.conj(p1.c) + p2.c - 0.5 * n * LOG2PI,
+        e1, e1, np.conj(p1.coeffs), p2.coeffs,
     )
-    total = 0.0 + 0.0j
-    for j in range(len(p1.coeffs)):
-        for k2 in range(len(p2.coeffs)):
-            total += (
-                np.conj(p1.coeffs[j]) * p2.coeffs[k2]
-                * float(factorial(j)) * float(factorial(k2)) * series[j, k2]
-            )
-    return total * base
 
 
 def profile_norm(p: BoundaryProfile) -> float:
@@ -156,17 +132,9 @@ def profile_norm(p: BoundaryProfile) -> float:
 
 def profile_difference_norm(p1: BoundaryProfile, p2: BoundaryProfile, nodes: int = 48) -> float:
     """Pointwise-evaluated || p1 - p2 || over R^n with the (2 pi)^{-n/2} measure."""
-    n = p1.n
     width = -0.5 * (p1.m.real + p2.m.real)
-    w_eig, v_eig = np.linalg.eigh(width)
-    ginv_half = (v_eig / np.sqrt(w_eig)) @ v_eig.T
-    logdet_half = 0.5 * float(np.sum(np.log(w_eig)))
-    u, logw = _hermite_table(nodes)
-    grids = np.meshgrid(*([u] * n), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1) @ ginv_half.T
-    lw = np.stack(np.meshgrid(*([logw] * n), indexing="ij"), axis=-1).sum(-1).ravel()
-    vals = np.abs(p1.value(pts) - p2.value(pts)) ** 2 * np.exp(lw)
-    total = vals.sum() * np.exp(-logdet_half) / (2 * np.pi) ** (n / 2)
+    total = _hermite_grid_sum(lambda u: np.abs(p1.value(u) - p2.value(u)) ** 2, width, nodes)
+    total = total / (2 * np.pi) ** (p1.n / 2)
     return float(np.sqrt(max(total.real, 0.0)))
 
 
@@ -333,7 +301,7 @@ def _btrans_std(profile: BoundaryProfile, omega: SiegelPoint) -> Section:
     m_out = 0.5 * (m_out + m_out.T)
     c_out = sc - 0.5 * n * LOG2PI + log_pref
     if len(poly) == 1:
-        return GaussianSection(omega, m_out, r, c_out + np.log(poly[0]))
+        return GaussianSection(omega, m_out, r, c_out)
     return PolyFockSection(omega, poly, m_out[0, 0], r[0], c_out)
 
 
@@ -362,9 +330,6 @@ def _invb_std(section: Section, omega: SiegelPoint) -> BoundaryProfile:
     )
     m_out = b22 + q
     c_out = sc - n * LOG2PI + log_pref
-    if len(poly) == 1:
-        c_out = c_out + np.log(poly[0])
-        poly = np.array([1.0 + 0.0j])
     return BoundaryProfile(poly, 0.5 * (m_out + m_out.T), r, c_out)
 
 
@@ -400,9 +365,6 @@ def fourier(shat: CorrectedBoundarySection) -> CorrectedBoundarySection:
         prof.m, 1j * np.eye(n), prof.b, prof.c, prof.coeffs, np.eye(n)[0] if n == 1 else None
     )
     c_out = sc - 0.5 * n * LOG2PI + 0.25j * np.pi * n  # principal i^{n/2}
-    if len(poly) == 1:
-        c_out = c_out + np.log(poly[0])
-        poly = np.array([1.0 + 0.0j])
     chi = BoundaryProfile(poly, 0.5 * (q + q.T), r, c_out)
     return from_momentum_profile(chi)
 

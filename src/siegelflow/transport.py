@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._gaussint import generating_poly, half_logdet, integrate_out
+from ._gaussint import half_logdet, integrate_out
 from ._point import SiegelPoint, diagonal_point, standard_point
 from .errors import TruncationOverflowError
 from .sections import (
@@ -412,33 +412,17 @@ def transport_ode(
     return from_fock_coefficients(c, diagonal_point([np.exp(2.0 * lam * t_end)]))
 
 
-def transport_poly_standard(psi0: PolyFockSection, lam: float, t: float) -> PolyFockSection:
-    """Closed-form transport of a polynomial state along the standard geodesic.
+def transport_poly_standard(psi0: PolyFockSection, lam: float, t: float) -> Section:
+    """Closed-form transport of a Gaussian-polynomial state along the
+    standard geodesic i exp(2 lambda t) from i.
 
-    Obtained by differentiating the coherent-state formula in the parameter:
-    z^k maps to k! [s^k] of the transported exp(s z) family.
+    This is the rescaled projection alpha P of ``transport_uncorrected``,
+    exact for any polynomial degree and any Gaussian part (m, b, c).
     """
-    if abs(psi0.m) > 0 or abs(psi0.b) > 0:
-        # reduce a general state to pure-polynomial data first
-        coeffs = fock_coefficients(psi0, max(len(psi0.coeffs), 32))
-        psi0 = from_fock_coefficients(coeffs, psi0.frame)
     if not psi0.frame.close_to(standard_point(1), tol=1e-12):
         raise ValueError("initial state must be expressed at the base point i")
     lam = float(np.atleast_1d(lam)[0])
-    th = np.tanh(lam * t)
-    sh = 1.0 / np.cosh(lam * t)
-    out = np.zeros(len(psi0.coeffs), dtype=complex)
-    # transported exp(s z0) family: [s^k] exp((th/2) s^2 + (sh z) s) gaussian
-    for k, pk in enumerate(psi0.coeffs):
-        if pk != 0:
-            out[: k + 1] += pk * generating_poly(0.0, th, sh, k)
-    return PolyFockSection(
-        diagonal_point([np.exp(2.0 * lam * t)]),
-        out,
-        -th,
-        0.0,
-        psi0.c + 0.5 * np.log(sh),
-    )
+    return transport_uncorrected(psi0, diagonal_point([np.exp(2.0 * lam * t)]))
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,26 @@ class TestGeodesicCommand:
         assert err.startswith("input error:") and str(missing) in err
 
 
+_UNIT_POINT = point_json([[0.0]], [[1.0]])
+
+
 class TestTransportCommand:
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            ({"omega_p": "x"}, "omega_p"),
+            ({"omega": [1]}, "omega"),
+            ({"state": 5}, "state"),
+            ({"state": {"alpha": [1, 2]}}, "state.alpha"),
+        ],
+    )
+    def test_wrongly_typed_field_exits_2(self, fields, named, capsys, monkeypatch):
+        payload = json.dumps({"omega": _UNIT_POINT, "omega_p": _UNIT_POINT, **fields})
+        code, out, err = run_cli(["transport"], payload, capsys, monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"input error: {named} ")
+
     def test_vacuum_with_ode_check(self, capsys, monkeypatch):
         payload = json.dumps(
             {

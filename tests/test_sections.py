@@ -9,6 +9,7 @@ from siegelflow import (
     NonTransverseError,
     NotIntegrableError,
     PolyFockSection,
+    SiegelPoint,
     bergman_project,
     coherent_state,
     diagonal_point,
@@ -162,6 +163,19 @@ class TestBergmanProjection:
             proj = bergman_project(psi, omega_p)
             after = np.sqrt(oracle_inner_product(proj, proj, nodes=nodes).real)
             assert after <= before * (1 + 1e-8)
+
+    def test_polynomial_projection_reproduces_oracle_pairings(self):
+        # <c_w, P psi> = <c_w, psi> for coherent states c_w of the target frame
+        omega = SiegelPoint.from_complex([[0.3 + 1.2j]])
+        omega_p = SiegelPoint.from_complex([[-0.4 + 0.7j]])
+        psi = PolyFockSection(omega, [0.5, -0.3j, 0.2, 0.1 + 0.1j], m=0.3 + 0.2j, b=0.4 - 0.3j, c=0.05)
+        proj = bergman_project(psi, omega_p)
+        assert isinstance(proj, PolyFockSection) and proj.degree == 3
+        for w in (0.0, 0.6 - 0.2j, -0.3 + 0.8j, 1.1 + 0.4j):
+            c_w = coherent_state([w], omega_p)
+            orac = oracle_inner_product(c_w, psi)
+            closed = inner_product(c_w, proj)
+            assert abs(closed - orac) < 1e-8 * max(1.0, abs(orac))
 
 
 class TestFockStates:

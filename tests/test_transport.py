@@ -6,6 +6,7 @@ from siegelflow import (
     CorrectedSection,
     HalfFormFrame,
     MetaplecticElement,
+    PolyFockSection,
     TruncationOverflowError,
     bogoliubov_operator_deformation,
     bogoliubov_scale,
@@ -75,6 +76,19 @@ class TestStandardTransport:
             / np.sqrt(2.0)
         )
         assert np.abs(moved.value(pts) - printed).max() < 1e-14
+
+
+    def test_displaced_state_matches_coherent_closed_form(self):
+        # c_5 written as a Gaussian-polynomial state with b = conj(alpha) = 5
+        moved = transport_poly_standard(PolyFockSection(I1, [1.0], m=0.0, b=5.0), 0.5, 1.0)
+        ref = transport_coherent_standard([5.0], 0.5, 1.0)
+        assert difference_norm(moved, ref) < 1e-12 * norm(ref)
+
+    def test_squeezed_polynomial_state_matches_ode(self):
+        psi = PolyFockSection(I1, [0.3, -0.4j, 0.5], m=0.3 - 0.2j, b=0.4 + 0.1j, c=0.1)
+        closed = fock_coefficients(transport_poly_standard(psi, 0.5, 1.0), 32)
+        ode = fock_coefficients(transport_ode(psi, 0.5, 1.0, 2000, n_basis=128), 32)
+        assert np.linalg.norm(ode - closed) < 1e-8 * np.linalg.norm(closed)
 
 
 class TestGeneralTransport:
