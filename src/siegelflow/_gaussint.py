@@ -1,9 +1,11 @@
 """Closed-form complex Gaussian integrals over R^m.
 
-The base integral is
+Every integral is taken against the normalised measure (2 pi)^{-m/2} dv,
+the one all callers use: (2 pi)^{-n} dx dy on phase space, (2 pi)^{-n/2} du
+on a Lagrangian quotient.  The base integral is
 
-    integral over R^m of exp( (1/2) v^T S v + l^T v + k ) dv
-        = (2 pi)^{m/2} det(-S)^{-1/2} exp( k - (1/2) l^T S^{-1} l ),
+    (2 pi)^{-m/2} integral over R^m of exp( (1/2) v^T S v + l^T v + k ) dv
+        = det(-S)^{-1/2} exp( k - (1/2) l^T S^{-1} l ),
 
 valid for complex symmetric S whose real part is negative definite.  The
 branch of det(-S)^{-1/2} is the analytic continuation from real SPD
@@ -49,18 +51,18 @@ def half_logdet(a: np.ndarray) -> complex:
 
 
 def gauss_log_integral(S: np.ndarray, ell: np.ndarray, k: complex) -> complex:
-    """log of the Gaussian integral of exp((1/2) v^T S v + ell^T v + k)."""
+    """log of the normalised integral of exp((1/2) v^T S v + ell^T v + k)."""
     S = np.atleast_2d(S)
     m = S.shape[0]
     ell = np.asarray(ell, dtype=complex).reshape(m)
     if np.linalg.eigvalsh(0.5 * (S.real + S.real.T)).max() >= 0:
         raise NotIntegrableError("real part of the quadratic form is not negative definite")
     x = np.linalg.solve(S, ell)
-    return complex(k) - 0.5 * complex(ell @ x) + 0.5 * m * np.log(2 * np.pi) - half_logdet(-S)
+    return complex(k) - 0.5 * complex(ell @ x) - half_logdet(-S)
 
 
 def integrate_out(S: np.ndarray, L: np.ndarray, ell0: np.ndarray, k: complex):
-    """Integrate exp((1/2) u^T S u + (L w + ell0)^T u + k) over u.
+    """Integrate exp((1/2) u^T S u + (L w + ell0)^T u + k) over u, normalised.
 
     Returns (Q, r, s) with the result equal to exp((1/2) w^T Q w + r^T w + s)
     as a function of the remaining (complex vector) variable w.
@@ -76,7 +78,7 @@ def integrate_out(S: np.ndarray, L: np.ndarray, ell0: np.ndarray, k: complex):
     Q = -L.T @ Sinv_L
     Q = 0.5 * (Q + Q.T)
     r = -L.T @ Sinv_l
-    s = complex(k) - 0.5 * complex(ell0 @ Sinv_l) + 0.5 * m * np.log(2 * np.pi) - half_logdet(-S)
+    s = complex(k) - 0.5 * complex(ell0 @ Sinv_l) - half_logdet(-S)
     return Q, r, s
 
 
@@ -101,7 +103,7 @@ def exp_bivariate_series(b1, b2, g11, g12, g22, jmax: int, kmax: int) -> np.ndar
 
 
 def kernel_apply_poly(S, Lmat, ell0, k0, poly, gen_dir):
-    """Integrate exp((1/2) u^T S u + (L w + ell0)^T u + k0) p(gen_dir . u) du.
+    """Integrate exp((1/2) u^T S u + (L w + ell0)^T u + k0) p(gen_dir . u), normalised.
 
     Returns (Q, r, s, poly_out) describing
     exp((1/2) w^T Q w + r^T w + s) * poly_out(w); polynomial factors are
@@ -138,7 +140,7 @@ def generating_poly(beta: complex, gamma: complex, eps: complex, k: int) -> np.n
 
 
 def _poly_gauss_pairing(S, ell, k, a, b, p1, p2) -> complex:
-    """Integral of exp((1/2) v^T S v + ell^T v + k) p1(a . v) p2(b . v) dv.
+    """Normalised integral of exp((1/2) v^T S v + ell^T v + k) p1(a . v) p2(b . v).
 
     p1, p2 are ascending coefficients; the directions a, b are read only when
     a factor is a polynomial.  The moment of (a . v)^j (b . v)^l is j! l!

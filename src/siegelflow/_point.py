@@ -19,8 +19,10 @@ def _as_real_symmetric(a, name: str, tol: float = SYMMETRY_TOL) -> np.ndarray:
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    scale = max(1.0, float(np.abs(a).max()))
-    if np.abs(a - a.T).max() > tol * scale:
+    amax = float(np.abs(a).max())
+    if not amax < np.inf:  # also false for NaN
+        raise ValueError(f"{name} must be finite")
+    if np.abs(a - a.T).max() > tol * max(1.0, amax):
         raise ValueError(f"{name} is not symmetric to tolerance {tol}")
     return 0.5 * (a + a.T)
 

@@ -40,6 +40,8 @@ from .errors import SiegelFlowError
 from .sections import (
     CorrectedSection,
     HalfFormFrame,
+    _point_from_json,
+    _real_array,
     coherent_state,
     difference_norm,
     fock_coefficients,
@@ -50,7 +52,7 @@ from .sections import (
     section_to_json,
 )
 from .siegel import geodesic_between, geodesic_eval
-from .suites import SUITES
+from .suites import SUITES, _limits
 from .sympl import MetaplecticElement
 from .transport import (
     metaplectic_act,
@@ -61,27 +63,6 @@ from .transport import (
 )
 
 SCHEMA_VERSION = 1
-
-
-def _real_array(value, name: str, ndim: int) -> np.ndarray:
-    """``value`` as a real array of ``ndim`` dimensions; ValueError naming the field."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.ndim != ndim:
-        raise ValueError(f"{name} must be a {ndim}-dimensional array of numbers")
-    return arr
-
-
-def _parse_point(data: dict, field: str) -> SiegelPoint:
-    point = data[field]
-    if not isinstance(point, dict):
-        raise ValueError(f"{field} must be an object with omega1 and omega2")
-    return SiegelPoint(
-        _real_array(point["omega1"], f"{field}.omega1", 2),
-        _real_array(point["omega2"], f"{field}.omega2", 2),
-    )
 
 
 def _point_json(p: SiegelPoint) -> dict:
@@ -123,8 +104,8 @@ def _report(command: str, inputs: dict, results: list[dict], outputs: dict, t0: 
 def cmd_geodesic(args) -> int:
     t0 = time.time()
     data = _load_input(args)
-    omega = _parse_point(data, "omega")
-    omega_p = _parse_point(data, "omega_p")
+    omega = _point_from_json(data["omega"], "omega")
+    omega_p = _point_from_json(data["omega_p"], "omega_p")
     spec = geodesic_between(omega, omega_p)
     residual = spec.endpoint_residual()
     samples = {
@@ -165,8 +146,8 @@ def _parse_state(data: dict, omega: SiegelPoint):
 def cmd_transport(args) -> int:
     t0 = time.time()
     data = _load_input(args)
-    omega = _parse_point(data, "omega")
-    omega_p = _parse_point(data, "omega_p")
+    omega = _point_from_json(data["omega"], "omega")
+    omega_p = _point_from_json(data["omega_p"], "omega_p")
     alpha, psi = _parse_state(data, omega)
     results: list[dict] = []
     outputs: dict = {}
@@ -204,7 +185,7 @@ def cmd_transport(args) -> int:
         )
 
     if args.triangle:
-        omega_pp = _parse_point(data, "omega_pp")
+        omega_pp = _point_from_json(data["omega_pp"], "omega_pp")
         start = CorrectedSection(psi, HalfFormFrame(omega))
         around = transport_corrected(
             transport_corrected(
@@ -232,31 +213,24 @@ def cmd_transport(args) -> int:
 
 def cmd_verify(args) -> int:
     t0 = time.time()
-    fn = SUITES[args.suite]
-    params = inspect.signature(fn).parameters
-    kwargs = {}
-    if "seed" in params:
-        kwargs["seed"] = args.seed
-    if "nodes" in params:
-        kwargs["nodes"] = args.nodes
-    rows = fn(**kwargs)
+    outputs = {}
+    if args.suite == "limits":
+        rows, rep_b, rep_f = _limits()
+        outputs = {"bargmann_limit": rep_b.to_json(), "fourier_limit": rep_f.to_json()}
+    else:
+        fn = SUITES[args.suite]
+        params = inspect.signature(fn).parameters
+        kwargs = {}
+        if "seed" in params:
+            kwargs["seed"] = args.seed
+        if "nodes" in params:
+            kwargs["nodes"] = args.nodes
+        rows = fn(**kwargs)
     if args.tol is not None:
         rows = [
             {**r, "tolerance": args.tol, "passed": bool(r["residual"] <= args.tol)}
             for r in rows
         ]
-    outputs = {}
-    if args.suite == "limits":
-        from .sections import CorrectedSection as _CS, HalfFormFrame as _HF, vacuum as _vac
-        from .siegel import geodesic_between as _geo
-        from ._point import diagonal_point as _diag
-        from .transforms import limit_transport_to_bargmann, limit_transport_to_fourier
-
-        spec = _geo(standard_point(1), _diag([float(np.exp(2.0))]))
-        psi = _CS(_vac(standard_point(1)), _HF(standard_point(1)))
-        ts = [2.0, 3.0, 4.0, 5.0, 6.0, 8.0]
-        outputs["bargmann_limit"] = limit_transport_to_bargmann(psi, spec, [-t for t in ts]).to_json()
-        outputs["fourier_limit"] = limit_transport_to_fourier(psi, spec, ts).to_json()
     report = _report("verify", {"suite": args.suite, "seed": args.seed}, rows, outputs, t0)
     _emit(report, args.out)
     if not report["passed"]:

@@ -36,7 +36,6 @@ from .siegel import LagrangianFrame
 N_TRUNC_DEFAULT = 32
 QUAD_NODES_DEFAULT = 64
 GAUSSIAN_NORM_MARGIN = 1e-9
-LOG2PI = float(np.log(2 * np.pi))
 
 
 def coord_matrix(omega: SiegelPoint) -> np.ndarray:
@@ -139,8 +138,19 @@ class PolyFockSection:
         base = GaussianSection(self.frame, [[self.m]], [self.b], self.c).value(v)
         return poly * base
 
+    def scaled(self, factor: complex) -> "PolyFockSection":
+        return PolyFockSection(self.frame, self.coeffs, self.m, self.b, self.c + np.log(complex(factor)))
+
 
 Section = GaussianSection | PolyFockSection
+
+
+def _make_section(frame: SiegelPoint, poly, m, b, c) -> Section:
+    """The section p(z) exp((1/2) z^T m z + b^T z + c) over ``frame``: Gaussian
+    when the polynomial is the constant [1], else polynomial (n = 1)."""
+    if len(poly) == 1:
+        return GaussianSection(frame, m, b, c)
+    return PolyFockSection(frame, poly, m[0, 0], b[0], c)
 
 
 def vacuum(omega: SiegelPoint) -> GaussianSection:
@@ -166,10 +176,11 @@ def fock_state(k: int, omega: SiegelPoint, n_trunc: int = N_TRUNC_DEFAULT) -> Po
     return PolyFockSection(omega, coeffs)
 
 
-def _poly_coeffs(psi: Section) -> np.ndarray:
-    if isinstance(psi, PolyFockSection):
-        return psi.coeffs
-    return np.array([1.0 + 0.0j])
+def _poly_coeffs(psi) -> np.ndarray:
+    """The polynomial factor of a section or boundary profile; [1] if Gaussian."""
+    if isinstance(psi, GaussianSection):
+        return np.array([1.0 + 0.0j])
+    return psi.coeffs
 
 
 def _gaussian_data(psi: Section):
@@ -195,7 +206,7 @@ def inner_product_cross_frame(psi1: Section, psi2: Section) -> complex:
         # polynomial factors are functions of z1 (conjugated) and z2 (n = 1)
         a, b = np.conj(coord_matrix(psi1.frame))[0], coord_matrix(psi2.frame)[0]
     return _poly_gauss_pairing(
-        np.conj(s1) + s2, np.conj(l1) + l2, np.conj(k1) + k2 - psi1.n * LOG2PI,
+        np.conj(s1) + s2, np.conj(l1) + l2, np.conj(k1) + k2,
         a, b, np.conj(p1), p2,
     )
 
@@ -218,10 +229,7 @@ def bergman_project(psi: Section, omega_p: SiegelPoint) -> Section:
     q, r, c, poly = kernel_apply_poly(
         s_psi - gram_matrix(omega_p), coord_matrix(omega_p).conj().T, l_psi, k_psi, poly, gen_dir
     )
-    c = c - psi.n * LOG2PI
-    if len(poly) == 1:
-        return GaussianSection(omega_p, q, r, c)
-    return PolyFockSection(omega_p, poly, q[0, 0], r[0], c)
+    return _make_section(omega_p, poly, q, r, c)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +282,10 @@ def pair_halfforms(h1: HalfFormFrame, h2: HalfFormFrame) -> complex:
 
     Same-polarization frames pair through their coefficients; distinct
     frames pair through the wedge of the underlying n-forms followed by a
-    principal square root (transport routines continue their own branches).
+    principal square root.  Transport does not use it: its roots are
+    continued along the geodesic.  For two Kaehler frames the principal
+    root agrees with the transport phase for n <= 2; for n >= 3 the two can
+    differ in sign.
     """
     both_lagrangian = isinstance(h1.base, LagrangianFrame) and isinstance(h2.base, LagrangianFrame)
     if both_lagrangian and h1.base.same_subspace(h2.base):
@@ -482,8 +493,34 @@ def _complex_array_to_json(a: np.ndarray):
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def _complex_array_from_json(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
+def _real_array(value, field: str, ndim: int) -> np.ndarray:
+    """``value`` as a finite real array of ``ndim`` dimensions; ValueError naming the field."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.ndim != ndim or not np.isfinite(arr).all():
+        raise ValueError(f"{field} must be a {ndim}-dimensional array of finite numbers")
+    return arr
+
+
+def _point_from_json(point, field: str) -> SiegelPoint:
+    """A point from {"omega1": ..., "omega2": ...}; ValueError naming the field."""
+    if not isinstance(point, dict) or not {"omega1", "omega2"} <= point.keys():
+        raise ValueError(f"{field} must be an object with omega1 and omega2")
+    return SiegelPoint(
+        _real_array(point["omega1"], f"{field}.omega1", 2),
+        _real_array(point["omega2"], f"{field}.omega2", 2),
+    )
+
+
+def _complex_array_from_json(data, field: str, shape: tuple) -> np.ndarray:
+    """[re, im] pairs as a complex array of ``shape``; a None entry allows any
+    positive length."""
+    arr = _real_array(data, field, len(shape) + 1)
+    want = tuple(max(got, 1) if w is None else w for w, got in zip(shape, arr.shape))
+    if arr.shape != (*want, 2):
+        raise ValueError(f"{field} must hold [re, im] pairs of shape {shape}")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -503,11 +540,19 @@ def section_to_json(psi: Section) -> dict:
     return out
 
 
-def section_from_json(data: dict) -> Section:
-    frame = SiegelPoint(np.asarray(data["frame"]["omega1"]), np.asarray(data["frame"]["omega2"]))
-    m = _complex_array_from_json(data["M"])
-    b = _complex_array_from_json(data["b"])
-    c = complex(data["c"][0], data["c"][1])
+def section_from_json(data) -> Section:
+    """Inverse of ``section_to_json``; malformed data raises ValueError naming the field."""
+    if not isinstance(data, dict):
+        raise ValueError("section must be an object with frame, M, b and c")
+    for key in ("frame", "M", "b", "c"):
+        if key not in data:
+            raise ValueError(f"section.{key} is missing")
+    frame = _point_from_json(data["frame"], "section.frame")
+    n = frame.n
+    m = _complex_array_from_json(data["M"], "section.M", (n, n))
+    b = _complex_array_from_json(data["b"], "section.b", (n,))
+    c = complex(_complex_array_from_json(data["c"], "section.c", ()))
     if "poly" in data:
-        return PolyFockSection(frame, _complex_array_from_json(data["poly"]), m[0, 0], b[0], c)
+        poly = _complex_array_from_json(data["poly"], "section.poly", (None,))
+        return PolyFockSection(frame, poly, m[0, 0], b[0], c)
     return GaussianSection(frame, m, b, c)

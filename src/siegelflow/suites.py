@@ -263,7 +263,8 @@ def suite_curvature(n_trunc: int = 20, window: int = 16, h: float = 1e-3, tol: f
     ]
 
 
-def suite_limits(t_max: float = 8.0, tol: float = 1e-3, slope_rel: float = 0.2) -> list[dict]:
+def _limits(t_max: float = 8.0, tol: float = 1e-3, slope_rel: float = 0.2):
+    """(rows, Bargmann report, Fourier report) of the boundary-limit suite."""
     i1 = standard_point(1)
     spec = geodesic_between(i1, diagonal_point([float(np.exp(2.0))]))
     psi = CorrectedSection(vacuum(i1), HalfFormFrame(i1))
@@ -286,7 +287,11 @@ def suite_limits(t_max: float = 8.0, tol: float = 1e-3, slope_rel: float = 0.2) 
         _row("limits/bargmann_monotone", 0.0 if rep_b.monotone_decreasing() else 1.0, 0.5),
         _row("limits/fourier_monotone", 0.0 if rep_f.monotone_decreasing() else 1.0, 0.5),
     ]
-    return rows
+    return rows, rep_b, rep_f
+
+
+def suite_limits(t_max: float = 8.0, tol: float = 1e-3, slope_rel: float = 0.2) -> list[dict]:
+    return _limits(t_max, tol, slope_rel)[0]
 
 
 def suite_identities(seed: int = 42, trials: int = 50, tol: float = 1e-8) -> list[dict]:

@@ -23,24 +23,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._gaussint import _poly_gauss_pairing, half_logdet, kernel_apply_poly
+from ._gaussint import _poly_gauss_pairing, kernel_apply_poly
 from ._point import SiegelPoint, diagonal_point, standard_point
 from .errors import NoBoundaryLimitError, PolarizationMismatchError
 from .sections import (
-    LOG2PI,
     CorrectedSection,
-    GaussianSection,
     HalfFormFrame,
-    PolyFockSection,
-    Section,
     _hermite_grid_sum,
-    coord_matrix,
+    _make_section,
     difference_norm,
-    gram_matrix,
 )
 from .siegel import GeodesicSpec, LagrangianFrame, symplectic_form_matrix
 from .sympl import MetaplecticElement, SymplecticMap, act_on_siegel
-from .transport import metaplectic_act, transport_corrected
+from .transport import _PositionBoundary, _xi_kernel_apply, metaplectic_act, transport_corrected
 
 # Unit constant relating the pushed frame sqrt(d^n x o g0^{-1}) of the
 # standard exchange element g0 = (0, I; -I, 0) (principal lift) to the
@@ -121,7 +116,7 @@ def profile_inner_product(p1: BoundaryProfile, p2: BoundaryProfile) -> complex:
     n = p1.n
     e1 = np.eye(n)[0]
     return _poly_gauss_pairing(
-        np.conj(p1.m) + p2.m, np.conj(p1.b) + p2.b, np.conj(p1.c) + p2.c - 0.5 * n * LOG2PI,
+        np.conj(p1.m) + p2.m, np.conj(p1.b) + p2.b, np.conj(p1.c) + p2.c,
         e1, e1, np.conj(p1.coeffs), p2.coeffs,
     )
 
@@ -268,89 +263,34 @@ def boundary_difference_norm(s1: CorrectedBoundarySection, s2: CorrectedBoundary
 
 
 # ---------------------------------------------------------------------------
-# the standard-form transform kernels
-
-
-def _pairing_log_pref(omega: SiegelPoint) -> complex:
-    """log of det(2 Omega2)^{1/4} / det(-i Omega)^{1/2}.
-
-    The root is continued from i*I, where det(-i Omega) = 1.  Re(-i Omega) =
-    Omega2 is positive definite along the way, so the continued root is
-    half_logdet's branch.  The map into Omega uses the conjugate.
-    """
-    _, logdet2 = np.linalg.slogdet(2.0 * omega.omega2)
-    return 0.25 * logdet2 - half_logdet(-1j * omega.omega)
-
-
-def _btrans_std(profile: BoundaryProfile, omega: SiegelPoint) -> Section:
-    """Pairing map from the standard position space into the frame Omega."""
-    n = omega.n
-    s2h = np.sqrt(2.0) * omega.imag_sqrt()
-    nc = 1j * np.conj(omega.omega)  # conj(Omega / i)
-    nc_inv = np.linalg.inv(nc)
-    b11 = np.eye(n) - s2h @ nc_inv @ s2h
-    b12 = s2h @ nc_inv
-    b22 = -nc_inv
-    log_pref = np.conj(_pairing_log_pref(omega))
-
-    s = b22 + profile.m
-    q, r, sc, poly = kernel_apply_poly(
-        s, b12.T, profile.b, profile.c, profile.coeffs, np.eye(n)[0] if n == 1 else None
-    )
-    m_out = b11 + q
-    m_out = 0.5 * (m_out + m_out.T)
-    c_out = sc - 0.5 * n * LOG2PI + log_pref
-    if len(poly) == 1:
-        return GaussianSection(omega, m_out, r, c_out)
-    return PolyFockSection(omega, poly, m_out[0, 0], r[0], c_out)
-
-
-def _invb_std(section: Section, omega: SiegelPoint) -> BoundaryProfile:
-    """Inverse pairing map from the frame Omega to the standard position space."""
-    n = omega.n
-    s2h = np.sqrt(2.0) * omega.imag_sqrt()
-    nn = -1j * omega.omega  # Omega / i
-    nn_inv = np.linalg.inv(nn)
-    b11 = np.eye(n) - s2h @ nn_inv @ s2h
-    b12 = s2h @ nn_inv
-    b22 = -nn_inv
-    log_pref = _pairing_log_pref(omega)
-
-    e = coord_matrix(omega)
-    ebar = np.conj(e)
-    if isinstance(section, PolyFockSection):
-        m_in = np.array([[section.m]])
-        b_in, c_in, poly_in = np.array([section.b]), section.c, section.coeffs
-    else:
-        m_in, b_in, c_in, poly_in = section.m, section.b, section.c, np.array([1.0 + 0.0j])
-    s = e.T @ m_in @ e + ebar.T @ b11 @ ebar - 2.0 * gram_matrix(omega)
-    s = 0.5 * (s + s.T)
-    q, r, sc, poly = kernel_apply_poly(
-        s, ebar.T @ b12, e.T @ b_in, c_in, poly_in, e[0] if n == 1 else None
-    )
-    m_out = b22 + q
-    c_out = sc - n * LOG2PI + log_pref
-    return BoundaryProfile(poly, 0.5 * (m_out + m_out.T), r, c_out)
+# the pairing maps: corrected transport with one end at L-
 
 
 def segal_bargmann(shat: CorrectedBoundarySection, omega: SiegelPoint) -> CorrectedSection:
-    """Unitary map into the corrected space over Omega, via the reference lift."""
+    """Unitary map into the corrected space over Omega, via the reference lift.
+
+    In standard position it is the corrected Xi kernel from L- to Omega0."""
     ref = shat.polarization.reference
     om0 = act_on_siegel(ref.g.inverse(), omega)
-    core = _btrans_std(shat.profile.scaled(shat.halfform_phase), om0)
+    profile = shat.profile.scaled(shat.halfform_phase)
+    poly, m, b, c, log_h = _xi_kernel_apply(profile, _PositionBoundary(om0.n), om0)
+    core = _make_section(om0, poly, m, b, c - np.conj(log_h))
     return metaplectic_act(ref, CorrectedSection(core, HalfFormFrame(om0)))
 
 
 def segal_bargmann_inverse(
     psihat: CorrectedSection, polarization: BoundaryPolarization | None = None
 ) -> CorrectedBoundarySection:
-    """Inverse pairing map; defaults to the standard position polarization."""
+    """Inverse pairing map; defaults to the standard position polarization.
+
+    In standard position it is the corrected Xi kernel from Omega0 to L-."""
     if polarization is None:
         polarization = BoundaryPolarization.position(psihat.frame.n)
     pulled = metaplectic_act(polarization.reference.inverse(), psihat)
-    profile = _invb_std(
-        pulled.section, pulled.frame
-    ).scaled(pulled.halfform.phase)
+    poly, m, b, c, log_h = _xi_kernel_apply(
+        pulled.section, pulled.frame, _PositionBoundary(pulled.frame.n)
+    )
+    profile = BoundaryProfile(poly, m, b, c - np.conj(log_h)).scaled(pulled.halfform.phase)
     return CorrectedBoundarySection(polarization, profile, 1.0)
 
 
@@ -364,7 +304,7 @@ def fourier(shat: CorrectedBoundarySection) -> CorrectedBoundarySection:
     q, r, sc, poly = kernel_apply_poly(
         prof.m, 1j * np.eye(n), prof.b, prof.c, prof.coeffs, np.eye(n)[0] if n == 1 else None
     )
-    c_out = sc - 0.5 * n * LOG2PI + 0.25j * np.pi * n  # principal i^{n/2}
+    c_out = sc + 0.25j * np.pi * n  # principal i^{n/2}
     chi = BoundaryProfile(poly, 0.5 * (q + q.T), r, c_out)
     return from_momentum_profile(chi)
 

@@ -19,22 +19,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._gaussint import half_logdet, integrate_out
+from ._gaussint import half_logdet, kernel_apply_poly
 from ._point import SiegelPoint, diagonal_point, standard_point
 from .errors import TruncationOverflowError
 from .sections import (
-    LOG2PI,
     CorrectedSection,
     GaussianSection,
     HalfFormFrame,
     PolyFockSection,
     Section,
+    _make_section,
+    _poly_coeffs,
     bergman_project,
     coord_matrix,
     fock_coefficients,
     from_fock_coefficients,
-    gram_matrix,
-    pair_halfforms,
 )
 from .siegel import complex_structure_of
 from .sympl import (
@@ -51,37 +50,94 @@ TRUNCATION_LEAK_TOL = 1e-6
 # closed-form transport
 
 
-def _xi_blocks(omega: SiegelPoint, omega_p: SiegelPoint):
+class _PositionBoundary:
+    """The position boundary L- as an end of the Xi kernel.  Its coordinate
+    is u = x itself: it enters Xi as Omega = 0 and the normalisations as
+    Omega2 = I/2, and it carries no |z|^2 weight, so its block of the
+    kernel has no identity term."""
+
+    def __init__(self, n: int):
+        self.n, self.omega, self.omega2 = n, np.zeros((n, n)), 0.5 * np.eye(n)
+
+    def imag_sqrt(self) -> np.ndarray:
+        return np.sqrt(0.5) * np.eye(self.n)
+
+
+def _halfform_log(omega, omega_p) -> complex:
+    """half_logdet(Xi(Omega', Omega)) - (1/4) log det(Omega2 Omega2').
+
+    The one det^{1/2} rule: the real part is log alpha(Omega, Omega'), the
+    imaginary part the transported half-form phase.  The root is continued
+    along the connecting geodesic from the start, where Xi = Omega2 is
+    positive; Xi(gamma(t), Omega) has real part (Im gamma(t) + Omega2)/2,
+    positive definite along the whole path, so the continued root is
+    half_logdet's.  Either end may be a ``_PositionBoundary``.
+    """
+    logdet2 = np.linalg.slogdet(omega.omega2 @ omega_p.omega2)[1]
+    return half_logdet(xi_matrix(omega_p, omega)) - 0.25 * logdet2
+
+
+def _xi_blocks(omega, omega_p):
     """Kernel blocks built from Xi = (Omega - conj(Omega'))/2i.
 
-    Returns (K11, K12, K22, log_pref) for the quadratic form on stacked
-    (conj(alpha) | z') with prefactor exp(log_pref)."""
+    Returns (K11, K12, K22, log_h) for the quadratic form on stacked
+    (conj(z) | z'), K11 = I - r Xi^{-1} r, K12 = r Xi^{-1} r' and
+    K22 = I - r' Xi^{-1} r' with r = Omega2^{1/2}; log_h is
+    ``_halfform_log(Omega, Omega')``.  The kernel's prefactor is
+    exp(-Re log_h) = 1 / alpha(Omega, Omega'), and exp(-conj(log_h)) with
+    the half-form phase.  Either end may be a ``_PositionBoundary``: the
+    pairing maps are these kernels.
+    """
     n = omega.n
-    xi = xi_matrix(omega, omega_p)
-    r = omega.imag_sqrt()
-    rp = omega_p.imag_sqrt()
-    xi_inv = np.linalg.inv(xi)
-    k11 = np.eye(n) - r @ xi_inv @ r
+    r, rp = omega.imag_sqrt(), omega_p.imag_sqrt()
+    xi_inv = np.linalg.inv(xi_matrix(omega, omega_p))
+    k11 = -r @ xi_inv @ r
     k12 = r @ xi_inv @ rp
-    k22 = np.eye(n) - rp @ xi_inv @ rp
-    sign, logdet2 = np.linalg.slogdet(omega.omega2)
-    sign_p, logdet2p = np.linalg.slogdet(omega_p.omega2)
-    log_abs_det_xi = float(np.log(np.abs(np.linalg.det(xi))))
-    log_pref = 0.25 * (logdet2 + logdet2p) - 0.5 * log_abs_det_xi
-    return k11, k12, k22, log_pref
+    k22 = -rp @ xi_inv @ rp
+    if isinstance(omega, SiegelPoint):
+        k11 += np.eye(n)
+    if isinstance(omega_p, SiegelPoint):
+        k22 += np.eye(n)
+    return k11, k12, k22, _halfform_log(omega, omega_p)
+
+
+def _xi_kernel_apply(psi, omega, omega_p):
+    """Push psi through the Xi kernel from Omega to Omega', prefactor aside.
+
+    psi is a section over Omega or, when Omega is a ``_PositionBoundary``, a
+    boundary profile in u.  Returns (poly, m, b, c, log_h): the result is
+    p(w) exp((1/2) w^T m w + b^T w + c) in the coordinates w of Omega', times
+    the prefactor of ``_xi_blocks``.
+    """
+    k11, k12, k22, log_h = _xi_blocks(omega, omega_p)
+    if isinstance(omega, SiegelPoint):
+        # integrate over v in R^2n, z = E v, against the full weight exp(-|z|^2)
+        e = coord_matrix(omega)
+        ebar = np.conj(e)
+        s = e.T @ np.atleast_2d(psi.m) @ e + ebar.T @ k11 @ ebar - 2.0 * (ebar.T @ e).real
+        s = 0.5 * (s + s.T)
+        lmat, ell0, gen_dir = ebar.T @ k12, e.T @ np.atleast_1d(psi.b), e[0]
+    else:
+        # a profile: integrate over u itself, with no weight
+        s, lmat, ell0, gen_dir = psi.m + k11, k12, psi.b, np.eye(psi.n)[0]
+    q, r, c, poly = kernel_apply_poly(
+        s, lmat, ell0, psi.c, _poly_coeffs(psi), gen_dir if psi.n == 1 else None
+    )
+    m_out = q + k22
+    return poly, 0.5 * (m_out + m_out.T), r, c, log_h
 
 
 def transport_coherent(alpha, omega: SiegelPoint, omega_p: SiegelPoint) -> GaussianSection:
     """Parallel transport of the coherent state c_alpha along the geodesic."""
     n = omega.n
     alpha = np.asarray(alpha, dtype=complex).reshape(n)
-    k11, k12, k22, log_pref = _xi_blocks(omega, omega_p)
+    k11, k12, k22, log_h = _xi_blocks(omega, omega_p)
     ac = np.conj(alpha)
     return GaussianSection(
         omega_p,
         k22,
         k12.T @ ac,
-        0.5 * (ac @ k11 @ ac) + log_pref,
+        0.5 * (ac @ k11 @ ac) - log_h.real,
     )
 
 
@@ -107,25 +163,14 @@ def transport_coherent_standard(alpha, lam, t: float) -> GaussianSection:
 
 
 def transport_halfform(omega: SiegelPoint, omega_p: SiegelPoint) -> HalfFormFrame:
-    """Transport of sqrt(d^n z): unit phase det(Xi')^{1/2}/|det Xi'|^{1/2}.
-
-    The square root is the one continued along the connecting geodesic from
-    the start, where det Xi = det Omega2 is positive.  Xi(gamma(t), Omega)
-    has real part (Im gamma(t) + Omega2)/2, positive definite along the
-    whole path, so that continuation is half_logdet in closed form.
-    """
-    phase = np.exp(half_logdet(xi_matrix(omega_p, omega)))
-    return HalfFormFrame(omega_p, phase / abs(phase))
+    """Transport of sqrt(d^n z): unit phase det(Xi')^{1/2}/|det Xi'|^{1/2},
+    with the root continued along the connecting geodesic."""
+    return HalfFormFrame(omega_p, np.exp(1j * _halfform_log(omega, omega_p).imag))
 
 
 def bogoliubov_scale(omega: SiegelPoint, omega_p: SiegelPoint) -> float:
     """alpha(J, J') = |det Xi'|^{1/2} / (det Omega2 det Omega2')^{1/4}."""
-    xi = xi_matrix(omega_p, omega)
-    _, logdet2 = np.linalg.slogdet(omega.omega2)
-    _, logdet2p = np.linalg.slogdet(omega_p.omega2)
-    return float(
-        np.exp(0.5 * np.log(np.abs(np.linalg.det(xi))) - 0.25 * (logdet2 + logdet2p))
-    )
+    return float(np.exp(_halfform_log(omega, omega_p).real))
 
 
 def bogoliubov_scale_via_structures(omega: SiegelPoint, omega_p: SiegelPoint) -> float:
@@ -138,16 +183,7 @@ def bogoliubov_scale_via_structures(omega: SiegelPoint, omega_p: SiegelPoint) ->
 
 def transport_uncorrected(psi: Section, omega_p: SiegelPoint) -> Section:
     """U psi = alpha(Omega, Omega') P psi for any Gaussian(-polynomial) section."""
-    scale = bogoliubov_scale(psi.frame, omega_p)
-    proj = bergman_project(psi, omega_p)
-    return _scale_section(proj, scale)
-
-
-def _scale_section(psi: Section, factor: complex) -> Section:
-    shift = np.log(complex(factor))
-    if isinstance(psi, PolyFockSection):
-        return PolyFockSection(psi.frame, psi.coeffs, psi.m, psi.b, psi.c + shift)
-    return GaussianSection(psi.frame, psi.m, psi.b, psi.c + shift)
+    return bergman_project(psi, omega_p).scaled(bogoliubov_scale(psi.frame, omega_p))
 
 
 @dataclass(frozen=True)
@@ -175,15 +211,14 @@ class TransportResult:
 def transport_corrected(psihat: CorrectedSection, omega_p: SiegelPoint) -> TransportResult:
     """Flat transport: psi (x) sqrt(d^n z) -> <sqrt(d^n z'), sqrt(d^n z)> P psi (x) sqrt(d^n z').
 
-    The half-form pairing supplies both the Bogoliubov scale (its modulus)
-    and the correction phase (its argument)."""
-    omega = psihat.frame
-    pairing = pair_halfforms(HalfFormFrame(omega_p), HalfFormFrame(omega))
-    pairing *= psihat.halfform.phase
-    scale = abs(pairing)
-    phase = pairing / scale
-    section = _scale_section(bergman_project(psihat.section, omega_p), scale)
-    return TransportResult(section, HalfFormFrame(omega_p, phase), bogoliubov_scale(omega, omega_p), phase)
+    The transported half-form pairing, with its root continued along the
+    geodesic, supplies both the Bogoliubov scale (its modulus) and the
+    correction phase (its argument)."""
+    log_h = _halfform_log(psihat.frame, omega_p)
+    scale = float(np.exp(log_h.real))
+    phase = np.exp(1j * log_h.imag) * psihat.halfform.phase
+    section = bergman_project(psihat.section, omega_p).scaled(scale)
+    return TransportResult(section, HalfFormFrame(omega_p, phase), scale, phase)
 
 
 def transport_corrected_coherent(alpha, omega: SiegelPoint, omega_p: SiegelPoint) -> TransportResult:
@@ -208,14 +243,14 @@ def transport_equals_scaled_projection_check(alpha, omega: SiegelPoint, omega_p:
 
 
 def transport_kernel_apply(
-    phi: GaussianSection, omega: SiegelPoint, omega_p: SiegelPoint, kernel: str = "bergman"
-) -> GaussianSection:
+    phi: Section, omega: SiegelPoint, omega_p: SiegelPoint, kernel: str = "bergman"
+) -> Section:
     """Transport via one of the two integral kernels.
 
     'bergman': rescaled reproducing-kernel projection (acts on the full
     section).  'holomorphic': the kernel acting on the holomorphic part
     only, with the Xi blocks inside the integral.  Both agree with the
-    closed-form coherent transport.
+    closed-form coherent transport, and both take polynomial sections.
     """
     if kernel == "bergman":
         return transport_uncorrected(phi, omega_p)
@@ -223,17 +258,8 @@ def transport_kernel_apply(
         raise ValueError(f"unknown kernel {kernel!r}")
     if phi.frame.n != omega.n or not phi.frame.close_to(omega, tol=1e-12):
         raise ValueError("section must live at the source point")
-    n = omega.n
-    e = coord_matrix(omega)
-    ep_rows = np.conj(e)
-    k11, k12, k22, log_pref = _xi_blocks(omega, omega_p)
-    # v-quadratic: (1/2) z^T M z + conj-side (1/2) zbar K11 zbar - |z|^2 (full weight)
-    s = e.T @ phi.m @ e + ep_rows.T @ k11 @ ep_rows - 2.0 * gram_matrix(omega)
-    s = 0.5 * (s + s.T)
-    lmat = ep_rows.T @ k12
-    q, r, sc = integrate_out(s, lmat, e.T @ phi.b, phi.c)
-    m_out = q + k22
-    return GaussianSection(omega_p, 0.5 * (m_out + m_out.T), r, sc - n * LOG2PI + log_pref)
+    poly, m, b, c, log_h = _xi_kernel_apply(phi, omega, omega_p)
+    return _make_section(omega_p, poly, m, b, c - log_h.real)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from siegelflow import (
 )
 from siegelflow.suites import suite_identities
 from siegelflow.sympl import continue_sqrt_phase
-from siegelflow.transforms import _pairing_log_pref
+from siegelflow.transport import _halfform_log, _PositionBoundary
 
 CASES = 102  # n = 1, 2, 3 in turn
 SAMPLES = 1024
@@ -69,7 +69,8 @@ def test_pairing_root_matches_sampled_continuation():
         vals = np.linalg.det(-1j * _segment(standard_point(n).omega, omega.omega))
         root = continue_sqrt_phase(vals / np.abs(vals), 1.0) * np.sqrt(abs(vals[-1]))
         expected = np.linalg.det(2.0 * omega.omega2) ** 0.25 / root
-        assert abs(np.exp(_pairing_log_pref(omega)) / expected - 1.0) < TOL
+        # the pairing map from L- carries exp(-_halfform_log(L-, Omega))
+        assert abs(np.exp(-_halfform_log(_PositionBoundary(n), omega)) / expected - 1.0) < TOL
 
 
 def test_identities_seed_that_broke_the_sampled_branch():

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siegelflow.cli import main
 
@@ -77,6 +82,51 @@ class TestGeodesicCommand:
 _UNIT_POINT = point_json([[0.0]], [[1.0]])
 
 
+# (1 + 0.5 z + 0.2 z^2) exp(0.05 z^2 + (0.2 + 0.1i) z) at i
+_POLY_SECTION = {
+    "frame": _UNIT_POINT,
+    "M": [[[0.1, 0.0]]],
+    "b": [[0.2, 0.1]],
+    "c": [0.0, 0.0],
+    "poly": [[1.0, 0.0], [0.5, 0.0], [0.2, 0.0]],
+}
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["frame", "M", "b", "c", "poly", "omega1", "omega2"]), inner),
+    max_leaves=10,
+)
+_NUMBER = st.floats(-1.5, 1.5) | st.integers(-2, 2) | st.floats()
+_PAIR = st.tuples(_NUMBER, _NUMBER).map(list)
+# well-shaped n = 1 sections with arbitrary numbers, so that most draws reach the transport
+_SECTION_LIKE = st.fixed_dictionaries(
+    {
+        "frame": st.just(_UNIT_POINT) | st.builds(lambda a, b: point_json([[a]], [[b]]), _NUMBER, _NUMBER),
+        "M": st.builds(lambda p: [[p]], _PAIR),
+        "b": st.builds(lambda p: [p], _PAIR),
+        "c": _PAIR,
+    },
+    optional={"poly": st.lists(_PAIR, max_size=5)},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    section=_JSON | _SECTION_LIKE,
+    flags=st.sampled_from([[], ["--corrected"], ["--kernel", "bergman"], ["--kernel", "holomorphic"]]),
+)
+def test_any_section_json_exits_without_a_traceback(section, flags):
+    payload = json.dumps({"omega": _UNIT_POINT, "omega_p": point_json([[0.3]], [[2.0]]), "state": {"section": section}})
+    saved, sys.stdin = sys.stdin, io.StringIO(payload)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["transport", *flags])
+    finally:
+        sys.stdin = saved
+    assert code in (0, 1, 2)
+
+
 class TestTransportCommand:
     @pytest.mark.parametrize(
         "fields, named",
@@ -93,6 +143,47 @@ class TestTransportCommand:
         assert code == 2
         assert out == ""
         assert err.startswith(f"input error: {named} ")
+
+    @pytest.mark.parametrize(
+        "section, named",
+        [
+            (5, "section"),
+            ({k: v for k, v in _POLY_SECTION.items() if k != "frame"}, "section.frame"),
+            ({k: v for k, v in _POLY_SECTION.items() if k != "M"}, "section.M"),
+            ({k: v for k, v in _POLY_SECTION.items() if k != "b"}, "section.b"),
+            ({k: v for k, v in _POLY_SECTION.items() if k != "c"}, "section.c"),
+            ({**_POLY_SECTION, "frame": 5}, "section.frame"),
+            ({**_POLY_SECTION, "frame": {"omega1": [[0.0]]}}, "section.frame"),
+            ({**_POLY_SECTION, "frame": point_json([0.0], [[1.0]])}, "section.frame.omega1"),
+            ({**_POLY_SECTION, "M": [[0.1, 0.0]]}, "section.M"),
+            ({**_POLY_SECTION, "M": [[["x", 0.0]]]}, "section.M"),
+            ({**_POLY_SECTION, "b": [[0.2, 0.1], [0.0, 0.0]]}, "section.b"),
+            ({**_POLY_SECTION, "c": [0.0]}, "section.c"),
+            ({**_POLY_SECTION, "c": [float("nan"), 0.0]}, "section.c"),
+            ({**_POLY_SECTION, "poly": []}, "section.poly"),
+        ],
+    )
+    def test_malformed_section_exits_2(self, section, named, capsys, monkeypatch):
+        payload = json.dumps({"omega": _UNIT_POINT, "omega_p": _UNIT_POINT, "state": {"section": section}})
+        code, out, err = run_cli(["transport"], payload, capsys, monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"input error: {named} ")
+
+    def test_non_finite_point_exits_2(self, capsys, monkeypatch):
+        payload = json.dumps({"omega": point_json([[float("nan")]], [[1.0]]), "omega_p": _UNIT_POINT})
+        code, out, err = run_cli(["transport"], payload, capsys, monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error: omega.omega1 ")
+
+    def test_holomorphic_kernel_takes_a_polynomial_section(self, capsys, monkeypatch):
+        payload = json.dumps(
+            {"omega": _UNIT_POINT, "omega_p": point_json([[0.3]], [[2.0]]), "state": {"section": _POLY_SECTION}}
+        )
+        code, out, err = run_cli(["transport", "--kernel", "holomorphic"], payload, capsys, monkeypatch)
+        assert code == 0, err
+        assert len(json.loads(out)["outputs"]["transport"]["section"]["poly"]) == 3
 
     def test_vacuum_with_ode_check(self, capsys, monkeypatch):
         payload = json.dumps(

@@ -21,6 +21,16 @@ from siegelflow.siegel import GeodesicSpec, symplectic_form_matrix
 from siegelflow.sympl import act_on_siegel
 
 
+class TestSiegelPoint:
+    @pytest.mark.parametrize(
+        "omega1, omega2",
+        [([[np.nan]], [[1.0]]), ([[0.0]], [[np.inf]]), (np.zeros((2, 2)), [[1.0, -np.inf], [-np.inf, 1.0]])],
+    )
+    def test_rejects_non_finite_entries(self, omega1, omega2):
+        with pytest.raises(ValueError, match="finite"):
+            SiegelPoint(omega1, omega2)
+
+
 class TestComplexStructure:
     def test_base_point_is_standard_structure(self):
         j = complex_structure_of(standard_point(2))

@@ -7,10 +7,12 @@ from siegelflow import (
     HalfFormFrame,
     MetaplecticElement,
     PolyFockSection,
+    SiegelPoint,
     TruncationOverflowError,
     bogoliubov_operator_deformation,
     bogoliubov_scale,
     coherent_state,
+    corrected_inner_product,
     diagonal_point,
     difference_norm,
     fock_coefficients,
@@ -193,6 +195,14 @@ class TestKernels:
             b = transport_kernel_apply(vacuum(om), om, omp, "holomorphic")
             assert difference_norm(a, b) < 1e-10
 
+    def test_holomorphic_kernel_takes_polynomial_states(self):
+        psi = PolyFockSection(I1, [1.0, 0.5, 0.2], 0.1, 0.2 + 0.1j)
+        omp = SiegelPoint.from_complex([[0.3 + 2.0j]])
+        a = transport_kernel_apply(psi, I1, omp, "holomorphic")
+        b = transport_kernel_apply(psi, I1, omp, "bergman")
+        assert isinstance(a, PolyFockSection)
+        assert difference_norm(a, b) < 1e-12 * norm(b)
+
     def test_kernel_linearity(self, rng):
         om, omp = random_siegel(rng, 1), random_siegel(rng, 1)
         phi1 = random_gaussian_section(rng, om, m_cap=0.5)
@@ -206,7 +216,8 @@ class TestKernels:
         # additivity through the quadrature evaluation of the kernel integral
         from siegelflow.transport import _xi_blocks
 
-        k11, k12, k22, log_pref = _xi_blocks(om, omp)
+        k11, k12, k22, log_h = _xi_blocks(om, omp)
+        log_pref = -log_h.real
         e, ebar, g = coord_matrix(om), np.conj(coord_matrix(om)), gram_matrix(om)
         for v_out in pts:
             zp = (coord_matrix(omp) @ v_out)[0]
@@ -249,6 +260,34 @@ class TestCorrectedTransport:
             a = transport_corrected(psi, omp).corrected()
             b = transport_corrected_coherent(alpha, om, omp).corrected()
             assert difference_norm(a, b) < 1e-8 * norm(a.section)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_phase_and_section_match_the_coherent_route(self, rng, n):
+        pairs = [(random_siegel(rng, n), random_siegel(rng, n)) for _ in range(4)]
+        if n == 3:
+            # the principal root of the half-form pairing flips sign on this leg
+            pairs.append((SiegelPoint(np.zeros((3, 3)), np.eye(3)), SiegelPoint(4 * np.eye(3), np.eye(3))))
+        for om, omp in pairs:
+            alpha = rng.normal(size=n) + 1j * rng.normal(size=n)
+            psi = CorrectedSection(coherent_state(alpha, om), HalfFormFrame(om))
+            res = transport_corrected(psi, omp)
+            ref = transport_corrected_coherent(alpha, om, omp)
+            assert abs(res.phase_used - transport_halfform(om, omp).phase) < 1e-12
+            # closed-form inner products: the quadrature grid stops at n = 2
+            ref_norm2 = inner_product(ref.section, ref.section).real
+            overlap = corrected_inner_product(ref.corrected(), res.corrected())
+            assert abs(overlap / ref_norm2 - 1.0) < 1e-12
+            assert abs(inner_product(res.section, res.section).real / ref_norm2 - 1.0) < 1e-12
+
+    def test_n3_triangle_holonomy_is_one(self):
+        # each leg a I + i I with a > 2 sqrt(3) flips the principal pairing root
+        pts = [SiegelPoint(a * np.eye(3), np.eye(3)) for a in (0.0, 4.0, -4.0, 0.0)]
+        start = CorrectedSection(coherent_state([0.3, -0.2j, 0.5], pts[0]), HalfFormFrame(pts[0]))
+        around = start
+        for p in pts[1:]:
+            around = transport_corrected(around, p).corrected()
+        holonomy = corrected_inner_product(start, around) / norm(start.section) ** 2
+        assert abs(holonomy - 1.0) < 1e-12
 
     def test_triangle_flatness(self, rng):
         pts = [random_siegel(rng, 1) for _ in range(3)]
