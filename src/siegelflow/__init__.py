@@ -19,7 +19,6 @@ from .sections import (
     CorrectedSection,
     GaussianSection,
     HalfFormFrame,
-    PolyFockSection,
     bergman_project,
     coherent_state,
     corrected_inner_product,

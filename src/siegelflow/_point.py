@@ -24,7 +24,8 @@ def _as_real_symmetric(a, name: str, tol: float = SYMMETRY_TOL) -> np.ndarray:
         raise ValueError(f"{name} must be finite")
     if np.abs(a - a.T).max() > tol * max(1.0, amax):
         raise ValueError(f"{name} is not symmetric to tolerance {tol}")
-    return 0.5 * (a + a.T)
+    half = 0.5 * a  # halved first: a + a.T overflows for finite entries above ~9e307
+    return half + half.T
 
 
 @dataclass(frozen=True)

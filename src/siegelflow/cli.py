@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -86,7 +87,14 @@ def _emit(report: dict, out_path: str | None) -> None:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader closed the pipe (say, `| head`): point stdout at devnull
+            # so that the flush at exit cannot raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
 
 def _report(command: str, inputs: dict, results: list[dict], outputs: dict, t0: float) -> dict:

@@ -1,10 +1,12 @@
 """Polarized sections and their closed-form Gaussian calculus.
 
 In the holomorphic coordinates z = (2 Omega2)^{-1/2} (x - conj(Omega) y) a
-polarized section is phi(z) exp(-|z|^2 / 2) with phi entire.  The Gaussian
-family phi = exp((1/2) z^T M z + b^T z + c), ||M|| < 1, is closed under
-every operation in this library; polynomial-times-Gaussian sections (n = 1)
-cover the Fock basis |k> = z^k / sqrt(k!) exp(-|z|^2 / 2).
+polarized section is phi(z) exp(-|z|^2 / 2) with phi entire.  One type,
+``GaussianSection``, carries the family phi = p(z) exp((1/2) z^T M z +
+b^T z + c), ||M|| < 1, which is closed under every operation in this
+library.  The polynomial p is stored in ascending ``coeffs`` and has a
+``degree``; Gaussians are p = 1, and p of degree >= 1 (n = 1 only) covers
+the Fock basis |k> = z^k / sqrt(k!) exp(-|z|^2 / 2).
 
 All inner products are taken in the ambient space of square-integrable
 functions on R^{2n} against the Liouville form, normalized so that the
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lgamma
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -52,36 +55,53 @@ def gram_matrix(omega: SiegelPoint) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianSection:
-    """exp((1/2) z^T m z + b^T z + c) exp(-|z|^2/2) in the frame's coordinates."""
+    """p(z) exp((1/2) z^T m z + b^T z + c) exp(-|z|^2/2) in the frame's coordinates.
+
+    ``coeffs`` lists p in ascending powers of z; degree >= 1 needs n = 1.
+    A constant p is folded into c, so a section of degree 0 has coeffs == [1].
+    """
 
     frame: SiegelPoint
     m: np.ndarray
     b: np.ndarray
     c: complex
+    coeffs: np.ndarray = (1.0,)
 
     def __post_init__(self):
         n = self.frame.n
-        m = np.atleast_2d(np.asarray(self.m, dtype=complex)).copy()
+        coeffs = np.array(self.coeffs, dtype=complex, ndmin=1)
+        if coeffs.size > 1 and n != 1:
+            raise ValueError("polynomial sections are supported for n = 1 only")
+        m = np.atleast_2d(np.asarray(self.m, dtype=complex))
         b = np.asarray(self.b, dtype=complex).reshape(n).copy()
         if m.shape != (n, n):
             raise ValueError(f"m must be {n} x {n}")
         if np.abs(m - m.T).max() > 1e-12 * max(1.0, np.abs(m).max()):
             raise ValueError("m must be symmetric")
         m = 0.5 * (m + m.T)
-        if np.linalg.norm(m, 2) >= 1.0 - GAUSSIAN_NORM_MARGIN:
+        # svd's largest value is ||m||_2, without norm()'s dispatch on every construction
+        if np.linalg.svd(m, compute_uv=False)[0] >= 1.0 - GAUSSIAN_NORM_MARGIN:
             raise NotIntegrableError("||m|| must stay below 1 for square-integrability")
-        m.flags.writeable = False
-        b.flags.writeable = False
+        c = complex(self.c)
+        if coeffs.size == 1 and coeffs[0] != 1.0:
+            c, coeffs = c + complex(np.log(coeffs[0])), np.ones(1, dtype=complex)
+        for arr in (m, b, coeffs):
+            arr.flags.writeable = False
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", complex(self.c))
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def n(self) -> int:
         return self.frame.n
 
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
     def real_quadratic(self):
-        """(S, l, k) with value(v) = exp((1/2) v^T S v + l^T v + k)."""
+        """(S, l, k) with value(v) = p(z(v)) exp((1/2) v^T S v + l^T v + k)."""
         e = coord_matrix(self.frame)
         s = e.T @ self.m @ e - gram_matrix(self.frame)
         return 0.5 * (s + s.T), e.T @ self.b, self.c
@@ -92,65 +112,13 @@ class GaussianSection:
         quad = 0.5 * np.einsum("...i,ij,...j->...", z, self.m, z)
         lin = z @ self.b
         norm2 = 0.5 * np.einsum("...i,...i->...", np.conj(z), z).real
-        return np.exp(quad + lin + self.c - norm2)
+        out = np.exp(quad + lin + self.c - norm2)
+        if self.degree:
+            out = np.polynomial.polynomial.polyval(z[..., 0], self.coeffs) * out
+        return out
 
     def scaled(self, factor: complex) -> "GaussianSection":
-        return GaussianSection(self.frame, self.m, self.b, self.c + np.log(complex(factor)))
-
-
-@dataclass(frozen=True)
-class PolyFockSection:
-    """p(z) exp((1/2) m z^2 + b z + c) exp(-|z|^2/2), one degree of freedom."""
-
-    frame: SiegelPoint
-    coeffs: np.ndarray
-    m: complex = 0.0
-    b: complex = 0.0
-    c: complex = 0.0
-
-    def __post_init__(self):
-        if self.frame.n != 1:
-            raise ValueError("polynomial sections are supported for n = 1 only")
-        coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=complex)).copy()
-        if abs(self.m) >= 1.0 - GAUSSIAN_NORM_MARGIN:
-            raise NotIntegrableError("|m| must stay below 1")
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "m", complex(self.m))
-        object.__setattr__(self, "b", complex(self.b))
-        object.__setattr__(self, "c", complex(self.c))
-
-    @property
-    def n(self) -> int:
-        return 1
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def gaussian_part(self) -> GaussianSection:
-        return GaussianSection(self.frame, [[self.m]], [self.b], self.c)
-
-    def value(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        z = (v @ coord_matrix(self.frame).T)[..., 0]
-        poly = np.polynomial.polynomial.polyval(z, self.coeffs)
-        base = GaussianSection(self.frame, [[self.m]], [self.b], self.c).value(v)
-        return poly * base
-
-    def scaled(self, factor: complex) -> "PolyFockSection":
-        return PolyFockSection(self.frame, self.coeffs, self.m, self.b, self.c + np.log(complex(factor)))
-
-
-Section = GaussianSection | PolyFockSection
-
-
-def _make_section(frame: SiegelPoint, poly, m, b, c) -> Section:
-    """The section p(z) exp((1/2) z^T m z + b^T z + c) over ``frame``: Gaussian
-    when the polynomial is the constant [1], else polynomial (n = 1)."""
-    if len(poly) == 1:
-        return GaussianSection(frame, m, b, c)
-    return PolyFockSection(frame, poly, m[0, 0], b[0], c)
+        return GaussianSection(self.frame, self.m, self.b, self.c + np.log(complex(factor)), self.coeffs)
 
 
 def vacuum(omega: SiegelPoint) -> GaussianSection:
@@ -165,57 +133,39 @@ def coherent_state(alpha, omega: SiegelPoint) -> GaussianSection:
     return GaussianSection(omega, np.zeros((n, n)), np.conj(alpha), 0.0)
 
 
-def fock_state(k: int, omega: SiegelPoint, n_trunc: int = N_TRUNC_DEFAULT) -> PolyFockSection:
+def fock_state(k: int, omega: SiegelPoint, n_trunc: int = N_TRUNC_DEFAULT) -> GaussianSection:
     """|k> = z^k / sqrt(k!) exp(-|z|^2/2), orthonormal under the inner product."""
-    from math import factorial
-
     if not 0 <= k < n_trunc:
         raise ValueError(f"k must lie in [0, {n_trunc})")
-    coeffs = np.zeros(k + 1, dtype=complex)
-    coeffs[k] = 1.0 / np.sqrt(float(factorial(k)))
-    return PolyFockSection(omega, coeffs)
+    return from_fock_coefficients(np.eye(1, k + 1, k)[0], omega)
 
 
-def _poly_coeffs(psi) -> np.ndarray:
-    """The polynomial factor of a section or boundary profile; [1] if Gaussian."""
-    if isinstance(psi, GaussianSection):
-        return np.array([1.0 + 0.0j])
-    return psi.coeffs
-
-
-def _gaussian_data(psi: Section):
-    if isinstance(psi, PolyFockSection):
-        return psi.gaussian_part().real_quadratic()
-    return psi.real_quadratic()
-
-
-def inner_product(psi1: Section, psi2: Section) -> complex:
+def inner_product(psi1: GaussianSection, psi2: GaussianSection) -> complex:
     """<psi1, psi2> for sections sharing a frame; conjugate-linear on the left."""
     if not psi1.frame.close_to(psi2.frame, tol=1e-13):
         raise ValueError("sections live in different frames; use inner_product_cross_frame")
     return inner_product_cross_frame(psi1, psi2)
 
 
-def inner_product_cross_frame(psi1: Section, psi2: Section) -> complex:
+def inner_product_cross_frame(psi1: GaussianSection, psi2: GaussianSection) -> complex:
     """<psi1, psi2> with each section evaluated on V in its own coordinates."""
-    s1, l1, k1 = _gaussian_data(psi1)
-    s2, l2, k2 = _gaussian_data(psi2)
-    p1, p2 = _poly_coeffs(psi1), _poly_coeffs(psi2)
+    s1, l1, k1 = psi1.real_quadratic()
+    s2, l2, k2 = psi2.real_quadratic()
     a = b = None
-    if len(p1) > 1 or len(p2) > 1:
+    if psi1.degree or psi2.degree:
         # polynomial factors are functions of z1 (conjugated) and z2 (n = 1)
         a, b = np.conj(coord_matrix(psi1.frame))[0], coord_matrix(psi2.frame)[0]
     return _poly_gauss_pairing(
         np.conj(s1) + s2, np.conj(l1) + l2, np.conj(k1) + k2,
-        a, b, np.conj(p1), p2,
+        a, b, np.conj(psi1.coeffs), psi2.coeffs,
     )
 
 
-def norm(psi: Section) -> float:
+def norm(psi: GaussianSection) -> float:
     return float(np.sqrt(max(inner_product_cross_frame(psi, psi).real, 0.0)))
 
 
-def bergman_project(psi: Section, omega_p: SiegelPoint) -> Section:
+def bergman_project(psi: GaussianSection, omega_p: SiegelPoint) -> GaussianSection:
     """Orthogonal projection of a section onto the holomorphic space of Omega'.
 
     Applies the reproducing kernel exp(z'^T conj(z') - |z'|^2/2 - |z|^2/2) of
@@ -223,13 +173,12 @@ def bergman_project(psi: Section, omega_p: SiegelPoint) -> Section:
     holomorphic for Omega'.  A polynomial factor is pushed through the
     kernel along the source z-direction.
     """
-    s_psi, l_psi, k_psi = _gaussian_data(psi)
-    poly = _poly_coeffs(psi)
-    gen_dir = coord_matrix(psi.frame)[0] if len(poly) > 1 else None
+    s_psi, l_psi, k_psi = psi.real_quadratic()
+    gen_dir = coord_matrix(psi.frame)[0] if psi.degree else None
     q, r, c, poly = kernel_apply_poly(
-        s_psi - gram_matrix(omega_p), coord_matrix(omega_p).conj().T, l_psi, k_psi, poly, gen_dir
+        s_psi - gram_matrix(omega_p), coord_matrix(omega_p).conj().T, l_psi, k_psi, psi.coeffs, gen_dir
     )
-    return _make_section(omega_p, poly, q, r, c)
+    return GaussianSection(omega_p, q, r, c, poly)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +253,7 @@ def pair_halfforms(h1: HalfFormFrame, h2: HalfFormFrame) -> complex:
 class CorrectedSection:
     """A polarized section tensored with a half-form frame over the same point."""
 
-    section: Section
+    section: GaussianSection
     halfform: HalfFormFrame
 
     def __post_init__(self):
@@ -329,7 +278,12 @@ def corrected_inner_product(a: CorrectedSection, b: CorrectedSection) -> complex
 # Fock expansion (n = 1)
 
 
-def fock_coefficients(psi: Section, n_trunc: int = N_TRUNC_DEFAULT) -> np.ndarray:
+def _half_log_factorials(n: int) -> np.ndarray:
+    """log sqrt(k!) for k < n, the Fock normalisation: k! overflows floats past k = 170."""
+    return 0.5 * np.array([lgamma(k + 1) for k in range(n)])
+
+
+def fock_coefficients(psi: GaussianSection, n_trunc: int = N_TRUNC_DEFAULT) -> np.ndarray:
     """Coefficients <k|psi> for k < n_trunc, frame of psi (n = 1).
 
     With the unit-vacuum normalization the monomials satisfy
@@ -338,33 +292,19 @@ def fock_coefficients(psi: Section, n_trunc: int = N_TRUNC_DEFAULT) -> np.ndarra
     """
     if psi.n != 1:
         raise ValueError("Fock expansion implemented for n = 1")
-    if isinstance(psi, GaussianSection):
-        m, b, c = complex(psi.m[0, 0]), complex(psi.b[0]), psi.c
-        poly = np.array([1.0 + 0.0j])
-    else:
-        m, b, c = psi.m, psi.b, psi.c
-        poly = psi.coeffs
-    series = exp_bivariate_series(b, 0.0, m, 0.0, 0.0, n_trunc - 1, 0)[:, 0]
-    full = np.convolve(poly, series)[:n_trunc]
-    if len(full) < n_trunc:
-        full = np.pad(full, (0, n_trunc - len(full)))
-    full = full * np.exp(c)
-    # multiply by sqrt(k!) in log space: the factorial alone overflows floats
-    from math import lgamma
-
+    series = exp_bivariate_series(complex(psi.b[0]), 0.0, complex(psi.m[0, 0]), 0.0, 0.0, n_trunc - 1, 0)
+    full = np.convolve(psi.coeffs, series[:, 0])[:n_trunc] * np.exp(psi.c)
+    # multiply by sqrt(k!) in log space, where neither factor overflows
     out = np.zeros(n_trunc, dtype=complex)
-    mag = np.abs(full)
-    for k in np.nonzero(mag)[0]:
-        out[k] = np.exp(np.log(mag[k]) + 0.5 * lgamma(k + 1) + 1j * np.angle(full[k]))
+    k = np.flatnonzero(full)
+    out[k] = np.exp(np.log(np.abs(full[k])) + _half_log_factorials(n_trunc)[k] + 1j * np.angle(full[k]))
     return out
 
 
-def from_fock_coefficients(coeffs, omega: SiegelPoint) -> PolyFockSection:
+def from_fock_coefficients(coeffs, omega: SiegelPoint) -> GaussianSection:
+    """The section sum_k coeffs[k] |k> over omega (n = 1)."""
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-    from math import lgamma
-
-    scale = np.exp([-0.5 * lgamma(k + 1) for k in range(len(coeffs))])
-    return PolyFockSection(omega, coeffs * scale)
+    return GaussianSection(omega, [[0.0]], [0.0], 0.0, coeffs * np.exp(-_half_log_factorials(len(coeffs))))
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +380,13 @@ def quadrature_integrate(
     return result
 
 
-def _envelope_form(psi: Section) -> np.ndarray:
+def _envelope_form(psi: GaussianSection) -> np.ndarray:
     """A with |psi(v)| ~ exp(-(1/2) v^T A v); A is SPD for integrable sections."""
-    s, _, _ = _gaussian_data(psi)
+    s, _, _ = psi.real_quadratic()
     return -s.real
 
 
-def oracle_inner_product(psi1: Section, psi2: Section, nodes: int = QUAD_NODES_DEFAULT) -> complex:
+def oracle_inner_product(psi1: GaussianSection, psi2: GaussianSection, nodes: int = QUAD_NODES_DEFAULT) -> complex:
     """Brute-force <psi1, psi2> by quadrature; independent of the closed forms.
 
     The grid is placed for the integrand's own Gaussian envelope, which for
@@ -524,23 +464,22 @@ def _complex_array_from_json(data, field: str, shape: tuple) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def section_to_json(psi: Section) -> dict:
-    s_gauss = psi if isinstance(psi, GaussianSection) else psi.gaussian_part()
+def section_to_json(psi: GaussianSection) -> dict:
     out = {
         "frame": {
             "omega1": psi.frame.omega1.tolist(),
             "omega2": psi.frame.omega2.tolist(),
         },
-        "M": _complex_array_to_json(s_gauss.m),
-        "b": _complex_array_to_json(s_gauss.b),
-        "c": _complex_to_json(s_gauss.c),
+        "M": _complex_array_to_json(psi.m),
+        "b": _complex_array_to_json(psi.b),
+        "c": _complex_to_json(psi.c),
     }
-    if isinstance(psi, PolyFockSection):
+    if psi.degree:
         out["poly"] = _complex_array_to_json(psi.coeffs)
     return out
 
 
-def section_from_json(data) -> Section:
+def section_from_json(data) -> GaussianSection:
     """Inverse of ``section_to_json``; malformed data raises ValueError naming the field."""
     if not isinstance(data, dict):
         raise ValueError("section must be an object with frame, M, b and c")
@@ -552,7 +491,12 @@ def section_from_json(data) -> Section:
     m = _complex_array_from_json(data["M"], "section.M", (n, n))
     b = _complex_array_from_json(data["b"], "section.b", (n,))
     c = complex(_complex_array_from_json(data["c"], "section.c", ()))
-    if "poly" in data:
-        poly = _complex_array_from_json(data["poly"], "section.poly", (None,))
-        return PolyFockSection(frame, poly, m[0, 0], b[0], c)
-    return GaussianSection(frame, m, b, c)
+    poly = _complex_array_from_json(data["poly"], "section.poly", (None,)) if "poly" in data else np.ones(1)
+    if not poly.any():
+        raise ValueError("section.poly must not be all zero")
+    try:
+        return GaussianSection(frame, m, b, c, poly)
+    except (ValueError, NotIntegrableError) as exc:
+        # shapes are parsed above; the constructor checks the degree first, then M
+        field = "section.poly" if n > 1 and len(poly) > 1 else "section.M"
+        raise ValueError(f"{field} rejected: {exc}") from exc

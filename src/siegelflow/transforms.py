@@ -28,9 +28,9 @@ from ._point import SiegelPoint, diagonal_point, standard_point
 from .errors import NoBoundaryLimitError, PolarizationMismatchError
 from .sections import (
     CorrectedSection,
+    GaussianSection,
     HalfFormFrame,
     _hermite_grid_sum,
-    _make_section,
     difference_norm,
 )
 from .siegel import GeodesicSpec, LagrangianFrame, symplectic_form_matrix
@@ -274,7 +274,7 @@ def segal_bargmann(shat: CorrectedBoundarySection, omega: SiegelPoint) -> Correc
     om0 = act_on_siegel(ref.g.inverse(), omega)
     profile = shat.profile.scaled(shat.halfform_phase)
     poly, m, b, c, log_h = _xi_kernel_apply(profile, _PositionBoundary(om0.n), om0)
-    core = _make_section(om0, poly, m, b, c - np.conj(log_h))
+    core = GaussianSection(om0, m, b, c - np.conj(log_h), poly)
     return metaplectic_act(ref, CorrectedSection(core, HalfFormFrame(om0)))
 
 

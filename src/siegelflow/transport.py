@@ -26,10 +26,6 @@ from .sections import (
     CorrectedSection,
     GaussianSection,
     HalfFormFrame,
-    PolyFockSection,
-    Section,
-    _make_section,
-    _poly_coeffs,
     bergman_project,
     coord_matrix,
     fock_coefficients,
@@ -114,15 +110,13 @@ def _xi_kernel_apply(psi, omega, omega_p):
         # integrate over v in R^2n, z = E v, against the full weight exp(-|z|^2)
         e = coord_matrix(omega)
         ebar = np.conj(e)
-        s = e.T @ np.atleast_2d(psi.m) @ e + ebar.T @ k11 @ ebar - 2.0 * (ebar.T @ e).real
+        s = e.T @ psi.m @ e + ebar.T @ k11 @ ebar - 2.0 * (ebar.T @ e).real
         s = 0.5 * (s + s.T)
-        lmat, ell0, gen_dir = ebar.T @ k12, e.T @ np.atleast_1d(psi.b), e[0]
+        lmat, ell0, gen_dir = ebar.T @ k12, e.T @ psi.b, e[0]
     else:
         # a profile: integrate over u itself, with no weight
         s, lmat, ell0, gen_dir = psi.m + k11, k12, psi.b, np.eye(psi.n)[0]
-    q, r, c, poly = kernel_apply_poly(
-        s, lmat, ell0, psi.c, _poly_coeffs(psi), gen_dir if psi.n == 1 else None
-    )
+    q, r, c, poly = kernel_apply_poly(s, lmat, ell0, psi.c, psi.coeffs, gen_dir)
     m_out = q + k22
     return poly, 0.5 * (m_out + m_out.T), r, c, log_h
 
@@ -181,7 +175,7 @@ def bogoliubov_scale_via_structures(omega: SiegelPoint, omega_p: SiegelPoint) ->
     return float(det ** 0.25)
 
 
-def transport_uncorrected(psi: Section, omega_p: SiegelPoint) -> Section:
+def transport_uncorrected(psi: GaussianSection, omega_p: SiegelPoint) -> GaussianSection:
     """U psi = alpha(Omega, Omega') P psi for any Gaussian(-polynomial) section."""
     return bergman_project(psi, omega_p).scaled(bogoliubov_scale(psi.frame, omega_p))
 
@@ -190,7 +184,7 @@ def transport_uncorrected(psi: Section, omega_p: SiegelPoint) -> Section:
 class TransportResult:
     """Transported section with the half-form bookkeeping made explicit."""
 
-    section: Section
+    section: GaussianSection
     halfform: HalfFormFrame
     scale_used: float
     phase_used: complex
@@ -243,8 +237,8 @@ def transport_equals_scaled_projection_check(alpha, omega: SiegelPoint, omega_p:
 
 
 def transport_kernel_apply(
-    phi: Section, omega: SiegelPoint, omega_p: SiegelPoint, kernel: str = "bergman"
-) -> Section:
+    phi: GaussianSection, omega: SiegelPoint, omega_p: SiegelPoint, kernel: str = "bergman"
+) -> GaussianSection:
     """Transport via one of the two integral kernels.
 
     'bergman': rescaled reproducing-kernel projection (acts on the full
@@ -259,7 +253,7 @@ def transport_kernel_apply(
     if phi.frame.n != omega.n or not phi.frame.close_to(omega, tol=1e-12):
         raise ValueError("section must live at the source point")
     poly, m, b, c, log_h = _xi_kernel_apply(phi, omega, omega_p)
-    return _make_section(omega_p, poly, m, b, c - log_h.real)
+    return GaussianSection(omega_p, m, b, c - log_h.real, poly)
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +263,10 @@ def transport_kernel_apply(
 def metaplectic_act(mp: MetaplecticElement, obj):
     """Lifted symplectic action on (corrected) sections.
 
-    Gaussian data transforms through the unitary coordinate change; the
-    half-form coefficient picks up the tracked branch phase at the source
-    point."""
+    A section transforms through the unitary coordinate change z = t z' to
+    the image frame: m -> t^T m t, b -> t^T b and coeffs[k] -> coeffs[k] t^k
+    (a polynomial has n = 1).  The half-form coefficient picks up the
+    tracked branch phase at the source point."""
     if isinstance(obj, CorrectedSection):
         section = metaplectic_act(mp, obj.section)
         phase = mp.phase_at(obj.frame) * obj.halfform.phase
@@ -279,12 +274,9 @@ def metaplectic_act(mp: MetaplecticElement, obj):
     omega = obj.frame
     target = act_on_siegel(mp.g, omega)
     t = transform_z_coords(mp.g, omega)
-    if isinstance(obj, PolyFockSection):
-        tt = complex(t[0, 0])
-        coeffs = obj.coeffs * tt ** np.arange(len(obj.coeffs))
-        return PolyFockSection(target, coeffs, tt * obj.m * tt, tt * obj.b, obj.c)
     m = t.T @ obj.m @ t
-    return GaussianSection(target, 0.5 * (m + m.T), t.T @ obj.b, obj.c)
+    coeffs = obj.coeffs * complex(t[0, 0]) ** np.arange(obj.degree + 1)
+    return GaussianSection(target, 0.5 * (m + m.T), t.T @ obj.b, obj.c, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -400,13 +392,13 @@ def transport_ode_coeffs(
 
 
 def transport_ode(
-    psi0: PolyFockSection,
+    psi0: GaussianSection,
     lam: float,
     t_end: float,
     steps: int,
     n_basis: int | None = None,
     progress=None,
-) -> PolyFockSection:
+) -> GaussianSection:
     """Numerical transport of a truncated Fock state along i exp(2 lambda t).
 
     The state is expanded in the moving Fock frame and integrated with RK4.
@@ -438,7 +430,7 @@ def transport_ode(
     return from_fock_coefficients(c, diagonal_point([np.exp(2.0 * lam * t_end)]))
 
 
-def transport_poly_standard(psi0: PolyFockSection, lam: float, t: float) -> Section:
+def transport_poly_standard(psi0: GaussianSection, lam: float, t: float) -> GaussianSection:
     """Closed-form transport of a Gaussian-polynomial state along the
     standard geodesic i exp(2 lambda t) from i.
 

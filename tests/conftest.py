@@ -1,20 +1,9 @@
 import numpy as np
 import pytest
 
-from siegelflow import GaussianSection, SiegelPoint
+from siegelflow.suites import _random_gaussian_section as random_gaussian_section
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
-
-
-def random_gaussian_section(rng, omega: SiegelPoint, m_cap: float = 0.8) -> GaussianSection:
-    n = omega.n
-    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    m = 0.5 * (m + m.T)
-    nrm = np.linalg.norm(m, 2)
-    if nrm > 0:
-        m = m * (m_cap * rng.uniform(0.2, 1.0) / max(nrm, m_cap))
-    b = 0.7 * (rng.normal(size=n) + 1j * rng.normal(size=n))
-    return GaussianSection(omega, m, b, 0.1 * (rng.normal() + 1j * rng.normal()))

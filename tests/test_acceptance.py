@@ -9,7 +9,7 @@ import numpy as np
 from siegelflow import (
     BoundaryPolarization,
     BoundaryProfile,
-    PolyFockSection,
+    GaussianSection,
     coherent_state,
     diagonal_point,
     difference_norm,
@@ -86,7 +86,7 @@ def test_criterion_02_fock_rows(capsys):
         2: np.sqrt(sh) * (z**2 * sh**2 + th) * gaussian,
     }
     for k, target in printed.items():
-        monomial = PolyFockSection(I1, np.eye(k + 1, dtype=complex)[k])
+        monomial = GaussianSection(I1, [[0.0]], [0.0], 0.0, np.eye(k + 1, dtype=complex)[k])
         moved = transport_poly_standard(monomial, 1.0, t)
         worst = max(worst, np.abs(moved.value(vs) - target).max())
     _report(

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siegelflow.cli import main
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def point_json(omega1, omega2):
@@ -80,6 +85,7 @@ class TestGeodesicCommand:
 
 
 _UNIT_POINT = point_json([[0.0]], [[1.0]])
+_UNIT_POINT_2 = point_json([[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
 
 
 # (1 + 0.5 z + 0.2 z^2) exp(0.05 z^2 + (0.2 + 0.1i) z) at i
@@ -161,6 +167,12 @@ class TestTransportCommand:
             ({**_POLY_SECTION, "c": [0.0]}, "section.c"),
             ({**_POLY_SECTION, "c": [float("nan"), 0.0]}, "section.c"),
             ({**_POLY_SECTION, "poly": []}, "section.poly"),
+            ({**_POLY_SECTION, "poly": [[0, 0]]}, "section.poly"),
+            ({**_POLY_SECTION, "M": [[[1.5, 0.0]]]}, "section.M"),
+            (
+                {**_POLY_SECTION, "frame": _UNIT_POINT_2, "M": [[[0.1, 0.0]] * 2] * 2, "b": [[0.2, 0.1]] * 2},
+                "section.poly",
+            ),
         ],
     )
     def test_malformed_section_exits_2(self, section, named, capsys, monkeypatch):
@@ -169,6 +181,21 @@ class TestTransportCommand:
         assert code == 2
         assert out == ""
         assert err.startswith(f"input error: {named} ")
+
+    def test_closed_stdout_pipe_ends_quietly(self):
+        payload = json.dumps({"omega": _UNIT_POINT, "omega_p": point_json([[0.3]], [[2.0]])})
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # nobody reads the report, as after `| head` has exited
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "siegelflow.cli", "transport", "--kernel", "holomorphic"],
+                input=payload, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join([str(_SRC), os.environ.get("PYTHONPATH", "")])},
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
+        assert proc.returncode == 0
 
     def test_non_finite_point_exits_2(self, capsys, monkeypatch):
         payload = json.dumps({"omega": point_json([[float("nan")]], [[1.0]]), "omega_p": _UNIT_POINT})

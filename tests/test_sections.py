@@ -8,7 +8,6 @@ from siegelflow import (
     LagrangianFrame,
     NonTransverseError,
     NotIntegrableError,
-    PolyFockSection,
     SiegelPoint,
     bergman_project,
     coherent_state,
@@ -168,9 +167,9 @@ class TestBergmanProjection:
         # <c_w, P psi> = <c_w, psi> for coherent states c_w of the target frame
         omega = SiegelPoint.from_complex([[0.3 + 1.2j]])
         omega_p = SiegelPoint.from_complex([[-0.4 + 0.7j]])
-        psi = PolyFockSection(omega, [0.5, -0.3j, 0.2, 0.1 + 0.1j], m=0.3 + 0.2j, b=0.4 - 0.3j, c=0.05)
+        psi = GaussianSection(omega, [[0.3 + 0.2j]], [0.4 - 0.3j], 0.05, [0.5, -0.3j, 0.2, 0.1 + 0.1j])
         proj = bergman_project(psi, omega_p)
-        assert isinstance(proj, PolyFockSection) and proj.degree == 3
+        assert proj.degree == 3
         for w in (0.0, 0.6 - 0.2j, -0.3 + 0.8j, 1.1 + 0.4j):
             c_w = coherent_state([w], omega_p)
             orac = oracle_inner_product(c_w, psi)
@@ -201,13 +200,18 @@ class TestFockStates:
         for k in range(10):
             assert abs(coeffs[k] - np.conj(alpha) ** k / np.sqrt(factorial(k))) < 1e-12
 
+    def test_high_index_round_trip(self):
+        # 200! overflows a float; the Fock normalisation is taken in log space
+        expected = np.eye(1, 256, 200)[0]
+        assert np.abs(fock_coefficients(fock_state(200, I1, n_trunc=256), 256) - expected).max() < 1e-12
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             fock_state(32, I1)
 
     def test_polynomial_inner_products_cross_frame(self, rng):
-        p1 = PolyFockSection(I1, [0.3, 0.0, 1.0], m=-0.2, b=0.1j, c=0.0)
-        p2 = PolyFockSection(diagonal_point([1.9]), [1.0, 0.5j], m=0.15, b=-0.2, c=0.1)
+        p1 = GaussianSection(I1, [[-0.2]], [0.1j], 0.0, [0.3, 0.0, 1.0])
+        p2 = GaussianSection(diagonal_point([1.9]), [[0.15]], [-0.2], 0.1, [1.0, 0.5j])
         closed = inner_product_cross_frame(p1, p2)
         orac = oracle_inner_product(p1, p2)
         assert abs(closed - orac) < 1e-8 * max(1.0, abs(closed))
@@ -279,12 +283,21 @@ class TestSerialization:
         assert difference_norm(psi, back) == 0.0
 
     def test_poly_round_trip(self):
-        psi = PolyFockSection(I1, [0.2, 1.0j, -0.3], m=0.1, b=0.2j, c=-0.05)
+        psi = GaussianSection(I1, [[0.1]], [0.2j], -0.05, [0.2, 1.0j, -0.3])
         data = section_to_json(psi)
         back = section_from_json(data)
-        assert isinstance(back, PolyFockSection)
+        assert back.degree == 2
         pts = np.array([[0.3, -0.2], [0.8, 0.5]])
         assert np.abs(psi.value(pts) - back.value(pts)).max() < 1e-15
+
+
+    def test_constant_polynomial_folds_into_c(self):
+        psi = GaussianSection(I1, [[0.1]], [0.2j], -0.05, [2.0 - 1.0j])
+        assert psi.degree == 0 and np.array_equal(psi.coeffs, [1.0])
+        assert "poly" not in section_to_json(psi)
+        pts = np.array([[0.3, -0.2], [0.8, 0.5]])
+        plain = GaussianSection(I1, [[0.1]], [0.2j], -0.05)
+        assert np.abs(psi.value(pts) - (2.0 - 1.0j) * plain.value(pts)).max() < 1e-15
 
 
 class TestDifferenceNorm:

@@ -30,6 +30,11 @@ class TestSiegelPoint:
         with pytest.raises(ValueError, match="finite"):
             SiegelPoint(omega1, omega2)
 
+    def test_huge_finite_entries_stay_finite(self):
+        with np.errstate(all="raise"):
+            p = SiegelPoint([[1e308, -1.5e308], [-1.5e308, 1.7e308]], [[1.0, 0.0], [0.0, 1.0]])
+        assert np.array_equal(p.omega1, [[1e308, -1.5e308], [-1.5e308, 1.7e308]])
+
 
 class TestComplexStructure:
     def test_base_point_is_standard_structure(self):

@@ -4,9 +4,9 @@ import pytest
 from siegelflow import (
     ConnectionForm,
     CorrectedSection,
+    GaussianSection,
     HalfFormFrame,
     MetaplecticElement,
-    PolyFockSection,
     SiegelPoint,
     TruncationOverflowError,
     bogoliubov_operator_deformation,
@@ -82,12 +82,12 @@ class TestStandardTransport:
 
     def test_displaced_state_matches_coherent_closed_form(self):
         # c_5 written as a Gaussian-polynomial state with b = conj(alpha) = 5
-        moved = transport_poly_standard(PolyFockSection(I1, [1.0], m=0.0, b=5.0), 0.5, 1.0)
+        moved = transport_poly_standard(GaussianSection(I1, [[0.0]], [5.0], 0.0, [1.0]), 0.5, 1.0)
         ref = transport_coherent_standard([5.0], 0.5, 1.0)
         assert difference_norm(moved, ref) < 1e-12 * norm(ref)
 
     def test_squeezed_polynomial_state_matches_ode(self):
-        psi = PolyFockSection(I1, [0.3, -0.4j, 0.5], m=0.3 - 0.2j, b=0.4 + 0.1j, c=0.1)
+        psi = GaussianSection(I1, [[0.3 - 0.2j]], [0.4 + 0.1j], 0.1, [0.3, -0.4j, 0.5])
         closed = fock_coefficients(transport_poly_standard(psi, 0.5, 1.0), 32)
         ode = fock_coefficients(transport_ode(psi, 0.5, 1.0, 2000, n_basis=128), 32)
         assert np.linalg.norm(ode - closed) < 1e-8 * np.linalg.norm(closed)
@@ -196,11 +196,11 @@ class TestKernels:
             assert difference_norm(a, b) < 1e-10
 
     def test_holomorphic_kernel_takes_polynomial_states(self):
-        psi = PolyFockSection(I1, [1.0, 0.5, 0.2], 0.1, 0.2 + 0.1j)
+        psi = GaussianSection(I1, [[0.1]], [0.2 + 0.1j], 0.0, [1.0, 0.5, 0.2])
         omp = SiegelPoint.from_complex([[0.3 + 2.0j]])
         a = transport_kernel_apply(psi, I1, omp, "holomorphic")
         b = transport_kernel_apply(psi, I1, omp, "bergman")
-        assert isinstance(a, PolyFockSection)
+        assert a.degree == 2
         assert difference_norm(a, b) < 1e-12 * norm(b)
 
     def test_kernel_linearity(self, rng):
@@ -392,6 +392,13 @@ class TestTransportODE:
         a = fock_coefficients(out, 32)
         b = fock_coefficients(closed, 32)
         assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-6
+
+    @pytest.mark.parametrize("lam, n_basis", [(0.5, 64), (0.25, None)])
+    def test_gaussian_state_matches_coherent_closed_form(self, lam, n_basis):
+        # a Gaussian section enters the ODE directly; None is the default basis of 32
+        out = transport_ode(coherent_state([0.3], I1), lam, 1.0, 2000, n_basis=n_basis)
+        closed = fock_coefficients(transport_coherent_standard([0.3], lam, 1.0), 32)
+        assert np.linalg.norm(fock_coefficients(out, 32) - closed) < 1e-8 * np.linalg.norm(closed)
 
     def test_fourth_order_convergence(self):
         # classical RK4: halving the step cuts the error ~16x until round-off
