@@ -75,7 +75,6 @@ from .transforms import (
 )
 from .transport import (
     ConnectionForm,
-    TransportResult,
     bogoliubov_operator_deformation,
     bogoliubov_scale,
     fock_connection_matrix,

@@ -8,7 +8,7 @@ omega = sum_i dx^i ^ dy^i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +34,7 @@ class SiegelPoint:
 
     omega1: np.ndarray
     omega2: np.ndarray
+    omega: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         o1 = _as_real_symmetric(self.omega1, "omega1")
@@ -42,10 +43,12 @@ class SiegelPoint:
             raise ValueError("omega1 and omega2 must have the same shape")
         if np.linalg.eigvalsh(o2).min() <= 0:
             raise ValueError("imaginary part must be positive definite")
-        o1.flags.writeable = False
-        o2.flags.writeable = False
+        omega = o1 + 1j * o2
+        for arr in (o1, o2, omega):
+            arr.flags.writeable = False
         object.__setattr__(self, "omega1", o1)
         object.__setattr__(self, "omega2", o2)
+        object.__setattr__(self, "omega", omega)
 
     @classmethod
     def from_complex(cls, omega) -> "SiegelPoint":
@@ -55,10 +58,6 @@ class SiegelPoint:
     @property
     def n(self) -> int:
         return self.omega1.shape[0]
-
-    @property
-    def omega(self) -> np.ndarray:
-        return self.omega1 + 1j * self.omega2
 
     def imag_sqrt(self) -> np.ndarray:
         """Symmetric positive square root of the imaginary part."""

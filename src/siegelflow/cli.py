@@ -17,8 +17,8 @@ Reports are deterministic for a fixed configuration and seed apart from
 the wall_time_s field; randomized suites draw from numpy's PCG64
 generator seeded with --seed.
 
-Exit codes: 0 on success, 1 when a verification fails, 2 on usage or
-parse errors.
+Exit codes: 0 on success, 1 when a verification fails or a result could
+not be computed, 2 on usage or parse errors.
 
 Points are encoded as {"omega1": [[...]], "omega2": [[...]]} with real
 matrices; complex scalars and arrays use [re, im] pairs.
@@ -40,7 +40,7 @@ from ._point import SiegelPoint, standard_point
 from .errors import SiegelFlowError
 from .sections import (
     CorrectedSection,
-    HalfFormFrame,
+    _complex_to_json,
     _point_from_json,
     _real_array,
     coherent_state,
@@ -53,9 +53,10 @@ from .sections import (
     section_to_json,
 )
 from .siegel import geodesic_between, geodesic_eval
-from .suites import SUITES, _limits
+from .suites import SUITES, _limits, _row
 from .sympl import MetaplecticElement
 from .transport import (
+    bogoliubov_scale,
     metaplectic_act,
     transport_corrected,
     transport_kernel_apply,
@@ -82,7 +83,10 @@ def _load_input(args) -> dict:
 
 
 def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise SiegelFlowError("the result is not finite; no report written") from None
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -120,14 +124,7 @@ def cmd_geodesic(args) -> int:
         f"{t:.2f}": _point_json(geodesic_eval(spec, t)) for t in (0.0, 0.25, 0.5, 0.75, 1.0)
     }
     tol = args.tol if args.tol is not None else 1e-8
-    results = [
-        {
-            "name": "geodesic/endpoint_round_trip",
-            "residual": float(residual),
-            "tolerance": tol,
-            "passed": bool(residual <= tol),
-        }
-    ]
+    results = [_row("geodesic/endpoint_round_trip", residual, tol)]
     outputs = {
         "g": {k: getattr(spec.g, k).tolist() for k in "abcd"},
         "lambda": spec.lam.tolist(),
@@ -146,9 +143,12 @@ def _parse_state(data: dict, omega: SiegelPoint):
         arr = _real_array(state["alpha"], "state.alpha", 2)
         if arr.shape != (omega.n, 2):
             raise ValueError(f"state.alpha must hold {omega.n} [re, im] pairs")
-        alpha = arr[:, 0] + 1j * arr[:, 1]
-        return alpha, coherent_state(alpha, omega)
-    return None, section_from_json(state["section"])
+        return coherent_state(arr[:, 0] + 1j * arr[:, 1], omega)
+    psi = section_from_json(state["section"])
+    # n first: close_to broadcasts a 1 x 1 point against a larger one
+    if psi.n != omega.n or not psi.frame.close_to(omega, tol=1e-12):
+        raise ValueError("state.section.frame must equal omega")
+    return psi
 
 
 def cmd_transport(args) -> int:
@@ -156,22 +156,20 @@ def cmd_transport(args) -> int:
     data = _load_input(args)
     omega = _point_from_json(data["omega"], "omega")
     omega_p = _point_from_json(data["omega_p"], "omega_p")
-    alpha, psi = _parse_state(data, omega)
+    psi = _parse_state(data, omega)
     results: list[dict] = []
-    outputs: dict = {}
 
     if args.corrected:
-        res = transport_corrected(CorrectedSection(psi, HalfFormFrame(omega)), omega_p)
-        outputs["transport"] = res.to_json()
-        moved = res.corrected()
-    elif args.kernel in ("bergman", "holomorphic"):
-        out = transport_kernel_apply(psi, omega, omega_p, args.kernel)
-        outputs["transport"] = {"section": section_to_json(out)}
-        moved = out
+        moved = transport_corrected(CorrectedSection(psi), omega_p)
+        transported = {"section": section_to_json(moved.section),
+                       "halfform_phase": _complex_to_json(moved.halfform_phase)}
     else:
-        res = transport_corrected(CorrectedSection(psi, HalfFormFrame(omega)), omega_p)
-        outputs["transport"] = {"section": section_to_json(res.section), "scale": res.scale_used}
-        moved = res.section
+        # "closed" is the rescaled projection, the Bergman kernel
+        kernel = "bergman" if args.kernel == "closed" else args.kernel
+        transported = {"section": section_to_json(transport_kernel_apply(psi, omega, omega_p, kernel))}
+    if args.corrected or args.kernel == "closed":
+        transported["scale"] = bogoliubov_scale(psi.frame, omega_p)
+    outputs = {"transport": transported}
 
     if args.ode_check:
         if omega.n != 1:
@@ -186,31 +184,20 @@ def cmd_transport(args) -> int:
         ode = transport_ode(start, lam, 1.0, args.ode_steps, n_basis=max(4 * args.trunc, 128))
         c_closed = fock_coefficients(closed, args.trunc)
         c_ode = fock_coefficients(ode, args.trunc)
-        resid = float(np.linalg.norm(c_ode - c_closed) / np.linalg.norm(c_closed))
-        results.append(
-            {"name": "transport/ode_vs_closed_form", "residual": resid,
-             "tolerance": 1e-6, "passed": bool(resid <= 1e-6)}
-        )
+        resid = np.linalg.norm(c_ode - c_closed) / np.linalg.norm(c_closed)
+        results.append(_row("transport/ode_vs_closed_form", resid, 1e-6))
 
     if args.triangle:
         omega_pp = _point_from_json(data["omega_pp"], "omega_pp")
-        start = CorrectedSection(psi, HalfFormFrame(omega))
-        around = transport_corrected(
-            transport_corrected(
-                transport_corrected(start, omega_p).corrected(), omega_pp
-            ).corrected(),
-            omega,
-        ).corrected()
+        start = CorrectedSection(psi)
+        around = transport_corrected(transport_corrected(transport_corrected(start, omega_p), omega_pp), omega)
         resid = difference_norm(around, start) / norm(psi)
-        hol = inner_product(psi, around.section) * around.halfform.phase / inner_product(psi, psi)
-        results.append(
-            {"name": "transport/triangle_holonomy_identity", "residual": float(resid),
-             "tolerance": 1e-8, "passed": bool(resid <= 1e-8)}
-        )
-        outputs["triangle_holonomy"] = [float(hol.real), float(hol.imag)]
+        hol = inner_product(psi, around.section) * around.halfform_phase / inner_product(psi, psi)
+        results.append(_row("transport/triangle_holonomy_identity", resid, 1e-8))
+        outputs["triangle_holonomy"] = _complex_to_json(hol)
 
     if not results:
-        results.append({"name": "transport/completed", "residual": 0.0, "tolerance": 1.0, "passed": True})
+        results.append(_row("transport/completed", 0.0, 1.0))
     report = _report("transport", {**data, "flags": {
         "corrected": bool(args.corrected), "kernel": args.kernel,
         "ode_check": bool(args.ode_check), "triangle": bool(args.triangle)}},
@@ -235,10 +222,7 @@ def cmd_verify(args) -> int:
             kwargs["nodes"] = args.nodes
         rows = fn(**kwargs)
     if args.tol is not None:
-        rows = [
-            {**r, "tolerance": args.tol, "passed": bool(r["residual"] <= args.tol)}
-            for r in rows
-        ]
+        rows = [_row(r["name"], r["residual"], args.tol) for r in rows]
     report = _report("verify", {"suite": args.suite, "seed": args.seed}, rows, outputs, t0)
     _emit(report, args.out)
     if not report["passed"]:
@@ -266,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_geo = sub.add_parser("geodesic", help="normal form of the geodesic between two points")
     p_geo.add_argument("--in", dest="input", default=None, help="input JSON file (default stdin)")
-    p_geo.set_defaults(func=cmd_geodesic)
 
     p_tr = sub.add_parser("transport", help="transport a state between two points")
     p_tr.add_argument("--in", dest="input", default=None)
@@ -275,25 +258,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--ode-check", action="store_true", help="cross-check against the Fock ODE")
     p_tr.add_argument("--ode-steps", type=int, default=10000)
     p_tr.add_argument("--triangle", action="store_true", help="run the flatness check (needs omega_pp)")
-    p_tr.set_defaults(func=cmd_transport)
 
     p_ver = sub.add_parser("verify", help="run a named verification suite")
     p_ver.add_argument("suite", choices=sorted(SUITES))
-    p_ver.set_defaults(func=cmd_verify)
     return parser
 
 
+# main dispatches through this dict at call time, so a wrapper put in it takes effect
+_COMMANDS = {"geodesic": cmd_geodesic, "transport": cmd_transport, "verify": cmd_verify}
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command](args)
+    except (SiegelFlowError, np.linalg.LinAlgError) as exc:
+        # LinAlgError is a ValueError, but it marks a failed computation
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except SiegelFlowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -251,27 +251,27 @@ def pair_halfforms(h1: HalfFormFrame, h2: HalfFormFrame) -> complex:
 
 @dataclass(frozen=True)
 class CorrectedSection:
-    """A polarized section tensored with a half-form frame over the same point."""
+    """A polarized section tensored with sqrt(d^n z) of its own frame,
+    carried with a unit phase coefficient."""
 
     section: GaussianSection
-    halfform: HalfFormFrame
+    halfform_phase: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        if not isinstance(self.halfform.base, SiegelPoint):
-            raise ValueError("corrected Kaehler sections need a Siegel half-form frame")
-        if not self.section.frame.close_to(self.halfform.base, tol=1e-12):
-            raise ValueError("section and half-form frames disagree")
+        if abs(abs(self.halfform_phase) - 1.0) > 1e-12:
+            raise ValueError("half-form coefficient must have unit modulus")
+        object.__setattr__(self, "halfform_phase", complex(self.halfform_phase))
 
     @property
     def frame(self) -> SiegelPoint:
         return self.section.frame
 
     def combined_value(self, v) -> np.ndarray:
-        return self.section.value(v) * self.halfform.phase
+        return self.section.value(v) * self.halfform_phase
 
 
 def corrected_inner_product(a: CorrectedSection, b: CorrectedSection) -> complex:
-    return np.conj(a.halfform.phase) * b.halfform.phase * inner_product_cross_frame(a.section, b.section)
+    return np.conj(a.halfform_phase) * b.halfform_phase * inner_product_cross_frame(a.section, b.section)
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +408,8 @@ def difference_norm(a, b, nodes: int = 24) -> float:
     catastrophically and bottom out near sqrt(eps).  Accepts plain or
     corrected sections.
     """
-    pa, ha = (a.section, a.halfform.phase) if isinstance(a, CorrectedSection) else (a, 1.0)
-    pb, hb = (b.section, b.halfform.phase) if isinstance(b, CorrectedSection) else (b, 1.0)
+    pa, ha = (a.section, a.halfform_phase) if isinstance(a, CorrectedSection) else (a, 1.0)
+    pb, hb = (b.section, b.halfform_phase) if isinstance(b, CorrectedSection) else (b, 1.0)
     # half the mean envelope: valid (wider) for both terms when they are comparable
     g = 0.25 * (_envelope_form(pa) + _envelope_form(pb))
 

@@ -13,7 +13,6 @@ from ._point import SiegelPoint, diagonal_point, standard_point
 from .sections import (
     CorrectedSection,
     GaussianSection,
-    HalfFormFrame,
     coherent_state,
     corrected_inner_product,
     difference_norm,
@@ -151,10 +150,8 @@ def suite_unitarity(seed: int = 42, trials: int = 20, oracle_trials: int = 6, to
         after = inner_product(transport_uncorrected(p1, omp), transport_uncorrected(p2, omp))
         worst_closed = max(worst_closed, abs(after - before) / max(1.0, abs(before)))
 
-        c1 = CorrectedSection(p1, HalfFormFrame(om))
-        c2 = CorrectedSection(p2, HalfFormFrame(om))
-        t1 = transport_corrected(c1, omp).corrected()
-        t2 = transport_corrected(c2, omp).corrected()
+        t1 = transport_corrected(CorrectedSection(p1), omp)
+        t2 = transport_corrected(CorrectedSection(p2), omp)
         after_c = corrected_inner_product(t1, t2)
         worst_corrected = max(worst_corrected, abs(after_c - before) / max(1.0, abs(before)))
 
@@ -211,10 +208,10 @@ def suite_flatness(seed: int = 42, trials: int = 50, tol: float = 1e-8) -> list[
         n = 1 if k % 2 == 0 else 2
         pts = [random_siegel(rng, n) for _ in range(3)]
         alpha = rng.normal(size=n) + 1j * rng.normal(size=n)
-        start = CorrectedSection(coherent_state(alpha, pts[0]), HalfFormFrame(pts[0]))
-        leg1 = transport_corrected(start, pts[1]).corrected()
-        leg2 = transport_corrected(leg1, pts[2]).corrected()
-        around = transport_corrected(leg2, pts[0]).corrected()
+        start = CorrectedSection(coherent_state(alpha, pts[0]))
+        leg1 = transport_corrected(start, pts[1])
+        leg2 = transport_corrected(leg1, pts[2])
+        around = transport_corrected(leg2, pts[0])
         worst_corrected = max(
             worst_corrected, difference_norm(around, start) / norm(start.section)
         )
@@ -267,7 +264,7 @@ def _limits(t_max: float = 8.0, tol: float = 1e-3, slope_rel: float = 0.2):
     """(rows, Bargmann report, Fourier report) of the boundary-limit suite."""
     i1 = standard_point(1)
     spec = geodesic_between(i1, diagonal_point([float(np.exp(2.0))]))
-    psi = CorrectedSection(vacuum(i1), HalfFormFrame(i1))
+    psi = CorrectedSection(vacuum(i1))
     ts = [2.0, 3.0, 4.0, 5.0, 6.0, t_max]
     rep_b = limit_transport_to_bargmann(psi, spec, [-t for t in ts])
     rep_f = limit_transport_to_fourier(psi, spec, ts)

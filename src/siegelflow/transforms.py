@@ -29,7 +29,6 @@ from .errors import NoBoundaryLimitError, PolarizationMismatchError
 from .sections import (
     CorrectedSection,
     GaussianSection,
-    HalfFormFrame,
     _hermite_grid_sum,
     difference_norm,
 )
@@ -275,7 +274,7 @@ def segal_bargmann(shat: CorrectedBoundarySection, omega: SiegelPoint) -> Correc
     profile = shat.profile.scaled(shat.halfform_phase)
     poly, m, b, c, log_h = _xi_kernel_apply(profile, _PositionBoundary(om0.n), om0)
     core = GaussianSection(om0, m, b, c - np.conj(log_h), poly)
-    return metaplectic_act(ref, CorrectedSection(core, HalfFormFrame(om0)))
+    return metaplectic_act(ref, CorrectedSection(core))
 
 
 def segal_bargmann_inverse(
@@ -290,7 +289,7 @@ def segal_bargmann_inverse(
     poly, m, b, c, log_h = _xi_kernel_apply(
         pulled.section, pulled.frame, _PositionBoundary(pulled.frame.n)
     )
-    profile = BoundaryProfile(poly, m, b, c - np.conj(log_h)).scaled(pulled.halfform.phase)
+    profile = BoundaryProfile(poly, m, b, c - np.conj(log_h)).scaled(pulled.halfform_phase)
     return CorrectedBoundarySection(polarization, profile, 1.0)
 
 
@@ -412,7 +411,7 @@ def limit_transport_to_bargmann(
     rows = []
     for t in sorted((float(t) for t in t_list), reverse=True):
         om_t = diagonal_point(np.exp(2.0 * lam * t))
-        moved = transport_corrected(psi0, om_t).corrected()
+        moved = transport_corrected(psi0, om_t)
         absorbed = float(2.0 ** (n / 4.0) * np.exp(0.5 * t * lam.sum()))
         err = float(np.abs(moved.combined_value(grid) / absorbed - target).max())
         rows.append(ConvergenceRow(t, err, absorbed))
@@ -442,7 +441,7 @@ def limit_transport_to_fourier(
     rows = []
     for t in sorted(float(t) for t in t_list):
         om_t = diagonal_point(np.exp(2.0 * lam * t))
-        moved = transport_corrected(psi0, om_t).corrected()
+        moved = transport_corrected(psi0, om_t)
         absorbed = float(2.0 ** (n / 4.0) * np.exp(-0.5 * t * lam.sum()))
         err = float(np.abs(kappa_half * moved.combined_value(grid) / absorbed - target).max())
         rows.append(ConvergenceRow(t, err, absorbed))
@@ -512,7 +511,7 @@ def composition_identities_check(
     r1 = 0.0
     for s in sections:
         lhs = segal_bargmann(s, omega_p)
-        rhs = transport_corrected(segal_bargmann(s, omega), omega_p).corrected()
+        rhs = transport_corrected(segal_bargmann(s, omega), omega_p)
         r1 = max(r1, difference_norm(lhs, rhs) / boundary_norm(s))
 
     r2 = 0.0

@@ -180,47 +180,21 @@ def transport_uncorrected(psi: GaussianSection, omega_p: SiegelPoint) -> Gaussia
     return bergman_project(psi, omega_p).scaled(bogoliubov_scale(psi.frame, omega_p))
 
 
-@dataclass(frozen=True)
-class TransportResult:
-    """Transported section with the half-form bookkeeping made explicit."""
-
-    section: GaussianSection
-    halfform: HalfFormFrame
-    scale_used: float
-    phase_used: complex
-
-    def corrected(self) -> CorrectedSection:
-        return CorrectedSection(self.section, self.halfform)
-
-    def to_json(self) -> dict:
-        from .sections import _complex_to_json, section_to_json
-
-        return {
-            "section": section_to_json(self.section),
-            "halfform_phase": _complex_to_json(self.halfform.phase),
-            "scale": self.scale_used,
-        }
-
-
-def transport_corrected(psihat: CorrectedSection, omega_p: SiegelPoint) -> TransportResult:
+def transport_corrected(psihat: CorrectedSection, omega_p: SiegelPoint) -> CorrectedSection:
     """Flat transport: psi (x) sqrt(d^n z) -> <sqrt(d^n z'), sqrt(d^n z)> P psi (x) sqrt(d^n z').
 
     The transported half-form pairing, with its root continued along the
     geodesic, supplies both the Bogoliubov scale (its modulus) and the
     correction phase (its argument)."""
     log_h = _halfform_log(psihat.frame, omega_p)
-    scale = float(np.exp(log_h.real))
-    phase = np.exp(1j * log_h.imag) * psihat.halfform.phase
-    section = bergman_project(psihat.section, omega_p).scaled(scale)
-    return TransportResult(section, HalfFormFrame(omega_p, phase), scale, phase)
+    section = bergman_project(psihat.section, omega_p).scaled(float(np.exp(log_h.real)))
+    return CorrectedSection(section, np.exp(1j * log_h.imag) * psihat.halfform_phase)
 
 
-def transport_corrected_coherent(alpha, omega: SiegelPoint, omega_p: SiegelPoint) -> TransportResult:
+def transport_corrected_coherent(alpha, omega: SiegelPoint, omega_p: SiegelPoint) -> CorrectedSection:
     """Closed-form corrected transport of a coherent state: (3-term route)
     coherent closed form tensored with the continued half-form phase."""
-    section = transport_coherent(alpha, omega, omega_p)
-    half = transport_halfform(omega, omega_p)
-    return TransportResult(section, half, bogoliubov_scale(omega, omega_p), half.phase)
+    return CorrectedSection(transport_coherent(alpha, omega, omega_p), transport_halfform(omega, omega_p).phase)
 
 
 def transport_equals_scaled_projection_check(alpha, omega: SiegelPoint, omega_p: SiegelPoint) -> float:
@@ -268,9 +242,8 @@ def metaplectic_act(mp: MetaplecticElement, obj):
     (a polynomial has n = 1).  The half-form coefficient picks up the
     tracked branch phase at the source point."""
     if isinstance(obj, CorrectedSection):
-        section = metaplectic_act(mp, obj.section)
-        phase = mp.phase_at(obj.frame) * obj.halfform.phase
-        return CorrectedSection(section, HalfFormFrame(section.frame, phase / abs(phase)))
+        phase = mp.phase_at(obj.frame) * obj.halfform_phase
+        return CorrectedSection(metaplectic_act(mp, obj.section), phase / abs(phase))
     omega = obj.frame
     target = act_on_siegel(mp.g, omega)
     t = transform_z_coords(mp.g, omega)

@@ -76,6 +76,13 @@ class TestGeodesicCommand:
         assert out == ""
         assert err.startswith("input error:") and "JSON object" in err
 
+    def test_failed_normal_form_exits_1(self, capsys, monkeypatch):
+        payload = json.dumps({"omega": point_json([[0.0]], [[1.0]]), "omega_p": point_json([[0.0]], [[1e300]])})
+        code, out, err = run_cli(["geodesic"], payload, capsys, monkeypatch)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: geodesic normal form failed")
+
     def test_unreadable_input_path_exits_2(self, tmp_path, capsys, monkeypatch):
         missing = tmp_path / "missing.json"
         code, out, err = run_cli(["geodesic", "--in", str(missing)], "", capsys, monkeypatch)
@@ -126,11 +133,17 @@ def test_any_section_json_exits_without_a_traceback(section, flags):
     payload = json.dumps({"omega": _UNIT_POINT, "omega_p": point_json([[0.3]], [[2.0]]), "state": {"section": section}})
     saved, sys.stdin = sys.stdin, io.StringIO(payload)
     try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
             code = main(["transport", *flags])
     finally:
         sys.stdin = saved
     assert code in (0, 1, 2)
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+def _reject_constant(name):
+    raise AssertionError(f"the report holds {name}, which is not JSON")
 
 
 class TestTransportCommand:
@@ -181,6 +194,26 @@ class TestTransportCommand:
         assert code == 2
         assert out == ""
         assert err.startswith(f"input error: {named} ")
+
+    @pytest.mark.parametrize("frame", [point_json([[0.5]], [[3.0]]), _UNIT_POINT_2])
+    @pytest.mark.parametrize("flags", [[], ["--corrected"], ["--kernel", "bergman"], ["--kernel", "holomorphic"]])
+    def test_section_over_another_frame_exits_2(self, frame, flags, capsys, monkeypatch):
+        n = len(frame["omega1"])
+        section = {"frame": frame, "M": [[[0.0, 0.0]] * n] * n, "b": [[0.1, 0.0]] * n, "c": [0.0, 0.0]}
+        payload = json.dumps({"omega": _UNIT_POINT, "omega_p": point_json([[0.3]], [[2.0]]), "state": {"section": section}})
+        code, out, err = run_cli(["transport", *flags], payload, capsys, monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error: state.section.frame ")
+
+    def test_non_finite_result_exits_1_without_a_report(self, capsys, monkeypatch):
+        section = {"frame": _UNIT_POINT, "M": [[[0.0, 0.0]]], "b": [[1e200, 0.0]], "c": [0.0, 0.0]}
+        payload = json.dumps({"omega": _UNIT_POINT, "omega_p": point_json([[0.3]], [[2.0]]), "state": {"section": section}})
+        with np.errstate(all="ignore"):
+            code, out, err = run_cli(["transport"], payload, capsys, monkeypatch)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "not finite" in err
 
     def test_closed_stdout_pipe_ends_quietly(self):
         payload = json.dumps({"omega": _UNIT_POINT, "omega_p": point_json([[0.3]], [[2.0]])})

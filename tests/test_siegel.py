@@ -35,6 +35,12 @@ class TestSiegelPoint:
             p = SiegelPoint([[1e308, -1.5e308], [-1.5e308, 1.7e308]], [[1.0, 0.0], [0.0, 1.0]])
         assert np.array_equal(p.omega1, [[1e308, -1.5e308], [-1.5e308, 1.7e308]])
 
+    def test_omega_is_built_once_and_read_only(self, rng):
+        p = random_siegel(rng, 2)
+        assert np.array_equal(p.omega, p.omega1 + 1j * p.omega2)
+        assert p.omega is p.omega
+        assert not p.omega.flags.writeable
+
 
 class TestComplexStructure:
     def test_base_point_is_standard_structure(self):

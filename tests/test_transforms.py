@@ -5,7 +5,6 @@ from siegelflow import (
     BoundaryPolarization,
     BoundaryProfile,
     CorrectedSection,
-    HalfFormFrame,
     LagrangianFrame,
     MetaplecticElement,
     NoBoundaryLimitError,
@@ -85,11 +84,11 @@ class TestBoundaryInnerProducts:
 class TestSegalBargmann:
     def test_standard_gaussian_maps_to_vacuum(self):
         out = segal_bargmann(from_position_profile(BoundaryProfile.standard(1)), I1)
-        assert difference_norm(out, CorrectedSection(vacuum(I1), HalfFormFrame(I1))) < 1e-14
+        assert difference_norm(out, CorrectedSection(vacuum(I1))) < 1e-14
 
     def test_standard_gaussian_maps_to_vacuum_higher_dim(self):
         out = segal_bargmann(from_position_profile(BoundaryProfile.standard(2)), standard_point(2))
-        target = CorrectedSection(vacuum(standard_point(2)), HalfFormFrame(standard_point(2)))
+        target = CorrectedSection(vacuum(standard_point(2)))
         assert difference_norm(out, target) < 1e-13
 
     def test_unitarity_random_profiles(self, rng):
@@ -126,12 +125,12 @@ class TestSegalBargmann:
 
     def test_forward_round_trip_on_sections(self, rng):
         om = random_siegel(rng, 1)
-        psi = CorrectedSection(coherent_state([0.3 - 0.5j], om), HalfFormFrame(om))
+        psi = CorrectedSection(coherent_state([0.3 - 0.5j], om))
         again = segal_bargmann(segal_bargmann_inverse(psi), om)
         assert difference_norm(again, psi) < 1e-9 * norm(psi.section)
 
     def test_vacuum_inverse_is_standard_gaussian(self):
-        psi = CorrectedSection(vacuum(I1), HalfFormFrame(I1))
+        psi = CorrectedSection(vacuum(I1))
         out = segal_bargmann_inverse(psi)
         target = from_position_profile(BoundaryProfile.standard(1))
         assert boundary_difference_norm(out, target) < 1e-14
@@ -199,7 +198,7 @@ class TestFourier:
 class TestBoundaryLimits:
     def setup_method(self):
         self.spec = geodesic_between(I1, diagonal_point([np.e**2]))
-        self.psi = CorrectedSection(vacuum(I1), HalfFormFrame(I1))
+        self.psi = CorrectedSection(vacuum(I1))
 
     def test_bargmann_side_report(self):
         rep = limit_transport_to_bargmann(self.psi, self.spec, [-8, -6, -5, -4, -3])
@@ -257,7 +256,7 @@ class TestCompositionIdentities:
         from siegelflow import transport_corrected
 
         lhs = segal_bargmann(s, diagonal_point([np.e**2]))
-        rhs = transport_corrected(segal_bargmann(s, I1), diagonal_point([np.e**2])).corrected()
+        rhs = transport_corrected(segal_bargmann(s, I1), diagonal_point([np.e**2]))
         assert difference_norm(lhs, rhs) < 1e-10
 
     def test_random_transverse_configurations(self, rng):
@@ -296,7 +295,7 @@ class TestCompositionIdentities:
         s = CorrectedBoundarySectionFactory(pol, rng)
         om, omp = random_siegel(rng, 2), random_siegel(rng, 2)
         lhs = segal_bargmann(s, omp)
-        rhs = transport_corrected(segal_bargmann(s, om), omp).corrected()
+        rhs = transport_corrected(segal_bargmann(s, om), omp)
         assert difference_norm(lhs, rhs) < 1e-8 * norm(rhs.section)
 
 

@@ -1,3 +1,7 @@
+import io
+import json
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,7 +9,6 @@ from siegelflow import (
     ConnectionForm,
     CorrectedSection,
     GaussianSection,
-    HalfFormFrame,
     MetaplecticElement,
     SiegelPoint,
     TruncationOverflowError,
@@ -37,6 +40,7 @@ from siegelflow import (
     transport_uncorrected,
     vacuum,
 )
+from siegelflow.cli import main
 from siegelflow.sections import coord_matrix, gram_matrix
 from siegelflow.sympl import act_on_siegel
 from siegelflow.transport import (
@@ -48,6 +52,14 @@ from siegelflow.transport import (
 from conftest import random_gaussian_section
 
 I1 = standard_point(1)
+
+
+def cli_corrected_transport(om, omp, capsys, monkeypatch) -> dict:
+    """outputs.transport of `siegelflow transport --corrected` for the vacuum at om."""
+    points = [{"omega1": p.omega1.tolist(), "omega2": p.omega2.tolist()} for p in (om, omp)]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"omega": points[0], "omega_p": points[1]})))
+    assert main(["transport", "--corrected"]) == 0
+    return json.loads(capsys.readouterr().out)["outputs"]["transport"]
 
 
 class TestStandardTransport:
@@ -247,18 +259,18 @@ class TestKernels:
 class TestCorrectedTransport:
     def test_identity_path(self, rng):
         om = random_siegel(rng, 1)
-        psi = CorrectedSection(random_gaussian_section(rng, om), HalfFormFrame(om))
+        psi = CorrectedSection(random_gaussian_section(rng, om))
         res = transport_corrected(psi, om)
-        assert difference_norm(res.corrected(), psi) < 1e-12
-        assert abs(res.phase_used - 1.0) < 1e-12
+        assert difference_norm(res, psi) < 1e-12
+        assert abs(res.halfform_phase - 1.0) < 1e-12
 
     def test_routes_agree_on_coherent_states(self, rng):
         for n in (1, 2):
             om, omp = random_siegel(rng, n), random_siegel(rng, n)
             alpha = rng.normal(size=n) + 1j * rng.normal(size=n)
-            psi = CorrectedSection(coherent_state(alpha, om), HalfFormFrame(om))
-            a = transport_corrected(psi, omp).corrected()
-            b = transport_corrected_coherent(alpha, om, omp).corrected()
+            psi = CorrectedSection(coherent_state(alpha, om))
+            a = transport_corrected(psi, omp)
+            b = transport_corrected_coherent(alpha, om, omp)
             assert difference_norm(a, b) < 1e-8 * norm(a.section)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -269,32 +281,32 @@ class TestCorrectedTransport:
             pairs.append((SiegelPoint(np.zeros((3, 3)), np.eye(3)), SiegelPoint(4 * np.eye(3), np.eye(3))))
         for om, omp in pairs:
             alpha = rng.normal(size=n) + 1j * rng.normal(size=n)
-            psi = CorrectedSection(coherent_state(alpha, om), HalfFormFrame(om))
+            psi = CorrectedSection(coherent_state(alpha, om))
             res = transport_corrected(psi, omp)
             ref = transport_corrected_coherent(alpha, om, omp)
-            assert abs(res.phase_used - transport_halfform(om, omp).phase) < 1e-12
+            assert abs(res.halfform_phase - transport_halfform(om, omp).phase) < 1e-12
             # closed-form inner products: the quadrature grid stops at n = 2
             ref_norm2 = inner_product(ref.section, ref.section).real
-            overlap = corrected_inner_product(ref.corrected(), res.corrected())
+            overlap = corrected_inner_product(ref, res)
             assert abs(overlap / ref_norm2 - 1.0) < 1e-12
             assert abs(inner_product(res.section, res.section).real / ref_norm2 - 1.0) < 1e-12
 
     def test_n3_triangle_holonomy_is_one(self):
         # each leg a I + i I with a > 2 sqrt(3) flips the principal pairing root
         pts = [SiegelPoint(a * np.eye(3), np.eye(3)) for a in (0.0, 4.0, -4.0, 0.0)]
-        start = CorrectedSection(coherent_state([0.3, -0.2j, 0.5], pts[0]), HalfFormFrame(pts[0]))
+        start = CorrectedSection(coherent_state([0.3, -0.2j, 0.5], pts[0]))
         around = start
         for p in pts[1:]:
-            around = transport_corrected(around, p).corrected()
+            around = transport_corrected(around, p)
         holonomy = corrected_inner_product(start, around) / norm(start.section) ** 2
         assert abs(holonomy - 1.0) < 1e-12
 
     def test_triangle_flatness(self, rng):
         pts = [random_siegel(rng, 1) for _ in range(3)]
-        psi = CorrectedSection(coherent_state([0.2 - 0.7j], pts[0]), HalfFormFrame(pts[0]))
-        step = transport_corrected(psi, pts[1]).corrected()
-        step = transport_corrected(step, pts[2]).corrected()
-        around = transport_corrected(step, pts[0]).corrected()
+        psi = CorrectedSection(coherent_state([0.2 - 0.7j], pts[0]))
+        step = transport_corrected(psi, pts[1])
+        step = transport_corrected(step, pts[2])
+        around = transport_corrected(step, pts[0])
         assert difference_norm(around, psi) < 1e-8 * norm(psi.section)
 
     def test_uncorrected_triangle_is_a_pure_phase(self, rng):
@@ -307,17 +319,16 @@ class TestCorrectedTransport:
         assert abs(abs(ratio) - 1.0) < 1e-10
         assert abs(ratio - 1.0) > 1e-3  # the phase is generically nontrivial
 
-    def test_scale_used_matches_formula(self, rng):
+    def test_scale_used_matches_formula(self, rng, capsys, monkeypatch):
         om, omp = random_siegel(rng, 2), random_siegel(rng, 2)
-        psi = CorrectedSection(vacuum(om), HalfFormFrame(om))
-        res = transport_corrected(psi, omp)
-        assert abs(res.scale_used - bogoliubov_scale(om, omp)) < 1e-12
+        data = cli_corrected_transport(om, omp, capsys, monkeypatch)
+        assert abs(data["scale"] - bogoliubov_scale(om, omp)) < 1e-12
 
     def test_polynomial_states_transport_unitarily(self, rng):
         om = I1
         omp = random_siegel(rng, 1)
-        psi = CorrectedSection(fock_state(2, om), HalfFormFrame(om))
-        moved = transport_corrected(psi, omp).corrected()
+        psi = CorrectedSection(fock_state(2, om))
+        moved = transport_corrected(psi, omp)
         from siegelflow import inner_product_cross_frame
 
         n0 = inner_product_cross_frame(psi.section, psi.section).real
@@ -328,9 +339,9 @@ class TestCorrectedTransport:
         g = random_symplectic(rng, 1)
         mp = MetaplecticElement.principal_lift(g)
         om, omp = random_siegel(rng, 1), random_siegel(rng, 1)
-        psi = CorrectedSection(coherent_state([0.4 + 0.1j], om), HalfFormFrame(om))
-        lhs = metaplectic_act(mp, transport_corrected(psi, omp).corrected())
-        rhs = transport_corrected(metaplectic_act(mp, psi), act_on_siegel(g, omp)).corrected()
+        psi = CorrectedSection(coherent_state([0.4 + 0.1j], om))
+        lhs = metaplectic_act(mp, transport_corrected(psi, omp))
+        rhs = transport_corrected(metaplectic_act(mp, psi), act_on_siegel(g, omp))
         assert difference_norm(lhs, rhs) < 1e-8 * norm(psi.section)
 
 
@@ -440,10 +451,9 @@ class TestTransportODE:
         with pytest.raises(ValueError, match="upper half-plane"):
             transport_ode_coeffs(np.ones(8), lambda t: 1j * (1.0 - t), 2.0, 40)
 
-    def test_result_serialization_schema(self, rng):
+    def test_result_serialization_schema(self, rng, capsys, monkeypatch):
         om, omp = random_siegel(rng, 1), random_siegel(rng, 1)
-        psi = CorrectedSection(vacuum(om), HalfFormFrame(om))
-        data = transport_corrected(psi, omp).to_json()
+        data = cli_corrected_transport(om, omp, capsys, monkeypatch)
         assert set(data) == {"section", "halfform_phase", "scale"}
         assert isinstance(data["scale"], float)
         assert len(data["halfform_phase"]) == 2
