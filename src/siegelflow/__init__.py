@@ -7,6 +7,7 @@ from .errors import (
     BranchDiscontinuityError,
     GridTooCoarseError,
     NoBoundaryLimitError,
+    NonFiniteError,
     NonTransverseError,
     NonUnitaryError,
     NotIntegrableError,

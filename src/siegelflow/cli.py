@@ -243,7 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=42, help="seed for randomized checks")
     parser.add_argument("--tol", type=float, default=None, help="tolerance override")
-    parser.add_argument("--nodes", type=int, default=64, help="quadrature nodes per dimension")
+    parser.add_argument(
+        "--nodes", type=int, default=64,
+        help="starting quadrature nodes per dimension for the unitarity oracle, doubled until two grids agree",
+    )
     parser.add_argument("--trunc", type=int, default=32, help="Fock truncation")
     parser.add_argument("--out", type=str, default=None, help="write the report to a file")
     sub = parser.add_subparsers(dest="command", required=True)

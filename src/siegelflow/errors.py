@@ -30,6 +30,10 @@ class NotIntegrableError(SiegelFlowError):
     """A combined Gaussian quadratic form lost negativity of its real part."""
 
 
+class NonFiniteError(SiegelFlowError):
+    """Section or profile data is not finite: an input or a computation overflowed."""
+
+
 class NonTransverseError(SiegelFlowError):
     """Two Lagrangian subspaces are not transverse."""
 

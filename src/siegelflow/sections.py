@@ -31,6 +31,7 @@ from ._gaussint import _poly_gauss_pairing, exp_bivariate_series, kernel_apply_p
 from ._point import SiegelPoint
 from .errors import (
     GridTooCoarseError,
+    NonFiniteError,
     NonTransverseError,
     NotIntegrableError,
 )
@@ -51,6 +52,14 @@ def gram_matrix(omega: SiegelPoint) -> np.ndarray:
     """Real symmetric G with |z(v)|^2 = v^T G v."""
     e = coord_matrix(omega)
     return (e.conj().T @ e).real
+
+
+def _finite(arr: np.ndarray) -> bool:
+    """No inf or NaN entry: z - z is 0 exactly for finite z and NaN otherwise.
+
+    On the few entries of a section this is several times faster than
+    np.isfinite(arr).all(), and constructors run in every kernel."""
+    return all(z - z == 0 for z in arr.ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -76,15 +85,22 @@ class GaussianSection:
         b = np.asarray(self.b, dtype=complex).reshape(n).copy()
         if m.shape != (n, n):
             raise ValueError(f"m must be {n} x {n}")
-        if np.abs(m - m.T).max() > 1e-12 * max(1.0, np.abs(m).max()):
-            raise ValueError("m must be symmetric")
-        m = 0.5 * (m + m.T)
-        # svd's largest value is ||m||_2, without norm()'s dispatch on every construction
-        if np.linalg.svd(m, compute_uv=False)[0] >= 1.0 - GAUSSIAN_NORM_MARGIN:
-            raise NotIntegrableError("||m|| must stay below 1 for square-integrability")
+        amax = np.abs(m).max()
         c = complex(self.c)
+        for name, ok in (("m", amax < np.inf), ("b", _finite(b)), ("c", c - c == 0), ("coeffs", _finite(coeffs))):
+            if not ok:
+                raise NonFiniteError(f"section {name} is not finite")
+        if np.abs(m - m.T).max() > 1e-12 * max(1.0, amax):
+            raise ValueError("m must be symmetric")
+        half = 0.5 * m  # halved first: m + m.T overflows for entries above ~9e307
+        m = half + half.T
+        # svd's largest value is ||m||_2, without norm()'s dispatch on every construction
+        if not np.linalg.svd(m, compute_uv=False)[0] < 1.0 - GAUSSIAN_NORM_MARGIN:
+            raise NotIntegrableError("||m|| must stay below 1 for square-integrability")
         if coeffs.size == 1 and coeffs[0] != 1.0:
             c, coeffs = c + complex(np.log(coeffs[0])), np.ones(1, dtype=complex)
+            if not np.isfinite(c):
+                raise NonFiniteError("section coeffs fold to log 0")
         for arr in (m, b, coeffs):
             arr.flags.writeable = False
         object.__setattr__(self, "m", m)
@@ -106,13 +122,26 @@ class GaussianSection:
         s = e.T @ self.m @ e - gram_matrix(self.frame)
         return 0.5 * (s + s.T), e.T @ self.b, self.c
 
-    def value(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        z = v @ coord_matrix(self.frame).T
+    def _exponent(self, v) -> tuple:
+        """(z, (1/2) z^T m z + b^T z + c - |z|^2 / 2) at z = E v."""
+        z = np.asarray(v, dtype=float) @ coord_matrix(self.frame).T
         quad = 0.5 * np.einsum("...i,ij,...j->...", z, self.m, z)
         lin = z @ self.b
         norm2 = 0.5 * np.einsum("...i,...i->...", np.conj(z), z).real
-        out = np.exp(quad + lin + self.c - norm2)
+        return z, quad + lin + self.c - norm2
+
+    def log_value(self, v) -> np.ndarray:
+        """log value(v), evaluated pointwise; log p takes numpy's principal branch."""
+        z, out = self._exponent(v)
+        if self.degree:
+            with np.errstate(divide="ignore"):  # log 0 = -inf at a zero of p
+                out = out + np.log(np.polynomial.polynomial.polyval(z[..., 0], self.coeffs))
+        return out
+
+    def value(self, v) -> np.ndarray:
+        # p times exp, not exp(log_value): a complex log of p would double the cost
+        z, out = self._exponent(v)
+        out = np.exp(out)
         if self.degree:
             out = np.polynomial.polynomial.polyval(z[..., 0], self.coeffs) * out
         return out
@@ -321,13 +350,45 @@ def _hermite_table(nodes: int):
     return u, logw
 
 
+@dataclass(frozen=True)
+class _LogQuadratic:
+    """The integrand exp((1/2) v^T q v + l^T v + k), which the grid sums axis by axis."""
+
+    q: np.ndarray
+    l: np.ndarray
+    k: complex
+
+    def log(self, v) -> np.ndarray:
+        return 0.5 * np.einsum("...i,ij,...j->...", v, self.q, v) + v @ self.l + self.k
+
+
+def _eliminate(phi: list, pair: dict) -> complex:
+    """sum over a of prod_i phi[i][a_i] prod_{i<j} pair[i, j][a_i, a_j] by variable
+    elimination: one first-axis slice at a time down to three axes, which take one GEMM."""
+    m = len(phi)
+    if m == 2:
+        return complex(phi[0] @ pair[0, 1] @ phi[1])
+    if m == 3:
+        # t[a, b] = sum_c pair[0, 2][a, c] phi[2][c] pair[1, 2][b, c]
+        t = (pair[0, 2] * phi[2]) @ pair[1, 2].T
+        return complex(phi[0] @ (pair[0, 1] * t) @ phi[1])
+    rest = {(i - 1, j - 1): p for (i, j), p in pair.items() if i}
+    total = 0j
+    for a, phi0 in enumerate(phi[0]):
+        total += phi0 * _eliminate([phi[j] * pair[0, j][a] for j in range(1, m)], rest)
+    return total
+
+
 def _hermite_grid_sum(f, gram: np.ndarray, nodes: int) -> complex:
     """Tensor-product Gauss-Hermite estimate of integral f dv over R^m, with
     the grid placed for the SPD envelope exp(-v^T G v).
 
-    Summation order is fixed by the grid layout, so results are
-    bit-identical for a given configuration; above two dimensions the grid
-    is summed in slices along the first axis to bound memory.
+    A ``_LogQuadratic`` f is summed over the grid as one-axis factors times
+    pairwise factors exp(q_ij u_a u_b), with working arrays of nodes^2.  A
+    callable f is evaluated at every grid point; above two dimensions in
+    slices along the first axis to bound memory.  Summation
+    order is fixed by the grid layout, so results are bit-identical for a
+    given configuration.
     """
     m = gram.shape[0]
     w_eig, v_eig = np.linalg.eigh(gram)
@@ -335,17 +396,25 @@ def _hermite_grid_sum(f, gram: np.ndarray, nodes: int) -> complex:
         raise ValueError("gram matrix must be SPD")
     ginv_half = (v_eig / np.sqrt(w_eig)) @ v_eig.T
     u, logw = _hermite_table(nodes)
-    head = m if m <= 2 else m - 1
-    grids = np.meshgrid(*([u] * head), indexing="ij")
-    pts = np.stack([gr.ravel() for gr in grids], axis=-1)
-    lw = np.stack(np.meshgrid(*([logw] * head), indexing="ij"), axis=-1).sum(-1).ravel()
-    if m <= 2:
-        total = complex((f(pts @ ginv_half.T) * np.exp(lw)).sum())
+    if isinstance(f, _LogQuadratic):
+        # in grid coordinates v = G^{-1/2} u
+        q, lin = ginv_half @ f.q @ ginv_half, ginv_half @ f.l
+        phi = np.exp(0.5 * np.diag(q)[:, None] * u**2 + lin[:, None] * u + logw)
+        uu = np.multiply.outer(u, u)
+        pair = {(i, j): np.exp(q[i, j] * uu) for i in range(m) for j in range(i + 1, m)}
+        total = _eliminate(list(phi), pair) * np.exp(f.k)
     else:
-        total = 0.0 + 0.0j
-        for uj, lj in zip(u, logw):
-            sl = np.concatenate([np.full((pts.shape[0], 1), uj), pts], axis=1)
-            total += complex((f(sl @ ginv_half.T) * np.exp(lj + lw)).sum())
+        head = m if m <= 2 else m - 1
+        grids = np.meshgrid(*([u] * head), indexing="ij")
+        pts = np.stack([gr.ravel() for gr in grids], axis=-1)
+        lw = np.stack(np.meshgrid(*([logw] * head), indexing="ij"), axis=-1).sum(-1).ravel()
+        if m <= 2:
+            total = complex((f(pts @ ginv_half.T) * np.exp(lw)).sum())
+        else:
+            total = 0.0 + 0.0j
+            for uj, lj in zip(u, logw):
+                sl = np.concatenate([np.full((pts.shape[0], 1), uj), pts], axis=1)
+                total += complex((f(sl @ ginv_half.T) * np.exp(lj + lw)).sum())
     return total * np.exp(-0.5 * float(np.sum(np.log(w_eig))))
 
 
@@ -386,11 +455,47 @@ def _envelope_form(psi: GaussianSection) -> np.ndarray:
     return -s.real
 
 
+# fixed points at which the fitted log-quadratic must reproduce the probed log values
+_FIT_CHECKS = np.array([[0.5, -1.5, 1.0, 0.25], [-1.0, 0.75, -0.5, 2.0], [1.25, 1.0, -2.0, -0.75]])
+
+
+def _fit_log_quadratic(psi1: GaussianSection, psi2: GaussianSection) -> _LogQuadratic | None:
+    """conj(psi1) psi2 of degree-0 sections as exp((1/2) v^T q v + l^T v + k).
+
+    Fitted from ``log_value`` alone at v = 0, +-e_i and e_i + e_j (i < j),
+    1 + 2m + m(m-1)/2 probes for m = 2n; None when a probe is not finite or
+    the fit misses a check point.
+    """
+    m = 2 * psi1.n
+    eye = np.eye(m)
+    i, j = np.triu_indices(m, 1)
+    checks = _FIT_CHECKS[:, :m]
+    pts = np.vstack([np.zeros((1, m)), eye, -eye, eye[i] + eye[j], checks])
+    h = np.conj(psi1.log_value(pts)) + psi2.log_value(pts)
+    if not np.isfinite(h).all():
+        return None
+    k, plus, minus, cross = h[0], h[1 : m + 1], h[m + 1 : 2 * m + 1], h[2 * m + 1 : 2 * m + 1 + len(i)]
+    lin = 0.5 * (plus - minus)
+    diag = plus + minus - 2.0 * k
+    q = np.diag(diag)
+    q[i, j] = q[j, i] = cross - k - lin[i] - lin[j] - 0.5 * (diag[i] + diag[j])
+    fit = _LogQuadratic(q, lin, k)
+    miss = np.abs(fit.log(checks) - h[-len(checks) :]).max()
+    return fit if miss <= 1e-10 * (1.0 + np.abs(h).max()) else None
+
+
 def oracle_inner_product(psi1: GaussianSection, psi2: GaussianSection, nodes: int = QUAD_NODES_DEFAULT) -> complex:
     """Brute-force <psi1, psi2> by quadrature; independent of the closed forms.
 
-    The grid is placed for the integrand's own Gaussian envelope, which for
-    strongly squeezed sections is much wider than the frame Gaussian."""
+    For two degree-0 sections the integrand's log-quadratic is fitted from
+    pointwise ``log_value`` probes, and the grid is summed factor by factor.
+    Polynomial sections, non-finite probes and a failed fit evaluate the
+    integrand at every grid point.  The grid is placed for the integrand's
+    own Gaussian envelope, which for strongly squeezed sections is much
+    wider than the frame Gaussian."""
+    fit = None if psi1.degree or psi2.degree else _fit_log_quadratic(psi1, psi2)
+    if fit is not None:
+        return quadrature_integrate(fit, psi1.n, nodes=nodes, gram=-0.5 * fit.q.real)
     g = 0.5 * (_envelope_form(psi1) + _envelope_form(psi2))
 
     def f(v):
@@ -399,17 +504,63 @@ def oracle_inner_product(psi1: GaussianSection, psi2: GaussianSection, nodes: in
     return quadrature_integrate(f, psi1.n, nodes=nodes, gram=g)
 
 
-def difference_norm(a, b, nodes: int = 24) -> float:
-    """|| a - b || with the difference evaluated pointwise before squaring.
+def _with_phase(x) -> tuple:
+    """(section, half-form phase) of a plain or corrected section."""
+    return (x.section, x.halfform_phase) if isinstance(x, CorrectedSection) else (x, 1.0)
 
-    Evaluating the two sections at common points keeps the floor of the
-    measurement at machine epsilon times the section scale; assembling the
-    same norm from three closed-form inner products would cancel
-    catastrophically and bottom out near sqrt(eps).  Accepts plain or
-    corrected sections.
+
+def _log1p(w: np.ndarray) -> np.ndarray:
+    """Complex log(1 + w) without forming 1 + w, which numpy's log1p does,
+    dropping the low bits of a small w."""
+    return 0.5 * np.log1p(2.0 * w.real + np.abs(w) ** 2) + 1j * np.arctan2(w.imag, 1.0 + w.real)
+
+
+def _log_gauss_ratio(s0, x0, e, f, kappa) -> complex:
+    """log I(S0 + E, l0 + f, k0 + kappa) - log I(S0, l0, k0), from the differences alone.
+
+    I(S, l, k) is (2 pi)^{-n} integral exp((1/2) v^T S v + l^T v + k) dv and
+    x0 = S0^{-1} l0.  The log-det part is a log1p sum over the eigenvalues of
+    S0^{-1} E, and the linear part is 2 f^T x0 - x0^T E x0 + g^T (S0 + E)^{-1} g
+    with g = f - E x0, so the terms of order one never appear.
     """
-    pa, ha = (a.section, a.halfform_phase) if isinstance(a, CorrectedSection) else (a, 1.0)
-    pb, hb = (b.section, b.halfform_phase) if isinstance(b, CorrectedSection) else (b, 1.0)
+    logdet = _log1p(np.linalg.eigvals(np.linalg.solve(s0, e))).sum()
+    g = f - e @ x0
+    lin = 2.0 * f @ x0 - x0 @ e @ x0 + g @ np.linalg.solve(s0 + e, g)
+    return -0.5 * logdet - 0.5 * lin + kappa
+
+
+def difference_norm(a, b, nodes: int = 24) -> float:
+    """|| a - b || for plain or corrected sections, free of cancellation.
+
+    For degree-0 sections, h = (1/2) log(||b||^2 / ||a||^2) and
+    d = log <a, b> - log ||a||^2 - h come from the differences of
+    ``real_quadratic`` (half-form phases folded into k) alone, and
+    ||a - b||^2 / ||a||^2 = expm1(h)^2 + 2 e^h (-expm1(Re d) cos Im d + 2 sin^2(Im d / 2)).
+    Equal inputs give exactly 0.  Polynomial sections (n = 1) evaluate the
+    difference pointwise on ``nodes``^2 Gauss-Hermite points.
+    """
+    (pa, ha), (pb, hb) = _with_phase(a), _with_phase(b)
+    if pa.degree or pb.degree:
+        return _difference_norm_pointwise(a, b, nodes)
+    sa, la, ka = pa.real_quadratic()
+    sb, lb, kb = pb.real_quadratic()
+    s0 = 2.0 * sa.real
+    x0 = np.linalg.solve(s0, 2.0 * la.real)
+    log_aa = -0.5 * np.linalg.slogdet(-s0)[1] - la.real @ x0 + 2.0 * ka.real
+    d, e = sb - sa, lb - la
+    dk = (kb - ka) + (np.log(complex(hb)) - np.log(complex(ha)))
+    h = 0.5 * _log_gauss_ratio(s0, x0, 2.0 * d.real, 2.0 * e.real, 2.0 * dk.real).real
+    delta = _log_gauss_ratio(s0, x0, d, e, dk) - h
+    rel = np.expm1(h) ** 2 + 2.0 * np.exp(h) * (
+        -np.expm1(delta.real) * np.cos(delta.imag) + 2.0 * np.sin(0.5 * delta.imag) ** 2
+    )
+    return float(np.sqrt(max(rel, 0.0)) * np.exp(0.5 * log_aa))
+
+
+def _difference_norm_pointwise(a, b, nodes: int = 24) -> float:
+    """|| a - b || with the difference evaluated at common grid points before
+    squaring (n <= 2); the reference for ``difference_norm``."""
+    (pa, ha), (pb, hb) = _with_phase(a), _with_phase(b)
     # half the mean envelope: valid (wider) for both terms when they are comparable
     g = 0.25 * (_envelope_form(pa) + _envelope_form(pb))
 

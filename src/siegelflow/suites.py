@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._point import SiegelPoint, diagonal_point, standard_point
+from .errors import GridTooCoarseError
 from .sections import (
     CorrectedSection,
     GaussianSection,
@@ -137,7 +138,23 @@ def suite_lemma21(seed: int = 42, trials: int = 200, dims=(1, 2, 3), tol: float 
     return [_row(f"lemma21/{k}", v, tol) for k, v in worst.items()]
 
 
+def _refined_oracle(p1: GaussianSection, p2: GaussianSection, nodes: int, tol: float) -> complex:
+    """``oracle_inner_product`` from ``nodes`` per axis, doubling until two successive
+    grids agree to ``tol`` (relative, absolute below 1), up to 4 * nodes against 8 * nodes."""
+    coarse = oracle_inner_product(p1, p2, nodes=nodes)
+    for fine_nodes in (2 * nodes, 4 * nodes, 8 * nodes):
+        fine = oracle_inner_product(p1, p2, nodes=fine_nodes)
+        moved = abs(fine - coarse)
+        if moved <= tol * max(1.0, abs(fine)):
+            return fine
+        coarse = fine
+    raise GridTooCoarseError(f"the oracle moved by {moved:.3e} from {fine_nodes // 2} to {fine_nodes} nodes")
+
+
 def suite_unitarity(seed: int = 42, trials: int = 20, oracle_trials: int = 6, tol: float = 1e-8, oracle_tol: float = 1e-5, nodes: int = 64) -> list[dict]:
+    """Closed-form and corrected transport preserve inner products; so does the
+    quadrature oracle, which starts each trial at ``nodes`` per axis and refines
+    until two successive grids agree to 0.01 * ``oracle_tol``."""
     rng = np.random.default_rng(seed)
     worst_closed = 0.0
     worst_corrected = 0.0
@@ -162,8 +179,8 @@ def suite_unitarity(seed: int = 42, trials: int = 20, oracle_trials: int = 6, to
         p1 = _random_gaussian_section(rng, om, m_cap=0.6)
         p2 = _random_gaussian_section(rng, om, m_cap=0.6)
         before = inner_product(p1, p2)
-        after = oracle_inner_product(
-            transport_uncorrected(p1, omp), transport_uncorrected(p2, omp), nodes=nodes
+        after = _refined_oracle(
+            transport_uncorrected(p1, omp), transport_uncorrected(p2, omp), nodes, 0.01 * oracle_tol
         )
         worst_oracle = max(worst_oracle, abs(after - before) / max(1.0, abs(before)))
     return [

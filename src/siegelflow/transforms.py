@@ -25,10 +25,11 @@ import numpy as np
 
 from ._gaussint import _poly_gauss_pairing, kernel_apply_poly
 from ._point import SiegelPoint, diagonal_point, standard_point
-from .errors import NoBoundaryLimitError, PolarizationMismatchError
+from .errors import NoBoundaryLimitError, NonFiniteError, PolarizationMismatchError
 from .sections import (
     CorrectedSection,
     GaussianSection,
+    _finite,
     _hermite_grid_sum,
     difference_norm,
 )
@@ -67,15 +68,20 @@ class BoundaryProfile:
         coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=complex)).copy()
         if len(coeffs) > 1 and n != 1:
             raise ValueError("polynomial profiles are supported for n = 1 only")
-        m = 0.5 * (m + m.T)
-        if np.linalg.eigvalsh(m.real).max() >= 0:
+        c = complex(self.c)
+        for name, ok in (("m", _finite(m)), ("b", _finite(b)), ("c", c - c == 0), ("coeffs", _finite(coeffs))):
+            if not ok:
+                raise NonFiniteError(f"profile {name} is not finite")
+        half = 0.5 * m  # halved first: m + m.T overflows for entries above ~9e307
+        m = half + half.T
+        if not np.linalg.eigvalsh(m.real).max() < 0:
             raise ValueError("profile must be square-integrable: Re(m) negative definite")
         for arr in (m, b, coeffs):
             arr.flags.writeable = False
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "c", complex(self.c))
+        object.__setattr__(self, "c", c)
 
     @classmethod
     def gaussian(cls, m, b, c=0.0) -> "BoundaryProfile":

@@ -200,8 +200,8 @@ def transport_corrected_coherent(alpha, omega: SiegelPoint, omega_p: SiegelPoint
 def transport_equals_scaled_projection_check(alpha, omega: SiegelPoint, omega_p: SiegelPoint) -> float:
     """Relative residual || U c_alpha - alpha(J,J') P c_alpha || / ||c_alpha||.
 
-    Both sides are closed-form Gaussians; the difference norm is evaluated
-    pointwise to stay below the Gram-cancellation floor."""
+    Both sides are closed-form Gaussians; ``difference_norm`` works with their
+    differences, so it stays below the Gram-cancellation floor."""
     from .sections import coherent_state, difference_norm, norm
 
     c = coherent_state(alpha, omega)

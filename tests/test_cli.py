@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from siegelflow import random_siegel
 from siegelflow.cli import main
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
@@ -186,6 +187,8 @@ class TestTransportCommand:
                 {**_POLY_SECTION, "frame": _UNIT_POINT_2, "M": [[[0.1, 0.0]] * 2] * 2, "b": [[0.2, 0.1]] * 2},
                 "section.poly",
             ),
+            # halved before symmetrising, so M + M^T cannot overflow into a NaN norm
+            ({**_POLY_SECTION, "M": [[[1e308, 0.0]]]}, "section.M"),
         ],
     )
     def test_malformed_section_exits_2(self, section, named, capsys, monkeypatch):
@@ -286,6 +289,23 @@ class TestTransportCommand:
         code, out, _ = run_cli(["transport", "--corrected", "--triangle"], payload, capsys, monkeypatch)
         assert code == 0
         report = json.loads(out)
+        hol = report["outputs"]["triangle_holonomy"]
+        assert abs(complex(hol[0], hol[1]) - 1.0) < 1e-8
+
+
+    @pytest.mark.parametrize("flags", [["--triangle"], ["--corrected", "--triangle"]])
+    def test_n3_triangle_exits_0(self, flags, capsys, monkeypatch):
+        rng = np.random.default_rng(3)
+        points = [random_siegel(rng, 3) for _ in range(3)]
+        omega, omega_p, omega_pp = (point_json(p.omega1.tolist(), p.omega2.tolist()) for p in points)
+        alpha = rng.normal(size=3) + 1j * rng.normal(size=3)
+        payload = json.dumps({"state": {"alpha": [[a.real, a.imag] for a in alpha]},
+                              "omega": omega, "omega_p": omega_p, "omega_pp": omega_pp})
+        code, out, err = run_cli(["transport", *flags], payload, capsys, monkeypatch)
+        assert code == 0, err
+        report = json.loads(out)
+        row = next(r for r in report["results"] if r["name"] == "transport/triangle_holonomy_identity")
+        assert row["passed"] and row["residual"] < 1e-8
         hol = report["outputs"]["triangle_holonomy"]
         assert abs(complex(hol[0], hol[1]) - 1.0) < 1e-8
 

@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
 
+import siegelflow._gaussint as gaussint
+import siegelflow.sections as sections
 from siegelflow import (
+    CorrectedSection,
     GridTooCoarseError,
     GaussianSection,
     HalfFormFrame,
     LagrangianFrame,
+    NonFiniteError,
     NonTransverseError,
     NotIntegrableError,
     SiegelPoint,
     bergman_project,
     coherent_state,
+    corrected_inner_product,
     diagonal_point,
     difference_norm,
     fock_coefficients,
@@ -28,7 +33,15 @@ from siegelflow import (
     vacuum,
 )
 from siegelflow._gaussint import gauss_log_integral
-from siegelflow.sections import coord_matrix, gram_matrix
+from siegelflow.sections import (
+    _difference_norm_pointwise,
+    _envelope_form,
+    _fit_log_quadratic,
+    coord_matrix,
+    gram_matrix,
+)
+from siegelflow.suites import _refined_oracle, suite_unitarity
+from siegelflow.transforms import BoundaryProfile
 
 from conftest import random_gaussian_section
 
@@ -69,6 +82,86 @@ class TestQuadratureOracle:
             orac = oracle_inner_product(p1, p2, nodes=64 if n == 1 else 48)
             worst = max(worst, abs(closed - orac) / max(1.0, abs(closed)))
         assert worst < 1e-6
+
+
+def _brute_oracle(p1, p2, nodes):
+    """<p1, p2> with the integrand evaluated at every grid point of the oracle's grid."""
+    g = 0.5 * (_envelope_form(p1) + _envelope_form(p2))
+    return quadrature_integrate(lambda v: np.conj(p1.value(v)) * p2.value(v), p1.n, nodes=nodes, gram=g)
+
+
+class TestFactorisedOracle:
+    """Degree-0 integrands are summed over the same grid factor by factor."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("nodes", [16, 24, 32])
+    def test_matches_the_brute_grid(self, rng, n, nodes):
+        for _ in range(3):
+            p1 = random_gaussian_section(rng, random_siegel(rng, n))
+            p2 = random_gaussian_section(rng, random_siegel(rng, n))
+            brute = _brute_oracle(p1, p2, nodes)
+            assert abs(oracle_inner_product(p1, p2, nodes=nodes) - brute) <= 1e-13 * abs(brute)
+
+    def test_polynomial_section_takes_the_brute_grid(self):
+        p1 = GaussianSection(I1, [[-0.2]], [0.1j], 0.0, [0.3, 0.0, 1.0])
+        p2 = GaussianSection(diagonal_point([1.9]), [[0.15]], [-0.2], 0.1)
+        assert oracle_inner_product(p1, p2, nodes=32) == _brute_oracle(p1, p2, 32)
+
+    @pytest.mark.parametrize("perturb", ["cubic", "nan_at_origin"])
+    def test_non_quadratic_or_non_finite_probes_fall_back(self, rng, monkeypatch, perturb):
+        p1 = random_gaussian_section(rng, random_siegel(rng, 2))
+        p2 = random_gaussian_section(rng, random_siegel(rng, 2))
+        plain = GaussianSection.log_value
+
+        def log_value(self, v):
+            v = np.asarray(v, dtype=float)
+            out = plain(self, v)
+            if perturb == "cubic":
+                return out + 0.01 * v[..., 0] ** 3
+            # the probe at v = 0; an even grid has no node there
+            return np.where((v == 0).all(axis=-1), np.nan, out)
+
+        monkeypatch.setattr(GaussianSection, "log_value", log_value)
+        assert _fit_log_quadratic(p1, p2) is None
+        val = oracle_inner_product(p1, p2, nodes=16)
+        assert np.isfinite(val) and val == _brute_oracle(p1, p2, 16)
+
+    def test_repeated_call_is_bit_identical(self, rng):
+        p1 = random_gaussian_section(rng, random_siegel(rng, 2))
+        p2 = random_gaussian_section(rng, random_siegel(rng, 2))
+        assert oracle_inner_product(p1, p2, nodes=32) == oracle_inner_product(p1, p2, nodes=32)
+
+    def test_independent_of_the_closed_forms(self, rng, monkeypatch):
+        pairs = []
+        for n in (1, 2):
+            p1 = random_gaussian_section(rng, random_siegel(rng, n))
+            p2 = random_gaussian_section(rng, random_siegel(rng, n))
+            pairs.append((p1, p2, inner_product_cross_frame(p1, p2)))
+
+        def closed_form_called(*args, **kwargs):
+            raise AssertionError("the oracle reached a closed form")
+
+        monkeypatch.setattr(GaussianSection, "real_quadratic", closed_form_called)
+        for module in (gaussint, sections):
+            for name in ("gauss_log_integral", "integrate_out", "half_logdet", "kernel_apply_poly",
+                         "exp_bivariate_series", "_poly_gauss_pairing"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, closed_form_called)
+        for p1, p2, closed in pairs:
+            assert abs(oracle_inner_product(p1, p2, nodes=48) - closed) < 1e-12 * max(1.0, abs(closed))
+
+
+class TestOracleRefinement:
+    @pytest.mark.parametrize("seed", [426993461, 667347789])
+    def test_under_resolved_draws_refine_to_pass(self, seed):
+        # at a fixed 32 nodes these draws were 7.3e-5 and 0.39 off against 1e-5
+        rows = suite_unitarity(seed=seed, trials=2, oracle_trials=3, nodes=32)
+        assert all(r["passed"] for r in rows)
+
+    def test_no_agreement_by_eight_times_the_start_raises(self):
+        psi = GaussianSection(diagonal_point([30.0]), [[0.5]], [2.0], 0.0)
+        with pytest.raises(GridTooCoarseError):
+            _refined_oracle(psi, psi, 2, 1e-12)
 
 
 class TestCoherentStates:
@@ -309,3 +402,77 @@ class TestDifferenceNorm:
         psi = random_gaussian_section(rng, random_siegel(rng, 1))
         doubled = GaussianSection(psi.frame, psi.m, psi.b, psi.c + np.log(2.0))
         assert abs(difference_norm(psi, doubled) - norm(psi)) < 1e-8 * norm(psi)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_closed_form_matches_pointwise_reference(self, rng, n):
+        # the pointwise norm's own noise is about eps / ||a - b||, relative
+        eps = np.finfo(float).eps
+        for size in (1e-1, 1e-3, 1e-6, 1e-9):
+            for _ in range(3):
+                omega = random_siegel(rng, n)
+                a = random_gaussian_section(rng, omega)
+                dm = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                db = rng.normal(size=n) + 1j * rng.normal(size=n)
+                b = GaussianSection(omega, a.m + 0.05 * size * (dm + dm.T), a.b + size * db,
+                                    a.c + size * (rng.normal() + 1j * rng.normal()))
+                ref = _difference_norm_pointwise(a, b, nodes=48 if n == 1 else 32)
+                rel = ref / norm(a)
+                assert abs(difference_norm(a, b) - ref) <= 500 * eps / rel * ref
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_distant_cross_frame_corrected_pair(self, rng, n):
+        # far apart, ||a||^2 + ||b||^2 - 2 Re <a, b> does not cancel and is a reference
+        a = CorrectedSection(random_gaussian_section(rng, random_siegel(rng, n)), np.exp(0.4j))
+        b = CorrectedSection(random_gaussian_section(rng, random_siegel(rng, n)), np.exp(-2.9j))
+        gram = norm(a.section) ** 2 + norm(b.section) ** 2 - 2 * corrected_inner_product(a, b).real
+        assert abs(difference_norm(a, b) - np.sqrt(gram)) < 1e-12 * np.sqrt(gram)
+        if n == 1:
+            ref = _difference_norm_pointwise(a, b, nodes=96)
+            assert abs(difference_norm(a, b) - ref) < 1e-12 * ref
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equal_inputs_give_exactly_zero(self, rng, n):
+        psi = random_gaussian_section(rng, random_siegel(rng, n))
+        copy = GaussianSection(psi.frame, psi.m.copy(), psi.b.copy(), psi.c)
+        assert difference_norm(psi, copy) == 0.0
+        corrected = CorrectedSection(psi, np.exp(2.5j))
+        assert difference_norm(corrected, CorrectedSection(copy, np.exp(2.5j))) == 0.0
+
+    def test_halfform_phase_only_difference(self, rng):
+        theta = 3e-9
+        for n in (1, 2):
+            psi = random_gaussian_section(rng, random_siegel(rng, n))
+            got = difference_norm(CorrectedSection(psi, np.exp(0.7j)), CorrectedSection(psi, np.exp(0.7j + 1j * theta)))
+            want = 2 * np.sin(0.5 * theta) * norm(psi)
+            assert abs(got - want) < 1e3 * np.finfo(float).eps / theta * want
+
+
+class TestNonFiniteData:
+    @pytest.mark.parametrize(
+        "m, b, c, coeffs",
+        [
+            ([[0.1]], [np.nan], 0.0, [1.0]),
+            ([[0.1]], [0.0], np.inf, [1.0]),
+            ([[np.nan]], [0.0], 0.0, [1.0]),
+            ([[0.1]], [0.0], 0.0, [1.0, np.inf]),
+        ],
+    )
+    def test_section_rejects_non_finite_data(self, m, b, c, coeffs):
+        with pytest.raises(NonFiniteError):
+            GaussianSection(I1, m, b, c, coeffs)
+
+    def test_huge_m_is_halved_before_the_norm_guard(self):
+        with pytest.raises(NotIntegrableError):
+            GaussianSection(I1, [[1e308]], [0.0], 0.0)
+
+    @pytest.mark.parametrize(
+        "coeffs, m, b, c",
+        [([1.0], [[np.nan]], [0.0], 0.0), ([1.0], [[-1.0]], [np.inf], 0.0), ([np.nan], [[-1.0]], [0.0], 0.0)],
+    )
+    def test_profile_rejects_non_finite_data(self, coeffs, m, b, c):
+        with pytest.raises(NonFiniteError):
+            BoundaryProfile(coeffs, m, b, c)
+
+    def test_profile_with_huge_m_is_not_mistaken_for_integrable(self):
+        with pytest.raises(ValueError):
+            BoundaryProfile([1.0], [[1e308]], [0.0], 0.0)

@@ -189,6 +189,10 @@ class TestBogoliubov:
         om, omp = random_siegel(rng, 2), random_siegel(rng, 2)
         alpha = rng.normal(size=2) + 1j * rng.normal(size=2)
         assert transport_equals_scaled_projection_check(alpha, om, omp) < 1e-7
+        # the closed-form residual norm has no grid, so n = 3 is checked too
+        om, omp = random_siegel(rng, 3), random_siegel(rng, 3)
+        alpha = rng.normal(size=3) + 1j * rng.normal(size=3)
+        assert transport_equals_scaled_projection_check(alpha, om, omp) < 1e-7
 
 
 class TestKernels:
@@ -307,6 +311,10 @@ class TestCorrectedTransport:
         step = transport_corrected(psi, pts[1])
         step = transport_corrected(step, pts[2])
         around = transport_corrected(step, pts[0])
+        assert difference_norm(around, psi) < 1e-8 * norm(psi.section)
+        pts = [random_siegel(rng, 3) for _ in range(3)]
+        psi = CorrectedSection(coherent_state([0.2 - 0.7j, 0.4, -0.3j], pts[0]))
+        around = transport_corrected(transport_corrected(transport_corrected(psi, pts[1]), pts[2]), pts[0])
         assert difference_norm(around, psi) < 1e-8 * norm(psi.section)
 
     def test_uncorrected_triangle_is_a_pure_phase(self, rng):
