@@ -2,7 +2,7 @@
 half-space, its Bogoliubov-transformation form, and the Segal-Bargmann and
 Fourier transforms as boundary limits."""
 
-from ._point import SiegelPoint, diagonal_point, standard_point
+from ._point import PositionBoundary, SiegelPoint, diagonal_point, standard_point
 from .errors import (
     BranchDiscontinuityError,
     GridTooCoarseError,
@@ -60,7 +60,6 @@ from .sympl import (
 )
 from .transforms import (
     BoundaryPolarization,
-    BoundaryProfile,
     ConvergenceReport,
     CorrectedBoundarySection,
     boundary_inner_product,

@@ -1,18 +1,26 @@
-"""Points of the Siegel upper half-space.
+"""Frames of the Gaussian sections: points of the Siegel upper half-space
+and the position boundary L-.
 
 A point is a symmetric complex n x n matrix Omega = Omega1 + i*Omega2 with
 Omega2 positive definite.  Each point parameterizes a linear complex
 structure on R^{2n} compatible with the standard symplectic form
-omega = sum_i dx^i ^ dy^i.
+omega = sum_i dx^i ^ dy^i.  A frame, a point or L-, supplies the coordinates
+z = E v of its sections (``coord_matrix``), the weight w of their factor
+exp(-w |z|^2 / 2) with its real form w |z(v)|^2 = v^T G v (``gram_matrix``),
+and the integrability test of their quadratic part.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from .errors import NotIntegrableError
+
 SYMMETRY_TOL = 1e-12
+GAUSSIAN_NORM_MARGIN = 1e-9
 
 
 def _as_real_symmetric(a, name: str, tol: float = SYMMETRY_TOL) -> np.ndarray:
@@ -32,6 +40,7 @@ def _as_real_symmetric(a, name: str, tol: float = SYMMETRY_TOL) -> np.ndarray:
 class SiegelPoint:
     """Omega = omega1 + i*omega2 with omega1 symmetric, omega2 SPD."""
 
+    weight = 1.0  # sections carry exp(-|z|^2 / 2)
     omega1: np.ndarray
     omega2: np.ndarray
     omega: np.ndarray = field(init=False, repr=False, compare=False)
@@ -68,14 +77,61 @@ class SiegelPoint:
         w, v = np.linalg.eigh(self.omega2)
         return (v / np.sqrt(w)) @ v.T
 
-    def close_to(self, other: "SiegelPoint", tol: float = 1e-10) -> bool:
+    @cached_property
+    def coord_matrix(self) -> np.ndarray:
+        """E with z(v) = E v for stacked real v = (x, y); shape (n, 2n), read-only."""
+        half = self.imag_inv_sqrt() / np.sqrt(2.0)
+        e = np.hstack([half, -half @ np.conj(self.omega)])
+        e.flags.writeable = False
+        return e
+
+    @cached_property
+    def gram_matrix(self) -> np.ndarray:
+        """Real symmetric G with |z(v)|^2 = v^T G v, read-only."""
+        g = (self.coord_matrix.conj().T @ self.coord_matrix).real
+        g.flags.writeable = False
+        return g
+
+    def check_integrable(self, m: np.ndarray) -> None:
+        # svd's largest value is ||m||_2, without norm()'s dispatch on every construction
+        if not np.linalg.svd(m, compute_uv=False)[0] < 1.0 - GAUSSIAN_NORM_MARGIN:
+            raise NotIntegrableError("||m|| must stay below 1 for square-integrability")
+
+    def close_to(self, other, tol: float = 1e-10) -> bool:
         return (
-            np.abs(self.omega1 - other.omega1).max() <= tol
+            isinstance(other, SiegelPoint)
+            and other.n == self.n
+            and np.abs(self.omega1 - other.omega1).max() <= tol
             and np.abs(self.omega2 - other.omega2).max() <= tol
         )
 
     def __repr__(self):
         return f"SiegelPoint(omega={np.array2string(self.omega, precision=6)})"
+
+
+class PositionBoundary:
+    """The position boundary L- as a frame: u = x itself (E = I_n), weight 0
+    and so G = 0, Re m < 0.  In Xi it enters as Omega = 0, in the
+    normalisations as Omega2 = I/2."""
+
+    weight = 0.0
+
+    def __init__(self, n: int):
+        self.n, self.omega, self.omega2 = n, np.zeros((n, n)), 0.5 * np.eye(n)
+        self.coord_matrix, self.gram_matrix = np.eye(n), np.zeros((n, n))
+
+    def imag_sqrt(self) -> np.ndarray:
+        return np.sqrt(0.5) * np.eye(self.n)
+
+    def check_integrable(self, m: np.ndarray) -> None:
+        if not np.linalg.eigvalsh(m.real).max() < 0:
+            raise NotIntegrableError("Re m must be negative definite for square-integrability on L-")
+
+    def close_to(self, other, tol: float = 1e-10) -> bool:
+        return isinstance(other, PositionBoundary) and other.n == self.n
+
+    def __repr__(self):
+        return f"PositionBoundary(n={self.n})"
 
 
 def standard_point(n: int) -> SiegelPoint:

@@ -145,8 +145,7 @@ def _parse_state(data: dict, omega: SiegelPoint):
             raise ValueError(f"state.alpha must hold {omega.n} [re, im] pairs")
         return coherent_state(arr[:, 0] + 1j * arr[:, 1], omega)
     psi = section_from_json(state["section"])
-    # n first: close_to broadcasts a 1 x 1 point against a larger one
-    if psi.n != omega.n or not psi.frame.close_to(omega, tol=1e-12):
+    if not psi.frame.close_to(omega, tol=1e-12):
         raise ValueError("state.section.frame must equal omega")
     return psi
 

@@ -4,7 +4,9 @@ In the holomorphic coordinates z = (2 Omega2)^{-1/2} (x - conj(Omega) y) a
 polarized section is phi(z) exp(-|z|^2 / 2) with phi entire.  One type,
 ``GaussianSection``, carries the family phi = p(z) exp((1/2) z^T M z +
 b^T z + c), ||M|| < 1, which is closed under every operation in this
-library.  The polynomial p is stored in ascending ``coeffs`` and has a
+library.  The same type on the frame ``PositionBoundary(n)`` is a profile
+p(u) exp((1/2) u^T M u + b^T u + c) on V/L- = R^n, Re M < 0, with no
+|z|^2 weight.  The polynomial p is stored in ascending ``coeffs`` and has a
 ``degree``; Gaussians are p = 1, and p of degree >= 1 (n = 1 only) covers
 the Fock basis |k> = z^k / sqrt(k!) exp(-|z|^2 / 2).
 
@@ -12,7 +14,9 @@ All inner products are taken in the ambient space of square-integrable
 functions on R^{2n} against the Liouville form, normalized so that the
 vacuum of every frame has unit norm:
 
-    <psi1, psi2> = (2 pi)^{-n} integral conj(psi1) psi2 dx dy.
+    <psi1, psi2> = (2 pi)^{-n} integral conj(psi1) psi2 dx dy,
+
+and profiles against (2 pi)^{-n/2} du.
 
 Closed forms reduce to one complex Gaussian integral; an independent
 Gauss-Hermite quadrature oracle guards every frozen formula.
@@ -28,7 +32,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from ._gaussint import _poly_gauss_pairing, exp_bivariate_series, kernel_apply_poly
-from ._point import SiegelPoint
+from ._point import PositionBoundary, SiegelPoint
 from .errors import (
     GridTooCoarseError,
     NonFiniteError,
@@ -39,19 +43,14 @@ from .siegel import LagrangianFrame
 
 N_TRUNC_DEFAULT = 32
 QUAD_NODES_DEFAULT = 64
-GAUSSIAN_NORM_MARGIN = 1e-9
+
+Frame = SiegelPoint | PositionBoundary
 
 
-def coord_matrix(omega: SiegelPoint) -> np.ndarray:
-    """E with z(v) = E v for stacked real v = (x, y); shape (n, 2n)."""
-    half = omega.imag_inv_sqrt() / np.sqrt(2.0)
-    return np.hstack([half, -half @ np.conj(omega.omega)])
-
-
-def gram_matrix(omega: SiegelPoint) -> np.ndarray:
-    """Real symmetric G with |z(v)|^2 = v^T G v."""
-    e = coord_matrix(omega)
-    return (e.conj().T @ e).real
+def _same_space(f1: Frame, f2: Frame) -> None:
+    """Sections pair only over two Kaehler frames or two boundary frames of one n."""
+    if type(f1) is not type(f2) or f1.n != f2.n:
+        raise ValueError(f"sections over {f1!r} and {f2!r} are functions on different spaces")
 
 
 def _finite(arr: np.ndarray) -> bool:
@@ -64,13 +63,14 @@ def _finite(arr: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class GaussianSection:
-    """p(z) exp((1/2) z^T m z + b^T z + c) exp(-|z|^2/2) in the frame's coordinates.
+    """p(z) exp((1/2) z^T m z + b^T z + c) exp(-w |z|^2/2) in the frame's
+    coordinates, w the frame's ``weight``: 1 on a Kaehler frame, 0 on L-.
 
     ``coeffs`` lists p in ascending powers of z; degree >= 1 needs n = 1.
     A constant p is folded into c, so a section of degree 0 has coeffs == [1].
     """
 
-    frame: SiegelPoint
+    frame: Frame
     m: np.ndarray
     b: np.ndarray
     c: complex
@@ -94,9 +94,7 @@ class GaussianSection:
             raise ValueError("m must be symmetric")
         half = 0.5 * m  # halved first: m + m.T overflows for entries above ~9e307
         m = half + half.T
-        # svd's largest value is ||m||_2, without norm()'s dispatch on every construction
-        if not np.linalg.svd(m, compute_uv=False)[0] < 1.0 - GAUSSIAN_NORM_MARGIN:
-            raise NotIntegrableError("||m|| must stay below 1 for square-integrability")
+        self.frame.check_integrable(m)
         if coeffs.size == 1 and coeffs[0] != 1.0:
             c, coeffs = c + complex(np.log(coeffs[0])), np.ones(1, dtype=complex)
             if not np.isfinite(c):
@@ -118,16 +116,16 @@ class GaussianSection:
 
     def real_quadratic(self):
         """(S, l, k) with value(v) = p(z(v)) exp((1/2) v^T S v + l^T v + k)."""
-        e = coord_matrix(self.frame)
-        s = e.T @ self.m @ e - gram_matrix(self.frame)
+        e = self.frame.coord_matrix
+        s = e.T @ self.m @ e - self.frame.gram_matrix
         return 0.5 * (s + s.T), e.T @ self.b, self.c
 
     def _exponent(self, v) -> tuple:
-        """(z, (1/2) z^T m z + b^T z + c - |z|^2 / 2) at z = E v."""
-        z = np.asarray(v, dtype=float) @ coord_matrix(self.frame).T
+        """(z, (1/2) z^T m z + b^T z + c - w |z|^2 / 2) at z = E v."""
+        z = np.asarray(v, dtype=float) @ self.frame.coord_matrix.T
         quad = 0.5 * np.einsum("...i,ij,...j->...", z, self.m, z)
         lin = z @ self.b
-        norm2 = 0.5 * np.einsum("...i,...i->...", np.conj(z), z).real
+        norm2 = 0.5 * self.frame.weight * np.einsum("...i,...i->...", np.conj(z), z).real
         return z, quad + lin + self.c - norm2
 
     def log_value(self, v) -> np.ndarray:
@@ -177,13 +175,14 @@ def inner_product(psi1: GaussianSection, psi2: GaussianSection) -> complex:
 
 
 def inner_product_cross_frame(psi1: GaussianSection, psi2: GaussianSection) -> complex:
-    """<psi1, psi2> with each section evaluated on V in its own coordinates."""
+    """<psi1, psi2> with each section evaluated on V (or V/L-) in its own coordinates."""
+    _same_space(psi1.frame, psi2.frame)
     s1, l1, k1 = psi1.real_quadratic()
     s2, l2, k2 = psi2.real_quadratic()
     a = b = None
     if psi1.degree or psi2.degree:
         # polynomial factors are functions of z1 (conjugated) and z2 (n = 1)
-        a, b = np.conj(coord_matrix(psi1.frame))[0], coord_matrix(psi2.frame)[0]
+        a, b = np.conj(psi1.frame.coord_matrix)[0], psi2.frame.coord_matrix[0]
     return _poly_gauss_pairing(
         np.conj(s1) + s2, np.conj(l1) + l2, np.conj(k1) + k2,
         a, b, np.conj(psi1.coeffs), psi2.coeffs,
@@ -202,10 +201,11 @@ def bergman_project(psi: GaussianSection, omega_p: SiegelPoint) -> GaussianSecti
     holomorphic for Omega'.  A polynomial factor is pushed through the
     kernel along the source z-direction.
     """
+    _same_space(psi.frame, omega_p)
     s_psi, l_psi, k_psi = psi.real_quadratic()
-    gen_dir = coord_matrix(psi.frame)[0] if psi.degree else None
+    gen_dir = psi.frame.coord_matrix[0] if psi.degree else None
     q, r, c, poly = kernel_apply_poly(
-        s_psi - gram_matrix(omega_p), coord_matrix(omega_p).conj().T, l_psi, k_psi, psi.coeffs, gen_dir
+        s_psi - omega_p.gram_matrix, omega_p.coord_matrix.conj().T, l_psi, k_psi, psi.coeffs, gen_dir
     )
     return GaussianSection(omega_p, q, r, c, poly)
 
@@ -234,7 +234,7 @@ class HalfFormFrame:
     def covector_rows(self) -> np.ndarray:
         """n x 2n matrix of covectors whose wedge is the underlying n-form."""
         if isinstance(self.base, SiegelPoint):
-            return coord_matrix(self.base)
+            return self.base.coord_matrix
         ginv = self.base.g.inverse().matrix
         n = self.base.n
         return ginv[n:, :] if self.base.plus else ginv[:n, :]
@@ -319,8 +319,8 @@ def fock_coefficients(psi: GaussianSection, n_trunc: int = N_TRUNC_DEFAULT) -> n
     <z^j, z^k>_{Gaussian} = k! delta_{jk}, so the coefficients are scaled
     Taylor coefficients of p(z) exp((1/2) m z^2 + b z).
     """
-    if psi.n != 1:
-        raise ValueError("Fock expansion implemented for n = 1")
+    if psi.n != 1 or not isinstance(psi.frame, SiegelPoint):
+        raise ValueError(f"Fock expansion implemented for n = 1 Kaehler frames, not {psi.frame!r}")
     series = exp_bivariate_series(complex(psi.b[0]), 0.0, complex(psi.m[0, 0]), 0.0, 0.0, n_trunc - 1, 0)
     full = np.convolve(psi.coeffs, series[:, 0])[:n_trunc] * np.exp(psi.c)
     # multiply by sqrt(k!) in log space, where neither factor overflows
@@ -536,10 +536,12 @@ def difference_norm(a, b, nodes: int = 24) -> float:
     d = log <a, b> - log ||a||^2 - h come from the differences of
     ``real_quadratic`` (half-form phases folded into k) alone, and
     ||a - b||^2 / ||a||^2 = expm1(h)^2 + 2 e^h (-expm1(Re d) cos Im d + 2 sin^2(Im d / 2)).
-    Equal inputs give exactly 0.  Polynomial sections (n = 1) evaluate the
-    difference pointwise on ``nodes``^2 Gauss-Hermite points.
+    Equal inputs give exactly 0, on Kaehler and boundary frames alike.
+    Polynomial sections (n = 1) evaluate the difference pointwise on
+    ``nodes`` Gauss-Hermite points per real dimension.
     """
     (pa, ha), (pb, hb) = _with_phase(a), _with_phase(b)
+    _same_space(pa.frame, pb.frame)
     if pa.degree or pb.degree:
         return _difference_norm_pointwise(a, b, nodes)
     sa, la, ka = pa.real_quadratic()
@@ -559,7 +561,7 @@ def difference_norm(a, b, nodes: int = 24) -> float:
 
 def _difference_norm_pointwise(a, b, nodes: int = 24) -> float:
     """|| a - b || with the difference evaluated at common grid points before
-    squaring (n <= 2); the reference for ``difference_norm``."""
+    squaring; the reference for ``difference_norm``."""
     (pa, ha), (pb, hb) = _with_phase(a), _with_phase(b)
     # half the mean envelope: valid (wider) for both terms when they are comparable
     g = 0.25 * (_envelope_form(pa) + _envelope_form(pb))
@@ -567,7 +569,8 @@ def _difference_norm_pointwise(a, b, nodes: int = 24) -> float:
     def f(v):
         return np.abs(pa.value(v) * ha - pb.value(v) * hb) ** 2
 
-    val = quadrature_integrate(f, pa.n, nodes=nodes, gram=g)
+    # the frame's normalised measure: (2 pi)^{-n} dx dy, or (2 pi)^{-n/2} du on L-
+    val = _hermite_grid_sum(f, g, nodes) * (2 * np.pi) ** (-0.5 * len(g))
     return float(np.sqrt(max(val.real, 0.0)))
 
 

@@ -4,8 +4,10 @@ transform operators connecting them to the Kaehler family.
 Sections polarized along a Lagrangian L are carried in a standard position
 form: a profile phi on V/L- together with the trivializing factor
 exp(+(i/2) x^T y), referred to an explicit metaplectic element mapping L- to
-L.  The pairing map to a Kaehler frame Omega evaluates in closed form and
-is unitary; its boundary companions are
+L.  A profile is a ``GaussianSection`` on the frame ``PositionBoundary(n)``,
+p(u) exp((1/2) u^T m u + b^T u + c) with Re m < 0 (polynomial for n = 1),
+normed against (2 pi)^{-n/2} du.  The pairing map to a Kaehler frame Omega
+evaluates in closed form and is unitary; its boundary companions are
 
   * the position/momentum transform pair generalizing the classical
     Segal-Bargmann transform and its inverse,
@@ -23,19 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._gaussint import _poly_gauss_pairing, kernel_apply_poly
-from ._point import SiegelPoint, diagonal_point, standard_point
-from .errors import NoBoundaryLimitError, NonFiniteError, PolarizationMismatchError
-from .sections import (
-    CorrectedSection,
-    GaussianSection,
-    _finite,
-    _hermite_grid_sum,
-    difference_norm,
-)
+from ._gaussint import kernel_apply_poly
+from ._point import PositionBoundary, SiegelPoint, diagonal_point, standard_point
+from .errors import NoBoundaryLimitError, NonTransverseError, PolarizationMismatchError
+from .sections import CorrectedSection, GaussianSection, difference_norm, inner_product, norm
 from .siegel import GeodesicSpec, LagrangianFrame, symplectic_form_matrix
 from .sympl import MetaplecticElement, SymplecticMap, act_on_siegel
-from .transport import _PositionBoundary, _xi_kernel_apply, metaplectic_act, transport_corrected
+from .transport import _xi_kernel_apply, metaplectic_act, transport_corrected
 
 # Unit constant relating the pushed frame sqrt(d^n x o g0^{-1}) of the
 # standard exchange element g0 = (0, I; -I, 0) (principal lift) to the
@@ -52,90 +48,10 @@ def exchange_map(n: int) -> SymplecticMap:
     return SymplecticMap(z, i, -i, z)
 
 
-@dataclass(frozen=True)
-class BoundaryProfile:
-    """p(u) exp((1/2) u^T m u + b^T u + c) on V/L = R^n (polynomial for n = 1)."""
-
-    coeffs: np.ndarray
-    m: np.ndarray
-    b: np.ndarray
-    c: complex
-
-    def __post_init__(self):
-        m = np.atleast_2d(np.asarray(self.m, dtype=complex))
-        n = m.shape[0]
-        b = np.asarray(self.b, dtype=complex).reshape(n)
-        coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=complex)).copy()
-        if len(coeffs) > 1 and n != 1:
-            raise ValueError("polynomial profiles are supported for n = 1 only")
-        c = complex(self.c)
-        for name, ok in (("m", _finite(m)), ("b", _finite(b)), ("c", c - c == 0), ("coeffs", _finite(coeffs))):
-            if not ok:
-                raise NonFiniteError(f"profile {name} is not finite")
-        half = 0.5 * m  # halved first: m + m.T overflows for entries above ~9e307
-        m = half + half.T
-        if not np.linalg.eigvalsh(m.real).max() < 0:
-            raise ValueError("profile must be square-integrable: Re(m) negative definite")
-        for arr in (m, b, coeffs):
-            arr.flags.writeable = False
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "c", c)
-
-    @classmethod
-    def gaussian(cls, m, b, c=0.0) -> "BoundaryProfile":
-        m = np.atleast_2d(np.asarray(m, dtype=complex))
-        return cls(np.array([1.0 + 0.0j]), m, b, c)
-
-    @classmethod
-    def standard(cls, n: int) -> "BoundaryProfile":
-        """Unit-norm Gaussian 2^{n/4} exp(-|u|^2 / 2)."""
-        return cls.gaussian(-np.eye(n), np.zeros(n), 0.25 * n * np.log(2.0))
-
-    @property
-    def n(self) -> int:
-        return self.m.shape[0]
-
-    def value(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        quad = 0.5 * np.einsum("...i,ij,...j->...", u, self.m, u)
-        lin = u @ self.b
-        if self.n == 1:
-            poly = np.polynomial.polynomial.polyval(u[..., 0], self.coeffs)
-        else:
-            poly = self.coeffs[0]
-        return poly * np.exp(quad + lin + self.c)
-
-    def scaled(self, factor: complex) -> "BoundaryProfile":
-        return BoundaryProfile(self.coeffs, self.m, self.b, self.c + np.log(complex(factor)))
-
-    def flipped(self) -> "BoundaryProfile":
-        """The composition with u -> -u."""
-        signs = (-1.0) ** np.arange(len(self.coeffs))
-        return BoundaryProfile(self.coeffs * signs, self.m, -self.b, self.c)
-
-
-def profile_inner_product(p1: BoundaryProfile, p2: BoundaryProfile) -> complex:
-    """(2 pi)^{-n/2} integral of conj(p1) p2 over R^n, in closed form."""
-    n = p1.n
-    e1 = np.eye(n)[0]
-    return _poly_gauss_pairing(
-        np.conj(p1.m) + p2.m, np.conj(p1.b) + p2.b, np.conj(p1.c) + p2.c,
-        e1, e1, np.conj(p1.coeffs), p2.coeffs,
-    )
-
-
-def profile_norm(p: BoundaryProfile) -> float:
-    return float(np.sqrt(max(profile_inner_product(p, p).real, 0.0)))
-
-
-def profile_difference_norm(p1: BoundaryProfile, p2: BoundaryProfile, nodes: int = 48) -> float:
-    """Pointwise-evaluated || p1 - p2 || over R^n with the (2 pi)^{-n/2} measure."""
-    width = -0.5 * (p1.m.real + p2.m.real)
-    total = _hermite_grid_sum(lambda u: np.abs(p1.value(u) - p2.value(u)) ** 2, width, nodes)
-    total = total / (2 * np.pi) ** (p1.n / 2)
-    return float(np.sqrt(max(total.real, 0.0)))
+def _flipped(profile: GaussianSection) -> GaussianSection:
+    """The composition of a profile with u -> -u."""
+    signs = (-1.0) ** np.arange(len(profile.coeffs))
+    return GaussianSection(profile.frame, profile.m, -profile.b, profile.c, profile.coeffs * signs)
 
 
 # ---------------------------------------------------------------------------
@@ -196,16 +112,17 @@ class CorrectedBoundarySection:
 
     The section as a function on V is phi(x0) exp((i/2) x0^T y0) composed
     with the reference inverse, times the half-form coefficient carried on
-    the pushed frame sqrt(d^n x o g^{-1}).
+    the pushed frame sqrt(d^n x o g^{-1}).  The profile is a
+    ``GaussianSection`` on ``PositionBoundary(n)``.
     """
 
     polarization: BoundaryPolarization
-    profile: BoundaryProfile
+    profile: GaussianSection
     halfform_phase: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        if self.profile.n != self.polarization.n:
-            raise ValueError("profile dimension does not match the polarization")
+        if not self.profile.frame.close_to(PositionBoundary(self.polarization.n)):
+            raise ValueError(f"profile over {self.profile.frame!r} does not match the polarization")
         object.__setattr__(self, "halfform_phase", complex(self.halfform_phase))
 
     @property
@@ -220,26 +137,22 @@ class CorrectedBoundarySection:
         phase = np.exp(0.5j * np.einsum("...i,...i->...", x0, y0))
         return self.profile.value(x0) * phase * self.halfform_phase
 
-    def momentum_profile(self) -> BoundaryProfile:
+    def momentum_profile(self) -> GaussianSection:
         """The chi(y) data of a momentum-type section: value = chi(y) e^{-i x.y/2}."""
         if not np.allclose(self.polarization.reference.g.matrix, exchange_map(self.n).matrix):
             raise PolarizationMismatchError("not a standard momentum-polarized section")
-        return self.profile.flipped().scaled(
-            _momentum_frame_factor(self.n) * self.halfform_phase
-        )
+        return _flipped(self.profile).scaled(_momentum_frame_factor(self.n) * self.halfform_phase)
 
 
-def from_position_profile(profile: BoundaryProfile) -> CorrectedBoundarySection:
+def from_position_profile(profile: GaussianSection) -> CorrectedBoundarySection:
     """phi(x) e^{(i/2) x.y} (x) sqrt(d^n x) on the standard position polarization."""
     return CorrectedBoundarySection(BoundaryPolarization.position(profile.n), profile)
 
 
-def from_momentum_profile(profile: BoundaryProfile) -> CorrectedBoundarySection:
+def from_momentum_profile(profile: GaussianSection) -> CorrectedBoundarySection:
     """chi(y) e^{-(i/2) x.y} (x) sqrt(d^n y) on the standard momentum polarization."""
     kappa = _momentum_frame_factor(profile.n)
-    return CorrectedBoundarySection(
-        BoundaryPolarization.momentum(profile.n), profile.flipped(), np.conj(kappa)
-    )
+    return CorrectedBoundarySection(BoundaryPolarization.momentum(profile.n), _flipped(profile), np.conj(kappa))
 
 
 def boundary_inner_product(s1: CorrectedBoundarySection, s2: CorrectedBoundarySection) -> complex:
@@ -248,23 +161,19 @@ def boundary_inner_product(s1: CorrectedBoundarySection, s2: CorrectedBoundarySe
         raise PolarizationMismatchError("sections live over different polarizations")
     if not s1.polarization.same_reference(s2.polarization):
         raise PolarizationMismatchError("sections use different reductions to L-")
-    return (
-        np.conj(s1.halfform_phase)
-        * s2.halfform_phase
-        * profile_inner_product(s1.profile, s2.profile)
-    )
+    return np.conj(s1.halfform_phase) * s2.halfform_phase * inner_product(s1.profile, s2.profile)
 
 
 def boundary_norm(s: CorrectedBoundarySection) -> float:
-    return profile_norm(s.profile)
+    return norm(s.profile)
 
 
 def boundary_difference_norm(s1: CorrectedBoundarySection, s2: CorrectedBoundarySection) -> float:
+    """|| s1 - s2 ||.  Polynomial profiles take 48 Gauss-Hermite nodes: about
+    1e-11 relative, where the default 24 give 1e-7."""
     if not s1.polarization.same_reference(s2.polarization):
         raise PolarizationMismatchError("sections use different reductions to L-")
-    return profile_difference_norm(
-        s1.profile.scaled(s1.halfform_phase), s2.profile.scaled(s2.halfform_phase)
-    )
+    return difference_norm(s1.profile.scaled(s1.halfform_phase), s2.profile.scaled(s2.halfform_phase), 48)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +187,7 @@ def segal_bargmann(shat: CorrectedBoundarySection, omega: SiegelPoint) -> Correc
     ref = shat.polarization.reference
     om0 = act_on_siegel(ref.g.inverse(), omega)
     profile = shat.profile.scaled(shat.halfform_phase)
-    poly, m, b, c, log_h = _xi_kernel_apply(profile, _PositionBoundary(om0.n), om0)
+    poly, m, b, c, log_h = _xi_kernel_apply(profile, profile.frame, om0)
     core = GaussianSection(om0, m, b, c - np.conj(log_h), poly)
     return metaplectic_act(ref, CorrectedSection(core))
 
@@ -292,10 +201,9 @@ def segal_bargmann_inverse(
     if polarization is None:
         polarization = BoundaryPolarization.position(psihat.frame.n)
     pulled = metaplectic_act(polarization.reference.inverse(), psihat)
-    poly, m, b, c, log_h = _xi_kernel_apply(
-        pulled.section, pulled.frame, _PositionBoundary(pulled.frame.n)
-    )
-    profile = BoundaryProfile(poly, m, b, c - np.conj(log_h)).scaled(pulled.halfform_phase)
+    u = PositionBoundary(pulled.frame.n)
+    poly, m, b, c, log_h = _xi_kernel_apply(pulled.section, pulled.frame, u)
+    profile = GaussianSection(u, m, b, c - np.conj(log_h), poly).scaled(pulled.halfform_phase)
     return CorrectedBoundarySection(polarization, profile, 1.0)
 
 
@@ -306,12 +214,9 @@ def fourier(shat: CorrectedBoundarySection) -> CorrectedBoundarySection:
     if not np.allclose(shat.polarization.reference.g.matrix, np.eye(2 * n)):
         raise PolarizationMismatchError("direct transform expects the standard position form")
     prof = shat.profile.scaled(shat.halfform_phase)
-    q, r, sc, poly = kernel_apply_poly(
-        prof.m, 1j * np.eye(n), prof.b, prof.c, prof.coeffs, np.eye(n)[0] if n == 1 else None
-    )
+    q, r, sc, poly = kernel_apply_poly(prof.m, 1j * np.eye(n), prof.b, prof.c, prof.coeffs, np.eye(n)[0])
     c_out = sc + 0.25j * np.pi * n  # principal i^{n/2}
-    chi = BoundaryProfile(poly, 0.5 * (q + q.T), r, c_out)
-    return from_momentum_profile(chi)
+    return from_momentum_profile(GaussianSection(prof.frame, 0.5 * (q + q.T), r, c_out, poly))
 
 
 def fourier_general(
@@ -325,8 +230,6 @@ def fourier_general(
     The result is independent of the chosen frame; the composition
     identity checks exercise exactly that independence."""
     if not shat.polarization.frame.transverse_to(target.frame):
-        from .errors import NonTransverseError
-
         raise NonTransverseError("polarizations must be transverse")
     if reference_omega is None:
         reference_omega = standard_point(shat.n)
@@ -459,14 +362,16 @@ def limit_transport_to_fourier(
 # composition identities
 
 
-def default_test_profiles() -> list[BoundaryProfile]:
-    """Five square-integrable Gaussian-polynomial profiles (n = 1)."""
+def default_test_profiles() -> list[GaussianSection]:
+    """Five square-integrable Gaussian-polynomial profiles (n = 1); the first
+    is the unit-norm 2^{1/4} exp(-u^2 / 2)."""
+    u = PositionBoundary(1)
     return [
-        BoundaryProfile.standard(1),
-        BoundaryProfile([0.0, 1.0], [[-1.0]], [0.0], 0.0),
-        BoundaryProfile([-1.0, 0.0, 1.0], [[-0.6]], [0.0], 0.0),
-        BoundaryProfile.gaussian([[-1.0]], [0.3], 0.1),
-        BoundaryProfile([1.0, 0.5j], [[-0.8]], [0.2j], 0.0),
+        GaussianSection(u, [[-1.0]], [0.0], 0.25 * np.log(2.0)),
+        GaussianSection(u, [[-1.0]], [0.0], 0.0, [0.0, 1.0]),
+        GaussianSection(u, [[-0.6]], [0.0], 0.0, [-1.0, 0.0, 1.0]),
+        GaussianSection(u, [[-1.0]], [0.3], 0.1),
+        GaussianSection(u, [[-0.8]], [0.2j], 0.0, [1.0, 0.5j]),
     ]
 
 
@@ -495,7 +400,7 @@ def composition_identities_check(
     pol_l: BoundaryPolarization,
     pol_lp: BoundaryPolarization,
     pol_lpp: BoundaryPolarization,
-    profiles: list[BoundaryProfile] | None = None,
+    profiles: list[GaussianSection] | None = None,
 ) -> IdentityReport:
     """Residuals of the three operator identities on a test family:
 
@@ -505,8 +410,6 @@ def composition_identities_check(
       3. Fourier transforms compose along mutually transverse polarizations,
          with each factor built over a different Kaehler reference point.
     """
-    from .errors import NonTransverseError
-
     for a, b in ((pol_l, pol_lp), (pol_lp, pol_lpp), (pol_l, pol_lpp)):
         if not a.frame.transverse_to(b.frame):
             raise NonTransverseError("test polarizations must be mutually transverse")

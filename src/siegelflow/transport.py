@@ -27,9 +27,11 @@ from .sections import (
     GaussianSection,
     HalfFormFrame,
     bergman_project,
-    coord_matrix,
+    coherent_state,
+    difference_norm,
     fock_coefficients,
     from_fock_coefficients,
+    norm,
 )
 from .siegel import complex_structure_of
 from .sympl import (
@@ -46,19 +48,6 @@ TRUNCATION_LEAK_TOL = 1e-6
 # closed-form transport
 
 
-class _PositionBoundary:
-    """The position boundary L- as an end of the Xi kernel.  Its coordinate
-    is u = x itself: it enters Xi as Omega = 0 and the normalisations as
-    Omega2 = I/2, and it carries no |z|^2 weight, so its block of the
-    kernel has no identity term."""
-
-    def __init__(self, n: int):
-        self.n, self.omega, self.omega2 = n, np.zeros((n, n)), 0.5 * np.eye(n)
-
-    def imag_sqrt(self) -> np.ndarray:
-        return np.sqrt(0.5) * np.eye(self.n)
-
-
 def _halfform_log(omega, omega_p) -> complex:
     """half_logdet(Xi(Omega', Omega)) - (1/4) log det(Omega2 Omega2').
 
@@ -67,7 +56,7 @@ def _halfform_log(omega, omega_p) -> complex:
     along the connecting geodesic from the start, where Xi = Omega2 is
     positive; Xi(gamma(t), Omega) has real part (Im gamma(t) + Omega2)/2,
     positive definite along the whole path, so the continued root is
-    half_logdet's.  Either end may be a ``_PositionBoundary``.
+    half_logdet's.  Either end may be a ``PositionBoundary``.
     """
     logdet2 = np.linalg.slogdet(omega.omega2 @ omega_p.omega2)[1]
     return half_logdet(xi_matrix(omega_p, omega)) - 0.25 * logdet2
@@ -77,46 +66,36 @@ def _xi_blocks(omega, omega_p):
     """Kernel blocks built from Xi = (Omega - conj(Omega'))/2i.
 
     Returns (K11, K12, K22, log_h) for the quadratic form on stacked
-    (conj(z) | z'), K11 = I - r Xi^{-1} r, K12 = r Xi^{-1} r' and
-    K22 = I - r' Xi^{-1} r' with r = Omega2^{1/2}; log_h is
-    ``_halfform_log(Omega, Omega')``.  The kernel's prefactor is
-    exp(-Re log_h) = 1 / alpha(Omega, Omega'), and exp(-conj(log_h)) with
-    the half-form phase.  Either end may be a ``_PositionBoundary``: the
-    pairing maps are these kernels.
+    (conj(z) | z'), K11 = w I - r Xi^{-1} r, K12 = r Xi^{-1} r' and
+    K22 = w' I - r' Xi^{-1} r' with r = Omega2^{1/2} and w the frame's
+    weight; log_h is ``_halfform_log(Omega, Omega')``.  The kernel's
+    prefactor is exp(-Re log_h) = 1 / alpha(Omega, Omega'), and
+    exp(-conj(log_h)) with the half-form phase.  Either end may be a
+    ``PositionBoundary``, of weight 0: the pairing maps are these kernels.
     """
-    n = omega.n
+    eye = np.eye(omega.n)
     r, rp = omega.imag_sqrt(), omega_p.imag_sqrt()
     xi_inv = np.linalg.inv(xi_matrix(omega, omega_p))
-    k11 = -r @ xi_inv @ r
+    k11 = -r @ xi_inv @ r + omega.weight * eye
     k12 = r @ xi_inv @ rp
-    k22 = -rp @ xi_inv @ rp
-    if isinstance(omega, SiegelPoint):
-        k11 += np.eye(n)
-    if isinstance(omega_p, SiegelPoint):
-        k22 += np.eye(n)
+    k22 = -rp @ xi_inv @ rp + omega_p.weight * eye
     return k11, k12, k22, _halfform_log(omega, omega_p)
 
 
 def _xi_kernel_apply(psi, omega, omega_p):
-    """Push psi through the Xi kernel from Omega to Omega', prefactor aside.
+    """Push psi, a section over Omega, through the Xi kernel to Omega', prefactor aside.
 
-    psi is a section over Omega or, when Omega is a ``_PositionBoundary``, a
-    boundary profile in u.  Returns (poly, m, b, c, log_h): the result is
-    p(w) exp((1/2) w^T m w + b^T w + c) in the coordinates w of Omega', times
-    the prefactor of ``_xi_blocks``.
+    Either end may be a ``PositionBoundary``.  Returns (poly, m, b, c,
+    log_h): the result is p(w) exp((1/2) w^T m w + b^T w + c) in the
+    coordinates w of Omega', times the prefactor of ``_xi_blocks``.
     """
     k11, k12, k22, log_h = _xi_blocks(omega, omega_p)
-    if isinstance(omega, SiegelPoint):
-        # integrate over v in R^2n, z = E v, against the full weight exp(-|z|^2)
-        e = coord_matrix(omega)
-        ebar = np.conj(e)
-        s = e.T @ psi.m @ e + ebar.T @ k11 @ ebar - 2.0 * (ebar.T @ e).real
-        s = 0.5 * (s + s.T)
-        lmat, ell0, gen_dir = ebar.T @ k12, e.T @ psi.b, e[0]
-    else:
-        # a profile: integrate over u itself, with no weight
-        s, lmat, ell0, gen_dir = psi.m + k11, k12, psi.b, np.eye(psi.n)[0]
-    q, r, c, poly = kernel_apply_poly(s, lmat, ell0, psi.c, psi.coeffs, gen_dir)
+    # integrate over v, z = E v, against the frame's full weight exp(-v^T G v)
+    e = omega.coord_matrix
+    ebar = np.conj(e)
+    s = e.T @ psi.m @ e + ebar.T @ k11 @ ebar - 2.0 * omega.gram_matrix
+    s = 0.5 * (s + s.T)
+    q, r, c, poly = kernel_apply_poly(s, ebar.T @ k12, e.T @ psi.b, psi.c, psi.coeffs, e[0])
     m_out = q + k22
     return poly, 0.5 * (m_out + m_out.T), r, c, log_h
 
@@ -202,8 +181,6 @@ def transport_equals_scaled_projection_check(alpha, omega: SiegelPoint, omega_p:
 
     Both sides are closed-form Gaussians; ``difference_norm`` works with their
     differences, so it stays below the Gram-cancellation floor."""
-    from .sections import coherent_state, difference_norm, norm
-
     c = coherent_state(alpha, omega)
     u = transport_coherent(alpha, omega, omega_p)
     ap = transport_uncorrected(c, omega_p)
@@ -224,7 +201,7 @@ def transport_kernel_apply(
         return transport_uncorrected(phi, omega_p)
     if kernel != "holomorphic":
         raise ValueError(f"unknown kernel {kernel!r}")
-    if phi.frame.n != omega.n or not phi.frame.close_to(omega, tol=1e-12):
+    if not phi.frame.close_to(omega, tol=1e-12):
         raise ValueError("section must live at the source point")
     poly, m, b, c, log_h = _xi_kernel_apply(phi, omega, omega_p)
     return GaussianSection(omega_p, m, b, c - log_h.real, poly)

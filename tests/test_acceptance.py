@@ -8,8 +8,8 @@ import numpy as np
 
 from siegelflow import (
     BoundaryPolarization,
-    BoundaryProfile,
     GaussianSection,
+    PositionBoundary,
     coherent_state,
     diagonal_point,
     difference_norm,
@@ -25,7 +25,6 @@ from siegelflow import (
     transport_ode,
     transport_poly_standard,
 )
-from siegelflow.sections import coord_matrix
 from siegelflow.suites import (
     suite_bogoliubov,
     suite_curvature,
@@ -37,7 +36,7 @@ from siegelflow.suites import (
 )
 from siegelflow.transforms import boundary_difference_norm, boundary_norm
 
-from conftest import random_gaussian_section
+from conftest import random_gaussian_section, standard_profile
 
 I1 = standard_point(1)
 
@@ -78,7 +77,7 @@ def test_criterion_02_fock_rows(capsys):
     vs = np.array([[0.0, 0.0], [0.7, 0.0], [-0.3, 0.4], [1.0, 1.0], [0.0, -1.2]])
     worst = 0.0
     target_frame = diagonal_point([np.exp(2 * t)])
-    z = (vs @ coord_matrix(target_frame).T)[:, 0]
+    z = (vs @ target_frame.coord_matrix.T)[:, 0]
     gaussian = np.exp(-0.5 * z**2 * th - 0.5 * np.abs(z) ** 2)
     printed = {
         0: np.sqrt(sh) * gaussian,
@@ -185,7 +184,7 @@ def test_criterion_09_composition_identities(capsys):
     rng = np.random.default_rng(9)
     mom = BoundaryPolarization.momentum(1)
     worst_phase = 0.0
-    for prof in (BoundaryProfile.standard(1), BoundaryProfile([0.0, 1.0], [[-1.0]], [0.0], 0.0)):
+    for prof in (standard_profile(1), GaussianSection(PositionBoundary(1), [[-1.0]], [0.0], 0.0, [0.0, 1.0])):
         s = from_position_profile(prof)
         direct = fourier(s)
         rebuilt = fourier_general(s, mom, random_siegel(rng, 1))

@@ -9,6 +9,7 @@ import numpy as np
 
 from siegelflow import (
     MetaplecticElement,
+    PositionBoundary,
     geodesic_between,
     random_siegel,
     random_symplectic,
@@ -17,7 +18,7 @@ from siegelflow import (
 )
 from siegelflow.suites import suite_identities
 from siegelflow.sympl import continue_sqrt_phase
-from siegelflow.transport import _halfform_log, _PositionBoundary
+from siegelflow.transport import _halfform_log
 
 CASES = 102  # n = 1, 2, 3 in turn
 SAMPLES = 1024
@@ -70,7 +71,7 @@ def test_pairing_root_matches_sampled_continuation():
         root = continue_sqrt_phase(vals / np.abs(vals), 1.0) * np.sqrt(abs(vals[-1]))
         expected = np.linalg.det(2.0 * omega.omega2) ** 0.25 / root
         # the pairing map from L- carries exp(-_halfform_log(L-, Omega))
-        assert abs(np.exp(-_halfform_log(_PositionBoundary(n), omega)) / expected - 1.0) < TOL
+        assert abs(np.exp(-_halfform_log(PositionBoundary(n), omega)) / expected - 1.0) < TOL
 
 
 def test_identities_seed_that_broke_the_sampled_branch():

@@ -12,6 +12,7 @@ from siegelflow import (
     NonFiniteError,
     NonTransverseError,
     NotIntegrableError,
+    PositionBoundary,
     SiegelPoint,
     bergman_project,
     coherent_state,
@@ -37,15 +38,22 @@ from siegelflow.sections import (
     _difference_norm_pointwise,
     _envelope_form,
     _fit_log_quadratic,
-    coord_matrix,
-    gram_matrix,
 )
 from siegelflow.suites import _refined_oracle, suite_unitarity
-from siegelflow.transforms import BoundaryProfile
 
-from conftest import random_gaussian_section
+from conftest import random_gaussian_section, random_profile
 
 I1 = standard_point(1)
+# Gaussian profiles on L-, as extra frames of the residual-norm cases
+BOUNDARY_FRAMES = [pytest.param(PositionBoundary(n), id=f"boundary-{n}") for n in (1, 2)]
+
+
+def _section_over(rng, frame):
+    """A random Gaussian section over a random Kaehler point of dimension
+    ``frame``, or a random Gaussian profile when ``frame`` is a PositionBoundary."""
+    if isinstance(frame, PositionBoundary):
+        return random_profile(rng, frame.n, poly=False)
+    return random_gaussian_section(rng, random_siegel(rng, frame))
 
 
 class TestQuadratureOracle:
@@ -54,8 +62,8 @@ class TestQuadratureOracle:
 
     def test_unit_gaussian_normalization(self):
         for omega in (I1, diagonal_point([2.5]), random_siegel(np.random.default_rng(1), 2)):
-            f = lambda v: np.exp(-np.einsum("...i,ij,...j->...", v, gram_matrix(omega), v))
-            val = quadrature_integrate(f, omega.n, gram=gram_matrix(omega))
+            f = lambda v: np.exp(-np.einsum("...i,ij,...j->...", v, omega.gram_matrix, v))
+            val = quadrature_integrate(f, omega.n, gram=omega.gram_matrix)
             assert abs(val - 1.0) < 1e-12
 
     def test_odd_integrand_vanishes(self):
@@ -314,8 +322,8 @@ class TestOvercompleteness:
     def test_reproducing_superposition(self):
         # integral over w of c_w <c_w, psi> e^{-|w|^2} recovers psi pointwise
         psi = GaussianSection(I1, [[0.3 - 0.2j]], [0.4j], 0.1)
-        e = coord_matrix(I1)
-        g = gram_matrix(I1)
+        e = I1.coord_matrix
+        g = I1.gram_matrix
         points = np.array([[0.2, 0.1], [-0.6, 0.4], [0.9, -0.3]])
 
         for v0 in points:
@@ -403,17 +411,17 @@ class TestDifferenceNorm:
         doubled = GaussianSection(psi.frame, psi.m, psi.b, psi.c + np.log(2.0))
         assert abs(difference_norm(psi, doubled) - norm(psi)) < 1e-8 * norm(psi)
 
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_closed_form_matches_pointwise_reference(self, rng, n):
+    @pytest.mark.parametrize("frame", [1, 2, *BOUNDARY_FRAMES])
+    def test_closed_form_matches_pointwise_reference(self, rng, frame):
         # the pointwise norm's own noise is about eps / ||a - b||, relative
         eps = np.finfo(float).eps
         for size in (1e-1, 1e-3, 1e-6, 1e-9):
             for _ in range(3):
-                omega = random_siegel(rng, n)
-                a = random_gaussian_section(rng, omega)
+                a = _section_over(rng, frame)
+                n = a.n
                 dm = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
                 db = rng.normal(size=n) + 1j * rng.normal(size=n)
-                b = GaussianSection(omega, a.m + 0.05 * size * (dm + dm.T), a.b + size * db,
+                b = GaussianSection(a.frame, a.m + 0.05 * size * (dm + dm.T), a.b + size * db,
                                     a.c + size * (rng.normal() + 1j * rng.normal()))
                 ref = _difference_norm_pointwise(a, b, nodes=48 if n == 1 else 32)
                 rel = ref / norm(a)
@@ -430,9 +438,9 @@ class TestDifferenceNorm:
             ref = _difference_norm_pointwise(a, b, nodes=96)
             assert abs(difference_norm(a, b) - ref) < 1e-12 * ref
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_equal_inputs_give_exactly_zero(self, rng, n):
-        psi = random_gaussian_section(rng, random_siegel(rng, n))
+    @pytest.mark.parametrize("frame", [1, 2, 3, *BOUNDARY_FRAMES])
+    def test_equal_inputs_give_exactly_zero(self, rng, frame):
+        psi = _section_over(rng, frame)
         copy = GaussianSection(psi.frame, psi.m.copy(), psi.b.copy(), psi.c)
         assert difference_norm(psi, copy) == 0.0
         corrected = CorrectedSection(psi, np.exp(2.5j))
@@ -471,8 +479,44 @@ class TestNonFiniteData:
     )
     def test_profile_rejects_non_finite_data(self, coeffs, m, b, c):
         with pytest.raises(NonFiniteError):
-            BoundaryProfile(coeffs, m, b, c)
+            GaussianSection(PositionBoundary(1), m, b, c, coeffs)
 
     def test_profile_with_huge_m_is_not_mistaken_for_integrable(self):
-        with pytest.raises(ValueError):
-            BoundaryProfile([1.0], [[1e308]], [0.0], 0.0)
+        with pytest.raises(NotIntegrableError):
+            GaussianSection(PositionBoundary(1), [[1e308]], [0.0], 0.0)
+
+
+class TestFrameKinds:
+    """A profile on L- and a section over a Kaehler point are functions on
+    different spaces; at n = 1 their real forms would otherwise broadcast."""
+
+    def test_close_to_is_false_across_kinds(self):
+        for n in (1, 2):
+            assert not standard_point(n).close_to(PositionBoundary(n))
+            assert not PositionBoundary(n).close_to(standard_point(n))
+            assert PositionBoundary(n).close_to(PositionBoundary(n))
+        assert not PositionBoundary(1).close_to(PositionBoundary(2))
+        assert not standard_point(1).close_to(standard_point(2))
+
+    @pytest.mark.parametrize("n_boundary, n_kaehler", [(1, 1), (2, 1), (1, 2)])
+    def test_cross_kind_pairings_raise_naming_both_frames(self, rng, n_boundary, n_kaehler):
+        prof = random_profile(rng, n_boundary, poly=False)
+        psi = random_gaussian_section(rng, random_siegel(rng, n_kaehler))
+        for a, b in ((prof, psi), (psi, prof)):
+            for pairing in (inner_product_cross_frame, difference_norm):
+                with pytest.raises(ValueError) as exc:
+                    pairing(a, b)
+                assert "PositionBoundary" in str(exc.value) and "SiegelPoint" in str(exc.value)
+            with pytest.raises(ValueError, match="different frames"):
+                inner_product(a, b)
+            with pytest.raises(ValueError, match="PositionBoundary"):
+                corrected_inner_product(CorrectedSection(a), CorrectedSection(b))
+        with pytest.raises(ValueError, match="PositionBoundary"):
+            bergman_project(prof, psi.frame)
+
+    def test_polynomial_profile_in_a_kaehler_computation_raises(self):
+        prof = GaussianSection(PositionBoundary(1), [[-1.0]], [0.0], 0.0, [0.0, 1.0])
+        with pytest.raises(ValueError, match="PositionBoundary"):
+            difference_norm(prof, fock_state(1, I1))
+        with pytest.raises(ValueError, match="PositionBoundary"):
+            fock_coefficients(prof)

@@ -3,13 +3,14 @@ import pytest
 
 from siegelflow import (
     BoundaryPolarization,
-    BoundaryProfile,
     CorrectedSection,
+    GaussianSection,
     LagrangianFrame,
     MetaplecticElement,
     NoBoundaryLimitError,
     NonTransverseError,
     PolarizationMismatchError,
+    PositionBoundary,
     boundary_inner_product,
     coherent_state,
     composition_identities_check,
@@ -21,6 +22,7 @@ from siegelflow import (
     from_momentum_profile,
     from_position_profile,
     geodesic_between,
+    inner_product,
     limit_transport_to_bargmann,
     limit_transport_to_fourier,
     metaplectic_act,
@@ -37,34 +39,24 @@ from siegelflow.transforms import (
     boundary_difference_norm,
     boundary_norm,
     default_test_profiles,
-    profile_inner_product,
 )
 
+from conftest import random_profile, standard_profile
+
 I1 = standard_point(1)
-
-
-def random_profile(rng, n=1, poly=True) -> BoundaryProfile:
-    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    m = 0.5 * (m + m.T)
-    m = m - (np.linalg.eigvalsh(m.real).max() + rng.uniform(0.4, 1.0)) * np.eye(n)
-    b = 0.5 * (rng.normal(size=n) + 1j * rng.normal(size=n))
-    if poly and n == 1 and rng.uniform() > 0.5:
-        coeffs = rng.normal(size=3) + 1j * rng.normal(size=3)
-        return BoundaryProfile(coeffs, m, b, 0.1 * rng.normal())
-    return BoundaryProfile.gaussian(m, b, 0.1 * rng.normal())
 
 
 class TestBoundaryInnerProducts:
     def test_standard_gaussian_norm_fixed_by_convention(self):
         # ||exp(-x^2/2)||^2 = 2^{-1/2} under the (2 pi)^{n/2} convention;
         # the bundled standard profile carries the normalizing 2^{1/4}
-        bare = BoundaryProfile.gaussian([[-1.0]], [0.0], 0.0)
-        assert abs(profile_inner_product(bare, bare) - 2.0**-0.5) < 1e-14
-        assert abs(boundary_norm(from_position_profile(BoundaryProfile.standard(1))) - 1.0) < 1e-14
+        bare = GaussianSection(PositionBoundary(1), [[-1.0]], [0.0], 0.0)
+        assert abs(inner_product(bare, bare) - 2.0**-0.5) < 1e-14
+        assert abs(boundary_norm(from_position_profile(standard_profile(1))) - 1.0) < 1e-14
 
     def test_odd_even_orthogonality(self):
-        even = from_position_profile(BoundaryProfile.standard(1))
-        odd = from_position_profile(BoundaryProfile([0.0, 1.0], [[-1.0]], [0.0], 0.0))
+        even = from_position_profile(standard_profile(1))
+        odd = from_position_profile(GaussianSection(PositionBoundary(1), [[-1.0]], [0.0], 0.0, [0.0, 1.0]))
         assert abs(boundary_inner_product(even, odd)) < 1e-15
 
     def test_conjugate_symmetry(self, rng):
@@ -75,19 +67,19 @@ class TestBoundaryInnerProducts:
         assert abs(a - np.conj(b)) < 1e-13 * max(1.0, abs(a))
 
     def test_polarization_mismatch_rejected(self):
-        pos = from_position_profile(BoundaryProfile.standard(1))
-        mom = from_momentum_profile(BoundaryProfile.standard(1))
+        pos = from_position_profile(standard_profile(1))
+        mom = from_momentum_profile(standard_profile(1))
         with pytest.raises(PolarizationMismatchError):
             boundary_inner_product(pos, mom)
 
 
 class TestSegalBargmann:
     def test_standard_gaussian_maps_to_vacuum(self):
-        out = segal_bargmann(from_position_profile(BoundaryProfile.standard(1)), I1)
+        out = segal_bargmann(from_position_profile(standard_profile(1)), I1)
         assert difference_norm(out, CorrectedSection(vacuum(I1))) < 1e-14
 
     def test_standard_gaussian_maps_to_vacuum_higher_dim(self):
-        out = segal_bargmann(from_position_profile(BoundaryProfile.standard(2)), standard_point(2))
+        out = segal_bargmann(from_position_profile(standard_profile(2)), standard_point(2))
         target = CorrectedSection(vacuum(standard_point(2)))
         assert difference_norm(out, target) < 1e-13
 
@@ -132,13 +124,13 @@ class TestSegalBargmann:
     def test_vacuum_inverse_is_standard_gaussian(self):
         psi = CorrectedSection(vacuum(I1))
         out = segal_bargmann_inverse(psi)
-        target = from_position_profile(BoundaryProfile.standard(1))
+        target = from_position_profile(standard_profile(1))
         assert boundary_difference_norm(out, target) < 1e-14
 
 
 class TestFourier:
     def test_gaussian_fixed_point_with_phase(self):
-        out = fourier(from_position_profile(BoundaryProfile.standard(1)))
+        out = fourier(from_position_profile(standard_profile(1)))
         chi = out.momentum_profile()
         pts = np.array([[0.0], [0.5], [-1.2]])
         target = np.exp(0.25j * np.pi) * 2.0**0.25 * np.exp(-0.5 * pts[:, 0] ** 2)
@@ -151,7 +143,7 @@ class TestFourier:
 
         coeffs = {1: [0.0, 2.0], 2: [-2.0, 0.0, 4.0], 3: [0.0, -12.0, 0.0, 8.0]}
         for k, poly in coeffs.items():
-            prof = BoundaryProfile(np.array(poly, dtype=complex), [[-1.0]], [0.0], 0.0)
+            prof = GaussianSection(PositionBoundary(1), [[-1.0]], [0.0], 0.0, np.array(poly, dtype=complex))
             out = fourier(from_position_profile(prof)).momentum_profile()
             ys = np.array([[0.4], [1.1], [-0.7]])
             # oracle: (2 pi)^{-1/2} integral h_k(x) e^{-x^2/2} e^{i x y} dx
@@ -190,7 +182,7 @@ class TestFourier:
         assert boundary_difference_norm(direct2, rebuilt2) < 1e-9 * boundary_norm(s2)
 
     def test_non_transverse_rejected(self):
-        s = from_position_profile(BoundaryProfile.standard(1))
+        s = from_position_profile(standard_profile(1))
         with pytest.raises(NonTransverseError):
             fourier_general(s, BoundaryPolarization.position(1))
 
@@ -252,7 +244,7 @@ class TestCompositionIdentities:
 
     def test_transport_pairing_identity_spec_example(self):
         # pairing into ie^2 equals transport of the pairing into i, on L-
-        s = from_position_profile(BoundaryProfile.standard(1))
+        s = from_position_profile(standard_profile(1))
         from siegelflow import transport_corrected
 
         lhs = segal_bargmann(s, diagonal_point([np.e**2]))
@@ -306,7 +298,7 @@ def CorrectedBoundarySectionFactory(pol, rng):
     m = 0.5 * (m + m.T)
     m = m - (np.linalg.eigvalsh(m.real).max() + rng.uniform(0.5, 1.0)) * np.eye(2)
     b = 0.4 * (rng.normal(size=2) + 1j * rng.normal(size=2))
-    return CorrectedBoundarySection(pol, BoundaryProfile.gaussian(m, b, 0.1), 1.0)
+    return CorrectedBoundarySection(pol, GaussianSection(PositionBoundary(2), m, b, 0.1), 1.0)
 
 
 class TestMomentumRepresentation:
@@ -319,7 +311,7 @@ class TestMomentumRepresentation:
             assert np.abs(back.value(pts) - chi.value(pts)).max() < 1e-13
 
     def test_momentum_value_on_phase_space(self):
-        chi = BoundaryProfile.standard(1)
+        chi = standard_profile(1)
         s = from_momentum_profile(chi)
         grid = np.array([[0.5, 1.0], [-0.3, 0.2]])
         target = chi.value(grid[:, 1:]) * np.exp(-0.5j * grid[:, 0] * grid[:, 1])

@@ -41,7 +41,6 @@ from siegelflow import (
     vacuum,
 )
 from siegelflow.cli import main
-from siegelflow.sections import coord_matrix, gram_matrix
 from siegelflow.sympl import act_on_siegel
 from siegelflow.transport import (
     bogoliubov_scale_via_structures,
@@ -82,7 +81,7 @@ class TestStandardTransport:
         sh, th = 1 / np.cosh(t), np.tanh(t)
         moved = transport_poly_standard(fock_state(2, I1), 1.0, t)
         pts = np.array([[0.3, 0.1], [0.5, -0.7], [0.0, 0.4], [1.1, 0.9], [-0.8, 0.2]])
-        z = (pts @ coord_matrix(moved.frame).T)[:, 0]
+        z = (pts @ moved.frame.coord_matrix.T)[:, 0]
         printed = (
             np.sqrt(sh)
             * (z**2 * sh**2 + th)
@@ -234,9 +233,9 @@ class TestKernels:
 
         k11, k12, k22, log_h = _xi_blocks(om, omp)
         log_pref = -log_h.real
-        e, ebar, g = coord_matrix(om), np.conj(coord_matrix(om)), gram_matrix(om)
+        e, ebar, g = om.coord_matrix, np.conj(om.coord_matrix), om.gram_matrix
         for v_out in pts:
-            zp = (coord_matrix(omp) @ v_out)[0]
+            zp = (omp.coord_matrix @ v_out)[0]
 
             def kernel_integral(phi):
                 sv = e.T @ phi.m @ e + ebar.T @ k11 @ ebar - 2.0 * g
