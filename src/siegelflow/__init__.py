@@ -2,7 +2,7 @@
 half-space, its Bogoliubov-transformation form, and the Segal-Bargmann and
 Fourier transforms as boundary limits."""
 
-from ._point import PositionBoundary, SiegelPoint, diagonal_point, standard_point
+from ._point import SiegelPoint, diagonal_point, standard_point
 from .errors import (
     BranchDiscontinuityError,
     GridTooCoarseError,
@@ -38,6 +38,7 @@ from .sections import (
     vacuum,
 )
 from .siegel import (
+    BoundaryPolarization,
     GeodesicSpec,
     LagrangianFrame,
     complex_structure_of,
@@ -59,19 +60,17 @@ from .sympl import (
     xi_matrix,
 )
 from .transforms import (
-    BoundaryPolarization,
     ConvergenceReport,
-    CorrectedBoundarySection,
-    boundary_inner_product,
     composition_identities_check,
     fourier,
     fourier_general,
     from_momentum_profile,
-    from_position_profile,
     limit_transport_to_bargmann,
     limit_transport_to_fourier,
+    momentum_profile,
     segal_bargmann,
     segal_bargmann_inverse,
+    value_on_V,
 )
 from .transport import (
     ConnectionForm,

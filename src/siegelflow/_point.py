@@ -1,13 +1,13 @@
-"""Frames of the Gaussian sections: points of the Siegel upper half-space
-and the position boundary L-.
+"""Kaehler frames of the Gaussian sections: points of the Siegel upper half-space.
 
 A point is a symmetric complex n x n matrix Omega = Omega1 + i*Omega2 with
 Omega2 positive definite.  Each point parameterizes a linear complex
 structure on R^{2n} compatible with the standard symplectic form
-omega = sum_i dx^i ^ dy^i.  A frame, a point or L-, supplies the coordinates
-z = E v of its sections (``coord_matrix``), the weight w of their factor
-exp(-w |z|^2 / 2) with its real form w |z(v)|^2 = v^T G v (``gram_matrix``),
-and the integrability test of their quadratic part.
+omega = sum_i dx^i ^ dy^i.  A frame, a point or a real polarization
+(``siegel.BoundaryPolarization``), supplies the coordinates z = E v of its
+sections (``coord_matrix``), the weight w of their factor exp(-w |z|^2 / 2)
+with its real form w |z(v)|^2 = v^T G v (``gram_matrix``), and the
+integrability test of their quadratic part.
 """
 
 from __future__ import annotations
@@ -107,31 +107,6 @@ class SiegelPoint:
 
     def __repr__(self):
         return f"SiegelPoint(omega={np.array2string(self.omega, precision=6)})"
-
-
-class PositionBoundary:
-    """The position boundary L- as a frame: u = x itself (E = I_n), weight 0
-    and so G = 0, Re m < 0.  In Xi it enters as Omega = 0, in the
-    normalisations as Omega2 = I/2."""
-
-    weight = 0.0
-
-    def __init__(self, n: int):
-        self.n, self.omega, self.omega2 = n, np.zeros((n, n)), 0.5 * np.eye(n)
-        self.coord_matrix, self.gram_matrix = np.eye(n), np.zeros((n, n))
-
-    def imag_sqrt(self) -> np.ndarray:
-        return np.sqrt(0.5) * np.eye(self.n)
-
-    def check_integrable(self, m: np.ndarray) -> None:
-        if not np.linalg.eigvalsh(m.real).max() < 0:
-            raise NotIntegrableError("Re m must be negative definite for square-integrability on L-")
-
-    def close_to(self, other, tol: float = 1e-10) -> bool:
-        return isinstance(other, PositionBoundary) and other.n == self.n
-
-    def __repr__(self):
-        return f"PositionBoundary(n={self.n})"
 
 
 def standard_point(n: int) -> SiegelPoint:

@@ -4,11 +4,12 @@ In the holomorphic coordinates z = (2 Omega2)^{-1/2} (x - conj(Omega) y) a
 polarized section is phi(z) exp(-|z|^2 / 2) with phi entire.  One type,
 ``GaussianSection``, carries the family phi = p(z) exp((1/2) z^T M z +
 b^T z + c), ||M|| < 1, which is closed under every operation in this
-library.  The same type on the frame ``PositionBoundary(n)`` is a profile
-p(u) exp((1/2) u^T M u + b^T u + c) on V/L- = R^n, Re M < 0, with no
-|z|^2 weight.  The polynomial p is stored in ascending ``coeffs`` and has a
-``degree``; Gaussians are p = 1, and p of degree >= 1 (n = 1 only) covers
-the Fock basis |k> = z^k / sqrt(k!) exp(-|z|^2 / 2).
+library.  Over a real polarization, a ``BoundaryPolarization`` frame, the
+same type is the profile in standard position p(u) exp((1/2) u^T M u +
+b^T u + c) on V/L- = R^n, Re M < 0, with no |z|^2 weight.  The polynomial
+p is stored in ascending ``coeffs`` and has a ``degree``; Gaussians are
+p = 1, and p of degree >= 1 (n = 1 only) covers the Fock basis
+|k> = z^k / sqrt(k!) exp(-|z|^2 / 2).
 
 All inner products are taken in the ambient space of square-integrable
 functions on R^{2n} against the Liouville form, normalized so that the
@@ -32,25 +33,34 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from ._gaussint import _poly_gauss_pairing, exp_bivariate_series, kernel_apply_poly
-from ._point import PositionBoundary, SiegelPoint
+from ._point import SiegelPoint
 from .errors import (
     GridTooCoarseError,
     NonFiniteError,
     NonTransverseError,
     NotIntegrableError,
+    PolarizationMismatchError,
 )
-from .siegel import LagrangianFrame
+from .siegel import BoundaryPolarization, LagrangianFrame
 
 N_TRUNC_DEFAULT = 32
 QUAD_NODES_DEFAULT = 64
 
-Frame = SiegelPoint | PositionBoundary
+Frame = SiegelPoint | BoundaryPolarization
 
 
 def _same_space(f1: Frame, f2: Frame) -> None:
-    """Sections pair only over two Kaehler frames or two boundary frames of one n."""
+    """Sections pair only over two Kaehler frames of one n or over one polarization."""
     if type(f1) is not type(f2) or f1.n != f2.n:
         raise ValueError(f"sections over {f1!r} and {f2!r} are functions on different spaces")
+    if isinstance(f1, BoundaryPolarization) and not f1.close_to(f2):
+        raise PolarizationMismatchError(f"sections over {f1!r} and {f2!r} use different reductions to L-")
+
+
+def _kaehler_only(what: str, *sections) -> None:
+    for psi in sections:
+        if not isinstance(psi.frame, SiegelPoint):
+            raise ValueError(f"{what} takes sections over Kaehler frames, not over {psi.frame!r}")
 
 
 def _finite(arr: np.ndarray) -> bool:
@@ -64,7 +74,7 @@ def _finite(arr: np.ndarray) -> bool:
 @dataclass(frozen=True)
 class GaussianSection:
     """p(z) exp((1/2) z^T m z + b^T z + c) exp(-w |z|^2/2) in the frame's
-    coordinates, w the frame's ``weight``: 1 on a Kaehler frame, 0 on L-.
+    coordinates, w the frame's ``weight``: 1 on a Kaehler frame, 0 on a polarization.
 
     ``coeffs`` lists p in ascending powers of z; degree >= 1 needs n = 1.
     A constant p is folded into c, so a section of degree 0 has coeffs == [1].
@@ -280,8 +290,8 @@ def pair_halfforms(h1: HalfFormFrame, h2: HalfFormFrame) -> complex:
 
 @dataclass(frozen=True)
 class CorrectedSection:
-    """A polarized section tensored with sqrt(d^n z) of its own frame,
-    carried with a unit phase coefficient."""
+    """A section tensored with the half-form of its frame, carried with a unit
+    phase: sqrt(d^n z) over a point, the pushed sqrt(d^n x o g^{-1}) over a polarization."""
 
     section: GaussianSection
     halfform_phase: complex = 1.0 + 0.0j
@@ -292,7 +302,7 @@ class CorrectedSection:
         object.__setattr__(self, "halfform_phase", complex(self.halfform_phase))
 
     @property
-    def frame(self) -> SiegelPoint:
+    def frame(self) -> Frame:
         return self.section.frame
 
     def combined_value(self, v) -> np.ndarray:
@@ -492,7 +502,8 @@ def oracle_inner_product(psi1: GaussianSection, psi2: GaussianSection, nodes: in
     Polynomial sections, non-finite probes and a failed fit evaluate the
     integrand at every grid point.  The grid is placed for the integrand's
     own Gaussian envelope, which for strongly squeezed sections is much
-    wider than the frame Gaussian."""
+    wider than the frame Gaussian.  Kaehler frames only."""
+    _kaehler_only("the quadrature oracle", psi1, psi2)
     fit = None if psi1.degree or psi2.degree else _fit_log_quadratic(psi1, psi2)
     if fit is not None:
         return quadrature_integrate(fit, psi1.n, nodes=nodes, gram=-0.5 * fit.q.real)
@@ -536,7 +547,7 @@ def difference_norm(a, b, nodes: int = 24) -> float:
     d = log <a, b> - log ||a||^2 - h come from the differences of
     ``real_quadratic`` (half-form phases folded into k) alone, and
     ||a - b||^2 / ||a||^2 = expm1(h)^2 + 2 e^h (-expm1(Re d) cos Im d + 2 sin^2(Im d / 2)).
-    Equal inputs give exactly 0, on Kaehler and boundary frames alike.
+    Equal inputs give exactly 0, on Kaehler frames and polarizations alike.
     Polynomial sections (n = 1) evaluate the difference pointwise on
     ``nodes`` Gauss-Hermite points per real dimension.
     """
@@ -569,7 +580,7 @@ def _difference_norm_pointwise(a, b, nodes: int = 24) -> float:
     def f(v):
         return np.abs(pa.value(v) * ha - pb.value(v) * hb) ** 2
 
-    # the frame's normalised measure: (2 pi)^{-n} dx dy, or (2 pi)^{-n/2} du on L-
+    # the frame's normalised measure: (2 pi)^{-n} dx dy, or (2 pi)^{-n/2} du on a polarization
     val = _hermite_grid_sum(f, g, nodes) * (2 * np.pi) ** (-0.5 * len(g))
     return float(np.sqrt(max(val.real, 0.0)))
 
@@ -619,6 +630,7 @@ def _complex_array_from_json(data, field: str, shape: tuple) -> np.ndarray:
 
 
 def section_to_json(psi: GaussianSection) -> dict:
+    _kaehler_only("section_to_json", psi)
     out = {
         "frame": {
             "omega1": psi.frame.omega1.tolist(),

@@ -1,4 +1,4 @@
-"""Geometry of the Siegel upper half-space.
+"""Geometry of the Siegel upper half-space and of its real Lagrangian boundary.
 
 The invariant Kaehler metric is ds^2 = Tr(Omega2^{-1} dOmega Omega2^{-1}
 dconj(Omega)).  The curves t -> i exp(2 Lambda t) with Lambda >= 0 diagonal
@@ -8,6 +8,9 @@ computed through the Cayley transform of the second endpoint and a Takagi
 factorization: the Cayley image of i exp(2 lambda) is tanh(lambda), so the
 singular values of the Cayley image are the hyperbolic tangents of the
 geodesic rates.
+
+A real polarization with a lifted reduction to L- (``BoundaryPolarization``)
+is the other kind of frame of the Gaussian sections, beside the points.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._point import SiegelPoint, diagonal_point
-from .errors import NonTransverseError
-from .sympl import SymplecticMap, act_on_siegel, compose
+from .errors import NonTransverseError, NotIntegrableError
+from .sympl import MetaplecticElement, SymplecticMap, act_on_siegel, compose
 
 TRANSVERSALITY_TOL = 1e-8
 ENDPOINT_TOL = 1e-8
@@ -233,6 +236,77 @@ class LagrangianFrame:
         q, _ = np.linalg.qr(self.frame)
         f = other.frame
         return bool(np.abs(f - q @ (q.T @ f)).max() <= tol * max(1.0, np.abs(f).max()))
+
+
+def exchange_map(n: int) -> SymplecticMap:
+    """g0 = (0, I; -I, 0): swaps the two standard Lagrangians, fixes i*I."""
+    i, z = np.eye(n), np.zeros((n, n))
+    return SymplecticMap(z, i, -i, z)
+
+
+@dataclass(frozen=True)
+class BoundaryPolarization:
+    """The polarization g . L- with the lifted reduction ``reference`` = g to
+    L-: the frame of the sections polarized along it.
+
+    A section over it is a profile phi of u = x0 on V/L- = R^n, v = g (x0, y0),
+    with value phi(x0) exp((i/2) x0^T y0) on V and half-form on the pushed
+    sqrt(d^n x o g^{-1}).  So E = I_n, the weight is 0 (G = 0) and Re m < 0;
+    in Xi the frame enters as Omega = 0, in the normalisations as
+    Omega2 = I/2.  Two sections pair only when they share the reference.
+    """
+
+    weight = 0.0
+    reference: MetaplecticElement
+
+    def __post_init__(self):
+        eye, zero = np.eye(self.n), np.zeros((self.n, self.n))
+        for name, value in (("coord_matrix", eye), ("gram_matrix", zero), ("omega", zero), ("omega2", 0.5 * eye)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def position(cls, n: int) -> "BoundaryPolarization":
+        return cls(MetaplecticElement(SymplecticMap.identity(n), 1.0))
+
+    @classmethod
+    def momentum(cls, n: int) -> "BoundaryPolarization":
+        return cls(MetaplecticElement.principal_lift(exchange_map(n)))
+
+    @classmethod
+    def from_metaplectic(cls, mp: MetaplecticElement) -> "BoundaryPolarization":
+        return cls(mp)
+
+    @classmethod
+    def from_frame(cls, frame: LagrangianFrame) -> "BoundaryPolarization":
+        """Canonical reference: columns (J0 W | W) with W an orthonormal span."""
+        w, _ = np.linalg.qr(frame.frame)
+        g = SymplecticMap.from_matrix(np.hstack([symplectic_form_matrix(frame.n) @ w, w]))
+        return cls(MetaplecticElement.principal_lift(g))
+
+    @property
+    def n(self) -> int:
+        return self.reference.g.n
+
+    @property
+    def frame(self) -> LagrangianFrame:
+        """The polarized subspace g . L-."""
+        return LagrangianFrame(self.reference.g, plus=False)
+
+    def imag_sqrt(self) -> np.ndarray:
+        return np.sqrt(0.5) * np.eye(self.n)
+
+    def check_integrable(self, m: np.ndarray) -> None:
+        if not np.linalg.eigvalsh(m.real).max() < 0:
+            raise NotIntegrableError("Re m must be negative definite for square-integrability on L-")
+
+    def close_to(self, other, tol: float = 1e-10) -> bool:
+        """Same n and the same reference g: sections over the two compare directly."""
+        same_n = isinstance(other, BoundaryPolarization) and other.n == self.n
+        return same_n and bool(np.abs(self.reference.g.matrix - other.reference.g.matrix).max() <= tol)
+
+    def __repr__(self):
+        return f"BoundaryPolarization(g={np.array2string(self.reference.g.matrix, precision=6)})"
 
 
 def lagrangian_pair_map(l_from: LagrangianFrame, l_to: LagrangianFrame) -> SymplecticMap:

@@ -1,13 +1,13 @@
 """Quantum Hilbert spaces on real Lagrangian polarizations and the
 transform operators connecting them to the Kaehler family.
 
-Sections polarized along a Lagrangian L are carried in a standard position
-form: a profile phi on V/L- together with the trivializing factor
-exp(+(i/2) x^T y), referred to an explicit metaplectic element mapping L- to
-L.  A profile is a ``GaussianSection`` on the frame ``PositionBoundary(n)``,
-p(u) exp((1/2) u^T m u + b^T u + c) with Re m < 0 (polynomial for n = 1),
-normed against (2 pi)^{-n/2} du.  The pairing map to a Kaehler frame Omega
-evaluates in closed form and is unitary; its boundary companions are
+A section polarized along L = g . L- is a ``CorrectedSection`` over the
+frame ``BoundaryPolarization(reference)``, reference a metaplectic lift of g,
+and pairs like any corrected section.  Its section is the profile in
+standard position, p(u) exp((1/2) u^T m u + b^T u + c) with Re m < 0
+(polynomial for n = 1), normed against (2 pi)^{-n/2} du.  The pairing map
+to a Kaehler frame Omega evaluates in closed form and is unitary; its
+boundary companions are
 
   * the position/momentum transform pair generalizing the classical
     Segal-Bargmann transform and its inverse,
@@ -26,11 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._gaussint import kernel_apply_poly
-from ._point import PositionBoundary, SiegelPoint, diagonal_point, standard_point
+from ._point import SiegelPoint, diagonal_point, standard_point
 from .errors import NoBoundaryLimitError, NonTransverseError, PolarizationMismatchError
-from .sections import CorrectedSection, GaussianSection, difference_norm, inner_product, norm
-from .siegel import GeodesicSpec, LagrangianFrame, symplectic_form_matrix
-from .sympl import MetaplecticElement, SymplecticMap, act_on_siegel
+from .sections import CorrectedSection, GaussianSection, difference_norm, norm
+from .siegel import BoundaryPolarization, GeodesicSpec
+from .sympl import MetaplecticElement, act_on_siegel
 from .transport import _xi_kernel_apply, metaplectic_act, transport_corrected
 
 # Unit constant relating the pushed frame sqrt(d^n x o g0^{-1}) of the
@@ -42,151 +42,51 @@ def _momentum_frame_factor(n: int) -> complex:
     return 1j**n
 
 
-def exchange_map(n: int) -> SymplecticMap:
-    """g0 = (0, I; -I, 0): swaps the two standard Lagrangians, fixes i*I."""
-    i, z = np.eye(n), np.zeros((n, n))
-    return SymplecticMap(z, i, -i, z)
-
-
-def _flipped(profile: GaussianSection) -> GaussianSection:
-    """The composition of a profile with u -> -u."""
+def _flipped(profile: GaussianSection, frame: BoundaryPolarization) -> GaussianSection:
+    """The composition of a profile with u -> -u, over ``frame``."""
     signs = (-1.0) ** np.arange(len(profile.coeffs))
-    return GaussianSection(profile.frame, profile.m, -profile.b, profile.c, profile.coeffs * signs)
+    return GaussianSection(frame, profile.m, -profile.b, profile.c, profile.coeffs * signs)
 
 
-# ---------------------------------------------------------------------------
-# polarizations and corrected boundary sections
+def value_on_V(s: CorrectedSection, v) -> np.ndarray:
+    """A polarized section as a function on V: phi(x0) exp((i/2) x0^T y0)
+    times its half-form coefficient, with v = g (x0, y0) for the reference g."""
+    v = np.asarray(v, dtype=float)
+    n = s.frame.n
+    v0 = v @ s.frame.reference.g.inverse().matrix.T
+    x0, y0 = v0[..., :n], v0[..., n:]
+    phase = np.exp(0.5j * np.einsum("...i,...i->...", x0, y0))
+    return s.section.value(x0) * phase * s.halfform_phase
 
 
-@dataclass(frozen=True)
-class BoundaryPolarization:
-    """A Lagrangian polarization with an explicit reduction to L-.
-
-    ``reference`` is a lifted symplectic element whose action maps the
-    standard position polarization onto ``frame``; all operators reduce
-    through it, so two sections over the same subspace compare directly
-    only when they share the reference.
-    """
-
-    frame: LagrangianFrame
-    reference: MetaplecticElement
-
-    def __post_init__(self):
-        mapped = LagrangianFrame(self.reference.g, plus=False)
-        if not mapped.same_subspace(self.frame, tol=1e-8):
-            raise ValueError("reference does not map L- onto the polarization")
-
-    @classmethod
-    def position(cls, n: int) -> "BoundaryPolarization":
-        g = SymplecticMap.identity(n)
-        return cls(LagrangianFrame.minus(n), MetaplecticElement(g, 1.0))
-
-    @classmethod
-    def momentum(cls, n: int) -> "BoundaryPolarization":
-        g0 = exchange_map(n)
-        return cls(LagrangianFrame(g0, plus=False), MetaplecticElement.principal_lift(g0))
-
-    @classmethod
-    def from_metaplectic(cls, mp: MetaplecticElement) -> "BoundaryPolarization":
-        return cls(LagrangianFrame(mp.g, plus=False), mp)
-
-    @classmethod
-    def from_frame(cls, frame: LagrangianFrame) -> "BoundaryPolarization":
-        """Canonical reference: columns (J0 W | W) with W an orthonormal span."""
-        w, _ = np.linalg.qr(frame.frame)
-        j0 = symplectic_form_matrix(frame.n)
-        g = SymplecticMap.from_matrix(np.hstack([j0 @ w, w]))
-        return cls(frame, MetaplecticElement.principal_lift(g))
-
-    @property
-    def n(self) -> int:
-        return self.frame.n
-
-    def same_reference(self, other: "BoundaryPolarization") -> bool:
-        return np.allclose(self.reference.g.matrix, other.reference.g.matrix, atol=1e-12)
+def momentum_profile(s: CorrectedSection) -> GaussianSection:
+    """The chi(y) data of a section over the standard momentum polarization,
+    whose value is chi(y) e^{-i x.y/2}; chi is a profile over the position
+    polarization, a function of y."""
+    n = s.frame.n
+    if not s.frame.close_to(BoundaryPolarization.momentum(n)):
+        raise PolarizationMismatchError("not a standard momentum-polarized section")
+    return _flipped(s.section, BoundaryPolarization.position(n)).scaled(_momentum_frame_factor(n) * s.halfform_phase)
 
 
-@dataclass(frozen=True)
-class CorrectedBoundarySection:
-    """Profile in standard position form over a polarization, with half-form.
-
-    The section as a function on V is phi(x0) exp((i/2) x0^T y0) composed
-    with the reference inverse, times the half-form coefficient carried on
-    the pushed frame sqrt(d^n x o g^{-1}).  The profile is a
-    ``GaussianSection`` on ``PositionBoundary(n)``.
-    """
-
-    polarization: BoundaryPolarization
-    profile: GaussianSection
-    halfform_phase: complex = 1.0 + 0.0j
-
-    def __post_init__(self):
-        if not self.profile.frame.close_to(PositionBoundary(self.polarization.n)):
-            raise ValueError(f"profile over {self.profile.frame!r} does not match the polarization")
-        object.__setattr__(self, "halfform_phase", complex(self.halfform_phase))
-
-    @property
-    def n(self) -> int:
-        return self.polarization.n
-
-    def value_on_V(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        n = self.n
-        v0 = v @ self.polarization.reference.g.inverse().matrix.T
-        x0, y0 = v0[..., :n], v0[..., n:]
-        phase = np.exp(0.5j * np.einsum("...i,...i->...", x0, y0))
-        return self.profile.value(x0) * phase * self.halfform_phase
-
-    def momentum_profile(self) -> GaussianSection:
-        """The chi(y) data of a momentum-type section: value = chi(y) e^{-i x.y/2}."""
-        if not np.allclose(self.polarization.reference.g.matrix, exchange_map(self.n).matrix):
-            raise PolarizationMismatchError("not a standard momentum-polarized section")
-        return _flipped(self.profile).scaled(_momentum_frame_factor(self.n) * self.halfform_phase)
-
-
-def from_position_profile(profile: GaussianSection) -> CorrectedBoundarySection:
-    """phi(x) e^{(i/2) x.y} (x) sqrt(d^n x) on the standard position polarization."""
-    return CorrectedBoundarySection(BoundaryPolarization.position(profile.n), profile)
-
-
-def from_momentum_profile(profile: GaussianSection) -> CorrectedBoundarySection:
+def from_momentum_profile(profile: GaussianSection) -> CorrectedSection:
     """chi(y) e^{-(i/2) x.y} (x) sqrt(d^n y) on the standard momentum polarization."""
     kappa = _momentum_frame_factor(profile.n)
-    return CorrectedBoundarySection(BoundaryPolarization.momentum(profile.n), _flipped(profile), np.conj(kappa))
-
-
-def boundary_inner_product(s1: CorrectedBoundarySection, s2: CorrectedBoundarySection) -> complex:
-    """Closed-form inner product over V/L with the (2 pi)^{n/2} normalization."""
-    if not s1.polarization.frame.same_subspace(s2.polarization.frame):
-        raise PolarizationMismatchError("sections live over different polarizations")
-    if not s1.polarization.same_reference(s2.polarization):
-        raise PolarizationMismatchError("sections use different reductions to L-")
-    return np.conj(s1.halfform_phase) * s2.halfform_phase * inner_product(s1.profile, s2.profile)
-
-
-def boundary_norm(s: CorrectedBoundarySection) -> float:
-    return norm(s.profile)
-
-
-def boundary_difference_norm(s1: CorrectedBoundarySection, s2: CorrectedBoundarySection) -> float:
-    """|| s1 - s2 ||.  Polynomial profiles take 48 Gauss-Hermite nodes: about
-    1e-11 relative, where the default 24 give 1e-7."""
-    if not s1.polarization.same_reference(s2.polarization):
-        raise PolarizationMismatchError("sections use different reductions to L-")
-    return difference_norm(s1.profile.scaled(s1.halfform_phase), s2.profile.scaled(s2.halfform_phase), 48)
+    return CorrectedSection(_flipped(profile, BoundaryPolarization.momentum(profile.n)), np.conj(kappa))
 
 
 # ---------------------------------------------------------------------------
 # the pairing maps: corrected transport with one end at L-
 
 
-def segal_bargmann(shat: CorrectedBoundarySection, omega: SiegelPoint) -> CorrectedSection:
-    """Unitary map into the corrected space over Omega, via the reference lift.
+def segal_bargmann(shat: CorrectedSection, omega: SiegelPoint) -> CorrectedSection:
+    """Unitary map of a polarized section into the corrected space over
+    Omega, via the reference lift.
 
     In standard position it is the corrected Xi kernel from L- to Omega0."""
-    ref = shat.polarization.reference
+    ref = shat.frame.reference
     om0 = act_on_siegel(ref.g.inverse(), omega)
-    profile = shat.profile.scaled(shat.halfform_phase)
+    profile = shat.section.scaled(shat.halfform_phase)
     poly, m, b, c, log_h = _xi_kernel_apply(profile, profile.frame, om0)
     core = GaussianSection(om0, m, b, c - np.conj(log_h), poly)
     return metaplectic_act(ref, CorrectedSection(core))
@@ -194,45 +94,44 @@ def segal_bargmann(shat: CorrectedBoundarySection, omega: SiegelPoint) -> Correc
 
 def segal_bargmann_inverse(
     psihat: CorrectedSection, polarization: BoundaryPolarization | None = None
-) -> CorrectedBoundarySection:
+) -> CorrectedSection:
     """Inverse pairing map; defaults to the standard position polarization.
 
     In standard position it is the corrected Xi kernel from Omega0 to L-."""
     if polarization is None:
         polarization = BoundaryPolarization.position(psihat.frame.n)
     pulled = metaplectic_act(polarization.reference.inverse(), psihat)
-    u = PositionBoundary(pulled.frame.n)
-    poly, m, b, c, log_h = _xi_kernel_apply(pulled.section, pulled.frame, u)
-    profile = GaussianSection(u, m, b, c - np.conj(log_h), poly).scaled(pulled.halfform_phase)
-    return CorrectedBoundarySection(polarization, profile, 1.0)
+    poly, m, b, c, log_h = _xi_kernel_apply(pulled.section, pulled.frame, polarization)
+    profile = GaussianSection(polarization, m, b, c - np.conj(log_h), poly)
+    return CorrectedSection(profile.scaled(pulled.halfform_phase))
 
 
-def fourier(shat: CorrectedBoundarySection) -> CorrectedBoundarySection:
+def fourier(shat: CorrectedSection) -> CorrectedSection:
     """Fourier transform from the standard position to the standard momentum
     polarization:  phi -> i^{n/2} (2 pi)^{-n/2} integral phi(x) e^{i x.y'} dx."""
-    n = shat.n
-    if not np.allclose(shat.polarization.reference.g.matrix, np.eye(2 * n)):
+    n = shat.frame.n
+    if not shat.frame.close_to(BoundaryPolarization.position(n)):
         raise PolarizationMismatchError("direct transform expects the standard position form")
-    prof = shat.profile.scaled(shat.halfform_phase)
+    prof = shat.section.scaled(shat.halfform_phase)
     q, r, sc, poly = kernel_apply_poly(prof.m, 1j * np.eye(n), prof.b, prof.c, prof.coeffs, np.eye(n)[0])
     c_out = sc + 0.25j * np.pi * n  # principal i^{n/2}
     return from_momentum_profile(GaussianSection(prof.frame, 0.5 * (q + q.T), r, c_out, poly))
 
 
 def fourier_general(
-    shat: CorrectedBoundarySection,
+    shat: CorrectedSection,
     target: BoundaryPolarization,
     reference_omega: SiegelPoint | None = None,
-) -> CorrectedBoundarySection:
+) -> CorrectedSection:
     """Fourier transform between transverse polarizations, as the
     composition of the pairing map into a Kaehler frame and its inverse.
 
     The result is independent of the chosen frame; the composition
     identity checks exercise exactly that independence."""
-    if not shat.polarization.frame.transverse_to(target.frame):
+    if not shat.frame.frame.transverse_to(target.frame):
         raise NonTransverseError("polarizations must be transverse")
     if reference_omega is None:
-        reference_omega = standard_point(shat.n)
+        reference_omega = standard_point(shat.frame.n)
     return segal_bargmann_inverse(segal_bargmann(shat, reference_omega), target)
 
 
@@ -301,61 +200,47 @@ def _fit_slope(ts, errs) -> float:
     return float(coef[0])
 
 
-def limit_transport_to_bargmann(
-    psihat: CorrectedSection,
-    spec: GeodesicSpec,
-    t_list,
-    grid_half: float = 3.0,
-    grid_points: int = 41,
-) -> ConvergenceReport:
-    """Grid deviation of transport toward t -> -infinity from the inverse
-    pairing map.  The factor det(sqrt(2) e^{Lambda t})^{1/2}, which vanishes
-    in the limit, is absorbed into the moving half-form frame and reported.
-    """
+def _limit_report(psihat, spec, t_list, grid_half, grid_points, sign: float) -> ConvergenceReport:
+    """Grid deviation of transport toward t -> sign * infinity from its limit.
+
+    The factor det(sqrt(2) e^{-sign Lambda t})^{1/2}, which vanishes in the
+    limit, is absorbed into the moving half-form frame and reported.  Toward
+    +infinity the target is relative to sqrt(d^n y) and the moving frame
+    contributes the continued i^{n/2}."""
     psi0 = _reduce_to_standard(psihat, spec)
     n = psi0.frame.n
     lam = spec.lam
     grid = _grid(n, grid_half, grid_points)
-    target = segal_bargmann_inverse(psi0).value_on_V(grid)
+    limit = segal_bargmann_inverse(psi0)
+    if sign < 0:
+        unit, target = 1.0, value_on_V(limit, grid)
+    else:
+        unit, target = np.exp(0.25j * np.pi * n), 1j**n * value_on_V(fourier(limit), grid)
     rows = []
-    for t in sorted((float(t) for t in t_list), reverse=True):
-        om_t = diagonal_point(np.exp(2.0 * lam * t))
-        moved = transport_corrected(psi0, om_t)
-        absorbed = float(2.0 ** (n / 4.0) * np.exp(0.5 * t * lam.sum()))
-        err = float(np.abs(moved.combined_value(grid) / absorbed - target).max())
+    for t in sorted((float(t) for t in t_list), reverse=sign < 0):
+        moved = transport_corrected(psi0, diagonal_point(np.exp(2.0 * lam * t)))
+        absorbed = float(2.0 ** (n / 4.0) * np.exp(-0.5 * sign * t * lam.sum()))
+        err = float(np.abs(unit * moved.combined_value(grid) / absorbed - target).max())
         rows.append(ConvergenceRow(t, err, absorbed))
     slope = _fit_slope([r.t for r in rows], [max(r.sup_error, 1e-300) for r in rows])
-    return ConvergenceReport(tuple(rows), slope, 2.0 * float(lam.min()), grid_half, grid_points)
+    return ConvergenceReport(tuple(rows), slope, -2.0 * sign * float(lam.min()), grid_half, grid_points)
+
+
+def limit_transport_to_bargmann(
+    psihat: CorrectedSection, spec: GeodesicSpec, t_list, grid_half: float = 3.0, grid_points: int = 41
+) -> ConvergenceReport:
+    """Grid deviation of transport toward t -> -infinity from the inverse
+    pairing map, with the absorbed factor det(sqrt(2) e^{Lambda t})^{1/2}."""
+    return _limit_report(psihat, spec, t_list, grid_half, grid_points, -1.0)
 
 
 def limit_transport_to_fourier(
-    psihat: CorrectedSection,
-    spec: GeodesicSpec,
-    t_list,
-    grid_half: float = 3.0,
-    grid_points: int = 41,
+    psihat: CorrectedSection, spec: GeodesicSpec, t_list, grid_half: float = 3.0, grid_points: int = 41
 ) -> ConvergenceReport:
     """Grid deviation of transport toward t -> +infinity from the Fourier
-    transform of the t -> -infinity limit; the absorbed frame factor is
-    det(sqrt(2) e^{-Lambda t})^{1/2} and the momentum frame contributes the
-    continued i^{n/2}."""
-    psi0 = _reduce_to_standard(psihat, spec)
-    n = psi0.frame.n
-    lam = spec.lam
-    grid = _grid(n, grid_half, grid_points)
-    kappa_half = np.exp(0.25j * np.pi * n)  # continued limit of the moving frame
-    chi = fourier(segal_bargmann_inverse(psi0)).momentum_profile()
-    xy = np.einsum("...i,...i->...", grid[..., :n], grid[..., n:])
-    target = chi.value(grid[..., n:]) * np.exp(-0.5j * xy)  # relative to sqrt(d^n y)
-    rows = []
-    for t in sorted(float(t) for t in t_list):
-        om_t = diagonal_point(np.exp(2.0 * lam * t))
-        moved = transport_corrected(psi0, om_t)
-        absorbed = float(2.0 ** (n / 4.0) * np.exp(-0.5 * t * lam.sum()))
-        err = float(np.abs(kappa_half * moved.combined_value(grid) / absorbed - target).max())
-        rows.append(ConvergenceRow(t, err, absorbed))
-    slope = _fit_slope([r.t for r in rows], [max(r.sup_error, 1e-300) for r in rows])
-    return ConvergenceReport(tuple(rows), slope, -2.0 * float(lam.min()), grid_half, grid_points)
+    transform of the t -> -infinity limit, with the absorbed factor
+    det(sqrt(2) e^{-Lambda t})^{1/2}."""
+    return _limit_report(psihat, spec, t_list, grid_half, grid_points, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +250,7 @@ def limit_transport_to_fourier(
 def default_test_profiles() -> list[GaussianSection]:
     """Five square-integrable Gaussian-polynomial profiles (n = 1); the first
     is the unit-norm 2^{1/4} exp(-u^2 / 2)."""
-    u = PositionBoundary(1)
+    u = BoundaryPolarization.position(1)
     return [
         GaussianSection(u, [[-1.0]], [0.0], 0.25 * np.log(2.0)),
         GaussianSection(u, [[-1.0]], [0.0], 0.0, [0.0, 1.0]),
@@ -415,26 +300,26 @@ def composition_identities_check(
             raise NonTransverseError("test polarizations must be mutually transverse")
     if profiles is None:
         profiles = default_test_profiles()
-    sections = [CorrectedBoundarySection(pol_l, p) for p in profiles]
+    # each profile's data, in standard position over pol_l
+    sections = [CorrectedSection(GaussianSection(pol_l, p.m, p.b, p.c, p.coeffs)) for p in profiles]
 
     r1 = 0.0
     for s in sections:
         lhs = segal_bargmann(s, omega_p)
         rhs = transport_corrected(segal_bargmann(s, omega), omega_p)
-        r1 = max(r1, difference_norm(lhs, rhs) / boundary_norm(s))
+        r1 = max(r1, difference_norm(lhs, rhs) / norm(s.section))
 
     r2 = 0.0
     for s in sections:
         lhs = fourier_general(s, pol_lp)  # reference i*I
         rhs = segal_bargmann_inverse(segal_bargmann(s, omega), pol_lp)
-        r2 = max(r2, boundary_difference_norm(lhs, rhs) / boundary_norm(s))
+        # 48 nodes keep polynomial profiles near 1e-11, where the default 24 give 1e-7
+        r2 = max(r2, difference_norm(lhs, rhs, 48) / norm(s.section))
 
     r3 = 0.0
     for s in sections:
         lhs = fourier_general(s, pol_lpp, omega)
-        rhs = fourier_general(
-            fourier_general(s, pol_lp, omega_p), pol_lpp, None
-        )
-        r3 = max(r3, boundary_difference_norm(lhs, rhs) / boundary_norm(s))
+        rhs = fourier_general(fourier_general(s, pol_lp, omega_p), pol_lpp)
+        r3 = max(r3, difference_norm(lhs, rhs, 48) / norm(s.section))
 
     return IdentityReport(r1, r2, r3)

@@ -33,7 +33,7 @@ from .sections import (
     from_fock_coefficients,
     norm,
 )
-from .siegel import complex_structure_of
+from .siegel import BoundaryPolarization, complex_structure_of
 from .sympl import (
     MetaplecticElement,
     act_on_siegel,
@@ -56,7 +56,7 @@ def _halfform_log(omega, omega_p) -> complex:
     along the connecting geodesic from the start, where Xi = Omega2 is
     positive; Xi(gamma(t), Omega) has real part (Im gamma(t) + Omega2)/2,
     positive definite along the whole path, so the continued root is
-    half_logdet's.  Either end may be a ``PositionBoundary``.
+    half_logdet's.  Either end may be a ``BoundaryPolarization``.
     """
     logdet2 = np.linalg.slogdet(omega.omega2 @ omega_p.omega2)[1]
     return half_logdet(xi_matrix(omega_p, omega)) - 0.25 * logdet2
@@ -71,7 +71,7 @@ def _xi_blocks(omega, omega_p):
     weight; log_h is ``_halfform_log(Omega, Omega')``.  The kernel's
     prefactor is exp(-Re log_h) = 1 / alpha(Omega, Omega'), and
     exp(-conj(log_h)) with the half-form phase.  Either end may be a
-    ``PositionBoundary``, of weight 0: the pairing maps are these kernels.
+    ``BoundaryPolarization``, of weight 0: the pairing maps are these kernels.
     """
     eye = np.eye(omega.n)
     r, rp = omega.imag_sqrt(), omega_p.imag_sqrt()
@@ -85,7 +85,7 @@ def _xi_blocks(omega, omega_p):
 def _xi_kernel_apply(psi, omega, omega_p):
     """Push psi, a section over Omega, through the Xi kernel to Omega', prefactor aside.
 
-    Either end may be a ``PositionBoundary``.  Returns (poly, m, b, c,
+    Either end may be a ``BoundaryPolarization``.  Returns (poly, m, b, c,
     log_h): the result is p(w) exp((1/2) w^T m w + b^T w + c) in the
     coordinates w of Omega', times the prefactor of ``_xi_blocks``.
     """
@@ -217,10 +217,18 @@ def metaplectic_act(mp: MetaplecticElement, obj):
     A section transforms through the unitary coordinate change z = t z' to
     the image frame: m -> t^T m t, b -> t^T b and coeffs[k] -> coeffs[k] t^k
     (a polynomial has n = 1).  The half-form coefficient picks up the
-    tracked branch phase at the source point."""
+    tracked branch phase at the source point.  A section over a polarization
+    with reference R keeps its profile data and half-form coefficient and
+    moves to the polarization with reference mp R."""
     if isinstance(obj, CorrectedSection):
-        phase = mp.phase_at(obj.frame) * obj.halfform_phase
-        return CorrectedSection(metaplectic_act(mp, obj.section), phase / abs(phase))
+        phase = obj.halfform_phase
+        if isinstance(obj.frame, SiegelPoint):
+            phase = mp.phase_at(obj.frame) * phase
+            phase = phase / abs(phase)
+        return CorrectedSection(metaplectic_act(mp, obj.section), phase)
+    if isinstance(obj.frame, BoundaryPolarization):
+        pol = BoundaryPolarization(mp.compose(obj.frame.reference))
+        return GaussianSection(pol, obj.m, obj.b, obj.c, obj.coeffs)
     omega = obj.frame
     target = act_on_siegel(mp.g, omega)
     t = transform_z_coords(mp.g, omega)

@@ -8,8 +8,8 @@ fine sampling and is the independent reference here.
 import numpy as np
 
 from siegelflow import (
+    BoundaryPolarization,
     MetaplecticElement,
-    PositionBoundary,
     geodesic_between,
     random_siegel,
     random_symplectic,
@@ -71,7 +71,7 @@ def test_pairing_root_matches_sampled_continuation():
         root = continue_sqrt_phase(vals / np.abs(vals), 1.0) * np.sqrt(abs(vals[-1]))
         expected = np.linalg.det(2.0 * omega.omega2) ** 0.25 / root
         # the pairing map from L- carries exp(-_halfform_log(L-, Omega))
-        assert abs(np.exp(-_halfform_log(PositionBoundary(n), omega)) / expected - 1.0) < TOL
+        assert abs(np.exp(-_halfform_log(BoundaryPolarization.position(n), omega)) / expected - 1.0) < TOL
 
 
 def test_identities_seed_that_broke_the_sampled_branch():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from siegelflow import GaussianSection, PositionBoundary
+from siegelflow import BoundaryPolarization, GaussianSection
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -15,8 +15,8 @@ def test_library_example_runs(capsys):
     block = re.search(r"## Library example\s+```python\n(.*?)```", text, re.S).group(1)
     scope = {}
     exec(compile(block, str(README), "exec"), scope)
-    profile = scope["profile"].profile
-    assert isinstance(profile, GaussianSection) and profile.frame.close_to(PositionBoundary(1))
+    profile = scope["profile"].section
+    assert isinstance(profile, GaussianSection) and profile.frame.close_to(BoundaryPolarization.position(1))
     values = profile.value(np.array([[0.0], [1.0]]))
     assert values.shape == (2,) and np.isfinite(values).all()
     assert capsys.readouterr().out.strip()

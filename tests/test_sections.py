@@ -4,6 +4,7 @@ import pytest
 import siegelflow._gaussint as gaussint
 import siegelflow.sections as sections
 from siegelflow import (
+    BoundaryPolarization,
     CorrectedSection,
     GridTooCoarseError,
     GaussianSection,
@@ -11,9 +12,11 @@ from siegelflow import (
     LagrangianFrame,
     NonFiniteError,
     NonTransverseError,
+    MetaplecticElement,
     NotIntegrableError,
-    PositionBoundary,
+    PolarizationMismatchError,
     SiegelPoint,
+    SymplecticMap,
     bergman_project,
     coherent_state,
     corrected_inner_product,
@@ -45,13 +48,17 @@ from conftest import random_gaussian_section, random_profile
 
 I1 = standard_point(1)
 # Gaussian profiles on L-, as extra frames of the residual-norm cases
-BOUNDARY_FRAMES = [pytest.param(PositionBoundary(n), id=f"boundary-{n}") for n in (1, 2)]
+BOUNDARY_FRAMES = [pytest.param(BoundaryPolarization.position(n), id=f"boundary-{n}") for n in (1, 2)]
+# L- again, reduced to itself through the shear (I, 0; S, I) in place of the identity
+SHEARED = BoundaryPolarization.from_metaplectic(
+    MetaplecticElement.principal_lift(SymplecticMap(np.eye(1), np.zeros((1, 1)), [[0.7]], np.eye(1)))
+)
 
 
 def _section_over(rng, frame):
     """A random Gaussian section over a random Kaehler point of dimension
-    ``frame``, or a random Gaussian profile when ``frame`` is a PositionBoundary."""
-    if isinstance(frame, PositionBoundary):
+    ``frame``, or a random Gaussian profile when ``frame`` is a BoundaryPolarization."""
+    if isinstance(frame, BoundaryPolarization):
         return random_profile(rng, frame.n, poly=False)
     return random_gaussian_section(rng, random_siegel(rng, frame))
 
@@ -479,11 +486,11 @@ class TestNonFiniteData:
     )
     def test_profile_rejects_non_finite_data(self, coeffs, m, b, c):
         with pytest.raises(NonFiniteError):
-            GaussianSection(PositionBoundary(1), m, b, c, coeffs)
+            GaussianSection(BoundaryPolarization.position(1), m, b, c, coeffs)
 
     def test_profile_with_huge_m_is_not_mistaken_for_integrable(self):
         with pytest.raises(NotIntegrableError):
-            GaussianSection(PositionBoundary(1), [[1e308]], [0.0], 0.0)
+            GaussianSection(BoundaryPolarization.position(1), [[1e308]], [0.0], 0.0)
 
 
 class TestFrameKinds:
@@ -492,31 +499,56 @@ class TestFrameKinds:
 
     def test_close_to_is_false_across_kinds(self):
         for n in (1, 2):
-            assert not standard_point(n).close_to(PositionBoundary(n))
-            assert not PositionBoundary(n).close_to(standard_point(n))
-            assert PositionBoundary(n).close_to(PositionBoundary(n))
-        assert not PositionBoundary(1).close_to(PositionBoundary(2))
+            assert not standard_point(n).close_to(BoundaryPolarization.position(n))
+            assert not BoundaryPolarization.position(n).close_to(standard_point(n))
+            assert BoundaryPolarization.position(n).close_to(BoundaryPolarization.position(n))
+        assert not BoundaryPolarization.position(1).close_to(BoundaryPolarization.position(2))
         assert not standard_point(1).close_to(standard_point(2))
 
-    @pytest.mark.parametrize("n_boundary, n_kaehler", [(1, 1), (2, 1), (1, 2)])
-    def test_cross_kind_pairings_raise_naming_both_frames(self, rng, n_boundary, n_kaehler):
-        prof = random_profile(rng, n_boundary, poly=False)
+    @pytest.mark.parametrize(
+        "n_boundary, n_kaehler, frame", [(1, 1, None), (2, 1, None), (1, 2, None), (1, 1, SHEARED)],
+        ids=["1-1", "2-1", "1-2", "sheared-1"],
+    )
+    def test_cross_kind_pairings_raise_naming_both_frames(self, rng, n_boundary, n_kaehler, frame):
+        prof = random_profile(rng, n_boundary, poly=False, frame=frame)
         psi = random_gaussian_section(rng, random_siegel(rng, n_kaehler))
         for a, b in ((prof, psi), (psi, prof)):
             for pairing in (inner_product_cross_frame, difference_norm):
                 with pytest.raises(ValueError) as exc:
                     pairing(a, b)
-                assert "PositionBoundary" in str(exc.value) and "SiegelPoint" in str(exc.value)
+                assert "BoundaryPolarization" in str(exc.value) and "SiegelPoint" in str(exc.value)
             with pytest.raises(ValueError, match="different frames"):
                 inner_product(a, b)
-            with pytest.raises(ValueError, match="PositionBoundary"):
+            with pytest.raises(ValueError, match="BoundaryPolarization"):
                 corrected_inner_product(CorrectedSection(a), CorrectedSection(b))
-        with pytest.raises(ValueError, match="PositionBoundary"):
+        with pytest.raises(ValueError, match="BoundaryPolarization"):
             bergman_project(prof, psi.frame)
 
     def test_polynomial_profile_in_a_kaehler_computation_raises(self):
-        prof = GaussianSection(PositionBoundary(1), [[-1.0]], [0.0], 0.0, [0.0, 1.0])
-        with pytest.raises(ValueError, match="PositionBoundary"):
+        prof = GaussianSection(BoundaryPolarization.position(1), [[-1.0]], [0.0], 0.0, [0.0, 1.0])
+        with pytest.raises(ValueError, match="BoundaryPolarization"):
             difference_norm(prof, fock_state(1, I1))
-        with pytest.raises(ValueError, match="PositionBoundary"):
+        with pytest.raises(ValueError, match="BoundaryPolarization"):
             fock_coefficients(prof)
+
+    def test_same_subspace_with_another_reference_raises(self, rng):
+        position = BoundaryPolarization.position(1)
+        assert position.frame.same_subspace(SHEARED.frame) and not position.close_to(SHEARED)
+        a = CorrectedSection(random_profile(rng, poly=False))
+        b = CorrectedSection(random_profile(rng, poly=False, frame=SHEARED))
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(PolarizationMismatchError):
+                corrected_inner_product(x, y)
+            with pytest.raises(PolarizationMismatchError):
+                difference_norm(x, y)
+
+    def test_oracle_rejects_polarized_sections_naming_the_frame(self, rng):
+        prof = random_profile(rng, poly=False)
+        psi = random_gaussian_section(rng, I1)
+        for a, b in ((prof, prof), (prof, psi), (psi, prof)):
+            with pytest.raises(ValueError, match="BoundaryPolarization"):
+                oracle_inner_product(a, b)
+
+    def test_section_to_json_rejects_polarized_sections_naming_the_frame(self, rng):
+        with pytest.raises(ValueError, match="BoundaryPolarization"):
+            section_to_json(random_profile(rng))

@@ -10,8 +10,6 @@ from siegelflow import (
     NoBoundaryLimitError,
     NonTransverseError,
     PolarizationMismatchError,
-    PositionBoundary,
-    boundary_inner_product,
     coherent_state,
     composition_identities_check,
     corrected_inner_product,
@@ -20,12 +18,12 @@ from siegelflow import (
     fourier,
     fourier_general,
     from_momentum_profile,
-    from_position_profile,
     geodesic_between,
     inner_product,
     limit_transport_to_bargmann,
     limit_transport_to_fourier,
     metaplectic_act,
+    momentum_profile,
     norm,
     random_siegel,
     random_symplectic,
@@ -33,13 +31,10 @@ from siegelflow import (
     segal_bargmann_inverse,
     standard_point,
     vacuum,
+    value_on_V,
 )
 from siegelflow.sympl import act_on_siegel
-from siegelflow.transforms import (
-    boundary_difference_norm,
-    boundary_norm,
-    default_test_profiles,
-)
+from siegelflow.transforms import default_test_profiles
 
 from conftest import random_profile, standard_profile
 
@@ -50,46 +45,46 @@ class TestBoundaryInnerProducts:
     def test_standard_gaussian_norm_fixed_by_convention(self):
         # ||exp(-x^2/2)||^2 = 2^{-1/2} under the (2 pi)^{n/2} convention;
         # the bundled standard profile carries the normalizing 2^{1/4}
-        bare = GaussianSection(PositionBoundary(1), [[-1.0]], [0.0], 0.0)
+        bare = GaussianSection(BoundaryPolarization.position(1), [[-1.0]], [0.0], 0.0)
         assert abs(inner_product(bare, bare) - 2.0**-0.5) < 1e-14
-        assert abs(boundary_norm(from_position_profile(standard_profile(1))) - 1.0) < 1e-14
+        assert abs(norm(standard_profile(1)) - 1.0) < 1e-14
 
     def test_odd_even_orthogonality(self):
-        even = from_position_profile(standard_profile(1))
-        odd = from_position_profile(GaussianSection(PositionBoundary(1), [[-1.0]], [0.0], 0.0, [0.0, 1.0]))
-        assert abs(boundary_inner_product(even, odd)) < 1e-15
+        even = CorrectedSection(standard_profile(1))
+        odd = CorrectedSection(GaussianSection(BoundaryPolarization.position(1), [[-1.0]], [0.0], 0.0, [0.0, 1.0]))
+        assert abs(corrected_inner_product(even, odd)) < 1e-15
 
     def test_conjugate_symmetry(self, rng):
-        s1 = from_position_profile(random_profile(rng))
-        s2 = from_position_profile(random_profile(rng))
-        a = boundary_inner_product(s1, s2)
-        b = boundary_inner_product(s2, s1)
+        s1 = CorrectedSection(random_profile(rng))
+        s2 = CorrectedSection(random_profile(rng))
+        a = corrected_inner_product(s1, s2)
+        b = corrected_inner_product(s2, s1)
         assert abs(a - np.conj(b)) < 1e-13 * max(1.0, abs(a))
 
     def test_polarization_mismatch_rejected(self):
-        pos = from_position_profile(standard_profile(1))
+        pos = CorrectedSection(standard_profile(1))
         mom = from_momentum_profile(standard_profile(1))
         with pytest.raises(PolarizationMismatchError):
-            boundary_inner_product(pos, mom)
+            corrected_inner_product(pos, mom)
 
 
 class TestSegalBargmann:
     def test_standard_gaussian_maps_to_vacuum(self):
-        out = segal_bargmann(from_position_profile(standard_profile(1)), I1)
+        out = segal_bargmann(CorrectedSection(standard_profile(1)), I1)
         assert difference_norm(out, CorrectedSection(vacuum(I1))) < 1e-14
 
     def test_standard_gaussian_maps_to_vacuum_higher_dim(self):
-        out = segal_bargmann(from_position_profile(standard_profile(2)), standard_point(2))
+        out = segal_bargmann(CorrectedSection(standard_profile(2)), standard_point(2))
         target = CorrectedSection(vacuum(standard_point(2)))
         assert difference_norm(out, target) < 1e-13
 
     def test_unitarity_random_profiles(self, rng):
         om = random_siegel(rng, 1)
         for _ in range(6):
-            s1 = from_position_profile(random_profile(rng))
-            s2 = from_position_profile(random_profile(rng))
+            s1 = CorrectedSection(random_profile(rng))
+            s2 = CorrectedSection(random_profile(rng))
             lhs = corrected_inner_product(segal_bargmann(s1, om), segal_bargmann(s2, om))
-            rhs = boundary_inner_product(s1, s2)
+            rhs = corrected_inner_product(s1, s2)
             assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(rhs))
 
     def test_intertwines_lifted_action(self, rng):
@@ -98,22 +93,37 @@ class TestSegalBargmann:
         g = random_symplectic(rng, 1)
         mp = MetaplecticElement.principal_lift(g)
         prof = random_profile(rng)
-        s = from_position_profile(prof)
+        s = CorrectedSection(prof)
         om = random_siegel(rng, 1)
-        moved_pol = BoundaryPolarization.from_metaplectic(mp.compose(s.polarization.reference))
-        from siegelflow.transforms import CorrectedBoundarySection
-
-        moved_section = CorrectedBoundarySection(moved_pol, prof, s.halfform_phase)
-        lhs = segal_bargmann(moved_section, act_on_siegel(g, om))
+        lhs = segal_bargmann(metaplectic_act(mp, s), act_on_siegel(g, om))
         rhs = metaplectic_act(mp, segal_bargmann(s, om))
         assert difference_norm(lhs, rhs) < 1e-9 * norm(rhs.section)
+
+    def test_lifted_action_on_polarized_sections_seeded(self):
+        # the action moves a polarized section to the composed reference;
+        # the pairing map intertwines it with the action on Kaehler sections
+        rng = np.random.default_rng(1313)
+        worst = 0.0
+        for _ in range(20):
+            n = int(rng.integers(1, 3))
+            mp = MetaplecticElement.principal_lift(random_symplectic(rng, n))
+            pol = BoundaryPolarization.from_metaplectic(MetaplecticElement.principal_lift(random_symplectic(rng, n)))
+            s = CorrectedSection(random_profile(rng, n, frame=pol), np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+            moved = metaplectic_act(mp, s)
+            assert moved.frame.close_to(BoundaryPolarization(mp.compose(pol.reference)))
+            assert moved.halfform_phase == s.halfform_phase and np.array_equal(moved.section.m, s.section.m)
+            om = random_siegel(rng, n)
+            lhs = segal_bargmann(moved, act_on_siegel(mp.g, om))
+            rhs = metaplectic_act(mp, segal_bargmann(s, om))
+            worst = max(worst, difference_norm(lhs, rhs, 48) / norm(rhs.section))
+        assert worst < 1e-9
 
     def test_inverse_round_trip_on_profiles(self, rng):
         om = random_siegel(rng, 1)
         for _ in range(4):
-            s = from_position_profile(random_profile(rng))
+            s = CorrectedSection(random_profile(rng))
             back = segal_bargmann_inverse(segal_bargmann(s, om))
-            assert boundary_difference_norm(back, s) < 1e-9 * boundary_norm(s)
+            assert difference_norm(back, s, 48) < 1e-9 * norm(s.section)
 
     def test_forward_round_trip_on_sections(self, rng):
         om = random_siegel(rng, 1)
@@ -124,14 +134,14 @@ class TestSegalBargmann:
     def test_vacuum_inverse_is_standard_gaussian(self):
         psi = CorrectedSection(vacuum(I1))
         out = segal_bargmann_inverse(psi)
-        target = from_position_profile(standard_profile(1))
-        assert boundary_difference_norm(out, target) < 1e-14
+        target = CorrectedSection(standard_profile(1))
+        assert difference_norm(out, target, 48) < 1e-14
 
 
 class TestFourier:
     def test_gaussian_fixed_point_with_phase(self):
-        out = fourier(from_position_profile(standard_profile(1)))
-        chi = out.momentum_profile()
+        out = fourier(CorrectedSection(standard_profile(1)))
+        chi = momentum_profile(out)
         pts = np.array([[0.0], [0.5], [-1.2]])
         target = np.exp(0.25j * np.pi) * 2.0**0.25 * np.exp(-0.5 * pts[:, 0] ** 2)
         assert np.abs(chi.value(pts) - target).max() < 1e-13
@@ -143,8 +153,8 @@ class TestFourier:
 
         coeffs = {1: [0.0, 2.0], 2: [-2.0, 0.0, 4.0], 3: [0.0, -12.0, 0.0, 8.0]}
         for k, poly in coeffs.items():
-            prof = GaussianSection(PositionBoundary(1), [[-1.0]], [0.0], 0.0, np.array(poly, dtype=complex))
-            out = fourier(from_position_profile(prof)).momentum_profile()
+            prof = GaussianSection(BoundaryPolarization.position(1), [[-1.0]], [0.0], 0.0, np.array(poly, dtype=complex))
+            out = momentum_profile(fourier(CorrectedSection(prof)))
             ys = np.array([[0.4], [1.1], [-0.7]])
             # oracle: (2 pi)^{-1/2} integral h_k(x) e^{-x^2/2} e^{i x y} dx
             u, w = hermgauss(96)
@@ -160,10 +170,10 @@ class TestFourier:
 
     def test_unitarity(self, rng):
         for _ in range(5):
-            s1 = from_position_profile(random_profile(rng))
-            s2 = from_position_profile(random_profile(rng))
-            a = boundary_inner_product(fourier(s1), fourier(s2))
-            b = boundary_inner_product(s1, s2)
+            s1 = CorrectedSection(random_profile(rng))
+            s2 = CorrectedSection(random_profile(rng))
+            a = corrected_inner_product(fourier(s1), fourier(s2))
+            b = corrected_inner_product(s1, s2)
             assert abs(a - b) < 1e-8 * max(1.0, abs(b))
 
     def test_reconstruction_matches_direct_formula(self, rng):
@@ -171,18 +181,18 @@ class TestFourier:
         # kernel including its quarter-turn phase, n = 1 and n = 2
         mom1 = BoundaryPolarization.momentum(1)
         for _ in range(4):
-            s = from_position_profile(random_profile(rng))
+            s = CorrectedSection(random_profile(rng))
             direct = fourier(s)
             rebuilt = fourier_general(s, mom1, random_siegel(rng, 1))
-            assert boundary_difference_norm(direct, rebuilt) < 1e-9 * boundary_norm(s)
+            assert difference_norm(direct, rebuilt, 48) < 1e-9 * norm(s.section)
         mom2 = BoundaryPolarization.momentum(2)
-        s2 = from_position_profile(random_profile(rng, n=2, poly=False))
+        s2 = CorrectedSection(random_profile(rng, n=2, poly=False))
         direct2 = fourier(s2)
         rebuilt2 = fourier_general(s2, mom2, random_siegel(rng, 2))
-        assert boundary_difference_norm(direct2, rebuilt2) < 1e-9 * boundary_norm(s2)
+        assert difference_norm(direct2, rebuilt2, 48) < 1e-9 * norm(s2.section)
 
     def test_non_transverse_rejected(self):
-        s = from_position_profile(standard_profile(1))
+        s = CorrectedSection(standard_profile(1))
         with pytest.raises(NonTransverseError):
             fourier_general(s, BoundaryPolarization.position(1))
 
@@ -244,7 +254,7 @@ class TestCompositionIdentities:
 
     def test_transport_pairing_identity_spec_example(self):
         # pairing into ie^2 equals transport of the pairing into i, on L-
-        s = from_position_profile(standard_profile(1))
+        s = CorrectedSection(standard_profile(1))
         from siegelflow import transport_corrected
 
         lhs = segal_bargmann(s, diagonal_point([np.e**2]))
@@ -276,7 +286,7 @@ class TestCompositionIdentities:
 
     def test_five_section_family_is_square_integrable(self):
         for prof in default_test_profiles():
-            assert boundary_norm(from_position_profile(prof)) > 0
+            assert norm(prof) > 0
 
     def test_transport_pairing_identity_two_degrees_of_freedom(self, rng):
         # identity 1 with Gaussian profiles in two degrees of freedom
@@ -284,21 +294,19 @@ class TestCompositionIdentities:
 
         g = random_symplectic(rng, 2)
         pol = BoundaryPolarization.from_metaplectic(MetaplecticElement.principal_lift(g))
-        s = CorrectedBoundarySectionFactory(pol, rng)
+        s = _polarized_section(pol, rng)
         om, omp = random_siegel(rng, 2), random_siegel(rng, 2)
         lhs = segal_bargmann(s, omp)
         rhs = transport_corrected(segal_bargmann(s, om), omp)
         assert difference_norm(lhs, rhs) < 1e-8 * norm(rhs.section)
 
 
-def CorrectedBoundarySectionFactory(pol, rng):
-    from siegelflow.transforms import CorrectedBoundarySection
-
+def _polarized_section(pol, rng):
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     m = 0.5 * (m + m.T)
     m = m - (np.linalg.eigvalsh(m.real).max() + rng.uniform(0.5, 1.0)) * np.eye(2)
     b = 0.4 * (rng.normal(size=2) + 1j * rng.normal(size=2))
-    return CorrectedBoundarySection(pol, GaussianSection(PositionBoundary(2), m, b, 0.1), 1.0)
+    return CorrectedSection(GaussianSection(pol, m, b, 0.1))
 
 
 class TestMomentumRepresentation:
@@ -306,7 +314,7 @@ class TestMomentumRepresentation:
         for _ in range(3):
             chi = random_profile(rng)
             s = from_momentum_profile(chi)
-            back = s.momentum_profile()
+            back = momentum_profile(s)
             pts = rng.normal(size=(5, 1))
             assert np.abs(back.value(pts) - chi.value(pts)).max() < 1e-13
 
@@ -316,4 +324,4 @@ class TestMomentumRepresentation:
         grid = np.array([[0.5, 1.0], [-0.3, 0.2]])
         target = chi.value(grid[:, 1:]) * np.exp(-0.5j * grid[:, 0] * grid[:, 1])
         # combined value differs from the sqrt(d^n y)-relative one by i^n
-        assert np.abs(1j * s.value_on_V(grid) - target).max() < 1e-14
+        assert np.abs(1j * value_on_V(s, grid) - target).max() < 1e-14
