@@ -4,7 +4,6 @@ Fourier transforms as boundary limits."""
 
 from ._point import SiegelPoint, diagonal_point, standard_point
 from .errors import (
-    BranchDiscontinuityError,
     GridTooCoarseError,
     NoBoundaryLimitError,
     NonFiniteError,
@@ -19,7 +18,6 @@ from .errors import (
 from .sections import (
     CorrectedSection,
     GaussianSection,
-    HalfFormFrame,
     bergman_project,
     coherent_state,
     corrected_inner_product,
@@ -31,7 +29,6 @@ from .sections import (
     inner_product_cross_frame,
     norm,
     oracle_inner_product,
-    pair_halfforms,
     quadrature_integrate,
     section_from_json,
     section_to_json,
@@ -73,17 +70,12 @@ from .transforms import (
     value_on_V,
 )
 from .transport import (
-    ConnectionForm,
-    bogoliubov_operator_deformation,
     bogoliubov_scale,
     fock_connection_matrix,
     metaplectic_act,
     transport_coherent,
-    transport_coherent_standard,
     transport_corrected,
-    transport_corrected_coherent,
     transport_equals_scaled_projection_check,
-    transport_halfform,
     transport_kernel_apply,
     transport_ode,
     transport_poly_standard,

@@ -18,14 +18,6 @@ class NonUnitaryError(SiegelFlowError):
     """A matrix that must be unitary failed the residual check."""
 
 
-class BranchDiscontinuityError(SiegelFlowError):
-    """A sampled square-root continuation step would jump the argument by >= pi/2.
-
-    Raised only by ``sympl.continue_sqrt_phase``, the sampled reference for
-    the closed-form branches; the library's own branches never raise it.
-    """
-
-
 class NotIntegrableError(SiegelFlowError):
     """A combined Gaussian quadratic form lost negativity of its real part."""
 

@@ -37,11 +37,10 @@ from ._point import SiegelPoint
 from .errors import (
     GridTooCoarseError,
     NonFiniteError,
-    NonTransverseError,
     NotIntegrableError,
     PolarizationMismatchError,
 )
-from .siegel import BoundaryPolarization, LagrangianFrame
+from .siegel import BoundaryPolarization
 
 N_TRUNC_DEFAULT = 32
 QUAD_NODES_DEFAULT = 64
@@ -57,10 +56,12 @@ def _same_space(f1: Frame, f2: Frame) -> None:
         raise PolarizationMismatchError(f"sections over {f1!r} and {f2!r} use different reductions to L-")
 
 
-def _kaehler_only(what: str, *sections) -> None:
+def _require_frame(what: str, kind: type, *sections) -> None:
+    """ValueError naming the frame unless every section lives over a ``kind`` frame."""
     for psi in sections:
-        if not isinstance(psi.frame, SiegelPoint):
-            raise ValueError(f"{what} takes sections over Kaehler frames, not over {psi.frame!r}")
+        if not isinstance(psi.frame, kind):
+            kinds = "Kaehler frames" if kind is SiegelPoint else "polarizations"
+            raise ValueError(f"{what} takes sections over {kinds}, not over {psi.frame!r}")
 
 
 def _finite(arr: np.ndarray) -> bool:
@@ -218,74 +219,6 @@ def bergman_project(psi: GaussianSection, omega_p: SiegelPoint) -> GaussianSecti
         s_psi - omega_p.gram_matrix, omega_p.coord_matrix.conj().T, l_psi, k_psi, psi.coeffs, gen_dir
     )
     return GaussianSection(omega_p, q, r, c, poly)
-
-
-# ---------------------------------------------------------------------------
-# half-forms
-
-
-@dataclass(frozen=True)
-class HalfFormFrame:
-    """sqrt(d^n z_Omega) or the boundary frames sqrt(d^n x), sqrt(d^n y),
-    carried with a unit phase coefficient."""
-
-    base: SiegelPoint | LagrangianFrame
-    phase: complex = 1.0 + 0.0j
-
-    def __post_init__(self):
-        if abs(abs(self.phase) - 1.0) > 1e-12:
-            raise ValueError("half-form coefficient must have unit modulus")
-        object.__setattr__(self, "phase", complex(self.phase))
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    def covector_rows(self) -> np.ndarray:
-        """n x 2n matrix of covectors whose wedge is the underlying n-form."""
-        if isinstance(self.base, SiegelPoint):
-            return self.base.coord_matrix
-        ginv = self.base.g.inverse().matrix
-        n = self.base.n
-        return ginv[n:, :] if self.base.plus else ginv[:n, :]
-
-
-def density_pairing(rows1: np.ndarray, rows2: np.ndarray) -> complex:
-    """<mu1, mu2> for n-forms given by covector rows, against the Liouville form.
-
-    Normalized so that the unitary frames d^n z_Omega pair to 1 with
-    themselves; equals det([conj(rows1); rows2]) / i^n.
-    """
-    n = rows1.shape[0]
-    block = np.vstack([np.conj(rows1), rows2])
-    val = complex(np.linalg.det(block) / (1j**n))
-    if val.imag == 0.0:
-        # normalize -0j so a negative real value keeps the principal branch
-        val = complex(val.real, 0.0)
-    return val
-
-
-def pair_halfforms(h1: HalfFormFrame, h2: HalfFormFrame) -> complex:
-    """<h1, h2>, conjugate-linear on the left.
-
-    Same-polarization frames pair through their coefficients; distinct
-    frames pair through the wedge of the underlying n-forms followed by a
-    principal square root.  Transport does not use it: its roots are
-    continued along the geodesic.  For two Kaehler frames the principal
-    root agrees with the transport phase for n <= 2; for n >= 3 the two can
-    differ in sign.
-    """
-    both_lagrangian = isinstance(h1.base, LagrangianFrame) and isinstance(h2.base, LagrangianFrame)
-    if both_lagrangian and h1.base.same_subspace(h2.base):
-        if not np.allclose(h1.covector_rows(), h2.covector_rows(), atol=1e-12):
-            raise NonTransverseError("same subspace with distinct frames has no canonical pairing")
-        return np.conj(h1.phase) * h2.phase
-    if both_lagrangian and not h1.base.transverse_to(h2.base):
-        raise NonTransverseError("Lagrangian frames are not transverse")
-    dens = density_pairing(h1.covector_rows(), h2.covector_rows())
-    if abs(dens) < 1e-14:
-        raise NonTransverseError("degenerate frame pairing")
-    return np.conj(h1.phase) * h2.phase * np.sqrt(abs(dens)) * np.exp(0.5j * np.angle(dens))
 
 
 @dataclass(frozen=True)
@@ -503,7 +436,7 @@ def oracle_inner_product(psi1: GaussianSection, psi2: GaussianSection, nodes: in
     integrand at every grid point.  The grid is placed for the integrand's
     own Gaussian envelope, which for strongly squeezed sections is much
     wider than the frame Gaussian.  Kaehler frames only."""
-    _kaehler_only("the quadrature oracle", psi1, psi2)
+    _require_frame("the quadrature oracle", SiegelPoint, psi1, psi2)
     fit = None if psi1.degree or psi2.degree else _fit_log_quadratic(psi1, psi2)
     if fit is not None:
         return quadrature_integrate(fit, psi1.n, nodes=nodes, gram=-0.5 * fit.q.real)
@@ -540,7 +473,7 @@ def _log_gauss_ratio(s0, x0, e, f, kappa) -> complex:
     return -0.5 * logdet - 0.5 * lin + kappa
 
 
-def difference_norm(a, b, nodes: int = 24) -> float:
+def difference_norm(a, b) -> float:
     """|| a - b || for plain or corrected sections, free of cancellation.
 
     For degree-0 sections, h = (1/2) log(||b||^2 / ||a||^2) and
@@ -548,13 +481,13 @@ def difference_norm(a, b, nodes: int = 24) -> float:
     ``real_quadratic`` (half-form phases folded into k) alone, and
     ||a - b||^2 / ||a||^2 = expm1(h)^2 + 2 e^h (-expm1(Re d) cos Im d + 2 sin^2(Im d / 2)).
     Equal inputs give exactly 0, on Kaehler frames and polarizations alike.
-    Polynomial sections (n = 1) evaluate the difference pointwise on
-    ``nodes`` Gauss-Hermite points per real dimension.
+    Polynomial sections (n = 1) evaluate the difference pointwise on 48
+    Gauss-Hermite points per real dimension, placed for the real envelopes.
     """
     (pa, ha), (pb, hb) = _with_phase(a), _with_phase(b)
     _same_space(pa.frame, pb.frame)
     if pa.degree or pb.degree:
-        return _difference_norm_pointwise(a, b, nodes)
+        return _difference_norm_pointwise(a, b, 48)
     sa, la, ka = pa.real_quadratic()
     sb, lb, kb = pb.real_quadratic()
     s0 = 2.0 * sa.real
@@ -570,7 +503,7 @@ def difference_norm(a, b, nodes: int = 24) -> float:
     return float(np.sqrt(max(rel, 0.0)) * np.exp(0.5 * log_aa))
 
 
-def _difference_norm_pointwise(a, b, nodes: int = 24) -> float:
+def _difference_norm_pointwise(a, b, nodes: int) -> float:
     """|| a - b || with the difference evaluated at common grid points before
     squaring; the reference for ``difference_norm``."""
     (pa, ha), (pb, hb) = _with_phase(a), _with_phase(b)
@@ -630,7 +563,7 @@ def _complex_array_from_json(data, field: str, shape: tuple) -> np.ndarray:
 
 
 def section_to_json(psi: GaussianSection) -> dict:
-    _kaehler_only("section_to_json", psi)
+    _require_frame("section_to_json", SiegelPoint, psi)
     out = {
         "frame": {
             "omega1": psi.frame.omega1.tolist(),

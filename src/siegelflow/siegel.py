@@ -201,10 +201,6 @@ class LagrangianFrame:
         return cls(SymplecticMap.identity(n), plus=False)
 
     @classmethod
-    def plus_std(cls, n: int) -> "LagrangianFrame":
-        return cls(SymplecticMap.identity(n), plus=True)
-
-    @classmethod
     def graph_of_shear(cls, s: np.ndarray) -> "LagrangianFrame":
         """The graph {(x, Sx)} for symmetric S, realized as g . L+."""
         s = np.atleast_2d(np.asarray(s, dtype=float))
@@ -272,10 +268,6 @@ class BoundaryPolarization:
     @classmethod
     def momentum(cls, n: int) -> "BoundaryPolarization":
         return cls(MetaplecticElement.principal_lift(exchange_map(n)))
-
-    @classmethod
-    def from_metaplectic(cls, mp: MetaplecticElement) -> "BoundaryPolarization":
-        return cls(mp)
 
     @classmethod
     def from_frame(cls, frame: LagrangianFrame) -> "BoundaryPolarization":

@@ -313,7 +313,7 @@ def suite_identities(seed: int = 42, trials: int = 50, tol: float = 1e-8) -> lis
     worst = {"transport_vs_pairing": 0.0, "fourier_vs_pairing_pair": 0.0, "fourier_triple": 0.0}
     for _ in range(trials):
         g = random_symplectic(rng, 1)
-        pol_l = BoundaryPolarization.from_metaplectic(MetaplecticElement.principal_lift(g))
+        pol_l = BoundaryPolarization(MetaplecticElement.principal_lift(g))
         pol_lp = BoundaryPolarization.from_frame(LagrangianFrame(g, plus=True))
         shear = np.array([[rng.normal()]])
         pol_lpp = BoundaryPolarization.from_frame(LagrangianFrame.graph_of_shear(shear))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._point import SiegelPoint, standard_point
-from .errors import BranchDiscontinuityError, NonUnitaryError, SpRelationViolatedError
+from .errors import NonUnitaryError, SpRelationViolatedError
 
 CONSTRUCTION_TOL = 1e-12
 COMPOSE_TOL = 1e-9
@@ -138,27 +138,6 @@ def transform_z_coords(g: SymplecticMap, omega: SiegelPoint) -> np.ndarray:
     if res > UNITARITY_TOL:
         raise NonUnitaryError(f"coordinate change not unitary: residual {res:.3e}")
     return t
-
-
-def continue_sqrt_phase(values: np.ndarray, start_phase: complex) -> complex:
-    """Continue a unit phase of sqrt(w/|w|) along sampled nonzero values w.
-
-    start_phase is the chosen square root phase at values[0].  Raises if a
-    step turns the argument by pi/2 or more, which signals that the path
-    sampling is too coarse to track the branch.  The library evaluates its
-    branches in closed form; this sampled continuation is the independent
-    reference the tests check them against.
-    """
-    values = np.asarray(values, dtype=complex)
-    if np.abs(values).min() == 0:
-        raise BranchDiscontinuityError("path crosses zero")
-    ratios = values[1:] / values[:-1]
-    dargs = np.angle(ratios)
-    if dargs.size and np.abs(dargs).max() >= np.pi / 2:
-        raise BranchDiscontinuityError(
-            f"argument step {np.abs(dargs).max():.3f} >= pi/2; refine the path"
-        )
-    return start_phase * np.exp(0.5j * dargs.sum())
 
 
 @dataclass(frozen=True)

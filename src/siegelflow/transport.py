@@ -15,8 +15,6 @@ numerical route for n = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._gaussint import half_logdet, kernel_apply_poly
@@ -25,7 +23,6 @@ from .errors import TruncationOverflowError
 from .sections import (
     CorrectedSection,
     GaussianSection,
-    HalfFormFrame,
     bergman_project,
     coherent_state,
     difference_norm,
@@ -114,33 +111,6 @@ def transport_coherent(alpha, omega: SiegelPoint, omega_p: SiegelPoint) -> Gauss
     )
 
 
-def transport_coherent_standard(alpha, lam, t: float) -> GaussianSection:
-    """Transport of c_alpha from i*I along i exp(2 Lambda t), in closed form:
-
-    (det sech)^{1/2} exp[ (1/2)(a|z)^T (tanh, sech; sech, -tanh)(a|z) - |z|^2/2 ],
-    with a = conj(alpha) and the hyperbolic functions evaluated at Lambda t.
-    """
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    n = lam.size
-    alpha = np.asarray(alpha, dtype=complex).reshape(n)
-    th = np.tanh(lam * t)
-    sh = 1.0 / np.cosh(lam * t)
-    ac = np.conj(alpha)
-    target = diagonal_point(np.exp(2.0 * lam * t))
-    return GaussianSection(
-        target,
-        np.diag(-th),
-        sh * ac,
-        0.5 * (ac @ (th * ac)) + 0.5 * float(np.sum(np.log(sh))),
-    )
-
-
-def transport_halfform(omega: SiegelPoint, omega_p: SiegelPoint) -> HalfFormFrame:
-    """Transport of sqrt(d^n z): unit phase det(Xi')^{1/2}/|det Xi'|^{1/2},
-    with the root continued along the connecting geodesic."""
-    return HalfFormFrame(omega_p, np.exp(1j * _halfform_log(omega, omega_p).imag))
-
-
 def bogoliubov_scale(omega: SiegelPoint, omega_p: SiegelPoint) -> float:
     """alpha(J, J') = |det Xi'|^{1/2} / (det Omega2 det Omega2')^{1/4}."""
     return float(np.exp(_halfform_log(omega, omega_p).real))
@@ -168,12 +138,6 @@ def transport_corrected(psihat: CorrectedSection, omega_p: SiegelPoint) -> Corre
     log_h = _halfform_log(psihat.frame, omega_p)
     section = bergman_project(psihat.section, omega_p).scaled(float(np.exp(log_h.real)))
     return CorrectedSection(section, np.exp(1j * log_h.imag) * psihat.halfform_phase)
-
-
-def transport_corrected_coherent(alpha, omega: SiegelPoint, omega_p: SiegelPoint) -> CorrectedSection:
-    """Closed-form corrected transport of a coherent state: (3-term route)
-    coherent closed form tensored with the continued half-form phase."""
-    return CorrectedSection(transport_coherent(alpha, omega, omega_p), transport_halfform(omega, omega_p).phase)
 
 
 def transport_equals_scaled_projection_check(alpha, omega: SiegelPoint, omega_p: SiegelPoint) -> float:
@@ -270,32 +234,6 @@ def fock_connection_matrix(tau: complex, n_trunc: int):
     p_tau, p_taubar = _fock_connection_patterns(n_trunc)
     pref = 0.25j / tau2
     return pref * p_tau, pref * p_taubar
-
-
-@dataclass(frozen=True)
-class ConnectionForm:
-    """The transport 1-form at a base point.
-
-    In matrix coordinates the form sends a tangent direction dOmega to the
-    operator -(i/2) grad_z^T Omega2^{-1/2} dconj(Omega) Omega2^{-1/2} grad_z;
-    for n = 1 its Fock-frame matrix is exposed directly.
-    """
-
-    base: SiegelPoint
-
-    def quadratic_coefficient(self, d_omega: np.ndarray) -> np.ndarray:
-        """B(dOmega) with the operator -(i/2) grad_z^T B grad_z."""
-        rinv = self.base.imag_inv_sqrt()
-        d = np.atleast_2d(np.asarray(d_omega, dtype=complex))
-        return rinv @ np.conj(d) @ rinv
-
-    def fock_matrix(self, d_tau: complex, n_trunc: int) -> np.ndarray:
-        """A(dtau) on the truncated Fock frame, n = 1 (real tangent direction)."""
-        if self.base.n != 1:
-            raise ValueError("Fock-frame matrix is available for n = 1")
-        tau = complex(self.base.omega[0, 0])
-        a_tau, a_taubar = fock_connection_matrix(tau, n_trunc)
-        return a_tau * d_tau + a_taubar * np.conj(d_tau)
 
 
 def transport_ode_coeffs(
@@ -400,19 +338,3 @@ def transport_poly_standard(psi0: GaussianSection, lam: float, t: float) -> Gaus
     lam = float(np.atleast_1d(lam)[0])
     return transport_uncorrected(psi0, diagonal_point([np.exp(2.0 * lam * t)]))
 
-
-# ---------------------------------------------------------------------------
-# ladder operators
-
-
-def bogoliubov_operator_deformation(t: float) -> np.ndarray:
-    """Coefficient matrix (cosh t, sinh t; sinh t, cosh t) mixing (a, a^dagger)."""
-    return np.array([[np.cosh(t), np.sinh(t)], [np.sinh(t), np.cosh(t)]])
-
-
-def ladder_matrices(n_trunc: int):
-    """Truncated annihilation/creation matrices in a Fock frame."""
-    a = np.zeros((n_trunc, n_trunc))
-    for k in range(1, n_trunc):
-        a[k - 1, k] = np.sqrt(k)
-    return a, a.T.copy()

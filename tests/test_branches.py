@@ -5,8 +5,14 @@ point where it is known.  ``continue_sqrt_phase`` follows the same path on a
 fine sampling and is the independent reference here.
 """
 
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
 import numpy as np
 
+import siegelflow
 from siegelflow import (
     BoundaryPolarization,
     MetaplecticElement,
@@ -14,11 +20,12 @@ from siegelflow import (
     random_siegel,
     random_symplectic,
     standard_point,
-    transport_halfform,
 )
 from siegelflow.suites import suite_identities
-from siegelflow.sympl import continue_sqrt_phase
 from siegelflow.transport import _halfform_log
+
+import _reference
+from _reference import continue_sqrt_phase
 
 CASES = 102  # n = 1, 2, 3 in turn
 SAMPLES = 1024
@@ -61,7 +68,7 @@ def test_transport_halfform_matches_sampled_continuation():
         gamma = np.linalg.solve(den.transpose(0, 2, 1), num.transpose(0, 2, 1))
         vals = np.linalg.det((gamma - np.conj(omega.omega)) / 2j)
         expected = continue_sqrt_phase(vals / np.abs(vals), 1.0)
-        assert abs(transport_halfform(omega, omega_p).phase - expected) < TOL
+        assert abs(np.exp(1j * _halfform_log(omega, omega_p).imag) - expected) < TOL
 
 
 def test_pairing_root_matches_sampled_continuation():
@@ -79,3 +86,15 @@ def test_identities_seed_that_broke_the_sampled_branch():
     rows = suite_identities(seed=525633766, trials=1)
     assert all(r["passed"] for r in rows)
     assert max(r["residual"] for r in rows) < 1e-12
+
+
+def test_references_stay_out_of_the_library():
+    # a reference that is also library code would check the library against itself
+    tree = ast.parse(Path(_reference.__file__).read_text())
+    defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert {"continue_sqrt_phase", "BranchDiscontinuityError"} <= defined
+    modules = [siegelflow] + [
+        importlib.import_module(f"siegelflow.{info.name}") for info in pkgutil.iter_modules(siegelflow.__path__)
+    ]
+    shared = {(m.__name__, name) for m in modules for name in defined if hasattr(m, name)}
+    assert not shared

@@ -8,10 +8,7 @@ from siegelflow import (
     CorrectedSection,
     GridTooCoarseError,
     GaussianSection,
-    HalfFormFrame,
-    LagrangianFrame,
     NonFiniteError,
-    NonTransverseError,
     MetaplecticElement,
     NotIntegrableError,
     PolarizationMismatchError,
@@ -24,11 +21,12 @@ from siegelflow import (
     difference_norm,
     fock_coefficients,
     fock_state,
+    fourier,
     inner_product,
     inner_product_cross_frame,
+    momentum_profile,
     norm,
     oracle_inner_product,
-    pair_halfforms,
     quadrature_integrate,
     random_siegel,
     section_from_json,
@@ -43,14 +41,15 @@ from siegelflow.sections import (
     _fit_log_quadratic,
 )
 from siegelflow.suites import _refined_oracle, suite_unitarity
+from siegelflow.transport import _halfform_log
 
-from conftest import random_gaussian_section, random_profile
+from conftest import random_gaussian_section, random_profile, standard_profile
 
 I1 = standard_point(1)
 # Gaussian profiles on L-, as extra frames of the residual-norm cases
 BOUNDARY_FRAMES = [pytest.param(BoundaryPolarization.position(n), id=f"boundary-{n}") for n in (1, 2)]
 # L- again, reduced to itself through the shear (I, 0; S, I) in place of the identity
-SHEARED = BoundaryPolarization.from_metaplectic(
+SHEARED = BoundaryPolarization(
     MetaplecticElement.principal_lift(SymplecticMap(np.eye(1), np.zeros((1, 1)), [[0.7]], np.eye(1)))
 )
 
@@ -347,41 +346,37 @@ class TestOvercompleteness:
 
 
 class TestHalfForms:
+    """Half-form pairings through the one det^{1/2} rule, ``_halfform_log``."""
+
     def test_unit_self_pairing(self, rng):
-        h = HalfFormFrame(random_siegel(rng, 2))
-        assert abs(pair_halfforms(h, h) - 1.0) < 1e-12
-        hx = HalfFormFrame(LagrangianFrame.minus(2))
-        assert abs(pair_halfforms(hx, hx) - 1.0) < 1e-14
+        om = random_siegel(rng, 2)
+        assert abs(np.exp(_halfform_log(om, om)) - 1.0) < 1e-12
+        # over one polarization the half-form coefficients pair directly
+        s = CorrectedSection(standard_profile(2), np.exp(0.3j))
+        assert abs(corrected_inner_product(s, s) - 1.0) < 1e-14
 
     def test_kaehler_pair_value(self):
-        val = pair_halfforms(HalfFormFrame(diagonal_point([np.e**2])), HalfFormFrame(I1))
+        val = np.exp(_halfform_log(I1, diagonal_point([np.e**2])))
         assert abs(val - np.sqrt((np.e**2 + 1) / 2) / np.sqrt(np.e)) < 1e-12
 
     def test_momentum_position_pairing(self):
+        # exp(-|u|^2/2) is its own Fourier transform up to the i^{n/2} of the
+        # momentum half-form against the position one
         for n in (1, 2):
-            hy = HalfFormFrame(LagrangianFrame.plus_std(n))
-            hx = HalfFormFrame(LagrangianFrame.minus(n))
-            assert abs(pair_halfforms(hy, hx) - 1j ** (n / 2)) < 1e-12
+            s = CorrectedSection(GaussianSection(BoundaryPolarization.position(n), -np.eye(n), np.zeros(n), 0.0))
+            chi = momentum_profile(fourier(s))
+            ys = np.array([[0.0] * n, [0.7] * n, [-1.2] + [0.4] * (n - 1)])
+            expected = 1j ** (n / 2) * np.exp(-0.5 * (ys**2).sum(axis=1))
+            assert np.abs(chi.value(ys) - expected).max() < 1e-12
 
     def test_kaehler_position_pairing(self):
         # boundary limit of the Kaehler pairing: det((2 Y)^{-1/2} W / i)^{1/2}
+        # (principal and continued roots agree at this point)
         om = random_siegel(np.random.default_rng(8), 2)
-        hx = HalfFormFrame(LagrangianFrame.minus(2))
-        val = pair_halfforms(HalfFormFrame(om), hx)
+        val = np.exp(_halfform_log(BoundaryPolarization.position(2), om))
         det = np.linalg.det(om.imag_inv_sqrt() / np.sqrt(2.0) @ (om.omega / 1j))
         expected = np.sqrt(abs(det)) * np.exp(0.5j * np.angle(det))
         assert abs(val - expected) < 1e-12
-
-    def test_conjugate_symmetry(self, rng):
-        h1 = HalfFormFrame(random_siegel(rng, 2), phase=np.exp(0.3j))
-        h2 = HalfFormFrame(random_siegel(rng, 2), phase=np.exp(-0.9j))
-        assert abs(pair_halfforms(h1, h2) - np.conj(pair_halfforms(h2, h1))) < 1e-12
-
-    def test_non_transverse_rejected(self):
-        singular_graph = HalfFormFrame(LagrangianFrame.graph_of_shear([[0.0, 0.0], [0.0, 3.0]]))
-        hy = HalfFormFrame(LagrangianFrame.plus_std(2))
-        with pytest.raises(NonTransverseError):
-            pair_halfforms(singular_graph, hy)
 
 
 class TestSerialization:
@@ -433,6 +428,26 @@ class TestDifferenceNorm:
                 ref = _difference_norm_pointwise(a, b, nodes=48 if n == 1 else 32)
                 rel = ref / norm(a)
                 assert abs(difference_norm(a, b) - ref) <= 500 * eps / rel * ref
+
+    @pytest.mark.parametrize("kind", ["kaehler", "polarization"])
+    def test_polynomial_pairs_match_a_fine_pointwise_reference(self, rng, kind):
+        # each degree gets a residual-like pair (a and a perturbed copy) and a
+        # pair of polynomials on one Gaussian part; two unrelated Gaussian parts
+        # over a polarization differ by a chirp that 48 nodes do not resolve
+        def cnormal(shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        for degree in range(1, 9):
+            base = random_gaussian_section(rng, random_siegel(rng, 1)) if kind == "kaehler" else random_profile(rng, poly=False)
+            a = GaussianSection(base.frame, base.m, base.b, base.c, cnormal(degree + 1))
+            size = 10.0 ** -(1 + degree % 3)
+            dm = cnormal((1, 1))
+            perturbed = GaussianSection(a.frame, a.m + 0.1 * size * dm, a.b + size * cnormal(1),
+                                        a.c + size * cnormal(()), a.coeffs + size * cnormal(degree + 1))
+            other = GaussianSection(a.frame, a.m, a.b, a.c, cnormal(degree + 1))
+            for b in (perturbed, other):
+                ref = _difference_norm_pointwise(a, b, 300)
+                assert abs(difference_norm(a, b) - ref) <= 1e-6 * ref
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_distant_cross_frame_corrected_pair(self, rng, n):

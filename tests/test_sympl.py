@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from siegelflow import (
-    BranchDiscontinuityError,
     MetaplecticElement,
     SpRelationViolatedError,
     SymplecticMap,
@@ -15,7 +14,8 @@ from siegelflow import (
     transform_z_coords,
     xi_matrix,
 )
-from siegelflow.sympl import continue_sqrt_phase
+
+from _reference import BranchDiscontinuityError, continue_sqrt_phase
 
 
 def rotation(theta: float) -> SymplecticMap:

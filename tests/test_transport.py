@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from siegelflow import (
-    ConnectionForm,
     CorrectedSection,
     GaussianSection,
     MetaplecticElement,
     SiegelPoint,
     TruncationOverflowError,
-    bogoliubov_operator_deformation,
     bogoliubov_scale,
     coherent_state,
     corrected_inner_product,
@@ -29,11 +27,8 @@ from siegelflow import (
     random_symplectic,
     standard_point,
     transport_coherent,
-    transport_coherent_standard,
     transport_corrected,
-    transport_corrected_coherent,
     transport_equals_scaled_projection_check,
-    transport_halfform,
     transport_kernel_apply,
     transport_ode,
     transport_poly_standard,
@@ -43,11 +38,12 @@ from siegelflow import (
 from siegelflow.cli import main
 from siegelflow.sympl import act_on_siegel
 from siegelflow.transport import (
+    _halfform_log,
     bogoliubov_scale_via_structures,
-    ladder_matrices,
     transport_ode_coeffs,
 )
 
+from _reference import bogoliubov_operator_deformation, ladder_matrices, transport_coherent_standard
 from conftest import random_gaussian_section
 
 I1 = standard_point(1)
@@ -140,23 +136,25 @@ class TestGeneralTransport:
             assert abs(norm(transport_coherent(alpha, om, omp)) - norm(c)) < 1e-8 * norm(c)
 
 
+def halfform_phase(om, omp) -> complex:
+    """The half-form phase corrected transport of the vacuum picks up from om to omp."""
+    return transport_corrected(CorrectedSection(vacuum(om)), omp).halfform_phase
+
+
 class TestHalfFormTransport:
     def test_same_point_unit_phase(self):
         om = random_siegel(np.random.default_rng(2), 1)
-        assert abs(transport_halfform(om, om).phase - 1.0) < 1e-12
+        assert abs(halfform_phase(om, om) - 1.0) < 1e-12
 
     def test_real_positive_determinant(self):
-        out = transport_halfform(I1, diagonal_point([np.e**2]))
-        assert abs(out.phase - 1.0) < 1e-12
+        assert abs(halfform_phase(I1, diagonal_point([np.e**2])) - 1.0) < 1e-12
 
     def test_golden_value(self):
         # Xi'(1+i, i) = (1 + 2i)/2i = 1 - i/2; phase is its principal half-argument
-        from siegelflow import SiegelPoint
-
-        out = transport_halfform(I1, SiegelPoint.from_complex([[1.0 + 1.0j]]))
+        out = halfform_phase(I1, SiegelPoint.from_complex([[1.0 + 1.0j]]))
         xi = 1.0 - 0.5j
         expected = np.exp(0.5j * np.angle(xi))
-        assert abs(out.phase - expected) < 1e-10
+        assert abs(out - expected) < 1e-10
 
 
 class TestBogoliubov:
@@ -273,21 +271,22 @@ class TestCorrectedTransport:
             alpha = rng.normal(size=n) + 1j * rng.normal(size=n)
             psi = CorrectedSection(coherent_state(alpha, om))
             a = transport_corrected(psi, omp)
-            b = transport_corrected_coherent(alpha, om, omp)
+            b = CorrectedSection(transport_coherent(alpha, om, omp), np.exp(1j * _halfform_log(om, omp).imag))
             assert difference_norm(a, b) < 1e-8 * norm(a.section)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_phase_and_section_match_the_coherent_route(self, rng, n):
         pairs = [(random_siegel(rng, n), random_siegel(rng, n)) for _ in range(4)]
         if n == 3:
-            # the principal root of the half-form pairing flips sign on this leg
+            # a principal root of det Xi would flip sign on this leg
             pairs.append((SiegelPoint(np.zeros((3, 3)), np.eye(3)), SiegelPoint(4 * np.eye(3), np.eye(3))))
         for om, omp in pairs:
             alpha = rng.normal(size=n) + 1j * rng.normal(size=n)
             psi = CorrectedSection(coherent_state(alpha, om))
             res = transport_corrected(psi, omp)
-            ref = transport_corrected_coherent(alpha, om, omp)
-            assert abs(res.halfform_phase - transport_halfform(om, omp).phase) < 1e-12
+            phase = np.exp(1j * _halfform_log(om, omp).imag)
+            ref = CorrectedSection(transport_coherent(alpha, om, omp), phase)
+            assert abs(res.halfform_phase - phase) < 1e-12
             # closed-form inner products: the quadrature grid stops at n = 2
             ref_norm2 = inner_product(ref.section, ref.section).real
             overlap = corrected_inner_product(ref, res)
@@ -295,7 +294,7 @@ class TestCorrectedTransport:
             assert abs(inner_product(res.section, res.section).real / ref_norm2 - 1.0) < 1e-12
 
     def test_n3_triangle_holonomy_is_one(self):
-        # each leg a I + i I with a > 2 sqrt(3) flips the principal pairing root
+        # each leg a I + i I with a > 2 sqrt(3) would flip a principal root of det Xi
         pts = [SiegelPoint(a * np.eye(3), np.eye(3)) for a in (0.0, 4.0, -4.0, 0.0)]
         start = CorrectedSection(coherent_state([0.3, -0.2j, 0.5], pts[0]))
         around = start
@@ -362,16 +361,10 @@ class TestFockConnection:
         assert abs(a_tau[2, 0] - 0.25j * (-np.sqrt(2.0))) < 1e-15
 
     def test_skew_hermitian_for_real_directions(self):
-        form = ConnectionForm(diagonal_point([1.7]))
+        a_tau, a_taubar = fock_connection_matrix(1.7j, 12)
         for d_tau in (1.0, 1j, 0.3 - 0.8j):
-            a = form.fock_matrix(d_tau, 12)
+            a = a_tau * d_tau + a_taubar * np.conj(d_tau)
             assert np.abs(a + a.conj().T).max() < 1e-12
-
-    def test_quadratic_coefficient_shape(self):
-        form = ConnectionForm(standard_point(2))
-        b = form.quadratic_coefficient(np.eye(2) * (0.1 + 0.2j))
-        assert b.shape == (2, 2)
-        assert np.abs(b - np.conj(0.1 + 0.2j) * np.eye(2)).max() < 1e-12
 
 
 def _dense_rk4(c0, tau_of_t, t_end, steps):
