@@ -29,7 +29,6 @@ from .sections import (
     inner_product_cross_frame,
     norm,
     oracle_inner_product,
-    quadrature_integrate,
     section_from_json,
     section_to_json,
     vacuum,

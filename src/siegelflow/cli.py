@@ -39,6 +39,7 @@ import numpy as np
 from ._point import SiegelPoint, standard_point
 from .errors import SiegelFlowError
 from .sections import (
+    QUAD_NODES_MAX,
     CorrectedSection,
     _complex_to_json,
     _point_from_json,
@@ -244,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol", type=float, default=None, help="tolerance override")
     parser.add_argument(
         "--nodes", type=int, default=64,
-        help="starting quadrature nodes per dimension for the unitarity oracle, doubled until two grids agree",
+        help="starting quadrature nodes per dimension for the unitarity oracle, doubled until two grids "
+        f"agree, up to {QUAD_NODES_MAX} (numpy's Gauss-Hermite weights underflow beyond)",
     )
     parser.add_argument("--trunc", type=int, default=32, help="Fock truncation")
     parser.add_argument("--out", type=str, default=None, help="write the report to a file")

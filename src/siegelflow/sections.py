@@ -35,7 +35,6 @@ from numpy.polynomial.hermite import hermgauss
 from ._gaussint import _poly_gauss_pairing, exp_bivariate_series, kernel_apply_poly
 from ._point import SiegelPoint
 from .errors import (
-    GridTooCoarseError,
     NonFiniteError,
     NotIntegrableError,
     PolarizationMismatchError,
@@ -44,6 +43,8 @@ from .siegel import BoundaryPolarization
 
 N_TRUNC_DEFAULT = 32
 QUAD_NODES_DEFAULT = 64
+# numpy's hermgauss weights underflow to 0 from 371 nodes and overflow from 372
+QUAD_NODES_MAX = 370
 
 Frame = SiegelPoint | BoundaryPolarization
 
@@ -285,8 +286,14 @@ def from_fock_coefficients(coeffs, omega: SiegelPoint) -> GaussianSection:
 
 @lru_cache(maxsize=16)
 def _hermite_table(nodes: int):
-    """Gauss-Hermite nodes u and log weights log w + u^2, read-only."""
-    u, w = hermgauss(nodes)
+    """Gauss-Hermite nodes u and log weights log w + u^2, read-only.
+
+    ValueError naming ``QUAD_NODES_MAX`` when a weight is not finite and positive.
+    """
+    with np.errstate(all="ignore"):
+        u, w = hermgauss(nodes)
+    if not (np.isfinite(w).all() and (w > 0).all()):
+        raise ValueError(f"{nodes} Gauss-Hermite nodes lose their weights; at most {QUAD_NODES_MAX} are supported")
     logw = np.log(w) + u**2
     u.flags.writeable = False
     logw.flags.writeable = False
@@ -323,8 +330,10 @@ def _eliminate(phi: list, pair: dict) -> complex:
 
 
 def _hermite_grid_sum(f, gram: np.ndarray, nodes: int) -> complex:
-    """Tensor-product Gauss-Hermite estimate of integral f dv over R^m, with
-    the grid placed for the SPD envelope exp(-v^T G v).
+    """Tensor-product Gauss-Hermite estimate of integral f against the
+    normalised measure (2 pi)^{-m/2} dv over R^m, with the grid placed for the
+    SPD envelope exp(-v^T G v).  That measure is the Liouville form
+    (2 pi)^{-n} dx dy of a Kaehler frame and (2 pi)^{-n/2} du of a polarization.
 
     A ``_LogQuadratic`` f is summed over the grid as one-axis factors times
     pairwise factors exp(q_ij u_a u_b), with working arrays of nodes^2.  A
@@ -358,38 +367,7 @@ def _hermite_grid_sum(f, gram: np.ndarray, nodes: int) -> complex:
             for uj, lj in zip(u, logw):
                 sl = np.concatenate([np.full((pts.shape[0], 1), uj), pts], axis=1)
                 total += complex((f(sl @ ginv_half.T) * np.exp(lj + lw)).sum())
-    return total * np.exp(-0.5 * float(np.sum(np.log(w_eig))))
-
-
-def quadrature_integrate(
-    f,
-    n: int,
-    nodes: int = QUAD_NODES_DEFAULT,
-    gram: np.ndarray | None = None,
-    check: bool = False,
-    rtol: float = 1e-9,
-) -> complex:
-    """Tensor-product Gauss-Hermite evaluation of integral_V f against the
-    Liouville form (2 pi)^{-n} dx dy.
-
-    ``gram`` is an SPD matrix describing the Gaussian envelope exp(-v^T G v)
-    of the integrand (defaults to the standard-frame envelope); nodes are
-    placed for that envelope.  Summation order is fixed by the grid layout,
-    so results are bit-identical for a given configuration.
-    """
-    if n > 2:
-        raise ValueError("the tensor-product grid is practical for n <= 2 only")
-    g = 0.5 * np.eye(2 * n) if gram is None else np.asarray(gram, dtype=float)
-    scale = (2 * np.pi) ** -n
-    result = _hermite_grid_sum(f, g, nodes) * scale
-    if check:
-        refined = _hermite_grid_sum(f, g, 2 * nodes) * scale
-        if abs(refined - result) > rtol * max(1.0, abs(refined)):
-            raise GridTooCoarseError(
-                f"doubling nodes moved the result by {abs(refined - result):.3e}"
-            )
-        result = refined
-    return result
+    return total * np.exp(-0.5 * float(np.sum(np.log(w_eig)))) * (2 * np.pi) ** (-0.5 * m)
 
 
 def _envelope_form(psi: GaussianSection) -> np.ndarray:
@@ -435,17 +413,19 @@ def oracle_inner_product(psi1: GaussianSection, psi2: GaussianSection, nodes: in
     Polynomial sections, non-finite probes and a failed fit evaluate the
     integrand at every grid point.  The grid is placed for the integrand's
     own Gaussian envelope, which for strongly squeezed sections is much
-    wider than the frame Gaussian.  Kaehler frames only."""
+    wider than the frame Gaussian.  Kaehler frames with n <= 2 only."""
     _require_frame("the quadrature oracle", SiegelPoint, psi1, psi2)
+    if psi1.n > 2:
+        raise ValueError("the tensor-product grid is practical for n <= 2 only")
     fit = None if psi1.degree or psi2.degree else _fit_log_quadratic(psi1, psi2)
     if fit is not None:
-        return quadrature_integrate(fit, psi1.n, nodes=nodes, gram=-0.5 * fit.q.real)
+        return _hermite_grid_sum(fit, -0.5 * fit.q.real, nodes)
     g = 0.5 * (_envelope_form(psi1) + _envelope_form(psi2))
 
     def f(v):
         return np.conj(psi1.value(v)) * psi2.value(v)
 
-    return quadrature_integrate(f, psi1.n, nodes=nodes, gram=g)
+    return _hermite_grid_sum(f, g, nodes)
 
 
 def _with_phase(x) -> tuple:
@@ -481,13 +461,15 @@ def difference_norm(a, b) -> float:
     ``real_quadratic`` (half-form phases folded into k) alone, and
     ||a - b||^2 / ||a||^2 = expm1(h)^2 + 2 e^h (-expm1(Re d) cos Im d + 2 sin^2(Im d / 2)).
     Equal inputs give exactly 0, on Kaehler frames and polarizations alike.
-    Polynomial sections (n = 1) evaluate the difference pointwise on 48
-    Gauss-Hermite points per real dimension, placed for the real envelopes.
+    Polynomial sections (n = 1) evaluate the difference pointwise on a
+    Gauss-Hermite grid placed for the real envelopes: 48 nodes per axis on a
+    Kaehler frame, and 300 on a polarization's one axis, where two unrelated
+    Gaussian parts leave a chirp exp(i (Im m_a - Im m_b) u^2 / 2) in the cross term.
     """
     (pa, ha), (pb, hb) = _with_phase(a), _with_phase(b)
     _same_space(pa.frame, pb.frame)
     if pa.degree or pb.degree:
-        return _difference_norm_pointwise(a, b, 48)
+        return _difference_norm_pointwise(a, b, 300 if isinstance(pa.frame, BoundaryPolarization) else 48)
     sa, la, ka = pa.real_quadratic()
     sb, lb, kb = pb.real_quadratic()
     s0 = 2.0 * sa.real
@@ -507,15 +489,15 @@ def _difference_norm_pointwise(a, b, nodes: int) -> float:
     """|| a - b || with the difference evaluated at common grid points before
     squaring; the reference for ``difference_norm``."""
     (pa, ha), (pb, hb) = _with_phase(a), _with_phase(b)
-    # half the mean envelope: valid (wider) for both terms when they are comparable
-    g = 0.25 * (_envelope_form(pa) + _envelope_form(pb))
+    # on a Kaehler frame half the mean envelope, valid (wider) for both terms
+    # when they are comparable; on a polarization the mean envelope of |a - b|^2
+    spread = 0.5 if isinstance(pa.frame, BoundaryPolarization) else 0.25
+    g = spread * (_envelope_form(pa) + _envelope_form(pb))
 
     def f(v):
         return np.abs(pa.value(v) * ha - pb.value(v) * hb) ** 2
 
-    # the frame's normalised measure: (2 pi)^{-n} dx dy, or (2 pi)^{-n/2} du on a polarization
-    val = _hermite_grid_sum(f, g, nodes) * (2 * np.pi) ** (-0.5 * len(g))
-    return float(np.sqrt(max(val.real, 0.0)))
+    return float(np.sqrt(max(_hermite_grid_sum(f, g, nodes).real, 0.0)))
 
 
 # ---------------------------------------------------------------------------

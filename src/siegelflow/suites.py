@@ -12,6 +12,7 @@ import numpy as np
 from ._point import SiegelPoint, diagonal_point, standard_point
 from .errors import GridTooCoarseError
 from .sections import (
+    QUAD_NODES_MAX,
     CorrectedSection,
     GaussianSection,
     coherent_state,
@@ -140,15 +141,19 @@ def suite_lemma21(seed: int = 42, trials: int = 200, dims=(1, 2, 3), tol: float 
 
 def _refined_oracle(p1: GaussianSection, p2: GaussianSection, nodes: int, tol: float) -> complex:
     """``oracle_inner_product`` from ``nodes`` per axis, doubling until two successive
-    grids agree to ``tol`` (relative, absolute below 1), up to 4 * nodes against 8 * nodes."""
+    grids agree to ``tol`` (relative, absolute below 1), up to 4 * nodes against
+    8 * nodes and never past ``QUAD_NODES_MAX``."""
+    coarse_nodes = nodes
     coarse = oracle_inner_product(p1, p2, nodes=nodes)
-    for fine_nodes in (2 * nodes, 4 * nodes, 8 * nodes):
+    for _ in range(3):
+        fine_nodes = min(2 * coarse_nodes, QUAD_NODES_MAX)
+        if fine_nodes == coarse_nodes:
+            break
         fine = oracle_inner_product(p1, p2, nodes=fine_nodes)
-        moved = abs(fine - coarse)
-        if moved <= tol * max(1.0, abs(fine)):
+        if abs(fine - coarse) <= tol * max(1.0, abs(fine)):
             return fine
-        coarse = fine
-    raise GridTooCoarseError(f"the oracle moved by {moved:.3e} from {fine_nodes // 2} to {fine_nodes} nodes")
+        coarse, coarse_nodes = fine, fine_nodes
+    raise GridTooCoarseError(f"the oracle did not settle to {tol:.1e} by {coarse_nodes} nodes")
 
 
 def suite_unitarity(seed: int = 42, trials: int = 20, oracle_trials: int = 6, tol: float = 1e-8, oracle_tol: float = 1e-5, nodes: int = 64) -> list[dict]:

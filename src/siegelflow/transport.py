@@ -10,7 +10,9 @@ orthogonal projection onto the holomorphic sections of Omega' and
 Coherent states transport in closed form; the half-form correction
 contributes the unit phase (det Xi')^{1/2} / |det Xi'|^{1/2}, after which
 transport composes flatly.  A moving-frame Fock ODE provides an independent
-numerical route for n = 1.
+numerical route for n = 1: on the normal-form geodesic i exp(2 lambda t) the
+connection 1-form has constant coefficients, so the ODE integrates its
+constant squeeze generator.
 """
 
 from __future__ import annotations
@@ -212,14 +214,6 @@ def _fock_connection_bands(n_trunc: int):
     return diag, np.sqrt(diag[2:] * diag[1:-1])
 
 
-def _fock_connection_patterns(n_trunc: int):
-    """Dense tau-independent patterns (P_tau, P_taubar) of the connection."""
-    diag, off = _fock_connection_bands(n_trunc)
-    p_tau = np.diag(diag).astype(complex)
-    p_tau[np.arange(2, n_trunc), np.arange(n_trunc - 2)] = -off
-    return p_tau, p_tau.T
-
-
 def fock_connection_matrix(tau: complex, n_trunc: int):
     """Connection 1-form in the Fock frame over the upper half-plane.
 
@@ -231,59 +225,38 @@ def fock_connection_matrix(tau: complex, n_trunc: int):
     tau2 = complex(tau).imag
     if tau2 <= 0:
         raise ValueError("tau must lie in the upper half-plane")
-    p_tau, p_taubar = _fock_connection_patterns(n_trunc)
+    diag, off = _fock_connection_bands(n_trunc)
     pref = 0.25j / tau2
-    return pref * p_tau, pref * p_taubar
+    a_tau = np.diag(pref * diag)
+    a_tau[np.arange(2, n_trunc), np.arange(n_trunc - 2)] = -pref * off
+    return a_tau, a_tau.T.copy()
 
 
-def transport_ode_coeffs(
-    c0: np.ndarray,
-    tau_of_t,
-    t_end: float,
-    steps: int,
-    progress=None,
-) -> np.ndarray:
-    """Integrate dc/dt = -A(gamma'(t)) c with classical RK4.
+def transport_ode_coeffs(c0: np.ndarray, lam: float, t_end: float, steps: int) -> np.ndarray:
+    """Integrate dc/dt = -A(gamma'(t)) c along gamma(t) = i exp(2 lambda t) with classical RK4.
 
-    ``tau_of_t`` maps t to the path point in the upper half-plane; the
-    connection (path velocity by central differences of the supplied map)
-    is re-evaluated at t, t + h/2 and t + h of every step and applied band
-    by band, O(len(c0)) per stage.  ``progress``, when given, is called as
-    progress(step, steps) about a hundred times; it must not mutate the state.
+    With gamma' = 2 lambda gamma the connection's coefficients are constant,
+    A(gamma') = -(lambda / 2) P_tau + (lambda / 2) P_taubar: the diagonal
+    cancels and -A(gamma') is the squeeze generator, w on the +2 band and -w
+    on the -2 band with w[j] = (lambda / 2) sqrt((j + 2)(j + 1)).  Each stage
+    adds w c[2:] into [:-2] and subtracts w c[:-2] from [2:], O(len(c0)).
     """
     c = np.asarray(c0, dtype=complex).copy()
     h = t_end / steps
-    eps = 1e-6 * max(abs(t_end), 1.0)
-    diag, off = _fock_connection_bands(c.size)
-    report_every = max(1, steps // 100)
+    w = 0.5 * lam * _fock_connection_bands(c.size)[1]
 
-    def connection(t):
-        # (a, b) = (i / 4 tau2) (dtau, conj(dtau)) at t; rhs is -(a P_tau + b P_taubar) c
-        tau = complex(tau_of_t(t))
-        if tau.imag <= 0:
-            raise ValueError("path left the upper half-plane")
-        dtau = (complex(tau_of_t(t + eps)) - complex(tau_of_t(t - eps))) / (2 * eps)
-        pref = 0.25j / tau.imag
-        return pref * dtau, pref * dtau.conjugate()
-
-    def rhs(a, b, c):
-        out = -(a + b) * diag * c
-        out[2:] += a * off * c[:-2]
-        out[:-2] += b * off * c[2:]
+    def rhs(c):
+        out = np.zeros_like(c)
+        out[:-2] = w * c[2:]
+        out[2:] -= w * c[:-2]
         return out
 
-    t, at_t = 0.0, connection(0.0)
-    for step in range(steps):
-        at_mid = connection(t + 0.5 * h)
-        at_end = connection(t + h)
-        k1 = rhs(*at_t, c)
-        k2 = rhs(*at_mid, c + 0.5 * h * k1)
-        k3 = rhs(*at_mid, c + 0.5 * h * k2)
-        k4 = rhs(*at_end, c + h * k3)
+    for _ in range(steps):
+        k1 = rhs(c)
+        k2 = rhs(c + 0.5 * h * k1)
+        k3 = rhs(c + 0.5 * h * k2)
+        k4 = rhs(c + h * k3)
         c = c + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t, at_t = t + h, at_end
-        if progress is not None and (step + 1) % report_every == 0:
-            progress(step + 1, steps)
     return c
 
 
@@ -293,14 +266,14 @@ def transport_ode(
     t_end: float,
     steps: int,
     n_basis: int | None = None,
-    progress=None,
 ) -> GaussianSection:
     """Numerical transport of a truncated Fock state along i exp(2 lambda t).
 
-    The state is expanded in the moving Fock frame and integrated with RK4.
-    Raises when more than ``TRUNCATION_LEAK_TOL`` of amplitude reaches the
-    top 10% of the basis, which signals that ``n_basis`` is too small for
-    the requested time.
+    The state is expanded in the moving Fock frame and integrated with RK4
+    under the geodesic's constant generator, built from the connection
+    1-form, not from the closed-form transport.  Raises when more than
+    ``TRUNCATION_LEAK_TOL`` of amplitude reaches the top 10% of the basis,
+    which signals that ``n_basis`` is too small for the requested time.
     """
     if psi0.n != 1:
         raise ValueError("the transport ODE is one-dimensional")
@@ -314,8 +287,7 @@ def transport_ode(
     if lam == 0.0 or t_end == 0.0:
         return from_fock_coefficients(c, psi0.frame)
 
-    tau_of_t = lambda t: 1j * np.exp(2.0 * lam * t)
-    c = transport_ode_coeffs(c, tau_of_t, t_end, steps, progress=progress)
+    c = transport_ode_coeffs(c, lam, t_end, steps)
 
     guard = int(np.ceil(0.9 * n_basis))
     leak = float(np.abs(c[guard:]).max(initial=0.0))

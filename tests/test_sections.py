@@ -3,6 +3,7 @@ import pytest
 
 import siegelflow._gaussint as gaussint
 import siegelflow.sections as sections
+import siegelflow.suites as suites
 from siegelflow import (
     BoundaryPolarization,
     CorrectedSection,
@@ -27,7 +28,6 @@ from siegelflow import (
     momentum_profile,
     norm,
     oracle_inner_product,
-    quadrature_integrate,
     random_siegel,
     section_from_json,
     section_to_json,
@@ -36,9 +36,12 @@ from siegelflow import (
 )
 from siegelflow._gaussint import gauss_log_integral
 from siegelflow.sections import (
+    QUAD_NODES_DEFAULT,
+    QUAD_NODES_MAX,
     _difference_norm_pointwise,
     _envelope_form,
     _fit_log_quadratic,
+    _hermite_grid_sum,
 )
 from siegelflow.suites import _refined_oracle, suite_unitarity
 from siegelflow.transport import _halfform_log
@@ -69,20 +72,20 @@ class TestQuadratureOracle:
     def test_unit_gaussian_normalization(self):
         for omega in (I1, diagonal_point([2.5]), random_siegel(np.random.default_rng(1), 2)):
             f = lambda v: np.exp(-np.einsum("...i,ij,...j->...", v, omega.gram_matrix, v))
-            val = quadrature_integrate(f, omega.n, gram=omega.gram_matrix)
+            val = _hermite_grid_sum(f, omega.gram_matrix, QUAD_NODES_DEFAULT)
             assert abs(val - 1.0) < 1e-12
 
     def test_odd_integrand_vanishes(self):
         odd = lambda v: (v[..., 0] ** 3 + v[..., 1]) * np.exp(-0.5 * (v**2).sum(axis=-1))
-        val = quadrature_integrate(odd, 1)
+        val = _hermite_grid_sum(odd, 0.5 * np.eye(2), QUAD_NODES_DEFAULT)
         assert abs(val) < 1e-14
 
-    def test_grid_too_coarse_detected(self):
-        gram = 40.0 * np.eye(2)
-        sharp = lambda v: np.exp(-40.0 * (v**2).sum(axis=-1)) * np.cos(7 * v[..., 0])
-        with pytest.raises(GridTooCoarseError):
-            quadrature_integrate(sharp, 1, nodes=4, gram=gram, check=True, rtol=1e-10)
-        quadrature_integrate(sharp, 1, nodes=48, gram=gram, check=True, rtol=1e-9)
+    def test_grids_past_the_largest_supported_count_raise(self):
+        psi = vacuum(I1)
+        assert abs(oracle_inner_product(psi, psi, nodes=QUAD_NODES_MAX) - 1.0) < 1e-12
+        for nodes in (QUAD_NODES_MAX + 1, 400):
+            with pytest.raises(ValueError, match=f"at most {QUAD_NODES_MAX}"):
+                oracle_inner_product(psi, psi, nodes=nodes)
 
     def test_closed_form_matches_oracle_random(self, rng):
         # the 64-node/1e-6 battery across random m, b with ||m|| <= 0.8
@@ -101,7 +104,7 @@ class TestQuadratureOracle:
 def _brute_oracle(p1, p2, nodes):
     """<p1, p2> with the integrand evaluated at every grid point of the oracle's grid."""
     g = 0.5 * (_envelope_form(p1) + _envelope_form(p2))
-    return quadrature_integrate(lambda v: np.conj(p1.value(v)) * p2.value(v), p1.n, nodes=nodes, gram=g)
+    return _hermite_grid_sum(lambda v: np.conj(p1.value(v)) * p2.value(v), g, nodes)
 
 
 class TestFactorisedOracle:
@@ -176,6 +179,20 @@ class TestOracleRefinement:
         psi = GaussianSection(diagonal_point([30.0]), [[0.5]], [2.0], 0.0)
         with pytest.raises(GridTooCoarseError):
             _refined_oracle(psi, psi, 2, 1e-12)
+
+    @pytest.mark.parametrize("start, grids", [(100, [100, 200, QUAD_NODES_MAX]), (QUAD_NODES_MAX, [QUAD_NODES_MAX])])
+    def test_doubling_stops_at_the_largest_supported_count(self, monkeypatch, start, grids):
+        seen = []
+
+        def moving_oracle(p1, p2, nodes):
+            seen.append(nodes)
+            return complex(nodes)
+
+        monkeypatch.setattr(suites, "oracle_inner_product", moving_oracle)
+        psi = vacuum(I1)
+        with pytest.raises(GridTooCoarseError, match=f"by {QUAD_NODES_MAX} nodes"):
+            _refined_oracle(psi, psi, start, 1e-5)
+        assert seen == grids
 
 
 class TestCoherentStates:
@@ -341,7 +358,7 @@ class TestOvercompleteness:
                 cw_at_z0 = np.exp(np.conj(w) * z0 - 0.5 * abs(z0) ** 2)
                 return cw_at_z0 * phi_at_w * np.exp(-np.einsum("...i,ij,...j->...", v, g, v))
 
-            val = quadrature_integrate(integrand, 1, gram=g)
+            val = _hermite_grid_sum(integrand, g, QUAD_NODES_DEFAULT)
             assert abs(val - psi.value(v0)) < 1e-8
 
 
@@ -446,8 +463,20 @@ class TestDifferenceNorm:
                                         a.c + size * cnormal(()), a.coeffs + size * cnormal(degree + 1))
             other = GaussianSection(a.frame, a.m, a.b, a.c, cnormal(degree + 1))
             for b in (perturbed, other):
-                ref = _difference_norm_pointwise(a, b, 300)
+                ref = _difference_norm_pointwise(a, b, QUAD_NODES_MAX)
                 assert abs(difference_norm(a, b) - ref) <= 1e-6 * ref
+
+    def test_independent_polynomial_profile_pairs_match_the_gram_formula(self, rng):
+        # far apart, ||a||^2 + ||b||^2 - 2 Re <a, b> does not cancel and is a
+        # reference; unrelated Gaussian parts leave a chirp in the cross term
+        pairs = 0
+        while pairs < 60:
+            a, b = random_profile(rng), random_profile(rng)
+            if not (a.degree or b.degree):
+                continue
+            pairs += 1
+            gram = np.sqrt(norm(a) ** 2 + norm(b) ** 2 - 2 * inner_product(a, b).real)
+            assert abs(difference_norm(a, b) - gram) <= 1e-9 * gram
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_distant_cross_frame_corrected_pair(self, rng, n):

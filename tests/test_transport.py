@@ -22,7 +22,6 @@ from siegelflow import (
     inner_product,
     metaplectic_act,
     norm,
-    quadrature_integrate,
     random_siegel,
     random_symplectic,
     standard_point,
@@ -36,6 +35,7 @@ from siegelflow import (
     vacuum,
 )
 from siegelflow.cli import main
+from siegelflow.sections import QUAD_NODES_DEFAULT, _hermite_grid_sum
 from siegelflow.sympl import act_on_siegel
 from siegelflow.transport import (
     _halfform_log,
@@ -247,7 +247,7 @@ class TestKernels:
                     )
                     return holo * kern
 
-                base = quadrature_integrate(f, 1, gram=-0.5 * sv.real)
+                base = _hermite_grid_sum(f, -0.5 * sv.real, QUAD_NODES_DEFAULT)
                 return (
                     np.exp(log_pref + 0.5 * k22[0, 0] * zp**2 - 0.5 * abs(zp) ** 2) * base
                 )
@@ -367,16 +367,20 @@ class TestFockConnection:
             assert np.abs(a + a.conj().T).max() < 1e-12
 
 
-def _dense_rk4(c0, tau_of_t, t_end, steps):
-    """Classical RK4 for dc/dt = -A(dtau) c with the dense connection matrices."""
+def _dense_generator(lam, t, n_basis):
+    """-(A_tau tau' + A_taubar conj(tau')) on tau(t) = i exp(2 lam t), with the exact tau' = 2 lam tau."""
+    tau = 1j * np.exp(2.0 * lam * t)
+    a_tau, a_taubar = fock_connection_matrix(tau, n_basis)
+    return -(a_tau * (2.0 * lam * tau) + a_taubar * np.conj(2.0 * lam * tau))
+
+
+def _dense_rk4(c0, lam, t_end, steps):
+    """Classical RK4 with the dense connection re-evaluated at every stage's time."""
     c = np.asarray(c0, dtype=complex).copy()
     h = t_end / steps
-    eps = 1e-6 * max(abs(t_end), 1.0)
 
     def rhs(t, c):
-        dtau = (tau_of_t(t + eps) - tau_of_t(t - eps)) / (2 * eps)
-        a_tau, a_taubar = fock_connection_matrix(tau_of_t(t), c.size)
-        return -(a_tau * dtau + a_taubar * np.conj(dtau)) @ c
+        return _dense_generator(lam, t, c.size) @ c
 
     t = 0.0
     for _ in range(steps):
@@ -425,31 +429,30 @@ class TestTransportODE:
         with pytest.raises(TruncationOverflowError):
             transport_ode(fock_state(0, I1), 1.0, 1.0, 400, n_basis=32)
 
-    def test_progress_callback(self):
-        seen = []
-        transport_ode(fock_state(0, I1), 1.0, 0.2, 300, n_basis=48,
-                      progress=lambda step, total: seen.append((step, total)))
-        assert seen and seen[-1] == (300, 300)
-        assert all(total == 300 for _, total in seen)
-
     @pytest.mark.parametrize("n_basis", [8, 48, 256])
     @pytest.mark.parametrize("steps", [1, 200])
     def test_banded_rhs_matches_dense_reference(self, n_basis, steps):
-        # a non-geodesic path whose velocity has a real part, so the diagonal
-        # band enters with weight 2 Re(dtau)
-        def tau_of_t(t):
-            return 0.4 * t + 1j * (1.0 + t * t)
-
+        # on the geodesic the dense connection is one constant matrix, the squeeze generator
+        lam = 0.7
+        j = np.arange(n_basis - 2)
+        w = 0.5 * lam * np.sqrt((j + 2.0) * (j + 1.0))
+        banded = np.diag(w, 2) - np.diag(w, -2)
+        for t in (0.0, 0.35, 1.2, -0.8):
+            dense = _dense_generator(lam, t, n_basis)
+            assert np.abs(dense - banded).max() <= 1e-15 * np.abs(banded).max()
         rng = np.random.default_rng(n_basis + steps)
         c0 = rng.normal(size=n_basis) + 1j * rng.normal(size=n_basis)
         c0 /= np.sqrt(np.arange(1, n_basis + 1)) ** 3
-        got = transport_ode_coeffs(c0, tau_of_t, 0.6, steps)
-        want = _dense_rk4(c0, tau_of_t, 0.6, steps)
+        got = transport_ode_coeffs(c0, lam, 0.6, steps)
+        want = _dense_rk4(c0, lam, 0.6, steps)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
-    def test_path_leaving_the_half_plane_raises(self):
-        with pytest.raises(ValueError, match="upper half-plane"):
-            transport_ode_coeffs(np.ones(8), lambda t: 1j * (1.0 - t), 2.0, 40)
+    def test_coherent_state_matches_closed_form_to_round_off(self):
+        # with the exact velocity, 2000 steps leave only round-off in the 32-state window
+        psi = coherent_state([0.4 + 0.2j], I1)
+        out = fock_coefficients(transport_ode(psi, 0.8, 1.0, 2000, n_basis=128), 32)
+        closed = fock_coefficients(transport_poly_standard(psi, 0.8, 1.0), 32)
+        assert np.linalg.norm(out - closed) <= 1e-12 * np.linalg.norm(closed)
 
     def test_result_serialization_schema(self, rng, capsys, monkeypatch):
         om, omp = random_siegel(rng, 1), random_siegel(rng, 1)
