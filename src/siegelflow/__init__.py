@@ -36,12 +36,10 @@ from .sections import (
 from .siegel import (
     BoundaryPolarization,
     GeodesicSpec,
-    LagrangianFrame,
     complex_structure_of,
     geodesic_between,
     geodesic_boundary_limits,
     geodesic_eval,
-    lagrangian_pair_map,
     metric_distance,
     takagi,
 )
@@ -77,7 +75,6 @@ from .transport import (
     transport_equals_scaled_projection_check,
     transport_kernel_apply,
     transport_ode,
-    transport_poly_standard,
     transport_uncorrected,
 )
 

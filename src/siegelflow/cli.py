@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._point import SiegelPoint, standard_point
+from ._point import SiegelPoint, diagonal_point, standard_point
 from .errors import SiegelFlowError
 from .sections import (
     QUAD_NODES_MAX,
@@ -62,7 +62,7 @@ from .transport import (
     transport_corrected,
     transport_kernel_apply,
     transport_ode,
-    transport_poly_standard,
+    transport_uncorrected,
 )
 
 SCHEMA_VERSION = 1
@@ -180,7 +180,7 @@ def cmd_transport(args) -> int:
         coeffs = fock_coefficients(pulled, args.trunc)
         start = from_fock_coefficients(coeffs, standard_point(1))
         lam = float(spec.lam[0])
-        closed = transport_poly_standard(start, lam, 1.0)
+        closed = transport_uncorrected(start, diagonal_point([np.exp(2.0 * lam)]))
         ode = transport_ode(start, lam, 1.0, args.ode_steps, n_basis=max(4 * args.trunc, 128))
         c_closed = fock_coefficients(closed, args.trunc)
         c_ode = fock_coefficients(ode, args.trunc)

@@ -415,6 +415,7 @@ def oracle_inner_product(psi1: GaussianSection, psi2: GaussianSection, nodes: in
     own Gaussian envelope, which for strongly squeezed sections is much
     wider than the frame Gaussian.  Kaehler frames with n <= 2 only."""
     _require_frame("the quadrature oracle", SiegelPoint, psi1, psi2)
+    _same_space(psi1.frame, psi2.frame)
     if psi1.n > 2:
         raise ValueError("the tensor-product grid is practical for n <= 2 only")
     fit = None if psi1.degree or psi2.degree else _fit_log_quadratic(psi1, psi2)

@@ -10,17 +10,19 @@ singular values of the Cayley image are the hyperbolic tangents of the
 geodesic rates.
 
 A real polarization with a lifted reduction to L- (``BoundaryPolarization``)
-is the other kind of frame of the Gaussian sections, beside the points.
+is the other kind of frame of the Gaussian sections, beside the points, and
+the one Lagrangian type: it carries the orthonormal span of its subspace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ._point import SiegelPoint, diagonal_point
-from .errors import NonTransverseError, NotIntegrableError
+from .errors import NotIntegrableError
 from .sympl import MetaplecticElement, SymplecticMap, act_on_siegel, compose
 
 TRANSVERSALITY_TOL = 1e-8
@@ -184,56 +186,6 @@ def metric_distance(omega: SiegelPoint, omega_p: SiegelPoint) -> float:
     return 2.0 * float(np.linalg.norm(spec.lam))
 
 
-@dataclass(frozen=True)
-class LagrangianFrame:
-    """A real Lagrangian subspace given as g . L- or g . L+.
-
-    L- = {x = 0} carries the position-type polarization, L+ = {y = 0} the
-    momentum-type one.  ``frame`` spans the subspace; dx-type covectors for
-    the quotient V/L are the first n rows of g^{-1}.
-    """
-
-    g: SymplecticMap
-    plus: bool = False
-
-    @classmethod
-    def minus(cls, n: int) -> "LagrangianFrame":
-        return cls(SymplecticMap.identity(n), plus=False)
-
-    @classmethod
-    def graph_of_shear(cls, s: np.ndarray) -> "LagrangianFrame":
-        """The graph {(x, Sx)} for symmetric S, realized as g . L+."""
-        s = np.atleast_2d(np.asarray(s, dtype=float))
-        n = s.shape[0]
-        lower = SymplecticMap(np.eye(n), np.zeros((n, n)), 0.5 * (s + s.T), np.eye(n))
-        return cls(lower, plus=True)
-
-    @property
-    def n(self) -> int:
-        return self.g.n
-
-    @property
-    def frame(self) -> np.ndarray:
-        """2n x n matrix whose columns span the subspace."""
-        m = self.g.matrix
-        n = self.n
-        return m[:, :n] if self.plus else m[:, n:]
-
-    def is_lagrangian(self, tol: float = 1e-10) -> bool:
-        f = self.frame
-        return bool(np.abs(f.T @ symplectic_form_matrix(self.n) @ f).max() <= tol)
-
-    def transverse_to(self, other: "LagrangianFrame", tol: float = TRANSVERSALITY_TOL) -> bool:
-        q, _ = np.linalg.qr(self.frame)
-        q2, _ = np.linalg.qr(other.frame)
-        return bool(abs(np.linalg.det(np.hstack([q, q2]))) > tol)
-
-    def same_subspace(self, other: "LagrangianFrame", tol: float = 1e-10) -> bool:
-        q, _ = np.linalg.qr(self.frame)
-        f = other.frame
-        return bool(np.abs(f - q @ (q.T @ f)).max() <= tol * max(1.0, np.abs(f).max()))
-
-
 def exchange_map(n: int) -> SymplecticMap:
     """g0 = (0, I; -I, 0): swaps the two standard Lagrangians, fixes i*I."""
     i, z = np.eye(n), np.zeros((n, n))
@@ -270,20 +222,30 @@ class BoundaryPolarization:
         return cls(MetaplecticElement.principal_lift(exchange_map(n)))
 
     @classmethod
-    def from_frame(cls, frame: LagrangianFrame) -> "BoundaryPolarization":
-        """Canonical reference: columns (J0 W | W) with W an orthonormal span."""
-        w, _ = np.linalg.qr(frame.frame)
-        g = SymplecticMap.from_matrix(np.hstack([symplectic_form_matrix(frame.n) @ w, w]))
+    def from_span(cls, span) -> "BoundaryPolarization":
+        """The polarization along the column span of ``span``, with the
+        canonical reference (J0 W | W), W an orthonormal basis of it; raises
+        ``SpRelationViolatedError`` unless the span is Lagrangian."""
+        w, _ = np.linalg.qr(np.asarray(span, dtype=float))
+        g = SymplecticMap.from_matrix(np.hstack([symplectic_form_matrix(w.shape[1]) @ w, w]))
         return cls(MetaplecticElement.principal_lift(g))
 
     @property
     def n(self) -> int:
         return self.reference.g.n
 
-    @property
-    def frame(self) -> LagrangianFrame:
-        """The polarized subspace g . L-."""
-        return LagrangianFrame(self.reference.g, plus=False)
+    @cached_property
+    def span(self) -> np.ndarray:
+        """Orthonormal basis of the polarized subspace g . L-, read-only."""
+        w, _ = np.linalg.qr(self.reference.g.matrix[:, self.n :])
+        w.flags.writeable = False
+        return w
+
+    def transverse_to(self, other: "BoundaryPolarization") -> bool:
+        """|det(W^T J0 W')| on the orthonormal spans, the product of the sines
+        of the principal angles between the two subspaces, exceeds the tolerance."""
+        d = np.linalg.det(self.span.T @ symplectic_form_matrix(self.n) @ other.span)
+        return bool(abs(d) > TRANSVERSALITY_TOL)
 
     def imag_sqrt(self) -> np.ndarray:
         return np.sqrt(0.5) * np.eye(self.n)
@@ -301,31 +263,15 @@ class BoundaryPolarization:
         return f"BoundaryPolarization(g={np.array2string(self.reference.g.matrix, precision=6)})"
 
 
-def lagrangian_pair_map(l_from: LagrangianFrame, l_to: LagrangianFrame) -> SymplecticMap:
-    """A symplectic g with g . L- = l_from and g . L+ = l_to.
-
-    Exists iff the two subspaces are transverse: with W spanning l_from and
-    U0 spanning l_to, normalizing U = U0 K^{-1} where K = U0^T J0 W makes
-    (U | W) symplectic.
-    """
-    if not l_from.transverse_to(l_to):
-        raise NonTransverseError("subspaces are not transverse")
-    n = l_from.n
-    j0 = symplectic_form_matrix(n)
-    w, _ = np.linalg.qr(l_from.frame)
-    u0, _ = np.linalg.qr(l_to.frame)
-    k = u0.T @ j0 @ w
-    u = u0 @ np.linalg.inv(k).T
-    # columns: first n span l_to (image of L+), last n span l_from (image of L-)
-    return SymplecticMap.from_matrix(np.hstack([u, w]))
-
-
 def geodesic_boundary_limits(spec: GeodesicSpec, tol: float = 1e-12):
-    """Boundary Lagrangians (g.L-, g.L+) of gamma at t -> -inf, +inf.
+    """Boundary polarizations (g.L-, g.L+) of gamma at t -> -inf, +inf: the
+    frames of the Segal-Bargmann and Fourier limits of transport.
 
     Present only when every rate is strictly positive; any vanishing rate
     leaves the curve inside the upper half-space in that direction.
     """
     if spec.lam.min() <= tol:
         return None, None
-    return LagrangianFrame(spec.g, plus=False), LagrangianFrame(spec.g, plus=True)
+    lift = MetaplecticElement.principal_lift
+    plus = compose(spec.g, exchange_map(spec.n))  # g g0 . L- = g . L+
+    return BoundaryPolarization(lift(spec.g)), BoundaryPolarization(lift(plus))

@@ -23,7 +23,7 @@ from .sections import (
     oracle_inner_product,
     vacuum,
 )
-from .siegel import LagrangianFrame, geodesic_between
+from .siegel import geodesic_between
 from .sympl import (
     MetaplecticElement,
     act_on_siegel,
@@ -319,13 +319,9 @@ def suite_identities(seed: int = 42, trials: int = 50, tol: float = 1e-8) -> lis
     for _ in range(trials):
         g = random_symplectic(rng, 1)
         pol_l = BoundaryPolarization(MetaplecticElement.principal_lift(g))
-        pol_lp = BoundaryPolarization.from_frame(LagrangianFrame(g, plus=True))
-        shear = np.array([[rng.normal()]])
-        pol_lpp = BoundaryPolarization.from_frame(LagrangianFrame.graph_of_shear(shear))
-        if not (
-            pol_l.frame.transverse_to(pol_lpp.frame)
-            and pol_lp.frame.transverse_to(pol_lpp.frame)
-        ):
+        pol_lp = BoundaryPolarization.from_span(g.matrix[:, :1])
+        pol_lpp = BoundaryPolarization.from_span(np.vstack([np.eye(1), [[rng.normal()]]]))
+        if not (pol_l.transverse_to(pol_lpp) and pol_lp.transverse_to(pol_lpp)):
             continue
         om, omp = random_siegel(rng, 1), random_siegel(rng, 1)
         rep = composition_identities_check(om, omp, pol_l, pol_lp, pol_lpp)

@@ -132,7 +132,7 @@ def fourier_general(
     The result is independent of the chosen frame; the composition
     identity checks exercise exactly that independence."""
     _require_frame("fourier_general", BoundaryPolarization, shat)
-    if not shat.frame.frame.transverse_to(target.frame):
+    if not shat.frame.transverse_to(target):
         raise NonTransverseError("polarizations must be transverse")
     if reference_omega is None:
         reference_omega = standard_point(shat.frame.n)
@@ -300,29 +300,22 @@ def composition_identities_check(
          with each factor built over a different Kaehler reference point.
     """
     for a, b in ((pol_l, pol_lp), (pol_lp, pol_lpp), (pol_l, pol_lpp)):
-        if not a.frame.transverse_to(b.frame):
+        if not a.transverse_to(b):
             raise NonTransverseError("test polarizations must be mutually transverse")
     if profiles is None:
         profiles = default_test_profiles()
     # each profile's data, in standard position over pol_l
     sections = [CorrectedSection(GaussianSection(pol_l, p.m, p.b, p.c, p.coeffs)) for p in profiles]
 
-    r1 = 0.0
+    r1 = r2 = r3 = 0.0
     for s in sections:
-        lhs = segal_bargmann(s, omega_p)
-        rhs = transport_corrected(segal_bargmann(s, omega), omega_p)
-        r1 = max(r1, difference_norm(lhs, rhs) / norm(s.section))
-
-    r2 = 0.0
-    for s in sections:
-        lhs = fourier_general(s, pol_lp)  # reference i*I
-        rhs = segal_bargmann_inverse(segal_bargmann(s, omega), pol_lp)
-        r2 = max(r2, difference_norm(lhs, rhs) / norm(s.section))
-
-    r3 = 0.0
-    for s in sections:
+        scale = norm(s.section)
+        paired = segal_bargmann(s, omega)
+        lhs, rhs = segal_bargmann(s, omega_p), transport_corrected(paired, omega_p)
+        r1 = max(r1, difference_norm(lhs, rhs) / scale)
+        lhs, rhs = fourier_general(s, pol_lp), segal_bargmann_inverse(paired, pol_lp)  # lhs at i*I
+        r2 = max(r2, difference_norm(lhs, rhs) / scale)
         lhs = fourier_general(s, pol_lpp, omega)
         rhs = fourier_general(fourier_general(s, pol_lp, omega_p), pol_lpp)
-        r3 = max(r3, difference_norm(lhs, rhs) / norm(s.section))
-
+        r3 = max(r3, difference_norm(lhs, rhs) / scale)
     return IdentityReport(r1, r2, r3)

@@ -41,6 +41,7 @@ from .sympl import (
 )
 
 TRUNCATION_LEAK_TOL = 1e-6
+ODE_BASIS_MAX = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +198,7 @@ def metaplectic_act(mp: MetaplecticElement, obj):
         return GaussianSection(pol, obj.m, obj.b, obj.c, obj.coeffs)
     omega = obj.frame
     target = act_on_siegel(mp.g, omega)
-    t = transform_z_coords(mp.g, omega)
+    t = transform_z_coords(mp.g, omega, target)
     m = t.T @ obj.m @ t
     coeffs = obj.coeffs * complex(t[0, 0]) ** np.arange(obj.degree + 1)
     return GaussianSection(target, 0.5 * (m + m.T), t.T @ obj.b, obj.c, coeffs)
@@ -271,9 +272,10 @@ def transport_ode(
 
     The state is expanded in the moving Fock frame and integrated with RK4
     under the geodesic's constant generator, built from the connection
-    1-form, not from the closed-form transport.  Raises when more than
-    ``TRUNCATION_LEAK_TOL`` of amplitude reaches the top 10% of the basis,
-    which signals that ``n_basis`` is too small for the requested time.
+    1-form, not from the closed-form transport.  The basis starts at
+    ``n_basis`` states and doubles while more than ``TRUNCATION_LEAK_TOL`` of
+    amplitude, or a non-finite one, reaches its top 10%; past
+    ``ODE_BASIS_MAX`` states that raises ``TruncationOverflowError``.
     """
     if psi0.n != 1:
         raise ValueError("the transport ODE is one-dimensional")
@@ -282,31 +284,19 @@ def transport_ode(
     lam = float(np.atleast_1d(lam)[0])
     if n_basis is None:
         n_basis = max(len(psi0.coeffs), 32)
-    c = fock_coefficients(psi0, n_basis)
-
     if lam == 0.0 or t_end == 0.0:
-        return from_fock_coefficients(c, psi0.frame)
+        return from_fock_coefficients(fock_coefficients(psi0, n_basis), psi0.frame)
 
-    c = transport_ode_coeffs(c, lam, t_end, steps)
-
-    guard = int(np.ceil(0.9 * n_basis))
-    leak = float(np.abs(c[guard:]).max(initial=0.0))
-    if leak > TRUNCATION_LEAK_TOL:
-        raise TruncationOverflowError(
-            f"amplitude {leak:.2e} in the top 10% of a basis of {n_basis}; enlarge n_basis"
-        )
-    return from_fock_coefficients(c, diagonal_point([np.exp(2.0 * lam * t_end)]))
-
-
-def transport_poly_standard(psi0: GaussianSection, lam: float, t: float) -> GaussianSection:
-    """Closed-form transport of a Gaussian-polynomial state along the
-    standard geodesic i exp(2 lambda t) from i.
-
-    This is the rescaled projection alpha P of ``transport_uncorrected``,
-    exact for any polynomial degree and any Gaussian part (m, b, c).
-    """
-    if not psi0.frame.close_to(standard_point(1), tol=1e-12):
-        raise ValueError("initial state must be expressed at the base point i")
-    lam = float(np.atleast_1d(lam)[0])
-    return transport_uncorrected(psi0, diagonal_point([np.exp(2.0 * lam * t)]))
-
+    while True:
+        c0 = fock_coefficients(psi0, n_basis)
+        with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is a leak
+            c = transport_ode_coeffs(c0, lam, t_end, steps)
+        leak = float(np.abs(c[int(np.ceil(0.9 * n_basis)) :]).max(initial=0.0))
+        if leak <= TRUNCATION_LEAK_TOL:
+            return from_fock_coefficients(c, diagonal_point([np.exp(2.0 * lam * t_end)]))
+        if n_basis >= ODE_BASIS_MAX:
+            raise TruncationOverflowError(
+                f"amplitude {leak:.2e} in the top 10% of a basis of {n_basis} states; "
+                f"the basis stops doubling at ODE_BASIS_MAX = {ODE_BASIS_MAX}"
+            )
+        n_basis = min(2 * n_basis, ODE_BASIS_MAX)

@@ -22,7 +22,7 @@ from siegelflow import (
     transport_coherent,
     transport_kernel_apply,
     transport_ode,
-    transport_poly_standard,
+    transport_uncorrected,
 )
 from siegelflow.suites import (
     suite_bogoliubov,
@@ -84,7 +84,7 @@ def test_criterion_02_fock_rows(capsys):
     }
     for k, target in printed.items():
         monomial = GaussianSection(I1, [[0.0]], [0.0], 0.0, np.eye(k + 1, dtype=complex)[k])
-        moved = transport_poly_standard(monomial, 1.0, t)
+        moved = transport_uncorrected(monomial, target_frame)
         worst = max(worst, np.abs(moved.value(vs) - target).max())
     _report(
         capsys, 2, "printed transport rows for 1, z, z^2 on a 5-point grid",

@@ -265,6 +265,21 @@ class TestTransportCommand:
         assert row["residual"] < 1e-6
         assert "section" in report["outputs"]["transport"]
 
+    def test_random_requests_pass_the_ode_check(self, capsys, monkeypatch):
+        # at the starting basis of 128 states, requests 3, 4 and 7 leak into its top 10%
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            om, omp = random_siegel(rng, 1), random_siegel(rng, 1)
+            alpha = rng.normal() + 1j * rng.normal()
+            payload = json.dumps({"state": {"alpha": [[alpha.real, alpha.imag]]},
+                                  "omega": point_json(om.omega1.tolist(), om.omega2.tolist()),
+                                  "omega_p": point_json(omp.omega1.tolist(), omp.omega2.tolist())})
+            argv = ["transport", "--corrected", "--ode-check", "--ode-steps", "2000"]
+            code, out, err = run_cli(argv, payload, capsys, monkeypatch)
+            assert code == 0, err
+            row = next(r for r in json.loads(out)["results"] if r["name"] == "transport/ode_vs_closed_form")
+            assert row["residual"] <= 1e-6
+
     def test_identity_transport_echoes_input(self, capsys, monkeypatch):
         p = point_json([[0.0]], [[1.0]])
         payload = json.dumps({"state": {"alpha": [[0.5, -0.25]]}, "omega": p, "omega_p": p})

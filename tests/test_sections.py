@@ -577,7 +577,9 @@ class TestFrameKinds:
 
     def test_same_subspace_with_another_reference_raises(self, rng):
         position = BoundaryPolarization.position(1)
-        assert position.frame.same_subspace(SHEARED.frame) and not position.close_to(SHEARED)
+        shared = np.abs(SHEARED.span - position.span @ (position.span.T @ SHEARED.span)).max()
+        assert shared < 1e-12 and not position.close_to(SHEARED)
+        assert not position.transverse_to(position) and not position.transverse_to(SHEARED)
         a = CorrectedSection(random_profile(rng, poly=False))
         b = CorrectedSection(random_profile(rng, poly=False, frame=SHEARED))
         for x, y in ((a, b), (b, a)):
@@ -592,6 +594,9 @@ class TestFrameKinds:
         for a, b in ((prof, prof), (prof, psi), (psi, prof)):
             with pytest.raises(ValueError, match="BoundaryPolarization"):
                 oracle_inner_product(a, b)
+        with pytest.raises(ValueError, match="different spaces") as exc:
+            oracle_inner_product(vacuum(I1), vacuum(standard_point(2)))
+        assert str(exc.value).count("SiegelPoint") == 2
 
     def test_section_to_json_rejects_polarized_sections_naming_the_frame(self, rng):
         with pytest.raises(ValueError, match="BoundaryPolarization"):

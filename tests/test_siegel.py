@@ -2,23 +2,24 @@ import numpy as np
 import pytest
 
 from siegelflow import (
-    LagrangianFrame,
-    NonTransverseError,
+    BoundaryPolarization,
+    MetaplecticElement,
     SiegelPoint,
+    SpRelationViolatedError,
+    SymplecticMap,
     complex_structure_of,
     diagonal_point,
     geodesic_between,
     geodesic_boundary_limits,
     geodesic_eval,
-    lagrangian_pair_map,
     metric_distance,
     random_siegel,
     random_symplectic,
     standard_point,
     takagi,
 )
-from siegelflow.siegel import GeodesicSpec, symplectic_form_matrix
-from siegelflow.sympl import act_on_siegel
+from siegelflow.siegel import TRANSVERSALITY_TOL, GeodesicSpec, symplectic_form_matrix
+from siegelflow.sympl import act_on_siegel, compose
 
 
 class TestSiegelPoint:
@@ -155,14 +156,28 @@ class TestMetric:
             assert abs(d1 - d2) < 1e-9 * max(1.0, d1)
 
 
+def _same_subspace(w1, w2, tol=1e-10) -> bool:
+    """The columns of w2 lie in the span of the orthonormal columns of w1."""
+    return bool(np.abs(w2 - w1 @ (w1.T @ w2)).max() <= tol * max(1.0, np.abs(w2).max()))
+
+
+def _is_lagrangian(w, tol=1e-12) -> bool:
+    return bool(np.abs(w.T @ symplectic_form_matrix(w.shape[0] // 2) @ w).max() <= tol)
+
+
+def _polarization(g: SymplecticMap) -> BoundaryPolarization:
+    return BoundaryPolarization(MetaplecticElement.principal_lift(g))
+
+
 class TestBoundary:
     def test_positive_rates_reach_boundary(self):
         spec = geodesic_between(standard_point(2), diagonal_point([np.e**2, np.e**2]))
         lminus, lplus = geodesic_boundary_limits(spec)
         assert lminus is not None and lplus is not None
-        assert lminus.is_lagrangian() and lplus.is_lagrangian()
-        assert np.abs(lminus.frame[:2]).max() < 1e-12  # x = 0 subspace
-        assert np.abs(lplus.frame[2:]).max() < 1e-12  # y = 0 subspace
+        assert _is_lagrangian(lminus.span) and _is_lagrangian(lplus.span)
+        assert np.abs(lminus.span[:2]).max() < 1e-12  # x = 0 subspace
+        assert np.abs(lplus.span[2:]).max() < 1e-12  # y = 0 subspace
+        assert lminus.transverse_to(lplus)
 
     def test_zero_rate_has_no_limit(self):
         om = standard_point(2)
@@ -172,27 +187,56 @@ class TestBoundary:
         assert geodesic_boundary_limits(spec2) == (None, None)
 
     def test_transverse_pair_recovered(self, rng):
+        # the limits of g . (i exp(2t)) are g . L- and g . L+, the column spans of g
         g = random_symplectic(rng, 2)
-        lminus = LagrangianFrame(g, plus=False)
-        lplus = LagrangianFrame(g, plus=True)
-        pair_g = lagrangian_pair_map(lminus, lplus)
         spec = GeodesicSpec(
-            pair_g,
+            g,
             np.ones(2),
-            act_on_siegel(pair_g, standard_point(2)),
-            act_on_siegel(pair_g, diagonal_point([np.e**2, np.e**2])),
+            act_on_siegel(g, standard_point(2)),
+            act_on_siegel(g, diagonal_point([np.e**2, np.e**2])),
         )
         out_minus, out_plus = geodesic_boundary_limits(spec)
-        assert out_minus.same_subspace(lminus, tol=1e-8)
-        assert out_plus.same_subspace(lplus, tol=1e-8)
-
-    def test_pair_map_requires_transversality(self):
-        lminus = LagrangianFrame.minus(2)
-        with pytest.raises(NonTransverseError):
-            lagrangian_pair_map(lminus, lminus)
+        assert _same_subspace(out_minus.span, g.matrix[:, 2:], tol=1e-8)
+        assert _same_subspace(out_plus.span, g.matrix[:, :2], tol=1e-8)
+        assert out_minus.close_to(_polarization(g)) and out_minus.transverse_to(out_plus)
+        assert _same_subspace(BoundaryPolarization.from_span(g.matrix[:, :2]).span, out_plus.span)
 
     def test_shear_graph_is_lagrangian(self):
-        frame = LagrangianFrame.graph_of_shear([[0.4, 0.1], [0.1, -0.7]])
-        assert frame.is_lagrangian()
-        f = frame.frame
-        assert np.allclose(f[2:] @ np.linalg.inv(f[:2]), [[0.4, 0.1], [0.1, -0.7]])
+        shear = [[0.4, 0.1], [0.1, -0.7]]
+        pol = BoundaryPolarization.from_span(np.vstack([np.eye(2), shear]))
+        f = pol.span
+        assert _is_lagrangian(f)
+        assert np.allclose(f[2:] @ np.linalg.inv(f[:2]), shear)
+        assert np.allclose(f.T @ f, np.eye(2)) and not f.flags.writeable
+
+
+class TestPolarizationSpan:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_transverse_to_is_the_product_of_principal_angle_sines(self, n):
+        rng = np.random.default_rng(100 + n)
+        j0 = symplectic_form_matrix(n)
+        for _ in range(40):
+            a, b = _polarization(random_symplectic(rng, n)), _polarization(random_symplectic(rng, n))
+            cosines = np.linalg.svd(a.span.T @ b.span, compute_uv=False)
+            sines = np.prod(np.sqrt(np.clip(1.0 - cosines**2, 0.0, None)))
+            assert abs(abs(np.linalg.det(a.span.T @ j0 @ b.span)) - sines) <= 1e-12
+            assert a.transverse_to(b) == (sines > TRANSVERSALITY_TOL) == b.transverse_to(a)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_shared_directions_are_not_transverse(self, n):
+        # the upper shear (I, S; 0, I) moves L- to {(S y, y)}, which meets L- in ker S
+        rng = np.random.default_rng(200 + n)
+        g = random_symplectic(rng, n)
+        pol = _polarization(g)
+        assert not pol.transverse_to(pol)
+        for rank in range(n + 1):
+            x = rng.normal(size=(n, rank))
+            s = x @ x.T
+            sheared = _polarization(compose(g, SymplecticMap(np.eye(n), s, np.zeros((n, n)), np.eye(n))))
+            assert sheared.transverse_to(pol) == (rank == n)
+
+    def test_non_lagrangian_span_raises(self):
+        with pytest.raises(SpRelationViolatedError):
+            BoundaryPolarization.from_span(np.vstack([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]))
+        with pytest.raises(SpRelationViolatedError):
+            BoundaryPolarization.from_span(np.eye(4)[:, [0, 2]])  # the symplectic pair x1, y1

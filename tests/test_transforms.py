@@ -5,7 +5,6 @@ from siegelflow import (
     BoundaryPolarization,
     CorrectedSection,
     GaussianSection,
-    LagrangianFrame,
     MetaplecticElement,
     NoBoundaryLimitError,
     NonTransverseError,
@@ -246,7 +245,7 @@ class TestCompositionIdentities:
     def test_standard_configuration(self):
         pol_l = BoundaryPolarization.position(1)
         pol_lp = BoundaryPolarization.momentum(1)
-        pol_lpp = BoundaryPolarization.from_frame(LagrangianFrame.graph_of_shear([[0.8]]))
+        pol_lpp = BoundaryPolarization.from_span([[1.0], [0.8]])
         rep = composition_identities_check(
             I1, diagonal_point([np.e**2]), pol_l, pol_lp, pol_lpp
         )
@@ -265,14 +264,9 @@ class TestCompositionIdentities:
         for _ in range(5):
             g = random_symplectic(rng, 1)
             pol_l = BoundaryPolarization(MetaplecticElement.principal_lift(g))
-            pol_lp = BoundaryPolarization.from_frame(LagrangianFrame(g, plus=True))
-            pol_lpp = BoundaryPolarization.from_frame(
-                LagrangianFrame.graph_of_shear([[rng.normal()]])
-            )
-            if not (
-                pol_l.frame.transverse_to(pol_lpp.frame)
-                and pol_lp.frame.transverse_to(pol_lpp.frame)
-            ):
+            pol_lp = BoundaryPolarization.from_span(g.matrix[:, :1])
+            pol_lpp = BoundaryPolarization.from_span([[1.0], [rng.normal()]])
+            if not (pol_l.transverse_to(pol_lpp) and pol_lp.transverse_to(pol_lpp)):
                 continue
             rep = composition_identities_check(
                 random_siegel(rng, 1), random_siegel(rng, 1), pol_l, pol_lp, pol_lpp

@@ -30,7 +30,6 @@ from siegelflow import (
     transport_equals_scaled_projection_check,
     transport_kernel_apply,
     transport_ode,
-    transport_poly_standard,
     transport_uncorrected,
     vacuum,
 )
@@ -47,6 +46,11 @@ from _reference import bogoliubov_operator_deformation, ladder_matrices, transpo
 from conftest import random_gaussian_section
 
 I1 = standard_point(1)
+
+
+def _on_geodesic(lam: float, t: float) -> SiegelPoint:
+    """The point i exp(2 lam t) of the standard geodesic."""
+    return diagonal_point([np.exp(2.0 * lam * t)])
 
 
 def cli_corrected_transport(om, omp, capsys, monkeypatch) -> dict:
@@ -75,7 +79,7 @@ class TestStandardTransport:
         # z0^2 -> sqrt(sech)(z^2 sech^2 + tanh) exp(-z^2 tanh/2 - |z|^2/2)
         t = 0.7
         sh, th = 1 / np.cosh(t), np.tanh(t)
-        moved = transport_poly_standard(fock_state(2, I1), 1.0, t)
+        moved = transport_uncorrected(fock_state(2, I1), _on_geodesic(1.0, t))
         pts = np.array([[0.3, 0.1], [0.5, -0.7], [0.0, 0.4], [1.1, 0.9], [-0.8, 0.2]])
         z = (pts @ moved.frame.coord_matrix.T)[:, 0]
         printed = (
@@ -89,13 +93,14 @@ class TestStandardTransport:
 
     def test_displaced_state_matches_coherent_closed_form(self):
         # c_5 written as a Gaussian-polynomial state with b = conj(alpha) = 5
-        moved = transport_poly_standard(GaussianSection(I1, [[0.0]], [5.0], 0.0, [1.0]), 0.5, 1.0)
+        displaced = GaussianSection(I1, [[0.0]], [5.0], 0.0, [1.0])
+        moved = transport_uncorrected(displaced, _on_geodesic(0.5, 1.0))
         ref = transport_coherent_standard([5.0], 0.5, 1.0)
         assert difference_norm(moved, ref) < 1e-12 * norm(ref)
 
     def test_squeezed_polynomial_state_matches_ode(self):
         psi = GaussianSection(I1, [[0.3 - 0.2j]], [0.4 + 0.1j], 0.1, [0.3, -0.4j, 0.5])
-        closed = fock_coefficients(transport_poly_standard(psi, 0.5, 1.0), 32)
+        closed = fock_coefficients(transport_uncorrected(psi, _on_geodesic(0.5, 1.0)), 32)
         ode = fock_coefficients(transport_ode(psi, 0.5, 1.0, 2000, n_basis=128), 32)
         assert np.linalg.norm(ode - closed) < 1e-8 * np.linalg.norm(closed)
 
@@ -403,21 +408,22 @@ class TestTransportODE:
 
     def test_matches_closed_form(self):
         out = transport_ode(fock_state(0, I1), 1.0, 0.5, 10000, n_basis=128)
-        closed = transport_poly_standard(fock_state(0, I1), 1.0, 0.5)
+        closed = transport_uncorrected(fock_state(0, I1), _on_geodesic(1.0, 0.5))
         a = fock_coefficients(out, 32)
         b = fock_coefficients(closed, 32)
         assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-6
 
-    @pytest.mark.parametrize("lam, n_basis", [(0.5, 64), (0.25, None)])
+    @pytest.mark.parametrize("lam, n_basis", [(0.5, 64), (0.25, None), (0.5, None)])
     def test_gaussian_state_matches_coherent_closed_form(self, lam, n_basis):
-        # a Gaussian section enters the ODE directly; None is the default basis of 32
+        # a Gaussian section enters the ODE directly; None starts at the default basis
+        # of 32, which at lam = 0.5 leaks and doubles
         out = transport_ode(coherent_state([0.3], I1), lam, 1.0, 2000, n_basis=n_basis)
         closed = fock_coefficients(transport_coherent_standard([0.3], lam, 1.0), 32)
         assert np.linalg.norm(fock_coefficients(out, 32) - closed) < 1e-8 * np.linalg.norm(closed)
 
     def test_fourth_order_convergence(self):
         # classical RK4: halving the step cuts the error ~16x until round-off
-        closed = fock_coefficients(transport_poly_standard(fock_state(0, I1), 1.0, 0.4), 48)
+        closed = fock_coefficients(transport_uncorrected(fock_state(0, I1), _on_geodesic(1.0, 0.4)), 48)
         errs = []
         for steps in (8, 16, 32):
             out = transport_ode(fock_state(0, I1), 1.0, 0.4, steps, n_basis=48)
@@ -426,8 +432,15 @@ class TestTransportODE:
         assert errs[1] / errs[2] > 8.0
 
     def test_truncation_overflow_guard(self):
-        with pytest.raises(TruncationOverflowError):
-            transport_ode(fock_state(0, I1), 1.0, 1.0, 400, n_basis=32)
+        # the vacuum squeezed to lam t = 4 still holds amplitude 4.5e-2 at 922..1023
+        with pytest.raises(TruncationOverflowError, match="ODE_BASIS_MAX = 1024"):
+            transport_ode(fock_state(0, I1), 4.0, 1.0, 2000, n_basis=512)
+
+    def test_non_finite_amplitude_is_a_leak(self):
+        # h = 1/400 is past RK4's stability bound for the 1024-state generator at lam = 10
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(TruncationOverflowError, match="amplitude nan"):
+                transport_ode(fock_state(0, I1), 10.0, 1.0, 400, n_basis=1024)
 
     @pytest.mark.parametrize("n_basis", [8, 48, 256])
     @pytest.mark.parametrize("steps", [1, 200])
@@ -451,7 +464,7 @@ class TestTransportODE:
         # with the exact velocity, 2000 steps leave only round-off in the 32-state window
         psi = coherent_state([0.4 + 0.2j], I1)
         out = fock_coefficients(transport_ode(psi, 0.8, 1.0, 2000, n_basis=128), 32)
-        closed = fock_coefficients(transport_poly_standard(psi, 0.8, 1.0), 32)
+        closed = fock_coefficients(transport_uncorrected(psi, _on_geodesic(0.8, 1.0)), 32)
         assert np.linalg.norm(out - closed) <= 1e-12 * np.linalg.norm(closed)
 
     def test_result_serialization_schema(self, rng, capsys, monkeypatch):
@@ -474,7 +487,7 @@ class TestLadderDeformation:
     def test_deformed_annihilator_kills_transported_vacuum(self):
         t = 0.5
         n_basis = 64
-        c = fock_coefficients(transport_poly_standard(fock_state(0, I1), 1.0, t), n_basis)
+        c = fock_coefficients(transport_uncorrected(fock_state(0, I1), _on_geodesic(1.0, t)), n_basis)
         a, adag = ladder_matrices(n_basis)
         m = bogoliubov_operator_deformation(t)
         b = m[0, 0] * a + m[0, 1] * adag
