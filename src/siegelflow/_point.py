@@ -68,6 +68,9 @@ class SiegelPoint:
     def n(self) -> int:
         return self.omega1.shape[0]
 
+    def to_json(self) -> dict:
+        return {"omega1": self.omega1.tolist(), "omega2": self.omega2.tolist()}
+
     def imag_sqrt(self) -> np.ndarray:
         """Symmetric positive square root of the imaginary part."""
         w, v = np.linalg.eigh(self.omega2)

@@ -68,10 +68,6 @@ from .transport import (
 SCHEMA_VERSION = 1
 
 
-def _point_json(p: SiegelPoint) -> dict:
-    return {"omega1": p.omega1.tolist(), "omega2": p.omega2.tolist()}
-
-
 def _load_input(args) -> dict:
     try:
         text = sys.stdin.read() if args.input in (None, "-") else Path(args.input).read_text()
@@ -122,7 +118,7 @@ def cmd_geodesic(args) -> int:
     spec = geodesic_between(omega, omega_p)
     residual = spec.endpoint_residual()
     samples = {
-        f"{t:.2f}": _point_json(geodesic_eval(spec, t)) for t in (0.0, 0.25, 0.5, 0.75, 1.0)
+        f"{t:.2f}": geodesic_eval(spec, t).to_json() for t in (0.0, 0.25, 0.5, 0.75, 1.0)
     }
     tol = args.tol if args.tol is not None else 1e-8
     results = [_row("geodesic/endpoint_round_trip", residual, tol)]
@@ -186,6 +182,7 @@ def cmd_transport(args) -> int:
         c_ode = fock_coefficients(ode, args.trunc)
         resid = np.linalg.norm(c_ode - c_closed) / np.linalg.norm(c_closed)
         results.append(_row("transport/ode_vs_closed_form", resid, 1e-6))
+        outputs["ode_basis"] = ode.degree + 1
 
     if args.triangle:
         omega_pp = _point_from_json(data["omega_pp"], "omega_pp")
@@ -260,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--corrected", action="store_true", help="include the half-form correction")
     p_tr.add_argument("--kernel", choices=("closed", "bergman", "holomorphic"), default="closed")
     p_tr.add_argument("--ode-check", action="store_true", help="cross-check against the Fock ODE")
-    p_tr.add_argument("--ode-steps", type=int, default=10000)
+    p_tr.add_argument("--ode-steps", type=int, default=10000, help="ignored: the Fock ODE's propagator is exact")
     p_tr.add_argument("--triangle", action="store_true", help="run the flatness check (needs omega_pp)")
 
     p_ver = sub.add_parser("verify", help="run a named verification suite")

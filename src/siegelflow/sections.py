@@ -548,10 +548,7 @@ def _complex_array_from_json(data, field: str, shape: tuple) -> np.ndarray:
 def section_to_json(psi: GaussianSection) -> dict:
     _require_frame("section_to_json", SiegelPoint, psi)
     out = {
-        "frame": {
-            "omega1": psi.frame.omega1.tolist(),
-            "omega2": psi.frame.omega2.tolist(),
-        },
+        "frame": psi.frame.to_json(),
         "M": _complex_array_to_json(psi.m),
         "b": _complex_array_to_json(psi.b),
         "c": _complex_to_json(psi.c),

@@ -325,11 +325,7 @@ def suite_identities(seed: int = 42, trials: int = 50, tol: float = 1e-8) -> lis
             continue
         om, omp = random_siegel(rng, 1), random_siegel(rng, 1)
         rep = composition_identities_check(om, omp, pol_l, pol_lp, pol_lpp)
-        worst["transport_vs_pairing"] = max(worst["transport_vs_pairing"], rep.transport_vs_pairing)
-        worst["fourier_vs_pairing_pair"] = max(
-            worst["fourier_vs_pairing_pair"], rep.fourier_vs_pairing_pair
-        )
-        worst["fourier_triple"] = max(worst["fourier_triple"], rep.fourier_triple)
+        worst = {k: max(v, getattr(rep, k)) for k, v in worst.items()}
     return [_row(f"identities/{k}", v, tol) for k, v in worst.items()]
 
 

@@ -11,11 +11,13 @@ Coherent states transport in closed form; the half-form correction
 contributes the unit phase (det Xi')^{1/2} / |det Xi'|^{1/2}, after which
 transport composes flatly.  A moving-frame Fock ODE provides an independent
 numerical route for n = 1: on the normal-form geodesic i exp(2 lambda t) the
-connection 1-form has constant coefficients, so the ODE integrates its
-constant squeeze generator.
+connection 1-form has constant coefficients, so the truncated ODE is solved
+exactly by the exponential of its constant squeeze generator.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -233,31 +235,39 @@ def fock_connection_matrix(tau: complex, n_trunc: int):
     return a_tau, a_tau.T.copy()
 
 
+@lru_cache(maxsize=16)
+def _squeeze_modes(n_basis: int):
+    """(evals, V, d) of the even, then the odd chain of ``transport_ode_coeffs``, read-only."""
+    off, modes = _fock_connection_bands(n_basis)[1], []
+    for parity in (0, 1):
+        size, w = len(range(parity, n_basis, 2)), off[parity::2]
+        evals, vecs = np.linalg.eigh((np.diag(w, 1) + np.diag(w, -1))[:size, :size])
+        modes.append((evals, vecs, 1j ** np.arange(size)))
+        for arr in modes[-1]:
+            arr.flags.writeable = False
+    return tuple(modes)
+
+
+def _real_matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for real a and complex x, without a complex copy of a."""
+    return (a @ np.column_stack((x.real, x.imag))) @ np.array([1.0, 1.0j])
+
+
 def transport_ode_coeffs(c0: np.ndarray, lam: float, t_end: float, steps: int) -> np.ndarray:
-    """Integrate dc/dt = -A(gamma'(t)) c along gamma(t) = i exp(2 lambda t) with classical RK4.
+    """exp(t_end K) c0, the exact solution of dc/dt = -A(gamma'(t)) c on gamma(t) = i exp(2 lambda t).
 
-    With gamma' = 2 lambda gamma the connection's coefficients are constant,
-    A(gamma') = -(lambda / 2) P_tau + (lambda / 2) P_taubar: the diagonal
-    cancels and -A(gamma') is the squeeze generator, w on the +2 band and -w
-    on the -2 band with w[j] = (lambda / 2) sqrt((j + 2)(j + 1)).  Each stage
-    adds w c[2:] into [:-2] and subtracts w c[:-2] from [2:], O(len(c0)).
+    With gamma' = 2 lambda gamma, K = -A(gamma') = (lambda / 2)(P_taubar - P_tau)
+    is constant: w[j] = (lambda / 2) sqrt((j + 2)(j + 1)) at (j, j + 2), -w[j]
+    at (j + 2, j).  On the chain of each parity d^{-1} K d = i (lambda / 2) S1,
+    d = i^m along the chain and S1 = (2 / lambda) w on both off-diagonals, so
+    exp(t K) = d V exp(i (lambda t / 2) evals) V^T d^{-1}, (evals, V) = eigh(S1),
+    is orthogonal.  ``steps`` is ignored; it stays for ``perfbench/tracer.py``'s counter.
     """
-    c = np.asarray(c0, dtype=complex).copy()
-    h = t_end / steps
-    w = 0.5 * lam * _fock_connection_bands(c.size)[1]
-
-    def rhs(c):
-        out = np.zeros_like(c)
-        out[:-2] = w * c[2:]
-        out[2:] -= w * c[:-2]
-        return out
-
-    for _ in range(steps):
-        k1 = rhs(c)
-        k2 = rhs(c + 0.5 * h * k1)
-        k3 = rhs(c + 0.5 * h * k2)
-        k4 = rhs(c + h * k3)
-        c = c + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    c0 = np.asarray(c0, dtype=complex)
+    c = np.empty_like(c0)
+    for parity, (evals, vecs, d) in enumerate(_squeeze_modes(c0.size)):
+        y = np.exp(0.5j * lam * t_end * evals) * _real_matvec(vecs.T, np.conj(d) * c0[parity::2])
+        c[parity::2] = d * _real_matvec(vecs, y)
     return c
 
 
@@ -270,12 +280,12 @@ def transport_ode(
 ) -> GaussianSection:
     """Numerical transport of a truncated Fock state along i exp(2 lambda t).
 
-    The state is expanded in the moving Fock frame and integrated with RK4
-    under the geodesic's constant generator, built from the connection
-    1-form, not from the closed-form transport.  The basis starts at
-    ``n_basis`` states and doubles while more than ``TRUNCATION_LEAK_TOL`` of
-    amplitude, or a non-finite one, reaches its top 10%; past
-    ``ODE_BASIS_MAX`` states that raises ``TruncationOverflowError``.
+    The state is expanded in the moving Fock frame and carried by the exact,
+    orthogonal propagator of the geodesic's constant generator, built from
+    the connection 1-form, not from the closed-form transport; ``steps`` is
+    ignored.  The basis starts at ``n_basis`` states and doubles while more
+    than ``TRUNCATION_LEAK_TOL`` of amplitude, or a non-finite one, reaches
+    its top 10%; past ``ODE_BASIS_MAX`` states that raises ``TruncationOverflowError``.
     """
     if psi0.n != 1:
         raise ValueError("the transport ODE is one-dimensional")
@@ -284,13 +294,10 @@ def transport_ode(
     lam = float(np.atleast_1d(lam)[0])
     if n_basis is None:
         n_basis = max(len(psi0.coeffs), 32)
-    if lam == 0.0 or t_end == 0.0:
-        return from_fock_coefficients(fock_coefficients(psi0, n_basis), psi0.frame)
 
     while True:
         c0 = fock_coefficients(psi0, n_basis)
-        with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is a leak
-            c = transport_ode_coeffs(c0, lam, t_end, steps)
+        c = transport_ode_coeffs(c0, lam, t_end, steps)
         leak = float(np.abs(c[int(np.ceil(0.9 * n_basis)) :]).max(initial=0.0))
         if leak <= TRUNCATION_LEAK_TOL:
             return from_fock_coefficients(c, diagonal_point([np.exp(2.0 * lam * t_end)]))

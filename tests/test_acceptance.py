@@ -64,8 +64,8 @@ def test_criterion_01_ode_matches_closed_form(capsys):
             b = fock_coefficients(closed, 32)
             worst = max(worst, np.linalg.norm(a - b) / np.linalg.norm(b))
     _report(
-        capsys, 1, "coherent transport: RK4 vs closed form (32-coefficient norm)",
-        worst <= 1e-6, f"max relative error {worst:.3e} <= 1e-6",
+        capsys, 1, "coherent transport: propagator vs closed form (32-coefficient norm)",
+        worst <= 1e-12, f"max relative error {worst:.3e} <= 1e-12",
     )
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from siegelflow import random_siegel
 from siegelflow.cli import main
+from siegelflow.transport import ODE_BASIS_MAX
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -277,8 +278,31 @@ class TestTransportCommand:
             argv = ["transport", "--corrected", "--ode-check", "--ode-steps", "2000"]
             code, out, err = run_cli(argv, payload, capsys, monkeypatch)
             assert code == 0, err
-            row = next(r for r in json.loads(out)["results"] if r["name"] == "transport/ode_vs_closed_form")
-            assert row["residual"] <= 1e-6
+            report = json.loads(out)
+            row = next(r for r in report["results"] if r["name"] == "transport/ode_vs_closed_form")
+            assert row["residual"] <= 1e-13
+            # the basis starts at max(4 trunc, 128) states and only doubles
+            basis = report["outputs"]["ode_basis"]
+            assert basis <= ODE_BASIS_MAX and basis % 128 == 0 and (basis // 128).bit_count() == 1
+
+    def test_ode_check_imports_no_scipy(self):
+        # scipy would add its import time and memory to every command
+        payload = json.dumps({"state": {"alpha": [[0.3, 0.1]]}, "omega": _UNIT_POINT,
+                              "omega_p": point_json([[0.3]], [[2.0]])})
+        script = (
+            "import io, sys\n"
+            "import siegelflow\n"
+            "from siegelflow.cli import main\n"
+            "sys.stdin = io.StringIO(sys.argv[1])\n"
+            "assert main(['transport', '--corrected', '--ode-check']) == 0\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, payload], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([str(_SRC), os.environ.get("PYTHONPATH", "")])},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["outputs"]["ode_basis"] >= 128
 
     def test_identity_transport_echoes_input(self, capsys, monkeypatch):
         p = point_json([[0.0]], [[1.0]])

@@ -379,23 +379,10 @@ def _dense_generator(lam, t, n_basis):
     return -(a_tau * (2.0 * lam * tau) + a_taubar * np.conj(2.0 * lam * tau))
 
 
-def _dense_rk4(c0, lam, t_end, steps):
-    """Classical RK4 with the dense connection re-evaluated at every stage's time."""
-    c = np.asarray(c0, dtype=complex).copy()
-    h = t_end / steps
-
-    def rhs(t, c):
-        return _dense_generator(lam, t, c.size) @ c
-
-    t = 0.0
-    for _ in range(steps):
-        k1 = rhs(t, c)
-        k2 = rhs(t + 0.5 * h, c + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, c + 0.5 * h * k2)
-        k4 = rhs(t + h, c + h * k3)
-        c = c + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-    return c
+def _dense_exponential(c0, lam, t_end):
+    """exp(t K) c0 for the whole dense generator K, from eigh(i K): no chain split, no phase conjugation."""
+    evals, vecs = np.linalg.eigh(1j * _dense_generator(lam, 0.0, len(c0)))
+    return vecs @ (np.exp(-1j * t_end * evals) * (vecs.conj().T @ c0))
 
 
 class TestTransportODE:
@@ -421,26 +408,40 @@ class TestTransportODE:
         closed = fock_coefficients(transport_coherent_standard([0.3], lam, 1.0), 32)
         assert np.linalg.norm(fock_coefficients(out, 32) - closed) < 1e-8 * np.linalg.norm(closed)
 
-    def test_fourth_order_convergence(self):
-        # classical RK4: halving the step cuts the error ~16x until round-off
-        closed = fock_coefficients(transport_uncorrected(fock_state(0, I1), _on_geodesic(1.0, 0.4)), 48)
-        errs = []
-        for steps in (8, 16, 32):
-            out = transport_ode(fock_state(0, I1), 1.0, 0.4, steps, n_basis=48)
-            errs.append(np.linalg.norm(fock_coefficients(out, 48) - closed))
-        assert errs[0] / errs[1] > 8.0
-        assert errs[1] / errs[2] > 8.0
+    def test_propagator_group_law(self):
+        # U(s) U(t) = U(s + t), U(-t) U(t) = I, and U(t) keeps the norm
+        lam, s, t = 0.7, 0.45, -0.8
+
+        def u(tt, c):
+            return transport_ode_coeffs(c, lam, tt, 0)
+
+        for n_basis in (8, 48, 256):
+            rng = np.random.default_rng(n_basis)
+            c0 = rng.normal(size=n_basis) + 1j * rng.normal(size=n_basis)
+            c0 /= np.linalg.norm(c0)
+            assert np.linalg.norm(u(s, u(t, c0)) - u(s + t, c0)) <= 1e-13
+            assert np.linalg.norm(u(-t, u(t, c0)) - c0) <= 1e-13
+            assert abs(np.linalg.norm(u(t, c0)) - 1.0) <= 1e-13
 
     def test_truncation_overflow_guard(self):
         # the vacuum squeezed to lam t = 4 still holds amplitude 4.5e-2 at 922..1023
         with pytest.raises(TruncationOverflowError, match="ODE_BASIS_MAX = 1024"):
             transport_ode(fock_state(0, I1), 4.0, 1.0, 2000, n_basis=512)
 
-    def test_non_finite_amplitude_is_a_leak(self):
-        # h = 1/400 is past RK4's stability bound for the 1024-state generator at lam = 10
+    def test_large_squeeze_overflows_with_a_finite_amplitude(self):
+        # the orthogonal propagator stays bounded at any lam t; the leak is truncation alone
         with np.errstate(over="raise", invalid="raise"):
-            with pytest.raises(TruncationOverflowError, match="amplitude nan"):
+            with pytest.raises(TruncationOverflowError, match="ODE_BASIS_MAX") as info:
                 transport_ode(fock_state(0, I1), 10.0, 1.0, 400, n_basis=1024)
+        assert "nan" not in str(info.value)
+        amplitude = float(str(info.value).split()[1])
+        assert 0.0 < amplitude < 1.0
+
+    def test_non_finite_amplitude_is_a_leak(self, monkeypatch):
+        # a NaN never passes ``leak <= TRUNCATION_LEAK_TOL``
+        monkeypatch.setattr("siegelflow.transport.transport_ode_coeffs", lambda c0, *args: np.full(c0.size, np.nan))
+        with pytest.raises(TruncationOverflowError, match="amplitude nan"):
+            transport_ode(fock_state(0, I1), 1.0, 1.0, 0, n_basis=1024)
 
     @pytest.mark.parametrize("n_basis", [8, 48, 256])
     @pytest.mark.parametrize("steps", [1, 200])
@@ -456,12 +457,14 @@ class TestTransportODE:
         rng = np.random.default_rng(n_basis + steps)
         c0 = rng.normal(size=n_basis) + 1j * rng.normal(size=n_basis)
         c0 /= np.sqrt(np.arange(1, n_basis + 1)) ** 3
-        got = transport_ode_coeffs(c0, lam, 0.6, steps)
-        want = _dense_rk4(c0, lam, 0.6, steps)
-        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        for t in (0.6, -0.8):
+            # ``steps`` is ignored: the propagator is exact
+            got = transport_ode_coeffs(c0, lam, t, steps)
+            want = _dense_exponential(c0, lam, t)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_coherent_state_matches_closed_form_to_round_off(self):
-        # with the exact velocity, 2000 steps leave only round-off in the 32-state window
+        # the exact propagator leaves only round-off in the 32-state window
         psi = coherent_state([0.4 + 0.2j], I1)
         out = fock_coefficients(transport_ode(psi, 0.8, 1.0, 2000, n_basis=128), 32)
         closed = fock_coefficients(transport_uncorrected(psi, _on_geodesic(0.8, 1.0)), 32)
