@@ -30,8 +30,8 @@ from ._point import SiegelPoint, diagonal_point, standard_point
 from .errors import NoBoundaryLimitError, NonTransverseError, PolarizationMismatchError
 from .sections import CorrectedSection, GaussianSection, _require_frame, difference_norm, norm
 from .siegel import BoundaryPolarization, GeodesicSpec
-from .sympl import MetaplecticElement, act_on_siegel
-from .transport import _xi_kernel_apply, metaplectic_act, transport_corrected
+from .sympl import MetaplecticElement, act_on_siegel, transform_z_coords
+from .transport import _change_coords, _one_space, _XiKernel, metaplectic_act, transport_corrected
 
 # Unit constant relating the pushed frame sqrt(d^n x o g0^{-1}) of the
 # standard exchange element g0 = (0, I; -I, 0) (principal lift) to the
@@ -80,18 +80,56 @@ def from_momentum_profile(profile: GaussianSection) -> CorrectedSection:
 # the pairing maps: corrected transport with one end at L-
 
 
+def _require_source(source, psihat: CorrectedSection) -> None:
+    """A map pairs only sections over the frame object it was built from."""
+    if psihat.frame is not source:
+        raise ValueError(f"a pairing map from {source!r} cannot take a section over {psihat.frame!r}")
+
+
+class _SegalBargmann:
+    """``segal_bargmann`` from ``source``: the corrected Xi kernel from L- to
+    Omega0 = R^{-1} . Omega, then the action of the reference R, onto ``target``."""
+
+    def __init__(self, source: BoundaryPolarization, omega: SiegelPoint):
+        _one_space(source, omega)
+        ref = source.reference
+        om0 = act_on_siegel(ref.g.inverse(), omega)
+        self.source, self.target, self._kernel = source, act_on_siegel(ref.g, om0), _XiKernel(source, om0)
+        self._t, phase = transform_z_coords(ref.g, om0, self.target), ref.phase_at(om0)
+        self._phase = phase / abs(phase)
+
+    def __call__(self, shat: CorrectedSection) -> CorrectedSection:
+        _require_source(self.source, shat)
+        core = self._kernel.apply(shat.section.scaled(shat.halfform_phase), np.conj(self._kernel.log_h))
+        return CorrectedSection(_change_coords(core, self.target, self._t), self._phase)
+
+
+class _SegalBargmannInverse:
+    """``segal_bargmann_inverse`` from the point ``source`` to ``target``: the action of
+    the target's inverse reference, then the corrected Xi kernel from there to L-."""
+
+    def __init__(self, source: SiegelPoint, target: BoundaryPolarization):
+        _one_space(source, target)
+        back = target.reference.inverse()
+        self.source, self._pulled = source, act_on_siegel(back.g, source)
+        self._t, self._phase = transform_z_coords(back.g, source, self._pulled), back.phase_at(source)
+        self._kernel = _XiKernel(self._pulled, target)
+
+    def __call__(self, psihat: CorrectedSection) -> CorrectedSection:
+        _require_source(self.source, psihat)
+        phase = self._phase * psihat.halfform_phase
+        pulled = _change_coords(psihat.section, self._pulled, self._t)
+        profile = self._kernel.apply(pulled, np.conj(self._kernel.log_h))
+        return CorrectedSection(profile.scaled(phase / abs(phase)))
+
+
 def segal_bargmann(shat: CorrectedSection, omega: SiegelPoint) -> CorrectedSection:
     """Unitary map of a polarized section into the corrected space over
     Omega, via the reference lift.
 
     In standard position it is the corrected Xi kernel from L- to Omega0."""
     _require_frame("segal_bargmann", BoundaryPolarization, shat)
-    ref = shat.frame.reference
-    om0 = act_on_siegel(ref.g.inverse(), omega)
-    profile = shat.section.scaled(shat.halfform_phase)
-    poly, m, b, c, log_h = _xi_kernel_apply(profile, profile.frame, om0)
-    core = GaussianSection(om0, m, b, c - np.conj(log_h), poly)
-    return metaplectic_act(ref, CorrectedSection(core))
+    return _SegalBargmann(shat.frame, omega)(shat)
 
 
 def segal_bargmann_inverse(
@@ -103,10 +141,7 @@ def segal_bargmann_inverse(
     _require_frame("segal_bargmann_inverse", SiegelPoint, psihat)
     if polarization is None:
         polarization = BoundaryPolarization.position(psihat.frame.n)
-    pulled = metaplectic_act(polarization.reference.inverse(), psihat)
-    poly, m, b, c, log_h = _xi_kernel_apply(pulled.section, pulled.frame, polarization)
-    profile = GaussianSection(polarization, m, b, c - np.conj(log_h), poly)
-    return CorrectedSection(profile.scaled(pulled.halfform_phase))
+    return _SegalBargmannInverse(psihat.frame, polarization)(psihat)
 
 
 def fourier(shat: CorrectedSection) -> CorrectedSection:
@@ -136,7 +171,8 @@ def fourier_general(
         raise NonTransverseError("polarizations must be transverse")
     if reference_omega is None:
         reference_omega = standard_point(shat.frame.n)
-    return segal_bargmann_inverse(segal_bargmann(shat, reference_omega), target)
+    there = _SegalBargmann(shat.frame, reference_omega)
+    return _SegalBargmannInverse(there.target, target)(there(shat))
 
 
 # ---------------------------------------------------------------------------
@@ -306,16 +342,19 @@ def composition_identities_check(
         profiles = default_test_profiles()
     # each profile's data, in standard position over pol_l
     sections = [CorrectedSection(GaussianSection(pol_l, p.m, p.b, p.c, p.coeffs)) for p in profiles]
+    # the nine pairing maps of the three identities, built once for all profiles
+    base = standard_point(pol_l.n)
+    pairs = ((pol_l, omega), (pol_l, omega_p), (pol_l, base), (pol_lp, base))
+    to_om, to_omp, to_base, lp_to_base = (_SegalBargmann(p, w) for p, w in pairs)
+    pairs = ((to_om, pol_lp), (to_om, pol_lpp), (to_omp, pol_lp), (to_base, pol_lp), (lp_to_base, pol_lpp))
+    om_to_lp, om_to_lpp, omp_to_lp, base_to_lp, base_to_lpp = (_SegalBargmannInverse(a.target, p) for a, p in pairs)
 
     r1 = r2 = r3 = 0.0
     for s in sections:
         scale = norm(s.section)
-        paired = segal_bargmann(s, omega)
-        lhs, rhs = segal_bargmann(s, omega_p), transport_corrected(paired, omega_p)
-        r1 = max(r1, difference_norm(lhs, rhs) / scale)
-        lhs, rhs = fourier_general(s, pol_lp), segal_bargmann_inverse(paired, pol_lp)  # lhs at i*I
-        r2 = max(r2, difference_norm(lhs, rhs) / scale)
-        lhs = fourier_general(s, pol_lpp, omega)
-        rhs = fourier_general(fourier_general(s, pol_lp, omega_p), pol_lpp)
-        r3 = max(r3, difference_norm(lhs, rhs) / scale)
+        paired, moved = to_om(s), to_omp(s)
+        r1 = max(r1, difference_norm(moved, transport_corrected(paired, omega_p)) / scale)
+        r2 = max(r2, difference_norm(base_to_lp(to_base(s)), om_to_lp(paired)) / scale)
+        rhs = base_to_lpp(lp_to_base(omp_to_lp(moved)))  # Fourier L -> L' through Omega', then L' -> L''
+        r3 = max(r3, difference_norm(om_to_lpp(paired), rhs) / scale)
     return IdentityReport(r1, r2, r3)

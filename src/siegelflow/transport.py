@@ -84,22 +84,34 @@ def _xi_blocks(omega, omega_p):
     return k11, k12, k22, _halfform_log(omega, omega_p)
 
 
-def _xi_kernel_apply(psi, omega, omega_p):
-    """Push psi, a section over Omega, through the Xi kernel to Omega', prefactor aside.
+def _one_space(f1, f2) -> None:
+    """ValueError naming both frames unless they have the same n."""
+    if f1.n != f2.n:
+        raise ValueError(f"{f1!r} and {f2!r} are frames of different spaces")
 
-    Either end may be a ``BoundaryPolarization``.  Returns (poly, m, b, c,
-    log_h): the result is p(w) exp((1/2) w^T m w + b^T w + c) in the
-    coordinates w of Omega', times the prefactor of ``_xi_blocks``.
-    """
-    k11, k12, k22, log_h = _xi_blocks(omega, omega_p)
-    # integrate over v, z = E v, against the frame's full weight exp(-v^T G v)
-    e = omega.coord_matrix
-    ebar = np.conj(e)
-    s = e.T @ psi.m @ e + ebar.T @ k11 @ ebar - 2.0 * omega.gram_matrix
-    s = 0.5 * (s + s.T)
-    q, r, c, poly = kernel_apply_poly(s, ebar.T @ k12, e.T @ psi.b, psi.c, psi.coeffs, e[0])
-    m_out = q + k22
-    return poly, 0.5 * (m_out + m_out.T), r, c, log_h
+
+class _XiKernel:
+    """The Xi kernel from Omega to Omega' (either may be a ``BoundaryPolarization``),
+    its frame work done once.  ``apply(psi, log_pref)`` pushes psi over Omega to
+    Omega' with the prefactor exp(-log_pref), ``log_h.real`` or ``conj(log_h)``."""
+
+    def __init__(self, omega, omega_p):
+        _one_space(omega, omega_p)
+        k11, k12, self._k22, self.log_h = _xi_blocks(omega, omega_p)
+        self.target = omega_p
+        # integrate over v, z = E v, against the frame's full weight exp(-v^T G v)
+        self._e = omega.coord_matrix
+        ebar = np.conj(self._e)
+        self._frame_quad = ebar.T @ k11 @ ebar - 2.0 * omega.gram_matrix
+        self._cross = ebar.T @ k12
+
+    def apply(self, psi: GaussianSection, log_pref: complex) -> GaussianSection:
+        e = self._e
+        s = e.T @ psi.m @ e + self._frame_quad
+        s = 0.5 * (s + s.T)
+        q, r, c, poly = kernel_apply_poly(s, self._cross, e.T @ psi.b, psi.c, psi.coeffs, e[0])
+        m_out = q + self._k22
+        return GaussianSection(self.target, 0.5 * (m_out + m_out.T), r, c - log_pref, poly)
 
 
 def transport_coherent(alpha, omega: SiegelPoint, omega_p: SiegelPoint) -> GaussianSection:
@@ -172,8 +184,8 @@ def transport_kernel_apply(
         raise ValueError(f"unknown kernel {kernel!r}")
     if not phi.frame.close_to(omega, tol=1e-12):
         raise ValueError("section must live at the source point")
-    poly, m, b, c, log_h = _xi_kernel_apply(phi, omega, omega_p)
-    return GaussianSection(omega_p, m, b, c - log_h.real, poly)
+    kernel = _XiKernel(omega, omega_p)
+    return kernel.apply(phi, kernel.log_h.real)
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +195,11 @@ def transport_kernel_apply(
 def metaplectic_act(mp: MetaplecticElement, obj):
     """Lifted symplectic action on (corrected) sections.
 
-    A section transforms through the unitary coordinate change z = t z' to
-    the image frame: m -> t^T m t, b -> t^T b and coeffs[k] -> coeffs[k] t^k
-    (a polynomial has n = 1).  The half-form coefficient picks up the
-    tracked branch phase at the source point.  A section over a polarization
-    with reference R keeps its profile data and half-form coefficient and
-    moves to the polarization with reference mp R."""
+    A section changes to the coordinates of the image frame (``_change_coords``)
+    and its half-form coefficient picks up the tracked branch phase at the
+    source point.  A section over a polarization with reference R keeps its
+    profile data and half-form coefficient and moves to the polarization with
+    reference mp R."""
     if isinstance(obj, CorrectedSection):
         phase = obj.halfform_phase
         if isinstance(obj.frame, SiegelPoint):
@@ -198,12 +209,16 @@ def metaplectic_act(mp: MetaplecticElement, obj):
     if isinstance(obj.frame, BoundaryPolarization):
         pol = BoundaryPolarization(mp.compose(obj.frame.reference))
         return GaussianSection(pol, obj.m, obj.b, obj.c, obj.coeffs)
-    omega = obj.frame
-    target = act_on_siegel(mp.g, omega)
-    t = transform_z_coords(mp.g, omega, target)
-    m = t.T @ obj.m @ t
-    coeffs = obj.coeffs * complex(t[0, 0]) ** np.arange(obj.degree + 1)
-    return GaussianSection(target, 0.5 * (m + m.T), t.T @ obj.b, obj.c, coeffs)
+    target = act_on_siegel(mp.g, obj.frame)
+    return _change_coords(obj, target, transform_z_coords(mp.g, obj.frame, target))
+
+
+def _change_coords(psi: GaussianSection, target: SiegelPoint, t: np.ndarray) -> GaussianSection:
+    """psi in the coordinates z' of ``target``, z = t z' with t unitary: m -> t^T m t,
+    b -> t^T b and coeffs[k] -> coeffs[k] t^k (a polynomial has n = 1)."""
+    m = t.T @ psi.m @ t
+    coeffs = psi.coeffs * complex(t[0, 0]) ** np.arange(psi.degree + 1)
+    return GaussianSection(target, 0.5 * (m + m.T), t.T @ psi.b, psi.c, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,9 @@ from siegelflow import (
     vacuum,
     value_on_V,
 )
+from siegelflow import siegel, sympl, transforms, transport
 from siegelflow.sympl import act_on_siegel
-from siegelflow.transforms import default_test_profiles
+from siegelflow.transforms import _SegalBargmann, _SegalBargmannInverse, default_test_profiles
 
 from conftest import random_profile, standard_profile
 
@@ -294,6 +295,55 @@ class TestCompositionIdentities:
         rhs = transport_corrected(segal_bargmann(s, om), omp)
         assert difference_norm(lhs, rhs) < 1e-8 * norm(rhs.section)
 
+    def test_three_identities_two_degrees_of_freedom(self):
+        # all three identities on n = 2 Gaussian profiles, polarizations along [I; S]
+        rng = np.random.default_rng(2718)
+        profiles = [random_profile(rng, 2) for _ in range(3)]
+        worst = 0.0
+        for _ in range(4):
+            pols = [BoundaryPolarization.from_span(np.vstack([np.eye(2), _symmetric(rng)])) for _ in range(3)]
+            assert all(a.transverse_to(b) for a, b in ((pols[0], pols[1]), (pols[1], pols[2]), (pols[0], pols[2])))
+            rep = composition_identities_check(random_siegel(rng, 2), random_siegel(rng, 2), *pols, profiles)
+            worst = max(worst, rep.max_residual)
+        assert worst <= 1e-10
+
+    def test_frame_work_does_not_grow_with_the_profiles(self, monkeypatch):
+        # the pairing maps are built once per frame pair, not once per profile
+        calls = {"act_on_siegel": 0, "transform_z_coords": 0, "inverse": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module in (sympl, siegel, transport, transforms):
+            monkeypatch.setattr(module, "act_on_siegel", counted("act_on_siegel", sympl.act_on_siegel))
+        for module in (sympl, transport, transforms):
+            monkeypatch.setattr(module, "transform_z_coords", counted("transform_z_coords", sympl.transform_z_coords))
+        monkeypatch.setattr(MetaplecticElement, "inverse", counted("inverse", MetaplecticElement.inverse))
+
+        frames = (
+            random_siegel(np.random.default_rng(5), 1),
+            diagonal_point([2.0]),
+            BoundaryPolarization.position(1),
+            BoundaryPolarization.momentum(1),
+            BoundaryPolarization.from_span([[1.0], [0.8]]),
+        )
+        counts = []
+        for profiles in (default_test_profiles()[:1], default_test_profiles()):
+            calls.update(dict.fromkeys(calls, 0))
+            composition_identities_check(*frames, profiles)
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert min(counts[0].values()) > 0
+
+
+def _symmetric(rng):
+    s = rng.normal(size=(2, 2))
+    return 0.5 * (s + s.T)
+
 
 def _polarized_section(pol, rng):
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -340,3 +390,51 @@ def test_transform_entries_reject_the_other_frame_kind(call, frame):
     with pytest.raises(ValueError, match=frame) as exc:
         call()
     assert exc.type is ValueError
+
+
+N1_SECTION = CorrectedSection(standard_profile(1))
+N1_KAEHLER_SECTION = CorrectedSection(vacuum(I1))
+
+
+@pytest.mark.parametrize(
+    "call, frames",
+    [
+        (lambda: segal_bargmann(N1_SECTION, standard_point(2)), (N1_SECTION.frame, standard_point(2))),
+        (
+            lambda: segal_bargmann_inverse(N1_KAEHLER_SECTION, BoundaryPolarization.position(2)),
+            (I1, BoundaryPolarization.position(2)),
+        ),
+        (
+            lambda: fourier_general(N1_SECTION, BoundaryPolarization.momentum(2)),
+            (N1_SECTION.frame, BoundaryPolarization.momentum(2)),
+        ),
+    ],
+    ids=["segal_bargmann", "segal_bargmann_inverse", "fourier_general"],
+)
+def test_transform_entries_reject_frames_of_another_n(call, frames):
+    # a plain ValueError naming both frames, not numpy's matmul mismatch
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert exc.type is ValueError
+    assert all(repr(f) in str(exc.value) for f in frames)
+
+
+def test_pairing_maps_take_only_sections_over_their_source(rng):
+    pos, mom = BoundaryPolarization.position(1), BoundaryPolarization.momentum(1)
+    to_i = _SegalBargmann(pos, I1)
+    other_lift = BoundaryPolarization(pos.reference.other_lift())
+    back = _SegalBargmannInverse(to_i.target, mom)
+    cases = [
+        (to_i, from_momentum_profile(standard_profile(1)), pos),
+        (to_i, CorrectedSection(GaussianSection(other_lift, [[-1.0]], [0.0], 0.0)), pos),
+        (to_i, CorrectedSection(standard_profile(1)), pos),  # an equal copy of the source is another frame
+        (back, CorrectedSection(vacuum(diagonal_point([2.0]))), to_i.target),
+    ]
+    for pairing, section, source in cases:
+        with pytest.raises(ValueError) as exc:
+            pairing(section)
+        assert exc.type is ValueError
+        assert repr(source) in str(exc.value) and repr(section.frame) in str(exc.value)
+    # over its own source the map is the public entry's
+    s = CorrectedSection(random_profile(rng, frame=pos))
+    assert difference_norm(back(to_i(s)), fourier_general(s, mom)) == 0.0
