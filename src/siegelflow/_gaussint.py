@@ -15,21 +15,28 @@ principal logarithms of the eigenvalues is the continuous choice.
 Every Gaussian-times-polynomial operation of the library reduces to these
 primitives:
 
+  * ``half_logdet``: the branch of (1/2) log det above;
   * ``gauss_log_integral``: log of the base integral;
   * ``integrate_out``: the base integral over some of the variables, as a
     Gaussian in the rest;
-  * ``exp_bivariate_series``: the one series recurrence, Taylor
-    coefficients of an exponentiated quadratic in two generating
-    parameters (one-parameter series are its first column);
+  * ``exp_bivariate_series``: Taylor coefficients of an exponentiated
+    quadratic in two generating parameters (one-parameter series, as in the
+    Fock expansion, are its first column);
+  * ``generating_poly``: the rows k! [s^k] of an exponentiated quadratic
+    with a linear term in the output variable w, as polynomials in w;
   * ``kernel_apply_poly``: the push of a polynomial-times-Gaussian through
-    a Gaussian kernel, via ``generating_poly``;
+    a Gaussian kernel, the polynomial times those rows;
   * ``_poly_gauss_pairing``: the integral of a Gaussian times two
-    polynomial factors, which every closed-form inner product uses.
+    polynomial factors, which every closed-form inner product uses, a
+    bilinear form in the factorial-weighted series.
+
+The series are evaluated one order at a time, each order after the first
+column of ``exp_bivariate_series`` as one numpy vector operation.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 
@@ -83,22 +90,25 @@ def integrate_out(S: np.ndarray, L: np.ndarray, ell0: np.ndarray, k: complex):
 
 
 def exp_bivariate_series(b1, b2, g11, g12, g22, jmax: int, kmax: int) -> np.ndarray:
-    """c[j, k] = [s^j t^k] exp(b1 s + b2 t + g11 s^2/2 + g12 s t + g22 t^2/2)."""
-    c = np.zeros((jmax + 1, kmax + 1), dtype=complex)
-    c[0, 0] = 1.0
-    for k in range(kmax):
-        acc = b2 * c[0, k]
-        if k >= 1:
-            acc += g22 * c[0, k - 1]
-        c[0, k + 1] = acc / (k + 1)
+    """c[j, k] = [s^j t^k] exp(b1 s + b2 t + g11 s^2/2 + g12 s t + g22 t^2/2).
+
+    Column 0 is the one-parameter series, (j+1) c[j+1, 0] = b1 c[j, 0] +
+    g11 c[j-1, 0], one scalar per order; each later column is one vector
+    update, (k+1) c[:, k+1] = b2 c[:, k] + g22 c[:, k-1] + g12 c[:-1, k]
+    shifted one row down.
+    """
+    b1, g11 = complex(b1), complex(g11)
+    col = [1.0 + 0.0j]
     for j in range(jmax):
-        for k in range(kmax + 1):
-            acc = b1 * c[j, k]
-            if j >= 1:
-                acc += g11 * c[j - 1, k]
-            if k >= 1:
-                acc += g12 * c[j, k - 1]
-            c[j + 1, k] = acc / (j + 1)
+        col.append((b1 * col[j] + (g11 * col[j - 1] if j else 0.0)) / (j + 1))
+    c = np.zeros((jmax + 1, kmax + 1), dtype=complex)
+    c[:, 0] = col
+    for k in range(kmax):
+        nxt = b2 * c[:, k]
+        if k:
+            nxt += g22 * c[:, k - 1]
+        nxt[1:] += g12 * c[:-1, k]
+        c[:, k + 1] = nxt / (k + 1)
     return c
 
 
@@ -119,24 +129,30 @@ def kernel_apply_poly(S, Lmat, ell0, k0, poly, gen_dir):
         raise ValueError("polynomial kernels support a single output variable")
     l2 = np.column_stack([np.asarray(gen_dir, dtype=complex), Lmat[:, 0]])
     q2, r2, s2 = integrate_out(S, l2, ell0, k0)
+    # only the rows of nonzero coefficients enter: zero times an overflowed row is NaN
+    nz = np.flatnonzero(poly)
     out = np.zeros(len(poly), dtype=complex)
-    for k, pk in enumerate(poly):
-        if pk != 0:
-            out[: k + 1] += pk * generating_poly(r2[0], q2[0, 0], q2[0, 1], k)
+    if nz.size:
+        rows = generating_poly(r2[0], q2[0, 0], q2[0, 1], nz[-1])
+        out[: nz[-1] + 1] = poly[nz] @ rows[nz]
     return q2[1:, 1:], r2[1:], s2, out
 
 
-def generating_poly(beta: complex, gamma: complex, eps: complex, k: int) -> np.ndarray:
-    """Coefficients in w of k! [s^k] exp(beta s + (1/2) gamma s^2 + eps s w).
+def generating_poly(beta: complex, gamma: complex, eps: complex, d: int) -> np.ndarray:
+    """Rows G_0 ... G_d, G_k(w) = k! [s^k] exp(beta s + (1/2) gamma s^2 + eps s w).
 
-    Ascending powers, length k + 1: C(k, c) eps^c f_{k-c}, where f_j =
-    j! [s^j] exp(beta s + (1/2) gamma s^2) obeys f_{j+1} = beta f_j + j gamma f_{j-1}.
+    Row k holds the ascending coefficients of G_k in w (zero past w^k), from
+    G_{k+1} = (beta + eps w) G_k + k gamma G_{k-1}, one row operation per order.
     """
-    beta, gamma, eps = complex(beta), complex(gamma), complex(eps)
-    f = [1.0 + 0.0j, beta]
-    for j in range(1, k):
-        f.append(beta * f[j] + j * gamma * f[j - 1])
-    return np.array([comb(k, c) * eps**c * f[k - c] for c in range(k + 1)], dtype=complex)
+    rows = np.zeros((d + 1, d + 1), dtype=complex)
+    rows[0, 0] = 1.0
+    for k in range(d):
+        nxt = beta * rows[k]
+        nxt[1:] += eps * rows[k, :-1]
+        if k:
+            nxt += k * gamma * rows[k - 1]
+        rows[k + 1] = nxt
+    return rows
 
 
 def _poly_gauss_pairing(S, ell, k, a, b, p1, p2) -> complex:
@@ -149,14 +165,12 @@ def _poly_gauss_pairing(S, ell, k, a, b, p1, p2) -> complex:
     log = gauss_log_integral(S, ell, k)
     if len(p1) == 1 and len(p2) == 1:
         return p1[0] * p2[0] * np.exp(log)
+    # j! l! as floats: OverflowError from degree 171 on, before any series work
+    fact = [float(factorial(j)) for j in range(max(len(p1), len(p2)))]
     x0 = np.linalg.solve(S, ell)
     xa = np.linalg.solve(S, a)
     xb = np.linalg.solve(S, b)
     series = exp_bivariate_series(
         -a @ x0, -b @ x0, -a @ xa, -a @ xb, -b @ xb, len(p1) - 1, len(p2) - 1
     )
-    total = 0.0 + 0.0j
-    for j in range(len(p1)):
-        for l in range(len(p2)):
-            total += p1[j] * p2[l] * float(factorial(j)) * float(factorial(l)) * series[j, l]
-    return total * np.exp(log)
+    return (p1 * fact[: len(p1)]) @ series @ (p2 * fact[: len(p2)]) * np.exp(log)

@@ -251,9 +251,12 @@ def corrected_inner_product(a: CorrectedSection, b: CorrectedSection) -> complex
 # Fock expansion (n = 1)
 
 
+@lru_cache(maxsize=16)
 def _half_log_factorials(n: int) -> np.ndarray:
-    """log sqrt(k!) for k < n, the Fock normalisation: k! overflows floats past k = 170."""
-    return 0.5 * np.array([lgamma(k + 1) for k in range(n)])
+    """log sqrt(k!) for k < n, read-only, the Fock normalisation: k! overflows floats past k = 170."""
+    out = 0.5 * np.array([lgamma(k + 1) for k in range(n)])
+    out.flags.writeable = False
+    return out
 
 
 def fock_coefficients(psi: GaussianSection, n_trunc: int = N_TRUNC_DEFAULT) -> np.ndarray:

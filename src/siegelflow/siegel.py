@@ -257,9 +257,14 @@ class BoundaryPolarization:
             raise NotIntegrableError("Re m must be negative definite for square-integrability on L-")
 
     def close_to(self, other, tol: float = 1e-10) -> bool:
-        """Same n and the same reference g: sections over the two compare directly."""
+        """Same n, the same reference g and the same lift of it: sections over
+        the two compare directly.  The two lifts of one g differ in sign at
+        every point, so the lifts agree where ``other``'s branch is anchored."""
         same_n = isinstance(other, BoundaryPolarization) and other.n == self.n
-        return same_n and bool(np.abs(self.reference.g.matrix - other.reference.g.matrix).max() <= tol)
+        if not (same_n and np.abs(self.reference.g.matrix - other.reference.g.matrix).max() <= tol):
+            return False
+        mine, theirs = self.reference, other.reference
+        return mine is theirs or abs(mine.phase_at(theirs.reference) - theirs.branch) < 1.0
 
     def __repr__(self):
         return f"BoundaryPolarization(g={np.array2string(self.reference.g.matrix, precision=6)})"

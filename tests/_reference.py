@@ -3,13 +3,17 @@
 None of these is on a library path: each is a second route to a value the
 library computes another way (a sampled det^{1/2} continuation, the
 standard-geodesic closed form of coherent transport, explicit ladder and
-deformation matrices).  ``test_branches`` asserts that no name defined here
-is also an attribute of a ``siegelflow`` module.
+deformation matrices, a term-by-term Gaussian-polynomial pairing).
+``test_branches`` asserts that no name defined here is also an attribute
+of a ``siegelflow`` module.
 """
+
+from math import factorial
 
 import numpy as np
 
 from siegelflow import GaussianSection, diagonal_point
+from siegelflow._gaussint import gauss_log_integral
 
 
 class BranchDiscontinuityError(Exception):
@@ -67,3 +71,33 @@ def ladder_matrices(n_trunc: int):
     for k in range(1, n_trunc):
         a[k - 1, k] = np.sqrt(k)
     return a, a.T.copy()
+
+
+def poly_gauss_pairing_loop(S, ell, k, a, b, p1, p2) -> complex:
+    """Normalised integral of exp((1/2) v^T S v + ell^T v + k) p1(a . v) p2(b . v),
+    one scalar at a time in Python.
+
+    c[j, l] = [s^j t^l] exp(b1 s + b2 t + g11 s^2/2 + g12 s t + g22 t^2/2)
+    comes from the recurrence in j for every column, and the moments
+    j! l! c[j, l] are summed term by term.
+    """
+    log = gauss_log_integral(S, ell, k)
+    x0, xa, xb = (np.linalg.solve(S, v) for v in (ell, a, b))
+    b1, b2, g11, g12, g22 = -a @ x0, -b @ x0, -a @ xa, -a @ xb, -b @ xb
+    c = np.zeros((len(p1), len(p2)), dtype=complex)
+    c[0, 0] = 1.0
+    for l in range(len(p2) - 1):
+        c[0, l + 1] = (b2 * c[0, l] + (g22 * c[0, l - 1] if l else 0.0)) / (l + 1)
+    for j in range(len(p1) - 1):
+        for l in range(len(p2)):
+            acc = b1 * c[j, l]
+            if j:
+                acc += g11 * c[j - 1, l]
+            if l:
+                acc += g12 * c[j, l - 1]
+            c[j + 1, l] = acc / (j + 1)
+    total = 0.0 + 0.0j
+    for j in range(len(p1)):
+        for l in range(len(p2)):
+            total += p1[j] * p2[l] * float(factorial(j)) * float(factorial(l)) * c[j, l]
+    return total * np.exp(log)

@@ -31,6 +31,7 @@ from siegelflow import (
     random_siegel,
     section_from_json,
     section_to_json,
+    segal_bargmann,
     standard_point,
     vacuum,
 )
@@ -574,6 +575,31 @@ class TestFrameKinds:
             difference_norm(prof, fock_state(1, I1))
         with pytest.raises(ValueError, match="BoundaryPolarization"):
             fock_coefficients(prof)
+
+    def test_the_other_lift_of_one_polarization_raises(self):
+        # the unitary map into i honours the lift: the two unit Gaussians pair to -1 there
+        p = BoundaryPolarization.position(1)
+        q = BoundaryPolarization(p.reference.other_lift())
+        assert not p.close_to(q) and not q.close_to(p)
+        a, b = (CorrectedSection(GaussianSection(f, [[-1.0]], [0.0], 0.25 * np.log(2.0))) for f in (p, q))
+        assert abs(corrected_inner_product(segal_bargmann(a, I1), segal_bargmann(b, I1)) + 1.0) < 1e-12
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(PolarizationMismatchError):
+                corrected_inner_product(x, y)
+            with pytest.raises(PolarizationMismatchError):
+                difference_norm(x, y)
+
+    @pytest.mark.parametrize("pol", [BoundaryPolarization.momentum(1), SHEARED, BoundaryPolarization.momentum(2)],
+                             ids=["momentum-1", "sheared-1", "momentum-2"])
+    def test_one_lift_anchored_at_another_point_compares_close(self, rng, pol):
+        mp, anchor = pol.reference, random_siegel(rng, pol.n)
+        same = BoundaryPolarization(MetaplecticElement(mp.g, mp.phase_at(anchor), anchor))
+        other = BoundaryPolarization(MetaplecticElement(mp.g, -mp.phase_at(anchor), anchor))
+        assert pol.close_to(same) and same.close_to(pol)
+        assert not pol.close_to(other) and not other.close_to(pol)
+        a = CorrectedSection(random_profile(rng, pol.n, poly=False, frame=pol))
+        b = CorrectedSection(GaussianSection(same, a.section.m, a.section.b, a.section.c))
+        assert abs(corrected_inner_product(a, b) - corrected_inner_product(a, a)) < 1e-12 * abs(corrected_inner_product(a, a))
 
     def test_same_subspace_with_another_reference_raises(self, rng):
         position = BoundaryPolarization.position(1)
