@@ -183,12 +183,17 @@ def inner_product(psi1: GaussianSection, psi2: GaussianSection) -> complex:
     """<psi1, psi2> for sections sharing a frame; conjugate-linear on the left."""
     if not psi1.frame.close_to(psi2.frame, tol=1e-13):
         raise ValueError("sections live in different frames; use inner_product_cross_frame")
-    return inner_product_cross_frame(psi1, psi2)
+    return _pairing(psi1, psi2)
 
 
 def inner_product_cross_frame(psi1: GaussianSection, psi2: GaussianSection) -> complex:
     """<psi1, psi2> with each section evaluated on V (or V/L-) in its own coordinates."""
     _same_space(psi1.frame, psi2.frame)
+    return _pairing(psi1, psi2)
+
+
+def _pairing(psi1: GaussianSection, psi2: GaussianSection) -> complex:
+    """<psi1, psi2> once the caller has checked that the frames pair."""
     s1, l1, k1 = psi1.real_quadratic()
     s2, l2, k2 = psi2.real_quadratic()
     a = b = None

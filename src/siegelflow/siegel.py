@@ -263,8 +263,7 @@ class BoundaryPolarization:
         same_n = isinstance(other, BoundaryPolarization) and other.n == self.n
         if not (same_n and np.abs(self.reference.g.matrix - other.reference.g.matrix).max() <= tol):
             return False
-        mine, theirs = self.reference, other.reference
-        return mine is theirs or abs(mine.phase_at(theirs.reference) - theirs.branch) < 1.0
+        return abs(self.reference.phase_at(other.reference.reference) - other.reference.branch) < 1.0
 
     def __repr__(self):
         return f"BoundaryPolarization(g={np.array2string(self.reference.g.matrix, precision=6)})"

@@ -40,26 +40,26 @@ def _rational(rng):
 @pytest.mark.parametrize("seed", range(6))
 def test_generating_poly_matches_exact_triple_sum(seed):
     rng = np.random.default_rng(seed)
-    d = 40
-    for _ in range(2):
+    for k in range(41):
         beta, gamma, eps = _rational(rng), _rational(rng), _rational(rng)
-        rows = generating_poly(float(beta), float(gamma), float(eps), d)
-        assert rows.shape == (d + 1, d + 1)
-        for k in range(d + 1):
-            exact = exact_generating_poly(beta, gamma, eps, k)
-            got = rows[k]
-            assert not np.any(got[k + 1 :]), k
+        rows = generating_poly(float(beta), float(gamma), float(eps), k)
+        assert rows.shape == (k + 1, k + 1)
+        for j in range(k + 1):
+            exact = exact_generating_poly(beta, gamma, eps, j)
+            got = rows[j]
+            assert not np.any(got[j + 1 :]), (k, j)
             scale = float(sum(abs(x) for x in exact))
             if scale == 0.0:
                 assert not np.any(got)
                 continue
             err = sum(abs(Fraction(g.real) - x) + abs(g.imag) for g, x in zip(got, exact))
-            assert float(err) <= 1e-14 * scale, (k, beta, gamma, eps)
+            assert float(err) <= 1e-14 * scale, (k, j, beta, gamma, eps)
 
 
 def test_generating_poly_low_orders():
     beta, gamma, eps = 0.3 - 0.2j, -0.7 + 0.1j, 1.1 + 0.4j
     assert np.array_equal(generating_poly(beta, gamma, eps, 0), [[1.0]])
+    assert np.allclose(generating_poly(beta, gamma, eps, 1), [[1.0, 0.0], [beta, eps]], rtol=0, atol=1e-16)
     assert np.allclose(
         generating_poly(beta, gamma, eps, 2),
         [[1.0, 0.0, 0.0], [beta, eps, 0.0], [beta**2 + gamma, 2 * beta * eps, eps**2]],

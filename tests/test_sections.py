@@ -601,6 +601,18 @@ class TestFrameKinds:
         b = CorrectedSection(GaussianSection(same, a.section.m, a.section.b, a.section.c))
         assert abs(corrected_inner_product(a, b) - corrected_inner_product(a, a)) < 1e-12 * abs(corrected_inner_product(a, a))
 
+    def test_each_pairing_compares_the_lifts_once(self, rng, monkeypatch):
+        # two equal copies of one polarization: the lift check is a phase_at call
+        calls, phase_at = [], MetaplecticElement.phase_at
+        monkeypatch.setattr(MetaplecticElement, "phase_at", lambda *a: calls.append(1) or phase_at(*a))
+        a = random_profile(rng, 1, poly=False, frame=BoundaryPolarization.momentum(1))
+        b = GaussianSection(BoundaryPolarization.momentum(1), a.m, a.b, a.c)
+        for pairing in (inner_product, inner_product_cross_frame):
+            assert abs(pairing(a, b) - pairing(a, a)) < 1e-12 * abs(pairing(a, a))
+            calls.clear()
+            pairing(a, b)
+            assert len(calls) == 1, pairing.__name__
+
     def test_same_subspace_with_another_reference_raises(self, rng):
         position = BoundaryPolarization.position(1)
         shared = np.abs(SHEARED.span - position.span @ (position.span.T @ SHEARED.span)).max()
