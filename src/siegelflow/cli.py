@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from ._point import SiegelPoint, diagonal_point, standard_point
-from .errors import SiegelFlowError
+from .errors import SiegelFlowError, TruncationOverflowError
 from .sections import (
     QUAD_NODES_MAX,
     CorrectedSection,
@@ -57,6 +57,7 @@ from .siegel import geodesic_between, geodesic_eval
 from .suites import SUITES, _limits, _row
 from .sympl import MetaplecticElement
 from .transport import (
+    ODE_BASIS_MAX,
     bogoliubov_scale,
     metaplectic_act,
     transport_corrected,
@@ -170,6 +171,11 @@ def cmd_transport(args) -> int:
     if args.ode_check:
         if omega.n != 1:
             raise SiegelFlowError("--ode-check supports n = 1")
+        n_basis = max(4 * args.trunc, 128)
+        if n_basis > ODE_BASIS_MAX:
+            raise TruncationOverflowError(
+                f"--trunc {args.trunc} needs an ODE basis of {n_basis} states, past ODE_BASIS_MAX = {ODE_BASIS_MAX}"
+            )
         spec = geodesic_between(omega, omega_p)
         mp = MetaplecticElement.principal_lift(spec.g)
         pulled = metaplectic_act(mp.inverse(), psi)
@@ -177,7 +183,7 @@ def cmd_transport(args) -> int:
         start = from_fock_coefficients(coeffs, standard_point(1))
         lam = float(spec.lam[0])
         closed = transport_uncorrected(start, diagonal_point([np.exp(2.0 * lam)]))
-        ode = transport_ode(start, lam, 1.0, args.ode_steps, n_basis=max(4 * args.trunc, 128))
+        ode = transport_ode(start, lam, 1.0, args.ode_steps, n_basis=n_basis)
         c_closed = fock_coefficients(closed, args.trunc)
         c_ode = fock_coefficients(ode, args.trunc)
         resid = np.linalg.norm(c_ode - c_closed) / np.linalg.norm(c_closed)
@@ -233,6 +239,16 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="siegelflow",
@@ -241,11 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=42, help="seed for randomized checks")
     parser.add_argument("--tol", type=float, default=None, help="tolerance override")
     parser.add_argument(
-        "--nodes", type=int, default=64,
+        "--nodes", type=_positive_int, default=64,
         help="starting quadrature nodes per dimension for the unitarity oracle, doubled until two grids "
         f"agree, up to {QUAD_NODES_MAX} (numpy's Gauss-Hermite weights underflow beyond)",
     )
-    parser.add_argument("--trunc", type=int, default=32, help="Fock truncation")
+    parser.add_argument("--trunc", type=_positive_int, default=32, help="Fock truncation")
     parser.add_argument("--out", type=str, default=None, help="write the report to a file")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -274,8 +290,10 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (SiegelFlowError, np.linalg.LinAlgError) as exc:
-        # LinAlgError is a ValueError, but it marks a failed computation
+    except (SiegelFlowError, np.linalg.LinAlgError, ArithmeticError) as exc:
+        # LinAlgError is a ValueError, but it marks a failed computation; an
+        # ArithmeticError is a value past the range of a float, or a division
+        # by a norm that underflowed to 0
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (json.JSONDecodeError, KeyError, ValueError) as exc:

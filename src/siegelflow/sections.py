@@ -172,10 +172,10 @@ def coherent_state(alpha, omega: SiegelPoint) -> GaussianSection:
     return GaussianSection(omega, np.zeros((n, n)), np.conj(alpha), 0.0)
 
 
-def fock_state(k: int, omega: SiegelPoint, n_trunc: int = N_TRUNC_DEFAULT) -> GaussianSection:
+def fock_state(k: int, omega: SiegelPoint) -> GaussianSection:
     """|k> = z^k / sqrt(k!) exp(-|z|^2/2), orthonormal under the inner product."""
-    if not 0 <= k < n_trunc:
-        raise ValueError(f"k must lie in [0, {n_trunc})")
+    if k < 0:
+        raise ValueError(f"k must be >= 0, not {k}")
     return from_fock_coefficients(np.eye(1, k + 1, k)[0], omega)
 
 

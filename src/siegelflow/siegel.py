@@ -27,6 +27,8 @@ from .sympl import MetaplecticElement, SymplecticMap, act_on_siegel, compose
 
 TRANSVERSALITY_TOL = 1e-8
 ENDPOINT_TOL = 1e-8
+# a geodesic rate at or below this vanishes: the curve has no boundary limit
+RATE_TOL = 1e-12
 
 
 def complex_structure_of(omega: SiegelPoint) -> np.ndarray:
@@ -47,15 +49,15 @@ def symplectic_form_matrix(n: int) -> np.ndarray:
     return np.block([[z, i], [-i, z]])
 
 
-def takagi(w: np.ndarray, zero_tol: float = 1e-12):
+def takagi(w: np.ndarray):
     """Takagi factorization w = u diag(sigma) u^T of a complex symmetric matrix.
 
     Returns (sigma, u) with sigma >= 0 sorted descending and u unitary.
     Uses the real symmetric embedding T = (Re w, Im w; Im w, -Re w): real
-    eigenpairs (s, (x, y)) of T with s >= 0 give Takagi vectors v = x + i y,
-    and v -> i v maps the +s eigenspace onto the -s one.  For (numerically)
-    zero singular values the eigenspace is closed under v -> i v, so a real
-    form is extracted greedily.
+    eigenpairs (s, (x, y)) of T with s > 0 give Takagi vectors v = x + i y,
+    and v -> i v maps the +s eigenspace onto the -s one.  The columns of the
+    (numerically) zero singular values only have to complete u to a unitary:
+    they are the trailing columns of a QR factorization of (v_1 ... v_k | I).
     """
     w = np.atleast_2d(np.asarray(w, dtype=complex))
     n = w.shape[0]
@@ -64,37 +66,13 @@ def takagi(w: np.ndarray, zero_tol: float = 1e-12):
     w = 0.5 * (w + w.T)
     t = np.block([[w.real, w.imag], [w.imag, -w.real]])
     evals, evecs = np.linalg.eigh(t)
-    scale = max(1.0, np.abs(evals).max())
-
-    cols = []
-    sigmas = []
     # positive eigenvalues, largest first
-    order = np.argsort(-evals)
-    for idx in order:
-        if evals[idx] > zero_tol * scale:
-            v = evecs[:n, idx] + 1j * evecs[n:, idx]
-            cols.append(v)
-            sigmas.append(evals[idx])
-    # real form of the (numerically) zero eigenspace
-    null_idx = [i for i in range(2 * n) if abs(evals[i]) <= zero_tol * scale]
-    chosen: list[np.ndarray] = []
-    for idx in null_idx:
-        r = evecs[:, idx].copy()
-        for v in chosen:
-            re = np.concatenate([v.real, v.imag])
-            im = np.concatenate([-v.imag, v.real])  # embedding of i*v
-            r -= (re @ r) * re + (im @ r) * im
-        nrm = np.linalg.norm(r)
-        if nrm > 1e-6:
-            chosen.append((r[:n] + 1j * r[n:]) / nrm)
-            sigmas.append(0.0)
-        if len(cols) + len(chosen) == n:
-            break
-    cols.extend(chosen)
-    if len(cols) != n:
-        raise np.linalg.LinAlgError("Takagi vector extraction failed")
-    u = np.array(cols).T
-    sigma = np.array(sigmas)
+    pos = np.argsort(-evals)
+    pos = pos[evals[pos] > 1e-12 * max(1.0, np.abs(evals).max())]
+    cols = evecs[:n, pos] + 1j * evecs[n:, pos]
+    q, _ = np.linalg.qr(np.hstack([cols, np.eye(n)]))
+    u = np.hstack([cols, q[:, len(pos) : n]])
+    sigma = np.concatenate([evals[pos], np.zeros(n - len(pos))])
     if np.abs(u.conj().T @ u - np.eye(n)).max() > 1e-9:
         raise np.linalg.LinAlgError("Takagi factor lost unitarity")
     if np.abs(u * sigma @ u.T - w).max() > 1e-9 * max(1.0, np.abs(w).max()):
@@ -269,14 +247,14 @@ class BoundaryPolarization:
         return f"BoundaryPolarization(g={np.array2string(self.reference.g.matrix, precision=6)})"
 
 
-def geodesic_boundary_limits(spec: GeodesicSpec, tol: float = 1e-12):
+def geodesic_boundary_limits(spec: GeodesicSpec):
     """Boundary polarizations (g.L-, g.L+) of gamma at t -> -inf, +inf: the
     frames of the Segal-Bargmann and Fourier limits of transport.
 
     Present only when every rate is strictly positive; any vanishing rate
     leaves the curve inside the upper half-space in that direction.
     """
-    if spec.lam.min() <= tol:
+    if spec.lam.min() <= RATE_TOL:
         return None, None
     lift = MetaplecticElement.principal_lift
     plus = compose(spec.g, exchange_map(spec.n))  # g g0 . L- = g . L+

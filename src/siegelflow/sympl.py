@@ -208,16 +208,16 @@ class MetaplecticElement:
         return MetaplecticElement(g, branch / abs(branch), other.reference)
 
 
-def random_symplectic(rng: np.random.Generator, n: int, factors: int = 2) -> SymplecticMap:
+def random_symplectic(rng: np.random.Generator, n: int) -> SymplecticMap:
     """Random element built from exactly symplectic factors.
 
-    Each factor is one of: a block-embedded unitary (A = Re u, B = Im u),
-    a positive diagonal squeeze diag(d, 1/d), or an upper shear (I, S; 0, I)
+    Two rounds of three factors: a block-embedded unitary (A = Re u, B = Im u),
+    a positive diagonal squeeze diag(d, 1/d) and an upper shear (I, S; 0, I)
     with S symmetric.  Products of these span the group.
     """
     g = SymplecticMap.identity(n)
     z = np.zeros((n, n))
-    for _ in range(factors):
+    for _ in range(2):
         q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
         g = compose(g, SymplecticMap(u.real, u.imag, -u.imag, u.real))
@@ -229,10 +229,10 @@ def random_symplectic(rng: np.random.Generator, n: int, factors: int = 2) -> Sym
     return g
 
 
-def random_siegel(rng: np.random.Generator, n: int, spread: float = 1.0) -> SiegelPoint:
+def random_siegel(rng: np.random.Generator, n: int) -> SiegelPoint:
     """Random point with symmetric real part and well-conditioned imaginary part."""
-    o1 = rng.normal(scale=spread, size=(n, n))
+    o1 = rng.normal(size=(n, n))
     o1 = 0.5 * (o1 + o1.T)
-    m = rng.normal(scale=spread, size=(n, n))
+    m = rng.normal(size=(n, n))
     o2 = m @ m.T + 0.3 * np.eye(n)
     return SiegelPoint(o1, o2)

@@ -29,9 +29,13 @@ from ._gaussint import kernel_apply_poly
 from ._point import SiegelPoint, diagonal_point, standard_point
 from .errors import NoBoundaryLimitError, NonTransverseError, PolarizationMismatchError
 from .sections import CorrectedSection, GaussianSection, _require_frame, difference_norm, norm
-from .siegel import BoundaryPolarization, GeodesicSpec
+from .siegel import RATE_TOL, BoundaryPolarization, GeodesicSpec
 from .sympl import MetaplecticElement, act_on_siegel, transform_z_coords
 from .transport import _change_coords, _one_space, _XiKernel, metaplectic_act, transport_corrected
+
+# the convergence reports' grid: GRID_POINTS per axis on [-GRID_HALF, GRID_HALF]^2
+GRID_HALF = 3.0
+GRID_POINTS = 41
 
 # Unit constant relating the pushed frame sqrt(d^n x o g0^{-1}) of the
 # standard exchange element g0 = (0, I; -I, 0) (principal lift) to the
@@ -156,22 +160,16 @@ def fourier(shat: CorrectedSection) -> CorrectedSection:
     return from_momentum_profile(GaussianSection(prof.frame, 0.5 * (q + q.T), r, c_out, poly))
 
 
-def fourier_general(
-    shat: CorrectedSection,
-    target: BoundaryPolarization,
-    reference_omega: SiegelPoint | None = None,
-) -> CorrectedSection:
+def fourier_general(shat: CorrectedSection, target: BoundaryPolarization) -> CorrectedSection:
     """Fourier transform between transverse polarizations, as the
-    composition of the pairing map into a Kaehler frame and its inverse.
+    composition of the pairing map into the Kaehler frame i I and its inverse.
 
     The result is independent of the chosen frame; the composition
     identity checks exercise exactly that independence."""
     _require_frame("fourier_general", BoundaryPolarization, shat)
     if not shat.frame.transverse_to(target):
         raise NonTransverseError("polarizations must be transverse")
-    if reference_omega is None:
-        reference_omega = standard_point(shat.frame.n)
-    there = _SegalBargmann(shat.frame, reference_omega)
+    there = _SegalBargmann(shat.frame, standard_point(shat.frame.n))
     return _SegalBargmannInverse(there.target, target)(there(shat))
 
 
@@ -194,35 +192,30 @@ class ConvergenceReport:
     rows: tuple
     slope: float
     predicted_slope: float
-    grid_half: float
-    grid_points: int
 
-    def monotone_decreasing(self, burn_in: int = 0) -> bool:
-        errs = [r.sup_error for r in self.rows[burn_in:]]
+    def monotone_decreasing(self) -> bool:
+        errs = [r.sup_error for r in self.rows]
         return all(b < a for a, b in zip(errs, errs[1:]))
-
-    def slope_within(self, rel: float = 0.2) -> bool:
-        return abs(self.slope - self.predicted_slope) <= rel * abs(self.predicted_slope)
 
     def to_json(self) -> dict:
         return {
             "rows": [r.to_json() for r in self.rows],
             "slope": self.slope,
             "predicted_slope": self.predicted_slope,
-            "grid_spec": {"half_width": self.grid_half, "points_per_axis": self.grid_points},
+            "grid_spec": {"half_width": GRID_HALF, "points_per_axis": GRID_POINTS},
         }
 
 
-def _grid(n: int, half: float, pts: int) -> np.ndarray:
+def _grid(n: int) -> np.ndarray:
     if n != 1:
         raise ValueError("pointwise convergence grids are one-dimensional configurations")
-    axis = np.linspace(-half, half, pts)
+    axis = np.linspace(-GRID_HALF, GRID_HALF, GRID_POINTS)
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     return np.stack([xx.ravel(), yy.ravel()], axis=-1)
 
 
 def _reduce_to_standard(psihat: CorrectedSection, spec: GeodesicSpec):
-    if spec.lam.min() <= 1e-12:
+    if spec.lam.min() <= RATE_TOL:
         raise NoBoundaryLimitError("a vanishing rate leaves the geodesic in the interior")
     if not psihat.frame.close_to(spec.omega_start, tol=1e-8):
         raise ValueError("section must live at the start of the geodesic")
@@ -240,7 +233,7 @@ def _fit_slope(ts, errs) -> float:
     return float(coef[0])
 
 
-def _limit_report(psihat, spec, t_list, grid_half, grid_points, sign: float) -> ConvergenceReport:
+def _limit_report(psihat, spec, t_list, sign: float) -> ConvergenceReport:
     """Grid deviation of transport toward t -> sign * infinity from its limit.
 
     The factor det(sqrt(2) e^{-sign Lambda t})^{1/2}, which vanishes in the
@@ -250,7 +243,7 @@ def _limit_report(psihat, spec, t_list, grid_half, grid_points, sign: float) -> 
     psi0 = _reduce_to_standard(psihat, spec)
     n = psi0.frame.n
     lam = spec.lam
-    grid = _grid(n, grid_half, grid_points)
+    grid = _grid(n)
     limit = segal_bargmann_inverse(psi0)
     if sign < 0:
         unit, target = 1.0, value_on_V(limit, grid)
@@ -263,24 +256,20 @@ def _limit_report(psihat, spec, t_list, grid_half, grid_points, sign: float) -> 
         err = float(np.abs(unit * moved.combined_value(grid) / absorbed - target).max())
         rows.append(ConvergenceRow(t, err, absorbed))
     slope = _fit_slope([r.t for r in rows], [max(r.sup_error, 1e-300) for r in rows])
-    return ConvergenceReport(tuple(rows), slope, -2.0 * sign * float(lam.min()), grid_half, grid_points)
+    return ConvergenceReport(tuple(rows), slope, -2.0 * sign * float(lam.min()))
 
 
-def limit_transport_to_bargmann(
-    psihat: CorrectedSection, spec: GeodesicSpec, t_list, grid_half: float = 3.0, grid_points: int = 41
-) -> ConvergenceReport:
+def limit_transport_to_bargmann(psihat: CorrectedSection, spec: GeodesicSpec, t_list) -> ConvergenceReport:
     """Grid deviation of transport toward t -> -infinity from the inverse
     pairing map, with the absorbed factor det(sqrt(2) e^{Lambda t})^{1/2}."""
-    return _limit_report(psihat, spec, t_list, grid_half, grid_points, -1.0)
+    return _limit_report(psihat, spec, t_list, -1.0)
 
 
-def limit_transport_to_fourier(
-    psihat: CorrectedSection, spec: GeodesicSpec, t_list, grid_half: float = 3.0, grid_points: int = 41
-) -> ConvergenceReport:
+def limit_transport_to_fourier(psihat: CorrectedSection, spec: GeodesicSpec, t_list) -> ConvergenceReport:
     """Grid deviation of transport toward t -> +infinity from the Fourier
     transform of the t -> -infinity limit, with the absorbed factor
     det(sqrt(2) e^{-Lambda t})^{1/2}."""
-    return _limit_report(psihat, spec, t_list, grid_half, grid_points, 1.0)
+    return _limit_report(psihat, spec, t_list, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +299,6 @@ class IdentityReport:
     def max_residual(self) -> float:
         return max(self.transport_vs_pairing, self.fourier_vs_pairing_pair, self.fourier_triple)
 
-    def to_json(self) -> dict:
-        return {
-            "transport_vs_pairing": self.transport_vs_pairing,
-            "fourier_vs_pairing_pair": self.fourier_vs_pairing_pair,
-            "fourier_triple": self.fourier_triple,
-            "max_residual": self.max_residual,
-        }
-
 
 def composition_identities_check(
     omega: SiegelPoint,
@@ -325,9 +306,8 @@ def composition_identities_check(
     pol_l: BoundaryPolarization,
     pol_lp: BoundaryPolarization,
     pol_lpp: BoundaryPolarization,
-    profiles: list[GaussianSection] | None = None,
 ) -> IdentityReport:
-    """Residuals of the three operator identities on a test family:
+    """Residuals of the three operator identities on ``default_test_profiles``:
 
       1. pairing into Omega' equals transport after pairing into Omega;
       2. the Fourier operator equals the inverse pairing composed with the
@@ -338,10 +318,8 @@ def composition_identities_check(
     for a, b in ((pol_l, pol_lp), (pol_lp, pol_lpp), (pol_l, pol_lpp)):
         if not a.transverse_to(b):
             raise NonTransverseError("test polarizations must be mutually transverse")
-    if profiles is None:
-        profiles = default_test_profiles()
     # each profile's data, in standard position over pol_l
-    sections = [CorrectedSection(GaussianSection(pol_l, p.m, p.b, p.c, p.coeffs)) for p in profiles]
+    sections = [CorrectedSection(GaussianSection(pol_l, p.m, p.b, p.c, p.coeffs)) for p in default_test_profiles()]
     # the nine pairing maps of the three identities, built once for all profiles
     base = standard_point(pol_l.n)
     pairs = ((pol_l, omega), (pol_l, omega_p), (pol_l, base), (pol_lp, base))

@@ -298,17 +298,23 @@ def transport_ode(
     The state is expanded in the moving Fock frame and carried by the exact,
     orthogonal propagator of the geodesic's constant generator, built from
     the connection 1-form, not from the closed-form transport; ``steps`` is
-    ignored.  The basis starts at ``n_basis`` states and doubles while more
-    than ``TRUNCATION_LEAK_TOL`` of amplitude, or a non-finite one, reaches
-    its top 10%; past ``ODE_BASIS_MAX`` states that raises ``TruncationOverflowError``.
+    ignored.  The basis starts at ``n_basis`` states (32 by default), or at
+    the state's length if that is more, and doubles while more than
+    ``TRUNCATION_LEAK_TOL`` of amplitude, or a non-finite one, reaches its top
+    10%, up to ``ODE_BASIS_MAX`` states.  A leak at that cap, or a starting
+    basis past it, raises ``TruncationOverflowError``; the latter before any
+    expansion.
     """
     if psi0.n != 1:
         raise ValueError("the transport ODE is one-dimensional")
     if not psi0.frame.close_to(standard_point(1), tol=1e-12):
         raise ValueError("initial state must be expressed at the base point i")
     lam = float(np.atleast_1d(lam)[0])
-    if n_basis is None:
-        n_basis = max(len(psi0.coeffs), 32)
+    n_basis = max(32 if n_basis is None else n_basis, len(psi0.coeffs))
+    if n_basis > ODE_BASIS_MAX:
+        raise TruncationOverflowError(
+            f"a starting basis of {n_basis} states exceeds ODE_BASIS_MAX = {ODE_BASIS_MAX}"
+        )
 
     while True:
         c0 = fock_coefficients(psi0, n_basis)

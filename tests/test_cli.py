@@ -129,10 +129,11 @@ _SECTION_LIKE = st.fixed_dictionaries(
 @settings(max_examples=300, deadline=None)
 @given(
     section=_JSON | _SECTION_LIKE,
-    flags=st.sampled_from([[], ["--corrected"], ["--kernel", "bergman"], ["--kernel", "holomorphic"]]),
+    flags=st.sampled_from([[], ["--corrected"], ["--kernel", "bergman"], ["--kernel", "holomorphic"], ["--triangle"]]),
 )
 def test_any_section_json_exits_without_a_traceback(section, flags):
-    payload = json.dumps({"omega": _UNIT_POINT, "omega_p": point_json([[0.3]], [[2.0]]), "state": {"section": section}})
+    payload = json.dumps({"omega": _UNIT_POINT, "omega_p": point_json([[0.3]], [[2.0]]),
+                          "omega_pp": point_json([[-0.5]], [[0.7]]), "state": {"section": section}})
     saved, sys.stdin = sys.stdin, io.StringIO(payload)
     try:
         with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
@@ -285,6 +286,14 @@ class TestTransportCommand:
             basis = report["outputs"]["ode_basis"]
             assert basis <= ODE_BASIS_MAX and basis % 128 == 0 and (basis // 128).bit_count() == 1
 
+    def test_trunc_past_the_ode_basis_cap_exits_1(self, capsys, monkeypatch):
+        # --trunc 300 starts the ODE at 4 * 300 = 1200 states, past ODE_BASIS_MAX
+        payload = json.dumps({"omega": _UNIT_POINT, "omega_p": point_json([[0.3]], [[2.0]])})
+        code, out, err = run_cli(["--trunc", "300", "transport", "--ode-check"], payload, capsys, monkeypatch)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --trunc 300 ") and f"ODE_BASIS_MAX = {ODE_BASIS_MAX}" in err
+
     def test_ode_check_imports_no_scipy(self):
         # scipy would add its import time and memory to every command
         payload = json.dumps({"state": {"alpha": [[0.3, 0.1]]}, "omega": _UNIT_POINT,
@@ -332,6 +341,24 @@ class TestTransportCommand:
         assert abs(complex(hol[0], hol[1]) - 1.0) < 1e-8
 
 
+    @pytest.mark.parametrize(
+        "c, poly",
+        [
+            ([0.0, 0.0], [[0.0, 0.0]] * 171 + [[1.0, 0.0]]),  # 171! is past the largest float
+            ([-373.0, 0.0], [[1.0, 0.0]]),  # the norm underflows to 0 and divides the residual
+        ],
+        ids=["z^171", "exp(-373)"],
+    )
+    def test_triangle_past_the_float_range_exits_1(self, c, poly, capsys, monkeypatch):
+        section = {"frame": _UNIT_POINT, "M": [[[0.0, 0.0]]], "b": [[0.0, 0.0]], "c": c, "poly": poly}
+        payload = json.dumps({"omega": _UNIT_POINT, "omega_p": point_json([[0.3]], [[2.0]]),
+                              "omega_pp": point_json([[-0.5]], [[0.7]]), "state": {"section": section}})
+        with np.errstate(all="ignore"):
+            code, out, err = run_cli(["transport", "--triangle"], payload, capsys, monkeypatch)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     @pytest.mark.parametrize("flags", [["--triangle"], ["--corrected", "--triangle"]])
     def test_n3_triangle_exits_0(self, flags, capsys, monkeypatch):
         rng = np.random.default_rng(3)
@@ -347,6 +374,15 @@ class TestTransportCommand:
         assert row["passed"] and row["residual"] < 1e-8
         hol = report["outputs"]["triangle_holonomy"]
         assert abs(complex(hol[0], hol[1]) - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("flag", ["--trunc", "--nodes"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_non_positive_count_flags_exit_2_naming_the_flag(flag, value, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([flag, value, "verify", "curvature"])
+    assert info.value.code == 2
+    assert f"argument {flag}: must be a positive integer, not {value}" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

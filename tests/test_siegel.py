@@ -82,6 +82,16 @@ class TestTakagi:
         assert np.allclose(sigma, [0.7, 0.0])
         assert np.abs(u.conj().T @ u - np.eye(2)).max() < 1e-10
 
+    def test_two_zero_values_at_n3(self, rng):
+        # rank one, 0.6 v v^T with a complex unit v: the QR completion supplies two columns
+        v = rng.normal(size=3) + 1j * rng.normal(size=3)
+        v /= np.linalg.norm(v)
+        for w in (np.diag([0.0, 0.6, 0.0]).astype(complex), 0.6 * np.outer(v, v)):
+            sigma, u = takagi(w)
+            assert np.allclose(sigma, [0.6, 0.0, 0.0], rtol=0, atol=1e-12)
+            assert np.abs(u.conj().T @ u - np.eye(3)).max() < 1e-12
+            assert np.abs(u * sigma @ u.T - w).max() < 1e-12
+
 
 class TestGeodesics:
     def test_diagonal_normal_form(self):

@@ -19,6 +19,7 @@ from siegelflow import (
     fock_coefficients,
     fock_state,
     fock_connection_matrix,
+    from_fock_coefficients,
     inner_product,
     metaplectic_act,
     norm,
@@ -33,6 +34,7 @@ from siegelflow import (
     transport_uncorrected,
     vacuum,
 )
+from siegelflow import suites
 from siegelflow.cli import main
 from siegelflow.sections import QUAD_NODES_DEFAULT, _hermite_grid_sum
 from siegelflow.sympl import act_on_siegel
@@ -371,6 +373,16 @@ class TestFockConnection:
             a = a_tau * d_tau + a_taubar * np.conj(d_tau)
             assert np.abs(a + a.conj().T).max() < 1e-12
 
+    def test_curvature_row_catches_a_connection_scaled_as_one_over_tau2_squared(self, monkeypatch):
+        # the mutant equals the connection at tau = i, so only the row's other two points see it
+        def mutant(tau, n_trunc):
+            a_tau, a_taubar = fock_connection_matrix(tau, n_trunc)
+            return a_tau / tau.imag, a_taubar / tau.imag
+
+        monkeypatch.setattr(suites, "fock_connection_matrix", mutant)
+        row = suites.suite_curvature()[0]
+        assert row["name"] == "curvature/exact_vs_eighth" and not row["passed"]
+
 
 def _dense_generator(lam, t, n_basis):
     """-(A_tau tau' + A_taubar conj(tau')) on tau(t) = i exp(2 lam t), with the exact tau' = 2 lam tau."""
@@ -422,6 +434,17 @@ class TestTransportODE:
             assert np.linalg.norm(u(s, u(t, c0)) - u(s + t, c0)) <= 1e-13
             assert np.linalg.norm(u(-t, u(t, c0)) - c0) <= 1e-13
             assert abs(np.linalg.norm(u(t, c0)) - 1.0) <= 1e-13
+
+    def test_start_basis_past_the_cap_raises_before_expanding(self, monkeypatch):
+        monkeypatch.setattr("siegelflow.transport.fock_coefficients", None)  # never reached
+        with pytest.raises(TruncationOverflowError, match="starting basis of 2000 states"):
+            transport_ode(coherent_state([0.3], I1), 0.3, 1.0, 0, n_basis=2000)
+
+    def test_state_longer_than_its_basis_is_not_cut(self):
+        # at lam = 0 the propagator is the identity: all 40 coefficients come back
+        c0 = np.linspace(1.0, 0.1, 40) * np.exp(0.3j * np.arange(40))
+        out = transport_ode(from_fock_coefficients(c0, I1), 0.0, 1.0, 0, n_basis=8)
+        assert np.abs(fock_coefficients(out, out.degree + 1)[:40] - c0).max() < 1e-12
 
     def test_truncation_overflow_guard(self):
         # the vacuum squeezed to lam t = 4 still holds amplitude 4.5e-2 at 922..1023
