@@ -78,14 +78,10 @@ def integrate_out(S: np.ndarray, L: np.ndarray, ell0: np.ndarray, k: complex):
     m = S.shape[0]
     L = np.asarray(L, dtype=complex).reshape(m, -1)
     ell0 = np.asarray(ell0, dtype=complex).reshape(m)
-    if np.linalg.eigvalsh(0.5 * (S.real + S.real.T)).max() >= 0:
-        raise NotIntegrableError("real part of the quadratic form is not negative definite")
-    Sinv_L = np.linalg.solve(S, L)
-    Sinv_l = np.linalg.solve(S, ell0)
-    Q = -L.T @ Sinv_L
+    s = gauss_log_integral(S, ell0, k)
+    Q = -L.T @ np.linalg.solve(S, L)
     Q = 0.5 * (Q + Q.T)
-    r = -L.T @ Sinv_l
-    s = complex(k) - 0.5 * complex(ell0 @ Sinv_l) - half_logdet(-S)
+    r = -L.T @ np.linalg.solve(S, ell0)
     return Q, r, s
 
 

@@ -4,7 +4,7 @@ All commands read JSON (from --in or stdin where input is required) and
 emit a JSON report:
 
     {
-      "schema_version": 1,
+      "schema_version": 2,
       "command": "...",
       "inputs": {...},            # echo of the parsed input and flags
       "results": [ {"name", "residual", "tolerance", "passed"}, ... ],
@@ -54,7 +54,7 @@ from .sections import (
     section_to_json,
 )
 from .siegel import geodesic_between, geodesic_eval
-from .suites import SUITES, _limits, _row
+from .suites import SUITES, _row
 from .sympl import MetaplecticElement
 from .transport import (
     ODE_BASIS_MAX,
@@ -66,7 +66,7 @@ from .transport import (
     transport_uncorrected,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _load_input(args) -> dict:
@@ -211,22 +211,17 @@ def cmd_transport(args) -> int:
 
 def cmd_verify(args) -> int:
     t0 = time.time()
-    outputs = {}
-    if args.suite == "limits":
-        rows, rep_b, rep_f = _limits()
-        outputs = {"bargmann_limit": rep_b.to_json(), "fourier_limit": rep_f.to_json()}
-    else:
-        fn = SUITES[args.suite]
-        params = inspect.signature(fn).parameters
-        kwargs = {}
-        if "seed" in params:
-            kwargs["seed"] = args.seed
-        if "nodes" in params:
-            kwargs["nodes"] = args.nodes
-        rows = fn(**kwargs)
+    fn = SUITES[args.suite]
+    params = inspect.signature(fn).parameters
+    kwargs = {}
+    if "seed" in params:
+        kwargs["seed"] = args.seed
+    if "nodes" in params:
+        kwargs["nodes"] = args.nodes
+    rows = fn(**kwargs)
     if args.tol is not None:
         rows = [_row(r["name"], r["residual"], args.tol) for r in rows]
-    report = _report("verify", {"suite": args.suite, "seed": args.seed}, rows, outputs, t0)
+    report = _report("verify", {"suite": args.suite, "seed": args.seed}, rows, {}, t0)
     _emit(report, args.out)
     if not report["passed"]:
         first = next(r for r in rows if not r["passed"])

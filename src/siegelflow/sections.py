@@ -91,6 +91,8 @@ class GaussianSection:
     def __post_init__(self):
         n = self.frame.n
         coeffs = np.array(self.coeffs, dtype=complex, ndmin=1)
+        if coeffs.size == 0:
+            raise ValueError("coeffs must hold at least one coefficient")
         if coeffs.size > 1 and n != 1:
             raise ValueError("polynomial sections are supported for n = 1 only")
         m = np.atleast_2d(np.asarray(self.m, dtype=complex))

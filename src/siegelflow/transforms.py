@@ -15,8 +15,10 @@ boundary companions are
     i^{n/2} normalization of the momentum-frame half-form.
 
 Transport along a geodesic with strictly positive rates converges to these
-operators at the two boundary ends; convergence reports on a fixed grid
-quantify the heat-kernel width exp(2 Lambda t) of the deviation.
+operators at the two boundary ends.  Both sides of each limit are Gaussians
+on V, so convergence reports compare their log-quadratic data (S, l, k),
+with no grid; the distance decays at least like the heat-kernel width
+exp(-2 lambda_min |t|).
 """
 
 from __future__ import annotations
@@ -32,10 +34,6 @@ from .sections import CorrectedSection, GaussianSection, _require_frame, differe
 from .siegel import RATE_TOL, BoundaryPolarization, GeodesicSpec
 from .sympl import MetaplecticElement, act_on_siegel, transform_z_coords
 from .transport import _change_coords, _one_space, _XiKernel, metaplectic_act, transport_corrected
-
-# the convergence reports' grid: GRID_POINTS per axis on [-GRID_HALF, GRID_HALF]^2
-GRID_HALF = 3.0
-GRID_POINTS = 41
 
 # Unit constant relating the pushed frame sqrt(d^n x o g0^{-1}) of the
 # standard exchange element g0 = (0, I; -I, 0) (principal lift) to the
@@ -180,41 +178,33 @@ def fourier_general(shat: CorrectedSection, target: BoundaryPolarization) -> Cor
 @dataclass(frozen=True)
 class ConvergenceRow:
     t: float
-    sup_error: float
+    distance: float
     absorbed_factor: float
-
-    def to_json(self) -> dict:
-        return {"t": self.t, "sup_error": self.sup_error, "absorbed_factor": self.absorbed_factor}
 
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    rows: tuple
-    slope: float
-    predicted_slope: float
-
-    def monotone_decreasing(self) -> bool:
-        errs = [r.sup_error for r in self.rows]
-        return all(b < a for a, b in zip(errs, errs[1:]))
-
-    def to_json(self) -> dict:
-        return {
-            "rows": [r.to_json() for r in self.rows],
-            "slope": self.slope,
-            "predicted_slope": self.predicted_slope,
-            "grid_spec": {"half_width": GRID_HALF, "points_per_axis": GRID_POINTS},
-        }
+    rows: tuple  # shallowest |t| first
+    predicted_rate: float  # 2 lambda_min, the decay rate of the heat-kernel width
 
 
-def _grid(n: int) -> np.ndarray:
-    if n != 1:
-        raise ValueError("pointwise convergence grids are one-dimensional configurations")
-    axis = np.linspace(-GRID_HALF, GRID_HALF, GRID_POINTS)
-    xx, yy = np.meshgrid(axis, axis, indexing="ij")
-    return np.stack([xx.ravel(), yy.ravel()], axis=-1)
+def _log_quadratic(s: CorrectedSection):
+    """(S, l, k) with the Gaussian ``s`` on V, its half-form coefficient
+    included, equal to exp((1/2) v^T S v + l^T v + k).  Over a polarization
+    with reference R it is ``value_on_V`` in closed form:
+    S = R^{-T} [[m, (i/2) I], [(i/2) I, 0]] R^{-1} and l = R^{-T} (b, 0)."""
+    s_v, l_v, k = s.section.real_quadratic()
+    if isinstance(s.frame, BoundaryPolarization):
+        n, r_inv = s.frame.n, np.linalg.inv(s.frame.reference.g.matrix)
+        s_v = r_inv.T @ np.block([[s_v, 0.5j * np.eye(n)], [0.5j * np.eye(n), np.zeros((n, n))]]) @ r_inv
+        l_v = r_inv.T @ np.concatenate([l_v, np.zeros(n)])
+    return s_v, l_v, k + np.log(s.halfform_phase)
 
 
 def _reduce_to_standard(psihat: CorrectedSection, spec: GeodesicSpec):
+    """The Gaussian ``psihat`` at the start of ``spec``, moved to i I by g^{-1}."""
+    if psihat.section.degree:
+        raise ValueError(f"boundary limits compare Gaussians, not sections of degree {psihat.section.degree}")
     if spec.lam.min() <= RATE_TOL:
         raise NoBoundaryLimitError("a vanishing rate leaves the geodesic in the interior")
     if not psihat.frame.close_to(spec.omega_start, tol=1e-8):
@@ -225,51 +215,47 @@ def _reduce_to_standard(psihat: CorrectedSection, spec: GeodesicSpec):
     return metaplectic_act(mp.inverse(), psihat)
 
 
-def _fit_slope(ts, errs) -> float:
-    ts = np.asarray(ts, dtype=float)
-    logs = np.log(np.asarray(errs, dtype=float))
-    a = np.vstack([ts, np.ones_like(ts)]).T
-    coef, *_ = np.linalg.lstsq(a, logs, rcond=None)
-    return float(coef[0])
+def _absorbed_factor(lam: np.ndarray, t: float, sign: float) -> float:
+    """det(sqrt(2) e^{-sign Lambda t})^{1/2}, which vanishes toward t -> sign * infinity."""
+    return float(2.0 ** (lam.size / 4.0) * np.exp(-0.5 * sign * t * lam.sum()))
 
 
-def _limit_report(psihat, spec, t_list, sign: float) -> ConvergenceReport:
-    """Grid deviation of transport toward t -> sign * infinity from its limit.
+def _limit_report(psi0: CorrectedSection, limit: CorrectedSection, lam, t_list, sign: float) -> ConvergenceReport:
+    """Distance of the transport of the Gaussian psi0 over i I along i exp(2 Lambda t),
+    toward t -> sign * infinity, from its limit: ``segal_bargmann_inverse(psi0)``
+    toward -infinity and the ``fourier`` transform of that toward +infinity.
 
-    The factor det(sqrt(2) e^{-sign Lambda t})^{1/2}, which vanishes in the
-    limit, is absorbed into the moving half-form frame and reported.  Toward
-    +infinity the target is relative to sqrt(d^n y) and the moving frame
-    contributes the continued i^{n/2}."""
-    psi0 = _reduce_to_standard(psihat, spec)
-    n = psi0.frame.n
-    lam = spec.lam
-    grid = _grid(n)
-    limit = segal_bargmann_inverse(psi0)
-    if sign < 0:
-        unit, target = 1.0, value_on_V(limit, grid)
-    else:
-        unit, target = np.exp(0.25j * np.pi * n), 1j**n * value_on_V(fourier(limit), grid)
+    Both are Gaussians on V, so the distance is that of their ``_log_quadratic``
+    data, max(|dS|, |dl|, |expm1(dk)|), blind to 2 pi i in k.  The absorbed
+    factor is divided out of the moving half-form frame and reported.  Toward
+    +infinity the target is relative to sqrt(d^n y), times i^n, and the moving
+    frame contributes the continued i^{n/2}: their quotient is i^{n/2}."""
+    s_lim, l_lim, k_lim = _log_quadratic(limit)
+    if sign > 0:
+        k_lim = k_lim + 0.25j * np.pi * psi0.frame.n
     rows = []
     for t in sorted((float(t) for t in t_list), reverse=sign < 0):
-        moved = transport_corrected(psi0, diagonal_point(np.exp(2.0 * lam * t)))
-        absorbed = float(2.0 ** (n / 4.0) * np.exp(-0.5 * sign * t * lam.sum()))
-        err = float(np.abs(unit * moved.combined_value(grid) / absorbed - target).max())
-        rows.append(ConvergenceRow(t, err, absorbed))
-    slope = _fit_slope([r.t for r in rows], [max(r.sup_error, 1e-300) for r in rows])
-    return ConvergenceReport(tuple(rows), slope, -2.0 * sign * float(lam.min()))
+        absorbed = _absorbed_factor(lam, t, sign)
+        s_t, l_t, k_t = _log_quadratic(transport_corrected(psi0, diagonal_point(np.exp(2.0 * lam * t))))
+        dk = k_t - np.log(absorbed) - k_lim
+        dist = max(np.abs(s_t - s_lim).max(), np.abs(l_t - l_lim).max(), abs(np.expm1(dk)))
+        rows.append(ConvergenceRow(t, float(dist), absorbed))
+    return ConvergenceReport(tuple(rows), 2.0 * float(lam.min()))
 
 
 def limit_transport_to_bargmann(psihat: CorrectedSection, spec: GeodesicSpec, t_list) -> ConvergenceReport:
-    """Grid deviation of transport toward t -> -infinity from the inverse
-    pairing map, with the absorbed factor det(sqrt(2) e^{Lambda t})^{1/2}."""
-    return _limit_report(psihat, spec, t_list, -1.0)
+    """Distance of transport toward t -> -infinity from the inverse pairing
+    map, with the absorbed factor det(sqrt(2) e^{Lambda t})^{1/2}."""
+    psi0 = _reduce_to_standard(psihat, spec)
+    return _limit_report(psi0, segal_bargmann_inverse(psi0), spec.lam, t_list, -1.0)
 
 
 def limit_transport_to_fourier(psihat: CorrectedSection, spec: GeodesicSpec, t_list) -> ConvergenceReport:
-    """Grid deviation of transport toward t -> +infinity from the Fourier
-    transform of the t -> -infinity limit, with the absorbed factor
+    """Distance of transport toward t -> +infinity from the Fourier transform
+    of the t -> -infinity limit, with the absorbed factor
     det(sqrt(2) e^{-Lambda t})^{1/2}."""
-    return _limit_report(psihat, spec, t_list, 1.0)
+    psi0 = _reduce_to_standard(psihat, spec)
+    return _limit_report(psi0, fourier(segal_bargmann_inverse(psi0)), spec.lam, t_list, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -178,12 +178,12 @@ def transport_kernel_apply(
     only, with the Xi blocks inside the integral.  Both agree with the
     closed-form coherent transport, and both take polynomial sections.
     """
+    if not phi.frame.close_to(omega, tol=1e-12):
+        raise ValueError("section must live at the source point")
     if kernel == "bergman":
         return transport_uncorrected(phi, omega_p)
     if kernel != "holomorphic":
         raise ValueError(f"unknown kernel {kernel!r}")
-    if not phi.frame.close_to(omega, tol=1e-12):
-        raise ValueError("section must live at the source point")
     kernel = _XiKernel(omega, omega_p)
     return kernel.apply(phi, kernel.log_h.real)
 
@@ -301,9 +301,9 @@ def transport_ode(
     ignored.  The basis starts at ``n_basis`` states (32 by default), or at
     the state's length if that is more, and doubles while more than
     ``TRUNCATION_LEAK_TOL`` of amplitude, or a non-finite one, reaches its top
-    10%, up to ``ODE_BASIS_MAX`` states.  A leak at that cap, or a starting
-    basis past it, raises ``TruncationOverflowError``; the latter before any
-    expansion.
+    10% (its last state, in a basis of 9 or fewer), up to ``ODE_BASIS_MAX``
+    states.  A leak at that cap, or a starting basis past it, raises
+    ``TruncationOverflowError``; the latter before any expansion.
     """
     if psi0.n != 1:
         raise ValueError("the transport ODE is one-dimensional")
@@ -319,7 +319,7 @@ def transport_ode(
     while True:
         c0 = fock_coefficients(psi0, n_basis)
         c = transport_ode_coeffs(c0, lam, t_end, steps)
-        leak = float(np.abs(c[int(np.ceil(0.9 * n_basis)) :]).max(initial=0.0))
+        leak = float(np.abs(c[min(int(np.ceil(0.9 * n_basis)), n_basis - 1) :]).max())
         if leak <= TRUNCATION_LEAK_TOL:
             return from_fock_coefficients(c, diagonal_point([np.exp(2.0 * lam * t_end)]))
         if n_basis >= ODE_BASIS_MAX:

@@ -167,12 +167,12 @@ def test_criterion_08_boundary_limits(capsys):
     res = {r["name"].split("/")[1]: r for r in rows}
     ok = all(r["passed"] for r in rows)
     _report(
-        capsys, 8, "boundary limits on the 41x41 grid with heat-width slopes",
+        capsys, 8, "boundary limits in closed form for n = 1..3 with the heat-width decay",
         ok,
-        f"sup errors {res['bargmann_sup_error_at_-8']['residual']:.3e} / "
-        f"{res['fourier_sup_error_at_+8']['residual']:.3e} <= 1e-3, "
-        f"slope deviations {res['bargmann_slope_vs_heat_width']['residual']:.1%} / "
-        f"{res['fourier_slope_vs_heat_width']['residual']:.1%} <= 20%",
+        f"(S, l, k) distances {res['bargmann_distance']['residual']:.3e} / "
+        f"{res['fourier_distance']['residual']:.3e} <= 3e-3, "
+        f"decay shortfalls {res['bargmann_rate']['residual']:.1%} / "
+        f"{res['fourier_rate']['residual']:.1%} <= 15%",
     )
 
 

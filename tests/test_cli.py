@@ -399,6 +399,17 @@ class TestVerifyCommand:
         r1.pop("wall_time_s"), r2.pop("wall_time_s")
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
+    def test_limits_report_is_deterministic_with_no_outputs(self, capsys, monkeypatch):
+        code1, out1, _ = run_cli(["verify", "limits"], "", capsys, monkeypatch)
+        code2, out2, _ = run_cli(["verify", "limits"], "", capsys, monkeypatch)
+        assert code1 == code2 == 0
+
+        def without_wall_time(out):
+            return [line for line in out.splitlines() if '"wall_time_s"' not in line]
+
+        assert without_wall_time(out1) == without_wall_time(out2)
+        assert json.loads(out1)["outputs"] == {}
+
     def test_failure_exits_1(self, capsys, monkeypatch):
         code, out, err = run_cli(["--tol", "1e-30", "verify", "curvature"], "", capsys, monkeypatch)
         assert code == 1

@@ -23,6 +23,7 @@ from siegelflow import (
     fock_coefficients,
     fock_state,
     fourier,
+    from_fock_coefficients,
     inner_product,
     inner_product_cross_frame,
     momentum_profile,
@@ -333,6 +334,15 @@ class TestFockStates:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="k must be >= 0"):
             fock_state(-1, I1)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: GaussianSection(I1, [[0.0]], [0.0], 0.0, []), lambda: from_fock_coefficients([], I1)],
+        ids=["section", "fock"],
+    )
+    def test_empty_coefficients_rejected(self, make):
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            make()
 
     def test_polynomial_inner_products_cross_frame(self, rng):
         p1 = GaussianSection(I1, [[-0.2]], [0.1j], 0.0, [0.3, 0.0, 1.0])

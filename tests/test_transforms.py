@@ -5,10 +5,12 @@ from siegelflow import (
     BoundaryPolarization,
     CorrectedSection,
     GaussianSection,
+    GeodesicSpec,
     MetaplecticElement,
     NoBoundaryLimitError,
     NonTransverseError,
     PolarizationMismatchError,
+    SymplecticMap,
     coherent_state,
     composition_identities_check,
     corrected_inner_product,
@@ -32,11 +34,11 @@ from siegelflow import (
     vacuum,
     value_on_V,
 )
-from siegelflow import siegel, sympl, transforms, transport
+from siegelflow import siegel, suites, sympl, transforms, transport
 from siegelflow.sympl import act_on_siegel
 from siegelflow.transforms import _SegalBargmann, _SegalBargmannInverse, default_test_profiles
 
-from conftest import random_profile, standard_profile
+from conftest import random_gaussian_section, random_profile, standard_profile
 
 I1 = standard_point(1)
 
@@ -204,44 +206,80 @@ class TestBoundaryLimits:
         self.spec = geodesic_between(I1, diagonal_point([np.e**2]))
         self.psi = CorrectedSection(vacuum(I1))
 
-    def test_bargmann_side_report(self):
-        rep = limit_transport_to_bargmann(self.psi, self.spec, [-8, -6, -5, -4, -3])
-        assert rep.rows[-1].t == -8 and rep.rows[-1].sup_error < 1e-3
-        assert rep.monotone_decreasing()
-        assert abs(rep.slope - rep.predicted_slope) <= 0.2 * abs(rep.predicted_slope)
-        # the absorbed frame factor is det(sqrt(2) e^{Lambda t})^{1/2}
-        for row in rep.rows:
-            assert abs(row.absorbed_factor - 2**0.25 * np.exp(0.5 * row.t)) < 1e-12
+    @staticmethod
+    def _check_displaced_gaussians(rng, limit, sign):
+        """For n = 1..3, a displaced Gaussian with off-diagonal M over i I_n on
+        i exp(2 Lambda t), rates in [0.8, 1.2]: the (S, l, k) distance at
+        |t| = 6.5 and its decay from |t| = 5 at the heat-kernel width."""
+        for n in (1, 2, 3):
+            start = standard_point(n)
+            psi = CorrectedSection(random_gaussian_section(rng, start))
+            lam = rng.uniform(0.8, 1.2, size=n)
+            spec = GeodesicSpec(SymplecticMap.identity(n), lam, start, diagonal_point(np.exp(2.0 * lam)))
+            rep = limit(psi, spec, [6.5 * sign, 5.0 * sign])
+            near, far = rep.rows
+            assert (near.t, far.t) == (5.0 * sign, 6.5 * sign)
+            assert rep.predicted_rate == 2.0 * lam.min()
+            assert far.distance < 3e-3
+            assert far.distance <= 1.15 * near.distance * np.exp(-rep.predicted_rate * 1.5)
+            # the absorbed frame factor is det(sqrt(2) e^{-sign Lambda t})^{1/2}
+            for row in rep.rows:
+                expected = 2 ** (n / 4) * np.exp(-0.5 * sign * row.t * lam.sum())
+                assert abs(row.absorbed_factor - expected) < 1e-12 * expected
 
-    def test_fourier_side_report(self):
-        rep = limit_transport_to_fourier(self.psi, self.spec, [3, 4, 5, 6, 8])
-        assert rep.rows[-1].t == 8 and rep.rows[-1].sup_error < 1e-3
-        assert rep.monotone_decreasing()
-        assert abs(rep.slope - rep.predicted_slope) <= 0.2 * abs(rep.predicted_slope)
-        for row in rep.rows:
-            assert abs(row.absorbed_factor - 2**0.25 * np.exp(-0.5 * row.t)) < 1e-12
+    def test_bargmann_side_report(self, rng):
+        self._check_displaced_gaussians(rng, limit_transport_to_bargmann, -1.0)
+
+    def test_fourier_side_report(self, rng):
+        self._check_displaced_gaussians(rng, limit_transport_to_fourier, 1.0)
 
     def test_error_ordering_between_depths(self):
         rep = limit_transport_to_bargmann(self.psi, self.spec, [-8, -4])
-        err4 = next(r.sup_error for r in rep.rows if r.t == -4)
-        err8 = next(r.sup_error for r in rep.rows if r.t == -8)
-        assert err4 > err8
+        d4 = next(r.distance for r in rep.rows if r.t == -4)
+        d8 = next(r.distance for r in rep.rows if r.t == -8)
+        assert d4 > d8
 
     def test_zero_rate_rejected(self):
         degenerate = geodesic_between(I1, I1)
         with pytest.raises(NoBoundaryLimitError):
             limit_transport_to_bargmann(self.psi, degenerate, [-2])
 
+    def test_polynomial_section_rejected_naming_its_degree(self):
+        psi = CorrectedSection(GaussianSection(I1, [[0.1]], [0.2], 0.0, [1.0, 0.5]))
+        with pytest.raises(ValueError, match="degree 1"):
+            limit_transport_to_fourier(psi, self.spec, [2])
+
     def test_general_geodesic_reduction(self, rng):
         g = random_symplectic(rng, 1)
         om0 = act_on_siegel(g, I1)
         mp = MetaplecticElement.principal_lift(g)
         psi = metaplectic_act(mp, self.psi)
-        from siegelflow.siegel import GeodesicSpec
-
         spec = GeodesicSpec(g, np.ones(1), om0, act_on_siegel(g, diagonal_point([np.e**2])))
-        rep = limit_transport_to_bargmann(psi, spec, [-6, -8])
-        assert rep.rows[-1].sup_error < 1e-3
+        for limit, ts in ((limit_transport_to_bargmann, [-6, -8]), (limit_transport_to_fourier, [6, 8])):
+            assert limit(psi, spec, ts).rows[-1].distance < 1e-3
+
+    @pytest.mark.parametrize("mutation", ["absorbed", "fourier"])
+    def test_suite_rows_fail_a_wrong_normalisation(self, monkeypatch, mutation):
+        if mutation == "absorbed":
+            # the absorbed factor without its 2^{n/4}
+            monkeypatch.setattr(
+                transforms, "_absorbed_factor", lambda lam, t, sign: float(np.exp(-0.5 * sign * t * lam.sum()))
+            )
+            failing = {"bargmann_distance", "bargmann_rate", "fourier_distance", "fourier_rate"}
+        else:
+            # the Fourier transform with i^{-n/2} in place of i^{n/2}
+            def wrong_root(shat):
+                out = fourier(shat)
+                return CorrectedSection(out.section, out.halfform_phase * (-1j) ** shat.frame.n)
+
+            monkeypatch.setattr(suites, "fourier", wrong_root)
+            failing = {"fourier_distance", "fourier_rate"}
+        rows = {r["name"].split("/")[1]: r for r in suites.suite_limits()}
+        for name, row in rows.items():
+            if name in failing:
+                assert row["residual"] >= 10.0 * row["tolerance"], name
+            else:
+                assert row["passed"], name
 
 
 class TestCompositionIdentities:

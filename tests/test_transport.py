@@ -215,6 +215,12 @@ class TestKernels:
             b = transport_kernel_apply(vacuum(om), om, omp, "holomorphic")
             assert difference_norm(a, b) < 1e-10
 
+    @pytest.mark.parametrize("kernel", ["bergman", "holomorphic"])
+    def test_section_must_live_at_the_source_point(self, rng, kernel):
+        om, omp = random_siegel(rng, 1), random_siegel(rng, 1)
+        with pytest.raises(ValueError, match="source point"):
+            transport_kernel_apply(vacuum(om), omp, omp, kernel)
+
     def test_holomorphic_kernel_takes_polynomial_states(self):
         psi = GaussianSection(I1, [[0.1]], [0.2 + 0.1j], 0.0, [1.0, 0.5, 0.2])
         omp = SiegelPoint.from_complex([[0.3 + 2.0j]])
@@ -419,6 +425,14 @@ class TestTransportODE:
         out = transport_ode(coherent_state([0.3], I1), lam, 1.0, 2000, n_basis=n_basis)
         closed = fock_coefficients(transport_coherent_standard([0.3], lam, 1.0), 32)
         assert np.linalg.norm(fock_coefficients(out, 32) - closed) < 1e-8 * np.linalg.norm(closed)
+
+    @pytest.mark.parametrize("n_basis", [1, 4, 9])
+    def test_start_basis_below_ten_states_is_guarded(self, n_basis):
+        # the top 10% of 9 or fewer states is empty; the last state is the leak window
+        psi = coherent_state([0.8], I1)
+        out = transport_ode(psi, 0.5, 1.0, 0, n_basis=n_basis)
+        closed = fock_coefficients(transport_uncorrected(psi, _on_geodesic(0.5, 1.0)), 32)
+        assert np.linalg.norm(fock_coefficients(out, 32) - closed) < 1e-6 * np.linalg.norm(closed)
 
     def test_propagator_group_law(self):
         # U(s) U(t) = U(s + t), U(-t) U(t) = I, and U(t) keeps the norm
