@@ -40,7 +40,10 @@ from math import factorial
 
 import numpy as np
 
-from .errors import NotIntegrableError
+from .errors import NonFiniteError, NotIntegrableError
+
+# exp of a number whose real part passes this overflows a float
+_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
 def half_logdet(a: np.ndarray) -> complex:
@@ -57,32 +60,35 @@ def half_logdet(a: np.ndarray) -> complex:
     return 0.5 * complex(np.sum(np.log(w)))
 
 
+def _negative_solve(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """S^{-1} rhs, once the real part of S is checked negative definite."""
+    if np.linalg.eigvalsh(0.5 * (S.real + S.real.T)).max() >= 0:
+        raise NotIntegrableError("real part of the quadratic form is not negative definite")
+    return np.linalg.solve(S, rhs)
+
+
 def gauss_log_integral(S: np.ndarray, ell: np.ndarray, k: complex) -> complex:
     """log of the normalised integral of exp((1/2) v^T S v + ell^T v + k)."""
     S = np.atleast_2d(S)
-    m = S.shape[0]
-    ell = np.asarray(ell, dtype=complex).reshape(m)
-    if np.linalg.eigvalsh(0.5 * (S.real + S.real.T)).max() >= 0:
-        raise NotIntegrableError("real part of the quadratic form is not negative definite")
-    x = np.linalg.solve(S, ell)
-    return complex(k) - 0.5 * complex(ell @ x) - half_logdet(-S)
+    ell = np.asarray(ell, dtype=complex).reshape(S.shape[0])
+    return complex(k) - 0.5 * complex(ell @ _negative_solve(S, ell)) - half_logdet(-S)
 
 
 def integrate_out(S: np.ndarray, L: np.ndarray, ell0: np.ndarray, k: complex):
     """Integrate exp((1/2) u^T S u + (L w + ell0)^T u + k) over u, normalised.
 
     Returns (Q, r, s) with the result equal to exp((1/2) w^T Q w + r^T w + s)
-    as a function of the remaining (complex vector) variable w.
+    as a function of the remaining (complex vector) variable w; one solve
+    with S takes ell0 and the columns of L together.
     """
     S = np.atleast_2d(S)
     m = S.shape[0]
-    L = np.asarray(L, dtype=complex).reshape(m, -1)
     ell0 = np.asarray(ell0, dtype=complex).reshape(m)
-    s = gauss_log_integral(S, ell0, k)
-    Q = -L.T @ np.linalg.solve(S, L)
-    Q = 0.5 * (Q + Q.T)
-    r = -L.T @ np.linalg.solve(S, ell0)
-    return Q, r, s
+    L = np.asarray(L, dtype=complex).reshape(m, -1)
+    x = _negative_solve(S, np.column_stack([ell0, L]))
+    Q = -L.T @ x[:, 1:]
+    s = complex(k) - 0.5 * complex(ell0 @ x[:, 0]) - half_logdet(-S)
+    return 0.5 * (Q + Q.T), -L.T @ x[:, 0], s
 
 
 def exp_bivariate_series(b1, b2, g11, g12, g22, jmax: int, kmax: int) -> np.ndarray:
@@ -159,14 +165,16 @@ def _poly_gauss_pairing(S, ell, k, a, b, p1, p2) -> complex:
     [s^j t^l] of the integral with linear term ell + s a + t b.
     """
     log = gauss_log_integral(S, ell, k)
+    if not log.real < _LOG_FLOAT_MAX:  # also NaN
+        raise NonFiniteError(f"the Gaussian pairing overflows: log modulus {log.real:.3e}")
     if len(p1) == 1 and len(p2) == 1:
         return p1[0] * p2[0] * np.exp(log)
     # j! l! as floats: OverflowError from degree 171 on, before any series work
     fact = [float(factorial(j)) for j in range(max(len(p1), len(p2)))]
-    x0 = np.linalg.solve(S, ell)
-    xa = np.linalg.solve(S, a)
-    xb = np.linalg.solve(S, b)
-    series = exp_bivariate_series(
-        -a @ x0, -b @ x0, -a @ xa, -a @ xb, -b @ xb, len(p1) - 1, len(p2) - 1
-    )
-    return (p1 * fact[: len(p1)]) @ series @ (p2 * fact[: len(p2)]) * np.exp(log)
+    x0, xa, xb = np.linalg.solve(S, np.column_stack([ell, a, b])).T
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
+        series = exp_bivariate_series(-a @ x0, -b @ x0, -a @ xa, -a @ xb, -b @ xb, len(p1) - 1, len(p2) - 1)
+        out = (p1 * fact[: len(p1)]) @ series @ (p2 * fact[: len(p2)]) * np.exp(log)
+    if not np.isfinite(out):
+        raise NonFiniteError("the Gaussian-polynomial pairing overflows")
+    return out

@@ -71,14 +71,22 @@ class SiegelPoint:
     def to_json(self) -> dict:
         return {"omega1": self.omega1.tolist(), "omega2": self.omega2.tolist()}
 
+    @cached_property
+    def _imag_eigh(self) -> tuple:
+        """(sqrt(w), v) with omega2 = v diag(w) v^T, read-only."""
+        w, v = np.linalg.eigh(self.omega2)
+        root = np.sqrt(w)
+        root.flags.writeable = v.flags.writeable = False
+        return root, v
+
     def imag_sqrt(self) -> np.ndarray:
         """Symmetric positive square root of the imaginary part."""
-        w, v = np.linalg.eigh(self.omega2)
-        return (v * np.sqrt(w)) @ v.T
+        root, v = self._imag_eigh
+        return (v * root) @ v.T
 
     def imag_inv_sqrt(self) -> np.ndarray:
-        w, v = np.linalg.eigh(self.omega2)
-        return (v / np.sqrt(w)) @ v.T
+        root, v = self._imag_eigh
+        return (v / root) @ v.T
 
     @cached_property
     def coord_matrix(self) -> np.ndarray:

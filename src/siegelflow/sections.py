@@ -220,13 +220,18 @@ def bergman_project(psi: GaussianSection, omega_p: SiegelPoint) -> GaussianSecti
     holomorphic for Omega'.  A polynomial factor is pushed through the
     kernel along the source z-direction.
     """
+    return _project(psi, omega_p, 0.0)
+
+
+def _project(psi: GaussianSection, omega_p: SiegelPoint, log_scale: float) -> GaussianSection:
+    """``bergman_project(psi, omega_p)`` times exp(log_scale), built once."""
     _same_space(psi.frame, omega_p)
     s_psi, l_psi, k_psi = psi.real_quadratic()
     gen_dir = psi.frame.coord_matrix[0] if psi.degree else None
     q, r, c, poly = kernel_apply_poly(
         s_psi - omega_p.gram_matrix, omega_p.coord_matrix.conj().T, l_psi, k_psi, psi.coeffs, gen_dir
     )
-    return GaussianSection(omega_p, q, r, c, poly)
+    return GaussianSection(omega_p, q, r, c + log_scale, poly)
 
 
 @dataclass(frozen=True)
@@ -476,24 +481,30 @@ def difference_norm(a, b) -> float:
     Gauss-Hermite grid placed for the real envelopes: 48 nodes per axis on a
     Kaehler frame, and 300 on a polarization's one axis, where two unrelated
     Gaussian parts leave a chirp exp(i (Im m_a - Im m_b) u^2 / 2) in the cross term.
+    A norm past the float range raises ``NonFiniteError``.
     """
     (pa, ha), (pb, hb) = _with_phase(a), _with_phase(b)
     _same_space(pa.frame, pb.frame)
-    if pa.degree or pb.degree:
-        return _difference_norm_pointwise(a, b, 300 if isinstance(pa.frame, BoundaryPolarization) else 48)
-    sa, la, ka = pa.real_quadratic()
-    sb, lb, kb = pb.real_quadratic()
-    s0 = 2.0 * sa.real
-    x0 = np.linalg.solve(s0, 2.0 * la.real)
-    log_aa = -0.5 * np.linalg.slogdet(-s0)[1] - la.real @ x0 + 2.0 * ka.real
-    d, e = sb - sa, lb - la
-    dk = (kb - ka) + (np.log(complex(hb)) - np.log(complex(ha)))
-    h = 0.5 * _log_gauss_ratio(s0, x0, 2.0 * d.real, 2.0 * e.real, 2.0 * dk.real).real
-    delta = _log_gauss_ratio(s0, x0, d, e, dk) - h
-    rel = np.expm1(h) ** 2 + 2.0 * np.exp(h) * (
-        -np.expm1(delta.real) * np.cos(delta.imag) + 2.0 * np.sin(0.5 * delta.imag) ** 2
-    )
-    return float(np.sqrt(max(rel, 0.0)) * np.exp(0.5 * log_aa))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm raises below
+        if pa.degree or pb.degree:
+            out = _difference_norm_pointwise(a, b, 300 if isinstance(pa.frame, BoundaryPolarization) else 48)
+        else:
+            sa, la, ka = pa.real_quadratic()
+            sb, lb, kb = pb.real_quadratic()
+            s0 = 2.0 * sa.real
+            x0 = np.linalg.solve(s0, 2.0 * la.real)
+            log_aa = -0.5 * np.linalg.slogdet(-s0)[1] - la.real @ x0 + 2.0 * ka.real
+            d, e = sb - sa, lb - la
+            dk = (kb - ka) + (np.log(complex(hb)) - np.log(complex(ha)))
+            h = 0.5 * _log_gauss_ratio(s0, x0, 2.0 * d.real, 2.0 * e.real, 2.0 * dk.real).real
+            delta = _log_gauss_ratio(s0, x0, d, e, dk) - h
+            rel = np.expm1(h) ** 2 + 2.0 * np.exp(h) * (
+                -np.expm1(delta.real) * np.cos(delta.imag) + 2.0 * np.sin(0.5 * delta.imag) ** 2
+            )
+            out = float(np.sqrt(max(rel, 0.0)) * np.exp(0.5 * log_aa))
+    if not np.isfinite(out):
+        raise NonFiniteError("|| a - b || is not finite: the sections overflow")
+    return out
 
 
 def _difference_norm_pointwise(a, b, nodes: int) -> float:

@@ -17,7 +17,7 @@ the one Lagrangian type: it carries the orthonormal span of its subspace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -191,11 +191,14 @@ class BoundaryPolarization:
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
+    # the standard frames are immutable, so each n builds its pair once
     @classmethod
+    @lru_cache(maxsize=8)
     def position(cls, n: int) -> "BoundaryPolarization":
         return cls(MetaplecticElement(SymplecticMap.identity(n), 1.0))
 
     @classmethod
+    @lru_cache(maxsize=8)
     def momentum(cls, n: int) -> "BoundaryPolarization":
         return cls(MetaplecticElement.principal_lift(exchange_map(n)))
 
@@ -238,6 +241,8 @@ class BoundaryPolarization:
         """Same n, the same reference g and the same lift of it: sections over
         the two compare directly.  The two lifts of one g differ in sign at
         every point, so the lifts agree where ``other``'s branch is anchored."""
+        if other is self:
+            return True
         same_n = isinstance(other, BoundaryPolarization) and other.n == self.n
         if not (same_n and np.abs(self.reference.g.matrix - other.reference.g.matrix).max() <= tol):
             return False

@@ -72,70 +72,41 @@ def suite_lemma21(seed: int = 42, trials: int = 200) -> list[dict]:
     """The change-of-point identities for Xi under the group action, plus the
     action's compatibility with composition; residuals are scale-relative."""
     rng = np.random.default_rng(seed)
-    worst = {
-        "imag_part_transformation": 0.0,
-        "xi_transformation": 0.0,
-        "first_quotient_identity": 0.0,
-        "second_quotient_identity": 0.0,
-        "group_action_composes": 0.0,
-    }
+    names = ("imag_part_transformation", "xi_transformation", "first_quotient_identity",
+             "second_quotient_identity", "group_action_composes")
+    worst = dict.fromkeys(names, 0.0)
     for k in range(trials):
         n = k % 3 + 1
         g = random_symplectic(rng, n)
-        om0 = random_siegel(rng, n)
-        omp0 = random_siegel(rng, n)
-        om = act_on_siegel(g, om0)
-        omp = act_on_siegel(g, omp0)
-        cd = g.cz_plus_d(om0)
-        cdp = g.cz_plus_d(omp0)
+        om0, omp0 = random_siegel(rng, n), random_siegel(rng, n)
+        om, omp = act_on_siegel(g, om0), act_on_siegel(g, omp0)
+        cd, cdp = g.cz_plus_d(om0), g.cz_plus_d(omp0)
         cd_inv = np.linalg.inv(cd)
         cdp_bar_invT = np.linalg.inv(np.conj(cdp)).T
         cd_bar_inv = np.linalg.inv(np.conj(cd))
         scale = max(1.0, np.abs(om.omega).max(), np.abs(omp.omega).max())
 
         pred = np.linalg.inv(np.conj(cd)).T @ om0.omega2 @ cd_inv
-        worst["imag_part_transformation"] = max(
-            worst["imag_part_transformation"], np.abs(om.omega2 - pred).max() / scale
-        )
-
-        xi = xi_matrix(om, omp)
-        xi0 = xi_matrix(om0, omp0)
-        worst["xi_transformation"] = max(
-            worst["xi_transformation"],
-            np.abs(xi - cdp_bar_invT @ xi0 @ cd_inv).max() / scale,
-        )
-
+        xi, xi0 = xi_matrix(om, omp), xi_matrix(om0, omp0)
         xi_inv = np.linalg.inv(xi)
         q1_a = (np.linalg.inv(om.omega2) - xi_inv) @ om.omega2
-        q1_b = np.linalg.solve(
-            om.omega - np.conj(omp.omega), np.conj(om.omega) - np.conj(omp.omega)
-        )
-        q1_c = cd @ np.linalg.solve(
-            om0.omega - np.conj(omp0.omega), np.conj(om0.omega) - np.conj(omp0.omega)
-        ) @ cd_bar_inv
-        worst["first_quotient_identity"] = max(
-            worst["first_quotient_identity"],
-            max(np.abs(q1_a - q1_b).max(), np.abs(q1_b - q1_c).max()) / scale,
-        )
-
+        q1_b = np.linalg.solve(om.omega - np.conj(omp.omega), np.conj(om.omega) - np.conj(omp.omega))
+        gap0 = om0.omega - np.conj(omp0.omega)
+        q1_c = cd @ np.linalg.solve(gap0, np.conj(om0.omega) - np.conj(omp0.omega)) @ cd_bar_inv
         q2_a = omp.omega2 @ (np.linalg.inv(omp.omega2) - xi_inv)
         q2_b = (om.omega - omp.omega) @ np.linalg.inv(om.omega - np.conj(omp.omega))
-        q2_c = np.linalg.inv(cdp).T @ (
-            (om0.omega - omp0.omega)
-            @ np.linalg.solve(om0.omega - np.conj(omp0.omega), np.conj(cdp).T)
-        )
-        worst["second_quotient_identity"] = max(
-            worst["second_quotient_identity"],
-            max(np.abs(q2_a - q2_b).max(), np.abs(q2_b - q2_c).max()) / scale,
-        )
-
+        q2_c = np.linalg.inv(cdp).T @ ((om0.omega - omp0.omega) @ np.linalg.solve(gap0, np.conj(cdp).T))
         h = random_symplectic(rng, n)
         two_step = act_on_siegel(h, act_on_siegel(g, om0))
         one_step = act_on_siegel(compose(h, g), om0)
-        worst["group_action_composes"] = max(
-            worst["group_action_composes"],
-            np.abs(two_step.omega - one_step.omega).max() / scale,
+        residuals = (
+            np.abs(om.omega2 - pred).max(),
+            np.abs(xi - cdp_bar_invT @ xi0 @ cd_inv).max(),
+            max(np.abs(q1_a - q1_b).max(), np.abs(q1_b - q1_c).max()),
+            max(np.abs(q2_a - q2_b).max(), np.abs(q2_b - q2_c).max()),
+            np.abs(two_step.omega - one_step.omega).max(),
         )
+        worst = {name: max(worst[name], r / scale) for name, r in zip(names, residuals)}
     return [_row(f"lemma21/{k}", v, 1e-9) for k, v in worst.items()]
 
 
@@ -161,8 +132,7 @@ def suite_unitarity(seed: int = 42, trials: int = 20, oracle_trials: int = 6, no
     quadrature oracle, which starts each trial at ``nodes`` per axis and refines
     until two successive grids agree to 1e-7, 0.01 times its row's tolerance."""
     rng = np.random.default_rng(seed)
-    worst_closed = 0.0
-    worst_corrected = 0.0
+    worst_closed = worst_corrected = 0.0
     for k in range(trials):
         n = 1 if k % 2 == 0 else 2
         om, omp = random_siegel(rng, n), random_siegel(rng, n)
@@ -197,8 +167,7 @@ def suite_unitarity(seed: int = 42, trials: int = 20, oracle_trials: int = 6, no
 
 def suite_bogoliubov(seed: int = 42, trials: int = 100) -> list[dict]:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    worst_scale = 0.0
+    worst = worst_scale = 0.0
     for k in range(trials):
         n = 1 if k % 2 == 0 else 2
         om, omp = random_siegel(rng, n), random_siegel(rng, n)
@@ -223,35 +192,22 @@ def suite_bogoliubov(seed: int = 42, trials: int = 100) -> list[dict]:
 
 def suite_flatness(seed: int = 42, trials: int = 50) -> list[dict]:
     rng = np.random.default_rng(seed)
-    worst_corrected = 0.0
-    worst_modulus = 0.0
-    worst_scalar = 0.0
+    worst_corrected = worst_modulus = worst_scalar = 0.0
     for k in range(trials):
         n = 1 if k % 2 == 0 else 2
         pts = [random_siegel(rng, n) for _ in range(3)]
         alpha = rng.normal(size=n) + 1j * rng.normal(size=n)
         start = CorrectedSection(coherent_state(alpha, pts[0]))
-        leg1 = transport_corrected(start, pts[1])
-        leg2 = transport_corrected(leg1, pts[2])
-        around = transport_corrected(leg2, pts[0])
-        worst_corrected = max(
-            worst_corrected, difference_norm(around, start) / norm(start.section)
-        )
+        around = transport_corrected(transport_corrected(transport_corrected(start, pts[1]), pts[2]), pts[0])
+        worst_corrected = max(worst_corrected, difference_norm(around, start) / norm(start.section))
 
         # uncorrected holonomy: a unit-modulus scalar multiple of the identity
-        states = [coherent_state(alpha, pts[0]), vacuum(pts[0]),
-                  coherent_state(0.5j * alpha + 0.3, pts[0])]
         ratios = []
-        for s in states:
-            h1 = transport_uncorrected(s, pts[1])
-            h2 = transport_uncorrected(h1, pts[2])
-            h3 = transport_uncorrected(h2, pts[0])
-            val = inner_product(s, h3) / inner_product(s, s)
-            ratios.append(val)
-            worst_modulus = max(worst_modulus, abs(abs(val) - 1.0))
-        worst_scalar = max(
-            worst_scalar, max(abs(r - ratios[0]) for r in ratios[1:])
-        )
+        for s in (coherent_state(alpha, pts[0]), vacuum(pts[0]), coherent_state(0.5j * alpha + 0.3, pts[0])):
+            h3 = transport_uncorrected(transport_uncorrected(transport_uncorrected(s, pts[1]), pts[2]), pts[0])
+            ratios.append(inner_product(s, h3) / inner_product(s, s))
+            worst_modulus = max(worst_modulus, abs(abs(ratios[-1]) - 1.0))
+        worst_scalar = max(worst_scalar, max(abs(r - ratios[0]) for r in ratios[1:]))
     return [
         _row("flatness/corrected_triangle_identity", worst_corrected, 1e-8),
         _row("flatness/uncorrected_unit_modulus", worst_modulus, 1e-8),

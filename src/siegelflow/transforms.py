@@ -24,6 +24,7 @@ exp(-2 lambda_min |t|).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .errors import NoBoundaryLimitError, NonTransverseError, PolarizationMismat
 from .sections import CorrectedSection, GaussianSection, _require_frame, difference_norm, norm
 from .siegel import RATE_TOL, BoundaryPolarization, GeodesicSpec
 from .sympl import MetaplecticElement, act_on_siegel, transform_z_coords
-from .transport import _change_coords, _one_space, _XiKernel, metaplectic_act, transport_corrected
+from .transport import _one_space, _XiKernel, metaplectic_act, transport_corrected
 
 # Unit constant relating the pushed frame sqrt(d^n x o g0^{-1}) of the
 # standard exchange element g0 = (0, I; -I, 0) (principal lift) to the
@@ -44,10 +45,9 @@ def _momentum_frame_factor(n: int) -> complex:
     return 1j**n
 
 
-def _flipped(profile: GaussianSection, frame: BoundaryPolarization) -> GaussianSection:
-    """The composition of a profile with u -> -u, over ``frame``."""
-    signs = (-1.0) ** np.arange(len(profile.coeffs))
-    return GaussianSection(frame, profile.m, -profile.b, profile.c, profile.coeffs * signs)
+def _flipped(frame: BoundaryPolarization, m, b, c: complex, coeffs) -> GaussianSection:
+    """The profile p(u) exp((1/2) u^T m u + b^T u + c) composed with u -> -u, over ``frame``."""
+    return GaussianSection(frame, m, -b, c, coeffs * (-1.0) ** np.arange(len(coeffs)))
 
 
 def value_on_V(s: CorrectedSection, v) -> np.ndarray:
@@ -69,13 +69,14 @@ def momentum_profile(s: CorrectedSection) -> GaussianSection:
     n = s.frame.n
     if not s.frame.close_to(BoundaryPolarization.momentum(n)):
         raise PolarizationMismatchError("not a standard momentum-polarized section")
-    return _flipped(s.section, BoundaryPolarization.position(n)).scaled(_momentum_frame_factor(n) * s.halfform_phase)
+    p, log_unit = s.section, np.log(_momentum_frame_factor(n) * s.halfform_phase)
+    return _flipped(BoundaryPolarization.position(n), p.m, p.b, p.c + log_unit, p.coeffs)
 
 
 def from_momentum_profile(profile: GaussianSection) -> CorrectedSection:
     """chi(y) e^{-(i/2) x.y} (x) sqrt(d^n y) on the standard momentum polarization."""
-    kappa = _momentum_frame_factor(profile.n)
-    return CorrectedSection(_flipped(profile, BoundaryPolarization.momentum(profile.n)), np.conj(kappa))
+    flipped = _flipped(BoundaryPolarization.momentum(profile.n), profile.m, profile.b, profile.c, profile.coeffs)
+    return CorrectedSection(flipped, np.conj(_momentum_frame_factor(profile.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +97,15 @@ class _SegalBargmann:
         _one_space(source, omega)
         ref = source.reference
         om0 = act_on_siegel(ref.g.inverse(), omega)
-        self.source, self.target, self._kernel = source, act_on_siegel(ref.g, om0), _XiKernel(source, om0)
-        self._t, phase = transform_z_coords(ref.g, om0, self.target), ref.phase_at(om0)
+        self.source, self.target, phase = source, act_on_siegel(ref.g, om0), ref.phase_at(om0)
+        # the push to Omega0 and the change to the target's coordinates, in one kernel
+        self._kernel = _XiKernel(source, om0, out=(self.target, transform_z_coords(ref.g, om0, self.target)))
         self._phase = phase / abs(phase)
 
     def __call__(self, shat: CorrectedSection) -> CorrectedSection:
         _require_source(self.source, shat)
-        core = self._kernel.apply(shat.section.scaled(shat.halfform_phase), np.conj(self._kernel.log_h))
-        return CorrectedSection(_change_coords(core, self.target, self._t), self._phase)
+        log_pref = np.conj(self._kernel.log_h) - np.log(shat.halfform_phase)
+        return CorrectedSection(self._kernel.apply(shat.section, log_pref), self._phase)
 
 
 class _SegalBargmannInverse:
@@ -113,16 +115,15 @@ class _SegalBargmannInverse:
     def __init__(self, source: SiegelPoint, target: BoundaryPolarization):
         _one_space(source, target)
         back = target.reference.inverse()
-        self.source, self._pulled = source, act_on_siegel(back.g, source)
-        self._t, self._phase = transform_z_coords(back.g, source, self._pulled), back.phase_at(source)
-        self._kernel = _XiKernel(self._pulled, target)
+        self.source, pulled, self._phase = source, act_on_siegel(back.g, source), back.phase_at(source)
+        # the change to the pulled point's coordinates and the push, in one kernel
+        self._kernel = _XiKernel(pulled, target, t_in=transform_z_coords(back.g, source, pulled))
 
     def __call__(self, psihat: CorrectedSection) -> CorrectedSection:
         _require_source(self.source, psihat)
         phase = self._phase * psihat.halfform_phase
-        pulled = _change_coords(psihat.section, self._pulled, self._t)
-        profile = self._kernel.apply(pulled, np.conj(self._kernel.log_h))
-        return CorrectedSection(profile.scaled(phase / abs(phase)))
+        log_pref = np.conj(self._kernel.log_h) - np.log(phase / abs(phase))
+        return CorrectedSection(self._kernel.apply(psihat.section, log_pref))
 
 
 def segal_bargmann(shat: CorrectedSection, omega: SiegelPoint) -> CorrectedSection:
@@ -152,10 +153,11 @@ def fourier(shat: CorrectedSection) -> CorrectedSection:
     n = shat.frame.n
     if not shat.frame.close_to(BoundaryPolarization.position(n)):
         raise PolarizationMismatchError("direct transform expects the standard position form")
-    prof = shat.section.scaled(shat.halfform_phase)
-    q, r, sc, poly = kernel_apply_poly(prof.m, 1j * np.eye(n), prof.b, prof.c, prof.coeffs, np.eye(n)[0])
+    p, c_in = shat.section, shat.section.c + np.log(complex(shat.halfform_phase))
+    q, r, sc, poly = kernel_apply_poly(p.m, 1j * np.eye(n), p.b, c_in, p.coeffs, np.eye(n)[0])
     c_out = sc + 0.25j * np.pi * n  # principal i^{n/2}
-    return from_momentum_profile(GaussianSection(prof.frame, 0.5 * (q + q.T), r, c_out, poly))
+    mom = BoundaryPolarization.momentum(n)
+    return CorrectedSection(_flipped(mom, 0.5 * (q + q.T), r, c_out, poly), np.conj(_momentum_frame_factor(n)))
 
 
 def fourier_general(shat: CorrectedSection, target: BoundaryPolarization) -> CorrectedSection:
@@ -275,6 +277,14 @@ def default_test_profiles() -> list[GaussianSection]:
     ]
 
 
+@lru_cache(maxsize=16)
+def _profile_norm(m: bytes, b: bytes, c: complex, coeffs: bytes) -> float:
+    """``norm`` of the profile with this complex data over any polarization:
+    each has E = I and G = 0, so the norm depends on the data alone."""
+    m, b, coeffs = (np.frombuffer(x, dtype=complex) for x in (m, b, coeffs))
+    return norm(GaussianSection(BoundaryPolarization.position(b.size), m.reshape(b.size, -1), b, c, coeffs))
+
+
 @dataclass(frozen=True)
 class IdentityReport:
     transport_vs_pairing: float
@@ -305,7 +315,8 @@ def composition_identities_check(
         if not a.transverse_to(b):
             raise NonTransverseError("test polarizations must be mutually transverse")
     # each profile's data, in standard position over pol_l
-    sections = [CorrectedSection(GaussianSection(pol_l, p.m, p.b, p.c, p.coeffs)) for p in default_test_profiles()]
+    profiles = default_test_profiles()
+    sections = [CorrectedSection(GaussianSection(pol_l, p.m, p.b, p.c, p.coeffs)) for p in profiles]
     # the nine pairing maps of the three identities, built once for all profiles
     base = standard_point(pol_l.n)
     pairs = ((pol_l, omega), (pol_l, omega_p), (pol_l, base), (pol_lp, base))
@@ -314,8 +325,8 @@ def composition_identities_check(
     om_to_lp, om_to_lpp, omp_to_lp, base_to_lp, base_to_lpp = (_SegalBargmannInverse(a.target, p) for a, p in pairs)
 
     r1 = r2 = r3 = 0.0
-    for s in sections:
-        scale = norm(s.section)
+    scales = [_profile_norm(p.m.tobytes(), p.b.tobytes(), p.c, p.coeffs.tobytes()) for p in profiles]
+    for s, scale in zip(sections, scales):
         paired, moved = to_om(s), to_omp(s)
         r1 = max(r1, difference_norm(moved, transport_corrected(paired, omega_p)) / scale)
         r2 = max(r2, difference_norm(base_to_lp(to_base(s)), om_to_lp(paired)) / scale)

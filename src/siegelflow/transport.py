@@ -27,7 +27,8 @@ from .errors import TruncationOverflowError
 from .sections import (
     CorrectedSection,
     GaussianSection,
-    bergman_project,
+    _project,
+    bergman_project,  # noqa: F401  unused here, but perfbench/tracer.py wraps it under this name
     coherent_state,
     difference_norm,
     fock_coefficients,
@@ -35,12 +36,7 @@ from .sections import (
     norm,
 )
 from .siegel import BoundaryPolarization, complex_structure_of
-from .sympl import (
-    MetaplecticElement,
-    act_on_siegel,
-    transform_z_coords,
-    xi_matrix,
-)
+from .sympl import MetaplecticElement, act_on_siegel, transform_z_coords, xi_matrix
 
 TRUNCATION_LEAK_TOL = 1e-6
 ODE_BASIS_MAX = 1024
@@ -92,18 +88,24 @@ def _one_space(f1, f2) -> None:
 
 class _XiKernel:
     """The Xi kernel from Omega to Omega' (either may be a ``BoundaryPolarization``),
-    its frame work done once.  ``apply(psi, log_pref)`` pushes psi over Omega to
-    Omega' with the prefactor exp(-log_pref), ``log_h.real`` or ``conj(log_h)``."""
+    its frame work done once.  ``apply(psi, log_pref)`` builds the one section
+    psi pushed to Omega' with the prefactor exp(-log_pref), ``log_h.real`` or
+    ``conj(log_h)``.  Two unitary coordinate changes fold in exactly: ``t_in``
+    for psi over a frame with z = t_in z_Omega (E -> t_in E), and ``out =
+    (target, t)`` for a result over ``target`` with z_Omega' = t z'' (K12 -> K12 t,
+    K22 -> t^T K22 t, as t^T (-L^T S^{-1} L) t = -(L t)^T S^{-1} (L t); for n = 1
+    the push gives a polynomial its t^k factors)."""
 
-    def __init__(self, omega, omega_p):
+    def __init__(self, omega, omega_p, t_in=None, out=None):
         _one_space(omega, omega_p)
-        k11, k12, self._k22, self.log_h = _xi_blocks(omega, omega_p)
-        self.target = omega_p
+        k11, k12, k22, self.log_h = _xi_blocks(omega, omega_p)
+        self.target, t = (omega_p, np.eye(omega.n)) if out is None else out
+        self._k22 = t.T @ k22 @ t
         # integrate over v, z = E v, against the frame's full weight exp(-v^T G v)
-        self._e = omega.coord_matrix
-        ebar = np.conj(self._e)
+        ebar = np.conj(omega.coord_matrix)
+        self._e = omega.coord_matrix if t_in is None else t_in @ omega.coord_matrix
         self._frame_quad = ebar.T @ k11 @ ebar - 2.0 * omega.gram_matrix
-        self._cross = ebar.T @ k12
+        self._cross = ebar.T @ k12 @ t
 
     def apply(self, psi: GaussianSection, log_pref: complex) -> GaussianSection:
         e = self._e
@@ -143,7 +145,7 @@ def bogoliubov_scale_via_structures(omega: SiegelPoint, omega_p: SiegelPoint) ->
 
 def transport_uncorrected(psi: GaussianSection, omega_p: SiegelPoint) -> GaussianSection:
     """U psi = alpha(Omega, Omega') P psi for any Gaussian(-polynomial) section."""
-    return bergman_project(psi, omega_p).scaled(bogoliubov_scale(psi.frame, omega_p))
+    return _project(psi, omega_p, _halfform_log(psi.frame, omega_p).real)
 
 
 def transport_corrected(psihat: CorrectedSection, omega_p: SiegelPoint) -> CorrectedSection:
@@ -153,7 +155,7 @@ def transport_corrected(psihat: CorrectedSection, omega_p: SiegelPoint) -> Corre
     geodesic, supplies both the Bogoliubov scale (its modulus) and the
     correction phase (its argument)."""
     log_h = _halfform_log(psihat.frame, omega_p)
-    section = bergman_project(psihat.section, omega_p).scaled(float(np.exp(log_h.real)))
+    section = _project(psihat.section, omega_p, log_h.real)
     return CorrectedSection(section, np.exp(1j * log_h.imag) * psihat.halfform_phase)
 
 
@@ -195,11 +197,12 @@ def transport_kernel_apply(
 def metaplectic_act(mp: MetaplecticElement, obj):
     """Lifted symplectic action on (corrected) sections.
 
-    A section changes to the coordinates of the image frame (``_change_coords``)
-    and its half-form coefficient picks up the tracked branch phase at the
-    source point.  A section over a polarization with reference R keeps its
-    profile data and half-form coefficient and moves to the polarization with
-    reference mp R."""
+    A section changes to the coordinates z' of the image frame, z = t z' with
+    t unitary: m -> t^T m t, b -> t^T b and coeffs[k] -> coeffs[k] t^k (a
+    polynomial has n = 1); its half-form coefficient picks up the tracked
+    branch phase at the source point.  A section over a polarization with
+    reference R keeps its profile data and half-form coefficient and moves to
+    the polarization with reference mp R."""
     if isinstance(obj, CorrectedSection):
         phase = obj.halfform_phase
         if isinstance(obj.frame, SiegelPoint):
@@ -210,15 +213,9 @@ def metaplectic_act(mp: MetaplecticElement, obj):
         pol = BoundaryPolarization(mp.compose(obj.frame.reference))
         return GaussianSection(pol, obj.m, obj.b, obj.c, obj.coeffs)
     target = act_on_siegel(mp.g, obj.frame)
-    return _change_coords(obj, target, transform_z_coords(mp.g, obj.frame, target))
-
-
-def _change_coords(psi: GaussianSection, target: SiegelPoint, t: np.ndarray) -> GaussianSection:
-    """psi in the coordinates z' of ``target``, z = t z' with t unitary: m -> t^T m t,
-    b -> t^T b and coeffs[k] -> coeffs[k] t^k (a polynomial has n = 1)."""
-    m = t.T @ psi.m @ t
-    coeffs = psi.coeffs * complex(t[0, 0]) ** np.arange(psi.degree + 1)
-    return GaussianSection(target, 0.5 * (m + m.T), t.T @ psi.b, psi.c, coeffs)
+    t = transform_z_coords(mp.g, obj.frame, target)
+    coeffs = obj.coeffs * complex(t[0, 0]) ** np.arange(obj.degree + 1)
+    return GaussianSection(target, t.T @ obj.m @ t, t.T @ obj.b, obj.c, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 None of these is on a library path: each is a second route to a value the
 library computes another way (a sampled det^{1/2} continuation, the
 standard-geodesic closed form of coherent transport, explicit ladder and
-deformation matrices, a term-by-term Gaussian-polynomial pairing).
+deformation matrices, a term-by-term Gaussian-polynomial pairing, the
+pairing maps as three separate constructions, a Gaussian integral with one
+solve per right-hand side).
 ``test_branches`` asserts that no name defined here is also an attribute
 of a ``siegelflow`` module.
 """
@@ -12,8 +14,9 @@ from math import factorial
 
 import numpy as np
 
-from siegelflow import GaussianSection, diagonal_point
+from siegelflow import CorrectedSection, GaussianSection, act_on_siegel, diagonal_point, transform_z_coords
 from siegelflow._gaussint import gauss_log_integral
+from siegelflow.transport import _XiKernel
 
 
 class BranchDiscontinuityError(Exception):
@@ -101,3 +104,46 @@ def poly_gauss_pairing_loop(S, ell, k, a, b, p1, p2) -> complex:
         for l in range(len(p2)):
             total += p1[j] * p2[l] * float(factorial(j)) * float(factorial(l)) * c[j, l]
     return total * np.exp(log)
+
+
+def integrate_out_per_column(S, L, ell0, k):
+    """Integrate exp((1/2) u^T S u + (L w + ell0)^T u + k) over u, normalised,
+    as (Q, r, s): one solve with S for L, one for ell0 and one inside
+    ``gauss_log_integral``."""
+    S = np.atleast_2d(S)
+    L = np.asarray(L, dtype=complex).reshape(S.shape[0], -1)
+    Q = -L.T @ np.linalg.solve(S, L)
+    return 0.5 * (Q + Q.T), -L.T @ np.linalg.solve(S, ell0), gauss_log_integral(S, ell0, k)
+
+
+def in_coordinates_of(psi: GaussianSection, target, t: np.ndarray) -> GaussianSection:
+    """psi in the coordinates z' of ``target``, z = t z' with t unitary: m -> t^T m t,
+    b -> t^T b and coeffs[k] -> coeffs[k] t^k (a polynomial has n = 1)."""
+    m = t.T @ psi.m @ t
+    coeffs = psi.coeffs * complex(t[0, 0]) ** np.arange(psi.degree + 1)
+    return GaussianSection(target, 0.5 * (m + m.T), t.T @ psi.b, psi.c, coeffs)
+
+
+def pairing_in_three_steps(shat: CorrectedSection, omega) -> CorrectedSection:
+    """The pairing map of a polarized section into Omega as three sections: the
+    profile times its half-form phase, its push by the unfolded Xi kernel from
+    L- to Omega0 = R^{-1} . Omega, and that push in the coordinates of R . Omega0."""
+    ref = shat.frame.reference
+    om0 = act_on_siegel(ref.g.inverse(), omega)
+    target = act_on_siegel(ref.g, om0)
+    kernel = _XiKernel(shat.frame, om0)
+    core = kernel.apply(shat.section.scaled(shat.halfform_phase), np.conj(kernel.log_h))
+    phase = ref.phase_at(om0)
+    return CorrectedSection(in_coordinates_of(core, target, transform_z_coords(ref.g, om0, target)), phase / abs(phase))
+
+
+def inverse_pairing_in_three_steps(psihat: CorrectedSection, polarization) -> CorrectedSection:
+    """The inverse pairing map onto ``polarization`` as three sections: psihat in
+    the coordinates of the point pulled back by the inverse reference, its push
+    by the unfolded Xi kernel to L-, and that profile times the unit phase."""
+    back = polarization.reference.inverse()
+    pulled = act_on_siegel(back.g, psihat.frame)
+    moved = in_coordinates_of(psihat.section, pulled, transform_z_coords(back.g, psihat.frame, pulled))
+    kernel = _XiKernel(pulled, polarization)
+    phase = back.phase_at(psihat.frame) * psihat.halfform_phase
+    return CorrectedSection(kernel.apply(moved, np.conj(kernel.log_h)).scaled(phase / abs(phase)))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,18 @@ class TestTransportCommand:
         assert code == 2
         assert out == ""
         assert err.startswith(f"input error: {named} ")
+
+    def test_overflowing_triangle_exits_1_without_a_warning(self, capsys, monkeypatch):
+        # a hypothesis draw that used to reach the holonomy's inf / inf; the
+        # overflow now raises NonFiniteError where the first norm is made
+        section = {"frame": _UNIT_POINT, "M": [[[0.5, 0.5]]], "b": [[0.5, 1.5e16]], "c": [3.7e16, 0.3]}
+        payload = json.dumps({"omega": _UNIT_POINT, "omega_p": point_json([[0.3]], [[2.0]]),
+                              "omega_pp": point_json([[-0.5]], [[0.7]]), "state": {"section": section}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["transport", "--triangle"], payload, capsys, monkeypatch)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "not finite" in err
 
     @pytest.mark.parametrize(
         "section, named",

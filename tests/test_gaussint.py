@@ -4,7 +4,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from _reference import poly_gauss_pairing_loop
+from _reference import integrate_out_per_column, poly_gauss_pairing_loop
 from siegelflow import (
     GaussianSection,
     SiegelPoint,
@@ -14,7 +14,13 @@ from siegelflow import (
     random_siegel,
     standard_point,
 )
-from siegelflow._gaussint import _poly_gauss_pairing, exp_bivariate_series, gauss_log_integral, generating_poly
+from siegelflow._gaussint import (
+    _poly_gauss_pairing,
+    exp_bivariate_series,
+    gauss_log_integral,
+    generating_poly,
+    integrate_out,
+)
 from siegelflow.sections import _half_log_factorials
 from siegelflow.suites import _random_gaussian_section
 
@@ -163,3 +169,22 @@ def test_zero_coefficients_stay_inert_in_the_push():
     assert np.array_equal(got.coeffs, np.eye(1, 301)[0])
     for x, y in ((got.m, want.m), (got.b, want.b), (got.c, want.c)):
         assert np.allclose(x, y, rtol=1e-13, atol=0)
+
+
+def test_integrate_out_is_one_solve_matching_one_solve_per_column(monkeypatch):
+    rng = np.random.default_rng(2121)
+    solves, solve = [], np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+    for i in range(240):
+        m, k = 1 + i % 4, 1 + (i // 4) % 3
+        a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        s = 0.5j * (lambda x: x + x.T)(rng.normal(size=(m, m))) - (a @ a.conj().T).real - 0.3 * np.eye(m)
+        lmat = rng.normal(size=(m, k)) + 1j * rng.normal(size=(m, k))
+        ell0 = rng.normal(size=m) + 1j * rng.normal(size=m)
+        kk = complex(rng.normal(), rng.normal())
+        solves.clear()
+        got = integrate_out(s, lmat, ell0, kk)
+        assert len(solves) == 1
+        want = integrate_out_per_column(s, lmat, ell0, kk)
+        for x, y in zip(got, want):
+            assert np.abs(np.asarray(x) - y).max() <= 1e-14 * max(1.0, np.abs(y).max())

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -547,6 +549,30 @@ class TestNonFiniteData:
         with pytest.raises(NotIntegrableError):
             GaussianSection(BoundaryPolarization.position(1), [[1e308]], [0.0], 0.0)
 
+    # each overflow raises where it is made, before any RuntimeWarning
+    def test_overflowing_pairing_raises_where_made(self):
+        overflowing = [
+            GaussianSection(I1, [[0.0]], [0.0], 400.0),  # exp of the Gaussian integral
+            GaussianSection(I1, [[0.0]], [0.0], 400.0, [1.0, 1.0]),
+            GaussianSection(I1, [[0.0]], [0.0], 0.0, [1.0, 1e300]),  # the polynomial moments
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for psi in overflowing:
+                with pytest.raises(NonFiniteError):
+                    inner_product(psi, psi)
+
+    def test_overflowing_difference_norm_raises_where_made(self):
+        pairs = [
+            (GaussianSection(I1, [[0.0]], [0.0], 800.0), GaussianSection(I1, [[0.1]], [0.2], 800.0)),
+            (GaussianSection(I1, [[0.0]], [0.0], 400.0, [1.0, 1.0]), GaussianSection(I1, [[0.1]], [0.2], 400.0)),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a, b in pairs:
+                with pytest.raises(NonFiniteError):
+                    difference_norm(CorrectedSection(a), CorrectedSection(b))
+
 
 class TestFrameKinds:
     """A profile on L- and a section over a Kaehler point are functions on
@@ -612,16 +638,20 @@ class TestFrameKinds:
         assert abs(corrected_inner_product(a, b) - corrected_inner_product(a, a)) < 1e-12 * abs(corrected_inner_product(a, a))
 
     def test_each_pairing_compares_the_lifts_once(self, rng, monkeypatch):
-        # two equal copies of one polarization: the lift check is a phase_at call
+        # two equal copies of one polarization: the lift check is a phase_at call;
+        # one frame object paired with itself needs none
         calls, phase_at = [], MetaplecticElement.phase_at
         monkeypatch.setattr(MetaplecticElement, "phase_at", lambda *a: calls.append(1) or phase_at(*a))
         a = random_profile(rng, 1, poly=False, frame=BoundaryPolarization.momentum(1))
-        b = GaussianSection(BoundaryPolarization.momentum(1), a.m, a.b, a.c)
+        b = GaussianSection(BoundaryPolarization(a.frame.reference), a.m, a.b, a.c)
         for pairing in (inner_product, inner_product_cross_frame):
             assert abs(pairing(a, b) - pairing(a, a)) < 1e-12 * abs(pairing(a, a))
             calls.clear()
             pairing(a, b)
             assert len(calls) == 1, pairing.__name__
+            calls.clear()
+            pairing(a, a)
+            assert not calls, pairing.__name__
 
     def test_same_subspace_with_another_reference_raises(self, rng):
         position = BoundaryPolarization.position(1)

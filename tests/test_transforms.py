@@ -38,6 +38,7 @@ from siegelflow import siegel, suites, sympl, transforms, transport
 from siegelflow.sympl import act_on_siegel
 from siegelflow.transforms import _SegalBargmann, _SegalBargmannInverse, default_test_profiles
 
+from _reference import inverse_pairing_in_three_steps, pairing_in_three_steps
 from conftest import random_gaussian_section, random_profile, standard_profile
 
 I1 = standard_point(1)
@@ -469,7 +470,8 @@ def test_pairing_maps_take_only_sections_over_their_source(rng):
     cases = [
         (to_i, from_momentum_profile(standard_profile(1)), pos),
         (to_i, CorrectedSection(GaussianSection(other_lift, [[-1.0]], [0.0], 0.0)), pos),
-        (to_i, CorrectedSection(standard_profile(1)), pos),  # an equal copy of the source is another frame
+        # an equal copy of the source is another frame
+        (to_i, CorrectedSection(GaussianSection(BoundaryPolarization(pos.reference), [[-1.0]], [0.0], 0.0)), pos),
         (back, CorrectedSection(vacuum(diagonal_point([2.0]))), to_i.target),
     ]
     for pairing, section, source in cases:
@@ -480,3 +482,92 @@ def test_pairing_maps_take_only_sections_over_their_source(rng):
     # over its own source the map is the public entry's
     s = CorrectedSection(random_profile(rng, frame=pos))
     assert difference_norm(back(to_i(s)), fourier_general(s, mom)) == 0.0
+
+
+def _random_polarization(rng, n):
+    """The polarization along a random Lagrangian [I; S], with either lift of its
+    orthogonal reference: well conditioned, so two routes agree to round-off."""
+    s = rng.normal(size=(n, n))
+    ref = BoundaryPolarization.from_span(np.vstack([np.eye(n), s + s.T])).reference
+    return BoundaryPolarization(ref if rng.uniform() < 0.5 else ref.other_lift())
+
+
+def _unit(rng):
+    return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+
+
+class TestFoldedMaps:
+    """Each map application builds its result once, with the coordinate change
+    and the unit phases folded into the Xi kernel; the three-step route of
+    ``_reference`` builds the same section."""
+
+    @pytest.mark.parametrize("n, poly", [(1, False), (1, True), (2, False), (3, False)])
+    def test_forward_map_matches_three_steps(self, n, poly):
+        rng = np.random.default_rng(40 + n + 10 * poly)
+        for _ in range(8):
+            pol = _random_polarization(rng, n)
+            profile = random_profile(rng, n, poly=False, frame=pol)
+            if poly:
+                deg = int(rng.integers(1, 4))
+                coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+                profile = GaussianSection(pol, profile.m, profile.b, profile.c, coeffs)
+            s, om = CorrectedSection(profile, _unit(rng)), random_siegel(rng, n)
+            folded, ref = segal_bargmann(s, om), pairing_in_three_steps(s, om)
+            assert folded.frame.close_to(ref.frame, tol=1e-13) and folded.halfform_phase == ref.halfform_phase
+            assert difference_norm(folded, ref) <= 1e-13 * norm(ref.section)
+
+    @pytest.mark.parametrize("n, poly", [(1, False), (1, True), (2, False), (3, False)])
+    def test_inverse_map_matches_three_steps(self, n, poly):
+        rng = np.random.default_rng(50 + n + 10 * poly)
+        for _ in range(8):
+            om = random_siegel(rng, n)
+            section = random_gaussian_section(rng, om)
+            if poly:
+                deg = int(rng.integers(1, 4))
+                coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+                section = GaussianSection(om, section.m, section.b, section.c, coeffs)
+            psi, pol = CorrectedSection(section, _unit(rng)), _random_polarization(rng, n)
+            folded, ref = segal_bargmann_inverse(psi, pol), inverse_pairing_in_three_steps(psi, pol)
+            assert folded.frame is pol and ref.frame is pol
+            assert difference_norm(folded, ref) <= 1e-13 * norm(ref.section)
+
+    def test_each_application_builds_one_section(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        pol, om = _random_polarization(rng, 2), random_siegel(rng, 2)
+        forward, inverse = _SegalBargmann(pol, om), _SegalBargmannInverse(om, pol)
+        s = CorrectedSection(random_profile(rng, 2, frame=pol), _unit(rng))
+        psi = CorrectedSection(random_gaussian_section(rng, om), _unit(rng))
+        pos = CorrectedSection(random_profile(rng, 1), _unit(rng))
+        mom = fourier(pos)
+        built, post_init = [], GaussianSection.__post_init__
+        monkeypatch.setattr(GaussianSection, "__post_init__", lambda self: built.append(1) or post_init(self))
+        calls = [
+            lambda: forward(s),
+            lambda: inverse(psi),
+            lambda: transport.transport_corrected(psi, random_siegel(rng, 2)),
+            lambda: transport.transport_uncorrected(psi.section, random_siegel(rng, 2)),
+            lambda: fourier(pos),
+            lambda: momentum_profile(mom),
+            lambda: from_momentum_profile(momentum_profile(mom)),
+        ]
+        counts = []
+        for call in calls:
+            built.clear()
+            call()
+            counts.append(len(built))
+        assert counts == [1, 1, 1, 1, 1, 1, 2]
+
+    def test_frame_identity_and_the_other_lift(self, monkeypatch):
+        ref = MetaplecticElement.principal_lift(random_symplectic(np.random.default_rng(62), 2))
+        pol = BoundaryPolarization(ref)
+        assert not BoundaryPolarization(ref.other_lift()).close_to(pol)
+        assert not pol.close_to(BoundaryPolarization(ref.other_lift()))
+        assert BoundaryPolarization(ref).close_to(pol)
+        monkeypatch.setattr(MetaplecticElement, "phase_at", lambda *a: pytest.fail("phase_at called"))
+        assert pol.close_to(pol)
+
+    def test_standard_polarizations_are_built_once_per_n(self):
+        for n in (1, 2, 3):
+            assert BoundaryPolarization.position(n) is BoundaryPolarization.position(n)
+            assert BoundaryPolarization.momentum(n) is BoundaryPolarization.momentum(n)
+            assert not BoundaryPolarization.position(n).close_to(BoundaryPolarization.momentum(n))
