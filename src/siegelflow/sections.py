@@ -327,62 +327,56 @@ class _LogQuadratic:
         return 0.5 * np.einsum("...i,ij,...j->...", v, self.q, v) + v @ self.l + self.k
 
 
-def _eliminate(phi: list, pair: dict) -> complex:
-    """sum over a of prod_i phi[i][a_i] prod_{i<j} pair[i, j][a_i, a_j] by variable
-    elimination: one first-axis slice at a time down to three axes, which take one GEMM."""
-    m = len(phi)
-    if m == 2:
-        return complex(phi[0] @ pair[0, 1] @ phi[1])
-    if m == 3:
-        # t[a, b] = sum_c pair[0, 2][a, c] phi[2][c] pair[1, 2][b, c]
-        t = (pair[0, 2] * phi[2]) @ pair[1, 2].T
-        return complex(phi[0] @ (pair[0, 1] * t) @ phi[1])
-    rest = {(i - 1, j - 1): p for (i, j), p in pair.items() if i}
-    total = 0j
-    for a, phi0 in enumerate(phi[0]):
-        total += phi0 * _eliminate([phi[j] * pair[0, j][a] for j in range(1, m)], rest)
-    return total
-
-
-def _hermite_grid_sum(f, gram: np.ndarray, nodes: int) -> complex:
-    """Tensor-product Gauss-Hermite estimate of integral f against the
-    normalised measure (2 pi)^{-m/2} dv over R^m, with the grid placed for the
-    SPD envelope exp(-v^T G v).  That measure is the Liouville form
-    (2 pi)^{-n} dx dy of a Kaehler frame and (2 pi)^{-n/2} du of a polarization.
-
-    A ``_LogQuadratic`` f is summed over the grid as one-axis factors times
-    pairwise factors exp(q_ij u_a u_b), with working arrays of nodes^2.  A
-    callable f is evaluated at every grid point; above two dimensions in
-    slices along the first axis to bound memory.  Summation
-    order is fixed by the grid layout, so results are bit-identical for a
-    given configuration.
-    """
-    m = gram.shape[0]
+def _placement(gram: np.ndarray) -> tuple:
+    """(P, det P) for P = G^{-1/2}: the grid v = P u placed for the SPD envelope exp(-v^T G v)."""
     w_eig, v_eig = np.linalg.eigh(gram)
     if w_eig.min() <= 0:
         raise ValueError("gram matrix must be SPD")
-    ginv_half = (v_eig / np.sqrt(w_eig)) @ v_eig.T
+    return (v_eig / np.sqrt(w_eig)) @ v_eig.T, np.exp(-0.5 * float(np.sum(np.log(w_eig))))
+
+
+def _principal_placement(fit: _LogQuadratic) -> tuple:
+    """(P O, det P) for the fitted integrand: P whitens G = -(1/2) Re q, so
+    q' = P q P has Re q' = -2 I, and the rotation O from eigh(Im q')
+    diagonalises q' without moving the Hermite weight exp(-|u|^2)."""
+    p, det = _placement(-0.5 * fit.q.real)
+    return p @ np.linalg.eigh(p @ fit.q.imag @ p)[1], det
+
+
+def _hermite_grid_sum(f, placement: tuple, nodes: int) -> complex:
+    """Tensor-product Gauss-Hermite estimate of integral f against the
+    normalised measure (2 pi)^{-m/2} dv over R^m, on the grid v = P u with
+    ``placement`` = (P, det P) from ``_placement`` or ``_principal_placement``.
+    That measure is the Liouville form (2 pi)^{-n} dx dy of a Kaehler frame
+    and (2 pi)^{-n/2} du of a polarization.
+
+    A ``_LogQuadratic`` f placed on its principal axes has q'' = P^T q P
+    diagonal, so the sum over nodes^m points is the product of m one-axis
+    sums.  A callable f is evaluated at every grid point; above two
+    dimensions in slices along the first axis to bound memory.  Summation
+    order is fixed by the grid layout, so results are bit-identical for a
+    given configuration.
+    """
+    p, det = placement
+    m = p.shape[0]
     u, logw = _hermite_table(nodes)
     if isinstance(f, _LogQuadratic):
-        # in grid coordinates v = G^{-1/2} u
-        q, lin = ginv_half @ f.q @ ginv_half, ginv_half @ f.l
-        phi = np.exp(0.5 * np.diag(q)[:, None] * u**2 + lin[:, None] * u + logw)
-        uu = np.multiply.outer(u, u)
-        pair = {(i, j): np.exp(q[i, j] * uu) for i in range(m) for j in range(i + 1, m)}
-        total = _eliminate(list(phi), pair) * np.exp(f.k)
+        diag = np.einsum("ji,jk,ki->i", p, f.q, p)
+        phi = np.exp(0.5 * diag[:, None] * u**2 + (f.l @ p)[:, None] * u + logw)
+        total = complex(np.prod(phi.sum(axis=1))) * np.exp(f.k)
     else:
         head = m if m <= 2 else m - 1
         grids = np.meshgrid(*([u] * head), indexing="ij")
         pts = np.stack([gr.ravel() for gr in grids], axis=-1)
         lw = np.stack(np.meshgrid(*([logw] * head), indexing="ij"), axis=-1).sum(-1).ravel()
         if m <= 2:
-            total = complex((f(pts @ ginv_half.T) * np.exp(lw)).sum())
+            total = complex((f(pts @ p.T) * np.exp(lw)).sum())
         else:
             total = 0.0 + 0.0j
             for uj, lj in zip(u, logw):
                 sl = np.concatenate([np.full((pts.shape[0], 1), uj), pts], axis=1)
-                total += complex((f(sl @ ginv_half.T) * np.exp(lj + lw)).sum())
-    return total * np.exp(-0.5 * float(np.sum(np.log(w_eig)))) * (2 * np.pi) ** (-0.5 * m)
+                total += complex((f(sl @ p.T) * np.exp(lj + lw)).sum())
+    return total * det * (2 * np.pi) ** (-0.5 * m)
 
 
 def _envelope_form(psi: GaussianSection) -> np.ndarray:
@@ -392,7 +386,9 @@ def _envelope_form(psi: GaussianSection) -> np.ndarray:
 
 
 # fixed points at which the fitted log-quadratic must reproduce the probed log values
-_FIT_CHECKS = np.array([[0.5, -1.5, 1.0, 0.25], [-1.0, 0.75, -0.5, 2.0], [1.25, 1.0, -2.0, -0.75]])
+_FIT_CHECKS = np.array(
+    [[0.5, -1.5, 1.0, 0.25, -0.75, 1.5], [-1.0, 0.75, -0.5, 2.0, 1.25, -0.25], [1.25, 1.0, -2.0, -0.75, 0.5, 1.0]]
+)
 
 
 def _fit_log_quadratic(psi1: GaussianSection, psi2: GaussianSection) -> _LogQuadratic | None:
@@ -424,24 +420,27 @@ def oracle_inner_product(psi1: GaussianSection, psi2: GaussianSection, nodes: in
     """Brute-force <psi1, psi2> by quadrature; independent of the closed forms.
 
     For two degree-0 sections the integrand's log-quadratic is fitted from
-    pointwise ``log_value`` probes, and the grid is summed factor by factor.
-    Polynomial sections, non-finite probes and a failed fit evaluate the
-    integrand at every grid point.  The grid is placed for the integrand's
-    own Gaussian envelope, which for strongly squeezed sections is much
-    wider than the frame Gaussian.  Kaehler frames with n <= 2 only."""
+    pointwise ``log_value`` probes, and the grid, placed on the integrand's
+    principal axes, is summed as one product of one-axis sums.  Polynomial
+    sections, non-finite probes and a failed fit evaluate the integrand at
+    every point of a grid placed for its mean envelope, n <= 2 only.  Either
+    grid fits the integrand's own Gaussian envelope, which for strongly
+    squeezed sections is much wider than the frame Gaussian.  Kaehler frames with n <= 3 only."""
     _require_frame("the quadrature oracle", SiegelPoint, psi1, psi2)
     _same_space(psi1.frame, psi2.frame)
-    if psi1.n > 2:
-        raise ValueError("the tensor-product grid is practical for n <= 2 only")
+    if psi1.n > 3:
+        raise ValueError("the oracle checks its fit for n <= 3 only")
     fit = None if psi1.degree or psi2.degree else _fit_log_quadratic(psi1, psi2)
     if fit is not None:
-        return _hermite_grid_sum(fit, -0.5 * fit.q.real, nodes)
+        return _hermite_grid_sum(fit, _principal_placement(fit), nodes)
+    if psi1.n > 2:
+        raise ValueError("the tensor-product grid of every point is practical for n <= 2 only")
     g = 0.5 * (_envelope_form(psi1) + _envelope_form(psi2))
 
     def f(v):
         return np.conj(psi1.value(v)) * psi2.value(v)
 
-    return _hermite_grid_sum(f, g, nodes)
+    return _hermite_grid_sum(f, _placement(g), nodes)
 
 
 def _with_phase(x) -> tuple:
@@ -519,7 +518,7 @@ def _difference_norm_pointwise(a, b, nodes: int) -> float:
     def f(v):
         return np.abs(pa.value(v) * ha - pb.value(v) * hb) ** 2
 
-    return float(np.sqrt(max(_hermite_grid_sum(f, g, nodes).real, 0.0)))
+    return float(np.sqrt(max(_hermite_grid_sum(f, _placement(g), nodes).real, 0.0)))
 
 
 # ---------------------------------------------------------------------------

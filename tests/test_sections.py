@@ -46,9 +46,11 @@ from siegelflow.sections import (
     _envelope_form,
     _fit_log_quadratic,
     _hermite_grid_sum,
+    _placement,
+    _principal_placement,
 )
 from siegelflow.suites import _refined_oracle, suite_unitarity
-from siegelflow.transport import _halfform_log
+from siegelflow.transport import _halfform_log, transport_uncorrected
 
 from conftest import random_gaussian_section, random_profile, standard_profile
 
@@ -76,12 +78,12 @@ class TestQuadratureOracle:
     def test_unit_gaussian_normalization(self):
         for omega in (I1, diagonal_point([2.5]), random_siegel(np.random.default_rng(1), 2)):
             f = lambda v: np.exp(-np.einsum("...i,ij,...j->...", v, omega.gram_matrix, v))
-            val = _hermite_grid_sum(f, omega.gram_matrix, QUAD_NODES_DEFAULT)
+            val = _hermite_grid_sum(f, _placement(omega.gram_matrix), QUAD_NODES_DEFAULT)
             assert abs(val - 1.0) < 1e-12
 
     def test_odd_integrand_vanishes(self):
         odd = lambda v: (v[..., 0] ** 3 + v[..., 1]) * np.exp(-0.5 * (v**2).sum(axis=-1))
-        val = _hermite_grid_sum(odd, 0.5 * np.eye(2), QUAD_NODES_DEFAULT)
+        val = _hermite_grid_sum(odd, _placement(0.5 * np.eye(2)), QUAD_NODES_DEFAULT)
         assert abs(val) < 1e-14
 
     def test_grids_past_the_largest_supported_count_raise(self):
@@ -106,13 +108,19 @@ class TestQuadratureOracle:
 
 
 def _brute_oracle(p1, p2, nodes):
-    """<p1, p2> with the integrand evaluated at every grid point of the oracle's grid."""
-    g = 0.5 * (_envelope_form(p1) + _envelope_form(p2))
-    return _hermite_grid_sum(lambda v: np.conj(p1.value(v)) * p2.value(v), g, nodes)
+    """<p1, p2> with the integrand evaluated at every grid point of the oracle's grid:
+    the fitted integrand's principal axes for degree-0 pairs, else the mean envelope."""
+    fit = None if p1.degree or p2.degree else _fit_log_quadratic(p1, p2)
+    if fit is None:
+        placement = _placement(0.5 * (_envelope_form(p1) + _envelope_form(p2)))
+    else:
+        placement = _principal_placement(fit)
+    return _hermite_grid_sum(lambda v: np.conj(p1.value(v)) * p2.value(v), placement, nodes)
 
 
 class TestFactorisedOracle:
-    """Degree-0 integrands are summed over the same grid factor by factor."""
+    """Degree-0 integrands are summed on a grid along their principal axes as one
+    product of one-axis sums, which the brute grid reproduces point by point."""
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("nodes", [16, 24, 32])
@@ -122,6 +130,46 @@ class TestFactorisedOracle:
             p2 = random_gaussian_section(rng, random_siegel(rng, n))
             brute = _brute_oracle(p1, p2, nodes)
             assert abs(oracle_inner_product(p1, p2, nodes=nodes) - brute) <= 1e-13 * abs(brute)
+
+    @pytest.mark.parametrize("n, draws", [(1, 4), (2, 1)])
+    def test_principal_axes_match_the_axis_aligned_grid(self, rng, n, draws):
+        # at 64 nodes both rules have converged: every point of the grid whitened
+        # along the coordinate axes gives the same sum
+        for _ in range(draws):
+            p1 = random_gaussian_section(rng, random_siegel(rng, n))
+            p2 = random_gaussian_section(rng, random_siegel(rng, n))
+            fit = _fit_log_quadratic(p1, p2)
+            aligned = _hermite_grid_sum(lambda v: np.exp(fit.log(v)), _placement(-0.5 * fit.q.real), 64)
+            assert abs(oracle_inner_product(p1, p2, nodes=64) - aligned) <= 1e-12 * abs(aligned)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_principal_axes_leave_no_cross_terms(self, rng, n):
+        # the off-diagonal of P^T q P is what the product of one-axis sums drops
+        for _ in range(20):
+            p1 = random_gaussian_section(rng, random_siegel(rng, n))
+            p2 = random_gaussian_section(rng, random_siegel(rng, n))
+            fit = _fit_log_quadratic(p1, p2)
+            p, _ = _principal_placement(fit)
+            q = p.T @ fit.q @ p
+            assert np.abs(q - np.diag(np.diag(q))).max() <= 1e-13 * np.abs(q).max()
+
+    def test_n3_gaussians_match_the_closed_form(self, rng):
+        for _ in range(5):
+            om, omp = random_siegel(rng, 3), random_siegel(rng, 3)
+            p1 = transport_uncorrected(random_gaussian_section(rng, om), omp)
+            p2 = transport_uncorrected(random_gaussian_section(rng, om), omp)
+            closed = inner_product(p1, p2)
+            assert abs(oracle_inner_product(p1, p2, nodes=64) - closed) <= 1e-12 * max(1.0, abs(closed))
+
+    def test_n3_without_a_fit_and_n4_name_their_limits(self, rng, monkeypatch):
+        p1 = random_gaussian_section(rng, random_siegel(rng, 3))
+        p2 = random_gaussian_section(rng, random_siegel(rng, 3))
+        monkeypatch.setattr(sections, "_fit_log_quadratic", lambda psi1, psi2: None)
+        with pytest.raises(ValueError, match="n <= 2"):
+            oracle_inner_product(p1, p2)
+        psi = vacuum(standard_point(4))
+        with pytest.raises(ValueError, match="n <= 3"):
+            oracle_inner_product(psi, psi)
 
     def test_polynomial_section_takes_the_brute_grid(self):
         p1 = GaussianSection(I1, [[-0.2]], [0.1j], 0.0, [0.3, 0.0, 1.0])
@@ -154,10 +202,10 @@ class TestFactorisedOracle:
 
     def test_independent_of_the_closed_forms(self, rng, monkeypatch):
         pairs = []
-        for n in (1, 2):
+        for n, nodes in ((1, 48), (2, 48), (3, 64)):
             p1 = random_gaussian_section(rng, random_siegel(rng, n))
             p2 = random_gaussian_section(rng, random_siegel(rng, n))
-            pairs.append((p1, p2, inner_product_cross_frame(p1, p2)))
+            pairs.append((p1, p2, nodes, inner_product_cross_frame(p1, p2)))
 
         def closed_form_called(*args, **kwargs):
             raise AssertionError("the oracle reached a closed form")
@@ -168,8 +216,8 @@ class TestFactorisedOracle:
                          "exp_bivariate_series", "_poly_gauss_pairing"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, closed_form_called)
-        for p1, p2, closed in pairs:
-            assert abs(oracle_inner_product(p1, p2, nodes=48) - closed) < 1e-12 * max(1.0, abs(closed))
+        for p1, p2, nodes, closed in pairs:
+            assert abs(oracle_inner_product(p1, p2, nodes=nodes) - closed) < 1e-12 * max(1.0, abs(closed))
 
 
 class TestOracleRefinement:
@@ -178,6 +226,25 @@ class TestOracleRefinement:
         # at a fixed 32 nodes these draws were 7.3e-5 and 0.39 off against 1e-5
         rows = suite_unitarity(seed=seed, trials=2, oracle_trials=3, nodes=32)
         assert all(r["passed"] for r in rows)
+
+    def test_chirped_pair_refines_past_the_start(self, monkeypatch):
+        # Im q' has eigenvalues down to -3.3 on the principal axes, where 32 nodes
+        # resolve the chirp to about 1e-5 only
+        m1 = [[-0.54 - 0.67j, -0.15 - 0.03j], [-0.15 - 0.03j, 0.25 + 0.38j]]
+        m2 = [[-0.71 + 0.52j, -0.03 - 0.14j], [-0.03 - 0.14j, -0.2 - 0.34j]]
+        p1 = GaussianSection(standard_point(2), m1, [0.7 - 0.19j, -0.01 - 0.86j], 0.0)
+        p2 = GaussianSection(standard_point(2), m2, [0.0, 0.0], 0.0)
+        closed = inner_product(p1, p2)
+        assert abs(oracle_inner_product(p1, p2, nodes=32) - closed) > 1e-7 * abs(closed)
+        seen = []
+
+        def counting_oracle(psi1, psi2, nodes):
+            seen.append(nodes)
+            return oracle_inner_product(psi1, psi2, nodes=nodes)
+
+        monkeypatch.setattr(suites, "oracle_inner_product", counting_oracle)
+        assert abs(_refined_oracle(p1, p2, 32, 1e-7) - closed) <= 1e-12 * abs(closed)
+        assert seen[0] == 32 and max(seen) > 32
 
     def test_no_agreement_by_eight_times_the_start_raises(self):
         psi = GaussianSection(diagonal_point([30.0]), [[0.5]], [2.0], 0.0)
@@ -371,7 +438,7 @@ class TestOvercompleteness:
                 cw_at_z0 = np.exp(np.conj(w) * z0 - 0.5 * abs(z0) ** 2)
                 return cw_at_z0 * phi_at_w * np.exp(-np.einsum("...i,ij,...j->...", v, g, v))
 
-            val = _hermite_grid_sum(integrand, g, QUAD_NODES_DEFAULT)
+            val = _hermite_grid_sum(integrand, _placement(g), QUAD_NODES_DEFAULT)
             assert abs(val - psi.value(v0)) < 1e-8
 
 

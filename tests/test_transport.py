@@ -36,7 +36,7 @@ from siegelflow import (
 )
 from siegelflow import suites
 from siegelflow.cli import main
-from siegelflow.sections import QUAD_NODES_DEFAULT, _hermite_grid_sum
+from siegelflow.sections import QUAD_NODES_DEFAULT, _hermite_grid_sum, _placement
 from siegelflow.sympl import act_on_siegel
 from siegelflow.transport import (
     _halfform_log,
@@ -260,7 +260,7 @@ class TestKernels:
                     )
                     return holo * kern
 
-                base = _hermite_grid_sum(f, -0.5 * sv.real, QUAD_NODES_DEFAULT)
+                base = _hermite_grid_sum(f, _placement(-0.5 * sv.real), QUAD_NODES_DEFAULT)
                 return (
                     np.exp(log_pref + 0.5 * k22[0, 0] * zp**2 - 0.5 * abs(zp) ** 2) * base
                 )
