@@ -46,6 +46,14 @@ from .errors import NonFiniteError, NotIntegrableError
 _LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
+def _finite(arr: np.ndarray) -> bool:
+    """No inf or NaN entry: z - z is 0 exactly for finite z and NaN otherwise.
+
+    On the few entries of a section or a Gaussian's data this is several
+    times faster than np.isfinite(arr).all(), and it runs in every kernel."""
+    return all(z - z == 0 for z in arr.ravel().tolist())
+
+
 def half_logdet(a: np.ndarray) -> complex:
     """(1/2) log det a for complex symmetric a with Re(a) positive definite.
 
@@ -86,9 +94,13 @@ def integrate_out(S: np.ndarray, L: np.ndarray, ell0: np.ndarray, k: complex):
     ell0 = np.asarray(ell0, dtype=complex).reshape(m)
     L = np.asarray(L, dtype=complex).reshape(m, -1)
     x = _negative_solve(S, np.column_stack([ell0, L]))
-    Q = -L.T @ x[:, 1:]
-    s = complex(k) - 0.5 * complex(ell0 @ x[:, 0]) - half_logdet(-S)
-    return 0.5 * (Q + Q.T), -L.T @ x[:, 0], s
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
+        Q = -L.T @ x[:, 1:]
+        Q, r = 0.5 * (Q + Q.T), -L.T @ x[:, 0]
+        s = complex(k) - 0.5 * complex(ell0 @ x[:, 0]) - half_logdet(-S)
+    if not (_finite(Q) and _finite(r) and s - s == 0):
+        raise NonFiniteError("integrate_out: the integrated Gaussian is not finite")
+    return Q, r, s
 
 
 def exp_bivariate_series(b1, b2, g11, g12, g22, jmax: int, kmax: int) -> np.ndarray:
@@ -136,7 +148,10 @@ def kernel_apply_poly(S, Lmat, ell0, k0, poly, gen_dir):
     out = np.zeros(len(poly), dtype=complex)
     if nz.size:
         rows = generating_poly(r2[0], q2[0, 0], q2[0, 1], nz[-1])
-        out[: nz[-1] + 1] = poly[nz] @ rows[nz]
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
+            out[: nz[-1] + 1] = poly[nz] @ rows[nz]
+        if not _finite(out):
+            raise NonFiniteError("kernel_apply_poly: the pushed polynomial is not finite")
     return q2[1:, 1:], r2[1:], s2, out
 
 
@@ -148,12 +163,16 @@ def generating_poly(beta: complex, gamma: complex, eps: complex, d: int) -> np.n
     """
     rows = np.zeros((d + 1, d + 1), dtype=complex)
     rows[0, 0] = 1.0
-    for k in range(d):
-        nxt = beta * rows[k]
-        nxt[1:] += eps * rows[k, :-1]
-        if k:
-            nxt += k * gamma * rows[k - 1]
-        rows[k + 1] = nxt
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
+        for k in range(d):
+            nxt = beta * rows[k]
+            nxt[1:] += eps * rows[k, :-1]
+            if k:
+                nxt += k * gamma * rows[k - 1]
+            rows[k + 1] = nxt
+    # a non-finite entry of row k makes the same entry of row k + 1 non-finite (0 inf is NaN)
+    if not _finite(rows[-1]):
+        raise NonFiniteError("generating_poly: the rows are not finite")
     return rows
 
 

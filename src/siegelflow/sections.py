@@ -32,7 +32,7 @@ from math import lgamma
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from ._gaussint import _poly_gauss_pairing, exp_bivariate_series, kernel_apply_poly
+from ._gaussint import _finite, _poly_gauss_pairing, exp_bivariate_series, kernel_apply_poly
 from ._point import SiegelPoint
 from .errors import (
     NonFiniteError,
@@ -63,14 +63,6 @@ def _require_frame(what: str, kind: type, *sections) -> None:
         if not isinstance(psi.frame, kind):
             kinds = "Kaehler frames" if kind is SiegelPoint else "polarizations"
             raise ValueError(f"{what} takes sections over {kinds}, not over {psi.frame!r}")
-
-
-def _finite(arr: np.ndarray) -> bool:
-    """No inf or NaN entry: z - z is 0 exactly for finite z and NaN otherwise.
-
-    On the few entries of a section this is several times faster than
-    np.isfinite(arr).all(), and constructors run in every kernel."""
-    return all(z - z == 0 for z in arr.ravel().tolist())
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._point import SiegelPoint, diagonal_point
 from .errors import NotIntegrableError
-from .sympl import MetaplecticElement, SymplecticMap, act_on_siegel, compose
+from .sympl import MetaplecticElement, SymplecticMap, _j0, act_on_siegel, compose
 
 TRANSVERSALITY_TOL = 1e-8
 ENDPOINT_TOL = 1e-8
@@ -43,10 +43,8 @@ def complex_structure_of(omega: SiegelPoint) -> np.ndarray:
 
 
 def symplectic_form_matrix(n: int) -> np.ndarray:
-    """J0 with omega(v, w) = v^T J0 w in stacked (x, y) coordinates."""
-    i = np.eye(n)
-    z = np.zeros((n, n))
-    return np.block([[z, i], [-i, z]])
+    """J0 with omega(v, w) = v^T J0 w in stacked (x, y) coordinates, read-only."""
+    return _j0(n)
 
 
 def takagi(w: np.ndarray):
@@ -99,6 +97,11 @@ class GeodesicSpec:
         return self.lam.size
 
     def endpoint_residual(self) -> float:
+        return self._endpoint_residual
+
+    @cached_property
+    def _endpoint_residual(self) -> float:
+        """max |gamma(0) - Omega|, |gamma(1) - Omega'|, computed once per spec."""
         r0 = np.abs(geodesic_eval(self, 0.0).omega - self.omega_start.omega).max()
         r1 = np.abs(geodesic_eval(self, 1.0).omega - self.omega_end.omega).max()
         return max(r0, r1)

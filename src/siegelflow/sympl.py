@@ -1,14 +1,12 @@
 """Real symplectic linear algebra and metaplectic branch tracking.
 
-Elements of Sp(2n, R) are kept in block form g = (A, B; C, D) acting on
-stacked coordinates (x, y).  The block relations are
-
-    A^T C = C^T A,   B^T D = D^T B,   A^T D - C^T B = I_n,
-
-equivalently g^T J0 g = J0 with J0 = (0, I; -I, 0).  The group acts on the
-Siegel upper half-space by fractional linear transformations
-g . Omega = (A Omega + B)(C Omega + D)^{-1}, and on the holomorphic
-coordinates z_Omega by a unitary matrix.
+An element of Sp(2n, R) is kept as one read-only 2n x 2n matrix
+g = (A, B; C, D) acting on stacked coordinates (x, y); the blocks are views
+into it.  It is checked by g^T J0 g = J0 with J0 = (0, I; -I, 0), whose
+blocks are A^T C = C^T A, B^T D = D^T B and A^T D - C^T B = I_n (twice).
+The group acts on the Siegel upper half-space by fractional linear
+transformations g . Omega = (A Omega + B)(C Omega + D)^{-1}, and on
+the holomorphic coordinates z_Omega by a unitary matrix.
 
 A metaplectic element is a symplectic matrix together with a tracked branch
 of det(conj(C Omega + D))^{1/2}, anchored at a reference point and continued
@@ -20,6 +18,7 @@ closed form (Folland, Harmonic Analysis in Phase Space, ch. 4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -31,55 +30,63 @@ COMPOSE_TOL = 1e-9
 UNITARITY_TOL = 1e-8
 
 
-def _sp_residual(a, b, c, d) -> float:
-    n = a.shape[0]
-    r1 = np.abs(a.T @ c - c.T @ a).max()
-    r2 = np.abs(b.T @ d - d.T @ b).max()
-    r3 = np.abs(a.T @ d - c.T @ b - np.eye(n)).max()
-    return max(r1, r2, r3)
+@lru_cache(maxsize=None)
+def _j0(n: int) -> np.ndarray:
+    """J0 = (0, I; -I, 0), read-only."""
+    j = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(n))
+    j.flags.writeable = False
+    return j
+
+
+def _sp_residual(m: np.ndarray) -> float:
+    """max |m^T J0 m - J0|, the largest violation of any block relation."""
+    j = _j0(m.shape[0] // 2)
+    return float(np.abs(m.T @ j @ m - j).max())
 
 
 @dataclass(frozen=True)
 class SymplecticMap:
-    """Element of Sp(2n, R) in block form (a, b; c, d)."""
+    """Element of Sp(2n, R): ``matrix`` = (a, b; c, d), the blocks views into it."""
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     d: np.ndarray
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        blocks = []
-        for name in ("a", "b", "c", "d"):
-            m = np.atleast_2d(np.asarray(getattr(self, name), dtype=float)).copy()
-            m.flags.writeable = False
-            object.__setattr__(self, name, m)
-            blocks.append(m)
-        scale = max(1.0, max(np.abs(m).max() for m in blocks) ** 2)
-        res = _sp_residual(*blocks)
-        if res > CONSTRUCTION_TOL * scale:
-            raise SpRelationViolatedError(
-                f"block relations violated: residual {res:.3e} (scale {scale:.1e})"
-            )
+        blocks = [np.atleast_2d(np.asarray(x, dtype=float)) for x in (self.a, self.b, self.c, self.d)]
+        n = blocks[0].shape[0]
+        if any(x.shape != (n, n) for x in blocks):
+            raise ValueError(f"blocks must all be {n} x {n}, got {[x.shape for x in blocks]}")
+        m = np.empty((2 * n, 2 * n))
+        m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:] = blocks
+        self._store(m)
+
+    def _store(self, m: np.ndarray, tol=CONSTRUCTION_TOL, what="block relations violated") -> "SymplecticMap":
+        """Check ``m``, owned by this map, to ``tol`` of its scale; freeze it and set the views."""
+        amax = np.abs(m).max()
+        scale = max(1.0, amax**2)
+        res = _sp_residual(m) if amax < np.inf else np.nan
+        if not res <= tol * scale:  # also NaN, as for any non-finite entry
+            raise SpRelationViolatedError(f"{what}: residual {res:.3e} (scale {scale:.1e})")
+        m.flags.writeable = False
+        n = m.shape[0] // 2
+        for name, view in zip(("matrix", "a", "b", "c", "d"), (m, m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:])):
+            object.__setattr__(self, name, view)
+        return self
 
     @classmethod
     def identity(cls, n: int) -> "SymplecticMap":
-        i, z = np.eye(n), np.zeros((n, n))
-        return cls(i, z, z, i)
+        return object.__new__(cls)._store(np.eye(2 * n))
 
     @classmethod
     def from_matrix(cls, m) -> "SymplecticMap":
-        m = np.asarray(m, dtype=float)
-        n = m.shape[0] // 2
-        return cls(m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:])
+        return object.__new__(cls)._store(np.array(m, dtype=float))
 
     @property
     def n(self) -> int:
         return self.a.shape[0]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.block([[self.a, self.b], [self.c, self.d]])
 
     def inverse(self) -> "SymplecticMap":
         return SymplecticMap(self.d.T, -self.b.T, -self.c.T, self.a.T)
@@ -92,23 +99,8 @@ class SymplecticMap:
 
 
 def compose(g1: SymplecticMap, g2: SymplecticMap) -> SymplecticMap:
-    """Matrix product g1 g2, re-checked against the block relations."""
-    a = g1.a @ g2.a + g1.b @ g2.c
-    b = g1.a @ g2.b + g1.b @ g2.d
-    c = g1.c @ g2.a + g1.d @ g2.c
-    d = g1.c @ g2.b + g1.d @ g2.d
-    scale = max(1.0, max(np.abs(m).max() for m in (a, b, c, d)) ** 2)
-    res = _sp_residual(a, b, c, d)
-    if res > COMPOSE_TOL * scale:
-        raise SpRelationViolatedError(
-            f"composition left the group: residual {res:.3e}"
-        )
-    # skip the (tighter) construction check; the product was just verified
-    obj = object.__new__(SymplecticMap)
-    for name, m in zip("abcd", (a, b, c, d)):
-        m.flags.writeable = False
-        object.__setattr__(obj, name, m)
-    return obj
+    """Matrix product g1 g2, re-checked against the symplectic relation."""
+    return object.__new__(SymplecticMap)._store(g1.matrix @ g2.matrix, COMPOSE_TOL, "composition left the group")
 
 
 def act_on_siegel(g: SymplecticMap, omega: SiegelPoint) -> SiegelPoint:
@@ -195,6 +187,11 @@ class MetaplecticElement:
         return complex(phase / abs(phase))
 
     def inverse(self) -> "MetaplecticElement":
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "MetaplecticElement":
+        """The inverse lift, built once per element."""
         ginv = self.g.inverse()
         pre = act_on_siegel(ginv, self.reference)
         branch = 1.0 / self.phase_at(pre)
@@ -211,21 +208,22 @@ class MetaplecticElement:
 def random_symplectic(rng: np.random.Generator, n: int) -> SymplecticMap:
     """Random element built from exactly symplectic factors.
 
-    Two rounds of three factors: a block-embedded unitary (A = Re u, B = Im u),
+    Two rounds of three factors, each a 2n x 2n matrix checked on its own
+    and then multiplied in: a block-embedded unitary (A = Re u, B = Im u),
     a positive diagonal squeeze diag(d, 1/d) and an upper shear (I, S; 0, I)
     with S symmetric.  Products of these span the group.
     """
     g = SymplecticMap.identity(n)
-    z = np.zeros((n, n))
     for _ in range(2):
         q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
         g = compose(g, SymplecticMap(u.real, u.imag, -u.imag, u.real))
         d = np.exp(rng.uniform(-0.7, 0.7, size=n))
-        g = compose(g, SymplecticMap(np.diag(d), z, z, np.diag(1.0 / d)))
+        g = compose(g, SymplecticMap.from_matrix(np.diag(np.concatenate([d, 1.0 / d]))))
         s = rng.normal(size=(n, n))
-        s = 0.5 * (s + s.T)
-        g = compose(g, SymplecticMap(np.eye(n), s, z, np.eye(n)))
+        shear = np.eye(2 * n)
+        shear[:n, n:] = 0.5 * (s + s.T)
+        g = compose(g, SymplecticMap.from_matrix(shear))
     return g
 
 

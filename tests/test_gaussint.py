@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 from math import factorial
 
@@ -7,12 +8,15 @@ import pytest
 from _reference import integrate_out_per_column, poly_gauss_pairing_loop
 from siegelflow import (
     GaussianSection,
+    NonFiniteError,
     SiegelPoint,
     bergman_project,
+    diagonal_point,
     from_fock_coefficients,
     inner_product,
     random_siegel,
     standard_point,
+    transport_uncorrected,
 )
 from siegelflow._gaussint import (
     _poly_gauss_pairing,
@@ -188,3 +192,25 @@ def test_integrate_out_is_one_solve_matching_one_solve_per_column(monkeypatch):
         want = integrate_out_per_column(s, lmat, ell0, kk)
         for x, y in zip(got, want):
             assert np.abs(np.asarray(x) - y).max() <= 1e-14 * max(1.0, np.abs(y).max())
+
+
+def test_overflowing_pushes_raise_in_the_primitive_without_a_warning():
+    # b and coefficients up to 1e300: the push overflows inside one of three
+    # primitives, which raises naming itself before numpy can warn
+    rng = np.random.default_rng(2400)
+
+    def big(size):
+        return rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(0, 300, size) + 1j * 10.0 ** rng.uniform(0, 300, size)
+
+    raised = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(300):
+            psi = GaussianSection(standard_point(1), [[0.3]], big(1), 0.0, big(int(rng.integers(1, 7))))
+            try:
+                out = transport_uncorrected(psi, diagonal_point([2.0]))
+            except NonFiniteError as exc:
+                raised.add(str(exc).split(":")[0])
+            else:
+                assert np.isfinite(out.coeffs).all() and np.isfinite(out.c)
+    assert raised == {"integrate_out", "kernel_apply_poly", "generating_poly"}

@@ -18,6 +18,7 @@ from siegelflow import (
     standard_point,
     takagi,
 )
+from siegelflow import siegel
 from siegelflow.siegel import TRANSVERSALITY_TOL, GeodesicSpec, symplectic_form_matrix
 from siegelflow.sympl import act_on_siegel, compose
 
@@ -125,6 +126,16 @@ class TestGeodesics:
             a = geodesic_eval(fwd, t)
             b = geodesic_eval(bwd, 1.0 - t)
             assert np.abs(a.omega - b.omega).max() < 1e-8
+
+
+    def test_endpoint_residual_is_computed_once(self, rng, monkeypatch):
+        # the guard in geodesic_between and the caller's report share one computation
+        times = []
+        monkeypatch.setattr(siegel, "geodesic_eval", lambda spec, t: times.append(t) or geodesic_eval(spec, t))
+        spec = geodesic_between(random_siegel(rng, 2), random_siegel(rng, 2))
+        first = spec.endpoint_residual()
+        assert spec.endpoint_residual() == first
+        assert times == [0.0, 1.0]
 
 
 class TestMetric:

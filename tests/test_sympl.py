@@ -1,12 +1,17 @@
+import warnings
+from functools import cached_property
+
 import numpy as np
 import pytest
 
 from siegelflow import (
+    BoundaryPolarization,
     MetaplecticElement,
     SpRelationViolatedError,
     SymplecticMap,
     act_on_siegel,
     compose,
+    composition_identities_check,
     diagonal_point,
     random_siegel,
     random_symplectic,
@@ -14,6 +19,8 @@ from siegelflow import (
     transform_z_coords,
     xi_matrix,
 )
+from siegelflow import sympl
+from siegelflow.sympl import _sp_residual
 
 from _reference import BranchDiscontinuityError, continue_sqrt_phase
 
@@ -46,6 +53,96 @@ class TestSymplecticMap:
     def test_invalid_blocks_rejected(self):
         with pytest.raises(SpRelationViolatedError):
             SymplecticMap([[1.0]], [[0.5]], [[0.5]], [[1.0]])
+
+
+def _block_relations(a, b, c, d) -> list:
+    """Residuals of A^T C = C^T A, B^T D = D^T B and A^T D - C^T B = I."""
+    n = a.shape[0]
+    return [
+        np.abs(a.T @ c - c.T @ a).max(),
+        np.abs(b.T @ d - d.T @ b).max(),
+        np.abs(a.T @ d - c.T @ b - np.eye(n)).max(),
+    ]
+
+
+def _fresh_maps(rng, n):
+    """One map from each way of making one."""
+    g1, g2 = random_symplectic(rng, n), random_symplectic(rng, n)
+    return [SymplecticMap(g1.a, g1.b, g1.c, g1.d), SymplecticMap.from_matrix(g2.matrix),
+            SymplecticMap.identity(n), compose(g1, g2), g1.inverse()]
+
+
+class TestOneMatrix:
+    def test_residual_is_the_largest_block_relation(self):
+        rng = np.random.default_rng(2424)
+        for i in range(200):
+            n = 1 + i % 3
+            m = random_symplectic(rng, n).matrix
+            # off the group too, where the relations are far above rounding
+            for noise in (0.0, 1e-6):
+                p = m + noise * rng.normal(size=m.shape)
+                scale = max(1.0, np.abs(p).max() ** 2)
+                blocks = p[:n, :n], p[:n, n:], p[n:, :n], p[n:, n:]
+                assert abs(_sp_residual(p) - max(_block_relations(*blocks))) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("block, which", [("c", 0), ("b", 1), ("d", 2)])
+    def test_each_block_relation_alone_is_checked(self, block, which):
+        # a diagonal squeeze: one entry of c, b or d moves exactly one relation
+        t = np.diag([3.0, 0.5])
+        blocks = {"a": t, "b": np.zeros((2, 2)), "c": np.zeros((2, 2)), "d": np.linalg.inv(t)}
+        scale = max(1.0, np.abs(t).max() ** 2)
+        blocks[block] = blocks[block] + 1e-9 * scale * np.eye(2, k=1)
+        rel = _block_relations(blocks["a"], blocks["b"], blocks["c"], blocks["d"])
+        assert [r > 1e-9 for r in rel] == [i == which for i in range(3)]
+        with pytest.raises(SpRelationViolatedError):
+            SymplecticMap(**blocks)
+        with pytest.raises(SpRelationViolatedError):
+            SymplecticMap.from_matrix(np.block([[blocks["a"], blocks["b"]], [blocks["c"], blocks["d"]]]))
+
+    def test_compose_is_one_checked_matmul(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 3):
+            g1, g2 = random_symplectic(rng, n), random_symplectic(rng, n)
+            assert np.array_equal(compose(g1, g2).matrix, g1.matrix @ g2.matrix)
+            monkeypatch.setattr(sympl, "COMPOSE_TOL", 0.0)
+            with pytest.raises(SpRelationViolatedError):
+                compose(g1, g2)
+            monkeypatch.undo()
+
+    def test_inverse_is_the_block_formula(self, rng):
+        for n in (1, 2, 3):
+            g = random_symplectic(rng, n)
+            assert np.array_equal(g.inverse().matrix, np.block([[g.d.T, -g.b.T], [-g.c.T, g.a.T]]))
+
+    def test_matrix_and_blocks_are_read_only_views(self, rng):
+        for n in (1, 2):
+            for g in _fresh_maps(rng, n):
+                blocks = (g.a, g.b, g.c, g.d)
+                assert np.array_equal(g.matrix, np.block([[g.a, g.b], [g.c, g.d]]))
+                for arr in (g.matrix, *blocks):
+                    assert not arr.flags.writeable
+                    with pytest.raises(ValueError):
+                        arr[0, 0] = 1.0
+                assert all(np.shares_memory(x, g.matrix) for x in blocks)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected_without_a_warning(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpRelationViolatedError):
+                SymplecticMap.from_matrix([[bad, 0.0], [0.0, 1.0]])
+            with pytest.raises(SpRelationViolatedError):
+                SymplecticMap([[1.0]], [[bad]], [[0.0]], [[1.0]])
+
+    def test_from_matrix_copies_its_input(self):
+        m = np.eye(2)
+        g = SymplecticMap.from_matrix(m)
+        m[0, 1] = 5.0
+        assert np.array_equal(g.matrix, np.eye(2))
+
+    def test_blocks_of_unequal_shape_rejected(self):
+        with pytest.raises(ValueError, match="blocks must all be 2 x 2"):
+            SymplecticMap(np.eye(2), 0.0, 0.0, np.eye(2))
 
 
 class TestSiegelAction:
@@ -147,6 +244,25 @@ class TestMetaplectic:
         mp = MetaplecticElement.principal_lift(g)
         om = random_siegel(rng, 1)
         assert abs(mp.phase_at(act_on_siegel(g.inverse(), om)) * mp.inverse().phase_at(om) - 1) < 1e-10
+
+    def test_inverse_is_built_once(self, rng):
+        mp = MetaplecticElement.principal_lift(random_symplectic(rng, 2))
+        assert mp.inverse() is mp.inverse()
+        pos = BoundaryPolarization.position(2)
+        assert pos.reference.inverse() is BoundaryPolarization.position(2).reference.inverse()
+
+    def test_identity_check_computes_one_inverse_per_target(self, monkeypatch):
+        # five inverse pairing maps onto two polarizations need two inverse lifts
+        built = []
+        compute = MetaplecticElement.__dict__["_inverse"].func
+        prop = cached_property(lambda self: built.append(self) or compute(self))
+        prop.__set_name__(MetaplecticElement, "_inverse")
+        monkeypatch.setattr(MetaplecticElement, "_inverse", prop)
+        pols = [BoundaryPolarization.from_span([[1.0], [s]]) for s in (0.0, 0.8, -1.3)]
+        rng = np.random.default_rng(3)
+        composition_identities_check(random_siegel(rng, 1), random_siegel(rng, 1), *pols)
+        assert len(built) == 2
+        assert {id(mp) for mp in built} == {id(pols[1].reference), id(pols[2].reference)}
 
     def test_branch_discontinuity_on_coarse_path(self):
         with pytest.raises(BranchDiscontinuityError):

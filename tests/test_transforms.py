@@ -373,6 +373,7 @@ class TestCompositionIdentities:
             BoundaryPolarization.momentum(1),
             BoundaryPolarization.from_span([[1.0], [0.8]]),
         )
+        composition_identities_check(*frames)  # fills the frames' cached inverse lifts
         counts = []
         for profiles in (default_test_profiles()[:1], default_test_profiles()):
             monkeypatch.setattr(transforms, "default_test_profiles", lambda p=profiles: p)
