@@ -32,6 +32,10 @@ primitives:
 
 The series are evaluated one order at a time, each order after the first
 column of ``exp_bivariate_series`` as one numpy vector operation.
+
+``integrate_out`` and ``kernel_apply_poly`` take a leading stack axis: S (..., m, m),
+ell0 (..., m), k (...) and polynomials zero-padded to one length, L and gen_dir
+shared; one eigvalsh, solve and eigvals serve the stack, which raises if an entry would.
 """
 
 from __future__ import annotations
@@ -65,12 +69,12 @@ def half_logdet(a: np.ndarray) -> complex:
         raise NotIntegrableError(
             f"quadratic form not positive: min Re(eig) = {w.real.min():.3e}"
         )
-    return 0.5 * complex(np.sum(np.log(w)))
+    return 0.5 * np.log(w).sum(-1)
 
 
 def _negative_solve(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """S^{-1} rhs, once the real part of S is checked negative definite."""
-    if np.linalg.eigvalsh(0.5 * (S.real + S.real.T)).max() >= 0:
+    if np.linalg.eigvalsh(0.5 * (S.real + np.swapaxes(S.real, -1, -2))).max() >= 0:
         raise NotIntegrableError("real part of the quadratic form is not negative definite")
     return np.linalg.solve(S, rhs)
 
@@ -90,15 +94,16 @@ def integrate_out(S: np.ndarray, L: np.ndarray, ell0: np.ndarray, k: complex):
     with S takes ell0 and the columns of L together.
     """
     S = np.atleast_2d(S)
-    m = S.shape[0]
-    ell0 = np.asarray(ell0, dtype=complex).reshape(m)
-    L = np.asarray(L, dtype=complex).reshape(m, -1)
-    x = _negative_solve(S, np.column_stack([ell0, L]))
+    ell0 = np.asarray(ell0, dtype=complex).reshape(S.shape[:-1])
+    L = np.asarray(L, dtype=complex).reshape(S.shape[-1], -1)
+    rhs = np.empty(S.shape[:-1] + (1 + L.shape[1],), dtype=complex)
+    rhs[..., 0], rhs[..., 1:] = ell0, L
+    x = _negative_solve(S, rhs)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
-        Q = -L.T @ x[:, 1:]
-        Q, r = 0.5 * (Q + Q.T), -L.T @ x[:, 0]
-        s = complex(k) - 0.5 * complex(ell0 @ x[:, 0]) - half_logdet(-S)
-    if not (_finite(Q) and _finite(r) and s - s == 0):
+        Q = -L.T @ x[..., 1:]
+        Q, r = 0.5 * (Q + np.swapaxes(Q, -1, -2)), -x[..., 0] @ L
+        s = k - 0.5 * (ell0[..., None, :] @ x[..., :1])[..., 0, 0] - half_logdet(-S)
+    if not (_finite(Q) and _finite(r) and _finite(np.asarray(s))):
         raise NonFiniteError("integrate_out: the integrated Gaussian is not finite")
     return Q, r, s
 
@@ -132,27 +137,26 @@ def kernel_apply_poly(S, Lmat, ell0, k0, poly, gen_dir):
     Returns (Q, r, s, poly_out) describing
     exp((1/2) w^T Q w + r^T w + s) * poly_out(w); polynomial factors are
     supported for a single output variable only (len(w) == 1) via a
-    generating parameter in the gen_dir direction.
+    generating parameter in the gen_dir direction.  poly_out has poly's shape.
     """
     poly = np.atleast_1d(np.asarray(poly, dtype=complex))
-    if len(poly) == 1:
+    if poly.shape[-1] == 1:
         q, r, s = integrate_out(S, Lmat, ell0, k0)
-        return q, r, s + np.log(poly[0]), np.array([1.0 + 0.0j])
-    Lmat = np.asarray(Lmat, dtype=complex).reshape(len(ell0), -1)
+        return q, r, s + np.log(poly[..., 0]), np.ones(poly.shape, dtype=complex)
+    Lmat = np.asarray(Lmat, dtype=complex).reshape(np.shape(S)[-1], -1)
     if Lmat.shape[1] != 1:
         raise ValueError("polynomial kernels support a single output variable")
     l2 = np.column_stack([np.asarray(gen_dir, dtype=complex), Lmat[:, 0]])
     q2, r2, s2 = integrate_out(S, l2, ell0, k0)
-    # only the rows of nonzero coefficients enter: zero times an overflowed row is NaN
-    nz = np.flatnonzero(poly)
-    out = np.zeros(len(poly), dtype=complex)
-    if nz.size:
-        rows = generating_poly(r2[0], q2[0, 0], q2[0, 1], nz[-1])
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
-            out[: nz[-1] + 1] = poly[nz] @ rows[nz]
-        if not _finite(out):
-            raise NonFiniteError("kernel_apply_poly: the pushed polynomial is not finite")
-    return q2[1:, 1:], r2[1:], s2, out
+    # only the rows of nonzero coefficients enter, up to each entry's last: zero times an overflowed row is NaN
+    nz = poly != 0
+    rows = generating_poly(r2[..., 0], q2[..., 0, 0], q2[..., 0, 1], (nz * np.arange(poly.shape[-1])).max(-1))
+    out, d = np.zeros(poly.shape, dtype=complex), rows.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
+        out[..., :d] = (poly[..., None, :d] @ np.where(nz[..., :d, None], rows, 0))[..., 0, :]
+    if not _finite(out):
+        raise NonFiniteError("kernel_apply_poly: the pushed polynomial is not finite")
+    return q2[..., 1:, 1:], r2[..., 1:], s2, out
 
 
 def generating_poly(beta: complex, gamma: complex, eps: complex, d: int) -> np.ndarray:
@@ -160,20 +164,22 @@ def generating_poly(beta: complex, gamma: complex, eps: complex, d: int) -> np.n
 
     Row k holds the ascending coefficients of G_k in w (zero past w^k), from
     G_{k+1} = (beta + eps w) G_k + k gamma G_{k-1}, one row operation per order.
+    Stacked, beta, gamma, eps and d (...) give rows (..., D + 1, D + 1), D = max d.
     """
-    rows = np.zeros((d + 1, d + 1), dtype=complex)
+    d = np.asarray(d)
+    rows = np.zeros((d.max() + 1,) * 2 + np.shape(beta), dtype=complex)  # stack axes last until returned
     rows[0, 0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
-        for k in range(d):
+        for k in range(len(rows) - 1):
             nxt = beta * rows[k]
             nxt[1:] += eps * rows[k, :-1]
             if k:
                 nxt += k * gamma * rows[k - 1]
             rows[k + 1] = nxt
-    # a non-finite entry of row k makes the same entry of row k + 1 non-finite (0 inf is NaN)
-    if not _finite(rows[-1]):
+    # a non-finite entry of row k makes the same entry of row k + 1 non-finite (0 inf is NaN); each entry has its own d
+    if not _finite(rows[-1]) and not _finite(np.take_along_axis(rows, d[None, None], 0)):
         raise NonFiniteError("generating_poly: the rows are not finite")
-    return rows
+    return rows.transpose(tuple(range(2, rows.ndim)) + (0, 1))
 
 
 def _poly_gauss_pairing(S, ell, k, a, b, p1, p2) -> complex:

@@ -212,18 +212,31 @@ def bergman_project(psi: GaussianSection, omega_p: SiegelPoint) -> GaussianSecti
     holomorphic for Omega'.  A polynomial factor is pushed through the
     kernel along the source z-direction.
     """
-    return _project(psi, omega_p, 0.0)
+    return _project([psi], omega_p, 0.0)[0]
 
 
-def _project(psi: GaussianSection, omega_p: SiegelPoint, log_scale: float) -> GaussianSection:
-    """``bergman_project(psi, omega_p)`` times exp(log_scale), built once."""
-    _same_space(psi.frame, omega_p)
-    s_psi, l_psi, k_psi = psi.real_quadratic()
-    gen_dir = psi.frame.coord_matrix[0] if psi.degree else None
-    q, r, c, poly = kernel_apply_poly(
-        s_psi - omega_p.gram_matrix, omega_p.coord_matrix.conj().T, l_psi, k_psi, psi.coeffs, gen_dir
-    )
-    return GaussianSection(omega_p, q, r, c + log_scale, poly)
+def _project(psis, omega_p: SiegelPoint, log_scale: float) -> list[GaussianSection]:
+    """``bergman_project(psi, omega_p)`` times exp(log_scale) for each of ``psis``."""
+    frame = psis[0].frame
+    _same_space(frame, omega_p)
+    quad, cross = (-frame.gram_matrix, -omega_p.gram_matrix), omega_p.coord_matrix.conj().T
+    return _kernel_push(psis, frame.coord_matrix, quad, cross, omega_p, 0.0, [log_scale] * len(psis))
+
+
+def _kernel_push(psis, e, quad, cross, target, m_add, c_adds) -> list[GaussianSection]:
+    """Sections over one frame object (else ValueError) through one stacked ``kernel_apply_poly``, quadratic
+    sym(E^T m E + inner) + outer for (inner, outer) = quad; each result built once over ``target``, plus m_add
+    and its c_add, its polynomial cut to the input's degree (the rows are lower-triangular)."""
+    if any(psi.frame is not psis[0].frame for psi in psis):
+        raise ValueError(f"a stack takes sections over one frame object, not {[psi.frame for psi in psis]!r}")
+    coeffs = np.zeros((len(psis), 1 + max(psi.degree for psi in psis)), dtype=complex)
+    for row, psi in zip(coeffs, psis):
+        row[: psi.degree + 1] = psi.coeffs
+    s = e.T @ np.array([psi.m for psi in psis]) @ e + quad[0]
+    b, c = np.array([psi.b for psi in psis]) @ e, np.array([psi.c for psi in psis])
+    q, r, c, poly = kernel_apply_poly(0.5 * (s + np.swapaxes(s, -1, -2)) + quad[1], cross, b, c, coeffs, e[0])
+    out = zip(psis, q, r, c + np.asarray(c_adds), poly)
+    return [GaussianSection(target, qi + m_add, ri, ci, pi[: psi.degree + 1]) for psi, qi, ri, ci, pi in out]
 
 
 @dataclass(frozen=True)
@@ -307,6 +320,18 @@ def _hermite_table(nodes: int):
     return u, logw
 
 
+@lru_cache(maxsize=8)
+def _hermite_grid(nodes: int, dims: int):
+    """(points, log weights, weights) of the tensor Gauss-Hermite grid over ``dims`` axes, read-only."""
+    u, logw = _hermite_table(nodes)
+    pts = np.stack([gr.ravel() for gr in np.meshgrid(*([u] * dims), indexing="ij")], axis=-1)
+    lw = np.stack(np.meshgrid(*([logw] * dims), indexing="ij"), axis=-1).sum(-1).ravel()
+    out = pts, lw, np.exp(lw)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class _LogQuadratic:
     """The integrand exp((1/2) v^T q v + l^T v + k), which the grid sums axis by axis."""
@@ -356,18 +381,15 @@ def _hermite_grid_sum(f, placement: tuple, nodes: int) -> complex:
         diag = np.einsum("ji,jk,ki->i", p, f.q, p)
         phi = np.exp(0.5 * diag[:, None] * u**2 + (f.l @ p)[:, None] * u + logw)
         total = complex(np.prod(phi.sum(axis=1))) * np.exp(f.k)
+    elif m <= 2:
+        pts, _, w = _hermite_grid(nodes, m)
+        total = complex((f(pts @ p.T) * w).sum())
     else:
-        head = m if m <= 2 else m - 1
-        grids = np.meshgrid(*([u] * head), indexing="ij")
-        pts = np.stack([gr.ravel() for gr in grids], axis=-1)
-        lw = np.stack(np.meshgrid(*([logw] * head), indexing="ij"), axis=-1).sum(-1).ravel()
-        if m <= 2:
-            total = complex((f(pts @ p.T) * np.exp(lw)).sum())
-        else:
-            total = 0.0 + 0.0j
-            for uj, lj in zip(u, logw):
-                sl = np.concatenate([np.full((pts.shape[0], 1), uj), pts], axis=1)
-                total += complex((f(sl @ p.T) * np.exp(lj + lw)).sum())
+        pts, lw, _ = _hermite_grid(nodes, m - 1)
+        total = 0.0 + 0.0j
+        for uj, lj in zip(u, logw):
+            sl = np.concatenate([np.full((pts.shape[0], 1), uj), pts], axis=1)
+            total += complex((f(sl @ p.T) * np.exp(lj + lw)).sum())
     return total * det * (2 * np.pi) ** (-0.5 * m)
 
 

@@ -21,12 +21,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._gaussint import half_logdet, kernel_apply_poly
+from ._gaussint import half_logdet
 from ._point import SiegelPoint, diagonal_point, standard_point
 from .errors import TruncationOverflowError
 from .sections import (
     CorrectedSection,
     GaussianSection,
+    _kernel_push,
     _project,
     bergman_project,  # noqa: F401  unused here, but perfbench/tracer.py wraps it under this name
     coherent_state,
@@ -88,9 +89,10 @@ def _one_space(f1, f2) -> None:
 
 class _XiKernel:
     """The Xi kernel from Omega to Omega' (either may be a ``BoundaryPolarization``),
-    its frame work done once.  ``apply(psi, log_pref)`` builds the one section
-    psi pushed to Omega' with the prefactor exp(-log_pref), ``log_h.real`` or
-    ``conj(log_h)``.  Two unitary coordinate changes fold in exactly: ``t_in``
+    its frame work done once.  ``apply_all(psis, log_prefs)`` pushes sections over one
+    frame object to Omega' in one stacked kernel, each with the prefactor exp(-log_pref),
+    ``log_h.real`` or ``conj(log_h)``; ``apply(psi, log_pref)`` is a stack of one.
+    Two unitary coordinate changes fold in exactly: ``t_in``
     for psi over a frame with z = t_in z_Omega (E -> t_in E), and ``out =
     (target, t)`` for a result over ``target`` with z_Omega' = t z'' (K12 -> K12 t,
     K22 -> t^T K22 t, as t^T (-L^T S^{-1} L) t = -(L t)^T S^{-1} (L t); for n = 1
@@ -108,12 +110,11 @@ class _XiKernel:
         self._cross = ebar.T @ k12 @ t
 
     def apply(self, psi: GaussianSection, log_pref: complex) -> GaussianSection:
-        e = self._e
-        s = e.T @ psi.m @ e + self._frame_quad
-        s = 0.5 * (s + s.T)
-        q, r, c, poly = kernel_apply_poly(s, self._cross, e.T @ psi.b, psi.c, psi.coeffs, e[0])
-        m_out = q + self._k22
-        return GaussianSection(self.target, 0.5 * (m_out + m_out.T), r, c - log_pref, poly)
+        return self.apply_all([psi], [log_pref])[0]
+
+    def apply_all(self, psis, log_prefs) -> list[GaussianSection]:
+        neg = [-x for x in log_prefs]
+        return _kernel_push(psis, self._e, (self._frame_quad, 0.0), self._cross, self.target, self._k22, neg)
 
 
 def transport_coherent(alpha, omega: SiegelPoint, omega_p: SiegelPoint) -> GaussianSection:
@@ -145,7 +146,7 @@ def bogoliubov_scale_via_structures(omega: SiegelPoint, omega_p: SiegelPoint) ->
 
 def transport_uncorrected(psi: GaussianSection, omega_p: SiegelPoint) -> GaussianSection:
     """U psi = alpha(Omega, Omega') P psi for any Gaussian(-polynomial) section."""
-    return _project(psi, omega_p, _halfform_log(psi.frame, omega_p).real)
+    return _project([psi], omega_p, _halfform_log(psi.frame, omega_p).real)[0]
 
 
 def transport_corrected(psihat: CorrectedSection, omega_p: SiegelPoint) -> CorrectedSection:
@@ -154,9 +155,14 @@ def transport_corrected(psihat: CorrectedSection, omega_p: SiegelPoint) -> Corre
     The transported half-form pairing, with its root continued along the
     geodesic, supplies both the Bogoliubov scale (its modulus) and the
     correction phase (its argument)."""
-    log_h = _halfform_log(psihat.frame, omega_p)
-    section = _project(psihat.section, omega_p, log_h.real)
-    return CorrectedSection(section, np.exp(1j * log_h.imag) * psihat.halfform_phase)
+    return _transport_corrected_all([psihat], omega_p)[0]
+
+
+def _transport_corrected_all(psihats, omega_p: SiegelPoint) -> list[CorrectedSection]:
+    """``transport_corrected`` of sections over one frame object: one half-form root, one stacked projection."""
+    log_h = _halfform_log(psihats[0].frame, omega_p)
+    sections = _project([p.section for p in psihats], omega_p, log_h.real)
+    return [CorrectedSection(s, np.exp(1j * log_h.imag) * p.halfform_phase) for s, p in zip(sections, psihats)]
 
 
 def transport_equals_scaled_projection_check(alpha, omega: SiegelPoint, omega_p: SiegelPoint) -> float:

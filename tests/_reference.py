@@ -5,7 +5,7 @@ library computes another way (a sampled det^{1/2} continuation, the
 standard-geodesic closed form of coherent transport, explicit ladder and
 deformation matrices, a term-by-term Gaussian-polynomial pairing, the
 pairing maps as three separate constructions, a Gaussian integral with one
-solve per right-hand side).
+solve per right-hand side, a quadrature grid built on every call).
 ``test_branches`` asserts that no name defined here is also an attribute
 of a ``siegelflow`` module.
 """
@@ -16,6 +16,7 @@ import numpy as np
 
 from siegelflow import CorrectedSection, GaussianSection, act_on_siegel, diagonal_point, transform_z_coords
 from siegelflow._gaussint import gauss_log_integral
+from siegelflow.sections import _hermite_table
 from siegelflow.transport import _XiKernel
 
 
@@ -147,3 +148,22 @@ def inverse_pairing_in_three_steps(psihat: CorrectedSection, polarization) -> Co
     kernel = _XiKernel(pulled, polarization)
     phase = back.phase_at(psihat.frame) * psihat.halfform_phase
     return CorrectedSection(kernel.apply(moved, np.conj(kernel.log_h)).scaled(phase / abs(phase)))
+
+
+def grid_sum_built_per_call(f, placement: tuple, nodes: int) -> complex:
+    """The tensor Gauss-Hermite sum of a callable f on the grid v = P u, with the
+    grid's points and weights built from the node table on every call."""
+    p, det = placement
+    m = p.shape[0]
+    u, logw = _hermite_table(nodes)
+    head = m if m <= 2 else m - 1
+    pts = np.stack([gr.ravel() for gr in np.meshgrid(*([u] * head), indexing="ij")], axis=-1)
+    lw = np.stack(np.meshgrid(*([logw] * head), indexing="ij"), axis=-1).sum(-1).ravel()
+    if m <= 2:
+        total = complex((f(pts @ p.T) * np.exp(lw)).sum())
+    else:
+        total = 0.0 + 0.0j
+        for uj, lj in zip(u, logw):
+            sl = np.concatenate([np.full((pts.shape[0], 1), uj), pts], axis=1)
+            total += complex((f(sl @ p.T) * np.exp(lj + lw)).sum())
+    return total * det * (2 * np.pi) ** (-0.5 * m)

@@ -9,6 +9,7 @@ from _reference import integrate_out_per_column, poly_gauss_pairing_loop
 from siegelflow import (
     GaussianSection,
     NonFiniteError,
+    NotIntegrableError,
     SiegelPoint,
     bergman_project,
     diagonal_point,
@@ -24,6 +25,7 @@ from siegelflow._gaussint import (
     gauss_log_integral,
     generating_poly,
     integrate_out,
+    kernel_apply_poly,
 )
 from siegelflow.sections import _half_log_factorials
 from siegelflow.suites import _random_gaussian_section
@@ -214,3 +216,91 @@ def test_overflowing_pushes_raise_in_the_primitive_without_a_warning():
             else:
                 assert np.isfinite(out.coeffs).all() and np.isfinite(out.c)
     assert raised == {"integrate_out", "kernel_apply_poly", "generating_poly"}
+
+
+def _stack_args(rng, size, m, degrees):
+    """A stack of ``size`` pushes through one kernel over m variables: S (size, m, m)
+    with negative definite real part, ell0 (size, m), k (size,), and polynomials of
+    the given degrees zero-padded to one length, the constant 1 for degree 0 as a
+    section stores it; L and gen_dir shared."""
+    s = []
+    for _ in range(size):
+        a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        s.append(0.5j * (lambda x: x + x.T)(rng.normal(size=(m, m))) - (a @ a.conj().T).real - 0.3 * np.eye(m))
+    polys = np.zeros((size, max(degrees) + 1), dtype=complex)
+    for row, d in zip(polys, degrees):
+        row[: d + 1] = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
+    polys[:, 1:][rng.uniform(size=polys[:, 1:].shape) < 0.2] = 0.0  # zero coefficients inside the degrees
+    polys[np.array(degrees) == 0, 0] = 1.0
+    lmat = rng.normal(size=(m, 1)) + 1j * rng.normal(size=(m, 1))
+    ell0 = rng.normal(size=(size, m)) + 1j * rng.normal(size=(size, m))
+    k = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return np.array(s), lmat, ell0, k, polys, rng.normal(size=m) + 1j * rng.normal(size=m)
+
+
+class TestStackedKernel:
+    """One stacked ``kernel_apply_poly`` equals one call per entry, with one
+    eigvalsh, one solve and one eigvals for the stack and every guard per entry."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_stack_matches_per_entry_calls(self, m):
+        rng = np.random.default_rng(2500 + m)
+        for degrees in ([0, 3, 6, 1, 0, 2], [0, 0, 0], [5, 5], [4]):
+            s, lmat, ell0, k, polys, gen_dir = _stack_args(rng, len(degrees), m, degrees)
+            got = kernel_apply_poly(s, lmat, ell0, k, polys, gen_dir)
+            assert got[3].shape == polys.shape
+            for i in range(len(degrees)):
+                want = kernel_apply_poly(s[i], lmat, ell0[i], k[i], polys[i, : degrees[i] + 1], gen_dir)
+                assert not np.any(got[3][i, degrees[i] + 1 :])
+                for x, y in zip((got[0][i], got[1][i], got[2][i], got[3][i, : degrees[i] + 1]), want):
+                    assert np.abs(x - y).max() <= 1e-15 * np.abs(y).max()
+
+    def test_one_eigvalsh_solve_and_eigvals_per_stack(self, monkeypatch):
+        calls = {"eigvalsh": 0, "solve": 0, "eigvals": 0}
+        for name in calls:
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _n=name, _f=fn: calls.__setitem__(_n, calls[_n] + 1) or _f(*a))
+        args = _stack_args(np.random.default_rng(2510), 5, 2, [0, 1, 2, 0, 1])
+        kernel_apply_poly(*args)
+        assert calls == {"eigvalsh": 1, "solve": 1, "eigvals": 1}
+        calls.update(dict.fromkeys(calls, 0))
+        integrate_out(*args[:4])
+        assert calls == {"eigvalsh": 1, "solve": 1, "eigvals": 1}
+
+    def test_one_non_integrable_entry_raises(self):
+        s, lmat, ell0, k, polys, gen_dir = _stack_args(np.random.default_rng(2520), 4, 2, [0, 2, 1, 3])
+        kernel_apply_poly(s, lmat, ell0, k, polys, gen_dir)
+        s[2] = s[2] + np.diag([0.0, 50.0])  # Re S indefinite in one entry only
+        with pytest.raises(NotIntegrableError):
+            kernel_apply_poly(s, lmat, ell0, k, polys, gen_dir)
+        with pytest.raises(NotIntegrableError):
+            integrate_out(s, lmat, ell0, k)
+
+    @pytest.mark.parametrize("where", ["integrate_out", "generating_poly", "kernel_apply_poly"])
+    def test_one_overflowing_entry_raises_in_its_primitive_without_a_warning(self, where):
+        s, lmat, ell0, k, polys, gen_dir = _stack_args(np.random.default_rng(2530), 4, 1, [2, 0, 3, 1])
+        s[:] = -1.0
+        lmat[:], gen_dir[:] = 1.0, 1.0
+        if where == "integrate_out":
+            ell0[1] = 1e200  # ell0^2 / 2 passes the float range
+        elif where == "generating_poly":
+            ell0[2], polys[2, 3] = 1e120, 1.0  # its rows pass 1e360 by order 3
+        else:
+            ell0[3], polys[3, 1] = 1e10, 1e300  # a finite row of order 1e10 times this overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match=f"^{where}:"):
+                kernel_apply_poly(s, lmat, ell0, k, polys, gen_dir)
+
+    def test_padded_entry_is_checked_to_its_own_degree(self):
+        # a Gaussian whose generating rows overflow past order 0 stacks with a
+        # cubic: its padded rows are neither checked nor let into its result
+        s, lmat, ell0, k, polys, gen_dir = _stack_args(np.random.default_rng(2540), 2, 1, [0, 3])
+        s[:], lmat[:], gen_dir[:] = -1.0, 1.0, 1.0
+        ell0[0] = 1e120
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernel_apply_poly(s, lmat, ell0, k, polys, gen_dir)
+            want = kernel_apply_poly(s[0], lmat, ell0[0], k[0], polys[0, :1], gen_dir)
+        assert np.array_equal(got[3][0], [1.0, 0.0, 0.0, 0.0]) and np.isfinite(got[3]).all()
+        assert abs(got[2][0] - want[2]) <= 1e-15 * abs(want[2])

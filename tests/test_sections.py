@@ -45,6 +45,7 @@ from siegelflow.sections import (
     _difference_norm_pointwise,
     _envelope_form,
     _fit_log_quadratic,
+    _hermite_grid,
     _hermite_grid_sum,
     _placement,
     _principal_placement,
@@ -52,6 +53,7 @@ from siegelflow.sections import (
 from siegelflow.suites import _refined_oracle, suite_unitarity
 from siegelflow.transport import _halfform_log, transport_uncorrected
 
+from _reference import grid_sum_built_per_call
 from conftest import random_gaussian_section, random_profile, standard_profile
 
 I1 = standard_point(1)
@@ -116,6 +118,33 @@ def _brute_oracle(p1, p2, nodes):
     else:
         placement = _principal_placement(fit)
     return _hermite_grid_sum(lambda v: np.conj(p1.value(v)) * p2.value(v), placement, nodes)
+
+
+class TestCachedGrid:
+    """A callable's tensor grid comes from a cache per (nodes, dims), bit-identical
+    to the grid built on every call."""
+
+    def test_sums_are_bit_identical_to_the_grid_built_per_call(self, rng):
+        om, pol = random_siegel(rng, 1), BoundaryPolarization.position(1)
+        kaehler = (random_gaussian_section(rng, om), GaussianSection(om, [[0.2]], [0.3j], 0.1, [1.0, -0.5, 0.25j]))
+        profiles = (random_profile(rng, poly=False, frame=pol), GaussianSection(pol, [[-0.7]], [0.2], 0.0, [0.5, 1.0]))
+        n2 = (random_gaussian_section(rng, random_siegel(rng, 2)), random_gaussian_section(rng, random_siegel(rng, 2)))
+        # the difference norm's grids on a Kaehler pair and a polarization pair, the oracle's n = 2 fallback
+        for (a, b), spread, nodes, diff in ((kaehler, 0.25, 48, True), (profiles, 0.5, 300, True), (n2, 0.5, 12, False)):
+            placement = _placement(spread * (_envelope_form(a) + _envelope_form(b)))
+
+            def f(v):
+                return np.abs(a.value(v) - b.value(v)) ** 2 if diff else np.conj(a.value(v)) * b.value(v)
+
+            want = grid_sum_built_per_call(f, placement, nodes)
+            assert _hermite_grid_sum(f, placement, nodes) == want
+            assert _hermite_grid_sum(f, placement, nodes) == want  # and from the cache
+
+    def test_grid_is_built_once_and_read_only(self):
+        grid = _hermite_grid(16, 2)
+        assert _hermite_grid(16, 2) is grid
+        assert not any(arr.flags.writeable for arr in grid)
+        assert grid[0].shape == (256, 2) and np.array_equal(grid[2], np.exp(grid[1]))
 
 
 class TestFactorisedOracle:

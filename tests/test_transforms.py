@@ -34,6 +34,7 @@ from siegelflow import (
     vacuum,
     value_on_V,
 )
+from siegelflow import _gaussint as gaussint
 from siegelflow import siegel, suites, sympl, transforms, transport
 from siegelflow.sympl import act_on_siegel
 from siegelflow.transforms import _SegalBargmann, _SegalBargmannInverse, default_test_profiles
@@ -350,8 +351,9 @@ class TestCompositionIdentities:
         assert worst <= 1e-10
 
     def test_frame_work_does_not_grow_with_the_profiles(self, monkeypatch):
-        # the pairing maps are built once per frame pair, not once per profile
-        calls = {"act_on_siegel": 0, "transform_z_coords": 0, "inverse": 0}
+        # the pairing maps are built once per frame pair, not once per profile, and
+        # each map and the transport push all profiles through one stacked integral
+        calls = {"act_on_siegel": 0, "transform_z_coords": 0, "inverse": 0, "integrate_out": 0, "_halfform_log": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -365,6 +367,8 @@ class TestCompositionIdentities:
         for module in (sympl, transport, transforms):
             monkeypatch.setattr(module, "transform_z_coords", counted("transform_z_coords", sympl.transform_z_coords))
         monkeypatch.setattr(MetaplecticElement, "inverse", counted("inverse", MetaplecticElement.inverse))
+        monkeypatch.setattr(gaussint, "integrate_out", counted("integrate_out", gaussint.integrate_out))
+        monkeypatch.setattr(transport, "_halfform_log", counted("_halfform_log", transport._halfform_log))
 
         frames = (
             random_siegel(np.random.default_rng(5), 1),
@@ -382,6 +386,47 @@ class TestCompositionIdentities:
             counts.append(dict(calls))
         assert counts[0] == counts[1]
         assert min(counts[0].values()) > 0
+
+    def test_frames_of_another_n_than_the_profiles_raise_before_frame_work(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        pols = [BoundaryPolarization.from_span(np.vstack([np.eye(2), _symmetric(rng)])) for _ in range(3)]
+        monkeypatch.setattr(BoundaryPolarization, "transverse_to", lambda *a: pytest.fail("frame work done"))
+        monkeypatch.setattr(transforms, "_SegalBargmann", lambda *a: pytest.fail("frame work done"))
+        with pytest.raises(ValueError, match="test profiles are n = 1"):
+            composition_identities_check(random_siegel(rng, 2), random_siegel(rng, 2), *pols)
+
+    def test_stacked_maps_match_one_call_per_section(self):
+        # each map and the transport give a stack of the five profiles, with unit
+        # half-form phases, what they give each profile alone
+        rng = np.random.default_rng(26)
+        pol, om, omp = _random_polarization(rng, 1), random_siegel(rng, 1), random_siegel(rng, 1)
+        stack = [CorrectedSection(GaussianSection(pol, p.m, p.b, p.c, p.coeffs), _unit(rng)) for p in default_test_profiles()]
+        forward = _SegalBargmann(pol, om)
+        paired = forward.apply_all(stack)
+        maps = (
+            (forward.apply_all, forward, stack),
+            (_SegalBargmannInverse(forward.target, pol).apply_all, _SegalBargmannInverse(forward.target, pol), paired),
+            (lambda s: transport._transport_corrected_all(s, omp), lambda s: transport.transport_corrected(s, omp), paired),
+        )
+        for stacked, single, sections in maps:
+            for got, want in zip(stacked(sections), [single(s) for s in sections]):
+                assert got.frame is want.frame and got.halfform_phase == want.halfform_phase
+                for x, y in ((got.section.m, want.section.m), (got.section.b, want.section.b),
+                             (got.section.c, want.section.c), (got.section.coeffs, want.section.coeffs)):
+                    assert np.abs(np.asarray(x) - y).max() <= 1e-15 * max(1.0, np.abs(y).max())
+
+    def test_stacks_take_sections_over_one_frame_object(self):
+        pos = BoundaryPolarization.position(1)
+        twin = BoundaryPolarization(pos.reference)  # an equal frame, but another object
+        kernel = transport._XiKernel(pos, I1)
+        pair = [standard_profile(1), GaussianSection(twin, [[-1.0]], [0.0], 0.0)]
+        with pytest.raises(ValueError, match="one frame object"):
+            kernel.apply_all(pair, [0.0, 0.0])
+        with pytest.raises(ValueError, match="one frame object"):
+            _SegalBargmann(pos, I1).apply_all([CorrectedSection(s) for s in pair])
+        om = diagonal_point([2.0])
+        with pytest.raises(ValueError, match="one frame object"):
+            transport._transport_corrected_all([CorrectedSection(vacuum(diagonal_point([1.0]))) for _ in range(2)], om)
 
 
 def _symmetric(rng):
