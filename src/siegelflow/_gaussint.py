@@ -33,9 +33,9 @@ primitives:
 The series are evaluated one order at a time, each order after the first
 column of ``exp_bivariate_series`` as one numpy vector operation.
 
-``integrate_out`` and ``kernel_apply_poly`` take a leading stack axis: S (..., m, m),
-ell0 (..., m), k (...) and polynomials zero-padded to one length, L and gen_dir
-shared; one eigvalsh, solve and eigvals serve the stack, which raises if an entry would.
+``half_logdet``, ``integrate_out``, ``generating_poly`` and ``kernel_apply_poly`` take a leading
+stack axis: S (..., m, m), ell0 (..., m), k (...), polynomials zero-padded to one length, L and gen_dir
+shared.  One eigvalsh, solve and eigvals serve a stack, which raises where one of its entries would.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ def generating_poly(beta: complex, gamma: complex, eps: complex, d: int) -> np.n
             if k:
                 nxt += k * gamma * rows[k - 1]
             rows[k + 1] = nxt
-    # a non-finite entry of row k makes the same entry of row k + 1 non-finite (0 inf is NaN); each entry has its own d
+    # a non-finite entry of row k makes the same entry of row k + 1 non-finite (0 inf is NaN); each entry ends at its d
     if not _finite(rows[-1]) and not _finite(np.take_along_axis(rows, d[None, None], 0)):
         raise NonFiniteError("generating_poly: the rows are not finite")
     return rows.transpose(tuple(range(2, rows.ndim)) + (0, 1))

@@ -257,9 +257,16 @@ class TestStackedKernel:
 
     def test_one_eigvalsh_solve_and_eigvals_per_stack(self, monkeypatch):
         calls = {"eigvalsh": 0, "solve": 0, "eigvals": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
         for name in calls:
-            fn = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name, lambda *a, _n=name, _f=fn: calls.__setitem__(_n, calls[_n] + 1) or _f(*a))
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         args = _stack_args(np.random.default_rng(2510), 5, 2, [0, 1, 2, 0, 1])
         kernel_apply_poly(*args)
         assert calls == {"eigvalsh": 1, "solve": 1, "eigvals": 1}

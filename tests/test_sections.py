@@ -130,7 +130,8 @@ class TestCachedGrid:
         profiles = (random_profile(rng, poly=False, frame=pol), GaussianSection(pol, [[-0.7]], [0.2], 0.0, [0.5, 1.0]))
         n2 = (random_gaussian_section(rng, random_siegel(rng, 2)), random_gaussian_section(rng, random_siegel(rng, 2)))
         # the difference norm's grids on a Kaehler pair and a polarization pair, the oracle's n = 2 fallback
-        for (a, b), spread, nodes, diff in ((kaehler, 0.25, 48, True), (profiles, 0.5, 300, True), (n2, 0.5, 12, False)):
+        cases = ((kaehler, 0.25, 48, True), (profiles, 0.5, 300, True), (n2, 0.5, 12, False))
+        for (a, b), spread, nodes, diff in cases:
             placement = _placement(spread * (_envelope_form(a) + _envelope_form(b)))
 
             def f(v):

@@ -400,13 +400,15 @@ class TestCompositionIdentities:
         # half-form phases, what they give each profile alone
         rng = np.random.default_rng(26)
         pol, om, omp = _random_polarization(rng, 1), random_siegel(rng, 1), random_siegel(rng, 1)
-        stack = [CorrectedSection(GaussianSection(pol, p.m, p.b, p.c, p.coeffs), _unit(rng)) for p in default_test_profiles()]
+        profiles = default_test_profiles()
+        stack = [CorrectedSection(GaussianSection(pol, p.m, p.b, p.c, p.coeffs), _unit(rng)) for p in profiles]
         forward = _SegalBargmann(pol, om)
         paired = forward.apply_all(stack)
         maps = (
             (forward.apply_all, forward, stack),
             (_SegalBargmannInverse(forward.target, pol).apply_all, _SegalBargmannInverse(forward.target, pol), paired),
-            (lambda s: transport._transport_corrected_all(s, omp), lambda s: transport.transport_corrected(s, omp), paired),
+            (lambda s: transport._transport_corrected_all(s, omp), lambda s: transport.transport_corrected(s, omp),
+             paired),
         )
         for stacked, single, sections in maps:
             for got, want in zip(stacked(sections), [single(s) for s in sections]):
