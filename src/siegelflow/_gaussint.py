@@ -74,7 +74,7 @@ def half_logdet(a: np.ndarray) -> complex:
 
 def _negative_solve(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """S^{-1} rhs, once the real part of S is checked negative definite."""
-    if np.linalg.eigvalsh(0.5 * (S.real + np.swapaxes(S.real, -1, -2))).max() >= 0:
+    if np.linalg.eigvalsh(0.5 * (S.real + S.real.swapaxes(-1, -2))).max() >= 0:
         raise NotIntegrableError("real part of the quadratic form is not negative definite")
     return np.linalg.solve(S, rhs)
 
@@ -101,7 +101,7 @@ def integrate_out(S: np.ndarray, L: np.ndarray, ell0: np.ndarray, k: complex):
     x = _negative_solve(S, rhs)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
         Q = -L.T @ x[..., 1:]
-        Q, r = 0.5 * (Q + np.swapaxes(Q, -1, -2)), -x[..., 0] @ L
+        Q, r = 0.5 * (Q + Q.swapaxes(-1, -2)), -x[..., 0] @ L
         s = k - 0.5 * (ell0[..., None, :] @ x[..., :1])[..., 0, 0] - half_logdet(-S)
     if not (_finite(Q) and _finite(r) and _finite(np.asarray(s))):
         raise NonFiniteError("integrate_out: the integrated Gaussian is not finite")

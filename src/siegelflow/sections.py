@@ -219,24 +219,24 @@ def _project(psis, omega_p: SiegelPoint, log_scale: float) -> list[GaussianSecti
     """``bergman_project(psi, omega_p)`` times exp(log_scale) for each of ``psis``."""
     frame = psis[0].frame
     _same_space(frame, omega_p)
-    quad, cross = (-frame.gram_matrix, -omega_p.gram_matrix), omega_p.coord_matrix.conj().T
-    return _kernel_push(psis, frame.coord_matrix, quad, cross, omega_p, 0.0, [log_scale] * len(psis))
+    grams, cross = (frame.gram_matrix, omega_p.gram_matrix), omega_p.coord_matrix.conj().T
+    return _kernel_push(psis, frame.coord_matrix, grams, cross, omega_p, 0.0, log_scale)
 
 
-def _kernel_push(psis, e, quad, cross, target, m_add, c_adds) -> list[GaussianSection]:
+def _kernel_push(psis, e, minus, cross, target, m_add, c_add) -> list[GaussianSection]:
     """Sections over one frame object (else ValueError) through one stacked ``kernel_apply_poly``, quadratic
-    sym(E^T m E + inner) + outer for (inner, outer) = quad; each result built once over ``target``, plus m_add
-    and its c_add, its polynomial cut to the input's degree (the rows are lower-triangular)."""
+    sym(E^T m E - inner) - outer for (inner, outer) = minus; each result built once over ``target``, plus
+    m_add and c_add (one or one each), its polynomial cut to the input's degree (the rows are lower-triangular)."""
     if any(psi.frame is not psis[0].frame for psi in psis):
         raise ValueError(f"a stack takes sections over one frame object, not {[psi.frame for psi in psis]!r}")
     coeffs = np.zeros((len(psis), 1 + max(psi.degree for psi in psis)), dtype=complex)
     for row, psi in zip(coeffs, psis):
         row[: psi.degree + 1] = psi.coeffs
-    s = e.T @ np.array([psi.m for psi in psis]) @ e + quad[0]
+    s = e.T @ np.array([psi.m for psi in psis]) @ e - minus[0]
     b, c = np.array([psi.b for psi in psis]) @ e, np.array([psi.c for psi in psis])
-    q, r, c, poly = kernel_apply_poly(0.5 * (s + np.swapaxes(s, -1, -2)) + quad[1], cross, b, c, coeffs, e[0])
-    out = zip(psis, q, r, c + np.asarray(c_adds), poly)
-    return [GaussianSection(target, qi + m_add, ri, ci, pi[: psi.degree + 1]) for psi, qi, ri, ci, pi in out]
+    q, r, c, poly = kernel_apply_poly(0.5 * (s + s.swapaxes(-1, -2)) - minus[1], cross, b, c, coeffs, e[0])
+    out = zip(psis, q + m_add, r, c + c_add, poly)
+    return [GaussianSection(target, qi, ri, ci, pi[: psi.degree + 1]) for psi, qi, ri, ci, pi in out]
 
 
 @dataclass(frozen=True)
@@ -255,9 +255,6 @@ class CorrectedSection:
     @property
     def frame(self) -> Frame:
         return self.section.frame
-
-    def combined_value(self, v) -> np.ndarray:
-        return self.section.value(v) * self.halfform_phase
 
 
 def corrected_inner_product(a: CorrectedSection, b: CorrectedSection) -> complex:

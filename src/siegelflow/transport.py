@@ -106,15 +106,15 @@ class _XiKernel:
         # integrate over v, z = E v, against the frame's full weight exp(-v^T G v)
         ebar = np.conj(omega.coord_matrix)
         self._e = omega.coord_matrix if t_in is None else t_in @ omega.coord_matrix
-        self._frame_quad = ebar.T @ k11 @ ebar - 2.0 * omega.gram_matrix
+        self._minus_quad = 2.0 * omega.gram_matrix - ebar.T @ k11 @ ebar
         self._cross = ebar.T @ k12 @ t
 
     def apply(self, psi: GaussianSection, log_pref: complex) -> GaussianSection:
         return self.apply_all([psi], [log_pref])[0]
 
     def apply_all(self, psis, log_prefs) -> list[GaussianSection]:
-        neg = [-x for x in log_prefs]
-        return _kernel_push(psis, self._e, (self._frame_quad, 0.0), self._cross, self.target, self._k22, neg)
+        minus, neg = (self._minus_quad, 0.0), -np.asarray(log_prefs)
+        return _kernel_push(psis, self._e, minus, self._cross, self.target, self._k22, neg)
 
 
 def transport_coherent(alpha, omega: SiegelPoint, omega_p: SiegelPoint) -> GaussianSection:
