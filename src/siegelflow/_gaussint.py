@@ -33,9 +33,9 @@ primitives:
 The series are evaluated one order at a time, each order after the first
 column of ``exp_bivariate_series`` as one numpy vector operation.
 
-``half_logdet``, ``integrate_out``, ``generating_poly`` and ``kernel_apply_poly`` take a leading
-stack axis: S (..., m, m), ell0 (..., m), k (...), polynomials zero-padded to one length, L and gen_dir
-shared.  One eigvalsh, solve and eigvals serve a stack, which raises where one of its entries would.
+``half_logdet``, ``integrate_out``, ``generating_poly`` and ``kernel_apply_poly`` take an optional leading stack
+axis (S (..., m, m), ell0 (..., m), k (...), zero-padded polynomials; L and gen_dir shared): one eigvalsh, one
+solve and one eigvals serve a stack, which raises where one of its entries would.
 """
 
 from __future__ import annotations
@@ -141,8 +141,7 @@ def kernel_apply_poly(S, Lmat, ell0, k0, poly, gen_dir):
     """
     poly = np.atleast_1d(np.asarray(poly, dtype=complex))
     if poly.shape[-1] == 1:
-        q, r, s = integrate_out(S, Lmat, ell0, k0)
-        return q, r, s + np.log(poly[..., 0]), np.ones(poly.shape, dtype=complex)
+        return (*integrate_out(S, Lmat, ell0, k0), poly)
     Lmat = np.asarray(Lmat, dtype=complex).reshape(np.shape(S)[-1], -1)
     if Lmat.shape[1] != 1:
         raise ValueError("polynomial kernels support a single output variable")

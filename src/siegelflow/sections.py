@@ -220,22 +220,27 @@ def _project(psis, omega_p: SiegelPoint, log_scale: float) -> list[GaussianSecti
     frame = psis[0].frame
     _same_space(frame, omega_p)
     grams, cross = (frame.gram_matrix, omega_p.gram_matrix), omega_p.coord_matrix.conj().T
-    return _kernel_push(psis, frame.coord_matrix, grams, cross, omega_p, 0.0, log_scale)
+    return _kernel_push(psis, frame.coord_matrix, grams, cross, omega_p, 0.0, [-log_scale] * len(psis))
 
 
-def _kernel_push(psis, e, minus, cross, target, m_add, c_add) -> list[GaussianSection]:
-    """Sections over one frame object (else ValueError) through one stacked ``kernel_apply_poly``, quadratic
-    sym(E^T m E - inner) - outer for (inner, outer) = minus; each result built once over ``target``, plus
-    m_add and c_add (one or one each), its polynomial cut to the input's degree (the rows are lower-triangular)."""
-    if any(psi.frame is not psis[0].frame for psi in psis):
+def _kernel_push(psis, e, minus, cross, target, m_add, c_minus) -> list[GaussianSection]:
+    """Sections over one frame object (else ValueError) through one ``kernel_apply_poly``, quadratic
+    sym(E^T m E - inner) - outer for (inner, outer) = minus; each result is built once over ``target``, plus
+    m_add, less its entry of c_minus.  Several go as one stack, polynomials zero-padded, then cut to each
+    input's degree (the rows are lower-triangular); one goes unstacked: stacking costs a push ~10 us."""
+    if len(psis) == 1:
+        m, b, c, coeffs = psis[0].m, psis[0].b, psis[0].c, psis[0].coeffs
+    elif any(psi.frame is not psis[0].frame for psi in psis):
         raise ValueError(f"a stack takes sections over one frame object, not {[psi.frame for psi in psis]!r}")
-    coeffs = np.zeros((len(psis), 1 + max(psi.degree for psi in psis)), dtype=complex)
-    for row, psi in zip(coeffs, psis):
-        row[: psi.degree + 1] = psi.coeffs
-    s = e.T @ np.array([psi.m for psi in psis]) @ e - minus[0]
-    b, c = np.array([psi.b for psi in psis]) @ e, np.array([psi.c for psi in psis])
-    q, r, c, poly = kernel_apply_poly(0.5 * (s + s.swapaxes(-1, -2)) - minus[1], cross, b, c, coeffs, e[0])
-    out = zip(psis, q + m_add, r, c + c_add, poly)
+    else:
+        coeffs = np.zeros((len(psis), 1 + max(psi.degree for psi in psis)), dtype=complex)
+        for row, psi in zip(coeffs, psis):
+            row[: psi.degree + 1] = psi.coeffs
+        m, b, c = (np.array([getattr(psi, x) for psi in psis]) for x in "mbc")
+    s = e.T @ m @ e - minus[0]
+    q, r, c, poly = kernel_apply_poly(0.5 * (s + s.swapaxes(-1, -2)) - minus[1], cross, b @ e, c, coeffs, e[0])
+    q = q + m_add
+    out = zip(psis, q, r, c - np.asarray(c_minus), poly) if len(psis) > 1 else [(psis[0], q, r, c - c_minus[0], poly)]
     return [GaussianSection(target, qi, ri, ci, pi[: psi.degree + 1]) for psi, qi, ri, ci, pi in out]
 
 

@@ -91,7 +91,7 @@ class _XiKernel:
     """The Xi kernel from Omega to Omega' (either may be a ``BoundaryPolarization``),
     its frame work done once.  ``apply_all(psis, log_prefs)`` pushes sections over one
     frame object to Omega' in one stacked kernel, each with the prefactor exp(-log_pref),
-    ``log_h.real`` or ``conj(log_h)``; ``apply(psi, log_pref)`` is a stack of one.
+    ``log_h.real`` or ``conj(log_h)``; ``apply(psi, log_pref)`` pushes one.
     Two unitary coordinate changes fold in exactly: ``t_in``
     for psi over a frame with z = t_in z_Omega (E -> t_in E), and ``out =
     (target, t)`` for a result over ``target`` with z_Omega' = t z'' (K12 -> K12 t,
@@ -113,8 +113,7 @@ class _XiKernel:
         return self.apply_all([psi], [log_pref])[0]
 
     def apply_all(self, psis, log_prefs) -> list[GaussianSection]:
-        minus, neg = (self._minus_quad, 0.0), -np.asarray(log_prefs)
-        return _kernel_push(psis, self._e, minus, self._cross, self.target, self._k22, neg)
+        return _kernel_push(psis, self._e, (self._minus_quad, 0.0), self._cross, self.target, self._k22, log_prefs)
 
 
 def transport_coherent(alpha, omega: SiegelPoint, omega_p: SiegelPoint) -> GaussianSection:
