@@ -91,12 +91,11 @@ class _XiKernel:
     """The Xi kernel from Omega to Omega' (either may be a ``BoundaryPolarization``),
     its frame work done once.  ``apply_all(psis, log_prefs)`` pushes sections over one
     frame object to Omega' in one stacked kernel, each with the prefactor exp(-log_pref),
-    ``log_h.real`` or ``conj(log_h)``; ``apply(psi, log_pref)`` pushes one.
-    Two unitary coordinate changes fold in exactly: ``t_in``
-    for psi over a frame with z = t_in z_Omega (E -> t_in E), and ``out =
-    (target, t)`` for a result over ``target`` with z_Omega' = t z'' (K12 -> K12 t,
-    K22 -> t^T K22 t, as t^T (-L^T S^{-1} L) t = -(L t)^T S^{-1} (L t); for n = 1
-    the push gives a polynomial its t^k factors)."""
+    ``log_h.real`` or ``conj(log_h)``; ``apply(psi, log_pref)`` pushes one.  Two unitary
+    coordinate changes fold in exactly: ``t_in`` for psi over a frame with z = t_in z_Omega
+    (E -> t_in E), and ``out = (target, t)`` for a result over ``target`` with z_Omega' = t z''
+    (K12 -> K12 t, K22 -> t^T K22 t, as t^T (-L^T S^{-1} L) t = -(L t)^T S^{-1} (L t); for
+    n = 1 the push gives a polynomial its t^k factors)."""
 
     def __init__(self, omega, omega_p, t_in=None, out=None):
         _one_space(omega, omega_p)
