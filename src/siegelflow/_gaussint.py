@@ -40,6 +40,7 @@ solve and one eigvals serve a stack, which raises where one of its entries would
 
 from __future__ import annotations
 
+import cmath
 from math import factorial
 
 import numpy as np
@@ -51,11 +52,11 @@ _LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
 def _finite(arr: np.ndarray) -> bool:
-    """No inf or NaN entry: z - z is 0 exactly for finite z and NaN otherwise.
+    """No inf or NaN entry.
 
     On the few entries of a section or a Gaussian's data this is several
     times faster than np.isfinite(arr).all(), and it runs in every kernel."""
-    return all(z - z == 0 for z in arr.ravel().tolist())
+    return all(map(cmath.isfinite, arr.ravel().tolist()))
 
 
 def half_logdet(a: np.ndarray) -> complex:

@@ -25,6 +25,7 @@ Gauss-Hermite quadrature oracle guards every frozen formula.
 
 from __future__ import annotations
 
+from cmath import isfinite
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lgamma
@@ -87,30 +88,11 @@ class GaussianSection:
             raise ValueError("coeffs must hold at least one coefficient")
         if coeffs.size > 1 and n != 1:
             raise ValueError("polynomial sections are supported for n = 1 only")
-        m = np.atleast_2d(np.asarray(self.m, dtype=complex))
-        b = np.asarray(self.b, dtype=complex).reshape(n).copy()
+        m = np.array(self.m, dtype=complex, ndmin=2)
+        b = np.array(self.b, dtype=complex).reshape(n)
         if m.shape != (n, n):
             raise ValueError(f"m must be {n} x {n}")
-        amax = np.abs(m).max()
-        c = complex(self.c)
-        for name, ok in (("m", amax < np.inf), ("b", _finite(b)), ("c", c - c == 0), ("coeffs", _finite(coeffs))):
-            if not ok:
-                raise NonFiniteError(f"section {name} is not finite")
-        if np.abs(m - m.T).max() > 1e-12 * max(1.0, amax):
-            raise ValueError("m must be symmetric")
-        half = 0.5 * m  # halved first: m + m.T overflows for entries above ~9e307
-        m = half + half.T
-        self.frame.check_integrable(m)
-        if coeffs.size == 1 and coeffs[0] != 1.0:
-            c, coeffs = c + complex(np.log(coeffs[0])), np.ones(1, dtype=complex)
-            if not np.isfinite(c):
-                raise NonFiniteError("section coeffs fold to log 0")
-        for arr in (m, b, coeffs):
-            arr.flags.writeable = False
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "coeffs", coeffs)
+        _checked(self.frame, m, b, self.c, coeffs, coeffs.size - 1, [self])
 
     @property
     def n(self) -> int:
@@ -118,21 +100,22 @@ class GaussianSection:
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return self.coeffs.shape[-1] - 1
 
     def real_quadratic(self):
         """(S, l, k) with value(v) = p(z(v)) exp((1/2) v^T S v + l^T v + k)."""
         e = self.frame.coord_matrix
         s = e.T @ self.m @ e - self.frame.gram_matrix
-        return 0.5 * (s + s.T), e.T @ self.b, self.c
+        return 0.5 * (s + s.swapaxes(-1, -2)), self.b @ e, self.c
 
     def _exponent(self, v) -> tuple:
-        """(z, (1/2) z^T m z + b^T z + c - w |z|^2 / 2) at z = E v."""
+        """(z, (1/2) z^T m z + b^T z + c - w |z|^2 / 2) at z = E v; a ``_stack`` meets v (k, N, 2n) entry by entry."""
+        m, c = (self.m[:, None], self.c[:, None]) if self.m.ndim > 2 else (self.m, self.c)
         z = np.asarray(v, dtype=float) @ self.frame.coord_matrix.T
-        quad = 0.5 * np.einsum("...i,ij,...j->...", z, self.m, z)
-        lin = z @ self.b
+        quad = 0.5 * np.einsum("...i,...ij,...j->...", z, m, z)
+        lin = (z @ self.b[..., None])[..., 0]
         norm2 = 0.5 * self.frame.weight * np.einsum("...i,...i->...", np.conj(z), z).real
-        return z, quad + lin + self.c - norm2
+        return z, quad + lin + c - norm2
 
     def log_value(self, v) -> np.ndarray:
         """log value(v), evaluated pointwise; log p takes numpy's principal branch."""
@@ -147,11 +130,68 @@ class GaussianSection:
         z, out = self._exponent(v)
         out = np.exp(out)
         if self.degree:
-            out = np.polynomial.polynomial.polyval(z[..., 0], self.coeffs) * out
+            coeffs = self.coeffs.T[..., None] if self.m.ndim > 2 else self.coeffs
+            out = np.polynomial.polynomial.polyval(z[..., 0], coeffs, tensor=False) * out
         return out
 
     def scaled(self, factor: complex) -> "GaussianSection":
         return GaussianSection(self.frame, self.m, self.b, self.c + np.log(complex(factor)), self.coeffs)
+
+
+def _checked(frame: Frame, m: np.ndarray, b: np.ndarray, c, coeffs: np.ndarray, degree, out: list) -> None:
+    """Fills ``out`` over ``frame`` with m, b, c and coeffs as checked (non-finite data, asymmetric m, the frame's
+    ``check_integrable``, a constant p of 0) and normalised (m symmetrised, a constant p folded into c, read-only);
+    a leading stack axis takes coeffs zero-padded past each ``degree``, and raises as its first failing entry would."""
+    one = m.ndim == 2
+    axes = None if one else (-2, -1)  # per entry; reducing a single m over an axis tuple costs it ~0.3 us
+    amax = np.abs(m).max(axes).tolist()
+    amax, c, degree = ([amax], [complex(c)], [degree]) if one else (amax, c.tolist(), degree)
+    for name, ok in (("m", all(map(np.inf.__gt__, amax))), ("b", _finite(b)), ("c", all(map(isfinite, c))),
+                     ("coeffs", _finite(coeffs))):
+        if not ok:
+            raise NonFiniteError(f"section {name} is not finite")
+    asym = np.abs(m - m.swapaxes(-1, -2)).max(axes).tolist()
+    if any(d > 1e-12 * max(1.0, a) for d, a in zip([asym] if one else asym, amax)):
+        raise ValueError("m must be symmetric")
+    half = 0.5 * m  # halved first: m + m.T overflows for entries above ~9e307
+    m = half + half.swapaxes(-1, -2)
+    frame.check_integrable(m)
+    for arr in (m, b, coeffs):
+        arr.setflags(write=False)
+    polys = [coeffs] if one else [row[: d + 1] for row, d in zip(coeffs, degree)]
+    for i, d in enumerate(degree):
+        if d == 0 and polys[i][0] != 1.0:
+            with np.errstate(divide="ignore"):  # log 0 raises below
+                c[i], polys[i] = c[i] + complex(np.log(polys[i][0])), np.ones(1, dtype=complex)
+            if not np.isfinite(c[i]):
+                raise NonFiniteError("section coeffs fold to log 0")
+            polys[i].setflags(write=False)
+    for psi, fields in zip(out, [(m, b, c[0], polys[0])] if one else zip(m, b, c, polys)):
+        vars(psi).update(zip(("frame", "m", "b", "c", "coeffs"), (frame, *fields)))
+
+
+def _sections(frame: Frame, m, b, c, coeffs, psis) -> list[GaussianSection]:
+    """Sections over ``frame`` of the degrees of ``psis`` from fields with or without the stack axis of ``_stack``."""
+    out = [object.__new__(GaussianSection) for _ in psis]
+    _checked(frame, m, b, c, coeffs, psis[0].degree if m.ndim == 2 else [p.degree for p in psis], out)
+    return out
+
+
+def _stack(xs) -> tuple:
+    """(section, half-form phase) of one plain or corrected section; of several over one frame object (else
+    ValueError), one section whose fields carry a leading stack axis, coeffs zero-padded, and their phases.  Only
+    ``real_quadratic``, ``degree``, ``value`` and the kernels take a stack."""
+    if len(xs) == 1:
+        return _with_phase(xs[0])
+    psis, phases = zip(*map(_with_phase, xs))
+    if any(psi.frame is not psis[0].frame for psi in psis):
+        raise ValueError(f"a stack takes sections over one frame object, not {[psi.frame for psi in psis]!r}")
+    coeffs = np.zeros((len(psis), 1 + max(psi.degree for psi in psis)), dtype=complex)
+    for row, psi in zip(coeffs, psis):
+        row[: psi.degree + 1] = psi.coeffs
+    out = object.__new__(GaussianSection)
+    vars(out).update({x: np.array([getattr(p, x) for p in psis]) for x in "mbc"}, frame=psis[0].frame, coeffs=coeffs)
+    return out, np.array(phases)
 
 
 def vacuum(omega: SiegelPoint) -> GaussianSection:
@@ -224,24 +264,13 @@ def _project(psis, omega_p: SiegelPoint, log_scale: float) -> list[GaussianSecti
 
 
 def _kernel_push(psis, e, minus, cross, target, m_add, c_minus) -> list[GaussianSection]:
-    """Sections over one frame object (else ValueError) through one ``kernel_apply_poly``, quadratic
-    sym(E^T m E - inner) - outer for (inner, outer) = minus; each result is built once over ``target``, plus
-    m_add, less its entry of c_minus.  Several go as one stack, polynomials zero-padded, then cut to each
-    input's degree (the rows are lower-triangular); one goes unstacked: stacking costs a push ~10 us."""
-    if len(psis) == 1:
-        m, b, c, coeffs = psis[0].m, psis[0].b, psis[0].c, psis[0].coeffs
-    elif any(psi.frame is not psis[0].frame for psi in psis):
-        raise ValueError(f"a stack takes sections over one frame object, not {[psi.frame for psi in psis]!r}")
-    else:
-        coeffs = np.zeros((len(psis), 1 + max(psi.degree for psi in psis)), dtype=complex)
-        for row, psi in zip(coeffs, psis):
-            row[: psi.degree + 1] = psi.coeffs
-        m, b, c = (np.array([getattr(psi, x) for psi in psis]) for x in "mbc")
-    s = e.T @ m @ e - minus[0]
-    q, r, c, poly = kernel_apply_poly(0.5 * (s + s.swapaxes(-1, -2)) - minus[1], cross, b @ e, c, coeffs, e[0])
-    q = q + m_add
-    out = zip(psis, q, r, c - np.asarray(c_minus), poly) if len(psis) > 1 else [(psis[0], q, r, c - c_minus[0], poly)]
-    return [GaussianSection(target, qi, ri, ci, pi[: psi.degree + 1]) for psi, qi, ri, ci, pi in out]
+    """Sections over one frame object (else ValueError) through one ``kernel_apply_poly`` with quadratic sym(E^T m E
+    - inner) - outer, (inner, outer) = minus, to results over ``target`` plus m_add less c_minus, checked once.  Several
+    go as one ``_stack``, cut back to each input's degree (the rows are lower-triangular); one goes unstacked."""
+    st = _stack(psis)[0]
+    s = e.T @ st.m @ e - minus[0]
+    q, r, c, poly = kernel_apply_poly(0.5 * (s + s.swapaxes(-1, -2)) - minus[1], cross, st.b @ e, st.c, st.coeffs, e[0])
+    return _sections(target, q + m_add, r, c - np.reshape(c_minus, np.shape(c)), poly, psis)
 
 
 @dataclass(frozen=True)
@@ -347,11 +376,11 @@ class _LogQuadratic:
 
 
 def _placement(gram: np.ndarray) -> tuple:
-    """(P, det P) for P = G^{-1/2}: the grid v = P u placed for the SPD envelope exp(-v^T G v)."""
+    """(P, det P), P = G^{-1/2} for each G (..., m, m): the grid v = P u placed for the SPD envelope exp(-v^T G v)."""
     w_eig, v_eig = np.linalg.eigh(gram)
     if w_eig.min() <= 0:
         raise ValueError("gram matrix must be SPD")
-    return (v_eig / np.sqrt(w_eig)) @ v_eig.T, np.exp(-0.5 * float(np.sum(np.log(w_eig))))
+    return (v_eig / np.sqrt(w_eig)[..., None, :]) @ v_eig.swapaxes(-1, -2), np.exp(-0.5 * np.log(w_eig).sum(-1))
 
 
 def _principal_placement(fit: _LogQuadratic) -> tuple:
@@ -371,13 +400,13 @@ def _hermite_grid_sum(f, placement: tuple, nodes: int) -> complex:
 
     A ``_LogQuadratic`` f placed on its principal axes has q'' = P^T q P
     diagonal, so the sum over nodes^m points is the product of m one-axis
-    sums.  A callable f is evaluated at every grid point; above two
-    dimensions in slices along the first axis to bound memory.  Summation
-    order is fixed by the grid layout, so results are bit-identical for a
-    given configuration.
+    sums.  A callable f is evaluated at every grid point, up to two dimensions
+    for a stack of placements (k, m, m) at once; above two in slices along
+    the first axis to bound memory.  Summation order is fixed by the grid
+    layout, so results are bit-identical for a given configuration.
     """
     p, det = placement
-    m = p.shape[0]
+    m = p.shape[-1]
     u, logw = _hermite_table(nodes)
     if isinstance(f, _LogQuadratic):
         diag = np.einsum("ji,jk,ki->i", p, f.q, p)
@@ -385,7 +414,7 @@ def _hermite_grid_sum(f, placement: tuple, nodes: int) -> complex:
         total = complex(np.prod(phi.sum(axis=1))) * np.exp(f.k)
     elif m <= 2:
         pts, _, w = _hermite_grid(nodes, m)
-        total = complex((f(pts @ p.T) * w).sum())
+        total = (f(pts @ p.swapaxes(-1, -2)) * w).sum(-1)
     else:
         pts, lw, _ = _hermite_grid(nodes, m - 1)
         total = 0.0 + 0.0j
@@ -461,7 +490,7 @@ def oracle_inner_product(psi1: GaussianSection, psi2: GaussianSection, nodes: in
 
 def _with_phase(x) -> tuple:
     """(section, half-form phase) of a plain or corrected section."""
-    return (x.section, x.halfform_phase) if isinstance(x, CorrectedSection) else (x, 1.0)
+    return (x.section, x.halfform_phase) if isinstance(x, CorrectedSection) else (x, 1.0 + 0.0j)
 
 
 def _log1p(w: np.ndarray) -> np.ndarray:
@@ -476,12 +505,14 @@ def _log_gauss_ratio(s0, x0, e, f, kappa) -> complex:
     I(S, l, k) is (2 pi)^{-n} integral exp((1/2) v^T S v + l^T v + k) dv and
     x0 = S0^{-1} l0.  The log-det part is a log1p sum over the eigenvalues of
     S0^{-1} E, and the linear part is 2 f^T x0 - x0^T E x0 + g^T (S0 + E)^{-1} g
-    with g = f - E x0, so the terms of order one never appear.
+    with g = f - E x0, so the terms of order one never appear.  x0 and f are
+    columns (..., m, 1), with or without a leading stack axis.
     """
-    logdet = _log1p(np.linalg.eigvals(np.linalg.solve(s0, e))).sum()
+    logdet = _log1p(np.linalg.eigvals(np.linalg.solve(s0, e))).sum(-1)
     g = f - e @ x0
-    lin = 2.0 * f @ x0 - x0 @ e @ x0 + g @ np.linalg.solve(s0 + e, g)
-    return -0.5 * logdet - 0.5 * lin + kappa
+    x0t = x0.swapaxes(-1, -2)
+    lin = 2.0 * (x0t @ f) - x0t @ e @ x0 + np.linalg.solve(s0 + e, g).swapaxes(-1, -2) @ g
+    return -0.5 * logdet - 0.5 * lin[..., 0, 0] + kappa
 
 
 def difference_norm(a, b) -> float:
@@ -498,43 +529,58 @@ def difference_norm(a, b) -> float:
     Gaussian parts leave a chirp exp(i (Im m_a - Im m_b) u^2 / 2) in the cross term.
     A norm past the float range raises ``NonFiniteError``.
     """
-    (pa, ha), (pb, hb) = _with_phase(a), _with_phase(b)
+    return _norms(*_with_phase(a), *_with_phase(b))[0]
+
+
+def _difference_norms(xs, ys) -> list[float]:
+    """``difference_norm`` of the pairs of zip(xs, ys), each kind over one frame object a side (else ValueError): the
+    degree-0 pairs as one stack, the polynomial pairs over a polarization as one stack on one grid, those over a
+    Kaehler frame one by one, as array work, not calls, bounds their 48^2 grid."""
+    poly = [i for i, (x, y) in enumerate(zip(xs, ys)) if _with_phase(x)[0].degree or _with_phase(y)[0].degree]
+    groups = [[i for i in range(len(xs)) if i not in poly]]
+    groups += [poly] if isinstance(_with_phase(xs[0])[0].frame, BoundaryPolarization) else [[i] for i in poly]
+    out = {}
+    for group in filter(None, groups):
+        out.update(zip(group, _norms(*_stack([xs[i] for i in group]), *_stack([ys[i] for i in group]))))
+    return [out[i] for i in range(len(xs))]
+
+
+def _norms(pa: GaussianSection, ha, pb: GaussianSection, hb, nodes: int | None = None) -> list[float]:
+    """|| a - b || of the sections or ``_stack``s pa and pb times their half-form phases: the closed form for pairs
+    of degree 0; the others (all, given ``nodes``) take the difference at common points of a grid of ``nodes`` per
+    axis, by default 300 over a polarization and 48 over a Kaehler frame, before squaring."""
     _same_space(pa.frame, pb.frame)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm raises below
-        if pa.degree or pb.degree:
-            out = _difference_norm_pointwise(a, b, 300 if isinstance(pa.frame, BoundaryPolarization) else 48)
+        if nodes or pa.degree or pb.degree:
+            polar = isinstance(pa.frame, BoundaryPolarization)
+            # on a Kaehler frame half the mean envelope, valid (wider) for both terms
+            # when they are comparable; on a polarization the mean envelope of |a - b|^2
+            g = (0.5 if polar else 0.25) * (_envelope_form(pa) + _envelope_form(pb))
+            ha, hb = (ha[:, None], hb[:, None]) if np.ndim(ha) else (ha, hb)
+            total = _hermite_grid_sum(lambda v: np.abs(pa.value(v) * ha - pb.value(v) * hb) ** 2, _placement(g),
+                                      nodes or (300 if polar else 48))
+            out = np.sqrt(np.maximum(total.real, 0.0))
         else:
-            sa, la, ka = pa.real_quadratic()
-            sb, lb, kb = pb.real_quadratic()
+            (sa, la, ka), (sb, lb, kb) = pa.real_quadratic(), pb.real_quadratic()
             s0 = 2.0 * sa.real
-            x0 = np.linalg.solve(s0, 2.0 * la.real)
-            log_aa = -0.5 * np.linalg.slogdet(-s0)[1] - la.real @ x0 + 2.0 * ka.real
-            d, e = sb - sa, lb - la
-            dk = (kb - ka) + (np.log(complex(hb)) - np.log(complex(ha)))
+            x0 = np.linalg.solve(s0, 2.0 * la.real[..., None])
+            log_aa = -0.5 * np.linalg.slogdet(-s0)[1] - (la.real[..., None, :] @ x0)[..., 0, 0] + 2.0 * ka.real
+            d, e, dk = sb - sa, (lb - la)[..., None], (kb - ka) + (np.log(hb) - np.log(ha))
             h = 0.5 * _log_gauss_ratio(s0, x0, 2.0 * d.real, 2.0 * e.real, 2.0 * dk.real).real
             delta = _log_gauss_ratio(s0, x0, d, e, dk) - h
             rel = np.expm1(h) ** 2 + 2.0 * np.exp(h) * (
                 -np.expm1(delta.real) * np.cos(delta.imag) + 2.0 * np.sin(0.5 * delta.imag) ** 2
             )
-            out = float(np.sqrt(max(rel, 0.0)) * np.exp(0.5 * log_aa))
-    if not np.isfinite(out):
+            out = np.sqrt(np.maximum(rel, 0.0)) * np.exp(0.5 * log_aa)
+    out = out.tolist() if isinstance(out, np.ndarray) else [float(out)]
+    if not all(map(isfinite, out)):
         raise NonFiniteError("|| a - b || is not finite: the sections overflow")
     return out
 
 
 def _difference_norm_pointwise(a, b, nodes: int) -> float:
-    """|| a - b || with the difference evaluated at common grid points before
-    squaring; the reference for ``difference_norm``."""
-    (pa, ha), (pb, hb) = _with_phase(a), _with_phase(b)
-    # on a Kaehler frame half the mean envelope, valid (wider) for both terms
-    # when they are comparable; on a polarization the mean envelope of |a - b|^2
-    spread = 0.5 if isinstance(pa.frame, BoundaryPolarization) else 0.25
-    g = spread * (_envelope_form(pa) + _envelope_form(pb))
-
-    def f(v):
-        return np.abs(pa.value(v) * ha - pb.value(v) * hb) ** 2
-
-    return float(np.sqrt(max(_hermite_grid_sum(f, _placement(g), nodes).real, 0.0)))
+    """|| a - b || with the difference taken at grid points before squaring; the reference for ``difference_norm``."""
+    return _norms(*_with_phase(a), *_with_phase(b), nodes)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ import numpy as np
 from ._gaussint import kernel_apply_poly
 from ._point import SiegelPoint, diagonal_point, standard_point
 from .errors import NoBoundaryLimitError, NonTransverseError, PolarizationMismatchError
-from .sections import CorrectedSection, GaussianSection, _require_frame, difference_norm, norm
+from .sections import CorrectedSection, GaussianSection, _difference_norms, _require_frame, _sections, _stack, norm
 from .siegel import RATE_TOL, BoundaryPolarization, GeodesicSpec
 from .sympl import MetaplecticElement, act_on_siegel, transform_z_coords
 from .transport import _one_space, _transport_corrected_all, _XiKernel, metaplectic_act, transport_corrected
@@ -270,17 +270,18 @@ def limit_transport_to_fourier(psihat: CorrectedSection, spec: GeodesicSpec, t_l
 # composition identities
 
 
-def default_test_profiles() -> list[GaussianSection]:
-    """Five square-integrable Gaussian-polynomial profiles (n = 1); the first
-    is the unit-norm 2^{1/4} exp(-u^2 / 2)."""
+@lru_cache(maxsize=1)
+def default_test_profiles() -> tuple[GaussianSection, ...]:
+    """Five square-integrable Gaussian-polynomial profiles (n = 1), built once: the sections are
+    frozen and their arrays read-only.  The first is the unit-norm 2^{1/4} exp(-u^2 / 2)."""
     u = BoundaryPolarization.position(1)
-    return [
+    return (
         GaussianSection(u, [[-1.0]], [0.0], 0.25 * np.log(2.0)),
         GaussianSection(u, [[-1.0]], [0.0], 0.0, [0.0, 1.0]),
         GaussianSection(u, [[-0.6]], [0.0], 0.0, [-1.0, 0.0, 1.0]),
         GaussianSection(u, [[-1.0]], [0.3], 0.1),
         GaussianSection(u, [[-0.8]], [0.2j], 0.0, [1.0, 0.5j]),
-    ]
+    )
 
 
 @lru_cache(maxsize=16)
@@ -323,8 +324,9 @@ def composition_identities_check(
     for a, b in ((pol_l, pol_lp), (pol_lp, pol_lpp), (pol_l, pol_lpp)):
         if not a.transverse_to(b):
             raise NonTransverseError("test polarizations must be mutually transverse")
-    # each profile's data, in standard position over pol_l
-    sections = [CorrectedSection(GaussianSection(pol_l, p.m, p.b, p.c, p.coeffs)) for p in profiles]
+    # each profile's data, in standard position over pol_l, checked once as a stack
+    stack = _stack(profiles)[0]
+    sections = [CorrectedSection(s) for s in _sections(pol_l, stack.m, stack.b, stack.c, stack.coeffs, profiles)]
     # the nine pairing maps of the three identities, built once for all profiles
     base = standard_point(pol_l.n)
     pairs = ((pol_l, omega), (pol_l, omega_p), (pol_l, base), (pol_lp, base))
@@ -338,4 +340,4 @@ def composition_identities_check(
     sides = ((moved, _transport_corrected_all(paired, omega_p)), (via_base, om_to_lp.apply_all(paired)),
              (om_to_lpp.apply_all(paired), l_to_lpp))
     scales = [_profile_norm(p.m.tobytes(), p.b.tobytes(), p.c, p.coeffs.tobytes()) for p in profiles]
-    return IdentityReport(*(max(difference_norm(x, y) / w for x, y, w in zip(a, b, scales)) for a, b in sides))
+    return IdentityReport(*(max(d / w for d, w in zip(_difference_norms(a, b), scales)) for a, b in sides))

@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from siegelflow import (
     norm,
     oracle_inner_product,
     random_siegel,
+    random_symplectic,
     section_from_json,
     section_to_json,
     segal_bargmann,
@@ -669,6 +671,165 @@ class TestNonFiniteData:
             for a, b in pairs:
                 with pytest.raises(NonFiniteError):
                     difference_norm(CorrectedSection(a), CorrectedSection(b))
+
+
+def _raw_entry(rng, frame, degree):
+    """(m, b, c, coeffs) of a random section over ``frame`` as a caller hands them in, before the guard: a constant
+    coefficient is not folded yet."""
+    n = frame.n
+    if isinstance(frame, BoundaryPolarization):
+        base = random_profile(rng, n, poly=False, frame=frame)
+    else:
+        base = random_gaussian_section(rng, frame)
+    return base.m, base.b, base.c, rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+
+
+def _stacked(entries):
+    """The entries' m, b and c stacked and their coeffs zero-padded, as ``sections._stack`` lays out a stack."""
+    coeffs = np.zeros((len(entries), max(len(e[3]) for e in entries)), dtype=complex)
+    for row, e in zip(coeffs, entries):
+        row[: len(e[3])] = e[3]
+    return (*(np.array([e[i] for e in entries], dtype=complex) for i in range(3)), coeffs)
+
+
+def _degrees(entries):
+    """Stand-ins that carry each entry's degree, all ``sections._sections`` reads of its ``psis``."""
+    return [SimpleNamespace(degree=len(e[3]) - 1) for e in entries]
+
+
+def _frames(rng, n):
+    return [("kaehler", random_siegel(rng, n)), ("position", BoundaryPolarization.position(n)),
+            ("polarization", BoundaryPolarization(MetaplecticElement.principal_lift(random_symplectic(rng, n))))]
+
+
+class TestStackedGuard:
+    """A stack of sections is checked once (``sections._checked`` on the stacked fields) and each entry gets the
+    fields, the errors and the messages that the constructor gives it alone."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_stacked_fields_are_the_constructors_bit_for_bit(self, rng, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _, frame in _frames(rng, n):
+                for k in range(1, 6):
+                    entries = [_raw_entry(rng, frame, int(rng.integers(0, 5)) if n == 1 else 0) for _ in range(k)]
+                    got = sections._sections(frame, *_stacked(entries), _degrees(entries))
+                    for psi, entry in zip(got, entries, strict=True):
+                        want = GaussianSection(frame, *entry)
+                        assert type(psi) is GaussianSection and psi.frame is frame and type(psi.c) is complex
+                        assert np.array(psi.c).tobytes() == np.array(want.c).tobytes()
+                        for x, y in ((psi.m, want.m), (psi.b, want.b), (psi.coeffs, want.coeffs)):
+                            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+                            assert not x.flags.writeable
+
+    # (label, entry with one bad field); the good entries are random sections of degree 0..2
+    BAD = [
+        ("non-integrable m", lambda frame: (np.eye(frame.n) * (1.5 if isinstance(frame, SiegelPoint) else 0.5),
+                                            np.zeros(frame.n), 0.0, [1.0])),
+        ("non-finite m", lambda frame: (np.full((frame.n, frame.n), np.nan), np.zeros(frame.n), 0.0, [1.0])),
+        ("non-finite b", lambda frame: (-0.5 * np.eye(frame.n), np.full(frame.n, np.inf), 0.0, [1.0])),
+        ("non-finite c", lambda frame: (-0.5 * np.eye(frame.n), np.zeros(frame.n), complex(0.0, np.inf), [1.0])),
+        ("non-finite coeffs", lambda frame: (-0.5 * np.eye(frame.n), np.zeros(frame.n), 0.0,
+                                             [1.0, np.nan] if frame.n == 1 else [np.nan])),
+        ("coeffs fold to log 0", lambda frame: (-0.5 * np.eye(frame.n), np.zeros(frame.n), 0.0, [0.0])),
+        ("asymmetric m", lambda frame: (np.array([[-0.5, 1e-3], [0.0, -0.5]]) if frame.n == 2 else None,
+                                        np.zeros(frame.n), 0.0, [1.0])),
+    ]
+
+    @pytest.mark.parametrize("label, bad", BAD, ids=[b[0] for b in BAD])
+    def test_one_bad_entry_raises_what_the_constructor_raises(self, rng, label, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (1, 2):
+                for _, frame in _frames(rng, n):
+                    entry = bad(frame)
+                    if entry[0] is None:
+                        continue
+                    with pytest.raises((ValueError, NonFiniteError, NotIntegrableError)) as alone:
+                        GaussianSection(frame, *entry)
+                    for k in range(1, 5):
+                        for pos in range(k):
+                            entries = [_raw_entry(rng, frame, int(rng.integers(0, 3)) if n == 1 else 0) for _ in range(k)]
+                            entries[pos] = entry
+                            with pytest.raises(type(alone.value)) as stacked:
+                                sections._sections(frame, *_stacked(entries), _degrees(entries))
+                            assert str(stacked.value) == str(alone.value), (label, k, pos)
+
+
+class TestStackedIntegrability:
+    """``check_integrable`` takes a stack (..., n, n) and rejects it when any entry is not integrable."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_entry_is_checked(self, rng, n):
+        for label, frame in _frames(rng, n):
+            kaehler = isinstance(frame, SiegelPoint)
+            good, bad = (0.3 * np.eye(n), 1.2 * np.eye(n)) if kaehler else (-np.eye(n), 0.5 * np.eye(n))
+            for k in (1, 2, 3):
+                frame.check_integrable(np.array([good] * k, dtype=complex))
+                for pos in range(k):
+                    stack = np.array([good] * k, dtype=complex)
+                    stack[pos] = bad
+                    with pytest.raises(NotIntegrableError):
+                        frame.check_integrable(stack)
+
+    def test_entries_near_the_bound_pass_when_their_summed_squares_do_not(self):
+        # ||diag(0.9, 0.9)||_F^2 = 1.62 is past the bound, its ||m||_2 = 0.9 is not
+        m = np.array([np.diag([0.9, 0.9]), np.diag([0.9, -0.9j]), 0.999 * np.eye(2)], dtype=complex)
+        standard_point(2).check_integrable(m)
+        for entry in m:
+            GaussianSection(standard_point(2), entry, np.zeros(2), 0.0)
+        with pytest.raises(NotIntegrableError):
+            standard_point(2).check_integrable(np.array([np.diag([0.9, 0.9]), np.diag([1.0, 0.0])], dtype=complex))
+
+
+class TestStackedDifferenceNorm:
+    """``sections._difference_norms`` on pairs over one frame object a side equals ``difference_norm`` pair by pair."""
+
+    @staticmethod
+    def _pairs(rng, frame, k, degrees):
+        xs, ys = [], []
+        for _ in range(k):
+            a = GaussianSection(frame, *_raw_entry(rng, frame, int(rng.choice(degrees))))
+            size = 10.0 ** -rng.integers(1, 6)
+            dm = rng.normal(size=(frame.n, frame.n)) + 1j * rng.normal(size=(frame.n, frame.n))
+            b = GaussianSection(frame, a.m + 0.05 * size * (dm + dm.T), a.b + size * rng.normal(size=frame.n),
+                                a.c + size * rng.normal(), a.coeffs + size * rng.normal(size=a.degree + 1))
+            xs.append(CorrectedSection(a, np.exp(1j * rng.normal())))
+            ys.append(CorrectedSection(b, np.exp(1j * rng.normal())))
+        return xs, ys
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stacks_match_one_call_per_pair(self, rng, n):
+        for _, frame in _frames(rng, n):
+            for degrees in ([0], [1, 2], [0, 1, 2]) if n == 1 else ([0],):
+                xs, ys = self._pairs(rng, frame, 5, degrees)
+                for got, x, y in zip(sections._difference_norms(xs, ys), xs, ys, strict=True):
+                    want = difference_norm(x, y)
+                    assert abs(got - want) <= 1e-15 * want
+
+    def test_a_stack_mixing_frame_objects_raises(self, rng):
+        for pair in (([0], BoundaryPolarization.position(1)), ([1, 2], BoundaryPolarization.position(1)),
+                     ([0], standard_point(2))):
+            degrees, frame = pair
+            xs, ys = self._pairs(rng, frame, 3, degrees)
+            twin = BoundaryPolarization(frame.reference) if isinstance(frame, BoundaryPolarization) else \
+                SiegelPoint(frame.omega1, frame.omega2)
+            s = xs[1].section
+            xs[1] = CorrectedSection(GaussianSection(twin, s.m, s.b, s.c, s.coeffs), xs[1].halfform_phase)
+            with pytest.raises(ValueError, match="one frame object"):
+                sections._difference_norms(xs, ys)
+
+    def test_an_overflowing_entry_raises(self, rng):
+        frame = standard_point(1)
+        for degrees in ([0], [1]):
+            xs, ys = self._pairs(rng, frame, 3, degrees)
+            a, b = xs[2].section, ys[2].section
+            xs[2] = CorrectedSection(GaussianSection(frame, a.m, a.b, 800.0, a.coeffs))
+            ys[2] = CorrectedSection(GaussianSection(frame, b.m, b.b, 800.0 + 1e-3, b.coeffs))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteError):
+                    sections._difference_norms(xs, ys)
 
 
 class TestFrameKinds:

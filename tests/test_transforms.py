@@ -10,6 +10,7 @@ from siegelflow import (
     NoBoundaryLimitError,
     NonTransverseError,
     PolarizationMismatchError,
+    SiegelPoint,
     SymplecticMap,
     coherent_state,
     composition_identities_check,
@@ -35,7 +36,7 @@ from siegelflow import (
     value_on_V,
 )
 from siegelflow import _gaussint as gaussint
-from siegelflow import siegel, suites, sympl, transforms, transport
+from siegelflow import sections, siegel, suites, sympl, transforms, transport
 from siegelflow.sympl import act_on_siegel
 from siegelflow.transforms import _SegalBargmann, _SegalBargmannInverse, default_test_profiles
 
@@ -325,6 +326,11 @@ class TestCompositionIdentities:
         for prof in default_test_profiles():
             assert norm(prof) > 0
 
+    def test_the_profiles_are_built_once_and_read_only(self):
+        profiles = default_test_profiles()
+        assert type(profiles) is tuple and len(profiles) == 5 and default_test_profiles() is profiles
+        assert not any(x.flags.writeable for p in profiles for x in (p.m, p.b, p.coeffs))
+
     def test_transport_pairing_identity_two_degrees_of_freedom(self, rng):
         # identity 1 with Gaussian profiles in two degrees of freedom
         from siegelflow import transport_corrected
@@ -351,9 +357,11 @@ class TestCompositionIdentities:
         assert worst <= 1e-10
 
     def test_frame_work_does_not_grow_with_the_profiles(self, monkeypatch):
-        # the pairing maps are built once per frame pair, not once per profile, and
-        # each map and the transport push all profiles through one stacked integral
-        calls = {"act_on_siegel": 0, "transform_z_coords": 0, "inverse": 0, "integrate_out": 0, "_halfform_log": 0}
+        # the pairing maps are built once per frame pair, not once per profile; each map and
+        # the transport push all profiles through one stacked integral, each stack of sections
+        # is checked once, and each side's degree-0 residuals take one closed form
+        calls = {"act_on_siegel": 0, "transform_z_coords": 0, "inverse": 0, "integrate_out": 0, "_halfform_log": 0,
+                 "check_integrable": 0, "slogdet": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -369,6 +377,9 @@ class TestCompositionIdentities:
         monkeypatch.setattr(MetaplecticElement, "inverse", counted("inverse", MetaplecticElement.inverse))
         monkeypatch.setattr(gaussint, "integrate_out", counted("integrate_out", gaussint.integrate_out))
         monkeypatch.setattr(transport, "_halfform_log", counted("_halfform_log", transport._halfform_log))
+        for frame_kind in (SiegelPoint, BoundaryPolarization):
+            monkeypatch.setattr(frame_kind, "check_integrable", counted("check_integrable", frame_kind.check_integrable))
+        monkeypatch.setattr(np.linalg, "slogdet", counted("slogdet", np.linalg.slogdet))
 
         frames = (
             random_siegel(np.random.default_rng(5), 1),
@@ -587,8 +598,9 @@ class TestFoldedMaps:
         psi = CorrectedSection(random_gaussian_section(rng, om), _unit(rng))
         pos = CorrectedSection(random_profile(rng, 1), _unit(rng))
         mom = fourier(pos)
-        built, post_init = [], GaussianSection.__post_init__
-        monkeypatch.setattr(GaussianSection, "__post_init__", lambda self: built.append(1) or post_init(self))
+        # every section is checked by the one guard, whether a constructor or a push builds it
+        built, checked = [], sections._checked
+        monkeypatch.setattr(sections, "_checked", lambda *a: built.append(1) or checked(*a))
         calls = [
             lambda: forward(s),
             lambda: inverse(psi),
