@@ -104,7 +104,7 @@ class SiegelPoint:
         return g
 
     def check_integrable(self, m: np.ndarray) -> None:
-        # ||m||_2 <= ||m||_F: svd (the entries' ||m||_2) only if the |m_ij|^2 summed over a stack near the bound
+        # ||m||_2 <= ||m||_F: svd (each entry's ||m||_2) runs only when the |m_ij|^2 summed over a stack near the bound
         if not np.vdot(m, m).real < (1.0 - 1e-12) * (1.0 - GAUSSIAN_NORM_MARGIN) ** 2:
             if not max(np.linalg.svd(m, compute_uv=False).ravel().tolist()) < 1.0 - GAUSSIAN_NORM_MARGIN:
                 raise NotIntegrableError("||m|| must stay below 1 for square-integrability")

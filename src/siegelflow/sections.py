@@ -141,7 +141,7 @@ class GaussianSection:
 def _checked(frame: Frame, m: np.ndarray, b: np.ndarray, c, coeffs: np.ndarray, degree, out: list) -> None:
     """Fills ``out`` over ``frame`` with m, b, c and coeffs as checked (non-finite data, asymmetric m, the frame's
     ``check_integrable``, a constant p of 0) and normalised (m symmetrised, a constant p folded into c, read-only);
-    a leading stack axis takes coeffs zero-padded past each ``degree``, and raises as its first failing entry would."""
+    stacked, coeffs are zero-padded past each ``degree``, and the first check failed by any entry raises its error."""
     one = m.ndim == 2
     axes = None if one else (-2, -1)  # per entry; reducing a single m over an axis tuple costs it ~0.3 us
     amax = np.abs(m).max(axes).tolist()
