@@ -1,10 +1,10 @@
 """Command-line interface: geodesics, transport, and verification suites.
 
 All commands read JSON (from --in or stdin where input is required) and
-emit a JSON report:
+emit a JSON report, which ``main`` builds and writes for every command:
 
     {
-      "schema_version": 2,
+      "schema_version": 3,
       "command": "...",
       "inputs": {...},            # echo of the parsed input and flags
       "results": [ {"name", "residual", "tolerance", "passed"}, ... ],
@@ -13,12 +13,12 @@ emit a JSON report:
       "wall_time_s": ...
     }
 
-Reports are deterministic for a fixed configuration and seed apart from
-the wall_time_s field; randomized suites draw from numpy's PCG64
-generator seeded with --seed.
+--tol sets the tolerance of every row.  Reports are deterministic for a fixed
+configuration and seed apart from the wall_time_s field; randomized suites
+draw from numpy's PCG64 generator seeded with --seed.
 
-Exit codes: 0 on success, 1 when a verification fails or a result could
-not be computed, 2 on usage or parse errors.
+Exit codes: 0 on success, 1 when a row fails (named on stderr) or a result
+could not be computed, 2 on usage or parse errors, over-deep input or an unwritable --out.
 
 Points are encoded as {"omega1": [[...]], "omega2": [[...]]} with real
 matrices; complex scalars and arrays use [re, im] pairs.
@@ -41,7 +41,7 @@ from .errors import SiegelFlowError, TruncationOverflowError
 from .sections import (
     QUAD_NODES_MAX,
     CorrectedSection,
-    _complex_to_json,
+    _complex_array_to_json,
     _point_from_json,
     _real_array,
     coherent_state,
@@ -58,7 +58,7 @@ from .suites import SUITES, _row
 from .sympl import MetaplecticElement
 from .transport import (
     ODE_BASIS_MAX,
-    bogoliubov_scale,
+    _halfform_log,
     metaplectic_act,
     transport_corrected,
     transport_kernel_apply,
@@ -66,15 +66,16 @@ from .transport import (
     transport_uncorrected,
 )
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _load_input(args) -> dict:
     try:
-        text = sys.stdin.read() if args.input in (None, "-") else Path(args.input).read_text()
+        data = json.loads(sys.stdin.read() if args.input in (None, "-") else Path(args.input).read_text())
     except OSError as exc:
         raise ValueError(f"cannot read {args.input}: {exc.strerror}") from exc
-    data = json.loads(text)
+    except RecursionError:
+        raise ValueError("the input is nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError(f"input must be a JSON object, not {type(data).__name__}")
     return data
@@ -86,8 +87,10 @@ def _emit(report: dict, out_path: str | None) -> None:
     except ValueError:
         raise SiegelFlowError("the result is not finite; no report written") from None
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            Path(out_path).write_text(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_path}: {exc.strerror}") from exc
     else:
         try:
             print(text, flush=True)
@@ -99,38 +102,17 @@ def _emit(report: dict, out_path: str | None) -> None:
             os.close(devnull)
 
 
-def _report(command: str, inputs: dict, results: list[dict], outputs: dict, t0: float) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "outputs": outputs,
-        "passed": all(r["passed"] for r in results),
-        "wall_time_s": round(time.time() - t0, 6),
-    }
-
-
-def cmd_geodesic(args) -> int:
-    t0 = time.time()
+def cmd_geodesic(args):
     data = _load_input(args)
     omega = _point_from_json(data["omega"], "omega")
     omega_p = _point_from_json(data["omega_p"], "omega_p")
     spec = geodesic_between(omega, omega_p)
-    residual = spec.endpoint_residual()
-    samples = {
-        f"{t:.2f}": geodesic_eval(spec, t).to_json() for t in (0.0, 0.25, 0.5, 0.75, 1.0)
-    }
-    tol = args.tol if args.tol is not None else 1e-8
-    results = [_row("geodesic/endpoint_round_trip", residual, tol)]
     outputs = {
         "g": {k: getattr(spec.g, k).tolist() for k in "abcd"},
         "lambda": spec.lam.tolist(),
-        "samples": samples,
+        "samples": {f"{t:.2f}": geodesic_eval(spec, t).to_json() for t in (0.0, 0.25, 0.5, 0.75, 1.0)},
     }
-    report = _report("geodesic", data, results, outputs, t0)
-    _emit(report, args.out)
-    return 0 if report["passed"] else 1
+    return data, [_row("geodesic/endpoint_round_trip", spec.endpoint_residual(), 1e-8)], outputs
 
 
 def _parse_state(data: dict, omega: SiegelPoint):
@@ -148,24 +130,20 @@ def _parse_state(data: dict, omega: SiegelPoint):
     return psi
 
 
-def cmd_transport(args) -> int:
-    t0 = time.time()
+def cmd_transport(args):
     data = _load_input(args)
     omega = _point_from_json(data["omega"], "omega")
     omega_p = _point_from_json(data["omega_p"], "omega_p")
     psi = _parse_state(data, omega)
     results: list[dict] = []
 
+    # one half-form root gives the Bogoliubov scale (its modulus) and the
+    # correction phase (its argument), whichever kernel moves the section
+    log_h = _halfform_log(psi.frame, omega_p)
+    transported = {"section": section_to_json(transport_kernel_apply(psi, omega, omega_p, args.kernel)),
+                   "scale": float(np.exp(log_h.real))}
     if args.corrected:
-        moved = transport_corrected(CorrectedSection(psi), omega_p)
-        transported = {"section": section_to_json(moved.section),
-                       "halfform_phase": _complex_to_json(moved.halfform_phase)}
-    else:
-        # "closed" is the rescaled projection, the Bergman kernel
-        kernel = "bergman" if args.kernel == "closed" else args.kernel
-        transported = {"section": section_to_json(transport_kernel_apply(psi, omega, omega_p, kernel))}
-    if args.corrected or args.kernel == "closed":
-        transported["scale"] = bogoliubov_scale(psi.frame, omega_p)
+        transported["halfform_phase"] = _complex_array_to_json(np.exp(1j * log_h.imag))
     outputs = {"transport": transported}
 
     if args.ode_check:
@@ -177,8 +155,7 @@ def cmd_transport(args) -> int:
                 f"--trunc {args.trunc} needs an ODE basis of {n_basis} states, past ODE_BASIS_MAX = {ODE_BASIS_MAX}"
             )
         spec = geodesic_between(omega, omega_p)
-        mp = MetaplecticElement.principal_lift(spec.g)
-        pulled = metaplectic_act(mp.inverse(), psi)
+        pulled = metaplectic_act(MetaplecticElement.principal_lift(spec.g).inverse(), psi)
         coeffs = fock_coefficients(pulled, args.trunc)
         start = from_fock_coefficients(coeffs, standard_point(1))
         lam = float(spec.lam[0])
@@ -197,41 +174,18 @@ def cmd_transport(args) -> int:
         resid = difference_norm(around, start) / norm(psi)
         hol = inner_product(psi, around.section) * around.halfform_phase / inner_product(psi, psi)
         results.append(_row("transport/triangle_holonomy_identity", resid, 1e-8))
-        outputs["triangle_holonomy"] = _complex_to_json(hol)
+        outputs["triangle_holonomy"] = _complex_array_to_json(hol)
 
-    if not results:
-        results.append(_row("transport/completed", 0.0, 1.0))
-    report = _report("transport", {**data, "flags": {
-        "corrected": bool(args.corrected), "kernel": args.kernel,
-        "ode_check": bool(args.ode_check), "triangle": bool(args.triangle)}},
-        results, outputs, t0)
-    _emit(report, args.out)
-    return 0 if report["passed"] else 1
+    flags = {"corrected": bool(args.corrected), "kernel": args.kernel,
+             "ode_check": bool(args.ode_check), "triangle": bool(args.triangle)}
+    return {**data, "flags": flags}, results or [_row("transport/completed", 0.0, 1.0)], outputs
 
 
-def cmd_verify(args) -> int:
-    t0 = time.time()
+def cmd_verify(args):
     fn = SUITES[args.suite]
     params = inspect.signature(fn).parameters
-    kwargs = {}
-    if "seed" in params:
-        kwargs["seed"] = args.seed
-    if "nodes" in params:
-        kwargs["nodes"] = args.nodes
-    rows = fn(**kwargs)
-    if args.tol is not None:
-        rows = [_row(r["name"], r["residual"], args.tol) for r in rows]
-    report = _report("verify", {"suite": args.suite, "seed": args.seed}, rows, {}, t0)
-    _emit(report, args.out)
-    if not report["passed"]:
-        first = next(r for r in rows if not r["passed"])
-        print(
-            f"verification failed: {first['name']} residual {first['residual']:.3e} "
-            f"> {first['tolerance']:.1e}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    kwargs = {k: v for k, v in {"seed": args.seed, "nodes": args.nodes}.items() if k in params}
+    return {"suite": args.suite, "seed": args.seed}, fn(**kwargs), {}
 
 
 def _positive_int(text: str) -> int:
@@ -250,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Geodesic transport of Gaussian states and its boundary transforms.",
     )
     parser.add_argument("--seed", type=int, default=42, help="seed for randomized checks")
-    parser.add_argument("--tol", type=float, default=None, help="tolerance override")
+    parser.add_argument("--tol", type=float, default=None, help="tolerance of every result row")
     parser.add_argument(
         "--nodes", type=_positive_int, default=64,
         help="starting quadrature nodes per dimension for the unitarity oracle, doubled until two grids "
@@ -266,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr = sub.add_parser("transport", help="transport a state between two points")
     p_tr.add_argument("--in", dest="input", default=None)
     p_tr.add_argument("--corrected", action="store_true", help="include the half-form correction")
-    p_tr.add_argument("--kernel", choices=("closed", "bergman", "holomorphic"), default="closed")
+    p_tr.add_argument("--kernel", choices=("bergman", "holomorphic"), default="bergman",
+                      help="the rescaled projection or the Xi kernel; either composes with --corrected")
     p_tr.add_argument("--ode-check", action="store_true", help="cross-check against the Fock ODE")
     p_tr.add_argument("--ode-steps", type=int, default=10000, help="ignored: the Fock ODE's propagator is exact")
     p_tr.add_argument("--triangle", action="store_true", help="run the flatness check (needs omega_pp)")
@@ -276,15 +231,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# main dispatches through this dict at call time, so a wrapper put in it takes effect
+# each command returns (inputs, rows, outputs); main dispatches through this dict
+# at call time, so a wrapper put in it takes effect
 _COMMANDS = {"geodesic": cmd_geodesic, "transport": cmd_transport, "verify": cmd_verify}
 _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
+    t0 = time.time()
     try:
-        return _COMMANDS[args.command](args)
+        inputs, rows, outputs = _COMMANDS[args.command](args)
+        if args.tol is not None:
+            rows = [_row(r["name"], r["residual"], args.tol) for r in rows]
+        failed = [r for r in rows if not r["passed"]]
+        _emit({"schema_version": SCHEMA_VERSION, "command": args.command, "inputs": inputs,
+               "results": rows, "outputs": outputs, "passed": not failed,
+               "wall_time_s": round(time.time() - t0, 6)}, args.out)
     except (SiegelFlowError, np.linalg.LinAlgError, ArithmeticError) as exc:
         # LinAlgError is a ValueError, but it marks a failed computation; an
         # ArithmeticError is a value past the range of a float, or a division
@@ -294,6 +257,11 @@ def main(argv=None) -> int:
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    if failed:
+        print(f"verification failed: {failed[0]['name']} residual {failed[0]['residual']:.3e} "
+              f"> {failed[0]['tolerance']:.1e}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

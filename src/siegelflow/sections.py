@@ -268,8 +268,9 @@ def _kernel_push(psis, e, minus, cross, target, m_add, c_minus) -> list[Gaussian
     - inner) - outer, (inner, outer) = minus, to results over ``target`` plus m_add less c_minus, checked once.  Several
     go as one ``_stack``, cut back to each input's degree (the rows are lower-triangular); one goes unstacked."""
     st = _stack(psis)[0]
-    s = e.T @ st.m @ e - minus[0]
-    q, r, c, poly = kernel_apply_poly(0.5 * (s + s.swapaxes(-1, -2)) - minus[1], cross, st.b @ e, st.c, st.coeffs, e[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # finite data can overflow here; kernel_apply_poly raises on it
+        s, b = e.T @ st.m @ e - minus[0], st.b @ e
+    q, r, c, poly = kernel_apply_poly(0.5 * (s + s.swapaxes(-1, -2)) - minus[1], cross, b, st.c, st.coeffs, e[0])
     return _sections(target, q + m_add, r, c - np.reshape(c_minus, np.shape(c)), poly, psis)
 
 
@@ -587,10 +588,6 @@ def _difference_norm_pointwise(a, b, nodes: int) -> float:
 # serialization
 
 
-def _complex_to_json(z: complex):
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def _complex_array_to_json(a: np.ndarray):
     a = np.asarray(a, dtype=complex)
     return np.stack([a.real, a.imag], axis=-1).tolist()
@@ -633,7 +630,7 @@ def section_to_json(psi: GaussianSection) -> dict:
         "frame": psi.frame.to_json(),
         "M": _complex_array_to_json(psi.m),
         "b": _complex_array_to_json(psi.b),
-        "c": _complex_to_json(psi.c),
+        "c": _complex_array_to_json(psi.c),
     }
     if psi.degree:
         out["poly"] = _complex_array_to_json(psi.coeffs)

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegelflow import random_siegel
+from siegelflow import SiegelPoint, random_siegel, transport
 from siegelflow.cli import main
-from siegelflow.transport import ODE_BASIS_MAX
+from siegelflow.transport import ODE_BASIS_MAX, bogoliubov_scale
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -115,10 +115,11 @@ _JSON = st.recursive(
 )
 _NUMBER = st.floats(-1.5, 1.5) | st.integers(-2, 2) | st.floats()
 _PAIR = st.tuples(_NUMBER, _NUMBER).map(list)
+_FRAME_LIKE = st.just(_UNIT_POINT) | st.builds(lambda a, b: point_json([[a]], [[b]]), _NUMBER, _NUMBER)
 # well-shaped n = 1 sections with arbitrary numbers, so that most draws reach the transport
 _SECTION_LIKE = st.fixed_dictionaries(
     {
-        "frame": st.just(_UNIT_POINT) | st.builds(lambda a, b: point_json([[a]], [[b]]), _NUMBER, _NUMBER),
+        "frame": _FRAME_LIKE,
         "M": st.builds(lambda p: [[p]], _PAIR),
         "b": st.builds(lambda p: [p], _PAIR),
         "c": _PAIR,
@@ -127,23 +128,81 @@ _SECTION_LIKE = st.fixed_dictionaries(
 )
 
 
+_REPORT_KEYS = {"schema_version", "command", "inputs", "results", "outputs", "passed", "wall_time_s"}
+_ENTRY = st.floats(-1.0, 1.0)
+
+
+def _valid_point(n):
+    """A point of the Siegel upper half-space: symmetric Re part, Im part at least 0.5 I."""
+    entries = st.lists(_ENTRY, min_size=2 * n * n, max_size=2 * n * n).map(lambda v: np.reshape(v, (2, n, n)))
+    drawn = entries.map(lambda ab: point_json((ab[0] + ab[0].T).tolist(), (ab[1] @ ab[1].T + 0.5 * np.eye(n)).tolist()))
+    return st.just(_UNIT_POINT) | drawn if n == 1 else drawn
+
+
+def _point_or_not(n):
+    # mostly a valid point of the drawn dimension, so that most draws reach the transport
+    return st.integers(0, 9).flatmap(
+        lambda k: _valid_point(n) if k < 8 else st.integers(1, 3).flatmap(_valid_point) if k == 8 else _JSON
+    )
+
+
+@st.composite
+def _request(draw):
+    """(argv, request document): a geodesic or transport request of n = 1..3 with
+    valid or malformed points and state, and every combination of the flags."""
+    n = draw(st.integers(1, 3))
+    doc = {key: draw(_point_or_not(n)) for key in ("omega", "omega_p", "omega_pp")}
+    tol = draw(st.none() | st.sampled_from([1e-30, 1e-8, 1.0]) | st.floats())
+    argv = [] if tol is None else ["--tol", repr(tol)]
+    if draw(st.booleans()):
+        return [*argv, "geodesic"], {key: doc[key] for key in ("omega", "omega_p")}
+    pairs = st.lists(_PAIR, min_size=n, max_size=n) | st.lists(_PAIR, max_size=4)
+    frame = st.just(doc["omega"]) | _FRAME_LIKE
+    state = draw(
+        st.none()
+        | st.fixed_dictionaries({"alpha": pairs})
+        | st.fixed_dictionaries({"section": _JSON | st.builds(lambda sec, f: {**sec, "frame": f}, _SECTION_LIKE, frame)})
+        | _JSON
+    )
+    if state is not None:
+        doc["state"] = state
+    check = draw(st.sampled_from([[], ["--triangle"], ["--ode-check"]]))
+    if check == ["--ode-check"]:
+        argv += ["--trunc", "8"]
+    flags = draw(st.sampled_from([[], ["--corrected"]])) + draw(
+        st.sampled_from([[], ["--kernel", "bergman"], ["--kernel", "holomorphic"]])
+    )
+    return [*argv, "transport", *flags, *check], doc
+
+
 @settings(max_examples=300, deadline=None)
-@given(
-    section=_JSON | _SECTION_LIKE,
-    flags=st.sampled_from([[], ["--corrected"], ["--kernel", "bergman"], ["--kernel", "holomorphic"], ["--triangle"]]),
-)
-def test_any_section_json_exits_without_a_traceback(section, flags):
-    payload = json.dumps({"omega": _UNIT_POINT, "omega_p": point_json([[0.3]], [[2.0]]),
-                          "omega_pp": point_json([[-0.5]], [[0.7]]), "state": {"section": section}})
-    saved, sys.stdin = sys.stdin, io.StringIO(payload)
+@given(request=_request())
+def test_any_request_document_exits_without_a_traceback(request):
+    argv, doc = request
+    saved, sys.stdin = sys.stdin, io.StringIO(json.dumps(doc))
     try:
-        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
-            code = main(["transport", *flags])
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: a --tol value it reads as an option
+                code = exc.code
     finally:
         sys.stdin = saved
+    out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2)
-    if code == 0:
-        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        return
+    if code == 1 and not out:
+        assert err.startswith("error: ")
+        return
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert set(report) == _REPORT_KEYS
+    failing = [r for r in report["results"] if not r["passed"]]
+    assert report["passed"] is (code == 0) is (not failing)
+    if code == 1:
+        assert err.startswith(f"verification failed: {failing[0]['name']} ")
 
 
 def _reject_constant(name):
@@ -176,6 +235,21 @@ class TestTransportCommand:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(["transport", "--triangle"], payload, capsys, monkeypatch)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "not finite" in err
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("flags", [[], ["--kernel", "holomorphic"]])
+    def test_overflowing_amplitude_exits_1_without_a_warning(self, n, flags, capsys, monkeypatch):
+        # alpha is finite, but its product with the frame's coordinates is not
+        def diag(v):
+            return (v * np.eye(n)).tolist()
+
+        payload = json.dumps({"omega": point_json(diag(2.0), diag(0.5)), "omega_p": point_json(diag(0.0), diag(0.5)),
+                              "state": {"alpha": [[0.0, 1.5e308]] * n}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["transport", *flags], payload, capsys, monkeypatch)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and "not finite" in err
 
@@ -427,3 +501,68 @@ class TestVerifyCommand:
         code, out, err = run_cli(["--tol", "1e-30", "verify", "curvature"], "", capsys, monkeypatch)
         assert code == 1
         assert "verification failed" in err
+
+
+_TRANSPORT_REQUEST = json.dumps({"state": {"alpha": [[0.3, 0.1]]}, "omega": _UNIT_POINT,
+                                 "omega_p": point_json([[0.3]], [[2.0]]), "omega_pp": point_json([[-0.5]], [[0.7]])})
+
+
+class TestReportPath:
+    """``main`` builds, writes and exits on the report of every command."""
+
+    def test_every_command_reports_one_key_set(self, capsys, monkeypatch):
+        geodesic = json.dumps({"omega": _UNIT_POINT, "omega_p": point_json([[0.3]], [[2.0]])})
+        for argv, stdin in ((["geodesic"], geodesic), (["transport"], _TRANSPORT_REQUEST), (["verify", "curvature"], "")):
+            code, out, _ = run_cli(argv, stdin, capsys, monkeypatch)
+            assert code == 0
+            assert set(json.loads(out)) == _REPORT_KEYS
+
+    def test_tol_sets_the_transport_rows(self, capsys, monkeypatch):
+        code, out, err = run_cli(["--tol", "1e-30", "transport", "--ode-check"], _TRANSPORT_REQUEST, capsys, monkeypatch)
+        assert code == 1
+        report = json.loads(out)
+        row = next(r for r in report["results"] if r["name"] == "transport/ode_vs_closed_form")
+        assert row["tolerance"] == 1e-30 and not row["passed"] and report["passed"] is False
+        assert err.startswith("verification failed: transport/ode_vs_closed_form residual ")
+
+    @pytest.mark.parametrize("kernel", ["bergman", "holomorphic"])
+    @pytest.mark.parametrize("corrected", [[], ["--corrected"]])
+    def test_scale_is_the_bogoliubov_scale(self, kernel, corrected, capsys, monkeypatch):
+        code, out, _ = run_cli(["transport", *corrected, "--kernel", kernel], _TRANSPORT_REQUEST, capsys, monkeypatch)
+        assert code == 0
+        expected = bogoliubov_scale(SiegelPoint([[0.0]], [[1.0]]), SiegelPoint([[0.3]], [[2.0]]))
+        assert json.loads(out)["outputs"]["transport"]["scale"] == expected
+
+    def test_corrected_composes_with_the_holomorphic_kernel(self, capsys, monkeypatch):
+        calls = []
+        apply = transport._XiKernel.apply
+        monkeypatch.setattr(transport._XiKernel, "apply", lambda self, *a: calls.append(1) or apply(self, *a))
+        reports = {}
+        for kernel in ("bergman", "holomorphic"):
+            code, out, _ = run_cli(["transport", "--corrected", "--kernel", kernel], _TRANSPORT_REQUEST, capsys, monkeypatch)
+            assert code == 0
+            reports[kernel] = json.loads(out)["outputs"]["transport"]
+            assert len(calls) == (kernel == "holomorphic")
+        bergman, holomorphic = reports["bergman"], reports["holomorphic"]
+        assert holomorphic["halfform_phase"] == bergman["halfform_phase"]
+        for key in ("M", "b", "c"):
+            np.testing.assert_allclose(holomorphic["section"][key], bergman["section"][key], rtol=0, atol=1e-14)
+
+    def test_closed_is_not_a_kernel(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["transport", "--kernel", "closed"])
+        assert info.value.code == 2
+        assert "invalid choice: 'closed'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["missing_dir", "a_directory"])
+    def test_unwritable_out_exits_2(self, where, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "missing" / "r.json" if where == "missing_dir" else tmp_path
+        code, out, err = run_cli(["--out", str(path), "transport"], _TRANSPORT_REQUEST, capsys, monkeypatch)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"input error: cannot write {path}: ")
+
+    @pytest.mark.parametrize("command", ["geodesic", "transport"])
+    def test_deeply_nested_input_exits_2(self, command, capsys, monkeypatch):
+        code, out, err = run_cli([command], "[" * 100_000, capsys, monkeypatch)
+        assert (code, out) == (2, "")
+        assert err == "input error: the input is nested too deeply\n"
