@@ -13,9 +13,9 @@ emit a JSON report, which ``main`` builds and writes for every command:
       "wall_time_s": ...
     }
 
---tol sets the tolerance of every row.  Reports are deterministic for a fixed
-configuration and seed apart from the wall_time_s field; randomized suites
-draw from numpy's PCG64 generator seeded with --seed.
+--tol, a finite number >= 0, sets the tolerance of every row.  Reports are
+deterministic for a fixed configuration and seed apart from the wall_time_s
+field; randomized suites draw from numpy's PCG64 generator seeded with --seed.
 
 Exit codes: 0 on success, 1 when a row fails (named on stderr) or a result
 could not be computed, 2 on usage or parse errors, over-deep input or an unwritable --out.
@@ -188,14 +188,17 @@ def cmd_verify(args):
     return {"suite": args.suite, "seed": args.seed}, fn(**kwargs), {}
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, not {value}")
-    return value
+def _bounded(kind, low, domain: str):
+    """An argparse type: the text read as ``kind``, at least ``low`` and finite, or exit 2."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not low <= value < np.inf:  # nan fails too; a report holds only finite JSON numbers
+            raise argparse.ArgumentTypeError(f"must be {domain}, not {value}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,13 +207,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Geodesic transport of Gaussian states and its boundary transforms.",
     )
     parser.add_argument("--seed", type=int, default=42, help="seed for randomized checks")
-    parser.add_argument("--tol", type=float, default=None, help="tolerance of every result row")
+    parser.add_argument("--tol", type=_bounded(float, 0.0, "a finite number >= 0"), default=None,
+                        help="tolerance of every result row")
     parser.add_argument(
-        "--nodes", type=_positive_int, default=64,
+        "--nodes", type=_bounded(int, 1, "a positive integer"), default=64,
         help="starting quadrature nodes per dimension for the unitarity oracle, doubled until two grids "
         f"agree, up to {QUAD_NODES_MAX} (numpy's Gauss-Hermite weights underflow beyond)",
     )
-    parser.add_argument("--trunc", type=_positive_int, default=32, help="Fock truncation")
+    parser.add_argument("--trunc", type=_bounded(int, 1, "a positive integer"), default=32, help="Fock truncation")
     parser.add_argument("--out", type=str, default=None, help="write the report to a file")
     sub = parser.add_subparsers(dest="command", required=True)
 

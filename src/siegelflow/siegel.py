@@ -228,8 +228,8 @@ class BoundaryPolarization:
     def transverse_to(self, other: "BoundaryPolarization") -> bool:
         """|det(W^T J0 W')| on the orthonormal spans, the product of the sines
         of the principal angles between the two subspaces, exceeds the tolerance."""
-        if other.n != self.n:
-            raise ValueError(f"{self!r} and {other!r} are polarizations of different spaces")
+        if not isinstance(other, BoundaryPolarization) or other.n != self.n:
+            raise ValueError(f"{self!r} and {other!r} are not polarizations of one space")
         d = np.linalg.det(self.span.T @ symplectic_form_matrix(self.n) @ other.span)
         return bool(abs(d) > TRANSVERSALITY_TOL)
 

@@ -6,11 +6,12 @@ frame ``BoundaryPolarization(reference)``, reference a metaplectic lift of g,
 and pairs like any corrected section.  Its section is the profile in
 standard position, p(u) exp((1/2) u^T m u + b^T u + c) with Re m < 0
 (polynomial for n = 1), normed against (2 pi)^{-n/2} du.  The pairing map
-to a Kaehler frame Omega evaluates in closed form and is unitary; its
-boundary companions are
+between a polarization and a Kaehler frame, either way, is the corrected Xi
+kernel with one end at L- moved by the reference lift: unitary, in closed form,
+its result carrying the map's unit branch phase.  Its companions are
 
   * the position/momentum transform pair generalizing the classical
-    Segal-Bargmann transform and its inverse,
+    Segal-Bargmann transform and its inverse, its two directions,
   * the Fourier transform between transverse real polarizations, with the
     i^{n/2} normalization of the momentum-frame half-form.
 
@@ -34,7 +35,7 @@ from .errors import NoBoundaryLimitError, NonTransverseError, PolarizationMismat
 from .sections import CorrectedSection, GaussianSection, _difference_norms, _require_frame, _sections, _stack, norm
 from .siegel import RATE_TOL, BoundaryPolarization, GeodesicSpec
 from .sympl import MetaplecticElement, act_on_siegel, transform_z_coords
-from .transport import _one_space, _transport_corrected_all, _XiKernel, metaplectic_act, transport_corrected
+from .transport import _transport_corrected_all, _XiKernel, metaplectic_act, transport_corrected
 
 # Unit constant relating the pushed frame sqrt(d^n x o g0^{-1}) of the
 # standard exchange element g0 = (0, I; -I, 0) (principal lift) to the
@@ -80,56 +81,40 @@ def from_momentum_profile(profile: GaussianSection) -> CorrectedSection:
 
 
 # ---------------------------------------------------------------------------
-# the pairing maps: corrected transport with one end at L-
+# the pairing map: corrected transport with one end at L-, either way
 
 
-def _require_source(source, psihats) -> None:
-    """A map pairs only sections over the frame object it was built from (a stack shares one)."""
-    if psihats[0].frame is not source:
-        raise ValueError(f"a pairing map from {source!r} cannot take a section over {psihats[0].frame!r}")
+class _PairingMap:
+    """The corrected Xi kernel from ``source`` to ``target``, one of them a polarization
+    with reference R: from it, the kernel from L- to Omega0 = R^{-1} . Omega and then R,
+    onto R . Omega0; onto it, R^{-1} and then the kernel to L-.  The input's half-form
+    phase folds into the prefactor; the result carries the map's unit branch phase."""
 
-
-class _SegalBargmann:
-    """``segal_bargmann`` from ``source``: the corrected Xi kernel from L- to
-    Omega0 = R^{-1} . Omega, then the action of the reference R, onto ``target``."""
-
-    def __init__(self, source: BoundaryPolarization, omega: SiegelPoint):
-        _one_space(source, omega)
-        ref = source.reference
-        om0 = act_on_siegel(ref.g.inverse(), omega)
-        self.source, self.target, phase = source, act_on_siegel(ref.g, om0), ref.phase_at(om0)
-        # the push to Omega0 and the change to the target's coordinates, in one kernel
-        self._kernel = _XiKernel(source, om0, out=(self.target, transform_z_coords(ref.g, om0, self.target)))
-        self._phase = phase / abs(phase)
+    def __init__(self, source, target):
+        if isinstance(source, BoundaryPolarization) == isinstance(target, BoundaryPolarization) or source.n != target.n:
+            raise ValueError(f"a pairing map needs a polarization and a point of one space, not {source!r}, {target!r}")
+        if isinstance(source, BoundaryPolarization):
+            ref = source.reference
+            om0 = act_on_siegel(ref.g.inverse(), target)
+            target, phase = act_on_siegel(ref.g, om0), ref.phase_at(om0)
+            # the push to Omega0 and the change to the target's coordinates, in one kernel
+            self._kernel = _XiKernel(source, om0, out=(target, transform_z_coords(ref.g, om0, target)))
+        else:
+            back = target.reference.inverse()
+            pulled, phase = act_on_siegel(back.g, source), back.phase_at(source)
+            # the change to the pulled point's coordinates and the push, in one kernel
+            self._kernel = _XiKernel(pulled, target, t_in=transform_z_coords(back.g, source, pulled))
+        self.source, self.target, self._phase = source, target, phase / abs(phase)
 
     def __call__(self, shat: CorrectedSection) -> CorrectedSection:
         return self.apply_all([shat])[0]
 
     def apply_all(self, shats) -> list[CorrectedSection]:
-        _require_source(self.source, shats)
+        # a map pairs only sections over the frame object it was built from (a stack shares one)
+        if shats[0].frame is not self.source:
+            raise ValueError(f"a pairing map from {self.source!r} cannot take a section over {shats[0].frame!r}")
         log_prefs = [np.conj(self._kernel.log_h) - np.log(s.halfform_phase) for s in shats]
         return [CorrectedSection(x, self._phase) for x in self._kernel.apply_all([s.section for s in shats], log_prefs)]
-
-
-class _SegalBargmannInverse:
-    """``segal_bargmann_inverse`` from the point ``source`` to ``target``: the action of
-    the target's inverse reference, then the corrected Xi kernel from there to L-."""
-
-    def __init__(self, source: SiegelPoint, target: BoundaryPolarization):
-        _one_space(source, target)
-        back = target.reference.inverse()
-        self.source, pulled, self._phase = source, act_on_siegel(back.g, source), back.phase_at(source)
-        # the change to the pulled point's coordinates and the push, in one kernel
-        self._kernel = _XiKernel(pulled, target, t_in=transform_z_coords(back.g, source, pulled))
-
-    def __call__(self, psihat: CorrectedSection) -> CorrectedSection:
-        return self.apply_all([psihat])[0]
-
-    def apply_all(self, psihats) -> list[CorrectedSection]:
-        _require_source(self.source, psihats)
-        phases = (self._phase * p.halfform_phase for p in psihats)
-        log_prefs = [np.conj(self._kernel.log_h) - np.log(ph / abs(ph)) for ph in phases]
-        return [CorrectedSection(s) for s in self._kernel.apply_all([p.section for p in psihats], log_prefs)]
 
 
 def segal_bargmann(shat: CorrectedSection, omega: SiegelPoint) -> CorrectedSection:
@@ -138,7 +123,7 @@ def segal_bargmann(shat: CorrectedSection, omega: SiegelPoint) -> CorrectedSecti
 
     In standard position it is the corrected Xi kernel from L- to Omega0."""
     _require_frame("segal_bargmann", BoundaryPolarization, shat)
-    return _SegalBargmann(shat.frame, omega)(shat)
+    return _PairingMap(shat.frame, omega)(shat)
 
 
 def segal_bargmann_inverse(
@@ -148,9 +133,8 @@ def segal_bargmann_inverse(
 
     In standard position it is the corrected Xi kernel from Omega0 to L-."""
     _require_frame("segal_bargmann_inverse", SiegelPoint, psihat)
-    if polarization is None:
-        polarization = BoundaryPolarization.position(psihat.frame.n)
-    return _SegalBargmannInverse(psihat.frame, polarization)(psihat)
+    target = BoundaryPolarization.position(psihat.frame.n) if polarization is None else polarization
+    return _PairingMap(psihat.frame, target)(psihat)
 
 
 def fourier(shat: CorrectedSection) -> CorrectedSection:
@@ -175,8 +159,8 @@ def fourier_general(shat: CorrectedSection, target: BoundaryPolarization) -> Cor
     _require_frame("fourier_general", BoundaryPolarization, shat)
     if not shat.frame.transverse_to(target):
         raise NonTransverseError("polarizations must be transverse")
-    there = _SegalBargmann(shat.frame, standard_point(shat.frame.n))
-    return _SegalBargmannInverse(there.target, target)(there(shat))
+    there = _PairingMap(shat.frame, standard_point(shat.frame.n))
+    return _PairingMap(there.target, target)(there(shat))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +187,7 @@ def _log_quadratic(s: CorrectedSection):
     S = R^{-T} [[m, (i/2) I], [(i/2) I, 0]] R^{-1} and l = R^{-T} (b, 0)."""
     s_v, l_v, k = s.section.real_quadratic()
     if isinstance(s.frame, BoundaryPolarization):
-        n, r_inv = s.frame.n, np.linalg.inv(s.frame.reference.g.matrix)
+        n, r_inv = s.frame.n, s.frame.reference.g.inverse().matrix
         s_v = r_inv.T @ np.block([[s_v, 0.5j * np.eye(n)], [0.5j * np.eye(n), np.zeros((n, n))]]) @ r_inv
         l_v = r_inv.T @ np.concatenate([l_v, np.zeros(n)])
     return s_v, l_v, k + np.log(s.halfform_phase)
@@ -330,9 +314,9 @@ def composition_identities_check(
     # the nine pairing maps of the three identities, built once for all profiles
     base = standard_point(pol_l.n)
     pairs = ((pol_l, omega), (pol_l, omega_p), (pol_l, base), (pol_lp, base))
-    to_om, to_omp, to_base, lp_to_base = (_SegalBargmann(p, w) for p, w in pairs)
+    to_om, to_omp, to_base, lp_to_base = (_PairingMap(p, w) for p, w in pairs)
     pairs = ((to_om, pol_lp), (to_om, pol_lpp), (to_omp, pol_lp), (to_base, pol_lp), (lp_to_base, pol_lpp))
-    om_to_lp, om_to_lpp, omp_to_lp, base_to_lp, base_to_lpp = (_SegalBargmannInverse(a.target, p) for a, p in pairs)
+    om_to_lp, om_to_lpp, omp_to_lp, base_to_lp, base_to_lpp = (_PairingMap(a.target, p) for a, p in pairs)
     # the profiles go through each map together: 9 map applications and 1 projection per check
     paired, moved = to_om.apply_all(sections), to_omp.apply_all(sections)
     via_base = base_to_lp.apply_all(to_base.apply_all(sections))  # the Fourier operator L -> L' through i I

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegelflow import SiegelPoint, random_siegel, transport
+from siegelflow import SiegelPoint, cli, random_siegel, transport
 from siegelflow.cli import main
 from siegelflow.transport import ODE_BASIS_MAX, bogoliubov_scale
 
@@ -470,6 +470,22 @@ def test_non_positive_count_flags_exit_2_naming_the_flag(flag, value, capsys):
         main([flag, value, "verify", "curvature"])
     assert info.value.code == 2
     assert f"argument {flag}: must be a positive integer, not {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5"])
+def test_tol_outside_the_finite_non_negative_numbers_exits_2_before_the_command(value, capsys, monkeypatch):
+    # written --tol=<x>: as a separate word, argparse reads "-inf" as an option
+    monkeypatch.setitem(cli._COMMANDS, "verify", lambda args: pytest.fail("the command ran"))
+    with pytest.raises(SystemExit) as info:
+        main([f"--tol={value}", "verify", "curvature"])
+    assert info.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and f"argument --tol: must be a finite number >= 0, not {float(value)}" in out.err
+
+
+@pytest.mark.parametrize("value", ["0", "1e-30"])
+def test_tol_takes_zero_and_tiny_values(value):
+    assert cli._PARSER.parse_args(["--tol", value, "verify", "curvature"]).tol == float(value)
 
 
 class TestVerifyCommand:

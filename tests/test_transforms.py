@@ -38,7 +38,7 @@ from siegelflow import (
 from siegelflow import _gaussint as gaussint
 from siegelflow import sections, siegel, suites, sympl, transforms, transport
 from siegelflow.sympl import act_on_siegel
-from siegelflow.transforms import _SegalBargmann, _SegalBargmannInverse, default_test_profiles
+from siegelflow.transforms import _PairingMap, default_test_profiles
 
 from _reference import inverse_pairing_in_three_steps, pairing_in_three_steps
 from conftest import random_gaussian_section, random_profile, standard_profile
@@ -402,7 +402,7 @@ class TestCompositionIdentities:
         rng = np.random.default_rng(25)
         pols = [BoundaryPolarization.from_span(np.vstack([np.eye(2), _symmetric(rng)])) for _ in range(3)]
         monkeypatch.setattr(BoundaryPolarization, "transverse_to", lambda *a: pytest.fail("frame work done"))
-        monkeypatch.setattr(transforms, "_SegalBargmann", lambda *a: pytest.fail("frame work done"))
+        monkeypatch.setattr(transforms, "_PairingMap", lambda *a: pytest.fail("frame work done"))
         with pytest.raises(ValueError, match="test profiles are n = 1"):
             composition_identities_check(random_siegel(rng, 2), random_siegel(rng, 2), *pols)
 
@@ -413,11 +413,11 @@ class TestCompositionIdentities:
         pol, om, omp = _random_polarization(rng, 1), random_siegel(rng, 1), random_siegel(rng, 1)
         profiles = default_test_profiles()
         stack = [CorrectedSection(GaussianSection(pol, p.m, p.b, p.c, p.coeffs), _unit(rng)) for p in profiles]
-        forward = _SegalBargmann(pol, om)
+        forward = _PairingMap(pol, om)
         paired = forward.apply_all(stack)
         maps = (
             (forward.apply_all, forward, stack),
-            (_SegalBargmannInverse(forward.target, pol).apply_all, _SegalBargmannInverse(forward.target, pol), paired),
+            (_PairingMap(forward.target, pol).apply_all, _PairingMap(forward.target, pol), paired),
             (lambda s: transport._transport_corrected_all(s, omp), lambda s: transport.transport_corrected(s, omp),
              paired),
         )
@@ -436,7 +436,7 @@ class TestCompositionIdentities:
         with pytest.raises(ValueError, match="one frame object"):
             kernel.apply_all(pair, [0.0, 0.0])
         with pytest.raises(ValueError, match="one frame object"):
-            _SegalBargmann(pos, I1).apply_all([CorrectedSection(s) for s in pair])
+            _PairingMap(pos, I1).apply_all([CorrectedSection(s) for s in pair])
         om = diagonal_point([2.0])
         with pytest.raises(ValueError, match="one frame object"):
             transport._transport_corrected_all([CorrectedSection(vacuum(diagonal_point([1.0]))) for _ in range(2)], om)
@@ -521,11 +521,33 @@ def test_transform_entries_reject_frames_of_another_n(call, frames):
     assert all(repr(f) in str(exc.value) for f in frames)
 
 
+@pytest.mark.parametrize(
+    "call, frames",
+    [
+        (lambda: segal_bargmann_inverse(KAEHLER_SECTION, diagonal_point([2.0])), (I1, diagonal_point([2.0]))),
+        (
+            lambda: segal_bargmann(POLARIZED_SECTION, BoundaryPolarization.momentum(1)),
+            (POLARIZED_SECTION.frame, BoundaryPolarization.momentum(1)),
+        ),
+        (lambda: fourier_general(POLARIZED_SECTION, I1), (POLARIZED_SECTION.frame, I1)),
+    ],
+    ids=["segal_bargmann_inverse", "segal_bargmann", "fourier_general"],
+)
+def test_transform_entries_reject_a_target_of_the_wrong_kind(call, frames, monkeypatch):
+    # a plain ValueError naming both frames, raised before any frame work
+    for name in ("_XiKernel", "act_on_siegel"):
+        monkeypatch.setattr(transforms, name, lambda *a, **k: pytest.fail("frame work done"))
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert exc.type is ValueError
+    assert all(repr(f) in str(exc.value) for f in frames)
+
+
 def test_pairing_maps_take_only_sections_over_their_source(rng):
     pos, mom = BoundaryPolarization.position(1), BoundaryPolarization.momentum(1)
-    to_i = _SegalBargmann(pos, I1)
+    to_i = _PairingMap(pos, I1)
     other_lift = BoundaryPolarization(pos.reference.other_lift())
-    back = _SegalBargmannInverse(to_i.target, mom)
+    back = _PairingMap(to_i.target, mom)
     cases = [
         (to_i, from_momentum_profile(standard_profile(1)), pos),
         (to_i, CorrectedSection(GaussianSection(other_lift, [[-1.0]], [0.0], 0.0)), pos),
@@ -593,7 +615,7 @@ class TestFoldedMaps:
     def test_each_application_builds_one_section(self, monkeypatch):
         rng = np.random.default_rng(61)
         pol, om = _random_polarization(rng, 2), random_siegel(rng, 2)
-        forward, inverse = _SegalBargmann(pol, om), _SegalBargmannInverse(om, pol)
+        forward, inverse = _PairingMap(pol, om), _PairingMap(om, pol)
         s = CorrectedSection(random_profile(rng, 2, frame=pol), _unit(rng))
         psi = CorrectedSection(random_gaussian_section(rng, om), _unit(rng))
         pos = CorrectedSection(random_profile(rng, 1), _unit(rng))
