@@ -24,8 +24,8 @@ primitives:
     Fock expansion, are its first column);
   * ``generating_poly``: the rows k! [s^k] of an exponentiated quadratic
     with a linear term in the output variable w, as polynomials in w;
-  * ``kernel_apply_poly``: the push of a polynomial-times-Gaussian through
-    a Gaussian kernel, the polynomial times those rows;
+  * ``kernel_apply_poly``: the push of a polynomial-times-Gaussian through the
+    one kernel type, ``sections._Kernel``, the polynomial times those rows;
   * ``_poly_gauss_pairing``: the integral of a Gaussian times two
     polynomial factors, which every closed-form inner product uses, a
     bilinear form in the factorial-weighted series.

@@ -58,10 +58,9 @@ from .suites import SUITES, _row
 from .sympl import MetaplecticElement
 from .transport import (
     ODE_BASIS_MAX,
-    _halfform_log,
+    _kernel_transport,
     metaplectic_act,
     transport_corrected,
-    transport_kernel_apply,
     transport_ode,
     transport_uncorrected,
 )
@@ -139,9 +138,8 @@ def cmd_transport(args):
 
     # one half-form root gives the Bogoliubov scale (its modulus) and the
     # correction phase (its argument), whichever kernel moves the section
-    log_h = _halfform_log(psi.frame, omega_p)
-    transported = {"section": section_to_json(transport_kernel_apply(psi, omega, omega_p, args.kernel)),
-                   "scale": float(np.exp(log_h.real))}
+    section, log_h = _kernel_transport(psi, omega, omega_p, args.kernel)
+    transported = {"section": section_to_json(section), "scale": float(np.exp(log_h.real))}
     if args.corrected:
         transported["halfform_phase"] = _complex_array_to_json(np.exp(1j * log_h.imag))
     outputs = {"transport": transported}
@@ -206,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="siegelflow",
         description="Geodesic transport of Gaussian states and its boundary transforms.",
     )
-    parser.add_argument("--seed", type=int, default=42, help="seed for randomized checks")
+    parser.add_argument("--seed", type=_bounded(int, 0, "a non-negative integer"), default=42,
+                        help="seed for randomized checks")
     parser.add_argument("--tol", type=_bounded(float, 0.0, "a finite number >= 0"), default=None,
                         help="tolerance of every result row")
     parser.add_argument(

@@ -19,8 +19,9 @@ vacuum of every frame has unit norm:
 
 and profiles against (2 pi)^{-n/2} du.
 
-Closed forms reduce to one complex Gaussian integral; an independent
-Gauss-Hermite quadrature oracle guards every frozen formula.
+Closed forms reduce to one complex Gaussian integral, pushed by one kernel type,
+``_Kernel`` (``_bergman``, ``transport._xi_kernel``, ``transforms.fourier``); an
+independent Gauss-Hermite quadrature oracle guards every frozen formula.
 """
 
 from __future__ import annotations
@@ -252,26 +253,35 @@ def bergman_project(psi: GaussianSection, omega_p: SiegelPoint) -> GaussianSecti
     holomorphic for Omega'.  A polynomial factor is pushed through the
     kernel along the source z-direction.
     """
-    return _project([psi], omega_p, 0.0)[0]
+    return _bergman(psi.frame, omega_p).apply(psi)
 
 
-def _project(psis, omega_p: SiegelPoint, log_scale: float) -> list[GaussianSection]:
-    """``bergman_project(psi, omega_p)`` times exp(log_scale) for each of ``psis``."""
-    frame = psis[0].frame
+class _Kernel:
+    """A Gaussian integral operator: p(z) exp((1/2) z^T m z + b^T z + c) over a frame with z = E v goes to the section
+    exp((1/2) w^T k22 w - log_pref) (normalised) integral p(z) exp((1/2) v^T S v + (cross w + E^T b)^T v + c) dv
+    over ``target`` in its coordinates w, S = sym(E^T m E - inner) - outer (one matrix for both moves the floors)."""
+
+    def __init__(self, e, inner, outer, cross, target, k22=0.0):
+        self.e, self.inner, self.outer, self.cross, self.target, self.k22 = e, inner, outer, cross, target, k22
+
+    def apply(self, psi: GaussianSection, log_pref: complex = 0.0) -> GaussianSection:
+        return self.apply_all([psi], [log_pref])[0]
+
+    def apply_all(self, psis, log_prefs) -> list[GaussianSection]:
+        """Sections over one frame object (else ValueError), each less its log_pref, through one ``kernel_apply_poly``
+        and one check; several go as one ``_stack``, cut back to each input's degree (the rows are lower-triangular)."""
+        e, st = self.e, _stack(psis)[0]
+        with np.errstate(over="ignore", invalid="ignore"):  # finite data can overflow; kernel_apply_poly raises on it
+            s, b = e.T @ st.m @ e - self.inner, st.b @ e
+        s = 0.5 * (s + s.swapaxes(-1, -2)) - self.outer
+        q, r, c, poly = kernel_apply_poly(s, self.cross, b, st.c, st.coeffs, e[0])
+        return _sections(self.target, q + self.k22, r, c - np.reshape(log_prefs, np.shape(c)), poly, psis)
+
+
+def _bergman(frame: Frame, omega_p: SiegelPoint) -> _Kernel:
+    """The reproducing kernel of Omega' on sections over ``frame``: ``bergman_project``'s kernel."""
     _same_space(frame, omega_p)
-    grams, cross = (frame.gram_matrix, omega_p.gram_matrix), omega_p.coord_matrix.conj().T
-    return _kernel_push(psis, frame.coord_matrix, grams, cross, omega_p, 0.0, [-log_scale] * len(psis))
-
-
-def _kernel_push(psis, e, minus, cross, target, m_add, c_minus) -> list[GaussianSection]:
-    """Sections over one frame object (else ValueError) through one ``kernel_apply_poly`` with quadratic sym(E^T m E
-    - inner) - outer, (inner, outer) = minus, to results over ``target`` plus m_add less c_minus, checked once.  Several
-    go as one ``_stack``, cut back to each input's degree (the rows are lower-triangular); one goes unstacked."""
-    st = _stack(psis)[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # finite data can overflow here; kernel_apply_poly raises on it
-        s, b = e.T @ st.m @ e - minus[0], st.b @ e
-    q, r, c, poly = kernel_apply_poly(0.5 * (s + s.swapaxes(-1, -2)) - minus[1], cross, b, st.c, st.coeffs, e[0])
-    return _sections(target, q + m_add, r, c - np.reshape(c_minus, np.shape(c)), poly, psis)
+    return _Kernel(frame.coord_matrix, frame.gram_matrix, omega_p.gram_matrix, omega_p.coord_matrix.conj().T, omega_p)
 
 
 @dataclass(frozen=True)

@@ -203,7 +203,8 @@ class BoundaryPolarization:
     @classmethod
     @lru_cache(maxsize=8)
     def momentum(cls, n: int) -> "BoundaryPolarization":
-        return cls(MetaplecticElement.principal_lift(exchange_map(n)))
+        # e^{i pi n / 4}: the continued i^{n/2} of ``fourier``; the principal lift has the other sign at n = 3
+        return cls(MetaplecticElement(exchange_map(n), np.exp(0.25j * np.pi * n)))
 
     @classmethod
     def from_span(cls, span) -> "BoundaryPolarization":

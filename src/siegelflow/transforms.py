@@ -13,7 +13,8 @@ its result carrying the map's unit branch phase.  Its companions are
   * the position/momentum transform pair generalizing the classical
     Segal-Bargmann transform and its inverse, its two directions,
   * the Fourier transform between transverse real polarizations, with the
-    i^{n/2} normalization of the momentum-frame half-form.
+    i^{n/2} normalization of the momentum-frame half-form: one ``_Kernel``
+    from the standard position, like the pairing map's ``transport._xi_kernel``.
 
 Transport along a geodesic with strictly positive rates converges to these
 operators at the two boundary ends.  Both sides of each limit are Gaussians
@@ -29,19 +30,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._gaussint import kernel_apply_poly
 from ._point import SiegelPoint, diagonal_point, standard_point
 from .errors import NoBoundaryLimitError, NonTransverseError, PolarizationMismatchError
-from .sections import CorrectedSection, GaussianSection, _difference_norms, _require_frame, _sections, _stack, norm
+from .sections import (CorrectedSection, GaussianSection, _difference_norms, _Kernel, _require_frame, _sections,
+                       _stack, norm)
 from .siegel import RATE_TOL, BoundaryPolarization, GeodesicSpec
 from .sympl import MetaplecticElement, act_on_siegel, transform_z_coords
-from .transport import _transport_corrected_all, _XiKernel, metaplectic_act, transport_corrected
+from .transport import _transport_corrected_all, _xi_kernel, metaplectic_act, transport_corrected
 
-# Unit constant relating the pushed frame sqrt(d^n x o g0^{-1}) of the
-# standard exchange element g0 = (0, I; -I, 0) (principal lift) to the
-# momentum frame sqrt(d^n y).  Pinned so that reconstructing the Fourier
-# operator from the Bargmann pair reproduces the direct formula with its
-# principal i^{n/2}; validated by the composition tests.
+# Unit constant relating the pushed frame sqrt(d^n x o g0^{-1}) of the exchange
+# element g0 = (0, I; -I, 0), with the branch e^{i pi n / 4} of
+# ``BoundaryPolarization.momentum``, to the momentum frame sqrt(d^n y).  Pinned
+# so that the Fourier operator rebuilt from the Bargmann pair is the direct
+# formula with its continued i^{n/2}; the tests check this for n = 1, 2 and 3.
 def _momentum_frame_factor(n: int) -> complex:
     return 1j**n
 
@@ -98,12 +99,12 @@ class _PairingMap:
             om0 = act_on_siegel(ref.g.inverse(), target)
             target, phase = act_on_siegel(ref.g, om0), ref.phase_at(om0)
             # the push to Omega0 and the change to the target's coordinates, in one kernel
-            self._kernel = _XiKernel(source, om0, out=(target, transform_z_coords(ref.g, om0, target)))
+            self._kernel, self._log_h = _xi_kernel(source, om0, out=(target, transform_z_coords(ref.g, om0, target)))
         else:
             back = target.reference.inverse()
             pulled, phase = act_on_siegel(back.g, source), back.phase_at(source)
             # the change to the pulled point's coordinates and the push, in one kernel
-            self._kernel = _XiKernel(pulled, target, t_in=transform_z_coords(back.g, source, pulled))
+            self._kernel, self._log_h = _xi_kernel(pulled, target, t_in=transform_z_coords(back.g, source, pulled))
         self.source, self.target, self._phase = source, target, phase / abs(phase)
 
     def __call__(self, shat: CorrectedSection) -> CorrectedSection:
@@ -113,7 +114,7 @@ class _PairingMap:
         # a map pairs only sections over the frame object it was built from (a stack shares one)
         if shats[0].frame is not self.source:
             raise ValueError(f"a pairing map from {self.source!r} cannot take a section over {shats[0].frame!r}")
-        log_prefs = [np.conj(self._kernel.log_h) - np.log(s.halfform_phase) for s in shats]
+        log_prefs = [np.conj(self._log_h) - np.log(s.halfform_phase) for s in shats]
         return [CorrectedSection(x, self._phase) for x in self._kernel.apply_all([s.section for s in shats], log_prefs)]
 
 
@@ -143,11 +144,10 @@ def fourier(shat: CorrectedSection) -> CorrectedSection:
     n = shat.frame.n
     if not shat.frame.close_to(BoundaryPolarization.position(n)):
         raise PolarizationMismatchError("direct transform expects the standard position form")
-    p, c_in = shat.section, shat.section.c + np.log(complex(shat.halfform_phase))
-    q, r, sc, poly = kernel_apply_poly(p.m, 1j * np.eye(n), p.b, c_in, p.coeffs, np.eye(n)[0])
-    c_out = sc + 0.25j * np.pi * n  # principal i^{n/2}
-    mom = BoundaryPolarization.momentum(n)
-    return CorrectedSection(_flipped(mom, 0.5 * (q + q.T), r, c_out, poly), np.conj(_momentum_frame_factor(n)))
+    # the -i coupling integrates phi(x) e^{-i x.u}, the momentum profile at y = -u
+    kernel = _Kernel(np.eye(n), 0.0, 0.0, -1j * np.eye(n), BoundaryPolarization.momentum(n))
+    log_pref = -np.log(complex(shat.halfform_phase)) - 0.25j * np.pi * n  # continued i^{n/2}
+    return CorrectedSection(kernel.apply(shat.section, log_pref), np.conj(_momentum_frame_factor(n)))
 
 
 def fourier_general(shat: CorrectedSection, target: BoundaryPolarization) -> CorrectedSection:

@@ -7,12 +7,13 @@ orthogonal projection onto the holomorphic sections of Omega' and
     alpha = |det Xi'|^{1/2} / (det Omega2 det Omega2')^{1/4},
     Xi'   = (Omega' - conj(Omega)) / 2i.
 
-Coherent states transport in closed form; the half-form correction
-contributes the unit phase (det Xi')^{1/2} / |det Xi'|^{1/2}, after which
-transport composes flatly.  A moving-frame Fock ODE provides an independent
-numerical route for n = 1: on the normal-form geodesic i exp(2 lambda t) the
-connection 1-form has constant coefficients, so the truncated ODE is solved
-exactly by the exponential of its constant squeeze generator.
+P and the Xi kernel (``_xi_kernel``) are ``sections._Kernel`` values; coherent
+states transport in closed form.  The half-form correction contributes the
+unit phase (det Xi')^{1/2} / |det Xi'|^{1/2}, after which transport composes
+flatly.  A moving-frame Fock ODE provides an independent numerical route for
+n = 1: on the normal-form geodesic i exp(2 lambda t) the connection 1-form has
+constant coefficients, so the truncated ODE is solved exactly by the
+exponential of its constant squeeze generator.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .errors import TruncationOverflowError
 from .sections import (
     CorrectedSection,
     GaussianSection,
-    _kernel_push,
-    _project,
+    _bergman,
+    _Kernel,
     bergman_project,  # noqa: F401  unused here, but perfbench/tracer.py wraps it under this name
     coherent_state,
     difference_norm,
@@ -81,44 +82,26 @@ def _xi_blocks(omega, omega_p):
     return k11, k12, k22, _halfform_log(omega, omega_p)
 
 
-def _one_space(f1, f2) -> None:
-    """ValueError naming both frames unless they have the same n."""
-    if f1.n != f2.n:
-        raise ValueError(f"{f1!r} and {f2!r} are frames of different spaces")
-
-
-class _XiKernel:
-    """The Xi kernel from Omega to Omega' (either may be a ``BoundaryPolarization``),
-    its frame work done once.  ``apply_all(psis, log_prefs)`` pushes sections over one
-    frame object to Omega' in one stacked kernel, each with the prefactor exp(-log_pref),
-    ``log_h.real`` or ``conj(log_h)``; ``apply(psi, log_pref)`` pushes one.  Two unitary
-    coordinate changes fold in exactly: ``t_in`` for psi over a frame with z = t_in z_Omega
-    (E -> t_in E), and ``out = (target, t)`` for a result over ``target`` with z_Omega' = t z''
-    (K12 -> K12 t, K22 -> t^T K22 t, as t^T (-L^T S^{-1} L) t = -(L t)^T S^{-1} (L t); for
-    n = 1 the push gives a polynomial its t^k factors)."""
-
-    def __init__(self, omega, omega_p, t_in=None, out=None):
-        _one_space(omega, omega_p)
-        k11, k12, k22, self.log_h = _xi_blocks(omega, omega_p)
-        self.target, t = (omega_p, np.eye(omega.n)) if out is None else out
-        self._k22 = t.T @ k22 @ t
-        # integrate over v, z = E v, against the frame's full weight exp(-v^T G v)
-        ebar = np.conj(omega.coord_matrix)
-        self._e = omega.coord_matrix if t_in is None else t_in @ omega.coord_matrix
-        self._minus_quad = 2.0 * omega.gram_matrix - ebar.T @ k11 @ ebar
-        self._cross = ebar.T @ k12 @ t
-
-    def apply(self, psi: GaussianSection, log_pref: complex) -> GaussianSection:
-        return self.apply_all([psi], [log_pref])[0]
-
-    def apply_all(self, psis, log_prefs) -> list[GaussianSection]:
-        return _kernel_push(psis, self._e, (self._minus_quad, 0.0), self._cross, self.target, self._k22, log_prefs)
+def _xi_kernel(omega, omega_p, t_in=None, out=None) -> tuple[_Kernel, complex]:
+    """(the Xi kernel from Omega to Omega', reading the coordinates of ``omega``, and ``_xi_blocks``'s log_h); either
+    end may be a ``BoundaryPolarization``, and frames of two n raise ValueError naming both.  Two unitary coordinate
+    changes fold in exactly: ``t_in`` for psi over a frame with z = t_in z_Omega (E -> t_in E), and ``out = (target,
+    t)`` for a result over ``target`` with z_Omega' = t z'' (K12 -> K12 t, K22 -> t^T K22 t, as t^T (-L^T S^{-1} L) t
+    = -(L t)^T S^{-1} (L t); for n = 1 the push gives a polynomial its t^k factors)."""
+    if omega.n != omega_p.n:
+        raise ValueError(f"{omega!r} and {omega_p!r} are frames of different spaces")
+    k11, k12, k22, log_h = _xi_blocks(omega, omega_p)
+    target, t = (omega_p, np.eye(omega.n)) if out is None else out
+    # integrate over v, z = E v, against the frame's full weight exp(-v^T G v)
+    ebar = np.conj(omega.coord_matrix)
+    e = omega.coord_matrix if t_in is None else t_in @ omega.coord_matrix
+    kernel = _Kernel(e, 2.0 * omega.gram_matrix - ebar.T @ k11 @ ebar, 0.0, ebar.T @ k12 @ t, target, t.T @ k22 @ t)
+    return kernel, log_h
 
 
 def transport_coherent(alpha, omega: SiegelPoint, omega_p: SiegelPoint) -> GaussianSection:
     """Parallel transport of the coherent state c_alpha along the geodesic."""
-    n = omega.n
-    alpha = np.asarray(alpha, dtype=complex).reshape(n)
+    alpha = np.asarray(alpha, dtype=complex).reshape(omega.n)
     k11, k12, k22, log_h = _xi_blocks(omega, omega_p)
     ac = np.conj(alpha)
     return GaussianSection(
@@ -144,7 +127,7 @@ def bogoliubov_scale_via_structures(omega: SiegelPoint, omega_p: SiegelPoint) ->
 
 def transport_uncorrected(psi: GaussianSection, omega_p: SiegelPoint) -> GaussianSection:
     """U psi = alpha(Omega, Omega') P psi for any Gaussian(-polynomial) section."""
-    return _project([psi], omega_p, _halfform_log(psi.frame, omega_p).real)[0]
+    return _bergman(psi.frame, omega_p).apply(psi, -_halfform_log(psi.frame, omega_p).real)
 
 
 def transport_corrected(psihat: CorrectedSection, omega_p: SiegelPoint) -> CorrectedSection:
@@ -159,7 +142,7 @@ def transport_corrected(psihat: CorrectedSection, omega_p: SiegelPoint) -> Corre
 def _transport_corrected_all(psihats, omega_p: SiegelPoint) -> list[CorrectedSection]:
     """``transport_corrected`` of sections over one frame object: one half-form root, one stacked projection."""
     log_h = _halfform_log(psihats[0].frame, omega_p)
-    sections = _project([p.section for p in psihats], omega_p, log_h.real)
+    sections = _bergman(psihats[0].frame, omega_p).apply_all([p.section for p in psihats], [-log_h.real] * len(psihats))
     return [CorrectedSection(s, np.exp(1j * log_h.imag) * p.halfform_phase) for s, p in zip(sections, psihats)]
 
 
@@ -184,14 +167,20 @@ def transport_kernel_apply(
     only, with the Xi blocks inside the integral.  Both agree with the
     closed-form coherent transport, and both take polynomial sections.
     """
+    return _kernel_transport(phi, omega, omega_p, kernel)[0]
+
+
+def _kernel_transport(phi: GaussianSection, omega: SiegelPoint, omega_p: SiegelPoint, kernel: str) -> tuple:
+    """(``transport_kernel_apply``'s section, the half-form root log_h whose modulus scaled it), one root taken."""
     if not phi.frame.close_to(omega, tol=1e-12):
         raise ValueError("section must live at the source point")
     if kernel == "bergman":
-        return transport_uncorrected(phi, omega_p)
+        log_h = _halfform_log(phi.frame, omega_p)
+        return _bergman(phi.frame, omega_p).apply(phi, -log_h.real), log_h
     if kernel != "holomorphic":
         raise ValueError(f"unknown kernel {kernel!r}")
-    kernel = _XiKernel(omega, omega_p)
-    return kernel.apply(phi, kernel.log_h.real)
+    xi, log_h = _xi_kernel(omega, omega_p)
+    return xi.apply(phi, log_h.real), log_h
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 from siegelflow import CorrectedSection, GaussianSection, act_on_siegel, diagonal_point, transform_z_coords
 from siegelflow._gaussint import gauss_log_integral
 from siegelflow.sections import _hermite_table
-from siegelflow.transport import _XiKernel
+from siegelflow.transport import _xi_kernel
 
 
 class BranchDiscontinuityError(Exception):
@@ -132,8 +132,8 @@ def pairing_in_three_steps(shat: CorrectedSection, omega) -> CorrectedSection:
     ref = shat.frame.reference
     om0 = act_on_siegel(ref.g.inverse(), omega)
     target = act_on_siegel(ref.g, om0)
-    kernel = _XiKernel(shat.frame, om0)
-    core = kernel.apply(shat.section.scaled(shat.halfform_phase), np.conj(kernel.log_h))
+    kernel, log_h = _xi_kernel(shat.frame, om0)
+    core = kernel.apply(shat.section.scaled(shat.halfform_phase), np.conj(log_h))
     phase = ref.phase_at(om0)
     return CorrectedSection(in_coordinates_of(core, target, transform_z_coords(ref.g, om0, target)), phase / abs(phase))
 
@@ -145,9 +145,9 @@ def inverse_pairing_in_three_steps(psihat: CorrectedSection, polarization) -> Co
     back = polarization.reference.inverse()
     pulled = act_on_siegel(back.g, psihat.frame)
     moved = in_coordinates_of(psihat.section, pulled, transform_z_coords(back.g, psihat.frame, pulled))
-    kernel = _XiKernel(pulled, polarization)
+    kernel, log_h = _xi_kernel(pulled, polarization)
     phase = back.phase_at(psihat.frame) * psihat.halfform_phase
-    return CorrectedSection(kernel.apply(moved, np.conj(kernel.log_h)).scaled(phase / abs(phase)))
+    return CorrectedSection(kernel.apply(moved, np.conj(log_h)).scaled(phase / abs(phase)))
 
 
 def grid_sum_built_per_call(f, placement: tuple, nodes: int) -> complex:

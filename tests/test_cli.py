@@ -483,6 +483,21 @@ def test_tol_outside_the_finite_non_negative_numbers_exits_2_before_the_command(
     assert out.out == "" and f"argument --tol: must be a finite number >= 0, not {float(value)}" in out.err
 
 
+@pytest.mark.parametrize("argv", [["--seed", "-1", "verify", "lemma21"], ["--seed=-3", "verify", "curvature"]])
+def test_negative_seed_exits_2_at_parse_time_naming_the_flag(argv, capsys, monkeypatch):
+    monkeypatch.setitem(cli._COMMANDS, "verify", lambda args: pytest.fail("the command ran"))
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "argument --seed: must be a non-negative integer, not -" in out.err
+
+
+def test_seed_zero_runs(capsys, monkeypatch):
+    code, out, _ = run_cli(["--seed", "0", "verify", "curvature"], "", capsys, monkeypatch)
+    assert code == 0 and json.loads(out)["inputs"]["seed"] == 0
+
+
 @pytest.mark.parametrize("value", ["0", "1e-30"])
 def test_tol_takes_zero_and_tiny_values(value):
     assert cli._PARSER.parse_args(["--tol", value, "verify", "curvature"]).tol == float(value)
@@ -549,10 +564,20 @@ class TestReportPath:
         expected = bogoliubov_scale(SiegelPoint([[0.0]], [[1.0]]), SiegelPoint([[0.3]], [[2.0]]))
         assert json.loads(out)["outputs"]["transport"]["scale"] == expected
 
+    @pytest.mark.parametrize("kernel", ["bergman", "holomorphic"])
+    @pytest.mark.parametrize("corrected", [[], ["--corrected"]])
+    def test_one_halfform_root_per_request(self, kernel, corrected, capsys, monkeypatch):
+        calls = []
+        root = transport._halfform_log
+        for module in (transport, cli):  # every binding of the root, whichever module calls it
+            monkeypatch.setattr(module, "_halfform_log", lambda *a: calls.append(1) or root(*a), raising=False)
+        code, _, _ = run_cli(["transport", *corrected, "--kernel", kernel], _TRANSPORT_REQUEST, capsys, monkeypatch)
+        assert code == 0 and len(calls) == 1
+
     def test_corrected_composes_with_the_holomorphic_kernel(self, capsys, monkeypatch):
         calls = []
-        apply = transport._XiKernel.apply
-        monkeypatch.setattr(transport._XiKernel, "apply", lambda self, *a: calls.append(1) or apply(self, *a))
+        build = transport._xi_kernel
+        monkeypatch.setattr(transport, "_xi_kernel", lambda *a: calls.append(1) or build(*a))
         reports = {}
         for kernel in ("bergman", "holomorphic"):
             code, out, _ = run_cli(["transport", "--corrected", "--kernel", kernel], _TRANSPORT_REQUEST, capsys, monkeypatch)

@@ -934,6 +934,12 @@ class TestFrameKinds:
             oracle_inner_product(vacuum(I1), vacuum(standard_point(2)))
         assert str(exc.value).count("SiegelPoint") == 2
 
+    def test_transport_to_a_point_of_another_n_names_both_frames(self):
+        # the Bergman kernel checks the two frames before the half-form root is taken
+        with pytest.raises(ValueError, match="different spaces") as exc:
+            transport_uncorrected(vacuum(I1), standard_point(2))
+        assert str(exc.value).count("SiegelPoint") == 2
+
     def test_section_to_json_rejects_polarized_sections_naming_the_frame(self, rng):
         with pytest.raises(ValueError, match="BoundaryPolarization"):
             section_to_json(random_profile(rng))

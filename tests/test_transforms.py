@@ -183,7 +183,7 @@ class TestFourier:
 
     def test_reconstruction_matches_direct_formula(self, rng):
         # acceptance-style: the pairing-pair route through any Kaehler frame
-        # reproduces the direct kernel including its quarter-turn phase, n = 1 and n = 2
+        # reproduces the direct kernel including its quarter-turn phase, n = 1, 2 and 3
         mom1 = BoundaryPolarization.momentum(1)
         for _ in range(4):
             s = CorrectedSection(random_profile(rng))
@@ -197,6 +197,13 @@ class TestFourier:
         rebuilt2 = segal_bargmann_inverse(segal_bargmann(s2, random_siegel(rng, 2)), mom2)
         assert difference_norm(direct2, rebuilt2) < 1e-9 * norm(s2.section)
         assert difference_norm(direct2, fourier_general(s2, mom2)) < 1e-9 * norm(s2.section)
+        # at n = 3 the momentum frame's branch is the continued e^{3 i pi / 4}, not the principal e^{-i pi / 4}
+        mom3 = BoundaryPolarization.momentum(3)
+        s3 = CorrectedSection(random_profile(rng, n=3, poly=False))
+        direct3 = fourier(s3)
+        rebuilt3 = segal_bargmann_inverse(segal_bargmann(s3, random_siegel(rng, 3)), mom3)
+        assert difference_norm(direct3, rebuilt3) < 1e-9 * norm(s3.section)
+        assert difference_norm(direct3, fourier_general(s3, mom3)) < 1e-9 * norm(s3.section)
 
     def test_non_transverse_rejected(self):
         s = CorrectedSection(standard_profile(1))
@@ -431,7 +438,7 @@ class TestCompositionIdentities:
     def test_stacks_take_sections_over_one_frame_object(self):
         pos = BoundaryPolarization.position(1)
         twin = BoundaryPolarization(pos.reference)  # an equal frame, but another object
-        kernel = transport._XiKernel(pos, I1)
+        kernel = transport._xi_kernel(pos, I1)[0]
         pair = [standard_profile(1), GaussianSection(twin, [[-1.0]], [0.0], 0.0)]
         with pytest.raises(ValueError, match="one frame object"):
             kernel.apply_all(pair, [0.0, 0.0])
@@ -535,7 +542,7 @@ def test_transform_entries_reject_frames_of_another_n(call, frames):
 )
 def test_transform_entries_reject_a_target_of_the_wrong_kind(call, frames, monkeypatch):
     # a plain ValueError naming both frames, raised before any frame work
-    for name in ("_XiKernel", "act_on_siegel"):
+    for name in ("_xi_kernel", "act_on_siegel"):
         monkeypatch.setattr(transforms, name, lambda *a, **k: pytest.fail("frame work done"))
     with pytest.raises(ValueError) as exc:
         call()
@@ -638,6 +645,28 @@ class TestFoldedMaps:
             call()
             counts.append(len(built))
         assert counts == [1, 1, 1, 1, 1, 1, 2]
+
+    def test_every_kernel_push_is_one_call_of_the_one_integral(self, monkeypatch):
+        # the Bergman projection, the Xi kernel, the pairing maps and the Fourier transform are all
+        # values of sections._Kernel, the only caller of kernel_apply_poly
+        assert not hasattr(transforms, "kernel_apply_poly")
+        rng = np.random.default_rng(63)
+        om, omp = random_siegel(rng, 2), random_siegel(rng, 2)
+        psi = random_gaussian_section(rng, om)
+        pos = CorrectedSection(random_profile(rng, 2), _unit(rng))
+        calls, push = [], sections.kernel_apply_poly
+        monkeypatch.setattr(sections, "kernel_apply_poly", lambda *a: calls.append(1) or push(*a))
+        for call in (
+            lambda: sections.bergman_project(psi, omp),
+            lambda: transport.transport_uncorrected(psi, omp),
+            lambda: transport.transport_kernel_apply(psi, om, omp, "holomorphic"),
+            lambda: segal_bargmann(pos, om),
+            lambda: segal_bargmann_inverse(CorrectedSection(psi)),
+            lambda: fourier(pos),
+        ):
+            calls.clear()
+            call()
+            assert len(calls) == 1
 
     def test_frame_identity_and_the_other_lift(self, monkeypatch):
         ref = MetaplecticElement.principal_lift(random_symplectic(np.random.default_rng(62), 2))
