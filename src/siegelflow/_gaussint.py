@@ -19,19 +19,19 @@ primitives:
   * ``gauss_log_integral``: log of the base integral;
   * ``integrate_out``: the base integral over some of the variables, as a
     Gaussian in the rest;
-  * ``exp_bivariate_series``: Taylor coefficients of an exponentiated
-    quadratic in two generating parameters (one-parameter series, as in the
-    Fock expansion, are its first column);
+  * ``taylor``: the Taylor coefficients of a polynomial times an
+    exponentiated quadratic in one variable, as in the Fock expansion;
   * ``generating_poly``: the rows k! [s^k] of an exponentiated quadratic
     with a linear term in the output variable w, as polynomials in w;
   * ``kernel_apply_poly``: the push of a polynomial-times-Gaussian through the
     one kernel type, ``sections._Kernel``, the polynomial times those rows;
   * ``_poly_gauss_pairing``: the integral of a Gaussian times two
-    polynomial factors, which every closed-form inner product uses, a
-    bilinear form in the factorial-weighted series.
+    polynomial factors, which every closed-form inner product uses: one
+    factor pushed by ``kernel_apply_poly`` and the other read off the
+    result's ``taylor`` coefficients.
 
-The series are evaluated one order at a time, each order after the first
-column of ``exp_bivariate_series`` as one numpy vector operation.
+The series are evaluated one order at a time, each order of
+``generating_poly`` as one numpy vector operation.
 
 ``half_logdet``, ``integrate_out``, ``generating_poly`` and ``kernel_apply_poly`` take an optional leading stack
 axis (S (..., m, m), ell0 (..., m), k (...), zero-padded polynomials; L and gen_dir shared): one eigvalsh, one
@@ -109,29 +109,6 @@ def integrate_out(S: np.ndarray, L: np.ndarray, ell0: np.ndarray, k: complex):
     return Q, r, s
 
 
-def exp_bivariate_series(b1, b2, g11, g12, g22, jmax: int, kmax: int) -> np.ndarray:
-    """c[j, k] = [s^j t^k] exp(b1 s + b2 t + g11 s^2/2 + g12 s t + g22 t^2/2).
-
-    Column 0 is the one-parameter series, (j+1) c[j+1, 0] = b1 c[j, 0] +
-    g11 c[j-1, 0], one scalar per order; each later column is one vector
-    update, (k+1) c[:, k+1] = b2 c[:, k] + g22 c[:, k-1] + g12 c[:-1, k]
-    shifted one row down.
-    """
-    b1, g11 = complex(b1), complex(g11)
-    col = [1.0 + 0.0j]
-    for j in range(jmax):
-        col.append((b1 * col[j] + (g11 * col[j - 1] if j else 0.0)) / (j + 1))
-    c = np.zeros((jmax + 1, kmax + 1), dtype=complex)
-    c[:, 0] = col
-    for k in range(kmax):
-        nxt = b2 * c[:, k]
-        if k:
-            nxt += g22 * c[:, k - 1]
-        nxt[1:] += g12 * c[:-1, k]
-        c[:, k + 1] = nxt / (k + 1)
-    return c
-
-
 def kernel_apply_poly(S, Lmat, ell0, k0, poly, gen_dir):
     """Integrate exp((1/2) u^T S u + (L w + ell0)^T u + k0) p(gen_dir . u), normalised.
 
@@ -182,24 +159,37 @@ def generating_poly(beta: complex, gamma: complex, eps: complex, d: int) -> np.n
     return rows.transpose(tuple(range(2, rows.ndim)) + (0, 1))
 
 
+def taylor(poly, beta: complex, gamma: complex, n: int) -> np.ndarray:
+    """[s^k] p(s) exp(beta s + (1/2) gamma s^2) for k < n, p's ascending coefficients ``poly``.
+
+    One scalar per order, (k+1) e_{k+1} = beta e_k + gamma e_{k-1}, then one convolution; no k!, so n may pass 170.
+    """
+    beta, gamma = complex(beta), complex(gamma)
+    col = [1.0 + 0.0j]
+    for k in range(n - 1):
+        col.append((beta * col[k] + (gamma * col[k - 1] if k else 0.0)) / (k + 1))
+    return np.convolve(poly, col)[:n]
+
+
 def _poly_gauss_pairing(S, ell, k, a, b, p1, p2) -> complex:
     """Normalised integral of exp((1/2) v^T S v + ell^T v + k) p1(a . v) p2(b . v).
 
-    p1, p2 are ascending coefficients; the directions a, b are read only when
-    a factor is a polynomial.  The moment of (a . v)^j (b . v)^l is j! l!
-    [s^j t^l] of the integral with linear term ell + s a + t b.
+    p1, p2 are ascending coefficients; the directions a, b are read only when a factor is a polynomial.
+    The pairs (a, p1), (b, p2) enter symmetrically, so p2 is the one of lower degree: pushed along b with w along a
+    it gives F(w) = p(w) exp(q w^2/2 + r w + log), and the moment of (a . v)^j is j! [w^j] F.
     """
-    log = gauss_log_integral(S, ell, k)
-    if not log.real < _LOG_FLOAT_MAX:  # also NaN
-        raise NonFiniteError(f"the Gaussian pairing overflows: log modulus {log.real:.3e}")
     if len(p1) == 1 and len(p2) == 1:
+        log = gauss_log_integral(S, ell, k)
+        if not log.real < _LOG_FLOAT_MAX:  # also NaN
+            raise NonFiniteError(f"the Gaussian pairing overflows: log modulus {log.real:.3e}")
         return p1[0] * p2[0] * np.exp(log)
-    # j! l! as floats: OverflowError from degree 171 on, before any series work
-    fact = [float(factorial(j)) for j in range(max(len(p1), len(p2)))]
-    x0, xa, xb = np.linalg.solve(S, np.column_stack([ell, a, b])).T
+    if len(p2) > len(p1):
+        a, b, p1, p2 = b, a, p2, p1
+    # j! as floats: OverflowError from degree 171 on, before any integral
+    fact = [float(factorial(j)) for j in range(len(p1))]
+    q, r, log, p = kernel_apply_poly(S, a, ell, k, p2, b)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
-        series = exp_bivariate_series(-a @ x0, -b @ x0, -a @ xa, -a @ xb, -b @ xb, len(p1) - 1, len(p2) - 1)
-        out = (p1 * fact[: len(p1)]) @ series @ (p2 * fact[: len(p2)]) * np.exp(log)
+        out = (p1 * fact) @ taylor(p, r[0], q[0, 0], len(p1)) * np.exp(log)
     if not np.isfinite(out):
         raise NonFiniteError("the Gaussian-polynomial pairing overflows")
     return out

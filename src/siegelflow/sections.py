@@ -34,7 +34,7 @@ from math import lgamma
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from ._gaussint import _finite, _poly_gauss_pairing, exp_bivariate_series, kernel_apply_poly
+from ._gaussint import _finite, _poly_gauss_pairing, kernel_apply_poly, taylor
 from ._point import SiegelPoint
 from .errors import (
     NonFiniteError,
@@ -327,8 +327,7 @@ def fock_coefficients(psi: GaussianSection, n_trunc: int = N_TRUNC_DEFAULT) -> n
     """
     if psi.n != 1 or not isinstance(psi.frame, SiegelPoint):
         raise ValueError(f"Fock expansion implemented for n = 1 Kaehler frames, not {psi.frame!r}")
-    series = exp_bivariate_series(complex(psi.b[0]), 0.0, complex(psi.m[0, 0]), 0.0, 0.0, n_trunc - 1, 0)
-    full = np.convolve(psi.coeffs, series[:, 0])[:n_trunc] * np.exp(psi.c)
+    full = taylor(psi.coeffs, psi.b[0], psi.m[0, 0], n_trunc) * np.exp(psi.c)
     # multiply by sqrt(k!) in log space, where neither factor overflows
     out = np.zeros(n_trunc, dtype=complex)
     k = np.flatnonzero(full)

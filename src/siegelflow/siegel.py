@@ -265,6 +265,6 @@ def geodesic_boundary_limits(spec: GeodesicSpec):
     """
     if spec.lam.min() <= RATE_TOL:
         return None, None
-    lift = MetaplecticElement.principal_lift
-    plus = compose(spec.g, exchange_map(spec.n))  # g g0 . L- = g . L+
-    return BoundaryPolarization(lift(spec.g)), BoundaryPolarization(lift(plus))
+    lift = MetaplecticElement.principal_lift(spec.g)
+    plus = lift.compose(BoundaryPolarization.momentum(spec.n).reference)  # g g0 . L- = g . L+, g0 lifted as in fourier
+    return BoundaryPolarization(lift), BoundaryPolarization(plus)

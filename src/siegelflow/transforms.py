@@ -268,12 +268,11 @@ def default_test_profiles() -> tuple[GaussianSection, ...]:
     )
 
 
-@lru_cache(maxsize=16)
-def _profile_norm(m: bytes, b: bytes, c: complex, coeffs: bytes) -> float:
-    """``norm`` of the profile with this complex data over any polarization:
+@lru_cache(maxsize=1)
+def _profile_scales() -> tuple[float, ...]:
+    """The ``norm`` of each default test profile, over any polarization:
     each has E = I and G = 0, so the norm depends on the data alone."""
-    m, b, coeffs = (np.frombuffer(x, dtype=complex) for x in (m, b, coeffs))
-    return norm(GaussianSection(BoundaryPolarization.position(b.size), m.reshape(b.size, -1), b, c, coeffs))
+    return tuple(map(norm, default_test_profiles()))
 
 
 @dataclass(frozen=True)
@@ -323,5 +322,5 @@ def composition_identities_check(
     l_to_lpp = base_to_lpp.apply_all(lp_to_base.apply_all(omp_to_lp.apply_all(moved)))  # L -> L' via Omega', L' -> L''
     sides = ((moved, _transport_corrected_all(paired, omega_p)), (via_base, om_to_lp.apply_all(paired)),
              (om_to_lpp.apply_all(paired), l_to_lpp))
-    scales = [_profile_norm(p.m.tobytes(), p.b.tobytes(), p.c, p.coeffs.tobytes()) for p in profiles]
+    scales = _profile_scales()
     return IdentityReport(*(max(d / w for d, w in zip(_difference_norms(a, b), scales)) for a, b in sides))

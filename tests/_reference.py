@@ -4,8 +4,9 @@ None of these is on a library path: each is a second route to a value the
 library computes another way (a sampled det^{1/2} continuation, the
 standard-geodesic closed form of coherent transport, explicit ladder and
 deformation matrices, a term-by-term Gaussian-polynomial pairing, the
-pairing maps as three separate constructions, a Gaussian integral with one
-solve per right-hand side, a quadrature grid built on every call).
+two-parameter Taylor series of an exponentiated quadratic, the pairing maps
+as three separate constructions, a Gaussian integral with one solve per
+right-hand side, a quadrature grid built on every call).
 ``test_branches`` asserts that no name defined here is also an attribute
 of a ``siegelflow`` module.
 """
@@ -105,6 +106,29 @@ def poly_gauss_pairing_loop(S, ell, k, a, b, p1, p2) -> complex:
         for l in range(len(p2)):
             total += p1[j] * p2[l] * float(factorial(j)) * float(factorial(l)) * c[j, l]
     return total * np.exp(log)
+
+
+def exp_bivariate_series(b1, b2, g11, g12, g22, jmax: int, kmax: int) -> np.ndarray:
+    """c[j, k] = [s^j t^k] exp(b1 s + b2 t + g11 s^2/2 + g12 s t + g22 t^2/2).
+
+    Column 0 is the one-parameter series, (j+1) c[j+1, 0] = b1 c[j, 0] +
+    g11 c[j-1, 0], one scalar per order; each later column is one vector
+    update, (k+1) c[:, k+1] = b2 c[:, k] + g22 c[:, k-1] + g12 c[:-1, k]
+    shifted one row down.
+    """
+    b1, g11 = complex(b1), complex(g11)
+    col = [1.0 + 0.0j]
+    for j in range(jmax):
+        col.append((b1 * col[j] + (g11 * col[j - 1] if j else 0.0)) / (j + 1))
+    c = np.zeros((jmax + 1, kmax + 1), dtype=complex)
+    c[:, 0] = col
+    for k in range(kmax):
+        nxt = b2 * c[:, k]
+        if k:
+            nxt += g22 * c[:, k - 1]
+        nxt[1:] += g12 * c[:-1, k]
+        c[:, k + 1] = nxt / (k + 1)
+    return c
 
 
 def integrate_out_per_column(S, L, ell0, k):

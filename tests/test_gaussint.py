@@ -5,7 +5,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from _reference import integrate_out_per_column, poly_gauss_pairing_loop
+from _reference import exp_bivariate_series, integrate_out_per_column, poly_gauss_pairing_loop
 from siegelflow import (
     GaussianSection,
     NonFiniteError,
@@ -15,17 +15,18 @@ from siegelflow import (
     diagonal_point,
     from_fock_coefficients,
     inner_product,
+    inner_product_cross_frame,
     random_siegel,
     standard_point,
     transport_uncorrected,
 )
 from siegelflow._gaussint import (
     _poly_gauss_pairing,
-    exp_bivariate_series,
     gauss_log_integral,
     generating_poly,
     integrate_out,
     kernel_apply_poly,
+    taylor,
 )
 from siegelflow.sections import _half_log_factorials
 from siegelflow.suites import _random_gaussian_section
@@ -115,6 +116,32 @@ def test_exp_bivariate_series_matches_exact_sum(jmax, kmax):
                 assert float(err) <= 1e-14 * float(scale[j][k]), (j, k, params)
 
 
+def exact_taylor(poly, beta, gamma, n, absolute=False):
+    """[s^k] p(s) exp(beta s + gamma s^2 / 2) for k < n by the defining sum
+    over i + a + 2 b = k, in exact rational arithmetic."""
+    out = [Fraction(0)] * n
+    for i, p in enumerate(poly):
+        for a in range(n - i):
+            for b in range((n - i - a + 1) // 2):
+                term = p * beta**a * (gamma / 2) ** b / (factorial(a) * factorial(b))
+                out[i + a + 2 * b] += abs(term) if absolute else term
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_taylor_matches_exact_sum(seed):
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 7, 25, 40):
+        beta, gamma = _rational(rng), _rational(rng)
+        poly = [_rational(rng) for _ in range(int(rng.integers(1, 12)))]
+        got = taylor([float(p) for p in poly], float(beta), float(gamma), n)
+        assert got.shape == (n,)
+        exact, scale = (exact_taylor(poly, beta, gamma, n, absolute) for absolute in (False, True))
+        for k in range(n):
+            err = abs(Fraction(got[k].real) - exact[k]) + abs(got[k].imag)
+            assert float(err) <= 1e-14 * float(scale[k]), (k, n, seed)
+
+
 def _pairing_args(rng, d1, d2, same_frame, decay):
     """The arguments inner_product_cross_frame passes for two random n = 1
     sections of degrees d1, d2 with Fock coefficients of scale decay^k."""
@@ -151,6 +178,36 @@ def test_poly_gauss_pairing_matches_term_by_term_sum(seed, same_frame, decay):
         assert abs(got - want) <= 1e-13 * _rounding_scale(*args), (d1, d2)
         if same_frame:
             assert abs(got - want) <= 1e-13 * abs(want), (d1, d2)
+
+
+@pytest.mark.parametrize("d1, d2", [(0, 3), (5, 2), (7, 7), (31, 17)])
+def test_poly_gauss_pairing_is_symmetric_in_its_factors(d1, d2):
+    # unequal degrees push the same factor either way round; equal ones push p2, then p1
+    rng = np.random.default_rng(10 * d1 + d2)
+    s, ell, k, a, b, p1, p2 = args = _pairing_args(rng, d1, d2, False, 1.0)
+    got, swapped = _poly_gauss_pairing(*args), _poly_gauss_pairing(s, ell, k, b, a, p2, p1)
+    if d1 != d2:
+        assert got == swapped
+    assert abs(got - swapped) <= 1e-13 * _rounding_scale(*args)
+
+
+def test_polynomial_pairing_is_one_push_and_one_solve(monkeypatch):
+    rng = np.random.default_rng(7)
+    poly = from_fock_coefficients(rng.normal(size=4), random_siegel(rng, 1))
+    gauss = [_random_gaussian_section(rng, random_siegel(rng, 1)) for _ in range(2)]
+    pairs = [(poly, gauss[0]), (gauss[1], poly), (poly, poly), (gauss[0], gauss[1])]
+    for pair in pairs:  # the frames' cached matrices are built before counting
+        inner_product_cross_frame(*pair)
+    push, solve, pushes, solves = kernel_apply_poly, np.linalg.solve, [], []
+    monkeypatch.setattr("siegelflow._gaussint.kernel_apply_poly", lambda *a: pushes.append(1) or push(*a))
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+    counts = []
+    for pair in pairs:
+        pushes.clear()
+        solves.clear()
+        inner_product_cross_frame(*pair)
+        counts.append((len(pushes), len(solves)))
+    assert counts == [(1, 1), (1, 1), (1, 1), (0, 1)]
 
 
 def test_poly_gauss_pairing_raises_overflow_from_degree_171():
