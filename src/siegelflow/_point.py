@@ -13,7 +13,7 @@ integrability test of their quadratic part.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -121,8 +121,9 @@ class SiegelPoint:
         return f"SiegelPoint(omega={np.array2string(self.omega, precision=6)})"
 
 
+@lru_cache(maxsize=8)
 def standard_point(n: int) -> SiegelPoint:
-    """The base point i*I_n."""
+    """The base point i*I_n, built once per n: a point is immutable, its arrays read-only."""
     return SiegelPoint(np.zeros((n, n)), np.eye(n))
 
 

@@ -323,10 +323,12 @@ def fock_coefficients(psi: GaussianSection, n_trunc: int = N_TRUNC_DEFAULT) -> n
 
     With the unit-vacuum normalization the monomials satisfy
     <z^j, z^k>_{Gaussian} = k! delta_{jk}, so the coefficients are scaled
-    Taylor coefficients of p(z) exp((1/2) m z^2 + b z).
+    Taylor coefficients of p(z) exp((1/2) m z^2 + b z).  ``n_trunc`` below 1 raises ValueError.
     """
     if psi.n != 1 or not isinstance(psi.frame, SiegelPoint):
         raise ValueError(f"Fock expansion implemented for n = 1 Kaehler frames, not {psi.frame!r}")
+    if not n_trunc >= 1:
+        raise ValueError(f"n_trunc must be at least 1, not {n_trunc}")
     full = taylor(psi.coeffs, psi.b[0], psi.m[0, 0], n_trunc) * np.exp(psi.c)
     # multiply by sqrt(k!) in log space, where neither factor overflows
     out = np.zeros(n_trunc, dtype=complex)

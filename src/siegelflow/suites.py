@@ -39,12 +39,13 @@ from .transforms import (
     segal_bargmann_inverse,
 )
 from .transport import (
+    _transport_corrected_all,
+    _transport_uncorrected_all,
     bogoliubov_scale,
     bogoliubov_scale_via_structures,
     fock_connection_matrix,
     transport_corrected,
     transport_equals_scaled_projection_check,
-    transport_uncorrected,
 )
 
 
@@ -139,12 +140,10 @@ def suite_unitarity(seed: int = 42, trials: int = 20, oracle_trials: int = 6, no
         p1 = _random_gaussian_section(rng, om)
         p2 = _random_gaussian_section(rng, om)
         before = inner_product(p1, p2)
-        after = inner_product(transport_uncorrected(p1, omp), transport_uncorrected(p2, omp))
+        after = inner_product(*_transport_uncorrected_all([p1, p2], omp))
         worst_closed = max(worst_closed, abs(after - before) / max(1.0, abs(before)))
 
-        t1 = transport_corrected(CorrectedSection(p1), omp)
-        t2 = transport_corrected(CorrectedSection(p2), omp)
-        after_c = corrected_inner_product(t1, t2)
+        after_c = corrected_inner_product(*_transport_corrected_all([CorrectedSection(p1), CorrectedSection(p2)], omp))
         worst_corrected = max(worst_corrected, abs(after_c - before) / max(1.0, abs(before)))
 
     worst_oracle = 0.0
@@ -154,9 +153,7 @@ def suite_unitarity(seed: int = 42, trials: int = 20, oracle_trials: int = 6, no
         p1 = _random_gaussian_section(rng, om, m_cap=0.6)
         p2 = _random_gaussian_section(rng, om, m_cap=0.6)
         before = inner_product(p1, p2)
-        after = _refined_oracle(
-            transport_uncorrected(p1, omp), transport_uncorrected(p2, omp), nodes, 1e-7
-        )
+        after = _refined_oracle(*_transport_uncorrected_all([p1, p2], omp), nodes, 1e-7)
         worst_oracle = max(worst_oracle, abs(after - before) / max(1.0, abs(before)))
     return [
         _row("unitarity/uncorrected_closed_form", worst_closed, 1e-8),
@@ -173,11 +170,8 @@ def suite_bogoliubov(seed: int = 42, trials: int = 100) -> list[dict]:
         om, omp = random_siegel(rng, n), random_siegel(rng, n)
         alpha = rng.normal(size=n) + 1j * rng.normal(size=n)
         worst = max(worst, transport_equals_scaled_projection_check(alpha, om, omp))
-        worst_scale = max(
-            worst_scale,
-            abs(bogoliubov_scale(om, omp) - bogoliubov_scale_via_structures(om, omp))
-            / bogoliubov_scale(om, omp),
-        )
+        scale = bogoliubov_scale(om, omp)
+        worst_scale = max(worst_scale, abs(scale - bogoliubov_scale_via_structures(om, omp)) / scale)
     ts = np.linspace(0.1, 2.0, 8)
     worst_alpha = max(
         abs(bogoliubov_scale(standard_point(1), diagonal_point([np.exp(2 * t)])) - np.sqrt(np.cosh(t)))
@@ -201,12 +195,13 @@ def suite_flatness(seed: int = 42, trials: int = 50) -> list[dict]:
         around = transport_corrected(transport_corrected(transport_corrected(start, pts[1]), pts[2]), pts[0])
         worst_corrected = max(worst_corrected, difference_norm(around, start) / norm(start.section))
 
-        # uncorrected holonomy: a unit-modulus scalar multiple of the identity
-        ratios = []
-        for s in (coherent_state(alpha, pts[0]), vacuum(pts[0]), coherent_state(0.5j * alpha + 0.3, pts[0])):
-            h3 = transport_uncorrected(transport_uncorrected(transport_uncorrected(s, pts[1]), pts[2]), pts[0])
-            ratios.append(inner_product(s, h3) / inner_product(s, s))
-            worst_modulus = max(worst_modulus, abs(abs(ratios[-1]) - 1.0))
+        # uncorrected holonomy: a unit-modulus scalar multiple of the identity, the three states as one stack
+        states = [coherent_state(alpha, pts[0]), vacuum(pts[0]), coherent_state(0.5j * alpha + 0.3, pts[0])]
+        around = states
+        for pt in (pts[1], pts[2], pts[0]):
+            around = _transport_uncorrected_all(around, pt)
+        ratios = [inner_product(s, h3) / inner_product(s, s) for s, h3 in zip(states, around)]
+        worst_modulus = max(worst_modulus, *(abs(abs(r) - 1.0) for r in ratios))
         worst_scalar = max(worst_scalar, max(abs(r - ratios[0]) for r in ratios[1:]))
     return [
         _row("flatness/corrected_triangle_identity", worst_corrected, 1e-8),

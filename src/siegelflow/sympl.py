@@ -206,25 +206,26 @@ class MetaplecticElement:
 
 
 def random_symplectic(rng: np.random.Generator, n: int) -> SymplecticMap:
-    """Random element built from exactly symplectic factors.
+    """Random element: a product of exactly symplectic factors, checked once.
 
-    Two rounds of three factors, each a 2n x 2n matrix checked on its own
-    and then multiplied in: a block-embedded unitary (A = Re u, B = Im u),
-    a positive diagonal squeeze diag(d, 1/d) and an upper shear (I, S; 0, I)
-    with S symmetric.  Products of these span the group.
+    Two rounds of three 2n x 2n factors, multiplied in as plain arrays: a
+    block-embedded unitary (A = Re u, B = Im u), a positive diagonal squeeze
+    diag(d, 1/d) and an upper shear (I, S; 0, I) with S symmetric.  Products
+    of these span the group.  The product is checked once, as ``compose``
+    checks one.
     """
-    g = SymplecticMap.identity(n)
+    m = np.eye(2 * n)
     for _ in range(2):
         q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-        g = compose(g, SymplecticMap(u.real, u.imag, -u.imag, u.real))
+        m = m @ np.block([[u.real, u.imag], [-u.imag, u.real]])
         d = np.exp(rng.uniform(-0.7, 0.7, size=n))
-        g = compose(g, SymplecticMap.from_matrix(np.diag(np.concatenate([d, 1.0 / d]))))
+        m = m @ np.diag(np.concatenate([d, 1.0 / d]))
         s = rng.normal(size=(n, n))
         shear = np.eye(2 * n)
         shear[:n, n:] = 0.5 * (s + s.T)
-        g = compose(g, SymplecticMap.from_matrix(shear))
-    return g
+        m = m @ shear
+    return object.__new__(SymplecticMap)._store(m, COMPOSE_TOL, "composition left the group")
 
 
 def random_siegel(rng: np.random.Generator, n: int) -> SiegelPoint:

@@ -56,8 +56,11 @@ def _halfform_log(omega, omega_p) -> complex:
     along the connecting geodesic from the start, where Xi = Omega2 is
     positive; Xi(gamma(t), Omega) has real part (Im gamma(t) + Omega2)/2,
     positive definite along the whole path, so the continued root is
-    half_logdet's.  Either end may be a ``BoundaryPolarization``.
+    half_logdet's.  Either end may be a ``BoundaryPolarization``; frames of
+    two n raise ValueError naming both.
     """
+    if omega.n != omega_p.n:
+        raise ValueError(f"{omega!r} and {omega_p!r} are frames of different spaces")
     logdet2 = np.linalg.slogdet(omega.omega2 @ omega_p.omega2)[1]
     return half_logdet(xi_matrix(omega_p, omega)) - 0.25 * logdet2
 
@@ -72,14 +75,16 @@ def _xi_blocks(omega, omega_p):
     prefactor is exp(-Re log_h) = 1 / alpha(Omega, Omega'), and
     exp(-conj(log_h)) with the half-form phase.  Either end may be a
     ``BoundaryPolarization``, of weight 0: the pairing maps are these kernels.
+    The root is taken first, so frames of two n raise its ValueError.
     """
+    log_h = _halfform_log(omega, omega_p)
     eye = np.eye(omega.n)
     r, rp = omega.imag_sqrt(), omega_p.imag_sqrt()
     xi_inv = np.linalg.inv(xi_matrix(omega, omega_p))
     k11 = -r @ xi_inv @ r + omega.weight * eye
     k12 = r @ xi_inv @ rp
     k22 = -rp @ xi_inv @ rp + omega_p.weight * eye
-    return k11, k12, k22, _halfform_log(omega, omega_p)
+    return k11, k12, k22, log_h
 
 
 def _xi_kernel(omega, omega_p, t_in=None, out=None) -> tuple[_Kernel, complex]:
@@ -88,8 +93,6 @@ def _xi_kernel(omega, omega_p, t_in=None, out=None) -> tuple[_Kernel, complex]:
     changes fold in exactly: ``t_in`` for psi over a frame with z = t_in z_Omega (E -> t_in E), and ``out = (target,
     t)`` for a result over ``target`` with z_Omega' = t z'' (K12 -> K12 t, K22 -> t^T K22 t, as t^T (-L^T S^{-1} L) t
     = -(L t)^T S^{-1} (L t); for n = 1 the push gives a polynomial its t^k factors)."""
-    if omega.n != omega_p.n:
-        raise ValueError(f"{omega!r} and {omega_p!r} are frames of different spaces")
     k11, k12, k22, log_h = _xi_blocks(omega, omega_p)
     target, t = (omega_p, np.eye(omega.n)) if out is None else out
     # integrate over v, z = E v, against the frame's full weight exp(-v^T G v)
@@ -127,7 +130,14 @@ def bogoliubov_scale_via_structures(omega: SiegelPoint, omega_p: SiegelPoint) ->
 
 def transport_uncorrected(psi: GaussianSection, omega_p: SiegelPoint) -> GaussianSection:
     """U psi = alpha(Omega, Omega') P psi for any Gaussian(-polynomial) section."""
-    return _bergman(psi.frame, omega_p).apply(psi, -_halfform_log(psi.frame, omega_p).real)
+    return _transport_uncorrected_all([psi], omega_p)[0]
+
+
+def _transport_uncorrected_all(psis, omega_p: SiegelPoint) -> list[GaussianSection]:
+    """``transport_uncorrected`` of sections over one frame object: one Bergman kernel, which checks the two frames,
+    then one half-form root and one stacked projection."""
+    kernel = _bergman(psis[0].frame, omega_p)
+    return kernel.apply_all(psis, [-_halfform_log(psis[0].frame, omega_p).real] * len(psis))
 
 
 def transport_corrected(psihat: CorrectedSection, omega_p: SiegelPoint) -> CorrectedSection:

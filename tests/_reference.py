@@ -6,7 +6,8 @@ standard-geodesic closed form of coherent transport, explicit ladder and
 deformation matrices, a term-by-term Gaussian-polynomial pairing, the
 two-parameter Taylor series of an exponentiated quadratic, the pairing maps
 as three separate constructions, a Gaussian integral with one solve per
-right-hand side, a quadrature grid built on every call).
+right-hand side, a quadrature grid built on every call, a random symplectic
+draw checked factor by factor).
 ``test_branches`` asserts that no name defined here is also an attribute
 of a ``siegelflow`` module.
 """
@@ -15,7 +16,15 @@ from math import factorial
 
 import numpy as np
 
-from siegelflow import CorrectedSection, GaussianSection, act_on_siegel, diagonal_point, transform_z_coords
+from siegelflow import (
+    CorrectedSection,
+    GaussianSection,
+    SymplecticMap,
+    act_on_siegel,
+    compose,
+    diagonal_point,
+    transform_z_coords,
+)
 from siegelflow._gaussint import gauss_log_integral
 from siegelflow.sections import _hermite_table
 from siegelflow.transport import _xi_kernel
@@ -191,3 +200,20 @@ def grid_sum_built_per_call(f, placement: tuple, nodes: int) -> complex:
             sl = np.concatenate([np.full((pts.shape[0], 1), uj), pts], axis=1)
             total += complex((f(sl @ p.T) * np.exp(lj + lw)).sum())
     return total * det * (2 * np.pi) ** (-0.5 * m)
+
+
+def random_symplectic_checked_per_factor(rng: np.random.Generator, n: int) -> SymplecticMap:
+    """``random_symplectic``'s draw with every factor and partial product a checked ``SymplecticMap``:
+    the same RNG calls, factors and order of products."""
+    g = SymplecticMap.identity(n)
+    for _ in range(2):
+        q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        g = compose(g, SymplecticMap(u.real, u.imag, -u.imag, u.real))
+        d = np.exp(rng.uniform(-0.7, 0.7, size=n))
+        g = compose(g, SymplecticMap.from_matrix(np.diag(np.concatenate([d, 1.0 / d]))))
+        s = rng.normal(size=(n, n))
+        shear = np.eye(2 * n)
+        shear[:n, n:] = 0.5 * (s + s.T)
+        g = compose(g, SymplecticMap.from_matrix(shear))
+    return g

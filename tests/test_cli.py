@@ -298,6 +298,15 @@ class TestTransportCommand:
         assert out == ""
         assert err.startswith("input error: state.section.frame ")
 
+    @pytest.mark.parametrize("flags", [[], ["--corrected"], ["--kernel", "holomorphic"]])
+    def test_frames_of_two_n_exit_2_naming_both(self, flags, capsys, monkeypatch):
+        payload = json.dumps({"omega": _UNIT_POINT, "omega_p": _UNIT_POINT_2})
+        code, out, err = run_cli(["transport", *flags], payload, capsys, monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error: SiegelPoint(") and "are frames of different spaces" in err
+        assert err.count("SiegelPoint") == 2
+
     def test_non_finite_result_exits_1_without_a_report(self, capsys, monkeypatch):
         section = {"frame": _UNIT_POINT, "M": [[[0.0, 0.0]]], "b": [[1e200, 0.0]], "c": [0.0, 0.0]}
         payload = json.dumps({"omega": _UNIT_POINT, "omega_p": point_json([[0.3]], [[2.0]]), "state": {"section": section}})

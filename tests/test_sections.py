@@ -53,7 +53,7 @@ from siegelflow.sections import (
     _principal_placement,
 )
 from siegelflow.suites import _refined_oracle, suite_unitarity
-from siegelflow.transport import _halfform_log, transport_uncorrected
+from siegelflow.transport import _halfform_log, bogoliubov_scale, transport_corrected, transport_uncorrected
 
 from _reference import grid_sum_built_per_call
 from conftest import random_gaussian_section, random_profile, standard_profile
@@ -435,6 +435,11 @@ class TestFockStates:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="k must be >= 0"):
             fock_state(-1, I1)
+
+    @pytest.mark.parametrize("n_trunc", [-2, 0])
+    def test_truncation_below_one_state_rejected_naming_it(self, n_trunc):
+        with pytest.raises(ValueError, match=f"n_trunc must be at least 1, not {n_trunc}"):
+            fock_coefficients(vacuum(I1), n_trunc)
 
     @pytest.mark.parametrize(
         "make",
@@ -939,6 +944,17 @@ class TestFrameKinds:
         with pytest.raises(ValueError, match="different spaces") as exc:
             transport_uncorrected(vacuum(I1), standard_point(2))
         assert str(exc.value).count("SiegelPoint") == 2
+
+    @pytest.mark.parametrize("call", [lambda a, b: transport_corrected(CorrectedSection(vacuum(a)), b), bogoliubov_scale],
+                             ids=["corrected", "scale"])
+    def test_half_form_root_of_frames_of_two_n_names_both_frames(self, call):
+        with pytest.raises(ValueError, match="are frames of different spaces") as exc:
+            call(I1, standard_point(2))
+        assert str(exc.value).count("SiegelPoint") == 2
+
+    def test_standard_point_is_built_once_per_n(self):
+        assert standard_point(2) is standard_point(2)
+        assert standard_point(1) is I1 and standard_point(1) is not standard_point(2)
 
     def test_section_to_json_rejects_polarized_sections_naming_the_frame(self, rng):
         with pytest.raises(ValueError, match="BoundaryPolarization"):

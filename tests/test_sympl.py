@@ -22,7 +22,7 @@ from siegelflow import (
 from siegelflow import sympl
 from siegelflow.sympl import _sp_residual
 
-from _reference import BranchDiscontinuityError, continue_sqrt_phase
+from _reference import BranchDiscontinuityError, continue_sqrt_phase, random_symplectic_checked_per_factor
 
 
 def rotation(theta: float) -> SymplecticMap:
@@ -108,6 +108,27 @@ class TestOneMatrix:
             with pytest.raises(SpRelationViolatedError):
                 compose(g1, g2)
             monkeypatch.undo()
+
+    def test_random_draw_is_one_checked_product(self, monkeypatch):
+        # the six factors multiply as plain arrays; only the product is checked, as compose checks one
+        stores = []
+        store = SymplecticMap._store
+        monkeypatch.setattr(SymplecticMap, "_store", lambda self, *a: stores.append(a) or store(self, *a))
+        for n in (1, 2, 3):
+            stores.clear()
+            random_symplectic(np.random.default_rng(7), n)
+            assert len(stores) == 1
+        monkeypatch.setattr(sympl, "COMPOSE_TOL", 0.0)
+        for n in (1, 2, 3):
+            with pytest.raises(SpRelationViolatedError, match="composition left the group"):
+                random_symplectic(np.random.default_rng(7), n)
+
+    def test_random_draw_matches_the_factor_by_factor_product_bit_for_bit(self):
+        for seed in range(30):
+            for n in (1, 2, 3):
+                got = random_symplectic(np.random.default_rng(seed), n).matrix
+                want = random_symplectic_checked_per_factor(np.random.default_rng(seed), n).matrix
+                assert np.array_equal(got, want)
 
     def test_inverse_is_the_block_formula(self, rng):
         for n in (1, 2, 3):

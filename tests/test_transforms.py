@@ -440,9 +440,11 @@ class TestCompositionIdentities:
             (_PairingMap(forward.target, pol).apply_all, _PairingMap(forward.target, pol), paired),
             (lambda s: transport._transport_corrected_all(s, omp), lambda s: transport.transport_corrected(s, omp),
              paired),
+            (lambda s: [CorrectedSection(t) for t in transport._transport_uncorrected_all(s, omp)],
+             lambda s: CorrectedSection(transport.transport_uncorrected(s, omp)), [p.section for p in paired]),
         )
         for stacked, single, sections in maps:
-            for got, want in zip(stacked(sections), [single(s) for s in sections]):
+            for got, want in zip(stacked(sections), [single(s) for s in sections], strict=True):
                 assert got.frame is want.frame and got.halfform_phase == want.halfform_phase
                 for x, y in ((got.section.m, want.section.m), (got.section.b, want.section.b),
                              (got.section.c, want.section.c), (got.section.coeffs, want.section.coeffs)):
@@ -460,6 +462,8 @@ class TestCompositionIdentities:
         om = diagonal_point([2.0])
         with pytest.raises(ValueError, match="one frame object"):
             transport._transport_corrected_all([CorrectedSection(vacuum(diagonal_point([1.0]))) for _ in range(2)], om)
+        with pytest.raises(ValueError, match="one frame object"):
+            transport._transport_uncorrected_all([vacuum(diagonal_point([1.0])) for _ in range(2)], om)
 
 
 def _symmetric(rng):

@@ -34,7 +34,7 @@ from siegelflow import (
     transport_uncorrected,
     vacuum,
 )
-from siegelflow import suites
+from siegelflow import suites, transport
 from siegelflow.cli import main
 from siegelflow.sections import QUAD_NODES_DEFAULT, _hermite_grid_sum, _placement
 from siegelflow.sympl import act_on_siegel
@@ -197,6 +197,26 @@ class TestBogoliubov:
         om, omp = random_siegel(rng, 3), random_siegel(rng, 3)
         alpha = rng.normal(size=3) + 1j * rng.normal(size=3)
         assert transport_equals_scaled_projection_check(alpha, om, omp) < 1e-7
+
+
+class TestSuiteWork:
+    """The randomized suites push the sections of one frame pair through one Bergman kernel."""
+
+    @staticmethod
+    def kernels_built(monkeypatch, suite, **kwargs) -> int:
+        built = []
+        bergman = transport._bergman
+        monkeypatch.setattr(transport, "_bergman", lambda *a: built.append(a) or bergman(*a))
+        assert all(row["passed"] for row in suite(**kwargs))
+        return len(built)
+
+    def test_flatness_trial_builds_one_kernel_per_leg(self, monkeypatch):
+        # three legs of the corrected triangle, three of the uncorrected one for all three states
+        assert self.kernels_built(monkeypatch, suites.suite_flatness, trials=1) == 6
+
+    def test_unitarity_trial_builds_one_kernel_per_frame_pair(self, monkeypatch):
+        # the uncorrected and the corrected pair of the closed trial, and the oracle trial's pair
+        assert self.kernels_built(monkeypatch, suites.suite_unitarity, trials=1, oracle_trials=1) == 3
 
 
 class TestKernels:
