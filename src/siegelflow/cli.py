@@ -1,15 +1,16 @@
 """Command-line interface: geodesics, transport, and verification suites.
 
 All commands read JSON (from --in or stdin where input is required) and
-emit a JSON report, which ``main`` builds and writes for every command:
+emit a JSON report, which ``main`` builds and writes for every command, one
+line per top-level key in sorted order, each value compact with sorted keys:
 
     {
-      "schema_version": 3,
       "command": "...",
       "inputs": {...},            # echo of the parsed input and flags
-      "results": [ {"name", "residual", "tolerance", "passed"}, ... ],
       "outputs": {...},           # command-specific payload
       "passed": true/false,
+      "results": [{"name": ..., "passed": ..., "residual": ..., "tolerance": ...}, ...],
+      "schema_version": 4,
       "wall_time_s": ...
     }
 
@@ -65,7 +66,7 @@ from .transport import (
     transport_uncorrected,
 )
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def _load_input(args) -> dict:
@@ -81,10 +82,12 @@ def _load_input(args) -> dict:
 
 
 def _emit(report: dict, out_path: str | None) -> None:
+    # one line per top-level key: without an indent, json encodes each value in C
     try:
-        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+        lines = [f'  "{key}": {json.dumps(report[key], sort_keys=True, allow_nan=False)}' for key in sorted(report)]
     except ValueError:
         raise SiegelFlowError("the result is not finite; no report written") from None
+    text = "{\n" + ",\n".join(lines) + "\n}"
     if out_path:
         try:
             Path(out_path).write_text(text + "\n")

@@ -619,10 +619,11 @@ def _point_from_json(point, field: str) -> SiegelPoint:
     """A point from {"omega1": ..., "omega2": ...}; ValueError naming the field."""
     if not isinstance(point, dict) or not {"omega1", "omega2"} <= point.keys():
         raise ValueError(f"{field} must be an object with omega1 and omega2")
-    return SiegelPoint(
-        _real_array(point["omega1"], f"{field}.omega1", 2),
-        _real_array(point["omega2"], f"{field}.omega2", 2),
-    )
+    omega1, omega2 = (_real_array(point[key], f"{field}.{key}", 2) for key in ("omega1", "omega2"))
+    try:
+        return SiegelPoint(omega1, omega2)
+    except ValueError as exc:
+        raise ValueError(f"{field} rejected: {exc}") from exc
 
 
 def _complex_array_from_json(data, field: str, shape: tuple) -> np.ndarray:

@@ -21,9 +21,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._point import SiegelPoint, diagonal_point
+from ._point import SiegelPoint
 from .errors import NotIntegrableError
-from .sympl import MetaplecticElement, SymplecticMap, _j0, act_on_siegel, compose
+from .sympl import COMPOSE_TOL, MetaplecticElement, SymplecticMap, _j0, _moebius, _unitary_embedding
 
 TRANSVERSALITY_TOL = 1e-8
 ENDPOINT_TOL = 1e-8
@@ -55,7 +55,8 @@ def takagi(w: np.ndarray):
     eigenpairs (s, (x, y)) of T with s > 0 give Takagi vectors v = x + i y,
     and v -> i v maps the +s eigenspace onto the -s one.  The columns of the
     (numerically) zero singular values only have to complete u to a unitary:
-    they are the trailing columns of a QR factorization of (v_1 ... v_k | I).
+    they are the trailing columns of a QR factorization of (v_1 ... v_k | I),
+    which runs only when some singular value is zero.
     """
     w = np.atleast_2d(np.asarray(w, dtype=complex))
     n = w.shape[0]
@@ -67,9 +68,9 @@ def takagi(w: np.ndarray):
     # positive eigenvalues, largest first
     pos = np.argsort(-evals)
     pos = pos[evals[pos] > 1e-12 * max(1.0, np.abs(evals).max())]
-    cols = evecs[:n, pos] + 1j * evecs[n:, pos]
-    q, _ = np.linalg.qr(np.hstack([cols, np.eye(n)]))
-    u = np.hstack([cols, q[:, len(pos) : n]])
+    u = evecs[:n, pos] + 1j * evecs[n:, pos]
+    if len(pos) < n:
+        u = np.hstack([u, np.linalg.qr(np.hstack([u, np.eye(n)]))[0][:, len(pos) : n]])
     sigma = np.concatenate([evals[pos], np.zeros(n - len(pos))])
     if np.abs(u.conj().T @ u - np.eye(n)).max() > 1e-9:
         raise np.linalg.LinAlgError("Takagi factor lost unitarity")
@@ -109,44 +110,42 @@ class GeodesicSpec:
 
 def geodesic_eval(spec: GeodesicSpec, t: float) -> SiegelPoint:
     """The point g . (i exp(2 Lambda t)); in the upper half-space for all finite t."""
-    return act_on_siegel(spec.g, diagonal_point(np.exp(2.0 * spec.lam * t)))
+    return SiegelPoint.from_complex(_moebius(spec.g, np.diag(1j * np.exp(2.0 * spec.lam * t))))
 
 
-def _move_to_base(omega: SiegelPoint) -> SymplecticMap:
-    """g with g . (i I) = Omega:  (Omega2^{1/2}, Omega1 Omega2^{-1/2}; 0, Omega2^{-1/2})."""
-    r = omega.imag_sqrt()
+def _move_to_base(omega: SiegelPoint) -> np.ndarray:
+    """The matrix of g with g . (i I) = Omega:  (Omega2^{1/2}, Omega1 Omega2^{-1/2}; 0, Omega2^{-1/2})."""
+    n = omega.n
     rinv = omega.imag_inv_sqrt()
-    z = np.zeros((omega.n, omega.n))
-    return SymplecticMap(r, omega.omega1 @ rinv, z, rinv)
-
-
-def _unitary_stabilizer(u: np.ndarray) -> SymplecticMap:
-    """Embedding of U(n): u = A + iB -> (A, B; -B, A), fixing i*I."""
-    return SymplecticMap(u.real, u.imag, -u.imag, u.real)
+    m = np.zeros((2 * n, 2 * n))
+    m[:n, :n], m[:n, n:], m[n:, n:] = omega.imag_sqrt(), omega.omega1 @ rinv, rinv
+    return m
 
 
 def geodesic_between(omega: SiegelPoint, omega_p: SiegelPoint) -> GeodesicSpec:
     """Normal form (g, Lambda) with g.(iI) = Omega and g.(i e^{2 Lambda}) = Omega'.
 
-    Steps: move Omega to i*I; Cayley-transform the image of Omega' to a
-    symmetric strict contraction; Takagi-factor it; the rates are the
-    artanh of the singular values.  Lambda is sorted descending.  For equal
-    endpoints the degenerate output has Lambda = 0.
+    Steps: pull Omega' back by g1 = ``_move_to_base(Omega)``, in closed form
+    Z = R^{-1} (Omega' - Omega1) R^{-1} with R = Omega2^{1/2}; Cayley-transform Z
+    to a symmetric strict contraction w = u diag(sigma) u^T (Takagi); the rates
+    are the artanh of sigma.  g = g1 (Re u, Im u; -Im u, Re u), the second factor
+    fixing i*I, is one product checked once against the symplectic relation.
+    Lambda is sorted descending; for equal endpoints it is 0.
     """
     if omega.n != omega_p.n:
-        raise ValueError("dimension mismatch")
+        raise ValueError(f"{omega!r} and {omega_p!r} are frames of different spaces")
     n = omega.n
     g1 = _move_to_base(omega)
     if omega.close_to(omega_p, tol=1e-13):
-        return GeodesicSpec(g1, np.zeros(n), omega, omega_p)
-    opp = act_on_siegel(g1.inverse(), omega_p)
+        return GeodesicSpec(object.__new__(SymplecticMap)._store(g1), np.zeros(n), omega, omega_p)
+    rinv = omega.imag_inv_sqrt()
+    z = rinv @ (omega_p.omega - omega.omega1) @ rinv
     eye = np.eye(n)
-    w = np.linalg.solve((opp.omega + 1j * eye).T, (opp.omega - 1j * eye).T).T
+    w = np.linalg.solve((z + 1j * eye).T, (z - 1j * eye).T).T
     w = 0.5 * (w + w.T)
     sigma, u = takagi(w)
-    sigma = np.clip(sigma, 0.0, 1.0 - 1e-15)
-    lam = np.arctanh(sigma)
-    g = compose(g1, _unitary_stabilizer(u.conj().T).inverse())
+    lam = np.arctanh(np.clip(sigma, 0.0, 1.0 - 1e-15))
+    g = object.__new__(SymplecticMap)._store(g1 @ _unitary_embedding(u), COMPOSE_TOL, "composition left the group")
     spec = GeodesicSpec(g, lam, omega, omega_p)
     res = spec.endpoint_residual()
     if res > ENDPOINT_TOL * max(1.0, np.abs(omega_p.omega).max()):

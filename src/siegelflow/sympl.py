@@ -103,13 +103,15 @@ def compose(g1: SymplecticMap, g2: SymplecticMap) -> SymplecticMap:
     return object.__new__(SymplecticMap)._store(g1.matrix @ g2.matrix, COMPOSE_TOL, "composition left the group")
 
 
+def _moebius(g: SymplecticMap, z: np.ndarray) -> np.ndarray:
+    """(A Z + B)(C Z + D)^{-1} of a complex symmetric Z, symmetrized."""
+    res = np.linalg.solve((g.c @ z + g.d).T, (g.a @ z + g.b).T).T
+    return 0.5 * (res + res.T)
+
+
 def act_on_siegel(g: SymplecticMap, omega: SiegelPoint) -> SiegelPoint:
     """Fractional linear action (A Omega + B)(C Omega + D)^{-1}."""
-    num = g.a @ omega.omega + g.b
-    den = g.cz_plus_d(omega)
-    res = np.linalg.solve(den.T, num.T).T
-    res = 0.5 * (res + res.T)
-    return SiegelPoint(res.real, res.imag)
+    return SiegelPoint.from_complex(_moebius(g, omega.omega))
 
 
 def xi_matrix(omega: SiegelPoint, omega_p: SiegelPoint) -> np.ndarray:
@@ -205,6 +207,11 @@ class MetaplecticElement:
         return MetaplecticElement(g, branch / abs(branch), other.reference)
 
 
+def _unitary_embedding(u: np.ndarray) -> np.ndarray:
+    """(Re u, Im u; -Im u, Re u): the symplectic matrix of a unitary u, which fixes i*I."""
+    return np.concatenate([np.concatenate([u.real, u.imag], axis=1), np.concatenate([-u.imag, u.real], axis=1)])
+
+
 def random_symplectic(rng: np.random.Generator, n: int) -> SymplecticMap:
     """Random element: a product of exactly symplectic factors, checked once.
 
@@ -218,7 +225,7 @@ def random_symplectic(rng: np.random.Generator, n: int) -> SymplecticMap:
     for _ in range(2):
         q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-        m = m @ np.block([[u.real, u.imag], [-u.imag, u.real]])
+        m = m @ _unitary_embedding(u)
         d = np.exp(rng.uniform(-0.7, 0.7, size=n))
         m = m @ np.diag(np.concatenate([d, 1.0 / d]))
         s = rng.normal(size=(n, n))

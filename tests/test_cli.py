@@ -298,14 +298,34 @@ class TestTransportCommand:
         assert out == ""
         assert err.startswith("input error: state.section.frame ")
 
-    @pytest.mark.parametrize("flags", [[], ["--corrected"], ["--kernel", "holomorphic"]])
+    @pytest.mark.parametrize(
+        "flags", [["transport"], ["transport", "--corrected"], ["transport", "--kernel", "holomorphic"], ["geodesic"]]
+    )
     def test_frames_of_two_n_exit_2_naming_both(self, flags, capsys, monkeypatch):
         payload = json.dumps({"omega": _UNIT_POINT, "omega_p": _UNIT_POINT_2})
-        code, out, err = run_cli(["transport", *flags], payload, capsys, monkeypatch)
+        code, out, err = run_cli(flags, payload, capsys, monkeypatch)
         assert code == 2
         assert out == ""
         assert err.startswith("input error: SiegelPoint(") and "are frames of different spaces" in err
         assert err.count("SiegelPoint") == 2
+
+    @pytest.mark.parametrize("command", ["geodesic", "transport"])
+    @pytest.mark.parametrize("field", ["omega", "omega_p"])
+    @pytest.mark.parametrize(
+        "point, message",
+        [
+            (point_json([[0.0, 0.0]], [[1.0, 0.0]]), "omega1 must be square"),
+            (point_json([[0.0]], [[1.0, 0.0], [0.0, 1.0]]), "omega1 and omega2 must have the same shape"),
+            (point_json([[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]), "omega1 is not symmetric"),
+            (point_json([[0.0]], [[-1.0]]), "imaginary part must be positive definite"),
+        ],
+        ids=["not_square", "shapes_differ", "not_symmetric", "not_positive_definite"],
+    )
+    def test_rejected_point_exits_2_naming_its_field(self, command, field, point, message, capsys, monkeypatch):
+        payload = json.dumps({"omega": _UNIT_POINT, "omega_p": _UNIT_POINT, field: point})
+        code, out, err = run_cli([command], payload, capsys, monkeypatch)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"input error: {field} rejected: {message}")
 
     def test_non_finite_result_exits_1_without_a_report(self, capsys, monkeypatch):
         section = {"frame": _UNIT_POINT, "M": [[[0.0, 0.0]]], "b": [[1e200, 0.0]], "c": [0.0, 0.0]}
@@ -556,6 +576,21 @@ class TestReportPath:
             code, out, _ = run_cli(argv, stdin, capsys, monkeypatch)
             assert code == 0
             assert set(json.loads(out)) == _REPORT_KEYS
+
+    def test_report_has_one_line_per_key(self, capsys, monkeypatch):
+        code, out, _ = run_cli(["transport", "--corrected", "--triangle"], _TRANSPORT_REQUEST, capsys, monkeypatch)
+        assert code == 0
+        report = json.loads(out)
+        lines = [f'  "{key}": {json.dumps(report[key], sort_keys=True)}' for key in sorted(_REPORT_KEYS)]
+        assert out == "{\n" + ",\n".join(lines) + "\n}\n"
+
+    def test_two_runs_differ_only_on_the_wall_time_line(self, capsys, monkeypatch):
+        runs = [run_cli(["transport", "--corrected"], _TRANSPORT_REQUEST, capsys, monkeypatch) for _ in range(2)]
+        assert [code for code, _, _ in runs] == [0, 0]
+        (first, second) = (out.splitlines() for _, out, _ in runs)
+        assert len(first) == len(second) == len(_REPORT_KEYS) + 2
+        differ = [a for a, b in zip(first, second) if a != b]
+        assert all(line.startswith('  "wall_time_s": ') for line in differ)
 
     def test_tol_sets_the_transport_rows(self, capsys, monkeypatch):
         code, out, err = run_cli(["--tol", "1e-30", "transport", "--ode-check"], _TRANSPORT_REQUEST, capsys, monkeypatch)

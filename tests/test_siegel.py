@@ -32,6 +32,19 @@ class TestSiegelPoint:
         with pytest.raises(ValueError, match="finite"):
             SiegelPoint(omega1, omega2)
 
+    @pytest.mark.parametrize(
+        "omega1, omega2, message",
+        [
+            ([[0.0, 0.0]], [[1.0, 0.0]], "omega1 must be square"),
+            ([[0.0]], np.eye(2), "omega1 and omega2 must have the same shape"),
+            ([[0.0, 1.0], [0.0, 0.0]], np.eye(2), "omega1 is not symmetric"),
+            ([[0.0]], [[-1.0]], "imaginary part must be positive definite"),
+        ],
+    )
+    def test_each_guard_names_what_it_rejects(self, omega1, omega2, message):
+        with pytest.raises(ValueError, match=message):
+            SiegelPoint(omega1, omega2)
+
     def test_huge_finite_entries_stay_finite(self):
         with np.errstate(all="raise"):
             p = SiegelPoint([[1e308, -1.5e308], [-1.5e308, 1.7e308]], [[1.0, 0.0], [0.0, 1.0]])
@@ -83,6 +96,19 @@ class TestTakagi:
         assert np.allclose(sigma, [0.7, 0.0])
         assert np.abs(u.conj().T @ u - np.eye(2)).max() < 1e-10
 
+    def test_qr_only_completes_zero_values(self, rng, monkeypatch):
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+        for n in (1, 2, 3):
+            w = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            takagi(0.5 * (w + w.T))
+        assert calls == []
+        sigma, u = takagi(np.diag([0.7, 0.0]).astype(complex))
+        assert calls == [1]
+        assert np.array_equal(sigma, [0.7, 0.0])
+        assert np.abs(u.conj().T @ u - np.eye(2)).max() < 1e-12
+
     def test_two_zero_values_at_n3(self, rng):
         # rank one, 0.6 v v^T with a complex unit v: the QR completion supplies two columns
         v = rng.normal(size=3) + 1j * rng.normal(size=3)
@@ -127,6 +153,28 @@ class TestGeodesics:
             b = geodesic_eval(bwd, 1.0 - t)
             assert np.abs(a.omega - b.omega).max() < 1e-8
 
+    def test_one_check_and_two_points_per_normal_form(self, rng, monkeypatch):
+        # the normal form is one product checked once; only gamma(0) and gamma(1) become points
+        calls = {"_store": 0, "SiegelPoint": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for n in (1, 2, 3):
+            om, omp = random_siegel(rng, n), random_siegel(rng, n)
+            with monkeypatch.context() as m:
+                m.setattr(SymplecticMap, "_store", counted("_store", SymplecticMap._store))
+                m.setattr(SiegelPoint, "__post_init__", counted("SiegelPoint", SiegelPoint.__post_init__))
+                calls.update(dict.fromkeys(calls, 0))
+                spec = geodesic_between(om, omp)
+                assert calls == {"_store": 1, "SiegelPoint": 2}
+                calls.update(dict.fromkeys(calls, 0))
+                geodesic_eval(spec, 0.3)
+                assert calls == {"_store": 0, "SiegelPoint": 1}
 
     def test_endpoint_residual_is_computed_once(self, rng, monkeypatch):
         # the guard in geodesic_between and the caller's report share one computation

@@ -390,7 +390,7 @@ class TestCompositionIdentities:
 
             return wrapper
 
-        for module in (sympl, siegel, transport, transforms):
+        for module in (sympl, transport, transforms):
             monkeypatch.setattr(module, "act_on_siegel", counted("act_on_siegel", sympl.act_on_siegel))
         for module in (sympl, transport, transforms):
             monkeypatch.setattr(module, "transform_z_coords", counted("transform_z_coords", sympl.transform_z_coords))
