@@ -21,8 +21,10 @@ primitives:
     Gaussian in the rest;
   * ``taylor``: the Taylor coefficients of a polynomial times an
     exponentiated quadratic in one variable, as in the Fock expansion;
-  * ``generating_poly``: the rows k! [s^k] of an exponentiated quadratic
-    with a linear term in the output variable w, as polynomials in w;
+  * ``generating_poly``: the rows G_k = k! [s^k] of an exponentiated
+    quadratic with a linear term in the output variable w, as polynomials in
+    w; by the binomial theorem G_k[i] = C(k, i) eps^i h_{k-i}, h the rows'
+    w^0 column;
   * ``kernel_apply_poly``: the push of a polynomial-times-Gaussian through the
     one kernel type, ``sections._Kernel``, the polynomial times those rows;
   * ``_poly_gauss_pairing``: the integral of a Gaussian times two
@@ -30,8 +32,8 @@ primitives:
     factor pushed by ``kernel_apply_poly`` and the other read off the
     result's ``taylor`` coefficients.
 
-The series are evaluated one order at a time, each order of
-``generating_poly`` as one numpy vector operation.
+The series are evaluated one order at a time in scalars, and ``generating_poly``'s
+table as one broadcast product of its binomials, powers of eps and h.
 
 ``half_logdet``, ``integrate_out``, ``generating_poly`` and ``kernel_apply_poly`` take an optional leading stack
 axis (S (..., m, m), ell0 (..., m), k (...), zero-padded polynomials; L and gen_dir shared): one eigvalsh, one
@@ -41,6 +43,7 @@ solve and one eigvals serve a stack, which raises where one of its entries would
 from __future__ import annotations
 
 import cmath
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -67,9 +70,7 @@ def half_logdet(a: np.ndarray) -> complex:
     """
     w = np.linalg.eigvals(a)
     if w.real.min() <= 0:
-        raise NotIntegrableError(
-            f"quadratic form not positive: min Re(eig) = {w.real.min():.3e}"
-        )
+        raise NotIntegrableError(f"quadratic form not positive: min Re(eig) = {w.real.min():.3e}")
     return 0.5 * np.log(w).sum(-1)
 
 
@@ -136,27 +137,52 @@ def kernel_apply_poly(S, Lmat, ell0, k0, poly, gen_dir):
     return q2[..., 1:, 1:], r2[..., 1:], s2, out
 
 
+@lru_cache(maxsize=8)
+def _binomials(d: int) -> tuple:
+    """(C, e, k - i) for i, k <= d: C(k, i) = C 2^e, C exactly rounded below 2^1000 and zero past the diagonal (where
+    k - i reads 0); read-only."""
+    c, e, row = np.zeros((d + 1, d + 1)), np.zeros((d + 1, d + 1), dtype=np.int32), [1]
+    for k in range(d + 1):  # Pascal's rule in exact integers
+        e[k, : k + 1] = shift = [max(x.bit_length() - 1000, 0) for x in row]
+        c[k, : k + 1] = [float(x >> t) for x, t in zip(row, shift)]
+        row = [1, *map(int.__add__, row, row[1:]), 1]
+    out = c, e, np.maximum(np.subtract.outer(np.arange(d + 1), np.arange(d + 1)), 0)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 def generating_poly(beta: complex, gamma: complex, eps: complex, d: int) -> np.ndarray:
     """Rows G_0 ... G_d, G_k(w) = k! [s^k] exp(beta s + (1/2) gamma s^2 + eps s w).
 
-    Row k holds the ascending coefficients of G_k in w (zero past w^k), from
-    G_{k+1} = (beta + eps w) G_k + k gamma G_{k-1}, one row operation per order.
-    Stacked, beta, gamma, eps and d (...) give rows (..., D + 1, D + 1), D = max d.
+    Row k holds the ascending coefficients of G_k in w (zero past w^k): by the binomial theorem G_k[i] = C(k, i)
+    eps^i h_{k-i}, h_{m+1} = beta h_m + m gamma h_{m-1} the w^0 column, one scalar per order.  Stacked, beta, gamma,
+    eps and d (...) give rows (..., D + 1, D + 1), D = max d, where an entry's rows past its own d are not its G_k.
+    NonFiniteError where a row up to an entry's d leaves the float range.
     """
-    d = np.asarray(d)
-    rows = np.zeros((d.max() + 1,) * 2 + np.shape(beta), dtype=complex)  # stack axes last until returned
-    rows[0, 0] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
-        for k in range(len(rows) - 1):
-            nxt = beta * rows[k]
-            nxt[1:] += eps * rows[k, :-1]
-            if k:
-                nxt += k * gamma * rows[k - 1]
-            rows[k + 1] = nxt
-    # a non-finite entry of row k makes the same entry of row k + 1 non-finite (0 inf is NaN); each entry ends at its d
-    if not _finite(rows[-1]) and not _finite(np.take_along_axis(rows, d[None, None], 0)):
+    ds = np.ravel(d).tolist()
+    if (big := max(ds)) < 2:  # G_0 = 1 and G_1 = beta + eps w need no table
+        rows = np.zeros(np.shape(d) + (big + 1, big + 1), dtype=complex)
+        rows[..., -1, 0], rows[..., -1, -1], rows[..., 0, 0] = (beta, eps, 1.0) if big else (1.0, 1.0, 1.0)
+    else:
+        c, e, idx = _binomials(big)
+        flat, o = [0j] * (2 * (big + 1) * len(ds)), 0  # per entry h_0 .. h_d, then eps^0 .. eps^d, zero-padded to D
+        for b, g, p, de in zip(np.ravel(beta).tolist(), np.ravel(gamma).tolist(), np.ravel(eps).tolist(), ds):
+            h, pw = [1.0 + 0.0j, b], [1.0 + 0.0j, p]
+            for m in range(1, de):
+                h.append(b * h[m] + m * g * h[m - 1])
+                pw.append(pw[m] * p)
+            flat[o : o + de + 1], flat[o + big + 1 : o + big + de + 2] = h[: de + 1], pw[: de + 1]
+            o += 2 * big + 2
+        tab = np.array(flat).reshape(-1, 2, big + 1)
+        if big < 300 and sum(map(abs, flat)) < 1e100:  # no product C(k, i) eps^i h_{k-i} can overflow
+            return (tab[:, 0].take(idx, -1) * tab[:, 1:] * c).reshape(np.shape(d) + c.shape)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
+            rows = tab[:, 0].take(idx, -1) * tab[:, 1:] * c  # no partial product passes the entry; 2^e scales last
+            rows = (np.ldexp(rows.real, e) + 1j * np.ldexp(rows.imag, e)).reshape(np.shape(d) + c.shape)
+    if not _finite(rows[..., -1, :]) and not np.isfinite(rows[np.arange(big + 1) <= np.asarray(d)[..., None]]).all():
         raise NonFiniteError("generating_poly: the rows are not finite")
-    return rows.transpose(tuple(range(2, rows.ndim)) + (0, 1))
+    return rows
 
 
 def taylor(poly, beta: complex, gamma: complex, n: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import NotIntegrableError
+from .errors import NonFiniteError, NotIntegrableError
 
 SYMMETRY_TOL = 1e-12
 GAUSSIAN_NORM_MARGIN = 1e-9
@@ -98,7 +98,10 @@ class SiegelPoint:
 
     @cached_property
     def gram_matrix(self) -> np.ndarray:
-        """Real symmetric G with |z(v)|^2 = v^T G v, read-only."""
+        """Real symmetric G with |z(v)|^2 = v^T G v, read-only; NonFiniteError naming the point past the float range."""
+        total = sum(map(abs, self.coord_matrix.ravel().tolist()))  # n total^2 bounds each entry and partial sum of G
+        if not self.n * total * total < np.inf:
+            raise NonFiniteError(f"the Gram matrix of {self!r} is not finite: its coordinates sum to {total:.1e}")
         g = (self.coord_matrix.conj().T @ self.coord_matrix).real
         g.flags.writeable = False
         return g

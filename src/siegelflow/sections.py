@@ -36,11 +36,7 @@ from numpy.polynomial.hermite import hermgauss
 
 from ._gaussint import _finite, _poly_gauss_pairing, kernel_apply_poly, taylor
 from ._point import SiegelPoint
-from .errors import (
-    NonFiniteError,
-    NotIntegrableError,
-    PolarizationMismatchError,
-)
+from .errors import NonFiniteError, NotIntegrableError, PolarizationMismatchError
 from .siegel import BoundaryPolarization
 
 N_TRUNC_DEFAULT = 32
@@ -588,11 +584,6 @@ def _norms(pa: GaussianSection, ha, pb: GaussianSection, hb, nodes: int | None =
     if not all(map(isfinite, out)):
         raise NonFiniteError("|| a - b || is not finite: the sections overflow")
     return out
-
-
-def _difference_norm_pointwise(a, b, nodes: int) -> float:
-    """|| a - b || with the difference taken at grid points before squaring; the reference for ``difference_norm``."""
-    return _norms(*_with_phase(a), *_with_phase(b), nodes)[0]
 
 
 # ---------------------------------------------------------------------------

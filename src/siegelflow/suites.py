@@ -23,14 +23,7 @@ from .sections import (
     oracle_inner_product,
     vacuum,
 )
-from .sympl import (
-    MetaplecticElement,
-    act_on_siegel,
-    compose,
-    random_siegel,
-    random_symplectic,
-    xi_matrix,
-)
+from .sympl import MetaplecticElement, act_on_siegel, compose, random_siegel, random_symplectic, xi_matrix
 from .transforms import (
     BoundaryPolarization,
     _limit_report,

@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from ._point import SiegelPoint, standard_point
-from .errors import NonUnitaryError, SpRelationViolatedError
+from .errors import NonFiniteError, NonUnitaryError, SpRelationViolatedError
 
 CONSTRUCTION_TOL = 1e-12
 COMPOSE_TOL = 1e-9
@@ -65,8 +65,10 @@ class SymplecticMap:
 
     def _store(self, m: np.ndarray, tol=CONSTRUCTION_TOL, what="block relations violated") -> "SymplecticMap":
         """Check ``m``, owned by this map, to ``tol`` of its scale; freeze it and set the views."""
-        amax = np.abs(m).max()
-        scale = max(1.0, amax**2)
+        amax = float(np.abs(m).max())
+        scale = max(1.0, amax * amax)
+        if amax < np.inf == scale:  # finite entries past 1.3e154: a check to an infinite scale passes any matrix
+            raise NonFiniteError(f"symplectic map with an entry of {amax:.1e}: the check's scale is not finite")
         res = _sp_residual(m) if amax < np.inf else np.nan
         if not res <= tol * scale:  # also NaN, as for any non-finite entry
             raise SpRelationViolatedError(f"{what}: residual {res:.3e} (scale {scale:.1e})")

@@ -38,7 +38,7 @@ from .sections import (
     norm,
 )
 from .siegel import BoundaryPolarization, complex_structure_of
-from .sympl import MetaplecticElement, act_on_siegel, transform_z_coords, xi_matrix
+from .sympl import MetaplecticElement, SymplecticMap, act_on_siegel, transform_z_coords, xi_matrix
 
 TRUNCATION_LEAK_TOL = 1e-6
 ODE_BASIS_MAX = 1024
@@ -107,12 +107,7 @@ def transport_coherent(alpha, omega: SiegelPoint, omega_p: SiegelPoint) -> Gauss
     alpha = np.asarray(alpha, dtype=complex).reshape(omega.n)
     k11, k12, k22, log_h = _xi_blocks(omega, omega_p)
     ac = np.conj(alpha)
-    return GaussianSection(
-        omega_p,
-        k22,
-        k12.T @ ac,
-        0.5 * (ac @ k11 @ ac) - log_h.real,
-    )
+    return GaussianSection(omega_p, k22, k12.T @ ac, 0.5 * (ac @ k11 @ ac) - log_h.real)
 
 
 def bogoliubov_scale(omega: SiegelPoint, omega_p: SiegelPoint) -> float:
@@ -215,10 +210,15 @@ def metaplectic_act(mp: MetaplecticElement, obj):
     if isinstance(obj.frame, BoundaryPolarization):
         pol = BoundaryPolarization(mp.compose(obj.frame.reference))
         return GaussianSection(pol, obj.m, obj.b, obj.c, obj.coeffs)
-    target = act_on_siegel(mp.g, obj.frame)
-    t = transform_z_coords(mp.g, obj.frame, target)
-    coeffs = obj.coeffs * complex(t[0, 0]) ** np.arange(obj.degree + 1)
-    return GaussianSection(target, t.T @ obj.m @ t, t.T @ obj.b, obj.c, coeffs)
+    return _act_on_section(mp.g, obj)
+
+
+def _act_on_section(g: SymplecticMap, psi: GaussianSection) -> GaussianSection:
+    """``metaplectic_act`` on a plain section over a ``SiegelPoint``, which reads only the lift's map g."""
+    target = act_on_siegel(g, psi.frame)
+    t = transform_z_coords(g, psi.frame, target)
+    coeffs = psi.coeffs * complex(t[0, 0]) ** np.arange(psi.degree + 1)
+    return GaussianSection(target, t.T @ psi.m @ t, t.T @ psi.b, psi.c, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +287,7 @@ def transport_ode_coeffs(c0: np.ndarray, lam: float, t_end: float, steps: int) -
 
 
 def transport_ode(
-    psi0: GaussianSection,
-    lam: float,
-    t_end: float,
-    steps: int,
-    n_basis: int | None = None,
+    psi0: GaussianSection, lam: float, t_end: float, steps: int, n_basis: int | None = None
 ) -> GaussianSection:
     """Numerical transport of a truncated Fock state along i exp(2 lambda t).
 
@@ -299,11 +295,11 @@ def transport_ode(
     orthogonal propagator of the geodesic's constant generator, built from
     the connection 1-form, not from the closed-form transport; ``steps`` is
     ignored.  The basis starts at ``n_basis`` states (32 by default), or at
-    the state's length if that is more, and doubles while more than
-    ``TRUNCATION_LEAK_TOL`` of amplitude, or a non-finite one, reaches its top
-    10% (its last state, in a basis of 9 or fewer), up to ``ODE_BASIS_MAX``
-    states.  A leak at that cap, or a starting basis past it, raises
-    ``TruncationOverflowError``; the latter before any expansion.
+    the state's length if that is more (past ``ODE_BASIS_MAX``,
+    ``TruncationOverflowError`` before any expansion), and grows as in
+    ``_transport_amplitudes``.  The result is a monomial section, c_k / sqrt(k!),
+    that cannot be normed past about 170 states: ``transport --ode-check``
+    compares the amplitudes instead.
     """
     if psi0.n != 1:
         raise ValueError("the transport ODE is one-dimensional")
@@ -312,19 +308,21 @@ def transport_ode(
     lam = float(np.atleast_1d(lam)[0])
     n_basis = max(32 if n_basis is None else n_basis, len(psi0.coeffs))
     if n_basis > ODE_BASIS_MAX:
-        raise TruncationOverflowError(
-            f"a starting basis of {n_basis} states exceeds ODE_BASIS_MAX = {ODE_BASIS_MAX}"
-        )
+        raise TruncationOverflowError(f"a starting basis of {n_basis} states exceeds ODE_BASIS_MAX = {ODE_BASIS_MAX}")
+    c = _transport_amplitudes(lambda n: fock_coefficients(psi0, n), lam, t_end, steps, n_basis)
+    return from_fock_coefficients(c, diagonal_point([np.exp(2.0 * lam * t_end)]))
 
+
+def _transport_amplitudes(amplitudes, lam: float, t_end: float, steps: int, n_basis: int) -> np.ndarray:
+    """``transport_ode_coeffs`` of ``amplitudes(n)`` on n = ``n_basis`` states, doubled while more than
+    ``TRUNCATION_LEAK_TOL`` of amplitude, or a non-finite one, reaches the top 10% (the last state, for n <= 9),
+    up to ``ODE_BASIS_MAX`` states, where a leak raises ``TruncationOverflowError``; n is the result's length."""
     while True:
-        c0 = fock_coefficients(psi0, n_basis)
-        c = transport_ode_coeffs(c0, lam, t_end, steps)
+        c = transport_ode_coeffs(amplitudes(n_basis), lam, t_end, steps)
         leak = float(np.abs(c[min(int(np.ceil(0.9 * n_basis)), n_basis - 1) :]).max())
         if leak <= TRUNCATION_LEAK_TOL:
-            return from_fock_coefficients(c, diagonal_point([np.exp(2.0 * lam * t_end)]))
+            return c
         if n_basis >= ODE_BASIS_MAX:
-            raise TruncationOverflowError(
-                f"amplitude {leak:.2e} in the top 10% of a basis of {n_basis} states; "
-                f"the basis stops doubling at ODE_BASIS_MAX = {ODE_BASIS_MAX}"
-            )
+            raise TruncationOverflowError(f"amplitude {leak:.2e} in the top 10% of a basis of {n_basis} states; "
+                                          f"the basis stops doubling at ODE_BASIS_MAX = {ODE_BASIS_MAX}")
         n_basis = min(2 * n_basis, ODE_BASIS_MAX)

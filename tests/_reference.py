@@ -4,10 +4,12 @@ None of these is on a library path: each is a second route to a value the
 library computes another way (a sampled det^{1/2} continuation, the
 standard-geodesic closed form of coherent transport, explicit ladder and
 deformation matrices, a term-by-term Gaussian-polynomial pairing, the
+generating rows of a polynomial push one order at a time, the
 two-parameter Taylor series of an exponentiated quadratic, the pairing maps
 as three separate constructions, a Gaussian integral with one solve per
-right-hand side, a quadrature grid built on every call, a random symplectic
-draw checked factor by factor).
+right-hand side, a difference norm summed point by point, a quadrature
+grid built on every call, a random symplectic draw checked factor by
+factor).
 ``test_branches`` asserts that no name defined here is also an attribute
 of a ``siegelflow`` module.
 """
@@ -19,6 +21,7 @@ import numpy as np
 from siegelflow import (
     CorrectedSection,
     GaussianSection,
+    NonFiniteError,
     SymplecticMap,
     act_on_siegel,
     compose,
@@ -26,7 +29,7 @@ from siegelflow import (
     transform_z_coords,
 )
 from siegelflow._gaussint import gauss_log_integral
-from siegelflow.sections import _hermite_table
+from siegelflow.sections import _hermite_table, _norms, _with_phase
 from siegelflow.transport import _xi_kernel
 
 
@@ -138,6 +141,32 @@ def exp_bivariate_series(b1, b2, g11, g12, g22, jmax: int, kmax: int) -> np.ndar
         nxt[1:] += g12 * c[:-1, k]
         c[:, k + 1] = nxt / (k + 1)
     return c
+
+
+def generating_poly_per_order(beta, gamma, eps, d) -> np.ndarray:
+    """Rows G_0 ... G_d, G_k(w) = k! [s^k] exp(beta s + (1/2) gamma s^2 + eps s w), one numpy row
+    operation per order: G_{k+1} = (beta + eps w) G_k + k gamma G_{k-1}.  Stacked, beta, gamma, eps
+    and d (...) give rows (..., D + 1, D + 1), D = max d, every row computed in full; NonFiniteError
+    where a row up to an entry's d is not finite."""
+    d = np.asarray(d)
+    rows = np.zeros((d.max() + 1,) * 2 + np.shape(beta), dtype=complex)  # stack axes last until returned
+    rows[0, 0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(rows) - 1):
+            nxt = beta * rows[k]
+            nxt[1:] += eps * rows[k, :-1]
+            if k:
+                nxt += k * gamma * rows[k - 1]
+            rows[k + 1] = nxt
+    # a non-finite entry of row k makes the same entry of row k + 1 non-finite (0 inf is NaN); each entry ends at its d
+    if not np.isfinite(rows[-1]).all() and not np.isfinite(np.take_along_axis(rows, d[None, None], 0)).all():
+        raise NonFiniteError("generating_poly: the rows are not finite")
+    return rows.transpose(tuple(range(2, rows.ndim)) + (0, 1))
+
+
+def difference_norm_pointwise(a, b, nodes: int) -> float:
+    """|| a - b || with the difference taken at the points of a ``nodes``-per-axis grid before squaring."""
+    return _norms(*_with_phase(a), *_with_phase(b), nodes)[0]
 
 
 def integrate_out_per_column(S, L, ell0, k):

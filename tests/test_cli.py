@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegelflow import SiegelPoint, cli, random_siegel, transport
+from siegelflow import MetaplecticElement, SiegelPoint, cli, random_siegel, sections, transport
 from siegelflow.cli import main
 from siegelflow.transport import ODE_BASIS_MAX, bogoliubov_scale
 
@@ -428,6 +428,50 @@ class TestTransportCommand:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["outputs"]["ode_basis"] >= 128
+
+    def test_ode_check_works_on_amplitudes(self, capsys, monkeypatch):
+        # two Fock expansions (the pulled state and the closed form), one monomial start for the closed form,
+        # no metaplectic lift; the ODE starts from the amplitudes, and --ode-steps reaches its propagator
+        calls = {"fock_coefficients": 0, "from_fock_coefficients": 0, "principal_lift": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("fock_coefficients", "from_fock_coefficients"):
+            wrapper = counted(name, getattr(sections, name))
+            for module in (sections, transport, cli):
+                monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(MetaplecticElement, "principal_lift",
+                            classmethod(counted("principal_lift", MetaplecticElement.principal_lift.__func__)))
+        steps, propagate = [], transport.transport_ode_coeffs
+        monkeypatch.setattr(transport, "transport_ode_coeffs",
+                            lambda c0, lam, t_end, n: steps.append(n) or propagate(c0, lam, t_end, n))
+        argv = ["transport", "--corrected", "--ode-check", "--ode-steps", "2000"]
+        code, out, err = run_cli(argv, _TRANSPORT_REQUEST, capsys, monkeypatch)
+        assert code == 0, err
+        assert calls == {"fock_coefficients": 2, "from_fock_coefficients": 1, "principal_lift": 0}
+        assert steps and set(steps) == {2000}
+
+    @pytest.mark.parametrize(
+        "argv", [["geodesic"], ["transport"], ["transport", "--corrected"], ["transport", "--ode-check"],
+                 ["transport", "--kernel", "holomorphic"]]
+    )
+    @pytest.mark.parametrize("field", ["omega", "omega_p"])
+    @pytest.mark.parametrize("entry", [1e160, 1e300])
+    def test_frame_past_the_float_range_exits_1_without_a_warning(self, argv, field, entry, capsys, monkeypatch):
+        # the frame's Gram matrix, or the check scale of the geodesic's map, leaves the float range
+        payload = json.dumps({"omega": _UNIT_POINT, "omega_p": point_json([[0.3]], [[2.0]]),
+                              field: point_json([[entry]], [[1.0]])})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(argv, payload, capsys, monkeypatch)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        if argv[0] == "transport" and "holomorphic" not in argv:
+            assert "not finite" in err
 
     def test_identity_transport_echoes_input(self, capsys, monkeypatch):
         p = point_json([[0.0]], [[1.0]])

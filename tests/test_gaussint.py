@@ -5,14 +5,21 @@ from math import factorial
 import numpy as np
 import pytest
 
-from _reference import exp_bivariate_series, integrate_out_per_column, poly_gauss_pairing_loop
+from _reference import (
+    exp_bivariate_series,
+    generating_poly_per_order,
+    integrate_out_per_column,
+    poly_gauss_pairing_loop,
+)
 from siegelflow import (
     GaussianSection,
     NonFiniteError,
     NotIntegrableError,
     SiegelPoint,
     bergman_project,
+    coherent_state,
     diagonal_point,
+    fock_coefficients,
     from_fock_coefficients,
     inner_product,
     inner_product_cross_frame,
@@ -20,6 +27,7 @@ from siegelflow import (
     standard_point,
     transport_uncorrected,
 )
+from siegelflow import _gaussint
 from siegelflow._gaussint import (
     _poly_gauss_pairing,
     gauss_log_integral,
@@ -79,6 +87,83 @@ def test_generating_poly_low_orders():
         rtol=0,
         atol=1e-15,
     )
+
+
+def _row_relative_error(got, want):
+    """Largest |got - want| in a row over that row's largest |want|, over all rows."""
+    return float((np.abs(got - want).max(-1) / np.abs(want).max(-1)).max())
+
+
+class TestRowsFromTheBinomialTheorem:
+    """``generating_poly``'s rows, G_k[i] = C(k, i) eps^i h_{k-i}, against the
+    per-order recurrence G_{k+1} = (beta + eps w) G_k + k gamma G_{k-1}."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_to_order_1023_match_the_recurrence(self, seed):
+        # |beta| + |eps| = 1.6 and |gamma| = 1e-4 keep every row to order 1023 finite and the recurrence exact
+        # to 1e-14 (at |gamma| = 1e-3 it can lose 2.5e-9 of a row to cancellation, where the rows stay at 3e-15)
+        rng = np.random.default_rng(2600 + seed)
+        beta, eps, gamma = np.array([0.8, 0.8, 1e-4]) * np.exp(2j * np.pi * rng.uniform(size=3))
+        got = generating_poly(beta, gamma, eps, 1023)
+        assert got.shape == (1024, 1024) and not np.any(np.triu(got, 1))
+        assert _row_relative_error(got, generating_poly_per_order(beta, gamma, eps, 1023)) <= 1e-14
+        for d in (0, 1, 2, 3, 63, 64, 511, 512):  # an unstacked call at d is the table's first d + 1 rows
+            assert np.array_equal(generating_poly(beta, gamma, eps, d), got[: d + 1, : d + 1])
+
+    def test_stacked_rows_match_the_recurrence_to_each_entry_d(self):
+        rng = np.random.default_rng(2610)
+        d = np.array([1023, 0, 1, 3, 200, 640, 2])
+        beta, eps, gamma = np.array([[0.8], [0.8], [1e-4]]) * np.exp(2j * np.pi * rng.uniform(size=(3, d.size)))
+        beta[2], gamma[2], eps[2] = 2.0, 5.0, 3.0  # order 1 only: larger values stay finite
+        got, want = generating_poly(beta, gamma, eps, d), generating_poly_per_order(beta, gamma, eps, d)
+        assert got.shape == want.shape == (d.size, 1024, 1024)
+        for i, di in enumerate(d):
+            rows = got[i, : di + 1, : di + 1]
+            assert _row_relative_error(rows, want[i, : di + 1, : di + 1]) <= 1e-14
+            assert not np.any(got[i, : di + 1, di + 1 :])
+            assert np.array_equal(rows, generating_poly(beta[i], gamma[i], eps[i], di))
+
+    @pytest.mark.parametrize(
+        "beta, gamma, eps, d",
+        [
+            (1e120, 0.3, 0.5, 3),  # beta^3
+            (0.5, 1e200, 0.3, 4),  # 3 gamma h_2
+            (0.3, 0.1, 1e160, 2),  # eps^2
+            (3.0, 0.5, 0.5, 1023),  # h_m grows past the float range before order 1023
+            (1.5, 0.0, 1.5, 1023),  # the row sums reach 3^1023
+            (0.0, 0.0, 2.0, 1100),  # 2^1100 w^1100, where the binomials themselves pass the float range
+            ([0.3, 1e120, 0.2], [0.1, 0.2, 0.3], [0.5, 0.5, 0.5], [2, 3, 1]),  # one entry of a stack
+        ],
+    )
+    def test_overflowing_rows_raise_on_both_routes(self, beta, gamma, eps, d):
+        beta, gamma, eps = (np.asarray(x, dtype=complex) for x in (beta, gamma, eps))
+        for route in (generating_poly, generating_poly_per_order):
+            with pytest.raises(NonFiniteError, match="^generating_poly:"):
+                route(beta, gamma, eps, np.asarray(d))
+
+    def test_rows_keep_their_range_past_the_binomials(self):
+        # C(1100, 550) is about 1e330, but with h_m = 0 past h_0 the rows are (1.2 w)^k
+        got = generating_poly(0.0, 0.0, 1.2, 1100)
+        assert np.array_equal(got, np.diag(np.diagonal(got)))
+        assert np.allclose(np.diagonal(got), 1.2 ** np.arange(1101), rtol=1e-13, atol=0)
+        assert _row_relative_error(got, generating_poly_per_order(0.0, 0.0, 1.2, 1100)) <= 1e-14
+        # finite past an entry's own d is not required: the padded entry's order 3 overflows unchecked
+        rows = generating_poly(np.array([0.3, 1e120]), np.array([0.1, 0.2]), np.array([0.5, 0.5]), np.array([3, 0]))
+        assert np.array_equal(rows[1, 0], [1.0, 0.0, 0.0, 0.0])
+
+    def test_coherent_state_pushes_to_degree_1023_match_the_recurrence(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        for n in (64, 128, 256, 512, 1024):
+            for lam in (0.3, -0.5, 1.0):
+                alpha = complex(*rng.normal(size=2))
+                start = from_fock_coefficients(fock_coefficients(coherent_state([alpha], standard_point(1)), n),
+                                               standard_point(1))
+                got = transport_uncorrected(start, diagonal_point([np.exp(2 * lam)]))
+                monkeypatch.setattr(_gaussint, "generating_poly", generating_poly_per_order)
+                want = transport_uncorrected(start, diagonal_point([np.exp(2 * lam)]))
+                monkeypatch.undo()
+                assert got.c == want.c
+                assert np.abs(got.coeffs - want.coeffs).max() <= 4.8e-16 * np.abs(want.coeffs).max(), (n, lam)
 
 
 def exact_bivariate_series(b1, b2, g11, g12, g22, jmax, kmax, absolute=False):

@@ -44,7 +44,6 @@ from siegelflow._gaussint import gauss_log_integral
 from siegelflow.sections import (
     QUAD_NODES_DEFAULT,
     QUAD_NODES_MAX,
-    _difference_norm_pointwise,
     _envelope_form,
     _fit_log_quadratic,
     _hermite_grid,
@@ -55,7 +54,7 @@ from siegelflow.sections import (
 from siegelflow.suites import _refined_oracle, suite_unitarity
 from siegelflow.transport import _halfform_log, bogoliubov_scale, transport_corrected, transport_uncorrected
 
-from _reference import grid_sum_built_per_call
+from _reference import difference_norm_pointwise, grid_sum_built_per_call
 from conftest import random_gaussian_section, random_profile, standard_profile
 
 I1 = standard_point(1)
@@ -559,7 +558,7 @@ class TestDifferenceNorm:
                 db = rng.normal(size=n) + 1j * rng.normal(size=n)
                 b = GaussianSection(a.frame, a.m + 0.05 * size * (dm + dm.T), a.b + size * db,
                                     a.c + size * (rng.normal() + 1j * rng.normal()))
-                ref = _difference_norm_pointwise(a, b, nodes=48 if n == 1 else 32)
+                ref = difference_norm_pointwise(a, b, nodes=48 if n == 1 else 32)
                 rel = ref / norm(a)
                 assert abs(difference_norm(a, b) - ref) <= 500 * eps / rel * ref
 
@@ -580,7 +579,7 @@ class TestDifferenceNorm:
                                         a.c + size * cnormal(()), a.coeffs + size * cnormal(degree + 1))
             other = GaussianSection(a.frame, a.m, a.b, a.c, cnormal(degree + 1))
             for b in (perturbed, other):
-                ref = _difference_norm_pointwise(a, b, QUAD_NODES_MAX)
+                ref = difference_norm_pointwise(a, b, QUAD_NODES_MAX)
                 assert abs(difference_norm(a, b) - ref) <= 1e-6 * ref
 
     def test_independent_polynomial_profile_pairs_match_the_gram_formula(self, rng):
@@ -603,7 +602,7 @@ class TestDifferenceNorm:
         gram = norm(a.section) ** 2 + norm(b.section) ** 2 - 2 * corrected_inner_product(a, b).real
         assert abs(difference_norm(a, b) - np.sqrt(gram)) < 1e-12 * np.sqrt(gram)
         if n == 1:
-            ref = _difference_norm_pointwise(a, b, nodes=96)
+            ref = difference_norm_pointwise(a, b, nodes=96)
             assert abs(difference_norm(a, b) - ref) < 1e-12 * ref
 
     @pytest.mark.parametrize("frame", [1, 2, 3, *BOUNDARY_FRAMES])

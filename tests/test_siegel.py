@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from siegelflow import (
     BoundaryPolarization,
     MetaplecticElement,
+    NonFiniteError,
     SiegelPoint,
     SpRelationViolatedError,
     SymplecticMap,
@@ -49,6 +52,14 @@ class TestSiegelPoint:
         with np.errstate(all="raise"):
             p = SiegelPoint([[1e308, -1.5e308], [-1.5e308, 1.7e308]], [[1.0, 0.0], [0.0, 1.0]])
         assert np.array_equal(p.omega1, [[1e308, -1.5e308], [-1.5e308, 1.7e308]])
+
+    @pytest.mark.parametrize("omega1", [[[1e160]], [[1e300]], [[0.0, 1e160], [1e160, 0.0]]])
+    def test_gram_matrix_past_the_float_range_names_the_point(self, omega1):
+        p = SiegelPoint(omega1, np.eye(len(omega1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match=r"(?s)^the Gram matrix of SiegelPoint\(omega=.* is not finite: "):
+                p.gram_matrix
 
     def test_omega_is_built_once_and_read_only(self, rng):
         p = random_siegel(rng, 2)

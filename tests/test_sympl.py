@@ -7,6 +7,7 @@ import pytest
 from siegelflow import (
     BoundaryPolarization,
     MetaplecticElement,
+    NonFiniteError,
     SpRelationViolatedError,
     SymplecticMap,
     act_on_siegel,
@@ -154,6 +155,14 @@ class TestOneMatrix:
                 SymplecticMap.from_matrix([[bad, 0.0], [0.0, 1.0]])
             with pytest.raises(SpRelationViolatedError):
                 SymplecticMap([[1.0]], [[bad]], [[0.0]], [[1.0]])
+
+    @pytest.mark.parametrize("entry", [2e154, 1e160, 1e300])
+    def test_entries_whose_square_overflows_raise_without_a_warning(self, entry):
+        # the check is relative to max(1, max |entry|^2), which has left the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="^symplectic map with an entry of .*scale is not finite"):
+                SymplecticMap.from_matrix([[entry, 0.0], [0.0, 1.0 / entry]])
 
     def test_from_matrix_copies_its_input(self):
         m = np.eye(2)
