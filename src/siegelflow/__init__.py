@@ -40,7 +40,6 @@ from .siegel import (
     geodesic_between,
     geodesic_boundary_limits,
     geodesic_eval,
-    metric_distance,
     takagi,
 )
 from .sympl import (
@@ -59,12 +58,10 @@ from .transforms import (
     fourier,
     fourier_general,
     from_momentum_profile,
-    limit_transport_to_bargmann,
-    limit_transport_to_fourier,
     momentum_profile,
     segal_bargmann,
     segal_bargmann_inverse,
-    value_on_V,
+    transport_limits,
 )
 from .transport import (
     bogoliubov_scale,

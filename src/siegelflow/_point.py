@@ -90,9 +90,13 @@ class SiegelPoint:
 
     @cached_property
     def coord_matrix(self) -> np.ndarray:
-        """E with z(v) = E v for stacked real v = (x, y); shape (n, 2n), read-only."""
+        """E with z(v) = E v for stacked real v = (x, y); shape (n, 2n), read-only; NonFiniteError naming the point
+        past the float range."""
         half = self.imag_inv_sqrt() / np.sqrt(2.0)
-        e = np.hstack([half, -half @ np.conj(self.omega)])
+        with np.errstate(all="ignore"):
+            e = np.hstack([half, -half @ np.conj(self.omega)])
+        if not np.isfinite(e).all():
+            raise NonFiniteError(f"the coordinates of {self!r} are not finite")
         e.flags.writeable = False
         return e
 

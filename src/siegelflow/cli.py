@@ -59,9 +59,9 @@ from .suites import SUITES, _row
 from .transport import (
     ODE_BASIS_MAX,
     _act_on_section,
-    _kernel_transport,
     _transport_amplitudes,
     transport_corrected,
+    transport_kernel_apply,
     transport_uncorrected,
 )
 
@@ -140,7 +140,7 @@ def cmd_transport(args):
 
     # one half-form root gives the Bogoliubov scale (its modulus) and the
     # correction phase (its argument), whichever kernel moves the section
-    section, log_h = _kernel_transport(psi, omega, omega_p, args.kernel)
+    section, log_h = transport_kernel_apply(psi, omega, omega_p, args.kernel)
     transported = {"section": section_to_json(section), "scale": float(np.exp(log_h.real))}
     if args.corrected:
         transported["halfform_phase"] = _complex_array_to_json(np.exp(1j * log_h.imag))

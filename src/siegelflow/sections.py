@@ -131,9 +131,6 @@ class GaussianSection:
             out = np.polynomial.polynomial.polyval(z[..., 0], coeffs, tensor=False) * out
         return out
 
-    def scaled(self, factor: complex) -> "GaussianSection":
-        return GaussianSection(self.frame, self.m, self.b, self.c + np.log(complex(factor)), self.coeffs)
-
 
 def _checked(frame: Frame, m: np.ndarray, b: np.ndarray, c, coeffs: np.ndarray, degree, out: list) -> None:
     """Fills ``out`` over ``frame`` with m, b, c and coeffs as checked (non-finite data, asymmetric m, the frame's
@@ -189,6 +186,17 @@ def _stack(xs) -> tuple:
     out = object.__new__(GaussianSection)
     vars(out).update({x: np.array([getattr(p, x) for p in psis]) for x in "mbc"}, frame=psis[0].frame, coeffs=coeffs)
     return out, np.array(phases)
+
+
+def _as_stack(x) -> tuple[list, bool]:
+    """(sections, whether ``x`` is one): one plain or corrected section as a list of one, or a non-empty sequence
+    of them as a list, for the entries that take either and give back the shape they were given."""
+    if isinstance(x, (GaussianSection, CorrectedSection)):
+        return [x], True
+    xs = list(x)
+    if not xs:
+        raise ValueError("a stack takes at least one section")
+    return xs, False
 
 
 def vacuum(omega: SiegelPoint) -> GaussianSection:
@@ -523,7 +531,7 @@ def _log_gauss_ratio(s0, x0, e, f, kappa) -> complex:
     return -0.5 * logdet - 0.5 * lin[..., 0, 0] + kappa
 
 
-def difference_norm(a, b) -> float:
+def difference_norm(a, b):
     """|| a - b || for plain or corrected sections, free of cancellation.
 
     For degree-0 sections, h = (1/2) log(||b||^2 / ||a||^2) and
@@ -536,21 +544,20 @@ def difference_norm(a, b) -> float:
     Kaehler frame, and 300 on a polarization's one axis, where two unrelated
     Gaussian parts leave a chirp exp(i (Im m_a - Im m_b) u^2 / 2) in the cross term.
     A norm past the float range raises ``NonFiniteError``.
+
+    Two sequences of as many sections, each over one frame object (else ValueError), give the list of the pairs'
+    norms: the degree-0 pairs as one stack, the polynomial pairs over a polarization as one stack on one grid, those
+    over a Kaehler frame one by one, as array work, not calls, bounds their 48^2 grid.
     """
-    return _norms(*_with_phase(a), *_with_phase(b))[0]
-
-
-def _difference_norms(xs, ys) -> list[float]:
-    """``difference_norm`` of the pairs of zip(xs, ys), each kind over one frame object a side (else ValueError): the
-    degree-0 pairs as one stack, the polynomial pairs over a polarization as one stack on one grid, those over a
-    Kaehler frame one by one, as array work, not calls, bounds their 48^2 grid."""
-    poly = [i for i, (x, y) in enumerate(zip(xs, ys)) if _with_phase(x)[0].degree or _with_phase(y)[0].degree]
+    (xs, one), ys = _as_stack(a), _as_stack(b)[0]
+    pairs = [(_with_phase(x)[0], _with_phase(y)[0]) for x, y in zip(xs, ys, strict=True)]
+    poly = [i for i, (x, y) in enumerate(pairs) if x.degree or y.degree]
     groups = [[i for i in range(len(xs)) if i not in poly]]
-    groups += [poly] if isinstance(_with_phase(xs[0])[0].frame, BoundaryPolarization) else [[i] for i in poly]
+    groups += [poly] if isinstance(pairs[0][0].frame, BoundaryPolarization) else [[i] for i in poly]
     out = {}
     for group in filter(None, groups):
         out.update(zip(group, _norms(*_stack([xs[i] for i in group]), *_stack([ys[i] for i in group]))))
-    return [out[i] for i in range(len(xs))]
+    return out[0] if one else [out[i] for i in range(len(xs))]
 
 
 def _norms(pa: GaussianSection, ha, pb: GaussianSection, hb, nodes: int | None = None) -> list[float]:

@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from ._point import SiegelPoint
-from .errors import NotIntegrableError
+from .errors import NonFiniteError, NotIntegrableError
 from .sympl import COMPOSE_TOL, MetaplecticElement, SymplecticMap, _j0, _moebius, _unitary_embedding
 
 TRANSVERSALITY_TOL = 1e-8
@@ -114,11 +114,18 @@ def geodesic_eval(spec: GeodesicSpec, t: float) -> SiegelPoint:
 
 
 def _move_to_base(omega: SiegelPoint) -> np.ndarray:
-    """The matrix of g with g . (i I) = Omega:  (Omega2^{1/2}, Omega1 Omega2^{-1/2}; 0, Omega2^{-1/2})."""
+    """The matrix of g with g . (i I) = Omega:  (Omega2^{1/2}, Omega1 Omega2^{-1/2}; 0, Omega2^{-1/2}).
+
+    NonFiniteError naming the point when an entry's square, the scale of the
+    symplectic check of g and of its products, leaves the float range."""
     n = omega.n
     rinv = omega.imag_inv_sqrt()
     m = np.zeros((2 * n, 2 * n))
-    m[:n, :n], m[:n, n:], m[n:, n:] = omega.imag_sqrt(), omega.omega1 @ rinv, rinv
+    with np.errstate(all="ignore"):
+        m[:n, :n], m[:n, n:], m[n:, n:] = omega.imag_sqrt(), omega.omega1 @ rinv, rinv
+    amax = float(np.abs(m).max())
+    if not amax * amax < np.inf:  # also false for NaN
+        raise NonFiniteError(f"the map taking i I to {omega!r} has an entry of {amax:.1e}, whose square is not finite")
     return m
 
 
@@ -139,7 +146,10 @@ def geodesic_between(omega: SiegelPoint, omega_p: SiegelPoint) -> GeodesicSpec:
     if omega.close_to(omega_p, tol=1e-13):
         return GeodesicSpec(object.__new__(SymplecticMap)._store(g1), np.zeros(n), omega, omega_p)
     rinv = omega.imag_inv_sqrt()
-    z = rinv @ (omega_p.omega - omega.omega1) @ rinv
+    with np.errstate(all="ignore"):
+        z = rinv @ (omega_p.omega - omega.omega1) @ rinv
+    if not np.isfinite(z).all():
+        raise NonFiniteError(f"{omega_p!r} pulled back to the base point by {omega!r} is not finite")
     eye = np.eye(n)
     w = np.linalg.solve((z + 1j * eye).T, (z - 1j * eye).T).T
     w = 0.5 * (w + w.T)
@@ -151,19 +161,6 @@ def geodesic_between(omega: SiegelPoint, omega_p: SiegelPoint) -> GeodesicSpec:
     if res > ENDPOINT_TOL * max(1.0, np.abs(omega_p.omega).max()):
         raise np.linalg.LinAlgError(f"geodesic normal form failed: endpoint residual {res:.3e}")
     return spec
-
-
-def metric_distance(omega: SiegelPoint, omega_p: SiegelPoint) -> float:
-    """Geodesic distance; equals 2 ||Lambda||_F in the normal form.
-
-    Along gamma(t) = i exp(2 Lambda t) the displayed metric gives
-    ds = 2 sqrt(sum lambda_j^2) dt, so the normalization constant relating
-    distance to the rates is exactly 2.
-    """
-    if omega.close_to(omega_p, tol=1e-14):
-        return 0.0
-    spec = geodesic_between(omega, omega_p)
-    return 2.0 * float(np.linalg.norm(spec.lam))
 
 
 def exchange_map(n: int) -> SymplecticMap:

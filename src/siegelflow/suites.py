@@ -23,22 +23,17 @@ from .sections import (
     oracle_inner_product,
     vacuum,
 )
-from .sympl import MetaplecticElement, act_on_siegel, compose, random_siegel, random_symplectic, xi_matrix
-from .transforms import (
-    BoundaryPolarization,
-    _limit_report,
-    composition_identities_check,
-    fourier,
-    segal_bargmann_inverse,
-)
+from .siegel import BoundaryPolarization, GeodesicSpec
+from .sympl import (MetaplecticElement, SymplecticMap, act_on_siegel, compose, random_siegel, random_symplectic,
+                    xi_matrix)
+from .transforms import composition_identities_check, transport_limits
 from .transport import (
-    _transport_corrected_all,
-    _transport_uncorrected_all,
     bogoliubov_scale,
     bogoliubov_scale_via_structures,
     fock_connection_matrix,
     transport_corrected,
     transport_equals_scaled_projection_check,
+    transport_uncorrected,
 )
 
 
@@ -133,10 +128,10 @@ def suite_unitarity(seed: int = 42, trials: int = 20, oracle_trials: int = 6, no
         p1 = _random_gaussian_section(rng, om)
         p2 = _random_gaussian_section(rng, om)
         before = inner_product(p1, p2)
-        after = inner_product(*_transport_uncorrected_all([p1, p2], omp))
+        after = inner_product(*transport_uncorrected([p1, p2], omp))
         worst_closed = max(worst_closed, abs(after - before) / max(1.0, abs(before)))
 
-        after_c = corrected_inner_product(*_transport_corrected_all([CorrectedSection(p1), CorrectedSection(p2)], omp))
+        after_c = corrected_inner_product(*transport_corrected([CorrectedSection(p1), CorrectedSection(p2)], omp))
         worst_corrected = max(worst_corrected, abs(after_c - before) / max(1.0, abs(before)))
 
     worst_oracle = 0.0
@@ -146,7 +141,7 @@ def suite_unitarity(seed: int = 42, trials: int = 20, oracle_trials: int = 6, no
         p1 = _random_gaussian_section(rng, om, m_cap=0.6)
         p2 = _random_gaussian_section(rng, om, m_cap=0.6)
         before = inner_product(p1, p2)
-        after = _refined_oracle(*_transport_uncorrected_all([p1, p2], omp), nodes, 1e-7)
+        after = _refined_oracle(*transport_uncorrected([p1, p2], omp), nodes, 1e-7)
         worst_oracle = max(worst_oracle, abs(after - before) / max(1.0, abs(before)))
     return [
         _row("unitarity/uncorrected_closed_form", worst_closed, 1e-8),
@@ -192,7 +187,7 @@ def suite_flatness(seed: int = 42, trials: int = 50) -> list[dict]:
         states = [coherent_state(alpha, pts[0]), vacuum(pts[0]), coherent_state(0.5j * alpha + 0.3, pts[0])]
         around = states
         for pt in (pts[1], pts[2], pts[0]):
-            around = _transport_uncorrected_all(around, pt)
+            around = transport_uncorrected(around, pt)
         ratios = [inner_product(s, h3) / inner_product(s, s) for s, h3 in zip(states, around)]
         worst_modulus = max(worst_modulus, *(abs(abs(r) - 1.0) for r in ratios))
         worst_scalar = max(worst_scalar, max(abs(r - ratios[0]) for r in ratios[1:]))
@@ -232,11 +227,11 @@ def suite_limits() -> list[dict]:
     rng = np.random.default_rng(2004)
     worst = dict.fromkeys(("bargmann_distance", "bargmann_rate", "fourier_distance", "fourier_rate"), 0.0)
     for n in (1, 2, 3):
-        psi = CorrectedSection(_random_gaussian_section(rng, standard_point(n)))
+        start = standard_point(n)
+        psi = CorrectedSection(_random_gaussian_section(rng, start))
         lam = rng.uniform(0.8, 1.2, size=n)
-        limit = segal_bargmann_inverse(psi)
-        for side, target, sign in (("bargmann", limit, -1.0), ("fourier", fourier(limit), 1.0)):
-            rep = _limit_report(psi, target, lam, (5.0 * sign, 6.5 * sign), sign)
+        spec = GeodesicSpec(SymplecticMap.identity(n), lam, start, diagonal_point(np.exp(2.0 * lam)))
+        for side, rep in zip(("bargmann", "fourier"), transport_limits(psi, spec, (5.0, 6.5))):
             near, far = rep.rows
             slowdown = far.distance / near.distance * np.exp(rep.predicted_rate * (abs(far.t) - abs(near.t))) - 1.0
             worst[f"{side}_distance"] = max(worst[f"{side}_distance"], far.distance)

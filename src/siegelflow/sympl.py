@@ -170,9 +170,6 @@ class MetaplecticElement:
         w = np.conj(np.linalg.det(self.g.cz_plus_d(omega)))
         return w / abs(w)
 
-    def other_lift(self) -> "MetaplecticElement":
-        return MetaplecticElement(self.g, -self.branch, self.reference)
-
     def phase_at(self, omega: SiegelPoint, steps: int = 0) -> complex:
         """Half-form phase det(conj(C Omega + D))^{1/2} / |det(C Omega + D)|^{1/2}.
 

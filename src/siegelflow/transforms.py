@@ -17,10 +17,10 @@ its result carrying the map's unit branch phase.  Its companions are
     from the standard position, like the pairing map's ``transport._xi_kernel``.
 
 Transport along a geodesic with strictly positive rates converges to these
-operators at the two boundary ends.  Both sides of each limit are Gaussians
-on V, so convergence reports compare their log-quadratic data (S, l, k),
-with no grid; the distance decays at least like the heat-kernel width
-exp(-2 lambda_min |t|).
+operators at the two boundary ends, and ``transport_limits`` reports both.
+Both sides of each limit are Gaussians on V, so convergence reports compare
+their log-quadratic data (S, l, k), with no grid; the distance decays at
+least like the heat-kernel width exp(-2 lambda_min |t|).
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ import numpy as np
 
 from ._point import SiegelPoint, diagonal_point, standard_point
 from .errors import NoBoundaryLimitError, NonTransverseError, PolarizationMismatchError
-from .sections import (CorrectedSection, GaussianSection, _difference_norms, _Kernel, _require_frame, _sections,
-                       _stack, norm)
+from .sections import (CorrectedSection, GaussianSection, _as_stack, _Kernel, _require_frame, _sections, _stack,
+                       difference_norm, norm)
 from .siegel import RATE_TOL, BoundaryPolarization, GeodesicSpec
 from .sympl import MetaplecticElement, act_on_siegel, transform_z_coords
-from .transport import _transport_corrected_all, _xi_kernel, metaplectic_act, transport_corrected
+from .transport import _xi_kernel, metaplectic_act, transport_corrected
 
 # Unit constant relating the pushed frame sqrt(d^n x o g0^{-1}) of the exchange
 # element g0 = (0, I; -I, 0), with the branch e^{i pi n / 4} of
@@ -50,18 +50,6 @@ def _momentum_frame_factor(n: int) -> complex:
 def _flipped(frame: BoundaryPolarization, m, b, c: complex, coeffs) -> GaussianSection:
     """The profile p(u) exp((1/2) u^T m u + b^T u + c) composed with u -> -u, over ``frame``."""
     return GaussianSection(frame, m, -b, c, coeffs * (-1.0) ** np.arange(len(coeffs)))
-
-
-def value_on_V(s: CorrectedSection, v) -> np.ndarray:
-    """A polarized section as a function on V: phi(x0) exp((i/2) x0^T y0)
-    times its half-form coefficient, with v = g (x0, y0) for the reference g."""
-    _require_frame("value_on_V", BoundaryPolarization, s)
-    v = np.asarray(v, dtype=float)
-    n = s.frame.n
-    v0 = v @ s.frame.reference.g.inverse().matrix.T
-    x0, y0 = v0[..., :n], v0[..., n:]
-    phase = np.exp(0.5j * np.einsum("...i,...i->...", x0, y0))
-    return s.section.value(x0) * phase * s.halfform_phase
 
 
 def momentum_profile(s: CorrectedSection) -> GaussianSection:
@@ -85,57 +73,51 @@ def from_momentum_profile(profile: GaussianSection) -> CorrectedSection:
 # the pairing map: corrected transport with one end at L-, either way
 
 
-class _PairingMap:
-    """The corrected Xi kernel from ``source`` to ``target``, one of them a polarization
-    with reference R: from it, the kernel from L- to Omega0 = R^{-1} . Omega and then R,
-    onto R . Omega0; onto it, R^{-1} and then the kernel to L-.  The input's half-form
-    phase folds into the prefactor; the result carries the map's unit branch phase."""
-
-    def __init__(self, source, target):
-        if isinstance(source, BoundaryPolarization) == isinstance(target, BoundaryPolarization) or source.n != target.n:
-            raise ValueError(f"a pairing map needs a polarization and a point of one space, not {source!r}, {target!r}")
-        if isinstance(source, BoundaryPolarization):
-            ref = source.reference
-            om0 = act_on_siegel(ref.g.inverse(), target)
-            target, phase = act_on_siegel(ref.g, om0), ref.phase_at(om0)
-            # the push to Omega0 and the change to the target's coordinates, in one kernel
-            self._kernel, self._log_h = _xi_kernel(source, om0, out=(target, transform_z_coords(ref.g, om0, target)))
-        else:
-            back = target.reference.inverse()
-            pulled, phase = act_on_siegel(back.g, source), back.phase_at(source)
-            # the change to the pulled point's coordinates and the push, in one kernel
-            self._kernel, self._log_h = _xi_kernel(pulled, target, t_in=transform_z_coords(back.g, source, pulled))
-        self.source, self.target, self._phase = source, target, phase / abs(phase)
-
-    def __call__(self, shat: CorrectedSection) -> CorrectedSection:
-        return self.apply_all([shat])[0]
-
-    def apply_all(self, shats) -> list[CorrectedSection]:
-        # a map pairs only sections over the frame object it was built from (a stack shares one)
-        if shats[0].frame is not self.source:
-            raise ValueError(f"a pairing map from {self.source!r} cannot take a section over {shats[0].frame!r}")
-        log_prefs = [np.conj(self._log_h) - np.log(s.halfform_phase) for s in shats]
-        return [CorrectedSection(x, self._phase) for x in self._kernel.apply_all([s.section for s in shats], log_prefs)]
+def _pair(shats, target) -> list[CorrectedSection]:
+    """The corrected Xi kernel from the frame of ``shats``, sections over one frame object, to ``target``, one of
+    the two a polarization with reference R: from it, the kernel from L- to Omega0 = R^{-1} . Omega and then R, onto
+    R . Omega0; onto it, R^{-1} and then the kernel to L-.  The map is built once for the stack; each input's
+    half-form phase folds into its prefactor, and each result carries the map's unit branch phase."""
+    source = shats[0].frame
+    if isinstance(source, BoundaryPolarization) == isinstance(target, BoundaryPolarization) or source.n != target.n:
+        raise ValueError(f"a pairing map needs a polarization and a point of one space, not {source!r}, {target!r}")
+    if isinstance(source, BoundaryPolarization):
+        ref = source.reference
+        om0 = act_on_siegel(ref.g.inverse(), target)
+        target, phase = act_on_siegel(ref.g, om0), ref.phase_at(om0)
+        # the push to Omega0 and the change to the target's coordinates, in one kernel
+        kernel, log_h = _xi_kernel(source, om0, out=(target, transform_z_coords(ref.g, om0, target)))
+    else:
+        back = target.reference.inverse()
+        pulled, phase = act_on_siegel(back.g, source), back.phase_at(source)
+        # the change to the pulled point's coordinates and the push, in one kernel
+        kernel, log_h = _xi_kernel(pulled, target, t_in=transform_z_coords(back.g, source, pulled))
+    log_prefs = [np.conj(log_h) - np.log(s.halfform_phase) for s in shats]
+    return [CorrectedSection(x, phase / abs(phase)) for x in kernel.apply_all([s.section for s in shats], log_prefs)]
 
 
-def segal_bargmann(shat: CorrectedSection, omega: SiegelPoint) -> CorrectedSection:
+def segal_bargmann(shat, omega: SiegelPoint):
     """Unitary map of a polarized section into the corrected space over
-    Omega, via the reference lift.
+    Omega, via the reference lift; a sequence of sections over one frame
+    object goes through one map, as a list.
 
     In standard position it is the corrected Xi kernel from L- to Omega0."""
-    _require_frame("segal_bargmann", BoundaryPolarization, shat)
-    return _PairingMap(shat.frame, omega)(shat)
+    shats, one = _as_stack(shat)
+    _require_frame("segal_bargmann", BoundaryPolarization, shats[0])
+    out = _pair(shats, omega)
+    return out[0] if one else out
 
 
-def segal_bargmann_inverse(
-    psihat: CorrectedSection, polarization: BoundaryPolarization | None = None
-) -> CorrectedSection:
+def segal_bargmann_inverse(psihat, polarization: BoundaryPolarization | None = None):
     """Inverse pairing map; defaults to the standard position polarization.
+    A sequence of sections over one frame object goes through one map, as a list.
 
     In standard position it is the corrected Xi kernel from Omega0 to L-."""
-    _require_frame("segal_bargmann_inverse", SiegelPoint, psihat)
-    target = BoundaryPolarization.position(psihat.frame.n) if polarization is None else polarization
-    return _PairingMap(psihat.frame, target)(psihat)
+    psihats, one = _as_stack(psihat)
+    _require_frame("segal_bargmann_inverse", SiegelPoint, psihats[0])
+    target = BoundaryPolarization.position(psihats[0].frame.n) if polarization is None else polarization
+    out = _pair(psihats, target)
+    return out[0] if one else out
 
 
 def fourier(shat: CorrectedSection) -> CorrectedSection:
@@ -150,17 +132,19 @@ def fourier(shat: CorrectedSection) -> CorrectedSection:
     return CorrectedSection(kernel.apply(shat.section, log_pref), np.conj(_momentum_frame_factor(n)))
 
 
-def fourier_general(shat: CorrectedSection, target: BoundaryPolarization) -> CorrectedSection:
+def fourier_general(shat, target: BoundaryPolarization):
     """Fourier transform between transverse polarizations, as the
-    composition of the pairing map into the Kaehler frame i I and its inverse.
+    composition of the pairing map into the Kaehler frame i I and its inverse;
+    a sequence of sections over one frame object goes through both maps, as a list.
 
     The result is independent of the chosen frame; the composition
     identity checks exercise exactly that independence."""
-    _require_frame("fourier_general", BoundaryPolarization, shat)
-    if not shat.frame.transverse_to(target):
+    shats, one = _as_stack(shat)
+    _require_frame("fourier_general", BoundaryPolarization, shats[0])
+    if not shats[0].frame.transverse_to(target):
         raise NonTransverseError("polarizations must be transverse")
-    there = _PairingMap(shat.frame, standard_point(shat.frame.n))
-    return _PairingMap(there.target, target)(there(shat))
+    out = _pair(_pair(shats, standard_point(shats[0].frame.n)), target)
+    return out[0] if one else out
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +167,8 @@ class ConvergenceReport:
 def _log_quadratic(s: CorrectedSection):
     """(S, l, k) with the Gaussian ``s`` on V, its half-form coefficient
     included, equal to exp((1/2) v^T S v + l^T v + k).  Over a polarization
-    with reference R it is ``value_on_V`` in closed form:
-    S = R^{-T} [[m, (i/2) I], [(i/2) I, 0]] R^{-1} and l = R^{-T} (b, 0)."""
+    with reference R it is the value on V, phi(x0) exp((i/2) x0^T y0) at
+    v = R (x0, y0), in closed form: S = R^{-T} [[m, (i/2) I], [(i/2) I, 0]] R^{-1} and l = R^{-T} (b, 0)."""
     s_v, l_v, k = s.section.real_quadratic()
     if isinstance(s.frame, BoundaryPolarization):
         n, r_inv = s.frame.n, s.frame.reference.g.inverse().matrix
@@ -193,29 +177,14 @@ def _log_quadratic(s: CorrectedSection):
     return s_v, l_v, k + np.log(s.halfform_phase)
 
 
-def _reduce_to_standard(psihat: CorrectedSection, spec: GeodesicSpec):
-    """The Gaussian ``psihat`` at the start of ``spec``, moved to i I by g^{-1}."""
-    if psihat.section.degree:
-        raise ValueError(f"boundary limits compare Gaussians, not sections of degree {psihat.section.degree}")
-    if spec.lam.min() <= RATE_TOL:
-        raise NoBoundaryLimitError("a vanishing rate leaves the geodesic in the interior")
-    if not psihat.frame.close_to(spec.omega_start, tol=1e-8):
-        raise ValueError("section must live at the start of the geodesic")
-    if np.allclose(spec.g.matrix, np.eye(2 * spec.n), atol=1e-13):
-        return psihat
-    mp = MetaplecticElement.principal_lift(spec.g)
-    return metaplectic_act(mp.inverse(), psihat)
-
-
 def _absorbed_factor(lam: np.ndarray, t: float, sign: float) -> float:
     """det(sqrt(2) e^{-sign Lambda t})^{1/2}, which vanishes toward t -> sign * infinity."""
     return float(2.0 ** (lam.size / 4.0) * np.exp(-0.5 * sign * t * lam.sum()))
 
 
-def _limit_report(psi0: CorrectedSection, limit: CorrectedSection, lam, t_list, sign: float) -> ConvergenceReport:
+def _limit_report(psi0: CorrectedSection, limit: CorrectedSection, lam, depths, sign: float) -> ConvergenceReport:
     """Distance of the transport of the Gaussian psi0 over i I along i exp(2 Lambda t),
-    toward t -> sign * infinity, from its limit: ``segal_bargmann_inverse(psi0)``
-    toward -infinity and the ``fourier`` transform of that toward +infinity.
+    at t = sign * d for each depth d, from its limit toward t -> sign * infinity.
 
     Both are Gaussians on V, so the distance is that of their ``_log_quadratic``
     data, max(|dS|, |dl|, |expm1(dk)|), blind to 2 pi i in k.  The absorbed
@@ -226,7 +195,7 @@ def _limit_report(psi0: CorrectedSection, limit: CorrectedSection, lam, t_list, 
     if sign > 0:
         k_lim = k_lim + 0.25j * np.pi * psi0.frame.n
     rows = []
-    for t in sorted((float(t) for t in t_list), reverse=sign < 0):
+    for t in (sign * float(d) for d in sorted(depths)):
         absorbed = _absorbed_factor(lam, t, sign)
         s_t, l_t, k_t = _log_quadratic(transport_corrected(psi0, diagonal_point(np.exp(2.0 * lam * t))))
         dk = k_t - np.log(absorbed) - k_lim
@@ -235,19 +204,26 @@ def _limit_report(psi0: CorrectedSection, limit: CorrectedSection, lam, t_list, 
     return ConvergenceReport(tuple(rows), 2.0 * float(lam.min()))
 
 
-def limit_transport_to_bargmann(psihat: CorrectedSection, spec: GeodesicSpec, t_list) -> ConvergenceReport:
-    """Distance of transport toward t -> -infinity from the inverse pairing
-    map, with the absorbed factor det(sqrt(2) e^{Lambda t})^{1/2}."""
-    psi0 = _reduce_to_standard(psihat, spec)
-    return _limit_report(psi0, segal_bargmann_inverse(psi0), spec.lam, t_list, -1.0)
-
-
-def limit_transport_to_fourier(psihat: CorrectedSection, spec: GeodesicSpec, t_list) -> ConvergenceReport:
-    """Distance of transport toward t -> +infinity from the Fourier transform
-    of the t -> -infinity limit, with the absorbed factor
-    det(sqrt(2) e^{-Lambda t})^{1/2}."""
-    psi0 = _reduce_to_standard(psihat, spec)
-    return _limit_report(psi0, fourier(segal_bargmann_inverse(psi0)), spec.lam, t_list, 1.0)
+def transport_limits(psihat: CorrectedSection, spec: GeodesicSpec, depths) -> tuple[ConvergenceReport, ...]:
+    """(to_bargmann, to_fourier): distances of the transport of the Gaussian
+    ``psihat``, at the start of ``spec``, at t = -d and t = +d for each depth
+    d > 0, from its two boundary limits.  The section is first moved to i I by
+    the inverse of the principal lift of g.  Toward t -> -infinity the limit is the
+    inverse pairing map, with the absorbed factor det(sqrt(2) e^{Lambda t})^{1/2};
+    toward +infinity it is the ``fourier`` transform of that one map's result,
+    with det(sqrt(2) e^{-Lambda t})^{1/2}."""
+    if psihat.section.degree:
+        raise ValueError(f"boundary limits compare Gaussians, not sections of degree {psihat.section.degree}")
+    if spec.lam.min() <= RATE_TOL:
+        raise NoBoundaryLimitError("a vanishing rate leaves the geodesic in the interior")
+    if not psihat.frame.close_to(spec.omega_start, tol=1e-8):
+        raise ValueError("section must live at the start of the geodesic")
+    psi0 = psihat
+    if not np.allclose(spec.g.matrix, np.eye(2 * spec.n), atol=1e-13):
+        psi0 = metaplectic_act(MetaplecticElement.principal_lift(spec.g).inverse(), psihat)
+    limit = segal_bargmann_inverse(psi0)
+    to_bargmann = _limit_report(psi0, limit, spec.lam, depths, -1.0)
+    return to_bargmann, _limit_report(psi0, fourier(limit), spec.lam, depths, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +257,6 @@ class IdentityReport:
     fourier_vs_pairing_pair: float
     fourier_triple: float
 
-    @property
-    def max_residual(self) -> float:
-        return max(self.transport_vs_pairing, self.fourier_vs_pairing_pair, self.fourier_triple)
-
 
 def composition_identities_check(
     omega: SiegelPoint,
@@ -310,17 +282,14 @@ def composition_identities_check(
     # each profile's data, in standard position over pol_l, checked once as a stack
     stack = _stack(profiles)[0]
     sections = [CorrectedSection(s) for s in _sections(pol_l, stack.m, stack.b, stack.c, stack.coeffs, profiles)]
-    # the nine pairing maps of the three identities, built once for all profiles
-    base = standard_point(pol_l.n)
-    pairs = ((pol_l, omega), (pol_l, omega_p), (pol_l, base), (pol_lp, base))
-    to_om, to_omp, to_base, lp_to_base = (_PairingMap(p, w) for p, w in pairs)
-    pairs = ((to_om, pol_lp), (to_om, pol_lpp), (to_omp, pol_lp), (to_base, pol_lp), (lp_to_base, pol_lpp))
-    om_to_lp, om_to_lpp, omp_to_lp, base_to_lp, base_to_lpp = (_PairingMap(a.target, p) for a, p in pairs)
-    # the profiles go through each map together: 9 map applications and 1 projection per check
-    paired, moved = to_om.apply_all(sections), to_omp.apply_all(sections)
-    via_base = base_to_lp.apply_all(to_base.apply_all(sections))  # the Fourier operator L -> L' through i I
-    l_to_lpp = base_to_lpp.apply_all(lp_to_base.apply_all(omp_to_lp.apply_all(moved)))  # L -> L' via Omega', L' -> L''
-    sides = ((moved, _transport_corrected_all(paired, omega_p)), (via_base, om_to_lp.apply_all(paired)),
-             (om_to_lpp.apply_all(paired), l_to_lpp))
+    # the profiles go through each public map together: 9 pairing maps and 1 projection per check
+    paired, moved = segal_bargmann(sections, omega), segal_bargmann(sections, omega_p)
+    sides = (
+        (moved, transport_corrected(paired, omega_p)),
+        # the Fourier operator L -> L' through i I
+        (fourier_general(sections, pol_lp), segal_bargmann_inverse(paired, pol_lp)),
+        # L -> L' via Omega', then L' -> L''
+        (segal_bargmann_inverse(paired, pol_lpp), fourier_general(segal_bargmann_inverse(moved, pol_lp), pol_lpp)),
+    )
     scales = _profile_scales()
-    return IdentityReport(*(max(d / w for d, w in zip(_difference_norms(a, b), scales)) for a, b in sides))
+    return IdentityReport(*(max(d / w for d, w in zip(difference_norm(a, b), scales)) for a, b in sides))

@@ -28,9 +28,10 @@ from .errors import TruncationOverflowError
 from .sections import (
     CorrectedSection,
     GaussianSection,
+    _as_stack,
     _bergman,
     _Kernel,
-    bergman_project,  # noqa: F401  unused here, but perfbench/tracer.py wraps it under this name
+    bergman_project,  # noqa: F401  unused here, but perfbench/tests/test_harness.py:83-84 pins this binding
     coherent_state,
     difference_norm,
     fock_coefficients,
@@ -123,32 +124,28 @@ def bogoliubov_scale_via_structures(omega: SiegelPoint, omega_p: SiegelPoint) ->
     return float(det ** 0.25)
 
 
-def transport_uncorrected(psi: GaussianSection, omega_p: SiegelPoint) -> GaussianSection:
-    """U psi = alpha(Omega, Omega') P psi for any Gaussian(-polynomial) section."""
-    return _transport_uncorrected_all([psi], omega_p)[0]
-
-
-def _transport_uncorrected_all(psis, omega_p: SiegelPoint) -> list[GaussianSection]:
-    """``transport_uncorrected`` of sections over one frame object: one Bergman kernel, which checks the two frames,
-    then one half-form root and one stacked projection."""
+def transport_uncorrected(psi, omega_p: SiegelPoint):
+    """U psi = alpha(Omega, Omega') P psi for any Gaussian(-polynomial) section, or the list of U psi for a sequence
+    of sections over one frame object: one Bergman kernel, which checks the two frames, then one half-form root and
+    one stacked projection."""
+    psis, one = _as_stack(psi)
     kernel = _bergman(psis[0].frame, omega_p)
-    return kernel.apply_all(psis, [-_halfform_log(psis[0].frame, omega_p).real] * len(psis))
+    out = kernel.apply_all(psis, [-_halfform_log(psis[0].frame, omega_p).real] * len(psis))
+    return out[0] if one else out
 
 
-def transport_corrected(psihat: CorrectedSection, omega_p: SiegelPoint) -> CorrectedSection:
+def transport_corrected(psihat, omega_p: SiegelPoint):
     """Flat transport: psi (x) sqrt(d^n z) -> <sqrt(d^n z'), sqrt(d^n z)> P psi (x) sqrt(d^n z').
 
     The transported half-form pairing, with its root continued along the
     geodesic, supplies both the Bogoliubov scale (its modulus) and the
-    correction phase (its argument)."""
-    return _transport_corrected_all([psihat], omega_p)[0]
-
-
-def _transport_corrected_all(psihats, omega_p: SiegelPoint) -> list[CorrectedSection]:
-    """``transport_corrected`` of sections over one frame object: one half-form root, one stacked projection."""
+    correction phase (its argument).  A sequence of sections over one frame
+    object gives a list: one half-form root, one stacked projection."""
+    psihats, one = _as_stack(psihat)
     log_h = _halfform_log(psihats[0].frame, omega_p)
     sections = _bergman(psihats[0].frame, omega_p).apply_all([p.section for p in psihats], [-log_h.real] * len(psihats))
-    return [CorrectedSection(s, np.exp(1j * log_h.imag) * p.halfform_phase) for s, p in zip(sections, psihats)]
+    out = [CorrectedSection(s, np.exp(1j * log_h.imag) * p.halfform_phase) for s, p in zip(sections, psihats)]
+    return out[0] if one else out
 
 
 def transport_equals_scaled_projection_check(alpha, omega: SiegelPoint, omega_p: SiegelPoint) -> float:
@@ -164,19 +161,15 @@ def transport_equals_scaled_projection_check(alpha, omega: SiegelPoint, omega_p:
 
 def transport_kernel_apply(
     phi: GaussianSection, omega: SiegelPoint, omega_p: SiegelPoint, kernel: str = "bergman"
-) -> GaussianSection:
-    """Transport via one of the two integral kernels.
+) -> tuple[GaussianSection, complex]:
+    """Transport via one of the two integral kernels, and the half-form root
+    log_h (``_halfform_log``) whose modulus scaled it: one root per call.
 
     'bergman': rescaled reproducing-kernel projection (acts on the full
     section).  'holomorphic': the kernel acting on the holomorphic part
     only, with the Xi blocks inside the integral.  Both agree with the
     closed-form coherent transport, and both take polynomial sections.
     """
-    return _kernel_transport(phi, omega, omega_p, kernel)[0]
-
-
-def _kernel_transport(phi: GaussianSection, omega: SiegelPoint, omega_p: SiegelPoint, kernel: str) -> tuple:
-    """(``transport_kernel_apply``'s section, the half-form root log_h whose modulus scaled it), one root taken."""
     if not phi.frame.close_to(omega, tol=1e-12):
         raise ValueError("section must live at the source point")
     if kernel == "bergman":

@@ -9,7 +9,9 @@ two-parameter Taylor series of an exponentiated quadratic, the pairing maps
 as three separate constructions, a Gaussian integral with one solve per
 right-hand side, a difference norm summed point by point, a quadrature
 grid built on every call, a random symplectic draw checked factor by
-factor).
+factor, a polarized section evaluated on phase space), and the small
+constructions the tests build their cases from (a section times a scalar,
+the other lift of a metaplectic element).
 ``test_branches`` asserts that no name defined here is also an attribute
 of a ``siegelflow`` module.
 """
@@ -21,6 +23,7 @@ import numpy as np
 from siegelflow import (
     CorrectedSection,
     GaussianSection,
+    MetaplecticElement,
     NonFiniteError,
     SymplecticMap,
     act_on_siegel,
@@ -31,6 +34,27 @@ from siegelflow import (
 from siegelflow._gaussint import gauss_log_integral
 from siegelflow.sections import _hermite_table, _norms, _with_phase
 from siegelflow.transport import _xi_kernel
+
+
+def scaled(psi: GaussianSection, factor: complex) -> GaussianSection:
+    """``factor`` times ``psi``, folded into its constant c."""
+    return GaussianSection(psi.frame, psi.m, psi.b, psi.c + np.log(complex(factor)), psi.coeffs)
+
+
+def other_lift(mp: MetaplecticElement) -> MetaplecticElement:
+    """The lift of the same map with the other branch at the reference."""
+    return MetaplecticElement(mp.g, -mp.branch, mp.reference)
+
+
+def value_on_V(s: CorrectedSection, v) -> np.ndarray:
+    """A polarized section as a function on V, point by point: phi(x0) exp((i/2) x0^T y0)
+    times its half-form coefficient, with v = g (x0, y0) for the reference g; the closed
+    form the boundary limits compare is ``transforms._log_quadratic``."""
+    v = np.asarray(v, dtype=float)
+    n = s.frame.n
+    v0 = v @ s.frame.reference.g.inverse().matrix.T
+    x0, y0 = v0[..., :n], v0[..., n:]
+    return s.section.value(x0) * np.exp(0.5j * np.einsum("...i,...i->...", x0, y0)) * s.halfform_phase
 
 
 class BranchDiscontinuityError(Exception):
@@ -195,7 +219,7 @@ def pairing_in_three_steps(shat: CorrectedSection, omega) -> CorrectedSection:
     om0 = act_on_siegel(ref.g.inverse(), omega)
     target = act_on_siegel(ref.g, om0)
     kernel, log_h = _xi_kernel(shat.frame, om0)
-    core = kernel.apply(shat.section.scaled(shat.halfform_phase), np.conj(log_h))
+    core = kernel.apply(scaled(shat.section, shat.halfform_phase), np.conj(log_h))
     phase = ref.phase_at(om0)
     return CorrectedSection(in_coordinates_of(core, target, transform_z_coords(ref.g, om0, target)), phase / abs(phase))
 
@@ -209,7 +233,7 @@ def inverse_pairing_in_three_steps(psihat: CorrectedSection, polarization) -> Co
     moved = in_coordinates_of(psihat.section, pulled, transform_z_coords(back.g, psihat.frame, pulled))
     kernel, log_h = _xi_kernel(pulled, polarization)
     phase = back.phase_at(psihat.frame) * psihat.halfform_phase
-    return CorrectedSection(kernel.apply(moved, np.conj(log_h)).scaled(phase / abs(phase)))
+    return CorrectedSection(scaled(kernel.apply(moved, np.conj(log_h)), phase / abs(phase)))
 
 
 def grid_sum_built_per_call(f, placement: tuple, nodes: int) -> complex:

@@ -473,6 +473,29 @@ class TestTransportCommand:
         if argv[0] == "transport" and "holomorphic" not in argv:
             assert "not finite" in err
 
+    @pytest.mark.parametrize(
+        "argv", [["geodesic"], ["transport"], ["transport", "--corrected"], ["transport", "--ode-check"],
+                 ["transport", "--kernel", "holomorphic"]]
+    )
+    def test_frame_with_a_tiny_imaginary_part_exits_1_naming_it(self, argv, capsys, monkeypatch):
+        # Omega1 Omega2^{-1/2} overflows: the map of the geodesic and the frame's coordinates are not finite
+        payload = json.dumps({"omega": point_json([[1e160]], [[1e-300]]), "omega_p": point_json([[0.3]], [[2.0]])})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(argv, payload, capsys, monkeypatch)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "SiegelPoint(omega=[[1.e+160+1.e-300j]])" in err and "not finite" in err
+
+    def test_geodesic_pull_back_past_the_float_range_exits_1_naming_both(self, capsys, monkeypatch):
+        # Omega2^{-1/2} (Omega' - Omega1) Omega2^{-1/2} overflows though the map taking i I to Omega does not
+        payload = json.dumps({"omega": point_json([[0.0]], [[1e-300]]), "omega_p": point_json([[1e10]], [[1.0]])})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(["geodesic"], payload, capsys, monkeypatch)
+        assert (code, out) == (1, "") and err.count("\n") == 1
+        assert "SiegelPoint(omega=[[1.e+10+1.j]]) pulled back" in err and "SiegelPoint(omega=[[0.+1.e-300j]])" in err
+
     def test_identity_transport_echoes_input(self, capsys, monkeypatch):
         p = point_json([[0.0]], [[1.0]])
         payload = json.dumps({"state": {"alpha": [[0.5, -0.25]]}, "omega": p, "omega_p": p})

@@ -54,7 +54,7 @@ from siegelflow.sections import (
 from siegelflow.suites import _refined_oracle, suite_unitarity
 from siegelflow.transport import _halfform_log, bogoliubov_scale, transport_corrected, transport_uncorrected
 
-from _reference import difference_norm_pointwise, grid_sum_built_per_call
+from _reference import difference_norm_pointwise, grid_sum_built_per_call, other_lift
 from conftest import random_gaussian_section, random_profile, standard_profile
 
 I1 = standard_point(1)
@@ -787,7 +787,7 @@ class TestStackedIntegrability:
 
 
 class TestStackedDifferenceNorm:
-    """``sections._difference_norms`` on pairs over one frame object a side equals ``difference_norm`` pair by pair."""
+    """``difference_norm`` of two sequences, over one frame object a side, equals ``difference_norm`` pair by pair."""
 
     @staticmethod
     def _pairs(rng, frame, k, degrees):
@@ -807,9 +807,16 @@ class TestStackedDifferenceNorm:
         for _, frame in _frames(rng, n):
             for degrees in ([0], [1, 2], [0, 1, 2]) if n == 1 else ([0],):
                 xs, ys = self._pairs(rng, frame, 5, degrees)
-                for got, x, y in zip(sections._difference_norms(xs, ys), xs, ys, strict=True):
+                for got, x, y in zip(difference_norm(xs, ys), xs, ys, strict=True):
                     want = difference_norm(x, y)
                     assert abs(got - want) <= 1e-15 * want
+
+    def test_a_sequence_gives_a_list_and_the_two_sides_match_in_length(self, rng):
+        xs, ys = self._pairs(rng, standard_point(1), 3, [0])
+        assert difference_norm(xs[:1], ys[:1]) == [difference_norm(xs[0], ys[0])]
+        for a, b in ((xs, ys[:2]), ([], [])):
+            with pytest.raises(ValueError):
+                difference_norm(a, b)
 
     def test_a_stack_mixing_frame_objects_raises(self, rng):
         for pair in (([0], BoundaryPolarization.position(1)), ([1, 2], BoundaryPolarization.position(1)),
@@ -821,7 +828,7 @@ class TestStackedDifferenceNorm:
             s = xs[1].section
             xs[1] = CorrectedSection(GaussianSection(twin, s.m, s.b, s.c, s.coeffs), xs[1].halfform_phase)
             with pytest.raises(ValueError, match="one frame object"):
-                sections._difference_norms(xs, ys)
+                difference_norm(xs, ys)
 
     def test_an_overflowing_entry_raises(self, rng):
         frame = standard_point(1)
@@ -833,7 +840,7 @@ class TestStackedDifferenceNorm:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(NonFiniteError):
-                    sections._difference_norms(xs, ys)
+                    difference_norm(xs, ys)
 
 
 class TestFrameKinds:
@@ -877,7 +884,7 @@ class TestFrameKinds:
     def test_the_other_lift_of_one_polarization_raises(self):
         # the unitary map into i honours the lift: the two unit Gaussians pair to -1 there
         p = BoundaryPolarization.position(1)
-        q = BoundaryPolarization(p.reference.other_lift())
+        q = BoundaryPolarization(other_lift(p.reference))
         assert not p.close_to(q) and not q.close_to(p)
         a, b = (CorrectedSection(GaussianSection(f, [[-1.0]], [0.0], 0.25 * np.log(2.0))) for f in (p, q))
         assert abs(corrected_inner_product(segal_bargmann(a, I1), segal_bargmann(b, I1)) + 1.0) < 1e-12

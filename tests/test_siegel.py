@@ -15,7 +15,6 @@ from siegelflow import (
     geodesic_between,
     geodesic_boundary_limits,
     geodesic_eval,
-    metric_distance,
     random_siegel,
     random_symplectic,
     standard_point,
@@ -195,6 +194,12 @@ class TestGeodesics:
         first = spec.endpoint_residual()
         assert spec.endpoint_residual() == first
         assert times == [0.0, 1.0]
+
+
+def metric_distance(om, omp) -> float:
+    """2 ||Lambda||_F of the normal form: the geodesic distance, as ds = 2 sqrt(sum lambda_j^2) dt
+    along i exp(2 Lambda t) under the displayed metric."""
+    return 2.0 * float(np.linalg.norm(geodesic_between(om, omp).lam))
 
 
 class TestMetric:

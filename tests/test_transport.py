@@ -44,7 +44,7 @@ from siegelflow.transport import (
     transport_ode_coeffs,
 )
 
-from _reference import bogoliubov_operator_deformation, ladder_matrices, transport_coherent_standard
+from _reference import bogoliubov_operator_deformation, ladder_matrices, scaled, transport_coherent_standard
 from conftest import random_gaussian_section
 
 I1 = standard_point(1)
@@ -224,16 +224,17 @@ class TestKernels:
         om, omp = random_siegel(rng, 1), random_siegel(rng, 1)
         alpha = rng.normal(size=1) + 1j * rng.normal(size=1)
         c = coherent_state(alpha, om)
-        a = transport_kernel_apply(c, om, omp, "bergman")
+        a = transport_kernel_apply(c, om, omp, "bergman")[0]
         b = transport_coherent(alpha, om, omp)
         assert difference_norm(a, b) < 1e-10 * norm(c)
 
     def test_vacuum_under_both_kernels(self, rng):
         for n in (1, 2):
             om, omp = random_siegel(rng, n), random_siegel(rng, n)
-            a = transport_kernel_apply(vacuum(om), om, omp, "bergman")
-            b = transport_kernel_apply(vacuum(om), om, omp, "holomorphic")
+            (a, log_a), (b, log_b) = (transport_kernel_apply(vacuum(om), om, omp, k) for k in ("bergman", "holomorphic"))
             assert difference_norm(a, b) < 1e-10
+            # each returns the one half-form root whose modulus is the Bogoliubov scale
+            assert log_a == log_b and np.exp(log_a.real) == bogoliubov_scale(om, omp)
 
     @pytest.mark.parametrize("kernel", ["bergman", "holomorphic"])
     def test_section_must_live_at_the_source_point(self, rng, kernel):
@@ -244,8 +245,8 @@ class TestKernels:
     def test_holomorphic_kernel_takes_polynomial_states(self):
         psi = GaussianSection(I1, [[0.1]], [0.2 + 0.1j], 0.0, [1.0, 0.5, 0.2])
         omp = SiegelPoint.from_complex([[0.3 + 2.0j]])
-        a = transport_kernel_apply(psi, I1, omp, "holomorphic")
-        b = transport_kernel_apply(psi, I1, omp, "bergman")
+        a = transport_kernel_apply(psi, I1, omp, "holomorphic")[0]
+        b = transport_kernel_apply(psi, I1, omp, "bergman")[0]
         assert a.degree == 2
         assert difference_norm(a, b) < 1e-12 * norm(b)
 
@@ -253,12 +254,12 @@ class TestKernels:
         om, omp = random_siegel(rng, 1), random_siegel(rng, 1)
         phi1 = random_gaussian_section(rng, om, m_cap=0.5)
         phi2 = random_gaussian_section(rng, om, m_cap=0.5)
-        out1 = transport_kernel_apply(phi1, om, omp, "holomorphic")
-        out2 = transport_kernel_apply(phi2, om, omp, "holomorphic")
+        out1 = transport_kernel_apply(phi1, om, omp, "holomorphic")[0]
+        out2 = transport_kernel_apply(phi2, om, omp, "holomorphic")[0]
         # homogeneity in closed form
-        scaled = transport_kernel_apply(phi1.scaled(2.5j), om, omp, "holomorphic")
+        twice = transport_kernel_apply(scaled(phi1, 2.5j), om, omp, "holomorphic")[0]
         pts = np.array([[0.2, -0.4], [0.7, 0.3]])
-        assert np.abs(scaled.value(pts) - 2.5j * out1.value(pts)).max() < 1e-12
+        assert np.abs(twice.value(pts) - 2.5j * out1.value(pts)).max() < 1e-12
         # additivity through the quadrature evaluation of the kernel integral
         from siegelflow.transport import _xi_blocks
 
