@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from ._point import SiegelPoint, diagonal_point, standard_point
-from .errors import SiegelFlowError, TruncationOverflowError
+from .errors import SiegelFlowError
 from .sections import (
     QUAD_NODES_MAX,
     CorrectedSection,
@@ -57,11 +57,10 @@ from .sections import (
 from .siegel import geodesic_between, geodesic_eval
 from .suites import SUITES, _row
 from .transport import (
-    ODE_BASIS_MAX,
     _act_on_section,
-    _transport_amplitudes,
     transport_corrected,
     transport_kernel_apply,
+    transport_ode,
     transport_uncorrected,
 )
 
@@ -149,19 +148,12 @@ def cmd_transport(args):
     if args.ode_check:
         if omega.n != 1:
             raise SiegelFlowError("--ode-check supports n = 1")
-        n_basis = max(4 * args.trunc, 128)
-        if n_basis > ODE_BASIS_MAX:
-            raise TruncationOverflowError(
-                f"--trunc {args.trunc} needs an ODE basis of {n_basis} states, past ODE_BASIS_MAX = {ODE_BASIS_MAX}"
-            )
         spec = geodesic_between(omega, omega_p)
         coeffs = fock_coefficients(_act_on_section(spec.g.inverse(), psi), args.trunc)
         lam = float(spec.lam[0])
-        start = from_fock_coefficients(coeffs, standard_point(1))
-        closed = transport_uncorrected(start, diagonal_point([np.exp(2.0 * lam)]))
-        # the ODE propagates the amplitudes themselves, zero past --trunc as the truncated start is
-        c_ode = _transport_amplitudes(lambda n: np.pad(coeffs, (0, n - args.trunc)), lam, 1.0, args.ode_steps, n_basis)
-        c_closed = fock_coefficients(closed, args.trunc)
+        c_ode = transport_ode(coeffs, lam, 1.0, args.ode_steps)
+        start, end = from_fock_coefficients(coeffs, standard_point(1)), diagonal_point([np.exp(2.0 * lam)])
+        c_closed = fock_coefficients(transport_uncorrected(start, end), args.trunc)
         resid = np.linalg.norm(c_ode[: args.trunc] - c_closed) / np.linalg.norm(c_closed)
         results.append(_row("transport/ode_vs_closed_form", resid, 1e-6))
         outputs["ode_basis"] = len(c_ode)

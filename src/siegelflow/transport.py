@@ -10,10 +10,10 @@ orthogonal projection onto the holomorphic sections of Omega' and
 P and the Xi kernel (``_xi_kernel``) are ``sections._Kernel`` values; coherent
 states transport in closed form.  The half-form correction contributes the
 unit phase (det Xi')^{1/2} / |det Xi'|^{1/2}, after which transport composes
-flatly.  A moving-frame Fock ODE provides an independent numerical route for
-n = 1: on the normal-form geodesic i exp(2 lambda t) the connection 1-form has
-constant coefficients, so the truncated ODE is solved exactly by the
-exponential of its constant squeeze generator.
+flatly.  A moving-frame Fock ODE on amplitudes, ``transport_ode``, provides an
+independent numerical route for n = 1: on the normal-form geodesic
+i exp(2 lambda t) the connection 1-form has constant coefficients, so the
+truncated ODE is solved exactly by the exponential of its squeeze generator.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from functools import lru_cache
 import numpy as np
 
 from ._gaussint import half_logdet
-from ._point import SiegelPoint, diagonal_point, standard_point
-from .errors import TruncationOverflowError
+from ._point import SiegelPoint
+from .errors import NonFiniteError, TruncationOverflowError
 from .sections import (
     CorrectedSection,
     GaussianSection,
@@ -34,8 +34,6 @@ from .sections import (
     bergman_project,  # noqa: F401  unused here, but perfbench/tests/test_harness.py:83-84 pins this binding
     coherent_state,
     difference_norm,
-    fock_coefficients,
-    from_fock_coefficients,
     norm,
 )
 from .siegel import BoundaryPolarization, complex_structure_of
@@ -279,43 +277,35 @@ def transport_ode_coeffs(c0: np.ndarray, lam: float, t_end: float, steps: int) -
     return c
 
 
-def transport_ode(
-    psi0: GaussianSection, lam: float, t_end: float, steps: int, n_basis: int | None = None
-) -> GaussianSection:
-    """Numerical transport of a truncated Fock state along i exp(2 lambda t).
+def transport_ode(c0, lam: float, t_end: float, steps: int) -> np.ndarray:
+    """The Fock amplitudes c0 of a truncated state at i, transported along i exp(2 lambda t) to t_end.
 
-    The state is expanded in the moving Fock frame and carried by the exact,
-    orthogonal propagator of the geodesic's constant generator, built from
-    the connection 1-form, not from the closed-form transport; ``steps`` is
-    ignored.  The basis starts at ``n_basis`` states (32 by default), or at
-    the state's length if that is more (past ``ODE_BASIS_MAX``,
-    ``TruncationOverflowError`` before any expansion), and grows as in
-    ``_transport_amplitudes``.  The result is a monomial section, c_k / sqrt(k!),
-    that cannot be normed past about 170 states: ``transport --ode-check``
-    compares the amplitudes instead.
+    The exact, orthogonal propagator of the geodesic's constant generator
+    (``transport_ode_coeffs``, from the connection 1-form, not the closed
+    forms; ``steps`` is ignored) carries c0, zero past its length, on
+    max(4 len(c0), 128) states, doubled up to ``ODE_BASIS_MAX`` while an
+    amplitude in the top 10% exceeds ``TRUNCATION_LEAK_TOL`` ||c0||; one
+    amplitude per state of the final basis comes back.  A bad c0 raises before
+    any propagation, a start past the cap or a leak at it
+    ``TruncationOverflowError``.
     """
-    if psi0.n != 1:
-        raise ValueError("the transport ODE is one-dimensional")
-    if not psi0.frame.close_to(standard_point(1), tol=1e-12):
-        raise ValueError("initial state must be expressed at the base point i")
-    lam = float(np.atleast_1d(lam)[0])
-    n_basis = max(32 if n_basis is None else n_basis, len(psi0.coeffs))
+    c0 = np.asarray(c0, dtype=complex)
+    norm0 = float(np.linalg.norm(c0))
+    if not np.isfinite(norm0):
+        raise NonFiniteError(f"amplitude vector c0 has norm {norm0}")
+    if c0.ndim != 1 or norm0 == 0.0:
+        raise ValueError(f"amplitude vector c0 of shape {c0.shape} must be one-dimensional and non-zero")
+    n_basis = max(4 * c0.size, 128)
     if n_basis > ODE_BASIS_MAX:
-        raise TruncationOverflowError(f"a starting basis of {n_basis} states exceeds ODE_BASIS_MAX = {ODE_BASIS_MAX}")
-    c = _transport_amplitudes(lambda n: fock_coefficients(psi0, n), lam, t_end, steps, n_basis)
-    return from_fock_coefficients(c, diagonal_point([np.exp(2.0 * lam * t_end)]))
-
-
-def _transport_amplitudes(amplitudes, lam: float, t_end: float, steps: int, n_basis: int) -> np.ndarray:
-    """``transport_ode_coeffs`` of ``amplitudes(n)`` on n = ``n_basis`` states, doubled while more than
-    ``TRUNCATION_LEAK_TOL`` of amplitude, or a non-finite one, reaches the top 10% (the last state, for n <= 9),
-    up to ``ODE_BASIS_MAX`` states, where a leak raises ``TruncationOverflowError``; n is the result's length."""
+        raise TruncationOverflowError(f"amplitude vector of {c0.size} states needs a starting basis of {n_basis} "
+                                      f"states, past ODE_BASIS_MAX = {ODE_BASIS_MAX}")
     while True:
-        c = transport_ode_coeffs(amplitudes(n_basis), lam, t_end, steps)
-        leak = float(np.abs(c[min(int(np.ceil(0.9 * n_basis)), n_basis - 1) :]).max())
+        c = transport_ode_coeffs(np.pad(c0, (0, n_basis - c0.size)), lam, t_end, steps)
+        leak = float(np.abs(c[int(np.ceil(0.9 * n_basis)) :]).max()) / norm0
         if leak <= TRUNCATION_LEAK_TOL:
             return c
         if n_basis >= ODE_BASIS_MAX:
-            raise TruncationOverflowError(f"amplitude {leak:.2e} in the top 10% of a basis of {n_basis} states; "
-                                          f"the basis stops doubling at ODE_BASIS_MAX = {ODE_BASIS_MAX}")
+            raise TruncationOverflowError(f"amplitude {leak:.2e} of the norm in the top 10% of a basis of {n_basis} "
+                                          f"states at lam * t_end = {lam * t_end:.4g}; the basis stops doubling at "
+                                          f"ODE_BASIS_MAX = {ODE_BASIS_MAX}")
         n_basis = min(2 * n_basis, ODE_BASIS_MAX)

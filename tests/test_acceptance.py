@@ -47,21 +47,13 @@ def _report(capsys, idx, name, passed, detail):
 
 
 def test_criterion_01_ode_matches_closed_form(capsys):
-    from siegelflow import from_fock_coefficients
-
     worst = 0.0
     for alpha in (0.0, 1.0, 1.0 + 1.0j):
         for t in (0.25, 0.5, 1.0):
             start = coherent_state([alpha], I1)
-            ode = transport_ode(
-                from_fock_coefficients(fock_coefficients(start, 256), I1),
-                1.0,
-                t,
-                10000,
-                n_basis=256,
-            )
+            # 64 amplitudes start the basis at 256 states
+            a = transport_ode(fock_coefficients(start, 64), 1.0, t, 10000)[:32]
             closed = transport_coherent([alpha], I1, diagonal_point([np.exp(2 * t)]))
-            a = fock_coefficients(ode, 32)
             b = fock_coefficients(closed, 32)
             worst = max(worst, np.linalg.norm(a - b) / np.linalg.norm(b))
     _report(

@@ -408,7 +408,33 @@ class TestTransportCommand:
         code, out, err = run_cli(["--trunc", "300", "transport", "--ode-check"], payload, capsys, monkeypatch)
         assert code == 1
         assert out == ""
-        assert err.startswith("error: --trunc 300 ") and f"ODE_BASIS_MAX = {ODE_BASIS_MAX}" in err
+        assert err.startswith("error: ") and "300" in err and "1200" in err
+        assert f"ODE_BASIS_MAX = {ODE_BASIS_MAX}" in err
+
+    def test_state_whose_amplitudes_underflow_exits_2(self, capsys, monkeypatch):
+        # e^{-800} reads as 32 zero amplitudes: refused before the ODE, not a NaN residual
+        section = {"frame": _UNIT_POINT, "M": [[[0.0, 0.0]]], "b": [[0.0, 0.0]], "c": [-800.0, 0.0]}
+        payload = json.dumps({"omega": _UNIT_POINT, "omega_p": point_json([[0.0]], [[2.0]]), "state": {"section": section}})
+        code, out, err = run_cli(["transport", "--ode-check"], payload, capsys, monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error: amplitude vector c0 ")
+
+    @pytest.mark.parametrize(
+        "trunc, far, alpha, basis",
+        [(32, 1.0, 8.0, 128),  # |c0| = 1.5e11: round-off alone is an absolute amplitude 6e-6 at 1024 states
+         (32, float(np.exp(4.24)), 2.37, 1024)],  # lam = 2.12: 2.2e-6 at 1024 states, 1.3e-7 of the norm
+    )
+    def test_ode_check_leak_is_relative_to_the_norm(self, trunc, far, alpha, basis, capsys, monkeypatch):
+        payload = json.dumps({"omega": _UNIT_POINT, "omega_p": point_json([[0.0]], [[far]]),
+                              "state": {"alpha": [[alpha, 0.0]]}})
+        argv = ["--trunc", str(trunc), "transport", "--corrected", "--ode-check"]
+        code, out, err = run_cli(argv, payload, capsys, monkeypatch)
+        assert code == 0, err
+        report = json.loads(out)
+        row = next(r for r in report["results"] if r["name"] == "transport/ode_vs_closed_form")
+        assert row["residual"] <= 1e-13
+        assert report["outputs"]["ode_basis"] == basis
 
     def test_ode_check_imports_no_scipy(self):
         # scipy would add its import time and memory to every command
@@ -442,7 +468,7 @@ class TestTransportCommand:
 
         for name in ("fock_coefficients", "from_fock_coefficients"):
             wrapper = counted(name, getattr(sections, name))
-            for module in (sections, transport, cli):
+            for module in (sections, cli):
                 monkeypatch.setattr(module, name, wrapper)
         monkeypatch.setattr(MetaplecticElement, "principal_lift",
                             classmethod(counted("principal_lift", MetaplecticElement.principal_lift.__func__)))

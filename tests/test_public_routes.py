@@ -24,7 +24,6 @@ ALLOWED_UNREACHED = {
     "transport.metaplectic_act": "ROADMAP items 14 and 23 route a row through the lifted action",
     "sympl.MetaplecticElement.compose": "ROADMAP items 14 and 23",
     "siegel.geodesic_boundary_limits": "ROADMAP items 14 and 23",
-    "transport.transport_ode": "ROADMAP item 7; the CLI's --ode-check propagates amplitudes instead",
     "sections.fock_state": "ROADMAP items 5 and 20",
     "transforms.momentum_profile": "the momentum representation, which no suite row reads",
     "transforms.from_momentum_profile": "the momentum representation, which no suite row reads",

@@ -9,6 +9,7 @@ from siegelflow import (
     CorrectedSection,
     GaussianSection,
     MetaplecticElement,
+    NonFiniteError,
     SiegelPoint,
     TruncationOverflowError,
     bogoliubov_scale,
@@ -19,7 +20,6 @@ from siegelflow import (
     fock_coefficients,
     fock_state,
     fock_connection_matrix,
-    from_fock_coefficients,
     inner_product,
     metaplectic_act,
     norm,
@@ -34,7 +34,7 @@ from siegelflow import (
     transport_uncorrected,
     vacuum,
 )
-from siegelflow import suites, transport
+from siegelflow import sections, suites, transport
 from siegelflow.cli import main
 from siegelflow.sections import QUAD_NODES_DEFAULT, _hermite_grid_sum, _placement
 from siegelflow.sympl import act_on_siegel
@@ -103,7 +103,7 @@ class TestStandardTransport:
     def test_squeezed_polynomial_state_matches_ode(self):
         psi = GaussianSection(I1, [[0.3 - 0.2j]], [0.4 + 0.1j], 0.1, [0.3, -0.4j, 0.5])
         closed = fock_coefficients(transport_uncorrected(psi, _on_geodesic(0.5, 1.0)), 32)
-        ode = fock_coefficients(transport_ode(psi, 0.5, 1.0, 2000, n_basis=128), 32)
+        ode = transport_ode(fock_coefficients(psi, 128), 0.5, 1.0, 2000)[:32]
         assert np.linalg.norm(ode - closed) < 1e-8 * np.linalg.norm(closed)
 
 
@@ -426,34 +426,55 @@ def _dense_exponential(c0, lam, t_end):
 
 class TestTransportODE:
     def test_zero_rate_is_identity(self):
-        out = transport_ode(fock_state(3, I1), 0.0, 1.0, 100)
-        coeffs = fock_coefficients(out, 8)
-        expected = np.zeros(8)
-        expected[3] = 1.0
-        assert np.abs(coeffs - expected).max() < 1e-12
+        out = transport_ode(np.eye(8)[3], 0.0, 1.0, 100)
+        assert len(out) == 128 and np.abs(out - np.eye(128)[3]).max() < 1e-12
 
     def test_matches_closed_form(self):
-        out = transport_ode(fock_state(0, I1), 1.0, 0.5, 10000, n_basis=128)
+        out = transport_ode(fock_coefficients(fock_state(0, I1), 32), 1.0, 0.5, 10000)
         closed = transport_uncorrected(fock_state(0, I1), _on_geodesic(1.0, 0.5))
-        a = fock_coefficients(out, 32)
         b = fock_coefficients(closed, 32)
-        assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-6
+        assert np.linalg.norm(out[:32] - b) / np.linalg.norm(b) < 1e-6
 
-    @pytest.mark.parametrize("lam, n_basis", [(0.5, 64), (0.25, None), (0.5, None)])
-    def test_gaussian_state_matches_coherent_closed_form(self, lam, n_basis):
-        # a Gaussian section enters the ODE directly; None starts at the default basis
-        # of 32, which at lam = 0.5 leaks and doubles
-        out = transport_ode(coherent_state([0.3], I1), lam, 1.0, 2000, n_basis=n_basis)
+    @pytest.mark.parametrize("lam, n_amp", [(0.5, 16), (0.25, 32), (0.5, 32)])
+    def test_gaussian_state_matches_coherent_closed_form(self, lam, n_amp):
+        # the truncated amplitudes of a Gaussian section enter the ODE directly
+        out = transport_ode(fock_coefficients(coherent_state([0.3], I1), n_amp), lam, 1.0, 2000)
         closed = fock_coefficients(transport_coherent_standard([0.3], lam, 1.0), 32)
-        assert np.linalg.norm(fock_coefficients(out, 32) - closed) < 1e-8 * np.linalg.norm(closed)
+        assert np.linalg.norm(out[:32] - closed) < 1e-8 * np.linalg.norm(closed)
 
-    @pytest.mark.parametrize("n_basis", [1, 4, 9])
-    def test_start_basis_below_ten_states_is_guarded(self, n_basis):
-        # the top 10% of 9 or fewer states is empty; the last state is the leak window
-        psi = coherent_state([0.8], I1)
-        out = transport_ode(psi, 0.5, 1.0, 0, n_basis=n_basis)
-        closed = fock_coefficients(transport_uncorrected(psi, _on_geodesic(0.5, 1.0)), 32)
-        assert np.linalg.norm(fock_coefficients(out, 32) - closed) < 1e-6 * np.linalg.norm(closed)
+    def test_vacuum_doubles_its_basis_and_keeps_its_norm(self):
+        # at lam t = 1.6 the vacuum leaks out of 128 and 256 states; 512 hold it
+        out = transport_ode([1.0], 1.6, 1.0, 0)
+        closed = fock_coefficients(transport_uncorrected(fock_state(0, I1), _on_geodesic(1.6, 1.0)), 32)
+        assert len(out) == 512
+        assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
+        assert np.linalg.norm(out[:32] - closed) <= 1e-12 * np.linalg.norm(closed)
+
+    def test_genuine_leak_at_the_cap_names_the_rate(self):
+        # the vacuum at lam t = 2.6 keeps 4.9e-4 of its norm in the top 10% of 1024 states
+        with pytest.raises(TruncationOverflowError, match=r"^amplitude .* lam \* t_end = 2\.6; .*ODE_BASIS_MAX = 1024"):
+            transport_ode(fock_coefficients(coherent_state([1.0], I1), 32), 2.6, 1.0, 0)
+
+    @pytest.mark.parametrize(
+        "c0, error", [([], ValueError), (np.zeros(5), ValueError), ([1.0, np.nan], NonFiniteError),
+                      ([np.inf], NonFiniteError)]
+    )
+    def test_bad_start_raises_before_any_propagation(self, c0, error, monkeypatch):
+        monkeypatch.setattr(transport, "transport_ode_coeffs", None)  # never reached
+        with pytest.raises(error, match="^amplitude vector c0 "):
+            transport_ode(c0, 0.5, 1.0, 0)
+
+    def test_shares_nothing_with_the_closed_forms(self, monkeypatch):
+        c0 = fock_coefficients(coherent_state([0.4 + 0.2j], I1), 32)
+        want = transport_ode(c0, 0.8, 1.0, 0)
+
+        def closed_form(*args, **kwargs):
+            raise AssertionError("the Fock ODE reached a closed form")
+
+        monkeypatch.setattr(sections, "fock_coefficients", closed_form)
+        for name in ("_bergman", "_xi_blocks", "half_logdet"):
+            monkeypatch.setattr(transport, name, closed_form)
+        assert np.array_equal(transport_ode(c0, 0.8, 1.0, 0), want)
 
     def test_propagator_group_law(self):
         # U(s) U(t) = U(s + t), U(-t) U(t) = I, and U(t) keeps the norm
@@ -471,26 +492,27 @@ class TestTransportODE:
             assert abs(np.linalg.norm(u(t, c0)) - 1.0) <= 1e-13
 
     def test_start_basis_past_the_cap_raises_before_expanding(self, monkeypatch):
-        monkeypatch.setattr("siegelflow.transport.fock_coefficients", None)  # never reached
-        with pytest.raises(TruncationOverflowError, match="starting basis of 2000 states"):
-            transport_ode(coherent_state([0.3], I1), 0.3, 1.0, 0, n_basis=2000)
+        monkeypatch.setattr(transport, "transport_ode_coeffs", None)  # never reached
+        with pytest.raises(TruncationOverflowError, match="^amplitude vector of 300 states needs a starting basis "
+                                                          "of 1200 states"):
+            transport_ode(np.ones(300), 0.3, 1.0, 0)
 
     def test_state_longer_than_its_basis_is_not_cut(self):
-        # at lam = 0 the propagator is the identity: all 40 coefficients come back
+        # at lam = 0 the propagator is the identity: all 40 coefficients come back, zero-padded to 160 states
         c0 = np.linspace(1.0, 0.1, 40) * np.exp(0.3j * np.arange(40))
-        out = transport_ode(from_fock_coefficients(c0, I1), 0.0, 1.0, 0, n_basis=8)
-        assert np.abs(fock_coefficients(out, out.degree + 1)[:40] - c0).max() < 1e-12
+        out = transport_ode(c0, 0.0, 1.0, 0)
+        assert len(out) == 160 and np.abs(out[:40] - c0).max() < 1e-12 and np.abs(out[40:]).max() < 1e-12
 
     def test_truncation_overflow_guard(self):
         # the vacuum squeezed to lam t = 4 still holds amplitude 4.5e-2 at 922..1023
         with pytest.raises(TruncationOverflowError, match="ODE_BASIS_MAX = 1024"):
-            transport_ode(fock_state(0, I1), 4.0, 1.0, 2000, n_basis=512)
+            transport_ode([1.0], 4.0, 1.0, 2000)
 
     def test_large_squeeze_overflows_with_a_finite_amplitude(self):
         # the orthogonal propagator stays bounded at any lam t; the leak is truncation alone
         with np.errstate(over="raise", invalid="raise"):
             with pytest.raises(TruncationOverflowError, match="ODE_BASIS_MAX") as info:
-                transport_ode(fock_state(0, I1), 10.0, 1.0, 400, n_basis=1024)
+                transport_ode([1.0], 10.0, 1.0, 400)
         assert "nan" not in str(info.value)
         amplitude = float(str(info.value).split()[1])
         assert 0.0 < amplitude < 1.0
@@ -499,7 +521,7 @@ class TestTransportODE:
         # a NaN never passes ``leak <= TRUNCATION_LEAK_TOL``
         monkeypatch.setattr("siegelflow.transport.transport_ode_coeffs", lambda c0, *args: np.full(c0.size, np.nan))
         with pytest.raises(TruncationOverflowError, match="amplitude nan"):
-            transport_ode(fock_state(0, I1), 1.0, 1.0, 0, n_basis=1024)
+            transport_ode([1.0], 1.0, 1.0, 0)
 
     @pytest.mark.parametrize("n_basis", [8, 48, 256])
     @pytest.mark.parametrize("steps", [1, 200])
@@ -524,7 +546,7 @@ class TestTransportODE:
     def test_coherent_state_matches_closed_form_to_round_off(self):
         # the exact propagator leaves only round-off in the 32-state window
         psi = coherent_state([0.4 + 0.2j], I1)
-        out = fock_coefficients(transport_ode(psi, 0.8, 1.0, 2000, n_basis=128), 32)
+        out = transport_ode(fock_coefficients(psi, 32), 0.8, 1.0, 2000)[:32]
         closed = fock_coefficients(transport_uncorrected(psi, _on_geodesic(0.8, 1.0)), 32)
         assert np.linalg.norm(out - closed) <= 1e-12 * np.linalg.norm(closed)
 
