@@ -9,10 +9,10 @@ transformations g . Omega = (A Omega + B)(C Omega + D)^{-1}, and on
 the holomorphic coordinates z_Omega by a unitary matrix.
 
 A metaplectic element is a symplectic matrix together with a tracked branch
-of det(conj(C Omega + D))^{1/2}, anchored at a reference point and continued
-along the straight segment to any other point of the upper half-space; the
-two lifts of any g differ exactly by a sign.  The continuation has a
-closed form (Folland, Harmonic Analysis in Phase Space, ch. 4).
+of det(conj(C Omega + D))^{1/2}, anchored at a reference point and carried to
+any other point of the upper half-space by the library's one det^{1/2} rule,
+``half_logdet``, through the transformation law of Xi; the two lifts of any g
+differ exactly by a sign (Folland, Harmonic Analysis in Phase Space, ch. 4).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from ._gaussint import half_logdet
 from ._point import SiegelPoint, standard_point
 from .errors import NonFiniteError, NonUnitaryError, SpRelationViolatedError
 
@@ -39,9 +40,9 @@ def _j0(n: int) -> np.ndarray:
 
 
 def _sp_residual(m: np.ndarray) -> float:
-    """max |m^T J0 m - J0|, the largest violation of any block relation."""
-    j = _j0(m.shape[0] // 2)
-    return float(np.abs(m.T @ j @ m - j).max())
+    """max |m^T J0 m - J0| / max(|m|^T |J0| |m|, 1), entry by entry: each relation to the size of its terms."""
+    j, am = _j0(m.shape[0] // 2), np.abs(m)
+    return float((np.abs(m.T @ j @ m - j) / np.maximum(am.T @ np.abs(j) @ am, 1.0)).max())
 
 
 @dataclass(frozen=True)
@@ -64,14 +65,14 @@ class SymplecticMap:
         self._store(m)
 
     def _store(self, m: np.ndarray, tol=CONSTRUCTION_TOL, what="block relations violated") -> "SymplecticMap":
-        """Check ``m``, owned by this map, to ``tol`` of its scale; freeze it and set the views."""
+        """Check ``m``, owned by this map, entry by entry to ``tol`` of its scale; freeze it and set the views."""
         amax = float(np.abs(m).max())
-        scale = max(1.0, amax * amax)
-        if amax < np.inf == scale:  # finite entries past 1.3e154: a check to an infinite scale passes any matrix
+        # finite entries past 1.3e154 / sqrt(2n): a scale entry, a sum of 2n products, may leave the float range
+        if amax < np.inf == m.shape[0] * amax * amax:
             raise NonFiniteError(f"symplectic map with an entry of {amax:.1e}: the check's scale is not finite")
         res = _sp_residual(m) if amax < np.inf else np.nan
-        if not res <= tol * scale:  # also NaN, as for any non-finite entry
-            raise SpRelationViolatedError(f"{what}: residual {res:.3e} (scale {scale:.1e})")
+        if not res <= tol:  # also NaN, as for any non-finite entry
+            raise SpRelationViolatedError(f"{what}: residual {res:.3e} of the entrywise scale")
         m.flags.writeable = False
         n = m.shape[0] // 2
         for name, view in zip(("matrix", "a", "b", "c", "d"), (m, m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:])):
@@ -140,9 +141,8 @@ class MetaplecticElement:
     """A symplectic map with a tracked branch of det(conj(C Omega + D))^{1/2}.
 
     ``branch`` is the chosen unit value of the half-form phase at
-    ``reference``; phases elsewhere are obtained by continuation along the
-    straight segment from the reference (the segment stays in the upper
-    half-space by convexity).
+    ``reference``; ``phase_at`` carries it to every other point of the upper
+    half-space through ``half_logdet``.
     """
 
     g: SymplecticMap
@@ -154,8 +154,8 @@ class MetaplecticElement:
             object.__setattr__(self, "reference", standard_point(self.g.n))
         if abs(abs(self.branch) - 1.0) > 1e-10:
             raise ValueError("branch must be a unit complex number")
-        u = self._unit_det(self.reference)
-        if min(abs(self.branch**2 - u), abs((-self.branch) ** 2 - u)) > 1e-8:
+        w = np.conj(np.linalg.det(self.g.cz_plus_d(self.reference)))
+        if abs(self.branch**2 - w / abs(w)) > 1e-8:
             raise ValueError("branch^2 does not match det(conj(C Omega + D))/|det| at the reference")
 
     @classmethod
@@ -166,25 +166,25 @@ class MetaplecticElement:
         u = np.conj(np.linalg.det(g.cz_plus_d(reference)))
         return cls(g, np.exp(0.5j * np.angle(u)), reference)
 
-    def _unit_det(self, omega: SiegelPoint) -> complex:
-        w = np.conj(np.linalg.det(self.g.cz_plus_d(omega)))
-        return w / abs(w)
+    @cached_property
+    def _moved_reference_conj(self) -> np.ndarray:
+        """conj(g . Omega_ref), built once per element."""
+        return np.conj(_moebius(self.g, self.reference.omega))
 
     def phase_at(self, omega: SiegelPoint, steps: int = 0) -> complex:
         """Half-form phase det(conj(C Omega + D))^{1/2} / |det(C Omega + D)|^{1/2}.
 
-        Continued from the branch at the reference along the straight
-        segment, in closed form.  With P = C Omega_ref + D, Q = C (Omega -
-        Omega_ref) and mu = eig(P^{-1} Q), det(P + sQ) = det P prod(1 + s mu_k);
-        each factor runs on a straight line from 1 and never meets 0, so it
-        never crosses the cut of the principal square root.
+        Xi(a, b) = (a - conj b) / 2i obeys Xi(g Omega, g Omega_ref) = (C conj(Omega_ref)
+        + D)^{-T} Xi(Omega, Omega_ref) (C Omega + D)^{-1}, so the phase is branch *
+        exp(-i Im[half_logdet(Xi(Omega, Omega_ref)) - half_logdet(Xi(g Omega, g Omega_ref))]):
+        both Xi have positive definite real part, where the root is continuous, and are real at Omega_ref.
 
         ``steps`` is ignored; ``perfbench/tracer.py`` counts evaluations from
         it (steps + 1, one per call) and it goes with that counter.
         """
-        p = self.g.cz_plus_d(self.reference)
-        mu = np.linalg.eigvals(np.linalg.solve(p, self.g.c @ (omega.omega - self.reference.omega)))
-        phase = self.branch * np.prod(np.conj(np.sqrt(1.0 + mu)))
+        here = half_logdet((omega.omega - np.conj(self.reference.omega)) / 2j)
+        moved = half_logdet((_moebius(self.g, omega.omega) - self._moved_reference_conj) / 2j)
+        phase = self.branch * np.exp(-1j * (here - moved).imag)
         return complex(phase / abs(phase))
 
     def inverse(self) -> "MetaplecticElement":

@@ -1,8 +1,11 @@
-"""The closed-form det^{1/2} branches against a finely sampled continuation.
+"""The library's one det^{1/2} rule against a finely sampled continuation.
 
-Each branch in the library is the square root continued along a path from a
-point where it is known.  ``continue_sqrt_phase`` follows the same path on a
-fine sampling and is the independent reference here.
+Every branch of det^{1/2} in the library comes from ``half_logdet``: the
+half-form of transport and the pairing root directly, and
+``MetaplecticElement.phase_at`` as a quotient of two of its roots.  Each is
+the square root continued along a path from a point where it is known;
+``continue_sqrt_phase`` follows such a path on a fine sampling and is the
+independent reference here.
 """
 
 import ast
@@ -16,11 +19,13 @@ import siegelflow
 from siegelflow import (
     BoundaryPolarization,
     MetaplecticElement,
+    SiegelPoint,
     geodesic_between,
     random_siegel,
     random_symplectic,
     standard_point,
 )
+from siegelflow import sympl
 from siegelflow.suites import suite_identities
 from siegelflow.transport import _halfform_log
 
@@ -53,6 +58,47 @@ def test_phase_at_matches_sampled_continuation():
         path = _segment(mp.reference.omega, omega.omega)
         vals = np.conj(np.linalg.det(g.c @ path + g.d))
         assert abs(mp.phase_at(omega) - continue_sqrt_phase(vals, mp.branch)) < TOL
+
+
+def _wide_siegel(rng, n: int) -> SiegelPoint:
+    """Re Omega entries up to 1e2 and cond(Im Omega) from 1e4 to 1e8 (for n = 1, Im Omega down to 1e-4)."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    y = (q * 10.0 ** (np.linspace(-4.0, 4.0, n) * rng.uniform(0.5, 1.0))) @ q.T
+    x = rng.uniform(-100.0, 100.0, size=(n, n))
+    return SiegelPoint(0.5 * (x + x.T), 0.5 * (y + y.T))
+
+
+def test_phase_at_matches_sampled_continuation_at_wide_points():
+    # the wide point is the target, then the reference; both lifts of each
+    rng = np.random.default_rng(404)
+    s = np.linspace(0.0, 1.0, 8 * SAMPLES + 1)[:, None, None]
+    for k in range(48):
+        n = 1 + k % 3
+        g = random_symplectic(rng, n)
+        ref, omega = random_siegel(rng, n), _wide_siegel(rng, n)
+        if k % 6 >= 3:
+            ref, omega = omega, ref
+        mp = MetaplecticElement.principal_lift(g, ref)
+        if k % 2:
+            mp = other_lift(mp)
+        vals = np.conj(np.linalg.det(g.c @ ((1 - s) * ref.omega + s * omega.omega) + g.d))
+        assert abs(mp.phase_at(omega) - continue_sqrt_phase(vals, mp.branch)) < TOL
+
+
+def test_phase_at_is_a_quotient_of_two_half_logdet_roots(monkeypatch):
+    calls = []
+    root = sympl.half_logdet
+    monkeypatch.setattr(sympl, "half_logdet", lambda a: calls.append(a) or root(a))
+    rng = np.random.default_rng(505)
+    for n in (1, 2, 3):
+        mp = MetaplecticElement.principal_lift(random_symplectic(rng, n), random_siegel(rng, n))
+        omega = random_siegel(rng, n)
+        calls.clear()
+        mp.phase_at(omega)
+        assert len(calls) == 2
+        # Xi(Omega, Omega_ref) and Xi(g Omega, g Omega_ref), each with a positive definite real part
+        assert np.allclose(calls[0], (omega.omega - np.conj(mp.reference.omega)) / 2j)
+        assert all(np.linalg.eigvalsh(xi.real).min() > 0 for xi in calls)
 
 
 def test_transport_halfform_matches_sampled_continuation():

@@ -57,12 +57,14 @@ class TestSymplecticMap:
 
 
 def _block_relations(a, b, c, d) -> list:
-    """Residuals of A^T C = C^T A, B^T D = D^T B and A^T D - C^T B = I."""
+    """Residuals of A^T C = C^T A, B^T D = D^T B and A^T D - C^T B = I, each entry
+    over max(1, the sum of the absolute values of its terms)."""
     n = a.shape[0]
+    aa, ab, ac, ad = (np.abs(x) for x in (a, b, c, d))
     return [
-        np.abs(a.T @ c - c.T @ a).max(),
-        np.abs(b.T @ d - d.T @ b).max(),
-        np.abs(a.T @ d - c.T @ b - np.eye(n)).max(),
+        (np.abs(a.T @ c - c.T @ a) / np.maximum(aa.T @ ac + ac.T @ aa, 1.0)).max(),
+        (np.abs(b.T @ d - d.T @ b) / np.maximum(ab.T @ ad + ad.T @ ab, 1.0)).max(),
+        (np.abs(a.T @ d - c.T @ b - np.eye(n)) / np.maximum(aa.T @ ad + ac.T @ ab, 1.0)).max(),
     ]
 
 
@@ -82,9 +84,8 @@ class TestOneMatrix:
             # off the group too, where the relations are far above rounding
             for noise in (0.0, 1e-6):
                 p = m + noise * rng.normal(size=m.shape)
-                scale = max(1.0, np.abs(p).max() ** 2)
                 blocks = p[:n, :n], p[:n, n:], p[n:, :n], p[n:, n:]
-                assert abs(_sp_residual(p) - max(_block_relations(*blocks))) <= 1e-15 * scale
+                assert abs(_sp_residual(p) - max(_block_relations(*blocks))) <= 1e-15
 
     @pytest.mark.parametrize("block, which", [("c", 0), ("b", 1), ("d", 2)])
     def test_each_block_relation_alone_is_checked(self, block, which):
@@ -158,11 +159,20 @@ class TestOneMatrix:
 
     @pytest.mark.parametrize("entry", [2e154, 1e160, 1e300])
     def test_entries_whose_square_overflows_raise_without_a_warning(self, entry):
-        # the check is relative to max(1, max |entry|^2), which has left the float range
+        # a scale entry sums 2n products of entries, which leave the float range
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteError, match="^symplectic map with an entry of .*scale is not finite"):
                 SymplecticMap.from_matrix([[entry, 0.0], [0.0, 1.0 / entry]])
+
+    def test_each_entry_is_checked_to_its_own_scale(self):
+        # (1e100, 0; 0, 1) breaks A^T D - C^T B = I by 1e100 - 1, as much as that entry's own scale
+        with pytest.raises(SpRelationViolatedError, match="residual 1.000e"):
+            SymplecticMap.from_matrix([[1e100, 0.0], [0.0, 1.0]])
+        with pytest.raises(SpRelationViolatedError):
+            SymplecticMap([[1e100]], [[0.0]], [[0.0]], [[1.0]])
+        g = SymplecticMap.from_matrix(np.diag([1e100, 1e-100]))
+        assert _sp_residual(g.matrix) <= 1e-15
 
     def test_from_matrix_copies_its_input(self):
         m = np.eye(2)
