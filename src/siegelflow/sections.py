@@ -275,11 +275,14 @@ class _Kernel:
         """Sections over one frame object (else ValueError), each less its log_pref, through one ``kernel_apply_poly``
         and one check; several go as one ``_stack``, cut back to each input's degree (the rows are lower-triangular)."""
         e, st = self.e, _stack(psis)[0]
-        with np.errstate(over="ignore", invalid="ignore"):  # finite data can overflow; kernel_apply_poly raises on it
-            s, b = e.T @ st.m @ e - self.inner, st.b @ e
-        s = 0.5 * (s + s.swapaxes(-1, -2)) - self.outer
-        q, r, c, poly = kernel_apply_poly(s, self.cross, b, st.c, st.coeffs, e[0])
-        return _sections(self.target, q + self.k22, r, c - np.reshape(log_prefs, np.shape(c)), poly, psis)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # finite data can overflow; kernel_apply_poly raises
+                s, b = e.T @ st.m @ e - self.inner, st.b @ e
+            s = 0.5 * (s + s.swapaxes(-1, -2)) - self.outer
+            q, r, c, poly = kernel_apply_poly(s, self.cross, b, st.c, st.coeffs, e[0])
+            return _sections(self.target, q + self.k22, r, c - np.reshape(log_prefs, np.shape(c)), poly, psis)
+        except (NotIntegrableError, NonFiniteError) as exc:
+            raise type(exc)(f"{exc}, in the push from {st.frame!r} to {self.target!r}") from exc
 
 
 def _bergman(frame: Frame, omega_p: SiegelPoint) -> _Kernel:
@@ -369,11 +372,10 @@ def _hermite_table(nodes: int):
 
 @lru_cache(maxsize=8)
 def _hermite_grid(nodes: int, dims: int):
-    """(points, log weights, weights) of the tensor Gauss-Hermite grid over ``dims`` axes, read-only."""
+    """(points, weights) of the tensor Gauss-Hermite grid over ``dims`` axes, read-only."""
     u, logw = _hermite_table(nodes)
     pts = np.stack([gr.ravel() for gr in np.meshgrid(*([u] * dims), indexing="ij")], axis=-1)
-    lw = np.stack(np.meshgrid(*([logw] * dims), indexing="ij"), axis=-1).sum(-1).ravel()
-    out = pts, lw, np.exp(lw)
+    out = pts, np.exp(np.stack(np.meshgrid(*([logw] * dims), indexing="ij"), axis=-1).sum(-1).ravel())
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -416,27 +418,21 @@ def _hermite_grid_sum(f, placement: tuple, nodes: int) -> complex:
 
     A ``_LogQuadratic`` f placed on its principal axes has q'' = P^T q P
     diagonal, so the sum over nodes^m points is the product of m one-axis
-    sums.  A callable f is evaluated at every grid point, up to two dimensions
-    for a stack of placements (k, m, m) at once; above two in slices along
-    the first axis to bound memory.  Summation order is fixed by the grid
-    layout, so results are bit-identical for a given configuration.
+    sums.  A callable f, which only the polynomial pairs (n = 1, m <= 2) reach,
+    is evaluated at every grid point, for a stack of placements (k, m, m) at
+    once.  Summation order is fixed by the grid layout, so results are
+    bit-identical for a given configuration.
     """
     p, det = placement
     m = p.shape[-1]
-    u, logw = _hermite_table(nodes)
     if isinstance(f, _LogQuadratic):
+        u, logw = _hermite_table(nodes)
         diag = np.einsum("ji,jk,ki->i", p, f.q, p)
         phi = np.exp(0.5 * diag[:, None] * u**2 + (f.l @ p)[:, None] * u + logw)
         total = complex(np.prod(phi.sum(axis=1))) * np.exp(f.k)
-    elif m <= 2:
-        pts, _, w = _hermite_grid(nodes, m)
-        total = (f(pts @ p.swapaxes(-1, -2)) * w).sum(-1)
     else:
-        pts, lw, _ = _hermite_grid(nodes, m - 1)
-        total = 0.0 + 0.0j
-        for uj, lj in zip(u, logw):
-            sl = np.concatenate([np.full((pts.shape[0], 1), uj), pts], axis=1)
-            total += complex((f(sl @ p.T) * np.exp(lj + lw)).sum())
+        pts, w = _hermite_grid(nodes, m)
+        total = (f(pts @ p.swapaxes(-1, -2)) * w).sum(-1)
     return total * det * (2 * np.pi) ** (-0.5 * m)
 
 
@@ -452,12 +448,13 @@ _FIT_CHECKS = np.array(
 )
 
 
-def _fit_log_quadratic(psi1: GaussianSection, psi2: GaussianSection) -> _LogQuadratic | None:
+def _fit_log_quadratic(psi1: GaussianSection, psi2: GaussianSection) -> _LogQuadratic:
     """conj(psi1) psi2 of degree-0 sections as exp((1/2) v^T q v + l^T v + k).
 
     Fitted from ``log_value`` alone at v = 0, +-e_i and e_i + e_j (i < j),
-    1 + 2m + m(m-1)/2 probes for m = 2n; None when a probe is not finite or
-    the fit misses a check point.
+    1 + 2m + m(m-1)/2 probes for m = 2n.  A probe that is not finite raises
+    ``NonFiniteError``, and a fit that misses a check point ``NotIntegrableError``
+    naming the miss: the integrand is then not Gaussian to working precision.
     """
     m = 2 * psi1.n
     eye = np.eye(m)
@@ -466,7 +463,7 @@ def _fit_log_quadratic(psi1: GaussianSection, psi2: GaussianSection) -> _LogQuad
     pts = np.vstack([np.zeros((1, m)), eye, -eye, eye[i] + eye[j], checks])
     h = np.conj(psi1.log_value(pts)) + psi2.log_value(pts)
     if not np.isfinite(h).all():
-        return None
+        raise NonFiniteError("the oracle's log-quadratic probes of the integrand are not finite")
     k, plus, minus, cross = h[0], h[1 : m + 1], h[m + 1 : 2 * m + 1], h[2 * m + 1 : 2 * m + 1 + len(i)]
     lin = 0.5 * (plus - minus)
     diag = plus + minus - 2.0 * k
@@ -474,7 +471,9 @@ def _fit_log_quadratic(psi1: GaussianSection, psi2: GaussianSection) -> _LogQuad
     q[i, j] = q[j, i] = cross - k - lin[i] - lin[j] - 0.5 * (diag[i] + diag[j])
     fit = _LogQuadratic(q, lin, k)
     miss = np.abs(fit.log(checks) - h[-len(checks) :]).max()
-    return fit if miss <= 1e-10 * (1.0 + np.abs(h).max()) else None
+    if not miss <= 1e-10 * (1.0 + np.abs(h).max()):
+        raise NotIntegrableError(f"the oracle's log-quadratic fit misses a check point by {miss:.3e}")
+    return fit
 
 
 def oracle_inner_product(psi1: GaussianSection, psi2: GaussianSection, nodes: int = QUAD_NODES_DEFAULT) -> complex:
@@ -482,20 +481,19 @@ def oracle_inner_product(psi1: GaussianSection, psi2: GaussianSection, nodes: in
 
     For two degree-0 sections the integrand's log-quadratic is fitted from
     pointwise ``log_value`` probes, and the grid, placed on the integrand's
-    principal axes, is summed as one product of one-axis sums.  Polynomial
-    sections, non-finite probes and a failed fit evaluate the integrand at
-    every point of a grid placed for its mean envelope, n <= 2 only.  Either
-    grid fits the integrand's own Gaussian envelope, which for strongly
-    squeezed sections is much wider than the frame Gaussian.  Kaehler frames with n <= 3 only."""
+    principal axes, is summed as one product of one-axis sums; a fit that
+    misses raises (``_fit_log_quadratic``).  Polynomial sections (n = 1)
+    evaluate the integrand at every point of a grid placed for its mean
+    envelope.  Either grid fits the integrand's own Gaussian envelope, which
+    for strongly squeezed sections is much wider than the frame Gaussian.
+    Kaehler frames with n <= 3 only."""
     _require_frame("the quadrature oracle", SiegelPoint, psi1, psi2)
     _same_space(psi1.frame, psi2.frame)
     if psi1.n > 3:
         raise ValueError("the oracle checks its fit for n <= 3 only")
-    fit = None if psi1.degree or psi2.degree else _fit_log_quadratic(psi1, psi2)
-    if fit is not None:
+    if not (psi1.degree or psi2.degree):
+        fit = _fit_log_quadratic(psi1, psi2)
         return _hermite_grid_sum(fit, _principal_placement(fit), nodes)
-    if psi1.n > 2:
-        raise ValueError("the tensor-product grid of every point is practical for n <= 2 only")
     g = 0.5 * (_envelope_form(psi1) + _envelope_form(psi2))
 
     def f(v):
@@ -560,20 +558,20 @@ def difference_norm(a, b):
     return out[0] if one else [out[i] for i in range(len(xs))]
 
 
-def _norms(pa: GaussianSection, ha, pb: GaussianSection, hb, nodes: int | None = None) -> list[float]:
+def _norms(pa: GaussianSection, ha, pb: GaussianSection, hb) -> list[float]:
     """|| a - b || of the sections or ``_stack``s pa and pb times their half-form phases: the closed form for pairs
-    of degree 0; the others (all, given ``nodes``) take the difference at common points of a grid of ``nodes`` per
-    axis, by default 300 over a polarization and 48 over a Kaehler frame, before squaring."""
+    of degree 0; polynomial pairs (n = 1) take the difference at common points of a grid of 300 nodes per axis over a
+    polarization and 48 over a Kaehler frame, before squaring."""
     _same_space(pa.frame, pb.frame)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm raises below
-        if nodes or pa.degree or pb.degree:
+        if pa.degree or pb.degree:
             polar = isinstance(pa.frame, BoundaryPolarization)
             # on a Kaehler frame half the mean envelope, valid (wider) for both terms
             # when they are comparable; on a polarization the mean envelope of |a - b|^2
             g = (0.5 if polar else 0.25) * (_envelope_form(pa) + _envelope_form(pb))
             ha, hb = (ha[:, None], hb[:, None]) if np.ndim(ha) else (ha, hb)
             total = _hermite_grid_sum(lambda v: np.abs(pa.value(v) * ha - pb.value(v) * hb) ** 2, _placement(g),
-                                      nodes or (300 if polar else 48))
+                                      300 if polar else 48)
             out = np.sqrt(np.maximum(total.real, 0.0))
         else:
             (sa, la, ka), (sb, lb, kb) = pa.real_quadratic(), pb.real_quadratic()

@@ -239,14 +239,14 @@ class BoundaryPolarization:
 
     def close_to(self, other, tol: float = 1e-10) -> bool:
         """Same n, the same reference g and the same lift of it: sections over
-        the two compare directly.  The two lifts of one g differ in sign at
-        every point, so the lifts agree where ``other``'s branch is anchored."""
+        the two compare directly.  The two lifts of one g are anchored at i*I
+        with branches of opposite sign, so the branches tell them apart."""
         if other is self:
             return True
         same_n = isinstance(other, BoundaryPolarization) and other.n == self.n
         if not (same_n and np.abs(self.reference.g.matrix - other.reference.g.matrix).max() <= tol):
             return False
-        return abs(self.reference.phase_at(other.reference.reference) - other.reference.branch) < 1.0
+        return abs(self.reference.branch - other.reference.branch) < 1.0
 
     def __repr__(self):
         return f"BoundaryPolarization(g={np.array2string(self.reference.g.matrix, precision=6)})"

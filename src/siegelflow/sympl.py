@@ -9,8 +9,8 @@ transformations g . Omega = (A Omega + B)(C Omega + D)^{-1}, and on
 the holomorphic coordinates z_Omega by a unitary matrix.
 
 A metaplectic element is a symplectic matrix together with a tracked branch
-of det(conj(C Omega + D))^{1/2}, anchored at a reference point and carried to
-any other point of the upper half-space by the library's one det^{1/2} rule,
+of det(conj(C Omega + D))^{1/2}, anchored at i*I and carried to any other
+point of the upper half-space by the library's one det^{1/2} rule,
 ``half_logdet``, through the transformation law of Xi; the two lifts of any g
 differ exactly by a sign (Folland, Harmonic Analysis in Phase Space, ch. 4).
 """
@@ -97,9 +97,6 @@ class SymplecticMap:
     def cz_plus_d(self, omega: SiegelPoint) -> np.ndarray:
         return self.c @ omega.omega + self.d
 
-    def __matmul__(self, other: "SymplecticMap") -> "SymplecticMap":
-        return compose(self, other)
-
 
 def compose(g1: SymplecticMap, g2: SymplecticMap) -> SymplecticMap:
     """Matrix product g1 g2, re-checked against the symplectic relation."""
@@ -140,50 +137,45 @@ def transform_z_coords(g: SymplecticMap, omega: SiegelPoint, target: SiegelPoint
 class MetaplecticElement:
     """A symplectic map with a tracked branch of det(conj(C Omega + D))^{1/2}.
 
-    ``branch`` is the chosen unit value of the half-form phase at
-    ``reference``; ``phase_at`` carries it to every other point of the upper
-    half-space through ``half_logdet``.
+    ``branch`` is the chosen unit value of the half-form phase at i*I;
+    ``phase_at`` carries it to every other point of the upper half-space
+    through ``half_logdet``.  The two lifts of one g are +-``branch``.
     """
 
     g: SymplecticMap
     branch: complex = 1.0 + 0.0j
-    reference: SiegelPoint = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.reference is None:
-            object.__setattr__(self, "reference", standard_point(self.g.n))
         if abs(abs(self.branch) - 1.0) > 1e-10:
             raise ValueError("branch must be a unit complex number")
-        w = np.conj(np.linalg.det(self.g.cz_plus_d(self.reference)))
+        w = np.conj(np.linalg.det(self.g.cz_plus_d(standard_point(self.g.n))))
         if abs(self.branch**2 - w / abs(w)) > 1e-8:
-            raise ValueError("branch^2 does not match det(conj(C Omega + D))/|det| at the reference")
+            raise ValueError("branch^2 does not match det(conj(C Omega + D))/|det| at i*I")
 
     @classmethod
-    def principal_lift(cls, g: SymplecticMap, reference: SiegelPoint | None = None) -> "MetaplecticElement":
-        """Lift with the principal square root at the reference point."""
-        if reference is None:
-            reference = standard_point(g.n)
-        u = np.conj(np.linalg.det(g.cz_plus_d(reference)))
-        return cls(g, np.exp(0.5j * np.angle(u)), reference)
+    def principal_lift(cls, g: SymplecticMap) -> "MetaplecticElement":
+        """Lift with the principal square root at i*I."""
+        u = np.conj(np.linalg.det(g.cz_plus_d(standard_point(g.n))))
+        return cls(g, np.exp(0.5j * np.angle(u)))
 
     @cached_property
-    def _moved_reference_conj(self) -> np.ndarray:
-        """conj(g . Omega_ref), built once per element."""
-        return np.conj(_moebius(self.g, self.reference.omega))
+    def _moved_anchor_conj(self) -> np.ndarray:
+        """conj(g . i*I), built once per element."""
+        return np.conj(_moebius(self.g, standard_point(self.g.n).omega))
 
     def phase_at(self, omega: SiegelPoint, steps: int = 0) -> complex:
         """Half-form phase det(conj(C Omega + D))^{1/2} / |det(C Omega + D)|^{1/2}.
 
-        Xi(a, b) = (a - conj b) / 2i obeys Xi(g Omega, g Omega_ref) = (C conj(Omega_ref)
-        + D)^{-T} Xi(Omega, Omega_ref) (C Omega + D)^{-1}, so the phase is branch *
-        exp(-i Im[half_logdet(Xi(Omega, Omega_ref)) - half_logdet(Xi(g Omega, g Omega_ref))]):
-        both Xi have positive definite real part, where the root is continuous, and are real at Omega_ref.
+        Xi(a, b) = (a - conj b) / 2i obeys Xi(g Omega, g i*I) = (-i C + D)^{-T}
+        Xi(Omega, i*I) (C Omega + D)^{-1}, so the phase is branch *
+        exp(-i Im[half_logdet(Xi(Omega, i*I)) - half_logdet(Xi(g Omega, g i*I))]):
+        both Xi have positive definite real part, where the root is continuous, and are real at i*I.
 
         ``steps`` is ignored; ``perfbench/tracer.py`` counts evaluations from
         it (steps + 1, one per call) and it goes with that counter.
         """
-        here = half_logdet((omega.omega - np.conj(self.reference.omega)) / 2j)
-        moved = half_logdet((_moebius(self.g, omega.omega) - self._moved_reference_conj) / 2j)
+        here = half_logdet((omega.omega + 1j * np.eye(omega.n)) / 2j)
+        moved = half_logdet((_moebius(self.g, omega.omega) - self._moved_anchor_conj) / 2j)
         phase = self.branch * np.exp(-1j * (here - moved).imag)
         return complex(phase / abs(phase))
 
@@ -194,16 +186,14 @@ class MetaplecticElement:
     def _inverse(self) -> "MetaplecticElement":
         """The inverse lift, built once per element."""
         ginv = self.g.inverse()
-        pre = act_on_siegel(ginv, self.reference)
-        branch = 1.0 / self.phase_at(pre)
-        return MetaplecticElement(ginv, branch / abs(branch), self.reference)
+        branch = 1.0 / self.phase_at(act_on_siegel(ginv, standard_point(self.g.n)))
+        return MetaplecticElement(ginv, branch / abs(branch))
 
     def compose(self, other: "MetaplecticElement") -> "MetaplecticElement":
         """Group law: (self * other) acts by other first, then self."""
         g = compose(self.g, other.g)
-        mid = act_on_siegel(other.g, other.reference)
-        branch = self.phase_at(mid) * other.branch
-        return MetaplecticElement(g, branch / abs(branch), other.reference)
+        branch = self.phase_at(act_on_siegel(other.g, standard_point(g.n))) * other.branch
+        return MetaplecticElement(g, branch / abs(branch))
 
 
 def _unitary_embedding(u: np.ndarray) -> np.ndarray:

@@ -84,6 +84,7 @@ def _pair(shats, target) -> list[CorrectedSection]:
     if isinstance(source, BoundaryPolarization):
         ref = source.reference
         om0 = act_on_siegel(ref.g.inverse(), target)
+        # R's own image of Omega0, not the caller's Omega, a round trip away: with it identity rows grow to 1e-11
         target, phase = act_on_siegel(ref.g, om0), ref.phase_at(om0)
         # the push to Omega0 and the change to the target's coordinates, in one kernel
         kernel, log_h = _xi_kernel(source, om0, out=(target, transform_z_coords(ref.g, om0, target)))

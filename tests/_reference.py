@@ -21,6 +21,7 @@ from math import factorial
 import numpy as np
 
 from siegelflow import (
+    BoundaryPolarization,
     CorrectedSection,
     GaussianSection,
     MetaplecticElement,
@@ -32,7 +33,7 @@ from siegelflow import (
     transform_z_coords,
 )
 from siegelflow._gaussint import gauss_log_integral
-from siegelflow.sections import _hermite_table, _norms, _with_phase
+from siegelflow.sections import _hermite_table
 from siegelflow.transport import _xi_kernel
 
 
@@ -42,8 +43,8 @@ def scaled(psi: GaussianSection, factor: complex) -> GaussianSection:
 
 
 def other_lift(mp: MetaplecticElement) -> MetaplecticElement:
-    """The lift of the same map with the other branch at the reference."""
-    return MetaplecticElement(mp.g, -mp.branch, mp.reference)
+    """The lift of the same map with the other branch at i*I."""
+    return MetaplecticElement(mp.g, -mp.branch)
 
 
 def value_on_V(s: CorrectedSection, v) -> np.ndarray:
@@ -189,8 +190,15 @@ def generating_poly_per_order(beta, gamma, eps, d) -> np.ndarray:
 
 
 def difference_norm_pointwise(a, b, nodes: int) -> float:
-    """|| a - b || with the difference taken at the points of a ``nodes``-per-axis grid before squaring."""
-    return _norms(*_with_phase(a), *_with_phase(b), nodes)[0]
+    """|| a - b || of two plain or corrected sections over one frame: |h_a a(v) - h_b b(v)|^2, h the half-form
+    phases, summed point by point with ``grid_sum_built_per_call`` on a ``nodes``-per-axis grid placed for the
+    sections' mean real envelope, halved again on a Kaehler frame, where that is wider than each term's."""
+    (pa, ha), (pb, hb) = ((x, 1.0) if isinstance(x, GaussianSection) else (x.section, x.halfform_phase) for x in (a, b))
+    spread = 0.5 if isinstance(pa.frame, BoundaryPolarization) else 0.25
+    w, v = np.linalg.eigh(-spread * (pa.real_quadratic()[0] + pb.real_quadratic()[0]).real)
+    placement = (v / np.sqrt(w)) @ v.T, float(np.prod(w)) ** -0.5
+    total = grid_sum_built_per_call(lambda x: np.abs(pa.value(x) * ha - pb.value(x) * hb) ** 2, placement, nodes)
+    return float(np.sqrt(max(total.real, 0.0)))
 
 
 def integrate_out_per_column(S, L, ell0, k):

@@ -48,15 +48,22 @@ def _cases(seed: int):
         yield rng, 1 + k % 3
 
 
+def _through(waypoint: SiegelPoint, omega: SiegelPoint, s: np.ndarray) -> np.ndarray:
+    """The path from the anchor i*I through ``waypoint`` to ``omega``, each leg sampled at ``s``: the
+    upper half-space is convex, so the root continued along any path in it is ``phase_at``'s."""
+    anchor = standard_point(omega.n).omega
+    return np.concatenate([(1 - s) * anchor + s * waypoint.omega, (1 - s) * waypoint.omega + s * omega.omega])
+
+
 def test_phase_at_matches_sampled_continuation():
+    s = np.linspace(0.0, 1.0, SAMPLES + 1)[:, None, None]
     for k, (rng, n) in enumerate(_cases(101)):
         g = random_symplectic(rng, n)
-        mp = MetaplecticElement.principal_lift(g, random_siegel(rng, n))
+        mp, waypoint = MetaplecticElement.principal_lift(g), random_siegel(rng, n)
         if k % 2:
             mp = other_lift(mp)
         omega = random_siegel(rng, n)
-        path = _segment(mp.reference.omega, omega.omega)
-        vals = np.conj(np.linalg.det(g.c @ path + g.d))
+        vals = np.conj(np.linalg.det(g.c @ _through(waypoint, omega, s) + g.d))
         assert abs(mp.phase_at(omega) - continue_sqrt_phase(vals, mp.branch)) < TOL
 
 
@@ -69,19 +76,19 @@ def _wide_siegel(rng, n: int) -> SiegelPoint:
 
 
 def test_phase_at_matches_sampled_continuation_at_wide_points():
-    # the wide point is the target, then the reference; both lifts of each
+    # the wide point is the target, then the waypoint; both lifts of each
     rng = np.random.default_rng(404)
     s = np.linspace(0.0, 1.0, 8 * SAMPLES + 1)[:, None, None]
     for k in range(48):
         n = 1 + k % 3
         g = random_symplectic(rng, n)
-        ref, omega = random_siegel(rng, n), _wide_siegel(rng, n)
+        waypoint, omega = random_siegel(rng, n), _wide_siegel(rng, n)
         if k % 6 >= 3:
-            ref, omega = omega, ref
-        mp = MetaplecticElement.principal_lift(g, ref)
+            waypoint, omega = omega, waypoint
+        mp = MetaplecticElement.principal_lift(g)
         if k % 2:
             mp = other_lift(mp)
-        vals = np.conj(np.linalg.det(g.c @ ((1 - s) * ref.omega + s * omega.omega) + g.d))
+        vals = np.conj(np.linalg.det(g.c @ _through(waypoint, omega, s) + g.d))
         assert abs(mp.phase_at(omega) - continue_sqrt_phase(vals, mp.branch)) < TOL
 
 
@@ -91,14 +98,14 @@ def test_phase_at_is_a_quotient_of_two_half_logdet_roots(monkeypatch):
     monkeypatch.setattr(sympl, "half_logdet", lambda a: calls.append(a) or root(a))
     rng = np.random.default_rng(505)
     for n in (1, 2, 3):
-        mp = MetaplecticElement.principal_lift(random_symplectic(rng, n), random_siegel(rng, n))
-        omega = random_siegel(rng, n)
-        calls.clear()
-        mp.phase_at(omega)
-        assert len(calls) == 2
-        # Xi(Omega, Omega_ref) and Xi(g Omega, g Omega_ref), each with a positive definite real part
-        assert np.allclose(calls[0], (omega.omega - np.conj(mp.reference.omega)) / 2j)
-        assert all(np.linalg.eigvalsh(xi.real).min() > 0 for xi in calls)
+        mp = MetaplecticElement.principal_lift(random_symplectic(rng, n))
+        for omega in (random_siegel(rng, n), random_siegel(rng, n)):
+            calls.clear()
+            mp.phase_at(omega)
+            assert len(calls) == 2
+            # Xi(Omega, i*I) and Xi(g Omega, g i*I), each with a positive definite real part
+            assert np.allclose(calls[0], (omega.omega - np.conj(standard_point(n).omega)) / 2j)
+            assert all(np.linalg.eigvalsh(xi.real).min() > 0 for xi in calls)
 
 
 def test_transport_halfform_matches_sampled_continuation():
@@ -138,7 +145,7 @@ def test_references_stay_out_of_the_library():
     # a reference that is also library code would check the library against itself
     tree = ast.parse(Path(_reference.__file__).read_text())
     defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    assert {"continue_sqrt_phase", "BranchDiscontinuityError"} <= defined
+    assert {"continue_sqrt_phase", "BranchDiscontinuityError", "difference_norm_pointwise"} <= defined
     modules = [siegelflow] + [
         importlib.import_module(f"siegelflow.{info.name}") for info in pkgutil.iter_modules(siegelflow.__path__)
     ]

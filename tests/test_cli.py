@@ -522,6 +522,19 @@ class TestTransportCommand:
         assert (code, out) == (1, "") and err.count("\n") == 1
         assert "SiegelPoint(omega=[[1.e+10+1.j]]) pulled back" in err and "SiegelPoint(omega=[[0.+1.e-300j]])" in err
 
+    @pytest.mark.parametrize("kernel", ["bergman", "holomorphic"])
+    @pytest.mark.parametrize("omega, omega_p", [(([[0]], [[1]]), ([[1e160]], [[1e-300]])),
+                                                (([[0]], [[1e-300]]), ([[1e10]], [[1]]))],
+                             ids=["far-target", "thin-source"])
+    def test_kernel_push_that_fails_exits_1_naming_a_frame(self, kernel, omega, omega_p, capsys, monkeypatch):
+        # the push leaves m non-integrable, or a frame's coordinates overflow, before any other guard runs
+        payload = json.dumps({"omega": point_json(*omega), "omega_p": point_json(*omega_p)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(["transport", "--kernel", kernel], payload, capsys, monkeypatch)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "SiegelPoint(omega=" in err
+
     def test_identity_transport_echoes_input(self, capsys, monkeypatch):
         p = point_json([[0.0]], [[1.0]])
         payload = json.dumps({"state": {"alpha": [[0.5, -0.25]]}, "omega": p, "omega_p": p})

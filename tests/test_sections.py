@@ -48,6 +48,7 @@ from siegelflow.sections import (
     _fit_log_quadratic,
     _hermite_grid,
     _hermite_grid_sum,
+    _hermite_table,
     _placement,
     _principal_placement,
 )
@@ -81,7 +82,9 @@ class TestQuadratureOracle:
     def test_unit_gaussian_normalization(self):
         for omega in (I1, diagonal_point([2.5]), random_siegel(np.random.default_rng(1), 2)):
             f = lambda v: np.exp(-np.einsum("...i,ij,...j->...", v, omega.gram_matrix, v))
-            val = _hermite_grid_sum(f, _placement(omega.gram_matrix), QUAD_NODES_DEFAULT)
+            # the library sums a callable on two axes only: the polynomial pairs of n = 1
+            grid_sum = _hermite_grid_sum if omega.n == 1 else grid_sum_built_per_call
+            val = grid_sum(f, _placement(omega.gram_matrix), QUAD_NODES_DEFAULT)
             assert abs(val - 1.0) < 1e-12
 
     def test_odd_integrand_vanishes(self):
@@ -111,14 +114,13 @@ class TestQuadratureOracle:
 
 
 def _brute_oracle(p1, p2, nodes):
-    """<p1, p2> with the integrand evaluated at every grid point of the oracle's grid:
+    """<p1, p2> with the integrand evaluated at every grid point of the oracle's grid, built per call:
     the fitted integrand's principal axes for degree-0 pairs, else the mean envelope."""
-    fit = None if p1.degree or p2.degree else _fit_log_quadratic(p1, p2)
-    if fit is None:
+    if p1.degree or p2.degree:
         placement = _placement(0.5 * (_envelope_form(p1) + _envelope_form(p2)))
     else:
-        placement = _principal_placement(fit)
-    return _hermite_grid_sum(lambda v: np.conj(p1.value(v)) * p2.value(v), placement, nodes)
+        placement = _principal_placement(_fit_log_quadratic(p1, p2))
+    return grid_sum_built_per_call(lambda v: np.conj(p1.value(v)) * p2.value(v), placement, nodes)
 
 
 class TestCachedGrid:
@@ -129,9 +131,8 @@ class TestCachedGrid:
         om, pol = random_siegel(rng, 1), BoundaryPolarization.position(1)
         kaehler = (random_gaussian_section(rng, om), GaussianSection(om, [[0.2]], [0.3j], 0.1, [1.0, -0.5, 0.25j]))
         profiles = (random_profile(rng, poly=False, frame=pol), GaussianSection(pol, [[-0.7]], [0.2], 0.0, [0.5, 1.0]))
-        n2 = (random_gaussian_section(rng, random_siegel(rng, 2)), random_gaussian_section(rng, random_siegel(rng, 2)))
-        # the difference norm's grids on a Kaehler pair and a polarization pair, the oracle's n = 2 fallback
-        cases = ((kaehler, 0.25, 48, True), (profiles, 0.5, 300, True), (n2, 0.5, 12, False))
+        # the difference norm's grids on a Kaehler pair and a polarization pair
+        cases = ((kaehler, 0.25, 48, True), (profiles, 0.5, 300, True))
         for (a, b), spread, nodes, diff in cases:
             placement = _placement(spread * (_envelope_form(a) + _envelope_form(b)))
 
@@ -146,7 +147,8 @@ class TestCachedGrid:
         grid = _hermite_grid(16, 2)
         assert _hermite_grid(16, 2) is grid
         assert not any(arr.flags.writeable for arr in grid)
-        assert grid[0].shape == (256, 2) and np.array_equal(grid[2], np.exp(grid[1]))
+        logw = _hermite_table(16)[1]
+        assert grid[0].shape == (256, 2) and np.array_equal(grid[1], np.exp(np.add.outer(logw, logw).ravel()))
 
 
 class TestFactorisedOracle:
@@ -170,7 +172,7 @@ class TestFactorisedOracle:
             p1 = random_gaussian_section(rng, random_siegel(rng, n))
             p2 = random_gaussian_section(rng, random_siegel(rng, n))
             fit = _fit_log_quadratic(p1, p2)
-            aligned = _hermite_grid_sum(lambda v: np.exp(fit.log(v)), _placement(-0.5 * fit.q.real), 64)
+            aligned = grid_sum_built_per_call(lambda v: np.exp(fit.log(v)), _placement(-0.5 * fit.q.real), 64)
             assert abs(oracle_inner_product(p1, p2, nodes=64) - aligned) <= 1e-12 * abs(aligned)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -195,8 +197,9 @@ class TestFactorisedOracle:
     def test_n3_without_a_fit_and_n4_name_their_limits(self, rng, monkeypatch):
         p1 = random_gaussian_section(rng, random_siegel(rng, 3))
         p2 = random_gaussian_section(rng, random_siegel(rng, 3))
-        monkeypatch.setattr(sections, "_fit_log_quadratic", lambda psi1, psi2: None)
-        with pytest.raises(ValueError, match="n <= 2"):
+        plain = GaussianSection.log_value
+        monkeypatch.setattr(GaussianSection, "log_value", lambda self, v: plain(self, v) + 0.01 * v[..., 0] ** 3)
+        with pytest.raises(NotIntegrableError, match="fit misses a check point by"):
             oracle_inner_product(p1, p2)
         psi = vacuum(standard_point(4))
         with pytest.raises(ValueError, match="n <= 3"):
@@ -208,7 +211,7 @@ class TestFactorisedOracle:
         assert oracle_inner_product(p1, p2, nodes=32) == _brute_oracle(p1, p2, 32)
 
     @pytest.mark.parametrize("perturb", ["cubic", "nan_at_origin"])
-    def test_non_quadratic_or_non_finite_probes_fall_back(self, rng, monkeypatch, perturb):
+    def test_non_quadratic_or_non_finite_probes_raise(self, rng, monkeypatch, perturb):
         p1 = random_gaussian_section(rng, random_siegel(rng, 2))
         p2 = random_gaussian_section(rng, random_siegel(rng, 2))
         plain = GaussianSection.log_value
@@ -222,9 +225,10 @@ class TestFactorisedOracle:
             return np.where((v == 0).all(axis=-1), np.nan, out)
 
         monkeypatch.setattr(GaussianSection, "log_value", log_value)
-        assert _fit_log_quadratic(p1, p2) is None
-        val = oracle_inner_product(p1, p2, nodes=16)
-        assert np.isfinite(val) and val == _brute_oracle(p1, p2, 16)
+        error, match = (NotIntegrableError, "fit misses") if perturb == "cubic" else (NonFiniteError, "not finite")
+        for miss in (lambda: _fit_log_quadratic(p1, p2), lambda: oracle_inner_product(p1, p2, nodes=16)):
+            with pytest.raises(error, match=match):
+                miss()
 
     def test_repeated_call_is_bit_identical(self, rng):
         p1 = random_gaussian_section(rng, random_siegel(rng, 2))
@@ -582,6 +586,23 @@ class TestDifferenceNorm:
                 ref = difference_norm_pointwise(a, b, QUAD_NODES_MAX)
                 assert abs(difference_norm(a, b) - ref) <= 1e-6 * ref
 
+    def test_pointwise_reference_sums_its_own_grid(self, rng, monkeypatch):
+        # with the library's difference norm and grid sum made to raise, the reference gives the same values
+        om, psi = random_siegel(rng, 1), _section_over(rng, 2)
+        pairs = [(GaussianSection(om, [[0.2]], [0.3j], 0.1, [1.0, -0.5, 0.25j]), random_gaussian_section(rng, om)),
+                 (random_profile(rng), random_profile(rng)),
+                 (CorrectedSection(random_gaussian_section(rng, om), np.exp(0.4j)), CorrectedSection(vacuum(om))),
+                 (psi, GaussianSection(psi.frame, psi.m, psi.b, psi.c + 0.1))]
+        want = [difference_norm_pointwise(a, b, 24) for a, b in pairs]
+
+        def library_reached(*args, **kwargs):
+            raise AssertionError("the pointwise reference reached the library's norm")
+
+        for name in ("_norms", "_hermite_grid_sum"):
+            monkeypatch.setattr(sections, name, library_reached)
+        assert [difference_norm_pointwise(a, b, 24) for a, b in pairs] == want
+        assert all(np.isfinite(want)) and min(want) > 0
+
     def test_independent_polynomial_profile_pairs_match_the_gram_formula(self, rng):
         # far apart, ||a||^2 + ||b||^2 - 2 Re <a, b> does not cancel and is a
         # reference; unrelated Gaussian parts leave a chirp in the cross term
@@ -882,6 +903,12 @@ class TestFrameKinds:
             fock_coefficients(prof)
 
     def test_the_other_lift_of_one_polarization_raises(self):
+        # a lift built again compares close, the other lift of the same map does not
+        for pol in (BoundaryPolarization.momentum(1), SHEARED, BoundaryPolarization.momentum(2)):
+            twin, other = (BoundaryPolarization(MetaplecticElement(pol.reference.g, s * pol.reference.branch))
+                           for s in (1, -1))
+            assert pol.close_to(twin) and twin.close_to(pol)
+            assert not pol.close_to(other) and not other.close_to(pol)
         # the unitary map into i honours the lift: the two unit Gaussians pair to -1 there
         p = BoundaryPolarization.position(1)
         q = BoundaryPolarization(other_lift(p.reference))
@@ -894,33 +921,20 @@ class TestFrameKinds:
             with pytest.raises(PolarizationMismatchError):
                 difference_norm(x, y)
 
-    @pytest.mark.parametrize("pol", [BoundaryPolarization.momentum(1), SHEARED, BoundaryPolarization.momentum(2)],
-                             ids=["momentum-1", "sheared-1", "momentum-2"])
-    def test_one_lift_anchored_at_another_point_compares_close(self, rng, pol):
-        mp, anchor = pol.reference, random_siegel(rng, pol.n)
-        same = BoundaryPolarization(MetaplecticElement(mp.g, mp.phase_at(anchor), anchor))
-        other = BoundaryPolarization(MetaplecticElement(mp.g, -mp.phase_at(anchor), anchor))
-        assert pol.close_to(same) and same.close_to(pol)
-        assert not pol.close_to(other) and not other.close_to(pol)
-        a = CorrectedSection(random_profile(rng, pol.n, poly=False, frame=pol))
-        b = CorrectedSection(GaussianSection(same, a.section.m, a.section.b, a.section.c))
-        assert abs(corrected_inner_product(a, b) - corrected_inner_product(a, a)) < 1e-12 * abs(corrected_inner_product(a, a))
-
     def test_each_pairing_compares_the_lifts_once(self, rng, monkeypatch):
-        # two equal copies of one polarization: the lift check is a phase_at call;
-        # one frame object paired with itself needs none
+        # two equal copies of one polarization: both lifts are anchored at i*I, so the lift
+        # check compares their branches and evaluates no phase_at; the other lift still raises
         calls, phase_at = [], MetaplecticElement.phase_at
         monkeypatch.setattr(MetaplecticElement, "phase_at", lambda *a: calls.append(1) or phase_at(*a))
         a = random_profile(rng, 1, poly=False, frame=BoundaryPolarization.momentum(1))
         b = GaussianSection(BoundaryPolarization(a.frame.reference), a.m, a.b, a.c)
+        c = GaussianSection(BoundaryPolarization(other_lift(a.frame.reference)), a.m, a.b, a.c)
         for pairing in (inner_product, inner_product_cross_frame):
             assert abs(pairing(a, b) - pairing(a, a)) < 1e-12 * abs(pairing(a, a))
-            calls.clear()
-            pairing(a, b)
-            assert len(calls) == 1, pairing.__name__
-            calls.clear()
             pairing(a, a)
-            assert not calls, pairing.__name__
+        with pytest.raises(PolarizationMismatchError):
+            inner_product_cross_frame(a, c)
+        assert not calls
 
     def test_same_subspace_with_another_reference_raises(self, rng):
         position = BoundaryPolarization.position(1)

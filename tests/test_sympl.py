@@ -315,6 +315,6 @@ class TestMetaplectic:
         # in one step this segment turns the argument by 2.28 > pi/2; the
         # closed form agrees with a fine sampling of it
         s = np.linspace(0.0, 1.0, 129)[:, None, None]
-        path = (1 - s) * mp.reference.omega + s * target.omega
+        path = (1 - s) * standard_point(2).omega + s * target.omega
         vals = np.conj(np.linalg.det(block_rotation.c @ path + block_rotation.d))
         assert abs(mp.phase_at(target) - continue_sqrt_phase(vals, mp.branch)) < 1e-12
