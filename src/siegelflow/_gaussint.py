@@ -16,9 +16,9 @@ Every Gaussian-times-polynomial operation of the library reduces to these
 primitives:
 
   * ``half_logdet``: the branch of (1/2) log det above;
-  * ``gauss_log_integral``: log of the base integral;
   * ``integrate_out``: the base integral over some of the variables, as a
-    Gaussian in the rest;
+    Gaussian in the rest; over all of them its constant is the base
+    integral's log;
   * ``taylor``: the Taylor coefficients of a polynomial times an
     exponentiated quadratic in one variable, as in the Fock expansion;
   * ``generating_poly``: the rows G_k = k! [s^k] of an exponentiated
@@ -74,33 +74,22 @@ def half_logdet(a: np.ndarray) -> complex:
     return 0.5 * np.log(w).sum(-1)
 
 
-def _negative_solve(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """S^{-1} rhs, once the real part of S is checked negative definite."""
-    if np.linalg.eigvalsh(0.5 * (S.real + S.real.swapaxes(-1, -2))).max() >= 0:
-        raise NotIntegrableError("real part of the quadratic form is not negative definite")
-    return np.linalg.solve(S, rhs)
-
-
-def gauss_log_integral(S: np.ndarray, ell: np.ndarray, k: complex) -> complex:
-    """log of the normalised integral of exp((1/2) v^T S v + ell^T v + k)."""
-    S = np.atleast_2d(S)
-    ell = np.asarray(ell, dtype=complex).reshape(S.shape[0])
-    return complex(k) - 0.5 * complex(ell @ _negative_solve(S, ell)) - half_logdet(-S)
-
-
 def integrate_out(S: np.ndarray, L: np.ndarray, ell0: np.ndarray, k: complex):
     """Integrate exp((1/2) u^T S u + (L w + ell0)^T u + k) over u, normalised.
 
     Returns (Q, r, s) with the result equal to exp((1/2) w^T Q w + r^T w + s)
     as a function of the remaining (complex vector) variable w; one solve
-    with S takes ell0 and the columns of L together.
+    with S takes ell0 and the columns of L together.  NotIntegrableError
+    unless the real part of S is negative definite.
     """
     S = np.atleast_2d(S)
     ell0 = np.asarray(ell0, dtype=complex).reshape(S.shape[:-1])
     L = np.asarray(L, dtype=complex).reshape(S.shape[-1], -1)
     rhs = np.empty(S.shape[:-1] + (1 + L.shape[1],), dtype=complex)
     rhs[..., 0], rhs[..., 1:] = ell0, L
-    x = _negative_solve(S, rhs)
+    if np.linalg.eigvalsh(0.5 * (S.real + S.real.swapaxes(-1, -2))).max() >= 0:
+        raise NotIntegrableError("real part of the quadratic form is not negative definite")
+    x = np.linalg.solve(S, rhs)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
         Q = -L.T @ x[..., 1:]
         Q, r = 0.5 * (Q + Q.swapaxes(-1, -2)), -x[..., 0] @ L
@@ -205,7 +194,7 @@ def _poly_gauss_pairing(S, ell, k, a, b, p1, p2) -> complex:
     it gives F(w) = p(w) exp(q w^2/2 + r w + log), and the moment of (a . v)^j is j! [w^j] F.
     """
     if len(p1) == 1 and len(p2) == 1:
-        log = gauss_log_integral(S, ell, k)
+        log = complex(integrate_out(S, np.zeros((len(ell), 0)), ell, k)[2])  # no variable left: the base integral
         if not log.real < _LOG_FLOAT_MAX:  # also NaN
             raise NonFiniteError(f"the Gaussian pairing overflows: log modulus {log.real:.3e}")
         return p1[0] * p2[0] * np.exp(log)

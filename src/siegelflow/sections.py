@@ -19,6 +19,10 @@ vacuum of every frame has unit norm:
 
 and profiles against (2 pi)^{-n/2} du.
 
+A ``CorrectedSection`` is a section tensored with the half-form of its frame;
+a unit factor of the half-form moves onto the section, so it lives in the
+section's c and the corrected type holds the section alone.
+
 Closed forms reduce to one complex Gaussian integral, pushed by one kernel type,
 ``_Kernel`` (``_bergman``, ``transport._xi_kernel``, ``transforms.fourier``); an
 independent Gauss-Hermite quadrature oracle guards every frozen formula.
@@ -115,12 +119,10 @@ class GaussianSection:
         return z, quad + lin + c - norm2
 
     def log_value(self, v) -> np.ndarray:
-        """log value(v), evaluated pointwise; log p takes numpy's principal branch."""
-        z, out = self._exponent(v)
+        """log value(v) of a Gaussian, evaluated pointwise; a section of degree >= 1 raises ValueError."""
         if self.degree:
-            with np.errstate(divide="ignore"):  # log 0 = -inf at a zero of p
-                out = out + np.log(np.polynomial.polynomial.polyval(z[..., 0], self.coeffs))
-        return out
+            raise ValueError(f"log_value takes sections of degree 0, not of degree {self.degree}")
+        return self._exponent(v)[1]
 
     def value(self, v) -> np.ndarray:
         # p times exp, not exp(log_value): a complex log of p would double the cost
@@ -171,13 +173,12 @@ def _sections(frame: Frame, m, b, c, coeffs, psis) -> list[GaussianSection]:
     return out
 
 
-def _stack(xs) -> tuple:
-    """(section, half-form phase) of one plain or corrected section; of several over one frame object (else
-    ValueError), one section whose fields carry a leading stack axis, coeffs zero-padded, and their phases.  Only
-    ``real_quadratic``, ``degree``, ``value`` and the kernels take a stack."""
-    if len(xs) == 1:
-        return _with_phase(xs[0])
-    psis, phases = zip(*map(_with_phase, xs))
+def _stack(psis) -> GaussianSection:
+    """One section as it is; several over one frame object (else ValueError) as one section whose fields carry a
+    leading stack axis, coeffs zero-padded.  Only ``real_quadratic``, ``degree``, ``value`` and the kernels take a
+    stack."""
+    if len(psis) == 1:
+        return psis[0]
     if any(psi.frame is not psis[0].frame for psi in psis):
         raise ValueError(f"a stack takes sections over one frame object, not {[psi.frame for psi in psis]!r}")
     coeffs = np.zeros((len(psis), 1 + max(psi.degree for psi in psis)), dtype=complex)
@@ -185,7 +186,7 @@ def _stack(xs) -> tuple:
         row[: psi.degree + 1] = psi.coeffs
     out = object.__new__(GaussianSection)
     vars(out).update({x: np.array([getattr(p, x) for p in psis]) for x in "mbc"}, frame=psis[0].frame, coeffs=coeffs)
-    return out, np.array(phases)
+    return out
 
 
 def _as_stack(x) -> tuple[list, bool]:
@@ -269,18 +270,19 @@ class _Kernel:
         self.e, self.inner, self.outer, self.cross, self.target, self.k22 = e, inner, outer, cross, target, k22
 
     def apply(self, psi: GaussianSection, log_pref: complex = 0.0) -> GaussianSection:
-        return self.apply_all([psi], [log_pref])[0]
+        return self.apply_all([psi], log_pref)[0]
 
-    def apply_all(self, psis, log_prefs) -> list[GaussianSection]:
-        """Sections over one frame object (else ValueError), each less its log_pref, through one ``kernel_apply_poly``
-        and one check; several go as one ``_stack``, cut back to each input's degree (the rows are lower-triangular)."""
-        e, st = self.e, _stack(psis)[0]
+    def apply_all(self, psis, log_pref: complex) -> list[GaussianSection]:
+        """Sections over one frame object (else ValueError), each less the one log_pref, through one
+        ``kernel_apply_poly`` and one check; several go as one ``_stack``, cut back to each input's degree (the rows
+        are lower-triangular)."""
+        e, st = self.e, _stack(psis)
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # finite data can overflow; kernel_apply_poly raises
                 s, b = e.T @ st.m @ e - self.inner, st.b @ e
             s = 0.5 * (s + s.swapaxes(-1, -2)) - self.outer
             q, r, c, poly = kernel_apply_poly(s, self.cross, b, st.c, st.coeffs, e[0])
-            return _sections(self.target, q + self.k22, r, c - np.reshape(log_prefs, np.shape(c)), poly, psis)
+            return _sections(self.target, q + self.k22, r, c - log_pref, poly, psis)
         except (NotIntegrableError, NonFiniteError) as exc:
             raise type(exc)(f"{exc}, in the push from {st.frame!r} to {self.target!r}") from exc
 
@@ -293,16 +295,10 @@ def _bergman(frame: Frame, omega_p: SiegelPoint) -> _Kernel:
 
 @dataclass(frozen=True)
 class CorrectedSection:
-    """A section tensored with the half-form of its frame, carried with a unit
-    phase: sqrt(d^n z) over a point, the pushed sqrt(d^n x o g^{-1}) over a polarization."""
+    """A section tensored with the half-form of its frame: sqrt(d^n z) over a point, the pushed
+    sqrt(d^n x o g^{-1}) over a polarization.  A unit coefficient of the half-form is part of the section's c."""
 
     section: GaussianSection
-    halfform_phase: complex = 1.0 + 0.0j
-
-    def __post_init__(self):
-        if abs(abs(self.halfform_phase) - 1.0) > 1e-12:
-            raise ValueError("half-form coefficient must have unit modulus")
-        object.__setattr__(self, "halfform_phase", complex(self.halfform_phase))
 
     @property
     def frame(self) -> Frame:
@@ -310,7 +306,7 @@ class CorrectedSection:
 
 
 def corrected_inner_product(a: CorrectedSection, b: CorrectedSection) -> complex:
-    return np.conj(a.halfform_phase) * b.halfform_phase * inner_product_cross_frame(a.section, b.section)
+    return inner_product_cross_frame(a.section, b.section)
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +498,6 @@ def oracle_inner_product(psi1: GaussianSection, psi2: GaussianSection, nodes: in
     return _hermite_grid_sum(f, _placement(g), nodes)
 
 
-def _with_phase(x) -> tuple:
-    """(section, half-form phase) of a plain or corrected section."""
-    return (x.section, x.halfform_phase) if isinstance(x, CorrectedSection) else (x, 1.0 + 0.0j)
-
-
 def _log1p(w: np.ndarray) -> np.ndarray:
     """Complex log(1 + w) without forming 1 + w, which numpy's log1p does,
     dropping the low bits of a small w."""
@@ -534,7 +525,7 @@ def difference_norm(a, b):
 
     For degree-0 sections, h = (1/2) log(||b||^2 / ||a||^2) and
     d = log <a, b> - log ||a||^2 - h come from the differences of
-    ``real_quadratic`` (half-form phases folded into k) alone, and
+    ``real_quadratic`` alone, half-form phases included in c, and
     ||a - b||^2 / ||a||^2 = expm1(h)^2 + 2 e^h (-expm1(Re d) cos Im d + 2 sin^2(Im d / 2)).
     Equal inputs give exactly 0, on Kaehler frames and polarizations alike.
     Polynomial sections (n = 1) evaluate the difference pointwise on a
@@ -548,20 +539,20 @@ def difference_norm(a, b):
     over a Kaehler frame one by one, as array work, not calls, bounds their 48^2 grid.
     """
     (xs, one), ys = _as_stack(a), _as_stack(b)[0]
-    pairs = [(_with_phase(x)[0], _with_phase(y)[0]) for x, y in zip(xs, ys, strict=True)]
-    poly = [i for i, (x, y) in enumerate(pairs) if x.degree or y.degree]
+    xs, ys = ([x.section if isinstance(x, CorrectedSection) else x for x in zs] for zs in (xs, ys))
+    poly = [i for i, (x, y) in enumerate(zip(xs, ys, strict=True)) if x.degree or y.degree]
     groups = [[i for i in range(len(xs)) if i not in poly]]
-    groups += [poly] if isinstance(pairs[0][0].frame, BoundaryPolarization) else [[i] for i in poly]
+    groups += [poly] if isinstance(xs[0].frame, BoundaryPolarization) else [[i] for i in poly]
     out = {}
     for group in filter(None, groups):
-        out.update(zip(group, _norms(*_stack([xs[i] for i in group]), *_stack([ys[i] for i in group]))))
+        out.update(zip(group, _norms(_stack([xs[i] for i in group]), _stack([ys[i] for i in group]))))
     return out[0] if one else [out[i] for i in range(len(xs))]
 
 
-def _norms(pa: GaussianSection, ha, pb: GaussianSection, hb) -> list[float]:
-    """|| a - b || of the sections or ``_stack``s pa and pb times their half-form phases: the closed form for pairs
-    of degree 0; polynomial pairs (n = 1) take the difference at common points of a grid of 300 nodes per axis over a
-    polarization and 48 over a Kaehler frame, before squaring."""
+def _norms(pa: GaussianSection, pb: GaussianSection) -> list[float]:
+    """|| a - b || of the sections or ``_stack``s pa and pb: the closed form for pairs of degree 0; polynomial pairs
+    (n = 1) take the difference at common points of a grid of 300 nodes per axis over a polarization and 48 over a
+    Kaehler frame, before squaring."""
     _same_space(pa.frame, pb.frame)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm raises below
         if pa.degree or pb.degree:
@@ -569,8 +560,7 @@ def _norms(pa: GaussianSection, ha, pb: GaussianSection, hb) -> list[float]:
             # on a Kaehler frame half the mean envelope, valid (wider) for both terms
             # when they are comparable; on a polarization the mean envelope of |a - b|^2
             g = (0.5 if polar else 0.25) * (_envelope_form(pa) + _envelope_form(pb))
-            ha, hb = (ha[:, None], hb[:, None]) if np.ndim(ha) else (ha, hb)
-            total = _hermite_grid_sum(lambda v: np.abs(pa.value(v) * ha - pb.value(v) * hb) ** 2, _placement(g),
+            total = _hermite_grid_sum(lambda v: np.abs(pa.value(v) - pb.value(v)) ** 2, _placement(g),
                                       300 if polar else 48)
             out = np.sqrt(np.maximum(total.real, 0.0))
         else:
@@ -578,7 +568,7 @@ def _norms(pa: GaussianSection, ha, pb: GaussianSection, hb) -> list[float]:
             s0 = 2.0 * sa.real
             x0 = np.linalg.solve(s0, 2.0 * la.real[..., None])
             log_aa = -0.5 * np.linalg.slogdet(-s0)[1] - (la.real[..., None, :] @ x0)[..., 0, 0] + 2.0 * ka.real
-            d, e, dk = sb - sa, (lb - la)[..., None], (kb - ka) + (np.log(hb) - np.log(ha))
+            d, e, dk = sb - sa, (lb - la)[..., None], kb - ka
             h = 0.5 * _log_gauss_ratio(s0, x0, 2.0 * d.real, 2.0 * e.real, 2.0 * dk.real).real
             delta = _log_gauss_ratio(s0, x0, d, e, dk) - h
             rel = np.expm1(h) ** 2 + 2.0 * np.exp(h) * (

@@ -8,7 +8,8 @@ standard position, p(u) exp((1/2) u^T m u + b^T u + c) with Re m < 0
 (polynomial for n = 1), normed against (2 pi)^{-n/2} du.  The pairing map
 between a polarization and a Kaehler frame, either way, is the corrected Xi
 kernel with one end at L- moved by the reference lift: unitary, in closed form,
-its result carrying the map's unit branch phase.  Its companions are
+the map's unit branch phase folded, like every half-form coefficient, into
+the result's constant c.  Its companions are
 
   * the position/momentum transform pair generalizing the classical
     Segal-Bargmann transform and its inverse, its two directions,
@@ -38,15 +39,6 @@ from .siegel import RATE_TOL, BoundaryPolarization, GeodesicSpec
 from .sympl import MetaplecticElement, act_on_siegel, transform_z_coords
 from .transport import _xi_kernel, metaplectic_act, transport_corrected
 
-# Unit constant relating the pushed frame sqrt(d^n x o g0^{-1}) of the exchange
-# element g0 = (0, I; -I, 0), with the branch e^{i pi n / 4} of
-# ``BoundaryPolarization.momentum``, to the momentum frame sqrt(d^n y).  Pinned
-# so that the Fourier operator rebuilt from the Bargmann pair is the direct
-# formula with its continued i^{n/2}; the tests check this for n = 1, 2 and 3.
-def _momentum_frame_factor(n: int) -> complex:
-    return 1j**n
-
-
 def _flipped(frame: BoundaryPolarization, m, b, c: complex, coeffs) -> GaussianSection:
     """The profile p(u) exp((1/2) u^T m u + b^T u + c) composed with u -> -u, over ``frame``."""
     return GaussianSection(frame, m, -b, c, coeffs * (-1.0) ** np.arange(len(coeffs)))
@@ -55,18 +47,27 @@ def _flipped(frame: BoundaryPolarization, m, b, c: complex, coeffs) -> GaussianS
 def momentum_profile(s: CorrectedSection) -> GaussianSection:
     """The chi(y) data of a section over the standard momentum polarization,
     whose value is chi(y) e^{-i x.y/2}; chi is a profile over the position
-    polarization, a function of y."""
+    polarization, a function of y.
+
+    The momentum pair's one constant, i^n = e^{i pi n / 2}, relates the pushed
+    frame sqrt(d^n x o g0^{-1}) of the exchange element g0 = (0, I; -I, 0), with
+    the branch e^{i pi n / 4} of ``BoundaryPolarization.momentum``, to the
+    momentum frame sqrt(d^n y).  It is pinned so that the Fourier operator
+    rebuilt from the Bargmann pair is the direct formula with its continued
+    i^{n/2}; the tests check this for n = 1, 2 and 3."""
     n = s.frame.n
     if not s.frame.close_to(BoundaryPolarization.momentum(n)):
         raise PolarizationMismatchError("not a standard momentum-polarized section")
-    p, log_unit = s.section, np.log(_momentum_frame_factor(n) * s.halfform_phase)
-    return _flipped(BoundaryPolarization.position(n), p.m, p.b, p.c + log_unit, p.coeffs)
+    p = s.section
+    return _flipped(BoundaryPolarization.position(n), p.m, p.b, p.c + 0.5j * np.pi * n, p.coeffs)
 
 
 def from_momentum_profile(profile: GaussianSection) -> CorrectedSection:
-    """chi(y) e^{-(i/2) x.y} (x) sqrt(d^n y) on the standard momentum polarization."""
-    flipped = _flipped(BoundaryPolarization.momentum(profile.n), profile.m, profile.b, profile.c, profile.coeffs)
-    return CorrectedSection(flipped, np.conj(_momentum_frame_factor(profile.n)))
+    """chi(y) e^{-(i/2) x.y} (x) sqrt(d^n y) on the standard momentum polarization:
+    ``momentum_profile``'s inverse, less its constant i^n."""
+    n = profile.n
+    return CorrectedSection(_flipped(BoundaryPolarization.momentum(n), profile.m, profile.b,
+                                     profile.c - 0.5j * np.pi * n, profile.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +77,8 @@ def from_momentum_profile(profile: GaussianSection) -> CorrectedSection:
 def _pair(shats, target) -> list[CorrectedSection]:
     """The corrected Xi kernel from the frame of ``shats``, sections over one frame object, to ``target``, one of
     the two a polarization with reference R: from it, the kernel from L- to Omega0 = R^{-1} . Omega and then R, onto
-    R . Omega0; onto it, R^{-1} and then the kernel to L-.  The map is built once for the stack; each input's
-    half-form phase folds into its prefactor, and each result carries the map's unit branch phase."""
+    R . Omega0; onto it, R^{-1} and then the kernel to L-.  The map is built once for the stack, with one prefactor:
+    the half-form root and the map's unit branch phase, which lands in each result's c."""
     source = shats[0].frame
     if isinstance(source, BoundaryPolarization) == isinstance(target, BoundaryPolarization) or source.n != target.n:
         raise ValueError(f"a pairing map needs a polarization and a point of one space, not {source!r}, {target!r}")
@@ -93,8 +94,8 @@ def _pair(shats, target) -> list[CorrectedSection]:
         pulled, phase = act_on_siegel(back.g, source), back.phase_at(source)
         # the change to the pulled point's coordinates and the push, in one kernel
         kernel, log_h = _xi_kernel(pulled, target, t_in=transform_z_coords(back.g, source, pulled))
-    log_prefs = [np.conj(log_h) - np.log(s.halfform_phase) for s in shats]
-    return [CorrectedSection(x, phase / abs(phase)) for x in kernel.apply_all([s.section for s in shats], log_prefs)]
+    out = kernel.apply_all([s.section for s in shats], np.conj(log_h) - 1j * np.angle(phase))
+    return [CorrectedSection(x) for x in out]
 
 
 def segal_bargmann(shat, omega: SiegelPoint):
@@ -129,8 +130,8 @@ def fourier(shat: CorrectedSection) -> CorrectedSection:
         raise PolarizationMismatchError("direct transform expects the standard position form")
     # the -i coupling integrates phi(x) e^{-i x.u}, the momentum profile at y = -u
     kernel = _Kernel(np.eye(n), 0.0, 0.0, -1j * np.eye(n), BoundaryPolarization.momentum(n))
-    log_pref = -np.log(complex(shat.halfform_phase)) - 0.25j * np.pi * n  # continued i^{n/2}
-    return CorrectedSection(kernel.apply(shat.section, log_pref), np.conj(_momentum_frame_factor(n)))
+    # the continued i^{n/2} over the momentum pair's i^n, the frame sqrt(d^n y) relative to the pushed one
+    return CorrectedSection(kernel.apply(shat.section, 0.25j * np.pi * n))
 
 
 def fourier_general(shat, target: BoundaryPolarization):
@@ -166,16 +167,16 @@ class ConvergenceReport:
 
 
 def _log_quadratic(s: CorrectedSection):
-    """(S, l, k) with the Gaussian ``s`` on V, its half-form coefficient
-    included, equal to exp((1/2) v^T S v + l^T v + k).  Over a polarization
-    with reference R it is the value on V, phi(x0) exp((i/2) x0^T y0) at
-    v = R (x0, y0), in closed form: S = R^{-T} [[m, (i/2) I], [(i/2) I, 0]] R^{-1} and l = R^{-T} (b, 0)."""
+    """(S, l, k) with the Gaussian ``s`` on V equal to exp((1/2) v^T S v +
+    l^T v + k).  Over a polarization with reference R it is the value on V,
+    phi(x0) exp((i/2) x0^T y0) at v = R (x0, y0), in closed form:
+    S = R^{-T} [[m, (i/2) I], [(i/2) I, 0]] R^{-1} and l = R^{-T} (b, 0)."""
     s_v, l_v, k = s.section.real_quadratic()
     if isinstance(s.frame, BoundaryPolarization):
         n, r_inv = s.frame.n, s.frame.reference.g.inverse().matrix
         s_v = r_inv.T @ np.block([[s_v, 0.5j * np.eye(n)], [0.5j * np.eye(n), np.zeros((n, n))]]) @ r_inv
         l_v = r_inv.T @ np.concatenate([l_v, np.zeros(n)])
-    return s_v, l_v, k + np.log(s.halfform_phase)
+    return s_v, l_v, k
 
 
 def _absorbed_factor(lam: np.ndarray, t: float, sign: float) -> float:
@@ -281,7 +282,7 @@ def composition_identities_check(
         if not a.transverse_to(b):
             raise NonTransverseError("test polarizations must be mutually transverse")
     # each profile's data, in standard position over pol_l, checked once as a stack
-    stack = _stack(profiles)[0]
+    stack = _stack(profiles)
     sections = [CorrectedSection(s) for s in _sections(pol_l, stack.m, stack.b, stack.c, stack.coeffs, profiles)]
     # the profiles go through each public map together: 9 pairing maps and 1 projection per check
     paired, moved = segal_bargmann(sections, omega), segal_bargmann(sections, omega_p)

@@ -9,8 +9,8 @@ orthogonal projection onto the holomorphic sections of Omega' and
 
 P and the Xi kernel (``_xi_kernel``) are ``sections._Kernel`` values; coherent
 states transport in closed form.  The half-form correction contributes the
-unit phase (det Xi')^{1/2} / |det Xi'|^{1/2}, after which transport composes
-flatly.  A moving-frame Fock ODE on amplitudes, ``transport_ode``, provides an
+unit phase (det Xi')^{1/2} / |det Xi'|^{1/2}, which corrected transport adds
+to the section's constant c, after which transport composes flatly.  A moving-frame Fock ODE on amplitudes, ``transport_ode``, provides an
 independent numerical route for n = 1: on the normal-form geodesic
 i exp(2 lambda t) the connection 1-form has constant coefficients, so the
 truncated ODE is solved exactly by the exponential of its squeeze generator.
@@ -128,7 +128,7 @@ def transport_uncorrected(psi, omega_p: SiegelPoint):
     one stacked projection."""
     psis, one = _as_stack(psi)
     kernel = _bergman(psis[0].frame, omega_p)
-    out = kernel.apply_all(psis, [-_halfform_log(psis[0].frame, omega_p).real] * len(psis))
+    out = kernel.apply_all(psis, -_halfform_log(psis[0].frame, omega_p).real)
     return out[0] if one else out
 
 
@@ -137,12 +137,13 @@ def transport_corrected(psihat, omega_p: SiegelPoint):
 
     The transported half-form pairing, with its root continued along the
     geodesic, supplies both the Bogoliubov scale (its modulus) and the
-    correction phase (its argument).  A sequence of sections over one frame
-    object gives a list: one half-form root, one stacked projection."""
+    correction phase (its argument), both folded into the section's c.  A
+    sequence of sections over one frame object gives a list: one half-form
+    root, one stacked projection."""
     psihats, one = _as_stack(psihat)
     log_h = _halfform_log(psihats[0].frame, omega_p)
-    sections = _bergman(psihats[0].frame, omega_p).apply_all([p.section for p in psihats], [-log_h.real] * len(psihats))
-    out = [CorrectedSection(s, np.exp(1j * log_h.imag) * p.halfform_phase) for s, p in zip(sections, psihats)]
+    sections = _bergman(psihats[0].frame, omega_p).apply_all([p.section for p in psihats], -log_h)
+    out = [CorrectedSection(s) for s in sections]
     return out[0] if one else out
 
 
@@ -188,16 +189,15 @@ def metaplectic_act(mp: MetaplecticElement, obj):
 
     A section changes to the coordinates z' of the image frame, z = t z' with
     t unitary: m -> t^T m t, b -> t^T b and coeffs[k] -> coeffs[k] t^k (a
-    polynomial has n = 1); its half-form coefficient picks up the tracked
-    branch phase at the source point.  A section over a polarization with
-    reference R keeps its profile data and half-form coefficient and moves to
-    the polarization with reference mp R."""
+    polynomial has n = 1); a corrected section's c picks up the log of the
+    tracked branch phase at the source point.  A section over a polarization
+    with reference R keeps its profile data and moves to the polarization with
+    reference mp R."""
     if isinstance(obj, CorrectedSection):
-        phase = obj.halfform_phase
-        if isinstance(obj.frame, SiegelPoint):
-            phase = mp.phase_at(obj.frame) * phase
-            phase = phase / abs(phase)
-        return CorrectedSection(metaplectic_act(mp, obj.section), phase)
+        psi = obj.section
+        if isinstance(psi.frame, SiegelPoint):
+            psi = GaussianSection(psi.frame, psi.m, psi.b, psi.c + np.log(mp.phase_at(psi.frame)), psi.coeffs)
+        return CorrectedSection(metaplectic_act(mp, psi))
     if isinstance(obj.frame, BoundaryPolarization):
         pol = BoundaryPolarization(mp.compose(obj.frame.reference))
         return GaussianSection(pol, obj.m, obj.b, obj.c, obj.coeffs)
@@ -290,7 +290,8 @@ def transport_ode(c0, lam: float, t_end: float, steps: int) -> np.ndarray:
     ``TruncationOverflowError``.
     """
     c0 = np.asarray(c0, dtype=complex)
-    norm0 = float(np.linalg.norm(c0))
+    # hypot accumulates without squaring, so a finite c0 has a finite norm and no overflow warning
+    norm0 = float(np.hypot.reduce(np.abs(c0), axis=None, initial=0.0))
     if not np.isfinite(norm0):
         raise NonFiniteError(f"amplitude vector c0 has norm {norm0}")
     if c0.ndim != 1 or norm0 == 0.0:

@@ -7,9 +7,10 @@ deformation matrices, a term-by-term Gaussian-polynomial pairing, the
 generating rows of a polynomial push one order at a time, the
 two-parameter Taylor series of an exponentiated quadratic, the pairing maps
 as three separate constructions, a Gaussian integral with one solve per
-right-hand side, a difference norm summed point by point, a quadrature
-grid built on every call, a random symplectic draw checked factor by
-factor, a polarized section evaluated on phase space), and the small
+right-hand side and the log of the base integral it ends in, a difference
+norm summed point by point, a quadrature grid built on every call, a random
+symplectic draw checked factor by factor, a polarized section evaluated on
+phase space), and the small
 constructions the tests build their cases from (a section times a scalar,
 the other lift of a metaplectic element).
 ``test_branches`` asserts that no name defined here is also an attribute
@@ -32,7 +33,6 @@ from siegelflow import (
     diagonal_point,
     transform_z_coords,
 )
-from siegelflow._gaussint import gauss_log_integral
 from siegelflow.sections import _hermite_table
 from siegelflow.transport import _xi_kernel
 
@@ -49,13 +49,13 @@ def other_lift(mp: MetaplecticElement) -> MetaplecticElement:
 
 def value_on_V(s: CorrectedSection, v) -> np.ndarray:
     """A polarized section as a function on V, point by point: phi(x0) exp((i/2) x0^T y0)
-    times its half-form coefficient, with v = g (x0, y0) for the reference g; the closed
-    form the boundary limits compare is ``transforms._log_quadratic``."""
+    with v = g (x0, y0) for the reference g; the closed form the boundary limits compare
+    is ``transforms._log_quadratic``."""
     v = np.asarray(v, dtype=float)
     n = s.frame.n
     v0 = v @ s.frame.reference.g.inverse().matrix.T
     x0, y0 = v0[..., :n], v0[..., n:]
-    return s.section.value(x0) * np.exp(0.5j * np.einsum("...i,...i->...", x0, y0)) * s.halfform_phase
+    return s.section.value(x0) * np.exp(0.5j * np.einsum("...i,...i->...", x0, y0))
 
 
 class BranchDiscontinuityError(Exception):
@@ -113,6 +113,15 @@ def ladder_matrices(n_trunc: int):
     for k in range(1, n_trunc):
         a[k - 1, k] = np.sqrt(k)
     return a, a.T.copy()
+
+
+def gauss_log_integral(S, ell, k) -> complex:
+    """log of the normalised integral of exp((1/2) v^T S v + ell^T v + k), Re S negative definite:
+    k - (1/2) ell^T S^{-1} ell - (1/2) log det(-S), the root from the principal logs of the eigenvalues."""
+    S = np.atleast_2d(S)
+    ell = np.asarray(ell, dtype=complex).reshape(S.shape[0])
+    half_logdet = 0.5 * complex(np.log(np.linalg.eigvals(-S)).sum())
+    return complex(k) - 0.5 * complex(ell @ np.linalg.solve(S, ell)) - half_logdet
 
 
 def poly_gauss_pairing_loop(S, ell, k, a, b, p1, p2) -> complex:
@@ -190,14 +199,14 @@ def generating_poly_per_order(beta, gamma, eps, d) -> np.ndarray:
 
 
 def difference_norm_pointwise(a, b, nodes: int) -> float:
-    """|| a - b || of two plain or corrected sections over one frame: |h_a a(v) - h_b b(v)|^2, h the half-form
-    phases, summed point by point with ``grid_sum_built_per_call`` on a ``nodes``-per-axis grid placed for the
-    sections' mean real envelope, halved again on a Kaehler frame, where that is wider than each term's."""
-    (pa, ha), (pb, hb) = ((x, 1.0) if isinstance(x, GaussianSection) else (x.section, x.halfform_phase) for x in (a, b))
+    """|| a - b || of two plain or corrected sections over one frame: |a(v) - b(v)|^2 summed point by point with
+    ``grid_sum_built_per_call`` on a ``nodes``-per-axis grid placed for the sections' mean real envelope, halved
+    again on a Kaehler frame, where that is wider than each term's."""
+    pa, pb = (x if isinstance(x, GaussianSection) else x.section for x in (a, b))
     spread = 0.5 if isinstance(pa.frame, BoundaryPolarization) else 0.25
     w, v = np.linalg.eigh(-spread * (pa.real_quadratic()[0] + pb.real_quadratic()[0]).real)
     placement = (v / np.sqrt(w)) @ v.T, float(np.prod(w)) ** -0.5
-    total = grid_sum_built_per_call(lambda x: np.abs(pa.value(x) * ha - pb.value(x) * hb) ** 2, placement, nodes)
+    total = grid_sum_built_per_call(lambda x: np.abs(pa.value(x) - pb.value(x)) ** 2, placement, nodes)
     return float(np.sqrt(max(total.real, 0.0)))
 
 
@@ -221,15 +230,16 @@ def in_coordinates_of(psi: GaussianSection, target, t: np.ndarray) -> GaussianSe
 
 def pairing_in_three_steps(shat: CorrectedSection, omega) -> CorrectedSection:
     """The pairing map of a polarized section into Omega as three sections: the
-    profile times its half-form phase, its push by the unfolded Xi kernel from
-    L- to Omega0 = R^{-1} . Omega, and that push in the coordinates of R . Omega0."""
+    profile's push by the unfolded Xi kernel from L- to Omega0 = R^{-1} . Omega,
+    that push in the coordinates of R . Omega0, and that section times the unit phase."""
     ref = shat.frame.reference
     om0 = act_on_siegel(ref.g.inverse(), omega)
     target = act_on_siegel(ref.g, om0)
     kernel, log_h = _xi_kernel(shat.frame, om0)
-    core = kernel.apply(scaled(shat.section, shat.halfform_phase), np.conj(log_h))
+    core = kernel.apply(shat.section, np.conj(log_h))
     phase = ref.phase_at(om0)
-    return CorrectedSection(in_coordinates_of(core, target, transform_z_coords(ref.g, om0, target)), phase / abs(phase))
+    moved = in_coordinates_of(core, target, transform_z_coords(ref.g, om0, target))
+    return CorrectedSection(scaled(moved, phase / abs(phase)))
 
 
 def inverse_pairing_in_three_steps(psihat: CorrectedSection, polarization) -> CorrectedSection:
@@ -240,7 +250,7 @@ def inverse_pairing_in_three_steps(psihat: CorrectedSection, polarization) -> Co
     pulled = act_on_siegel(back.g, psihat.frame)
     moved = in_coordinates_of(psihat.section, pulled, transform_z_coords(back.g, psihat.frame, pulled))
     kernel, log_h = _xi_kernel(pulled, polarization)
-    phase = back.phase_at(psihat.frame) * psihat.halfform_phase
+    phase = back.phase_at(psihat.frame)
     return CorrectedSection(scaled(kernel.apply(moved, np.conj(log_h)), phase / abs(phase)))
 
 

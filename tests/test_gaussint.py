@@ -7,6 +7,7 @@ import pytest
 
 from _reference import (
     exp_bivariate_series,
+    gauss_log_integral,
     generating_poly_per_order,
     integrate_out_per_column,
     poly_gauss_pairing_loop,
@@ -30,7 +31,6 @@ from siegelflow import (
 from siegelflow import _gaussint
 from siegelflow._gaussint import (
     _poly_gauss_pairing,
-    gauss_log_integral,
     generating_poly,
     integrate_out,
     kernel_apply_poly,
@@ -336,6 +336,23 @@ def test_integrate_out_is_one_solve_matching_one_solve_per_column(monkeypatch):
         want = integrate_out_per_column(s, lmat, ell0, kk)
         for x, y in zip(got, want):
             assert np.abs(np.asarray(x) - y).max() <= 1e-14 * max(1.0, np.abs(y).max())
+
+
+def test_gaussian_pairing_is_integrate_out_over_every_variable():
+    # with no output variable left, integrate_out's constant is the log of the base integral
+    rng = np.random.default_rng(2122)
+    for i in range(120):
+        m = 1 + i % 6
+        a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        s = 0.5j * (lambda x: x + x.T)(rng.normal(size=(m, m))) - (a @ a.conj().T).real - 0.3 * np.eye(m)
+        ell = rng.normal(size=m) + 1j * rng.normal(size=m)
+        kk = complex(rng.normal(), rng.normal())
+        q, r, log = integrate_out(s, np.zeros((m, 0)), ell, kk)
+        assert q.shape == (0, 0) and r.shape == (0,)
+        want = gauss_log_integral(s, ell, kk)
+        assert abs(log - want) <= 1e-14 * max(1.0, abs(want))
+        got = _poly_gauss_pairing(s, ell, kk, None, None, np.ones(1), np.ones(1))
+        assert abs(got - np.exp(want)) <= 1e-13 * abs(np.exp(want))
 
 
 def test_overflowing_pushes_raise_in_the_primitive_without_a_warning():

@@ -40,7 +40,7 @@ from siegelflow import (
     standard_point,
     vacuum,
 )
-from siegelflow._gaussint import gauss_log_integral
+from siegelflow._gaussint import integrate_out
 from siegelflow.sections import (
     QUAD_NODES_DEFAULT,
     QUAD_NODES_MAX,
@@ -55,7 +55,7 @@ from siegelflow.sections import (
 from siegelflow.suites import _refined_oracle, suite_unitarity
 from siegelflow.transport import _halfform_log, bogoliubov_scale, transport_corrected, transport_uncorrected
 
-from _reference import difference_norm_pointwise, grid_sum_built_per_call, other_lift
+from _reference import difference_norm_pointwise, grid_sum_built_per_call, other_lift, scaled
 from conftest import random_gaussian_section, random_profile, standard_profile
 
 I1 = standard_point(1)
@@ -210,6 +210,14 @@ class TestFactorisedOracle:
         p2 = GaussianSection(diagonal_point([1.9]), [[0.15]], [-0.2], 0.1)
         assert oracle_inner_product(p1, p2, nodes=32) == _brute_oracle(p1, p2, 32)
 
+    def test_log_value_takes_gaussians_and_names_a_polynomial_degree(self):
+        v = np.array([[0.0, 0.0], [0.7, -1.2], [2.0, 0.5]])
+        gauss = GaussianSection(I1, [[-0.2]], [0.1j], 0.3)
+        assert np.abs(np.exp(gauss.log_value(v)) - gauss.value(v)).max() <= 1e-15 * np.abs(gauss.value(v)).max()
+        for coeffs, degree in (([0.3, 1.0], 1), ([0.3, 0.0, 1.0], 2)):
+            with pytest.raises(ValueError, match=f"degree 0, not of degree {degree}$"):
+                GaussianSection(I1, [[-0.2]], [0.1j], 0.0, coeffs).log_value(v)
+
     @pytest.mark.parametrize("perturb", ["cubic", "nan_at_origin"])
     def test_non_quadratic_or_non_finite_probes_raise(self, rng, monkeypatch, perturb):
         p1 = random_gaussian_section(rng, random_siegel(rng, 2))
@@ -247,8 +255,7 @@ class TestFactorisedOracle:
 
         monkeypatch.setattr(GaussianSection, "real_quadratic", closed_form_called)
         for module in (gaussint, sections):
-            for name in ("gauss_log_integral", "integrate_out", "half_logdet", "kernel_apply_poly",
-                         "taylor", "_poly_gauss_pairing"):
+            for name in ("integrate_out", "half_logdet", "kernel_apply_poly", "taylor", "_poly_gauss_pairing"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, closed_form_called)
         for p1, p2, nodes, closed in pairs:
@@ -357,7 +364,7 @@ class TestInnerProducts:
         with pytest.raises(NotIntegrableError):
             GaussianSection(I1, [[1.0]], [0.0], 0.0)
         with pytest.raises(NotIntegrableError):
-            gauss_log_integral(np.eye(2), np.zeros(2), 0.0)
+            integrate_out(np.eye(2), np.zeros((2, 0)), np.zeros(2), 0.0)
 
 
 class TestBergmanProjection:
@@ -488,8 +495,8 @@ class TestHalfForms:
     def test_unit_self_pairing(self, rng):
         om = random_siegel(rng, 2)
         assert abs(np.exp(_halfform_log(om, om)) - 1.0) < 1e-12
-        # over one polarization the half-form coefficients pair directly
-        s = CorrectedSection(standard_profile(2), np.exp(0.3j))
+        # over one polarization a unit half-form coefficient, part of c, pairs away
+        s = CorrectedSection(scaled(standard_profile(2), np.exp(0.3j)))
         assert abs(corrected_inner_product(s, s) - 1.0) < 1e-14
 
     def test_kaehler_pair_value(self):
@@ -591,7 +598,8 @@ class TestDifferenceNorm:
         om, psi = random_siegel(rng, 1), _section_over(rng, 2)
         pairs = [(GaussianSection(om, [[0.2]], [0.3j], 0.1, [1.0, -0.5, 0.25j]), random_gaussian_section(rng, om)),
                  (random_profile(rng), random_profile(rng)),
-                 (CorrectedSection(random_gaussian_section(rng, om), np.exp(0.4j)), CorrectedSection(vacuum(om))),
+                 (CorrectedSection(scaled(random_gaussian_section(rng, om), np.exp(0.4j))),
+                  CorrectedSection(vacuum(om))),
                  (psi, GaussianSection(psi.frame, psi.m, psi.b, psi.c + 0.1))]
         want = [difference_norm_pointwise(a, b, 24) for a, b in pairs]
 
@@ -618,8 +626,8 @@ class TestDifferenceNorm:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_distant_cross_frame_corrected_pair(self, rng, n):
         # far apart, ||a||^2 + ||b||^2 - 2 Re <a, b> does not cancel and is a reference
-        a = CorrectedSection(random_gaussian_section(rng, random_siegel(rng, n)), np.exp(0.4j))
-        b = CorrectedSection(random_gaussian_section(rng, random_siegel(rng, n)), np.exp(-2.9j))
+        a = CorrectedSection(scaled(random_gaussian_section(rng, random_siegel(rng, n)), np.exp(0.4j)))
+        b = CorrectedSection(scaled(random_gaussian_section(rng, random_siegel(rng, n)), np.exp(-2.9j)))
         gram = norm(a.section) ** 2 + norm(b.section) ** 2 - 2 * corrected_inner_product(a, b).real
         assert abs(difference_norm(a, b) - np.sqrt(gram)) < 1e-12 * np.sqrt(gram)
         if n == 1:
@@ -631,14 +639,15 @@ class TestDifferenceNorm:
         psi = _section_over(rng, frame)
         copy = GaussianSection(psi.frame, psi.m.copy(), psi.b.copy(), psi.c)
         assert difference_norm(psi, copy) == 0.0
-        corrected = CorrectedSection(psi, np.exp(2.5j))
-        assert difference_norm(corrected, CorrectedSection(copy, np.exp(2.5j))) == 0.0
+        corrected = CorrectedSection(scaled(psi, np.exp(2.5j)))
+        assert difference_norm(corrected, CorrectedSection(scaled(copy, np.exp(2.5j)))) == 0.0
 
     def test_halfform_phase_only_difference(self, rng):
         theta = 3e-9
         for n in (1, 2):
             psi = random_gaussian_section(rng, random_siegel(rng, n))
-            got = difference_norm(CorrectedSection(psi, np.exp(0.7j)), CorrectedSection(psi, np.exp(0.7j + 1j * theta)))
+            a, b = (CorrectedSection(scaled(psi, np.exp(1j * x))) for x in (0.7, 0.7 + theta))
+            got = difference_norm(a, b)
             want = 2 * np.sin(0.5 * theta) * norm(psi)
             assert abs(got - want) < 1e3 * np.finfo(float).eps / theta * want
 
@@ -819,8 +828,8 @@ class TestStackedDifferenceNorm:
             dm = rng.normal(size=(frame.n, frame.n)) + 1j * rng.normal(size=(frame.n, frame.n))
             b = GaussianSection(frame, a.m + 0.05 * size * (dm + dm.T), a.b + size * rng.normal(size=frame.n),
                                 a.c + size * rng.normal(), a.coeffs + size * rng.normal(size=a.degree + 1))
-            xs.append(CorrectedSection(a, np.exp(1j * rng.normal())))
-            ys.append(CorrectedSection(b, np.exp(1j * rng.normal())))
+            xs.append(CorrectedSection(scaled(a, np.exp(1j * rng.normal()))))
+            ys.append(CorrectedSection(scaled(b, np.exp(1j * rng.normal()))))
         return xs, ys
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -847,7 +856,7 @@ class TestStackedDifferenceNorm:
             twin = BoundaryPolarization(frame.reference) if isinstance(frame, BoundaryPolarization) else \
                 SiegelPoint(frame.omega1, frame.omega2)
             s = xs[1].section
-            xs[1] = CorrectedSection(GaussianSection(twin, s.m, s.b, s.c, s.coeffs), xs[1].halfform_phase)
+            xs[1] = CorrectedSection(GaussianSection(twin, s.m, s.b, s.c, s.coeffs))
             with pytest.raises(ValueError, match="one frame object"):
                 difference_norm(xs, ys)
 

@@ -143,22 +143,24 @@ class TestGeneralTransport:
             assert abs(norm(transport_coherent(alpha, om, omp)) - norm(c)) < 1e-8 * norm(c)
 
 
-def halfform_phase(om, omp) -> complex:
-    """The half-form phase corrected transport of the vacuum picks up from om to omp."""
-    return transport_corrected(CorrectedSection(vacuum(om)), omp).halfform_phase
+def halfform_phase(psi, omp) -> complex:
+    """The half-form phase corrected transport of psi picks up on the way to omp: exp of the
+    constant c it has over uncorrected transport."""
+    corrected = transport_corrected(CorrectedSection(psi), omp).section
+    return complex(np.exp(corrected.c - transport_uncorrected(psi, omp).c))
 
 
 class TestHalfFormTransport:
     def test_same_point_unit_phase(self):
         om = random_siegel(np.random.default_rng(2), 1)
-        assert abs(halfform_phase(om, om) - 1.0) < 1e-12
+        assert abs(halfform_phase(vacuum(om), om) - 1.0) < 1e-12
 
     def test_real_positive_determinant(self):
-        assert abs(halfform_phase(I1, diagonal_point([np.e**2])) - 1.0) < 1e-12
+        assert abs(halfform_phase(vacuum(I1), diagonal_point([np.e**2])) - 1.0) < 1e-12
 
     def test_golden_value(self):
         # Xi'(1+i, i) = (1 + 2i)/2i = 1 - i/2; phase is its principal half-argument
-        out = halfform_phase(I1, SiegelPoint.from_complex([[1.0 + 1.0j]]))
+        out = halfform_phase(vacuum(I1), SiegelPoint.from_complex([[1.0 + 1.0j]]))
         xi = 1.0 - 0.5j
         expected = np.exp(0.5j * np.angle(xi))
         assert abs(out - expected) < 1e-10
@@ -297,7 +299,7 @@ class TestCorrectedTransport:
         psi = CorrectedSection(random_gaussian_section(rng, om))
         res = transport_corrected(psi, om)
         assert difference_norm(res, psi) < 1e-12
-        assert abs(res.halfform_phase - 1.0) < 1e-12
+        assert abs(halfform_phase(psi.section, om) - 1.0) < 1e-12
 
     def test_routes_agree_on_coherent_states(self, rng):
         for n in (1, 2):
@@ -305,7 +307,7 @@ class TestCorrectedTransport:
             alpha = rng.normal(size=n) + 1j * rng.normal(size=n)
             psi = CorrectedSection(coherent_state(alpha, om))
             a = transport_corrected(psi, omp)
-            b = CorrectedSection(transport_coherent(alpha, om, omp), np.exp(1j * _halfform_log(om, omp).imag))
+            b = CorrectedSection(scaled(transport_coherent(alpha, om, omp), np.exp(1j * _halfform_log(om, omp).imag)))
             assert difference_norm(a, b) < 1e-8 * norm(a.section)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -319,13 +321,23 @@ class TestCorrectedTransport:
             psi = CorrectedSection(coherent_state(alpha, om))
             res = transport_corrected(psi, omp)
             phase = np.exp(1j * _halfform_log(om, omp).imag)
-            ref = CorrectedSection(transport_coherent(alpha, om, omp), phase)
-            assert abs(res.halfform_phase - phase) < 1e-12
+            ref = CorrectedSection(scaled(transport_coherent(alpha, om, omp), phase))
+            assert abs(halfform_phase(psi.section, omp) - phase) < 1e-12
             # closed-form inner products: the quadrature grid stops at n = 2
             ref_norm2 = inner_product(ref.section, ref.section).real
             overlap = corrected_inner_product(ref, res)
             assert abs(overlap / ref_norm2 - 1.0) < 1e-12
             assert abs(inner_product(res.section, res.section).real / ref_norm2 - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_the_constants_differ_by_the_phase_of_the_half_form_root(self, rng, n):
+        # one Bergman push for both: corrected transport adds log_h to c, uncorrected Re log_h
+        for _ in range(6):
+            om, omp = random_siegel(rng, n), random_siegel(rng, n)
+            psi = random_gaussian_section(rng, om)
+            corrected, plain = transport_corrected(CorrectedSection(psi), omp).section, transport_uncorrected(psi, omp)
+            assert np.array_equal(corrected.m, plain.m) and np.array_equal(corrected.b, plain.b)
+            assert abs(corrected.c - plain.c - 1j * _halfform_log(om, omp).imag) <= 1e-15
 
     def test_n3_triangle_holonomy_is_one(self):
         # each leg a I + i I with a > 2 sqrt(3) would flip a principal root of det Xi
@@ -454,6 +466,12 @@ class TestTransportODE:
         # the vacuum at lam t = 2.6 keeps 4.9e-4 of its norm in the top 10% of 1024 states
         with pytest.raises(TruncationOverflowError, match=r"^amplitude .* lam \* t_end = 2\.6; .*ODE_BASIS_MAX = 1024"):
             transport_ode(fock_coefficients(coherent_state([1.0], I1), 32), 2.6, 1.0, 0)
+
+    def test_amplitudes_whose_squares_overflow_propagate_without_a_warning(self):
+        # |c0_k|^2 leaves the float range, the norm of c0 does not
+        big, unit = transport_ode([1e200, 1e200], 0.7, 1.0, 0), transport_ode([1.0, 1.0], 0.7, 1.0, 0)
+        assert len(big) == len(unit) == 128
+        assert np.abs(big / 1e200 - unit).max() <= 1e-15 * np.abs(unit).max()
 
     @pytest.mark.parametrize(
         "c0, error", [([], ValueError), (np.zeros(5), ValueError), ([1.0, np.nan], NonFiniteError),
