@@ -192,12 +192,13 @@ def _poly_gauss_pairing(S, ell, k, a, b, p1, p2) -> complex:
     p1, p2 are ascending coefficients; the directions a, b are read only when a factor is a polynomial.
     The pairs (a, p1), (b, p2) enter symmetrically, so p2 is the one of lower degree: pushed along b with w along a
     it gives F(w) = p(w) exp(q w^2/2 + r w + log), and the moment of (a . v)^j is j! [w^j] F.
+    Constant factors (shape (..., 1)) take a stack axis: one integral, NonFiniteError where one entry overflows.
     """
-    if len(p1) == 1 and len(p2) == 1:
-        log = complex(integrate_out(S, np.zeros((len(ell), 0)), ell, k)[2])  # no variable left: the base integral
-        if not log.real < _LOG_FLOAT_MAX:  # also NaN
-            raise NonFiniteError(f"the Gaussian pairing overflows: log modulus {log.real:.3e}")
-        return p1[0] * p2[0] * np.exp(log)
+    if p1.shape[-1] == 1 and p2.shape[-1] == 1:
+        log = integrate_out(S, np.zeros((np.shape(ell)[-1], 0)), ell, k)[2]  # no variable left: the base integral
+        if not (worst := log.real.max()) < _LOG_FLOAT_MAX:  # also NaN, which max propagates
+            raise NonFiniteError(f"the Gaussian pairing overflows: log modulus {worst:.3e}")
+        return p1.T[0] * p2.T[0] * np.exp(log)
     if len(p2) > len(p1):
         a, b, p1, p2 = b, a, p2, p1
     # j! as floats: OverflowError from degree 171 on, before any integral

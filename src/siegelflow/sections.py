@@ -23,16 +23,16 @@ A ``CorrectedSection`` is a section tensored with the half-form of its frame;
 a unit factor of the half-form moves onto the section, so it lives in the
 section's c and the corrected type holds the section alone.
 
-Closed forms reduce to one complex Gaussian integral, pushed by one kernel type,
-``_Kernel`` (``_bergman``, ``transport._xi_kernel``, ``transforms.fourier``); an
-independent Gauss-Hermite quadrature oracle guards every frozen formula.
+Closed forms reduce to one complex Gaussian integral, pushed by one kernel type, ``_Kernel`` (``_bergman``,
+``transport._xi_kernel``, ``transforms.fourier``); the inner products take sequences, the degree-0 pairs in one
+integral.  An independent Gauss-Hermite quadrature oracle, refined on one fit per pair, guards every frozen formula.
 """
 
 from __future__ import annotations
 
 from cmath import isfinite
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import lgamma
 
 import numpy as np
@@ -40,7 +40,7 @@ from numpy.polynomial.hermite import hermgauss
 
 from ._gaussint import _finite, _poly_gauss_pairing, kernel_apply_poly, taylor
 from ._point import SiegelPoint
-from .errors import NonFiniteError, NotIntegrableError, PolarizationMismatchError
+from .errors import GridTooCoarseError, NonFiniteError, NotIntegrableError, PolarizationMismatchError
 from .siegel import BoundaryPolarization
 
 N_TRUNC_DEFAULT = 32
@@ -104,10 +104,10 @@ class GaussianSection:
         return self.coeffs.shape[-1] - 1
 
     def real_quadratic(self):
-        """(S, l, k) with value(v) = p(z(v)) exp((1/2) v^T S v + l^T v + k)."""
+        """(S, l, k) with value(v) = p(z(v)) exp((1/2) v^T S v + l^T v + k); a ``_stack``'s l row by row, exactly."""
         e = self.frame.coord_matrix
         s = e.T @ self.m @ e - self.frame.gram_matrix
-        return 0.5 * (s + s.swapaxes(-1, -2)), self.b @ e, self.c
+        return 0.5 * (s + s.swapaxes(-1, -2)), (self.b[..., None, :] @ e)[..., 0, :], self.c
 
     def _exponent(self, v) -> tuple:
         """(z, (1/2) z^T m z + b^T z + c - w |z|^2 / 2) at z = E v; a ``_stack`` meets v (k, N, 2n) entry by entry."""
@@ -189,15 +189,19 @@ def _stack(psis) -> GaussianSection:
     return out
 
 
-def _as_stack(x) -> tuple[list, bool]:
+def _as_stack(x, kind: type | None = None, what: str = "") -> tuple[list, bool]:
     """(sections, whether ``x`` is one): one plain or corrected section as a list of one, or a non-empty sequence
-    of them as a list, for the entries that take either and give back the shape they were given."""
-    if isinstance(x, (GaussianSection, CorrectedSection)):
-        return [x], True
-    xs = list(x)
+    of them over one frame object (else ValueError) as a list, for the entries that take either and give back the
+    shape they were given.  With ``kind``, a section of the other kind raises ValueError naming the entry ``what``."""
+    xs, one = ([x], True) if isinstance(x, (GaussianSection, CorrectedSection)) else (list(x), False)
     if not xs:
         raise ValueError("a stack takes at least one section")
-    return xs, False
+    for psi in xs:
+        if kind is not None and not isinstance(psi, kind):
+            raise ValueError(f"{what} takes a {kind.__name__}, not a {type(psi).__name__}")
+        if psi.frame is not xs[0].frame:
+            raise ValueError(f"a stack takes sections over one frame object, not {[p.frame for p in xs]!r}")
+    return xs, one
 
 
 def vacuum(omega: SiegelPoint) -> GaussianSection:
@@ -219,31 +223,50 @@ def fock_state(k: int, omega: SiegelPoint) -> GaussianSection:
     return from_fock_coefficients(np.eye(1, k + 1, k)[0], omega)
 
 
-def inner_product(psi1: GaussianSection, psi2: GaussianSection) -> complex:
-    """<psi1, psi2> for sections sharing a frame; conjugate-linear on the left."""
-    if not psi1.frame.close_to(psi2.frame, tol=1e-13):
+def inner_product(psi1, psi2):
+    """<psi1, psi2> for sections sharing a frame; conjugate-linear on the left.  Two sequences of as many sections
+    give the list of the pairs' products (``_pairwise``), the degree-0 pairs through one integral."""
+    return _pairwise(psi1, psi2, "inner_product", GaussianSection, partial(_pairing, same_frame=True))
+
+
+def inner_product_cross_frame(psi1, psi2):
+    """<psi1, psi2> with each section evaluated on V (or V/L-) in its own coordinates; takes sequences as well."""
+    return _pairwise(psi1, psi2, "inner_product_cross_frame", GaussianSection, _pairing)
+
+
+def _pairwise(a, b, what: str, kind, fn, polar_stack: bool = False):
+    """``fn``, two ``_stack``s to a sequence, of the pairs of ``a`` and ``b`` (``_as_stack``'s, as many, else
+    ValueError; a corrected section's section): the degree-0 pairs as one stack, the polynomial pairs (n = 1) one by
+    one, or over a polarization as one stack if ``polar_stack``.  The list of the results, or the one of one pair."""
+    (xs, one), (ys, _) = _as_stack(a, kind, what), _as_stack(b, kind, what)
+    xs, ys = ([x.section if isinstance(x, CorrectedSection) else x for x in zs] for zs in (xs, ys))
+    if len(xs) == len(ys) == 1:  # one pair, the common call, needs no groups
+        return fn(xs[0], ys[0])[0] if one else list(fn(xs[0], ys[0]))
+    poly = [i for i, (x, y) in enumerate(zip(xs, ys, strict=True)) if x.degree or y.degree]
+    groups = [[i for i in range(len(xs)) if i not in poly]]
+    groups += [poly] if polar_stack and isinstance(xs[0].frame, BoundaryPolarization) else [[i] for i in poly]
+    out = {}
+    for group in filter(None, groups):
+        out.update(zip(group, fn(_stack([xs[i] for i in group]), _stack([ys[i] for i in group]))))
+    return out[0] if one else [out[i] for i in range(len(xs))]
+
+
+def _pairing(psi1: GaussianSection, psi2: GaussianSection, same_frame: bool = False) -> np.ndarray:
+    """<psi1, psi2> of sections or degree-0 ``_stack``s as a 1-d array; frames close if ``same_frame``."""
+    if not same_frame:
+        _same_space(psi1.frame, psi2.frame)
+    elif not psi1.frame.close_to(psi2.frame, tol=1e-13):
         raise ValueError("sections live in different frames; use inner_product_cross_frame")
-    return _pairing(psi1, psi2)
-
-
-def inner_product_cross_frame(psi1: GaussianSection, psi2: GaussianSection) -> complex:
-    """<psi1, psi2> with each section evaluated on V (or V/L-) in its own coordinates."""
-    _same_space(psi1.frame, psi2.frame)
-    return _pairing(psi1, psi2)
-
-
-def _pairing(psi1: GaussianSection, psi2: GaussianSection) -> complex:
-    """<psi1, psi2> once the caller has checked that the frames pair."""
     s1, l1, k1 = psi1.real_quadratic()
     s2, l2, k2 = psi2.real_quadratic()
     a = b = None
     if psi1.degree or psi2.degree:
         # polynomial factors are functions of z1 (conjugated) and z2 (n = 1)
         a, b = np.conj(psi1.frame.coord_matrix)[0], psi2.frame.coord_matrix[0]
-    return _poly_gauss_pairing(
+    return np.atleast_1d(_poly_gauss_pairing(
         np.conj(s1) + s2, np.conj(l1) + l2, np.conj(k1) + k2,
         a, b, np.conj(psi1.coeffs), psi2.coeffs,
-    )
+    ))
 
 
 def norm(psi: GaussianSection) -> float:
@@ -305,8 +328,9 @@ class CorrectedSection:
         return self.section.frame
 
 
-def corrected_inner_product(a: CorrectedSection, b: CorrectedSection) -> complex:
-    return inner_product_cross_frame(a.section, b.section)
+def corrected_inner_product(a, b):
+    """``inner_product_cross_frame`` of the sections of corrected sections, or of two sequences of them."""
+    return _pairwise(a, b, "corrected_inner_product", CorrectedSection, _pairing)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +496,8 @@ def _fit_log_quadratic(psi1: GaussianSection, psi2: GaussianSection) -> _LogQuad
     return fit
 
 
-def oracle_inner_product(psi1: GaussianSection, psi2: GaussianSection, nodes: int = QUAD_NODES_DEFAULT) -> complex:
+def oracle_inner_product(psi1: GaussianSection, psi2: GaussianSection, nodes: int = QUAD_NODES_DEFAULT,
+                         tol: float | None = None) -> complex:
     """Brute-force <psi1, psi2> by quadrature; independent of the closed forms.
 
     For two degree-0 sections the integrand's log-quadratic is fitted from
@@ -482,20 +507,31 @@ def oracle_inner_product(psi1: GaussianSection, psi2: GaussianSection, nodes: in
     evaluate the integrand at every point of a grid placed for its mean
     envelope.  Either grid fits the integrand's own Gaussian envelope, which
     for strongly squeezed sections is much wider than the frame Gaussian.
-    Kaehler frames with n <= 3 only."""
+    Kaehler frames with n <= 3 only.  With ``tol`` one fit and placement serve
+    a grid doubled from ``nodes`` until two sums in a row agree to ``tol`` (relative, absolute below 1), up to 4 *
+    nodes against 8 * nodes and never past ``QUAD_NODES_MAX``, else ``GridTooCoarseError``."""
     _require_frame("the quadrature oracle", SiegelPoint, psi1, psi2)
     _same_space(psi1.frame, psi2.frame)
     if psi1.n > 3:
         raise ValueError("the oracle checks its fit for n <= 3 only")
     if not (psi1.degree or psi2.degree):
-        fit = _fit_log_quadratic(psi1, psi2)
-        return _hermite_grid_sum(fit, _principal_placement(fit), nodes)
-    g = 0.5 * (_envelope_form(psi1) + _envelope_form(psi2))
+        f = _fit_log_quadratic(psi1, psi2)
+        placement = _principal_placement(f)
+    else:
+        placement = _placement(0.5 * (_envelope_form(psi1) + _envelope_form(psi2)))
 
-    def f(v):
-        return np.conj(psi1.value(v)) * psi2.value(v)
+        def f(v):
+            return np.conj(psi1.value(v)) * psi2.value(v)
 
-    return _hermite_grid_sum(f, _placement(g), nodes)
+    coarse, grid = _hermite_grid_sum(f, placement, nodes), nodes
+    if tol is None:
+        return coarse
+    for fine_grid in sorted({min(nodes << k, QUAD_NODES_MAX) for k in (1, 2, 3)} - {nodes}):
+        fine = _hermite_grid_sum(f, placement, fine_grid)
+        if abs(fine - coarse) <= tol * max(1.0, abs(fine)):
+            return fine
+        coarse, grid = fine, fine_grid
+    raise GridTooCoarseError(f"the oracle did not settle to {tol:.1e} by {grid} nodes")
 
 
 def _log1p(w: np.ndarray) -> np.ndarray:
@@ -538,15 +574,7 @@ def difference_norm(a, b):
     norms: the degree-0 pairs as one stack, the polynomial pairs over a polarization as one stack on one grid, those
     over a Kaehler frame one by one, as array work, not calls, bounds their 48^2 grid.
     """
-    (xs, one), ys = _as_stack(a), _as_stack(b)[0]
-    xs, ys = ([x.section if isinstance(x, CorrectedSection) else x for x in zs] for zs in (xs, ys))
-    poly = [i for i, (x, y) in enumerate(zip(xs, ys, strict=True)) if x.degree or y.degree]
-    groups = [[i for i in range(len(xs)) if i not in poly]]
-    groups += [poly] if isinstance(xs[0].frame, BoundaryPolarization) else [[i] for i in poly]
-    out = {}
-    for group in filter(None, groups):
-        out.update(zip(group, _norms(_stack([xs[i] for i in group]), _stack([ys[i] for i in group]))))
-    return out[0] if one else [out[i] for i in range(len(xs))]
+    return _pairwise(a, b, "difference_norm", None, _norms, polar_stack=True)
 
 
 def _norms(pa: GaussianSection, pb: GaussianSection) -> list[float]:

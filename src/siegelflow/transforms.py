@@ -104,7 +104,7 @@ def segal_bargmann(shat, omega: SiegelPoint):
     object goes through one map, as a list.
 
     In standard position it is the corrected Xi kernel from L- to Omega0."""
-    shats, one = _as_stack(shat)
+    shats, one = _as_stack(shat, CorrectedSection, "segal_bargmann")
     _require_frame("segal_bargmann", BoundaryPolarization, shats[0])
     out = _pair(shats, omega)
     return out[0] if one else out
@@ -115,7 +115,7 @@ def segal_bargmann_inverse(psihat, polarization: BoundaryPolarization | None = N
     A sequence of sections over one frame object goes through one map, as a list.
 
     In standard position it is the corrected Xi kernel from Omega0 to L-."""
-    psihats, one = _as_stack(psihat)
+    psihats, one = _as_stack(psihat, CorrectedSection, "segal_bargmann_inverse")
     _require_frame("segal_bargmann_inverse", SiegelPoint, psihats[0])
     target = BoundaryPolarization.position(psihats[0].frame.n) if polarization is None else polarization
     out = _pair(psihats, target)
@@ -141,7 +141,7 @@ def fourier_general(shat, target: BoundaryPolarization):
 
     The result is independent of the chosen frame; the composition
     identity checks exercise exactly that independence."""
-    shats, one = _as_stack(shat)
+    shats, one = _as_stack(shat, CorrectedSection, "fourier_general")
     _require_frame("fourier_general", BoundaryPolarization, shats[0])
     if not shats[0].frame.transverse_to(target):
         raise NonTransverseError("polarizations must be transverse")

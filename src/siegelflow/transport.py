@@ -126,7 +126,7 @@ def transport_uncorrected(psi, omega_p: SiegelPoint):
     """U psi = alpha(Omega, Omega') P psi for any Gaussian(-polynomial) section, or the list of U psi for a sequence
     of sections over one frame object: one Bergman kernel, which checks the two frames, then one half-form root and
     one stacked projection."""
-    psis, one = _as_stack(psi)
+    psis, one = _as_stack(psi, GaussianSection, "transport_uncorrected")
     kernel = _bergman(psis[0].frame, omega_p)
     out = kernel.apply_all(psis, -_halfform_log(psis[0].frame, omega_p).real)
     return out[0] if one else out
@@ -140,7 +140,7 @@ def transport_corrected(psihat, omega_p: SiegelPoint):
     correction phase (its argument), both folded into the section's c.  A
     sequence of sections over one frame object gives a list: one half-form
     root, one stacked projection."""
-    psihats, one = _as_stack(psihat)
+    psihats, one = _as_stack(psihat, CorrectedSection, "transport_corrected")
     log_h = _halfform_log(psihats[0].frame, omega_p)
     sections = _bergman(psihats[0].frame, omega_p).apply_all([p.section for p in psihats], -log_h)
     out = [CorrectedSection(s) for s in sections]

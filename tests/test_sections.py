@@ -37,6 +37,7 @@ from siegelflow import (
     section_from_json,
     section_to_json,
     segal_bargmann,
+    segal_bargmann_inverse,
     standard_point,
     vacuum,
 )
@@ -52,7 +53,7 @@ from siegelflow.sections import (
     _placement,
     _principal_placement,
 )
-from siegelflow.suites import _refined_oracle, suite_unitarity
+from siegelflow.suites import suite_unitarity
 from siegelflow.transport import _halfform_log, bogoliubov_scale, transport_corrected, transport_uncorrected
 
 from _reference import difference_norm_pointwise, grid_sum_built_per_call, other_lift, scaled
@@ -280,32 +281,44 @@ class TestOracleRefinement:
         assert abs(oracle_inner_product(p1, p2, nodes=32) - closed) > 1e-7 * abs(closed)
         seen = []
 
-        def counting_oracle(psi1, psi2, nodes):
+        def counting_sum(f, placement, nodes):
             seen.append(nodes)
-            return oracle_inner_product(psi1, psi2, nodes=nodes)
+            return _hermite_grid_sum(f, placement, nodes)
 
-        monkeypatch.setattr(suites, "oracle_inner_product", counting_oracle)
-        assert abs(_refined_oracle(p1, p2, 32, 1e-7) - closed) <= 1e-12 * abs(closed)
+        monkeypatch.setattr(sections, "_hermite_grid_sum", counting_sum)
+        assert abs(oracle_inner_product(p1, p2, nodes=32, tol=1e-7) - closed) <= 1e-12 * abs(closed)
         assert seen[0] == 32 and max(seen) > 32
 
     def test_no_agreement_by_eight_times_the_start_raises(self):
         psi = GaussianSection(diagonal_point([30.0]), [[0.5]], [2.0], 0.0)
         with pytest.raises(GridTooCoarseError):
-            _refined_oracle(psi, psi, 2, 1e-12)
+            oracle_inner_product(psi, psi, 2, tol=1e-12)
 
     @pytest.mark.parametrize("start, grids", [(100, [100, 200, QUAD_NODES_MAX]), (QUAD_NODES_MAX, [QUAD_NODES_MAX])])
     def test_doubling_stops_at_the_largest_supported_count(self, monkeypatch, start, grids):
         seen = []
 
-        def moving_oracle(p1, p2, nodes):
+        def moving_sum(f, placement, nodes):
             seen.append(nodes)
             return complex(nodes)
 
-        monkeypatch.setattr(suites, "oracle_inner_product", moving_oracle)
+        monkeypatch.setattr(sections, "_hermite_grid_sum", moving_sum)
         psi = vacuum(I1)
         with pytest.raises(GridTooCoarseError, match=f"by {QUAD_NODES_MAX} nodes"):
-            _refined_oracle(psi, psi, start, 1e-5)
+            oracle_inner_product(psi, psi, start, tol=1e-5)
         assert seen == grids
+
+    def test_a_fixed_grid_is_the_first_level_of_a_refined_estimate(self, monkeypatch):
+        # without tol the oracle sums its one grid; with it, the first sum is that grid's, bit for bit
+        rng = np.random.default_rng(4242)
+        for n in (1, 2, 3):
+            om = random_siegel(rng, n)
+            p1, p2 = (random_gaussian_section(rng, om, m_cap=0.6) for _ in range(2))
+            fixed, sums = oracle_inner_product(p1, p2, nodes=24), []
+            monkeypatch.setattr(sections, "_hermite_grid_sum", lambda *a: sums.append(_hermite_grid_sum(*a)) or sums[-1])
+            oracle_inner_product(p1, p2, nodes=24, tol=1e-7)
+            monkeypatch.undo()
+            assert sums[0] == fixed
 
 
 class TestCoherentStates:
@@ -871,6 +884,100 @@ class TestStackedDifferenceNorm:
                 warnings.simplefilter("error")
                 with pytest.raises(NonFiniteError):
                     difference_norm(xs, ys)
+
+
+class TestStackedPairing:
+    """``inner_product``, ``inner_product_cross_frame`` and ``corrected_inner_product`` of two sequences, over one frame
+    object a side, equal the one-pair calls bit for bit: the degree-0 pairs go through one stacked integral."""
+
+    @staticmethod
+    def _sides(rng, frames, k, degrees):
+        return [[GaussianSection(f, *_raw_entry(rng, f, int(rng.choice(degrees)))) for _ in range(k)] for f in frames]
+
+    @staticmethod
+    def _same_bits(got, want):
+        assert type(got) is type(want) and np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stack_entries_are_the_one_pair_calls_bit_for_bit(self, rng, n):
+        for label, frame in _frames(rng, n):
+            # across Kaehler frames the right side lives over a second point
+            other = random_siegel(rng, n) if label == "kaehler" else frame
+            for degrees in ([0], [0, 1, 3]) if n == 1 else ([0],):
+                for k in (1, 2, 6):
+                    xs, ys = self._sides(rng, (frame, frame), k, degrees)
+                    zs = self._sides(rng, (other,), k, degrees)[0]
+                    for got, x, y in zip(inner_product(xs, ys), xs, ys, strict=True):
+                        self._same_bits(got, inner_product(x, y))
+                    for got, x, z in zip(inner_product_cross_frame(xs, zs), xs, zs, strict=True):
+                        self._same_bits(got, inner_product_cross_frame(x, z))
+                    hats, zhats = ([CorrectedSection(x) for x in side] for side in (xs, zs))
+                    for got, x, z in zip(corrected_inner_product(hats, zhats), hats, zhats, strict=True):
+                        self._same_bits(got, corrected_inner_product(x, z))
+
+    def test_a_single_section_returns_a_complex_and_a_sequence_a_list(self, rng):
+        xs, ys = self._sides(rng, (I1, I1), 3, [0, 2])
+        for pairing in (inner_product, inner_product_cross_frame):
+            assert isinstance(pairing(xs[0], ys[0]), complex) and isinstance(pairing(xs[1], ys[1]), complex)
+            assert pairing(xs[:1], ys[:1]) == [pairing(xs[0], ys[0])]
+        hat = CorrectedSection(xs[0])
+        assert isinstance(corrected_inner_product(hat, hat), complex)
+        assert corrected_inner_product([hat], [hat]) == [corrected_inner_product(hat, hat)]
+
+    def test_unequal_lengths_and_two_frame_objects_on_a_side_raise(self, rng):
+        xs, ys = self._sides(rng, (I1, I1), 3, [0])
+        twin = SiegelPoint(I1.omega1, I1.omega2)
+        mixed = xs[:2] + [GaussianSection(twin, xs[2].m, xs[2].b, xs[2].c)]
+        for pairing in (inner_product, inner_product_cross_frame):
+            for a, b in ((xs, ys[:2]), (xs[:1], ys), ([], []), (xs[0], ys)):
+                with pytest.raises(ValueError):
+                    pairing(a, b)
+            for a, b in ((mixed, ys), (ys, mixed)):
+                with pytest.raises(ValueError, match="one frame object"):
+                    pairing(a, b)
+
+    def test_degree_171_overflows_alone_and_in_a_stack(self):
+        # the float factorial weights of the polynomial route overflow past 170!, one pair or a stack
+        bad = from_fock_coefficients(np.full(172, 0.1), I1)
+        plain = [vacuum(I1), coherent_state([0.3], I1)]
+        for pairing in (inner_product, inner_product_cross_frame):
+            with pytest.raises(OverflowError):
+                pairing(bad, bad)
+            with pytest.raises(OverflowError):
+                pairing([plain[0], bad, plain[1]], [plain[1], bad, plain[0]])
+
+    def test_an_overflowing_degree_0_entry_raises(self):
+        plain = [vacuum(I1), GaussianSection(I1, [[0.1]], [0.2], 400.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="pairing overflows"):
+                inner_product(plain, plain)
+
+
+class TestSectionKinds:
+    """An entry given the other kind of section raises ValueError naming the kind it takes and the kind it got."""
+
+    def test_transport_uncorrected_takes_plain_sections(self):
+        for arg in (CorrectedSection(vacuum(I1)), [vacuum(I1), CorrectedSection(vacuum(I1))]):
+            with pytest.raises(ValueError, match="transport_uncorrected takes a GaussianSection, not a CorrectedSection"):
+                transport_uncorrected(arg, diagonal_point([2.0]))
+
+    def test_transport_corrected_takes_corrected_sections(self):
+        with pytest.raises(ValueError, match="transport_corrected takes a CorrectedSection, not a GaussianSection"):
+            transport_corrected(vacuum(I1), diagonal_point([2.0]))
+
+    def test_segal_bargmann_inverse_takes_corrected_sections(self):
+        with pytest.raises(ValueError, match="segal_bargmann_inverse takes a CorrectedSection, not a GaussianSection"):
+            segal_bargmann_inverse(vacuum(I1))
+
+    def test_inner_product_takes_plain_sections(self):
+        hat = CorrectedSection(vacuum(I1))
+        for pairing in (inner_product, inner_product_cross_frame):
+            for a, b in ((hat, vacuum(I1)), (vacuum(I1), hat)):
+                with pytest.raises(ValueError, match="takes a GaussianSection, not a CorrectedSection"):
+                    pairing(a, b)
+        with pytest.raises(ValueError, match="corrected_inner_product takes a CorrectedSection, not a GaussianSection"):
+            corrected_inner_product(hat, vacuum(I1))
 
 
 class TestFrameKinds:

@@ -8,6 +8,7 @@ import pytest
 from siegelflow import (
     CorrectedSection,
     GaussianSection,
+    GridTooCoarseError,
     MetaplecticElement,
     NonFiniteError,
     SiegelPoint,
@@ -34,6 +35,7 @@ from siegelflow import (
     transport_uncorrected,
     vacuum,
 )
+from siegelflow import _gaussint as gaussint
 from siegelflow import sections, suites, transport
 from siegelflow.cli import main
 from siegelflow.sections import QUAD_NODES_DEFAULT, _hermite_grid_sum, _placement
@@ -202,7 +204,8 @@ class TestBogoliubov:
 
 
 class TestSuiteWork:
-    """The randomized suites push the sections of one frame pair through one Bergman kernel."""
+    """The randomized suites push the sections of one frame pair through one Bergman kernel, take a frame pair's
+    integrals once, and compute the seed-free Bogoliubov row once per process, at import."""
 
     @staticmethod
     def kernels_built(monkeypatch, suite, **kwargs) -> int:
@@ -219,6 +222,53 @@ class TestSuiteWork:
     def test_unitarity_trial_builds_one_kernel_per_frame_pair(self, monkeypatch):
         # the uncorrected and the corrected pair of the closed trial, and the oracle trial's pair
         assert self.kernels_built(monkeypatch, suites.suite_unitarity, trials=1, oracle_trials=1) == 3
+
+    def test_flatness_trial_takes_its_holonomy_products_in_one_integral(self, monkeypatch):
+        # the six products of the uncorrected triangle are base integrals: integrate_out with no variable left
+        left, integrate_out = [], gaussint.integrate_out
+        monkeypatch.setattr(gaussint, "integrate_out", lambda s, l, *a: left.append(np.shape(l)[-1]) or
+                            integrate_out(s, l, *a))
+        assert all(row["passed"] for row in suites.suite_flatness(trials=1))
+        assert left.count(0) == 1
+
+    def test_refined_oracle_fits_once_whatever_its_levels(self, monkeypatch):
+        fits, levels, fit, grid_sum = [], [], sections._fit_log_quadratic, sections._hermite_grid_sum
+        monkeypatch.setattr(sections, "_fit_log_quadratic", lambda *a: fits.append(1) or fit(*a))
+        monkeypatch.setattr(sections, "_hermite_grid_sum", lambda *a: levels.append(a[-1]) or grid_sum(*a))
+        # a pair that settles by 64 nodes from 32, and one that never settles from 2
+        m1 = [[-0.54 - 0.67j, -0.15 - 0.03j], [-0.15 - 0.03j, 0.25 + 0.38j]]
+        m2 = [[-0.71 + 0.52j, -0.03 - 0.14j], [-0.03 - 0.14j, -0.2 - 0.34j]]
+        p1 = GaussianSection(standard_point(2), m1, [0.7 - 0.19j, -0.01 - 0.86j], 0.0)
+        p2 = GaussianSection(standard_point(2), m2, [0.0, 0.0], 0.0)
+        sections.oracle_inner_product(p1, p2, nodes=32, tol=1e-7)
+        assert fits == [1] and len(levels) > 1
+        psi = GaussianSection(diagonal_point([30.0]), [[0.5]], [2.0], 0.0)
+        fits.clear()
+        levels.clear()
+        with pytest.raises(GridTooCoarseError):
+            sections.oracle_inner_product(psi, psi, 2, tol=1e-12)
+        assert fits == [1] and levels == [2, 4, 8, 16]
+
+    def test_second_bogoliubov_call_builds_none_of_the_fixed_points(self, monkeypatch):
+        built, make_point = [], suites.diagonal_point
+        monkeypatch.setattr(suites, "diagonal_point", lambda *a: built.append(a) or make_point(*a))
+        first = suites.suite_bogoliubov(trials=1)
+        assert not built and all(row["passed"] for row in first)  # filled at import
+        suites._STANDARD_SCALE.clear()
+        assert suites.suite_bogoliubov(trials=1) == first and len(built) == 8
+        assert suites.suite_bogoliubov(trials=1) == first and len(built) == 8
+
+    def test_the_fixed_row_cache_hides_no_mutation(self, monkeypatch):
+        scale = suites.bogoliubov_scale
+        monkeypatch.setattr(suites, "bogoliubov_scale", lambda *a: scale(*a) * (1.0 + 1e-9))
+        suites._STANDARD_SCALE.clear()
+        try:
+            passed = {row["name"]: row["passed"] for row in suites.suite_bogoliubov(trials=1)}
+        finally:  # no mutated value outlives the test: the row is filled again as at import
+            monkeypatch.undo()
+            suites._STANDARD_SCALE.clear()
+            suites._standard_scale_residual()
+        assert not passed["bogoliubov/standard_scale_sqrt_cosh"]
 
 
 class TestKernels:
