@@ -150,25 +150,21 @@ def generating_poly(beta: complex, gamma: complex, eps: complex, d: int) -> np.n
     NonFiniteError where a row up to an entry's d leaves the float range.
     """
     ds = np.ravel(d).tolist()
-    if (big := max(ds)) < 2:  # G_0 = 1 and G_1 = beta + eps w need no table
-        rows = np.zeros(np.shape(d) + (big + 1, big + 1), dtype=complex)
-        rows[..., -1, 0], rows[..., -1, -1], rows[..., 0, 0] = (beta, eps, 1.0) if big else (1.0, 1.0, 1.0)
-    else:
-        c, e, idx = _binomials(big)
-        flat, o = [0j] * (2 * (big + 1) * len(ds)), 0  # per entry h_0 .. h_d, then eps^0 .. eps^d, zero-padded to D
-        for b, g, p, de in zip(np.ravel(beta).tolist(), np.ravel(gamma).tolist(), np.ravel(eps).tolist(), ds):
-            h, pw = [1.0 + 0.0j, b], [1.0 + 0.0j, p]
-            for m in range(1, de):
-                h.append(b * h[m] + m * g * h[m - 1])
-                pw.append(pw[m] * p)
-            flat[o : o + de + 1], flat[o + big + 1 : o + big + de + 2] = h[: de + 1], pw[: de + 1]
-            o += 2 * big + 2
-        tab = np.array(flat).reshape(-1, 2, big + 1)
-        if big < 300 and sum(map(abs, flat)) < 1e100:  # no product C(k, i) eps^i h_{k-i} can overflow
-            return (tab[:, 0].take(idx, -1) * tab[:, 1:] * c).reshape(np.shape(d) + c.shape)
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
-            rows = tab[:, 0].take(idx, -1) * tab[:, 1:] * c  # no partial product passes the entry; 2^e scales last
-            rows = (np.ldexp(rows.real, e) + 1j * np.ldexp(rows.imag, e)).reshape(np.shape(d) + c.shape)
+    c, e, idx = _binomials(big := max(ds))
+    flat, o = [0j] * (2 * (big + 1) * len(ds)), 0  # per entry h_0 .. h_d, then eps^0 .. eps^d, zero-padded to D
+    for b, g, p, de in zip(np.ravel(beta).tolist(), np.ravel(gamma).tolist(), np.ravel(eps).tolist(), ds):
+        h, pw = [1.0 + 0.0j, b], [1.0 + 0.0j, p]
+        for m in range(1, de):
+            h.append(b * h[m] + m * g * h[m - 1])
+            pw.append(pw[m] * p)
+        flat[o : o + de + 1], flat[o + big + 1 : o + big + de + 2] = h[: de + 1], pw[: de + 1]
+        o += 2 * big + 2
+    tab = np.array(flat).reshape(-1, 2, big + 1)
+    if big < 300 and sum(map(abs, flat)) < 1e100:  # no product C(k, i) eps^i h_{k-i} can overflow
+        return (tab[:, 0].take(idx, -1) * tab[:, 1:] * c).reshape(np.shape(d) + c.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
+        rows = tab[:, 0].take(idx, -1) * tab[:, 1:] * c  # no partial product passes the entry; 2^e scales last
+        rows = (np.ldexp(rows.real, e) + 1j * np.ldexp(rows.imag, e)).reshape(np.shape(d) + c.shape)
     if not _finite(rows[..., -1, :]) and not np.isfinite(rows[np.arange(big + 1) <= np.asarray(d)[..., None]]).all():
         raise NonFiniteError("generating_poly: the rows are not finite")
     return rows

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._point import SiegelPoint
 from .errors import NonFiniteError, NotIntegrableError
-from .sympl import COMPOSE_TOL, MetaplecticElement, SymplecticMap, _j0, _moebius, _unitary_embedding
+from .sympl import COMPOSE_TOL, MetaplecticElement, SymplecticMap, _moebius, _unitary_embedding, symplectic_form_matrix
 
 TRANSVERSALITY_TOL = 1e-8
 ENDPOINT_TOL = 1e-8
@@ -40,11 +40,6 @@ def complex_structure_of(omega: SiegelPoint) -> np.ndarray:
     o1, o2 = omega.omega1, omega.omega2
     o2inv = np.linalg.inv(omega.omega2)
     return np.block([[o1 @ o2inv, -o2 - o1 @ o2inv @ o1], [o2inv, -o2inv @ o1]])
-
-
-def symplectic_form_matrix(n: int) -> np.ndarray:
-    """J0 with omega(v, w) = v^T J0 w in stacked (x, y) coordinates, read-only."""
-    return _j0(n)
 
 
 def takagi(w: np.ndarray):
@@ -93,10 +88,6 @@ class GeodesicSpec:
         lam.flags.writeable = False
         object.__setattr__(self, "lam", lam)
 
-    @property
-    def n(self) -> int:
-        return self.lam.size
-
     def endpoint_residual(self) -> float:
         return self._endpoint_residual
 
@@ -143,8 +134,6 @@ def geodesic_between(omega: SiegelPoint, omega_p: SiegelPoint) -> GeodesicSpec:
         raise ValueError(f"{omega!r} and {omega_p!r} are frames of different spaces")
     n = omega.n
     g1 = _move_to_base(omega)
-    if omega.close_to(omega_p, tol=1e-13):
-        return GeodesicSpec(object.__new__(SymplecticMap)._store(g1), np.zeros(n), omega, omega_p)
     rinv = omega.imag_inv_sqrt()
     with np.errstate(all="ignore"):
         z = rinv @ (omega_p.omega - omega.omega1) @ rinv
@@ -262,5 +251,6 @@ def geodesic_boundary_limits(spec: GeodesicSpec):
     if spec.lam.min() <= RATE_TOL:
         return None, None
     lift = MetaplecticElement.principal_lift(spec.g)
-    plus = lift.compose(BoundaryPolarization.momentum(spec.n).reference)  # g g0 . L- = g . L+, g0 lifted as in fourier
+    # g g0 . L- = g . L+, g0 lifted as in fourier
+    plus = lift.compose(BoundaryPolarization.momentum(spec.g.n).reference)
     return BoundaryPolarization(lift), BoundaryPolarization(plus)

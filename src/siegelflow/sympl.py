@@ -32,8 +32,8 @@ UNITARITY_TOL = 1e-8
 
 
 @lru_cache(maxsize=None)
-def _j0(n: int) -> np.ndarray:
-    """J0 = (0, I; -I, 0), read-only."""
+def symplectic_form_matrix(n: int) -> np.ndarray:
+    """J0 = (0, I; -I, 0) with omega(v, w) = v^T J0 w in stacked (x, y) coordinates, read-only."""
     j = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(n))
     j.flags.writeable = False
     return j
@@ -41,7 +41,7 @@ def _j0(n: int) -> np.ndarray:
 
 def _sp_residual(m: np.ndarray) -> float:
     """max |m^T J0 m - J0| / max(|m|^T |J0| |m|, 1), entry by entry: each relation to the size of its terms."""
-    j, am = _j0(m.shape[0] // 2), np.abs(m)
+    j, am = symplectic_form_matrix(m.shape[0] // 2), np.abs(m)
     return float((np.abs(m.T @ j @ m - j) / np.maximum(am.T @ np.abs(j) @ am, 1.0)).max())
 
 

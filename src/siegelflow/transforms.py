@@ -220,9 +220,7 @@ def transport_limits(psihat: CorrectedSection, spec: GeodesicSpec, depths) -> tu
         raise NoBoundaryLimitError("a vanishing rate leaves the geodesic in the interior")
     if not psihat.frame.close_to(spec.omega_start, tol=1e-8):
         raise ValueError("section must live at the start of the geodesic")
-    psi0 = psihat
-    if not np.allclose(spec.g.matrix, np.eye(2 * spec.n), atol=1e-13):
-        psi0 = metaplectic_act(MetaplecticElement.principal_lift(spec.g).inverse(), psihat)
+    psi0 = metaplectic_act(MetaplecticElement.principal_lift(spec.g).inverse(), psihat)
     limit = segal_bargmann_inverse(psi0)
     to_bargmann = _limit_report(psi0, limit, spec.lam, depths, -1.0)
     return to_bargmann, _limit_report(psi0, fourier(limit), spec.lam, depths, 1.0)

@@ -339,6 +339,16 @@ class TestTransportCommand:
         assert out == ""
         assert err.startswith("error:") and "not finite" in err
 
+    def test_report_holding_a_non_finite_number_is_not_written(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli._COMMANDS, "verify", lambda args: ({}, [], {"value": float("inf")}))
+        code, out, err = run_cli(["verify", "curvature"], "", capsys, monkeypatch)
+        assert (code, out, err) == (1, "", "error: the result is not finite; no report written\n")
+
+    def test_alpha_of_another_length_than_n_exits_2(self, capsys, monkeypatch):
+        payload = json.dumps({"omega": _UNIT_POINT, "omega_p": _UNIT_POINT, "state": {"alpha": [[0.0, 0.0]] * 2}})
+        code, out, err = run_cli(["transport"], payload, capsys, monkeypatch)
+        assert (code, out, err) == (2, "", "input error: state.alpha must hold 1 [re, im] pairs\n")
+
     def test_closed_stdout_pipe_ends_quietly(self):
         payload = json.dumps({"omega": _UNIT_POINT, "omega_p": point_json([[0.3]], [[2.0]])})
         read_end, write_end = os.pipe()
@@ -413,6 +423,12 @@ class TestTransportCommand:
         assert out == ""
         assert err.startswith("error: ") and "300" in err and "1200" in err
         assert f"ODE_BASIS_MAX = {ODE_BASIS_MAX}" in err
+
+    def test_ode_check_of_two_degrees_of_freedom_exits_1(self, capsys, monkeypatch):
+        payload = json.dumps({"omega": _UNIT_POINT_2, "omega_p": point_json([[0.3, 0.1], [0.1, -0.2]],
+                                                                            [[2.0, 0.4], [0.4, 1.5]])})
+        code, out, err = run_cli(["transport", "--ode-check"], payload, capsys, monkeypatch)
+        assert (code, out, err) == (1, "", "error: --ode-check supports n = 1\n")
 
     def test_state_whose_amplitudes_underflow_exits_2(self, capsys, monkeypatch):
         # e^{-800} reads as 32 zero amplitudes: refused before the ODE, not a NaN residual
@@ -629,6 +645,15 @@ def test_negative_seed_exits_2_at_parse_time_naming_the_flag(argv, capsys, monke
     assert info.value.code == 2
     out = capsys.readouterr()
     assert out.out == "" and "argument --seed: must be a non-negative integer, not -" in out.err
+
+
+def test_seed_that_is_not_an_integer_exits_2_naming_the_flag(capsys, monkeypatch):
+    monkeypatch.setitem(cli._COMMANDS, "verify", lambda args: pytest.fail("the command ran"))
+    with pytest.raises(SystemExit) as info:
+        main(["--seed", "abc", "verify", "curvature"])
+    assert info.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "argument --seed: invalid int value: 'abc'" in out.err
 
 
 def test_seed_zero_runs(capsys, monkeypatch):

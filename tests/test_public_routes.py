@@ -22,7 +22,6 @@ ROOT = Path(__file__).resolve().parent.parent
 # names that no route reaches, each with its reason
 ALLOWED_UNREACHED = {
     "sections.bergman_project": "its name is pinned by perfbench/tests/test_harness.py:83",
-    "transport.metaplectic_act": "ROADMAP items 14 and 23 route a row through the lifted action",
     "sympl.MetaplecticElement.compose": "ROADMAP items 14 and 23",
     "siegel.geodesic_boundary_limits": "ROADMAP items 14 and 23",
     "sections.fock_state": "ROADMAP items 5 and 20",

@@ -142,6 +142,17 @@ class TestGeodesics:
         assert np.allclose(spec.lam, 0.0)
         assert geodesic_eval(spec, 0.7).close_to(om, tol=1e-9)
 
+    def test_equal_endpoints_take_the_normal_form_exactly(self):
+        # the Cayley image of Omega itself vanishes and Takagi completes u to I: g moves i I to Omega, Lambda = 0
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3):
+            for _ in range(100):
+                om = random_siegel(rng, n)
+                spec = geodesic_between(om, om)
+                assert np.array_equal(spec.g.matrix, siegel._move_to_base(om))
+                assert np.array_equal(spec.lam, np.zeros(n))
+                assert geodesic_eval(spec, 0.7).close_to(om, tol=1e-9)
+
     def test_round_trip_random(self, rng):
         for n in (1, 2, 3):
             for _ in range(67):
