@@ -235,14 +235,17 @@ def inner_product_cross_frame(psi1, psi2):
 
 
 def _pairwise(a, b, what: str, kind, fn, polar_stack: bool = False):
-    """``fn``, two ``_stack``s to a sequence, of the pairs of ``a`` and ``b`` (``_as_stack``'s, as many, else
-    ValueError; a corrected section's section): the degree-0 pairs as one stack, the polynomial pairs (n = 1) one by
-    one, or over a polarization as one stack if ``polar_stack``.  The list of the results, or the one of one pair."""
-    (xs, one), (ys, _) = _as_stack(a, kind, what), _as_stack(b, kind, what)
+    """``fn``, two ``_stack``s to a sequence, of the pairs of ``a`` and ``b`` (``_as_stack``'s, both one or as many,
+    else ValueError naming both shapes; a corrected section's section): the degree-0 pairs as one stack, the polynomial
+    pairs (n = 1) one by one, or over a polarization as one stack if ``polar_stack``.  A list, or one pair's result."""
+    (xs, one), (ys, one_b) = _as_stack(a, kind, what), _as_stack(b, kind, what)
+    if one != one_b or len(xs) != len(ys):
+        shapes = ["a section" if o else f"a sequence of {len(zs)}" for o, zs in ((one, xs), (one_b, ys))]
+        raise ValueError(f"{what} takes two sections or two sequences of as many, not {shapes[0]} and {shapes[1]}")
     xs, ys = ([x.section if isinstance(x, CorrectedSection) else x for x in zs] for zs in (xs, ys))
     if len(xs) == len(ys) == 1:  # one pair, the common call, needs no groups
         return fn(xs[0], ys[0])[0] if one else list(fn(xs[0], ys[0]))
-    poly = [i for i, (x, y) in enumerate(zip(xs, ys, strict=True)) if x.degree or y.degree]
+    poly = [i for i, (x, y) in enumerate(zip(xs, ys)) if x.degree or y.degree]
     groups = [[i for i in range(len(xs)) if i not in poly]]
     groups += [poly] if polar_stack and isinstance(xs[0].frame, BoundaryPolarization) else [[i] for i in poly]
     out = {}
@@ -295,11 +298,13 @@ class _Kernel:
     def apply(self, psi: GaussianSection, log_pref: complex = 0.0) -> GaussianSection:
         return self.apply_all([psi], log_pref)[0]
 
-    def apply_all(self, psis, log_pref: complex) -> list[GaussianSection]:
-        """Sections over one frame object (else ValueError), each less the one log_pref, through one
-        ``kernel_apply_poly`` and one check; several go as one ``_stack``, cut back to each input's degree (the rows
-        are lower-triangular)."""
+    def apply_all(self, psis, log_pref) -> list[GaussianSection]:
+        """Sections over one frame object (else ValueError), each less log_pref, one value or a list of one per
+        section, through one ``kernel_apply_poly`` and one check; several go as one ``_stack``, cut back to each
+        input's degree (the rows are lower-triangular)."""
         e, st = self.e, _stack(psis)
+        if isinstance(log_pref, list):  # one per section, against the stack's c; a stack of one keeps a scalar
+            log_pref = log_pref[0] if len(psis) == 1 else np.array(log_pref)
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # finite data can overflow; kernel_apply_poly raises
                 s, b = e.T @ st.m @ e - self.inner, st.b @ e

@@ -1,8 +1,9 @@
 """Named verification suites: each runs a property battery and returns per-check rows with residuals and tolerances.
 
 The randomized suites draw from numpy's PCG64 generator seeded explicitly, so a (suite, seed) pair is fully
-reproducible.  A frame pair's sections go through one kernel and their products through one integral, the oracle
-fits each pair once, and ``suite_bogoliubov``'s seed-free row is computed once per process, at import.
+reproducible.  A frame pair's sections, plain and corrected, go through one half-form root, one kernel and one push
+(``transport._transport``) and their products through one integral, the oracle fits each pair once, and
+``suite_bogoliubov``'s seed-free row is computed once per process, at import.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from .sympl import (MetaplecticElement, SymplecticMap, act_on_siegel, compose, r
                     xi_matrix)
 from .transforms import composition_identities_check, transport_limits
 from .transport import (
+    _transport,
     bogoliubov_scale,
     bogoliubov_scale_via_structures,
     fock_connection_matrix,
-    transport_corrected,
     transport_equals_scaled_projection_check,
     transport_uncorrected,
 )
@@ -108,10 +109,11 @@ def suite_unitarity(seed: int = 42, trials: int = 20, oracle_trials: int = 6, no
         p1 = _random_gaussian_section(rng, om)
         p2 = _random_gaussian_section(rng, om)
         before = inner_product(p1, p2)
-        after = inner_product(*transport_uncorrected([p1, p2], omp))
+        q1, q2, qhat1, qhat2 = _transport([p1, p2, CorrectedSection(p1), CorrectedSection(p2)], omp)
+        after = inner_product(q1, q2)
         worst_closed = max(worst_closed, abs(after - before) / max(1.0, abs(before)))
 
-        after_c = corrected_inner_product(*transport_corrected([CorrectedSection(p1), CorrectedSection(p2)], omp))
+        after_c = corrected_inner_product(qhat1, qhat2)
         worst_corrected = max(worst_corrected, abs(after_c - before) / max(1.0, abs(before)))
 
     worst_oracle = 0.0
@@ -168,17 +170,17 @@ def suite_flatness(seed: int = 42, trials: int = 50) -> list[dict]:
         n = 1 if k % 2 == 0 else 2
         pts = [random_siegel(rng, n) for _ in range(3)]
         alpha = rng.normal(size=n) + 1j * rng.normal(size=n)
-        # uncorrected holonomy, a unit-modulus multiple of the identity: three states, six products, one stack each
+        # uncorrected holonomy, a unit-modulus multiple of the identity: three states, six products, one stack each;
+        # the corrected start goes around in the same push per leg
         states = [coherent_state(alpha, pts[0]), vacuum(pts[0]), coherent_state(0.5j * alpha + 0.3, pts[0])]
-        around = states
+        start = CorrectedSection(states[0])
+        around = [*states, start]
         for pt in (pts[1], pts[2], pts[0]):
-            around = transport_uncorrected(around, pt)
-        products = inner_product(states * 2, around + states)
+            around = _transport(around, pt)
+        products = inner_product(states * 2, around[:3] + states)
         ratios = [h3 / s for h3, s in zip(products[:3], products[3:])]
 
-        start = CorrectedSection(states[0])
-        around = transport_corrected(transport_corrected(transport_corrected(start, pts[1]), pts[2]), pts[0])
-        worst_corrected = max(worst_corrected, difference_norm(around, start) / np.sqrt(max(products[3].real, 0.0)))
+        worst_corrected = max(worst_corrected, difference_norm(around[3], start) / np.sqrt(max(products[3].real, 0.0)))
         worst_modulus = max(worst_modulus, *(abs(abs(r) - 1.0) for r in ratios))
         worst_scalar = max(worst_scalar, max(abs(r - ratios[0]) for r in ratios[1:]))
     return [

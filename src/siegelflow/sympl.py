@@ -92,6 +92,11 @@ class SymplecticMap:
         return self.a.shape[0]
 
     def inverse(self) -> "SymplecticMap":
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "SymplecticMap":
+        """(D^T, -B^T; -C^T, A^T), built and checked once per map."""
         return SymplecticMap(self.d.T, -self.b.T, -self.c.T, self.a.T)
 
     def cz_plus_d(self, omega: SiegelPoint) -> np.ndarray:

@@ -10,7 +10,9 @@ orthogonal projection onto the holomorphic sections of Omega' and
 P and the Xi kernel (``_xi_kernel``) are ``sections._Kernel`` values; coherent
 states transport in closed form.  The half-form correction contributes the
 unit phase (det Xi')^{1/2} / |det Xi'|^{1/2}, which corrected transport adds
-to the section's constant c, after which transport composes flatly.  A moving-frame Fock ODE on amplitudes, ``transport_ode``, provides an
+to the section's constant c, after which transport composes flatly.  So both
+bundles share one route, ``_transport``, and differ only in that scalar.  A
+moving-frame Fock ODE on amplitudes, ``transport_ode``, provides an
 independent numerical route for n = 1: on the normal-form geodesic
 i exp(2 lambda t) the connection 1-form has constant coefficients, so the
 truncated ODE is solved exactly by the exponential of its squeeze generator.
@@ -122,13 +124,21 @@ def bogoliubov_scale_via_structures(omega: SiegelPoint, omega_p: SiegelPoint) ->
     return float(det ** 0.25)
 
 
+def _transport(psis, omega_p: SiegelPoint) -> list:
+    """Plain and corrected sections over one frame object, in any mix, moved to Omega' by one half-form root, one
+    Bergman kernel and one stacked push, less -Re log_h for a plain section (alpha(Omega, Omega') P psi) and less
+    -log_h for a corrected one (the half-form phase too).  Each result comes back in its input's kind."""
+    log_h, corrected = _halfform_log(psis[0].frame, omega_p), [isinstance(p, CorrectedSection) for p in psis]
+    out = _bergman(psis[0].frame, omega_p).apply_all([p.section if c else p for p, c in zip(psis, corrected)],
+                                                     [-log_h if c else -log_h.real for c in corrected])
+    return [CorrectedSection(s) if c else s for s, c in zip(out, corrected)]
+
+
 def transport_uncorrected(psi, omega_p: SiegelPoint):
     """U psi = alpha(Omega, Omega') P psi for any Gaussian(-polynomial) section, or the list of U psi for a sequence
-    of sections over one frame object: one Bergman kernel, which checks the two frames, then one half-form root and
-    one stacked projection."""
+    of sections over one frame object: one ``_transport``."""
     psis, one = _as_stack(psi, GaussianSection, "transport_uncorrected")
-    kernel = _bergman(psis[0].frame, omega_p)
-    out = kernel.apply_all(psis, -_halfform_log(psis[0].frame, omega_p).real)
+    out = _transport(psis, omega_p)
     return out[0] if one else out
 
 
@@ -138,12 +148,10 @@ def transport_corrected(psihat, omega_p: SiegelPoint):
     The transported half-form pairing, with its root continued along the
     geodesic, supplies both the Bogoliubov scale (its modulus) and the
     correction phase (its argument), both folded into the section's c.  A
-    sequence of sections over one frame object gives a list: one half-form
-    root, one stacked projection."""
+    sequence of sections over one frame object gives a list: one
+    ``_transport``."""
     psihats, one = _as_stack(psihat, CorrectedSection, "transport_corrected")
-    log_h = _halfform_log(psihats[0].frame, omega_p)
-    sections = _bergman(psihats[0].frame, omega_p).apply_all([p.section for p in psihats], -log_h)
-    out = [CorrectedSection(s) for s in sections]
+    out = _transport(psihats, omega_p)
     return out[0] if one else out
 
 

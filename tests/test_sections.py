@@ -936,6 +936,20 @@ class TestStackedPairing:
                 with pytest.raises(ValueError, match="one frame object"):
                     pairing(a, b)
 
+    @pytest.mark.parametrize("pairing", [inner_product, inner_product_cross_frame, corrected_inner_product,
+                                         difference_norm], ids=lambda f: f.__name__)
+    def test_a_section_against_a_sequence_or_unequal_lengths_raise_naming_both_shapes(self, rng, pairing):
+        xs, ys = self._sides(rng, (I1, I1), 3, [0])
+        if pairing is corrected_inner_product:
+            xs, ys = ([CorrectedSection(x) for x in side] for side in (xs, ys))
+        for a, b, shapes in ((xs[0], ys[:1], "a section and a sequence of 1"),
+                             (xs[:1], ys[0], "a sequence of 1 and a section"),
+                             (xs[0], ys, "a section and a sequence of 3"),
+                             (xs, ys[:2], "a sequence of 3 and a sequence of 2")):
+            message = f"^{pairing.__name__} takes two sections or two sequences of as many, not {shapes}$"
+            with pytest.raises(ValueError, match=message):
+                pairing(a, b)
+
     def test_degree_171_overflows_alone_and_in_a_stack(self):
         # the float factorial weights of the polynomial route overflow past 170!, one pair or a stack
         bad = from_fock_coefficients(np.full(172, 0.1), I1)
@@ -1076,7 +1090,7 @@ class TestFrameKinds:
         assert str(exc.value).count("SiegelPoint") == 2
 
     def test_transport_to_a_point_of_another_n_names_both_frames(self):
-        # the Bergman kernel checks the two frames before the half-form root is taken
+        # the half-form root, taken before the Bergman kernel is built, checks the two frames
         with pytest.raises(ValueError, match="different spaces") as exc:
             transport_uncorrected(vacuum(I1), standard_point(2))
         assert str(exc.value).count("SiegelPoint") == 2

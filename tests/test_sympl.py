@@ -137,6 +137,14 @@ class TestOneMatrix:
             g = random_symplectic(rng, n)
             assert np.array_equal(g.inverse().matrix, np.block([[g.d.T, -g.b.T], [-g.c.T, g.a.T]]))
 
+    def test_inverse_is_built_once_bit_for_bit(self, rng):
+        for n in (1, 2, 3):
+            g = random_symplectic(rng, n)
+            first = g.inverse()
+            assert g.inverse() is first
+            want = np.block([[g.d.T, -g.b.T], [-g.c.T, g.a.T]])
+            assert first.matrix.tobytes() == want.tobytes() and first.matrix.shape == want.shape
+
     def test_matrix_and_blocks_are_read_only_views(self, rng):
         for n in (1, 2):
             for g in _fresh_maps(rng, n):

@@ -216,12 +216,12 @@ class TestSuiteWork:
         return len(built)
 
     def test_flatness_trial_builds_one_kernel_per_leg(self, monkeypatch):
-        # three legs of the corrected triangle, three of the uncorrected one for all three states
-        assert self.kernels_built(monkeypatch, suites.suite_flatness, trials=1) == 6
+        # three legs, each pushing the three states of the uncorrected triangle and the corrected start together
+        assert self.kernels_built(monkeypatch, suites.suite_flatness, trials=1) == 3
 
     def test_unitarity_trial_builds_one_kernel_per_frame_pair(self, monkeypatch):
-        # the uncorrected and the corrected pair of the closed trial, and the oracle trial's pair
-        assert self.kernels_built(monkeypatch, suites.suite_unitarity, trials=1, oracle_trials=1) == 3
+        # the closed trial's uncorrected and corrected pairs together, and the oracle trial's pair
+        assert self.kernels_built(monkeypatch, suites.suite_unitarity, trials=1, oracle_trials=1) == 2
 
     def test_flatness_trial_takes_its_holonomy_products_in_one_integral(self, monkeypatch):
         # the six products of the uncorrected triangle are base integrals: integrate_out with no variable left
@@ -269,6 +269,45 @@ class TestSuiteWork:
             suites._STANDARD_SCALE.clear()
             suites._standard_scale_residual()
         assert not passed["bogoliubov/standard_scale_sqrt_cosh"]
+
+
+class TestSharedPush:
+    """Plain and corrected sections of one frame pair share one half-form root, one kernel and one push
+    (``transport._transport``); each keeps the prefactor of its own bundle."""
+
+    @staticmethod
+    def _sections(rng, om, degree):
+        out = [random_gaussian_section(rng, om) for _ in range(4)]
+        if degree:
+            out = [GaussianSection(om, p.m, p.b, p.c, rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1))
+                   for p in out]
+        return out[:2] + [CorrectedSection(p) for p in out[2:]]
+
+    @pytest.mark.parametrize("n, degree", [(1, 0), (2, 0), (3, 0), (1, 3)])
+    def test_mixed_stack_entries_are_the_public_calls_bit_for_bit(self, rng, n, degree):
+        for _ in range(5):
+            om, omp = random_siegel(rng, n), random_siegel(rng, n)
+            psis = self._sections(rng, om, degree)
+            got = transport._transport(psis, omp)
+            want = transport_uncorrected(psis[:2], omp) + transport_corrected(psis[2:], omp)
+            assert [type(x) for x in got] == [type(x) for x in psis]
+            for x, y in zip(got, want, strict=True):
+                x, y = (z.section if isinstance(z, CorrectedSection) else z for z in (x, y))
+                assert x.frame is omp and y.frame is omp
+                for field in ("m", "b", "c", "coeffs"):
+                    assert np.array(getattr(x, field)).tobytes() == np.array(getattr(y, field)).tobytes(), field
+
+    def test_a_shifted_half_form_phase_moves_only_the_corrected_row(self, monkeypatch):
+        # a phase shared by the three uncorrected states cancels in their holonomy ratios, so only the corrected
+        # triangle, whose start now rides in the same push, reads the phase
+        before = {row["name"]: row["residual"] for row in suites.suite_flatness(seed=42, trials=4)}
+        log_h = transport._halfform_log
+        monkeypatch.setattr(transport, "_halfform_log", lambda *a: log_h(*a) + 1e-9j)
+        after = {row["name"]: row["residual"] for row in suites.suite_flatness(seed=42, trials=4)}
+        assert before["flatness/corrected_triangle_identity"] < 1e-13
+        assert after["flatness/corrected_triangle_identity"] > 1e-9
+        for name in ("flatness/uncorrected_unit_modulus", "flatness/uncorrected_scalar_consistency"):
+            assert repr(after[name]) == repr(before[name])
 
 
 class TestKernels:
