@@ -65,7 +65,6 @@ from .transforms import (
 )
 from .transport import (
     bogoliubov_scale,
-    fock_connection_matrix,
     metaplectic_act,
     transport_coherent,
     transport_corrected,

@@ -235,13 +235,16 @@ def inner_product_cross_frame(psi1, psi2):
 
 
 def _pairwise(a, b, what: str, kind, fn, polar_stack: bool = False):
-    """``fn``, two ``_stack``s to a sequence, of the pairs of ``a`` and ``b`` (``_as_stack``'s, both one or as many,
-    else ValueError naming both shapes; a corrected section's section): the degree-0 pairs as one stack, the polynomial
-    pairs (n = 1) one by one, or over a polarization as one stack if ``polar_stack``.  A list, or one pair's result."""
+    """``fn``, two ``_stack``s to a sequence, of the pairs of ``a`` and ``b`` (``_as_stack``'s, both one or as many and,
+    for an entry that takes either kind, all of one kind, else ValueError naming both shapes or kinds; a corrected
+    section's section): the degree-0 pairs as one stack, the polynomial pairs (n = 1) one by one, or over a polarization
+    as one stack if ``polar_stack``.  A list, or one pair's result."""
     (xs, one), (ys, one_b) = _as_stack(a, kind, what), _as_stack(b, kind, what)
     if one != one_b or len(xs) != len(ys):
         shapes = ["a section" if o else f"a sequence of {len(zs)}" for o, zs in ((one, xs), (one_b, ys))]
         raise ValueError(f"{what} takes two sections or two sequences of as many, not {shapes[0]} and {shapes[1]}")
+    if kind is None and len(kinds := sorted({type(z).__name__ for z in xs + ys})) > 1:
+        raise ValueError(f"{what} takes sections of one kind, not a {kinds[0]} and a {kinds[1]}")
     xs, ys = ([x.section if isinstance(x, CorrectedSection) else x for x in zs] for zs in (xs, ys))
     if len(xs) == len(ys) == 1:  # one pair, the common call, needs no groups
         return fn(xs[0], ys[0])[0] if one else list(fn(xs[0], ys[0]))

@@ -29,7 +29,6 @@ from .transport import (
     _transport,
     bogoliubov_scale,
     bogoliubov_scale_via_structures,
-    fock_connection_matrix,
     transport_equals_scaled_projection_check,
     transport_uncorrected,
 )
@@ -190,23 +189,39 @@ def suite_flatness(seed: int = 42, trials: int = 50) -> list[dict]:
     ]
 
 
+def _signed_area(a, b, c) -> float:
+    """Sum over j of the hyperbolic areas of the upper half-plane triangles (a_j, b_j, c_j), each signed by its
+    orientation: by Gauss-Bonnet, pi less the interior angles.  The angle at p is read after z -> (z - p)/(z - conj(p)),
+    which takes p to 0 and its two sides to rays from 0; its sign, the same at each vertex, is the orientation."""
+    p = np.array([a, b, c], dtype=complex)
+    q, r = np.roll(p, -1, axis=0), np.roll(p, -2, axis=0)  # each vertex p with the next two
+    angles = np.angle((r - p) * (q - np.conj(p)) / ((r - np.conj(p)) * (q - p))).sum(axis=0)
+    return float((np.copysign(np.pi, angles) - angles).sum())
+
+
 def suite_curvature() -> list[dict]:
-    """Projective flatness, F tau2^2 = I / 8, in closed form: the Fock-frame
-    connection is (i / 4 tau2) P with P constant, and d_tau (1 / tau2) =
-    i / (2 tau2^2) = -d_taubar (1 / tau2), so F = (i / 2 tau2)(A_tau + A_taubar)
-    + [A_tau, A_taubar].  Three tau test the 1 / tau2 scaling; the 16 x 16
-    window leaves out the rows the 20-state truncation cuts."""
-    worst_f = worst_skew = 0.0
-    for tau in (1j, 0.3 + 2j, -1.2 + 0.4j):
-        a_tau, a_taubar = fock_connection_matrix(tau, 20)
-        tau2 = tau.imag
-        a_real = a_tau + a_taubar  # A along the real direction d/dtau1
-        f = 0.5j / tau2 * a_real + a_tau @ a_taubar - a_taubar @ a_tau
-        worst_f = max(worst_f, np.abs(f[:16, :16] * tau2**2 - np.eye(16) / 8.0).max())
-        worst_skew = max(worst_skew, np.abs(a_real.conj().T + a_real).max())
+    """Projective flatness read off transport: around a geodesic triangle the plain holonomy is exp(i A / 4), A the
+    Kaehler form's integral over it, and the half-form phases cancel it.  30 fixed triangles at n = 1..3, vertices
+    g . diag(tau): n upper half-plane triangles moved by one isometry, so A sums their ``_signed_area``s.  The vacuum
+    and its corrected section go around in one push per leg (``transport._transport``)."""
+    rng = np.random.default_rng(2004)
+    worst_plain = worst_halfform = 0.0
+    for k in range(30):
+        n = k % 3 + 1
+        g = random_symplectic(rng, n)
+        taus = rng.normal(size=(3, n)) + 1j * np.exp(rng.normal(size=(3, n)))
+        pts = [act_on_siegel(g, SiegelPoint.from_complex(np.diag(tau))) for tau in taus]
+        phase = np.exp(0.25j * _signed_area(*taus))
+        start = vacuum(pts[0])
+        around = [start, CorrectedSection(start)]
+        for pt in (pts[1], pts[2], pts[0]):
+            around = _transport(around, pt)
+        h, h_hat = inner_product(start, around[0]), corrected_inner_product(CorrectedSection(start), around[1])
+        worst_plain = max(worst_plain, abs(np.angle(h / phase)))
+        worst_halfform = max(worst_halfform, abs(np.angle(h_hat / h * phase)))
     return [
-        _row("curvature/exact_vs_eighth", worst_f, 1e-12),
-        _row("curvature/connection_skew_hermitian", worst_skew, 1e-12),
+        _row("curvature/holonomy_phase_vs_area", worst_plain, 1e-9),
+        _row("curvature/halfform_phase_vs_area", worst_halfform, 1e-11),
     ]
 
 

@@ -186,7 +186,7 @@ def _absorbed_factor(lam: np.ndarray, t: float, sign: float) -> float:
 
 def _limit_report(psi0: CorrectedSection, limit: CorrectedSection, lam, depths, sign: float) -> ConvergenceReport:
     """Distance of the transport of the Gaussian psi0 over i I along i exp(2 Lambda t),
-    at t = sign * d for each depth d, from its limit toward t -> sign * infinity.
+    at t = sign * d for each of the sorted depths d, from its limit toward t -> sign * infinity.
 
     Both are Gaussians on V, so the distance is that of their ``_log_quadratic``
     data, max(|dS|, |dl|, |expm1(dk)|), blind to 2 pi i in k.  The absorbed
@@ -197,7 +197,7 @@ def _limit_report(psi0: CorrectedSection, limit: CorrectedSection, lam, depths, 
     if sign > 0:
         k_lim = k_lim + 0.25j * np.pi * psi0.frame.n
     rows = []
-    for t in (sign * float(d) for d in sorted(depths)):
+    for t in (sign * d for d in depths):
         absorbed = _absorbed_factor(lam, t, sign)
         s_t, l_t, k_t = _log_quadratic(transport_corrected(psi0, diagonal_point(np.exp(2.0 * lam * t))))
         dk = k_t - np.log(absorbed) - k_lim
@@ -213,7 +213,10 @@ def transport_limits(psihat: CorrectedSection, spec: GeodesicSpec, depths) -> tu
     the inverse of the principal lift of g.  Toward t -> -infinity the limit is the
     inverse pairing map, with the absorbed factor det(sqrt(2) e^{Lambda t})^{1/2};
     toward +infinity it is the ``fourier`` transform of that one map's result,
-    with det(sqrt(2) e^{-Lambda t})^{1/2}."""
+    with det(sqrt(2) e^{-Lambda t})^{1/2}.  A depth that is not positive and finite raises ValueError naming it."""
+    depths = sorted(float(d) for d in depths)
+    if bad := [d for d in depths if not 0.0 < d < np.inf]:
+        raise ValueError(f"a depth must be positive and finite, not {bad[0]}")
     if psihat.section.degree:
         raise ValueError(f"boundary limits compare Gaussians, not sections of degree {psihat.section.degree}")
     if spec.lam.min() <= RATE_TOL:

@@ -221,38 +221,14 @@ def _act_on_section(g: SymplecticMap, psi: GaussianSection) -> GaussianSection:
 
 
 # ---------------------------------------------------------------------------
-# Fock-basis connection and the transport ODE (n = 1)
-
-
-def _fock_connection_bands(n_trunc: int):
-    """(diag, off) with diag[k] = k and off[j] = sqrt((j + 2)(j + 1)): P_tau
-    is diag on the diagonal and -off at (j + 2, j); P_taubar is its transpose."""
-    diag = np.arange(n_trunc, dtype=float)
-    return diag, np.sqrt(diag[2:] * diag[1:-1])
-
-
-def fock_connection_matrix(tau: complex, n_trunc: int):
-    """Connection 1-form in the Fock frame over the upper half-plane.
-
-    Returns (A_tau, A_taubar) with A = A_tau dtau + A_taubar dconj(tau):
-
-        A_tau[k, l]    = (i / 4 tau2) (k delta_{kl} - sqrt(k(k-1)) delta_{k, l+2})
-        A_taubar[k, l] = (i / 4 tau2) (l delta_{kl} - sqrt(l(l-1)) delta_{k+2, l})
-    """
-    tau2 = complex(tau).imag
-    if tau2 <= 0:
-        raise ValueError("tau must lie in the upper half-plane")
-    diag, off = _fock_connection_bands(n_trunc)
-    pref = 0.25j / tau2
-    a_tau = np.diag(pref * diag)
-    a_tau[np.arange(2, n_trunc), np.arange(n_trunc - 2)] = -pref * off
-    return a_tau, a_tau.T.copy()
+# the transport ODE in the Fock frame (n = 1)
 
 
 @lru_cache(maxsize=16)
 def _squeeze_modes(n_basis: int):
-    """(evals, V, d) of the even, then the odd chain of ``transport_ode_coeffs``, read-only."""
-    off, modes = _fock_connection_bands(n_basis)[1], []
+    """(evals, V, d) of the even, then the odd chain of ``transport_ode_coeffs``, read-only: S1 has off[j] =
+    sqrt((j + 2)(j + 1)) at (j, j + 2) and (j + 2, j), and each chain takes every other off[j]."""
+    off, modes = np.sqrt(np.arange(2.0, n_basis) * np.arange(1.0, n_basis - 1)), []
     for parity in (0, 1):
         size, w = len(range(parity, n_basis, 2)), off[parity::2]
         evals, vecs = np.linalg.eigh((np.diag(w, 1) + np.diag(w, -1))[:size, :size])
@@ -270,12 +246,12 @@ def _real_matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 def transport_ode_coeffs(c0: np.ndarray, lam: float, t_end: float, steps: int) -> np.ndarray:
     """exp(t_end K) c0, the exact solution of dc/dt = -A(gamma'(t)) c on gamma(t) = i exp(2 lambda t).
 
-    With gamma' = 2 lambda gamma, K = -A(gamma') = (lambda / 2)(P_taubar - P_tau)
-    is constant: w[j] = (lambda / 2) sqrt((j + 2)(j + 1)) at (j, j + 2), -w[j]
-    at (j + 2, j).  On the chain of each parity d^{-1} K d = i (lambda / 2) S1,
-    d = i^m along the chain and S1 = (2 / lambda) w on both off-diagonals, so
-    exp(t K) = d V exp(i (lambda t / 2) evals) V^T d^{-1}, (evals, V) = eigh(S1),
-    is orthogonal.  ``steps`` is ignored; it stays for ``perfbench/tracer.py``'s counter.
+    The Fock-frame connection 1-form is A = (i / 4 tau2)(P_tau dtau + P_taubar dconj(tau)), P_tau with k on the
+    diagonal and -sqrt(k (k - 1)) at (k, k - 2), P_taubar its transpose.  With gamma' = 2 lambda gamma,
+    K = -A(gamma') = (lambda / 2)(P_taubar - P_tau) is constant: w[j] = (lambda / 2) sqrt((j + 2)(j + 1)) at
+    (j, j + 2), -w[j] at (j + 2, j).  On the chain of each parity d^{-1} K d = i (lambda / 2) S1, d = i^m along the
+    chain and S1 = (2 / lambda) w on both off-diagonals, so exp(t K) = d V exp(i (lambda t / 2) evals) V^T d^{-1},
+    (evals, V) = eigh(S1), is orthogonal.  ``steps`` is ignored; it stays for ``perfbench/tracer.py``'s counter.
     """
     c0 = np.asarray(c0, dtype=complex)
     c = np.empty_like(c0)
@@ -293,8 +269,8 @@ def transport_ode(c0, lam: float, t_end: float, steps: int) -> np.ndarray:
     forms; ``steps`` is ignored) carries c0, zero past its length, on
     max(4 len(c0), 128) states, doubled up to ``ODE_BASIS_MAX`` while an
     amplitude in the top 10% exceeds ``TRUNCATION_LEAK_TOL`` ||c0||; one
-    amplitude per state of the final basis comes back.  A bad c0 raises before
-    any propagation, a start past the cap or a leak at it
+    amplitude per state of the final basis comes back.  A bad c0, lam or t_end
+    raises before any propagation, a start past the cap or a leak at it
     ``TruncationOverflowError``.
     """
     c0 = np.asarray(c0, dtype=complex)
@@ -304,6 +280,8 @@ def transport_ode(c0, lam: float, t_end: float, steps: int) -> np.ndarray:
         raise NonFiniteError(f"amplitude vector c0 has norm {norm0}")
     if c0.ndim != 1 or norm0 == 0.0:
         raise ValueError(f"amplitude vector c0 of shape {c0.shape} must be one-dimensional and non-zero")
+    if not np.isfinite([lam, t_end]).all():
+        raise NonFiniteError(f"lam = {lam} and t_end = {t_end} must be finite")
     n_basis = max(4 * c0.size, 128)
     if n_basis > ODE_BASIS_MAX:
         raise TruncationOverflowError(f"amplitude vector of {c0.size} states needs a starting basis of {n_basis} "

@@ -17,7 +17,6 @@ from siegelflow import (
     PolarizationMismatchError,
     SymplecticMap,
     diagonal_point,
-    fock_connection_matrix,
     fourier,
     from_momentum_profile,
     momentum_profile,
@@ -64,8 +63,6 @@ GUARDS = [
                  id="transport_limits"),
     pytest.param(lambda: transport_kernel_apply(vacuum(I1), I1, diagonal_point([2.0]), "heat"), ValueError,
                  "unknown kernel 'heat'", id="transport_kernel_apply"),
-    pytest.param(lambda: fock_connection_matrix(1.0 + 0.0j, 4), ValueError, "tau must lie in the upper half-plane",
-                 id="fock_connection_matrix"),
 ]
 
 

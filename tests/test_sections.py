@@ -993,6 +993,15 @@ class TestSectionKinds:
         with pytest.raises(ValueError, match="corrected_inner_product takes a CorrectedSection, not a GaussianSection"):
             corrected_inner_product(hat, vacuum(I1))
 
+    def test_difference_norm_takes_one_kind_on_both_sides(self):
+        # one pair and a stack in both orders, and a stack mixed on one side: each used to give 0.0
+        plain, hat = vacuum(I1), CorrectedSection(vacuum(I1))
+        for a, b in ((hat, plain), (plain, hat), ([hat, hat], [plain, plain]), ([plain, plain], [hat, hat]),
+                     ([plain, hat], [plain, plain])):
+            with pytest.raises(ValueError, match="^difference_norm takes sections of one kind, not a CorrectedSection "
+                                                 "and a GaussianSection$"):
+                difference_norm(a, b)
+
 
 class TestFrameKinds:
     """A profile on L- and a section over a Kaehler point are functions on

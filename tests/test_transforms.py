@@ -260,6 +260,16 @@ class TestBoundaryLimits:
         with pytest.raises(NoBoundaryLimitError):
             transport_limits(CorrectedSection(vacuum(start)), spec, [2])
 
+    @pytest.mark.parametrize("depth", [-1.0, 0.0, np.nan, np.inf])
+    def test_depth_not_positive_and_finite_raises_naming_it(self, depth, monkeypatch):
+        monkeypatch.setattr(transforms, "_limit_report", None)  # never reached
+        with pytest.raises(ValueError, match=f"^a depth must be positive and finite, not {depth}$"):
+            transport_limits(self.psi, self.spec, [5.0, depth])
+
+    def test_depths_read_once_serve_both_ends(self):
+        bargmann, fourier_side = transport_limits(self.psi, self.spec, (d for d in [5.0, 4.0]))
+        assert [r.t for r in bargmann.rows] == [-4.0, -5.0] and [r.t for r in fourier_side.rows] == [4.0, 5.0]
+
     def test_reports_are_the_suite_rows(self):
         # suite_limits' draws, through the one public entry: the worst distance at |t| = 6.5 and slowdown from 5
         rng = np.random.default_rng(2004)

@@ -20,7 +20,6 @@ from siegelflow import (
     difference_norm,
     fock_coefficients,
     fock_state,
-    fock_connection_matrix,
     inner_product,
     metaplectic_act,
     norm,
@@ -486,37 +485,16 @@ class TestCorrectedTransport:
         assert difference_norm(lhs, rhs) < 1e-8 * norm(psi.section)
 
 
-class TestFockConnection:
-    def test_vacuum_entry_vanishes(self):
-        a_tau, a_taubar = fock_connection_matrix(1j, 8)
-        assert a_tau[0, 0] == 0 and a_taubar[0, 0] == 0
-
-    def test_two_zero_entry(self):
-        a_tau, _ = fock_connection_matrix(1j, 8)
-        assert abs(a_tau[2, 0] - 0.25j * (-np.sqrt(2.0))) < 1e-15
-
-    def test_skew_hermitian_for_real_directions(self):
-        a_tau, a_taubar = fock_connection_matrix(1.7j, 12)
-        for d_tau in (1.0, 1j, 0.3 - 0.8j):
-            a = a_tau * d_tau + a_taubar * np.conj(d_tau)
-            assert np.abs(a + a.conj().T).max() < 1e-12
-
-    def test_curvature_row_catches_a_connection_scaled_as_one_over_tau2_squared(self, monkeypatch):
-        # the mutant equals the connection at tau = i, so only the row's other two points see it
-        def mutant(tau, n_trunc):
-            a_tau, a_taubar = fock_connection_matrix(tau, n_trunc)
-            return a_tau / tau.imag, a_taubar / tau.imag
-
-        monkeypatch.setattr(suites, "fock_connection_matrix", mutant)
-        row = suites.suite_curvature()[0]
-        assert row["name"] == "curvature/exact_vs_eighth" and not row["passed"]
-
-
 def _dense_generator(lam, t, n_basis):
-    """-(A_tau tau' + A_taubar conj(tau')) on tau(t) = i exp(2 lam t), with the exact tau' = 2 lam tau."""
+    """-(A_tau tau' + A_taubar conj(tau')) on tau(t) = i exp(2 lam t), with the exact tau' = 2 lam tau, from the
+    Fock-frame connection 1-form on the upper half-plane:
+
+        A_tau[k, l]    = (i / 4 tau2) (k delta_{kl} - sqrt(k(k-1)) delta_{k, l+2}),  A_taubar = A_tau^T.
+    """
     tau = 1j * np.exp(2.0 * lam * t)
-    a_tau, a_taubar = fock_connection_matrix(tau, n_basis)
-    return -(a_tau * (2.0 * lam * tau) + a_taubar * np.conj(2.0 * lam * tau))
+    k = np.arange(n_basis, dtype=float)
+    a_tau = 0.25j / tau.imag * (np.diag(k) - np.diag(np.sqrt(k[2:] * k[1:-1]), -2))
+    return -(a_tau * (2.0 * lam * tau) + a_tau.T * np.conj(2.0 * lam * tau))
 
 
 def _dense_exponential(c0, lam, t_end):
@@ -570,6 +548,12 @@ class TestTransportODE:
         monkeypatch.setattr(transport, "transport_ode_coeffs", None)  # never reached
         with pytest.raises(error, match="^amplitude vector c0 "):
             transport_ode(c0, 0.5, 1.0, 0)
+
+    @pytest.mark.parametrize("lam, t_end", [(np.nan, 1.0), (np.inf, 0.0), (0.5, -np.inf), (0.0, np.nan)])
+    def test_non_finite_rate_or_end_raises_before_any_propagation(self, lam, t_end, monkeypatch):
+        monkeypatch.setattr(transport, "transport_ode_coeffs", None)  # never reached
+        with pytest.raises(NonFiniteError, match=f"^lam = {lam} and t_end = {t_end} must be finite$"):
+            transport_ode([1.0], lam, t_end, 0)
 
     def test_shares_nothing_with_the_closed_forms(self, monkeypatch):
         c0 = fock_coefficients(coherent_state([0.4 + 0.2j], I1), 32)
