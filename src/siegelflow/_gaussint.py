@@ -160,11 +160,10 @@ def generating_poly(beta: complex, gamma: complex, eps: complex, d: int) -> np.n
         flat[o : o + de + 1], flat[o + big + 1 : o + big + de + 2] = h[: de + 1], pw[: de + 1]
         o += 2 * big + 2
     tab = np.array(flat).reshape(-1, 2, big + 1)
-    if big < 300 and sum(map(abs, flat)) < 1e100:  # no product C(k, i) eps^i h_{k-i} can overflow
-        return (tab[:, 0].take(idx, -1) * tab[:, 1:] * c).reshape(np.shape(d) + c.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
-        rows = tab[:, 0].take(idx, -1) * tab[:, 1:] * c  # no partial product passes the entry; 2^e scales last
-        rows = (np.ldexp(rows.real, e) + 1j * np.ldexp(rows.imag, e)).reshape(np.shape(d) + c.shape)
+        rows = (tab[:, 0].take(idx, -1) * tab[:, 1:] * c).reshape(np.shape(d) + c.shape)
+        if e[-1].any():  # a binomial past 2^1000: no partial product passes the entry, so 2^e scales last
+            rows = np.ldexp(rows.real, e) + 1j * np.ldexp(rows.imag, e)
     if not _finite(rows[..., -1, :]) and not np.isfinite(rows[np.arange(big + 1) <= np.asarray(d)[..., None]]).all():
         raise NonFiniteError("generating_poly: the rows are not finite")
     return rows

@@ -178,7 +178,7 @@ def cmd_verify(args):
     fn = SUITES[args.suite]
     params = inspect.signature(fn).parameters
     kwargs = {k: v for k, v in {"seed": args.seed, "nodes": args.nodes}.items() if k in params}
-    return {"suite": args.suite, "seed": args.seed}, fn(**kwargs), {}
+    return {"suite": args.suite, **kwargs}, fn(**kwargs), {}
 
 
 def _bounded(kind, low, domain: str):

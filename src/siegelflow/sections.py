@@ -517,7 +517,12 @@ def oracle_inner_product(psi1: GaussianSection, psi2: GaussianSection, nodes: in
     for strongly squeezed sections is much wider than the frame Gaussian.
     Kaehler frames with n <= 3 only.  With ``tol`` one fit and placement serve
     a grid doubled from ``nodes`` until two sums in a row agree to ``tol`` (relative, absolute below 1), up to 4 *
-    nodes against 8 * nodes and never past ``QUAD_NODES_MAX``, else ``GridTooCoarseError``."""
+    nodes against 8 * nodes and never past ``QUAD_NODES_MAX``, else ``GridTooCoarseError``.  ``nodes`` below 1 or a
+    ``tol`` that is not positive and finite raises ValueError before any sum."""
+    if not (isinstance(nodes, (int, np.integer)) and nodes >= 1):
+        raise ValueError(f"nodes must be a positive integer, not {nodes!r}")
+    if tol is not None and not 0.0 < tol < np.inf:  # NaN fails too
+        raise ValueError(f"tol must be positive and finite, not {tol}")
     _require_frame("the quadrature oracle", SiegelPoint, psi1, psi2)
     _same_space(psi1.frame, psi2.frame)
     if psi1.n > 3:

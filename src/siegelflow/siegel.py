@@ -85,6 +85,8 @@ class GeodesicSpec:
 
     def __post_init__(self):
         lam = np.atleast_1d(np.asarray(self.lam, dtype=float)).copy()
+        if lam.shape != (self.g.n,) or not (lam >= 0.0).all() or not (lam < np.inf).all():  # NaN fails both
+            raise ValueError(f"geodesic rates {lam.tolist()} must be {self.g.n} finite numbers >= 0")
         lam.flags.writeable = False
         object.__setattr__(self, "lam", lam)
 
@@ -100,8 +102,13 @@ class GeodesicSpec:
 
 
 def geodesic_eval(spec: GeodesicSpec, t: float) -> SiegelPoint:
-    """The point g . (i exp(2 Lambda t)); in the upper half-space for all finite t."""
-    return SiegelPoint.from_complex(_moebius(spec.g, np.diag(1j * np.exp(2.0 * spec.lam * t))))
+    """The point g . (i exp(2 Lambda t)); NonFiniteError naming t where it or i exp(2 Lambda t) is not finite."""
+    with np.errstate(all="ignore"):  # out of the float range raises below
+        scale = np.exp(2.0 * spec.lam * t)
+        omega = _moebius(spec.g, np.diag(1j * scale)) if 0.0 < scale.min() and scale.max() < np.inf else None
+    if omega is None or not np.isfinite(omega).all():
+        raise NonFiniteError(f"the geodesic point i exp(2 Lambda t) at t = {t} or its image leaves the float range")
+    return SiegelPoint.from_complex(omega)
 
 
 def _move_to_base(omega: SiegelPoint) -> np.ndarray:

@@ -213,8 +213,9 @@ def transport_limits(psihat: CorrectedSection, spec: GeodesicSpec, depths) -> tu
     the inverse of the principal lift of g.  Toward t -> -infinity the limit is the
     inverse pairing map, with the absorbed factor det(sqrt(2) e^{Lambda t})^{1/2};
     toward +infinity it is the ``fourier`` transform of that one map's result,
-    with det(sqrt(2) e^{-Lambda t})^{1/2}.  A depth that is not positive and finite raises ValueError naming it."""
-    depths = sorted(float(d) for d in depths)
+    with det(sqrt(2) e^{-Lambda t})^{1/2}.  No depth, or one that is not positive and finite, raises ValueError."""
+    if not (depths := sorted(float(d) for d in depths)):
+        raise ValueError("depths must name at least one depth")
     if bad := [d for d in depths if not 0.0 < d < np.inf]:
         raise ValueError(f"a depth must be positive and finite, not {bad[0]}")
     if psihat.section.degree:

@@ -7,15 +7,15 @@ orthogonal projection onto the holomorphic sections of Omega' and
     alpha = |det Xi'|^{1/2} / (det Omega2 det Omega2')^{1/4},
     Xi'   = (Omega' - conj(Omega)) / 2i.
 
-P and the Xi kernel (``_xi_kernel``) are ``sections._Kernel`` values; coherent
-states transport in closed form.  The half-form correction contributes the
-unit phase (det Xi')^{1/2} / |det Xi'|^{1/2}, which corrected transport adds
-to the section's constant c, after which transport composes flatly.  So both
-bundles share one route, ``_transport``, and differ only in that scalar.  A
-moving-frame Fock ODE on amplitudes, ``transport_ode``, provides an
-independent numerical route for n = 1: on the normal-form geodesic
-i exp(2 lambda t) the connection 1-form has constant coefficients, so the
-truncated ODE is solved exactly by the exponential of its squeeze generator.
+P and the Xi kernel (``_xi_kernel``) are ``sections._Kernel`` values; a
+coherent state transports as the Xi kernel's push.  The half-form correction
+contributes the unit phase (det Xi')^{1/2} / |det Xi'|^{1/2}, which corrected
+transport adds to the section's constant c, after which transport composes
+flatly.  So both bundles share one route, ``_transport``, and differ only in
+that scalar.  A moving-frame Fock ODE on amplitudes, ``transport_ode``,
+provides an independent numerical route for n = 1: on the normal-form
+geodesic i exp(2 lambda t) the connection 1-form has constant coefficients, so
+the truncated ODE is solved exactly by the exponential of its squeeze generator.
 """
 
 from __future__ import annotations
@@ -66,18 +66,15 @@ def _halfform_log(omega, omega_p) -> complex:
     return half_logdet(xi_matrix(omega_p, omega)) - 0.25 * logdet2
 
 
-def _xi_blocks(omega, omega_p):
-    """Kernel blocks built from Xi = (Omega - conj(Omega'))/2i.
-
-    Returns (K11, K12, K22, log_h) for the quadratic form on stacked
-    (conj(z) | z'), K11 = w I - r Xi^{-1} r, K12 = r Xi^{-1} r' and
-    K22 = w' I - r' Xi^{-1} r' with r = Omega2^{1/2} and w the frame's
-    weight; log_h is ``_halfform_log(Omega, Omega')``.  The kernel's
-    prefactor is exp(-Re log_h) = 1 / alpha(Omega, Omega'), and
-    exp(-conj(log_h)) with the half-form phase.  Either end may be a
-    ``BoundaryPolarization``, of weight 0: the pairing maps are these kernels.
-    The root is taken first, so frames of two n raise its ValueError.
-    """
+def _xi_kernel(omega, omega_p, t_in=None, out=None) -> tuple[_Kernel, complex]:
+    """(the Xi kernel from Omega to Omega', reading the coordinates of ``omega``, and log_h = ``_halfform_log``): on
+    (conj(z) | z') the blocks K11 = w I - r Xi^{-1} r, K12 = r Xi^{-1} r', K22 = w' I - r' Xi^{-1} r', with Xi =
+    (Omega - conj(Omega'))/2i, r = Omega2^{1/2} and w a frame's weight, and the prefactor exp(-Re log_h) = 1 / alpha,
+    or exp(-conj(log_h)) with the half-form phase.  Either end may be a ``BoundaryPolarization``, of weight 0 (the
+    pairing maps); frames of two n raise the root's ValueError.  Two unitary coordinate changes fold in exactly:
+    ``t_in`` for psi over a frame with z = t_in z_Omega (E -> t_in E), and ``out = (target, t)`` for a result over
+    ``target`` with z_Omega' = t z'' (K12 -> K12 t, K22 -> t^T K22 t, as t^T (-L^T S^{-1} L) t = -(L t)^T S^{-1} (L t);
+    for n = 1 the push gives a polynomial its t^k factors)."""
     log_h = _halfform_log(omega, omega_p)
     eye = np.eye(omega.n)
     r, rp = omega.imag_sqrt(), omega_p.imag_sqrt()
@@ -85,17 +82,7 @@ def _xi_blocks(omega, omega_p):
     k11 = -r @ xi_inv @ r + omega.weight * eye
     k12 = r @ xi_inv @ rp
     k22 = -rp @ xi_inv @ rp + omega_p.weight * eye
-    return k11, k12, k22, log_h
-
-
-def _xi_kernel(omega, omega_p, t_in=None, out=None) -> tuple[_Kernel, complex]:
-    """(the Xi kernel from Omega to Omega', reading the coordinates of ``omega``, and ``_xi_blocks``'s log_h); either
-    end may be a ``BoundaryPolarization``, and frames of two n raise ValueError naming both.  Two unitary coordinate
-    changes fold in exactly: ``t_in`` for psi over a frame with z = t_in z_Omega (E -> t_in E), and ``out = (target,
-    t)`` for a result over ``target`` with z_Omega' = t z'' (K12 -> K12 t, K22 -> t^T K22 t, as t^T (-L^T S^{-1} L) t
-    = -(L t)^T S^{-1} (L t); for n = 1 the push gives a polynomial its t^k factors)."""
-    k11, k12, k22, log_h = _xi_blocks(omega, omega_p)
-    target, t = (omega_p, np.eye(omega.n)) if out is None else out
+    target, t = (omega_p, eye) if out is None else out
     # integrate over v, z = E v, against the frame's full weight exp(-v^T G v)
     ebar = np.conj(omega.coord_matrix)
     e = omega.coord_matrix if t_in is None else t_in @ omega.coord_matrix
@@ -104,11 +91,9 @@ def _xi_kernel(omega, omega_p, t_in=None, out=None) -> tuple[_Kernel, complex]:
 
 
 def transport_coherent(alpha, omega: SiegelPoint, omega_p: SiegelPoint) -> GaussianSection:
-    """Parallel transport of the coherent state c_alpha along the geodesic."""
-    alpha = np.asarray(alpha, dtype=complex).reshape(omega.n)
-    k11, k12, k22, log_h = _xi_blocks(omega, omega_p)
-    ac = np.conj(alpha)
-    return GaussianSection(omega_p, k22, k12.T @ ac, 0.5 * (ac @ k11 @ ac) - log_h.real)
+    """Parallel transport of the coherent state c_alpha along the geodesic: the Xi kernel's push of c_alpha."""
+    kernel, log_h = _xi_kernel(omega, omega_p)
+    return kernel.apply(coherent_state(alpha, omega), log_h.real)
 
 
 def bogoliubov_scale(omega: SiegelPoint, omega_p: SiegelPoint) -> float:
@@ -117,7 +102,9 @@ def bogoliubov_scale(omega: SiegelPoint, omega_p: SiegelPoint) -> float:
 
 
 def bogoliubov_scale_via_structures(omega: SiegelPoint, omega_p: SiegelPoint) -> float:
-    """Cross-check route: (det (J + J')/2)^{1/4} from the complex structures."""
+    """Cross-check route: (det (J + J')/2)^{1/4} from the complex structures; frames of two n raise ValueError."""
+    if omega.n != omega_p.n:
+        raise ValueError(f"{omega!r} and {omega_p!r} are frames of different spaces")
     j = complex_structure_of(omega)
     jp = complex_structure_of(omega_p)
     det = np.linalg.det(0.5 * (j + jp))
@@ -174,8 +161,8 @@ def transport_kernel_apply(
 
     'bergman': rescaled reproducing-kernel projection (acts on the full
     section).  'holomorphic': the kernel acting on the holomorphic part
-    only, with the Xi blocks inside the integral.  Both agree with the
-    closed-form coherent transport, and both take polynomial sections.
+    only, with the Xi blocks inside the integral: ``transport_coherent``'s
+    push.  Both take polynomial sections.
     """
     if not phi.frame.close_to(omega, tol=1e-12):
         raise ValueError("section must live at the source point")

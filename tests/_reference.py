@@ -2,7 +2,8 @@
 
 None of these is on a library path: each is a second route to a value the
 library computes another way (a sampled det^{1/2} continuation, the
-standard-geodesic closed form of coherent transport, explicit ladder and
+standard-geodesic closed form of coherent transport, the Xi kernel's blocks
+and its closed-form push of a coherent state, explicit ladder and
 deformation matrices, a term-by-term Gaussian-polynomial pairing, the
 generating rows of a polynomial push one order at a time, the
 two-parameter Taylor series of an exponentiated quadratic, the pairing maps
@@ -32,6 +33,7 @@ from siegelflow import (
     compose,
     diagonal_point,
     transform_z_coords,
+    xi_matrix,
 )
 from siegelflow.sections import _hermite_table
 from siegelflow.transport import _xi_kernel
@@ -100,6 +102,28 @@ def transport_coherent_standard(alpha, lam, t: float) -> GaussianSection:
         sh * ac,
         0.5 * (ac @ (th * ac)) + 0.5 * float(np.sum(np.log(sh))),
     )
+
+
+def xi_blocks(omega, omega_p):
+    """(K11, K12, K22) of the Xi kernel between two points, with Xi = (Omega - conj(Omega'))/2i and r = Omega2^{1/2}:
+    K11 = I - r Xi^{-1} r, K12 = r Xi^{-1} r' and K22 = I - r' Xi^{-1} r'."""
+    r, rp = omega.imag_sqrt(), omega_p.imag_sqrt()
+    xi_inv = np.linalg.inv(xi_matrix(omega, omega_p))
+    eye = np.eye(omega.n)
+    return eye - r @ xi_inv @ r, r @ xi_inv @ rp, eye - rp @ xi_inv @ rp
+
+
+def transport_coherent_closed_form(alpha, omega, omega_p) -> GaussianSection:
+    """Transport of c_alpha between two points in closed form, with a = conj(alpha) and the blocks ``xi_blocks``:
+
+    exp((1/2) w^T K22 w + (K12^T a)^T w + (1/2) a^T K11 a) / alpha(Omega, Omega'),
+    log alpha = (1/2) log |det Xi(Omega', Omega)| - (1/4) log det(Omega2 Omega2').
+    """
+    k11, k12, k22 = xi_blocks(omega, omega_p)
+    ac = np.conj(np.asarray(alpha, dtype=complex).reshape(omega.n))
+    log_alpha = 0.5 * np.linalg.slogdet(xi_matrix(omega_p, omega))[1]
+    log_alpha -= 0.25 * np.linalg.slogdet(omega.omega2 @ omega_p.omega2)[1]
+    return GaussianSection(omega_p, k22, k12.T @ ac, 0.5 * (ac @ k11 @ ac) - log_alpha)
 
 
 def bogoliubov_operator_deformation(t: float) -> np.ndarray:

@@ -657,8 +657,15 @@ def test_seed_that_is_not_an_integer_exits_2_naming_the_flag(capsys, monkeypatch
 
 
 def test_seed_zero_runs(capsys, monkeypatch):
-    code, out, _ = run_cli(["--seed", "0", "verify", "curvature"], "", capsys, monkeypatch)
+    code, out, _ = run_cli(["--seed", "0", "verify", "bogoliubov"], "", capsys, monkeypatch)
     assert code == 0 and json.loads(out)["inputs"]["seed"] == 0
+
+
+@pytest.mark.parametrize("suite, inputs", [("curvature", {}), ("limits", {}), ("unitarity", {"seed": 3, "nodes": 32})])
+def test_verify_inputs_are_the_arguments_the_suite_got(suite, inputs, capsys, monkeypatch):
+    # curvature and limits draw from a fixed generator: a --seed would name an input that shaped nothing
+    code, out, _ = run_cli(["--seed", "3", "--nodes", "32", "verify", suite], "", capsys, monkeypatch)
+    assert code == 0 and json.loads(out)["inputs"] == {"suite": suite, **inputs}
 
 
 @pytest.mark.parametrize("value", ["0", "1e-30"])

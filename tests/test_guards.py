@@ -3,6 +3,8 @@
 These are the guards that no other test raises: a wrong input to a
 primitive, a frame of the wrong kind or a section at the wrong point."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from siegelflow import (
     GaussianSection,
     GeodesicSpec,
     MetaplecticElement,
+    NonFiniteError,
     NonUnitaryError,
     NotIntegrableError,
     PolarizationMismatchError,
@@ -19,7 +22,9 @@ from siegelflow import (
     diagonal_point,
     fourier,
     from_momentum_profile,
+    geodesic_eval,
     momentum_profile,
+    oracle_inner_product,
     standard_point,
     takagi,
     transform_z_coords,
@@ -27,8 +32,10 @@ from siegelflow import (
     transport_limits,
     vacuum,
 )
+from siegelflow import sections
 from siegelflow._gaussint import half_logdet, kernel_apply_poly
 from siegelflow.sections import _placement
+from siegelflow.transport import bogoliubov_scale_via_structures
 
 from conftest import standard_profile
 
@@ -70,3 +77,42 @@ GUARDS = [
 def test_guard_raises_its_error_with_its_message(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         call()
+
+
+@pytest.mark.parametrize("lam, n", [([np.nan], 1), ([-1.0], 1), ([np.inf, 0.5], 2), ([1.0], 2), ([1.0, 1.0], 1)])
+def test_geodesic_spec_takes_n_finite_rates_at_least_zero(lam, n):
+    with pytest.raises(ValueError, match=rf"^geodesic rates \[.*\] must be {n} finite numbers >= 0$"):
+        GeodesicSpec(SymplecticMap.identity(n), lam, standard_point(n), standard_point(n))
+
+
+@pytest.mark.parametrize("scale, t", [(1.0, 1e3), (1.0, -1e3), (1.0, np.nan), (1e150, 10.0)])
+def test_geodesic_point_out_of_the_float_range_raises_naming_t(scale, t):
+    # g = diag(scale, 1 / scale): at scale 1e150 and t = 10, i exp(2 t) is finite and its image is not
+    spec = GeodesicSpec(SymplecticMap([[scale]], [[0.0]], [[0.0]], [[1.0 / scale]]), [1.0], I1, I1)
+    with pytest.raises(NonFiniteError, match=rf"^the geodesic point i exp\(2 Lambda t\) at t = {t} or its image "
+                                             r"leaves the float range$"):
+        geodesic_eval(spec, t)
+
+
+def test_transport_limits_needs_a_depth():
+    spec = GeodesicSpec(SymplecticMap.identity(1), [1.0], I1, diagonal_point([np.e**2]))
+    with pytest.raises(ValueError, match="^depths must name at least one depth$"):
+        transport_limits(CorrectedSection(vacuum(I1)), spec, [])
+
+
+@pytest.mark.parametrize("kwargs, message", [({"nodes": 0}, "nodes must be a positive integer, not 0"),
+                                             ({"nodes": 2.5}, "nodes must be a positive integer, not 2.5"),
+                                             ({"tol": 0.0}, "tol must be positive and finite, not 0.0"),
+                                             ({"tol": np.nan}, "tol must be positive and finite, not nan"),
+                                             ({"tol": np.inf}, "tol must be positive and finite, not inf")])
+def test_oracle_arguments_raise_before_any_sum(kwargs, message, monkeypatch):
+    monkeypatch.setattr(sections, "_hermite_grid_sum", None)  # never reached
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        oracle_inner_product(vacuum(I1), vacuum(I1), **kwargs)
+
+
+def test_structures_route_names_frames_of_two_spaces():
+    two = standard_point(2)
+    with pytest.raises(ValueError, match=rf"^{re.escape(repr(I1))} and {re.escape(repr(two))} are frames of "
+                                         "different spaces$"):
+        bogoliubov_scale_via_structures(I1, two)

@@ -45,7 +45,14 @@ from siegelflow.transport import (
     transport_ode_coeffs,
 )
 
-from _reference import bogoliubov_operator_deformation, ladder_matrices, scaled, transport_coherent_standard
+from _reference import (
+    bogoliubov_operator_deformation,
+    ladder_matrices,
+    scaled,
+    transport_coherent_closed_form,
+    transport_coherent_standard,
+    xi_blocks,
+)
 from conftest import random_gaussian_section
 
 I1 = standard_point(1)
@@ -114,6 +121,15 @@ class TestGeneralTransport:
         alpha = rng.normal(size=2) + 1j * rng.normal(size=2)
         out = transport_coherent(alpha, om, om)
         assert difference_norm(out, coherent_state(alpha, om)) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_is_the_closed_form_push_of_the_coherent_state(self, rng, n):
+        for _ in range(20):
+            om, omp = random_siegel(rng, n), random_siegel(rng, n)
+            alpha = rng.normal(size=n) + 1j * rng.normal(size=n)
+            want = transport_coherent_closed_form(alpha, om, omp)
+            got = transport_coherent(alpha, om, omp)
+            assert difference_norm(got, want) <= 1e-12 * norm(coherent_state(alpha, om))
 
     def test_reduces_to_standard_form(self):
         alpha = np.array([1 + 1j])
@@ -351,10 +367,8 @@ class TestKernels:
         pts = np.array([[0.2, -0.4], [0.7, 0.3]])
         assert np.abs(twice.value(pts) - 2.5j * out1.value(pts)).max() < 1e-12
         # additivity through the quadrature evaluation of the kernel integral
-        from siegelflow.transport import _xi_blocks
-
-        k11, k12, k22, log_h = _xi_blocks(om, omp)
-        log_pref = -log_h.real
+        k11, k12, k22 = xi_blocks(om, omp)
+        log_pref = -_halfform_log(om, omp).real
         e, ebar, g = om.coord_matrix, np.conj(om.coord_matrix), om.gram_matrix
         for v_out in pts:
             zp = (omp.coord_matrix @ v_out)[0]
@@ -563,7 +577,7 @@ class TestTransportODE:
             raise AssertionError("the Fock ODE reached a closed form")
 
         monkeypatch.setattr(sections, "fock_coefficients", closed_form)
-        for name in ("_bergman", "_xi_blocks", "half_logdet"):
+        for name in ("_bergman", "_xi_kernel", "half_logdet"):
             monkeypatch.setattr(transport, name, closed_form)
         assert np.array_equal(transport_ode(c0, 0.8, 1.0, 0), want)
 
