@@ -36,8 +36,8 @@ The series are evaluated one order at a time in scalars, and ``generating_poly``
 table as one broadcast product of its binomials, powers of eps and h.
 
 ``half_logdet``, ``integrate_out``, ``generating_poly`` and ``kernel_apply_poly`` take an optional leading stack
-axis (S (..., m, m), ell0 (..., m), k (...), zero-padded polynomials; L and gen_dir shared): one eigvalsh, one
-solve and one eigvals serve a stack, which raises where one of its entries would.
+axis (S (..., m, m), ell0 (..., m), k (...), zero-padded polynomials; L and gen_dir shared or (k, 1, ...), per kernel):
+one eigvalsh, one solve and one eigvals serve a stack, which raises where one of its entries would.
 """
 
 from __future__ import annotations
@@ -79,20 +79,21 @@ def integrate_out(S: np.ndarray, L: np.ndarray, ell0: np.ndarray, k: complex):
 
     Returns (Q, r, s) with the result equal to exp((1/2) w^T Q w + r^T w + s)
     as a function of the remaining (complex vector) variable w; one solve
-    with S takes ell0 and the columns of L together.  NotIntegrableError
-    unless the real part of S is negative definite.
+    with S takes ell0 and the columns of L together.  L is a vector, a matrix or a stack (..., m, j) whose stack axes
+    broadcast into S's.  NotIntegrableError unless the real part of S is negative definite.
     """
     S = np.atleast_2d(S)
     ell0 = np.asarray(ell0, dtype=complex).reshape(S.shape[:-1])
-    L = np.asarray(L, dtype=complex).reshape(S.shape[-1], -1)
-    rhs = np.empty(S.shape[:-1] + (1 + L.shape[1],), dtype=complex)
+    L = np.asarray(L, dtype=complex) if np.ndim(L) > 1 else np.asarray(L, dtype=complex).reshape(S.shape[-1], -1)
+    rhs = np.empty(S.shape[:-1] + (1 + L.shape[-1],), dtype=complex)
     rhs[..., 0], rhs[..., 1:] = ell0, L
     if np.linalg.eigvalsh(0.5 * (S.real + S.real.swapaxes(-1, -2))).max() >= 0:
         raise NotIntegrableError("real part of the quadratic form is not negative definite")
     x = np.linalg.solve(S, rhs)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
-        Q = -L.T @ x[..., 1:]
-        Q, r = 0.5 * (Q + Q.swapaxes(-1, -2)), -x[..., 0] @ L
+        Q = -L.swapaxes(-1, -2) @ x[..., 1:]
+        x0 = x[..., 0].reshape(L.shape[:-2] + (-1, L.shape[-2]))  # ell0's rows: one product per entry of L's stack
+        Q, r = 0.5 * (Q + Q.swapaxes(-1, -2)), (-x0 @ L).reshape(S.shape[:-2] + L.shape[-1:])
         s = k - 0.5 * (ell0[..., None, :] @ x[..., :1])[..., 0, 0] - half_logdet(-S)
     if not (_finite(Q) and _finite(r) and _finite(np.asarray(s))):
         raise NonFiniteError("integrate_out: the integrated Gaussian is not finite")
@@ -105,20 +106,22 @@ def kernel_apply_poly(S, Lmat, ell0, k0, poly, gen_dir):
     Returns (Q, r, s, poly_out) describing
     exp((1/2) w^T Q w + r^T w + s) * poly_out(w); polynomial factors are
     supported for a single output variable only (len(w) == 1) via a
-    generating parameter in the gen_dir direction.  poly_out has poly's shape.
+    generating parameter in the gen_dir direction.  poly_out has poly's shape (past degree 0, the result's stack).
     """
     poly = np.atleast_1d(np.asarray(poly, dtype=complex))
     if poly.shape[-1] == 1:
         return (*integrate_out(S, Lmat, ell0, k0), poly)
-    Lmat = np.asarray(Lmat, dtype=complex).reshape(np.shape(S)[-1], -1)
-    if Lmat.shape[1] != 1:
+    Lmat = np.asarray(Lmat, dtype=complex) if np.ndim(Lmat) > 1 else np.asarray(Lmat, dtype=complex)[:, None]
+    if Lmat.shape[-1] != 1:
         raise ValueError("polynomial kernels support a single output variable")
-    l2 = np.column_stack([np.asarray(gen_dir, dtype=complex), Lmat[:, 0]])
+    l2 = np.empty(np.broadcast_shapes(np.shape(gen_dir), Lmat.shape[:-1]) + (2,), dtype=complex)
+    l2[..., 0], l2[..., 1:] = gen_dir, Lmat
     q2, r2, s2 = integrate_out(S, l2, ell0, k0)
     # only the rows of nonzero coefficients enter, up to each entry's last: zero times an overflowed row is NaN
     nz = poly != 0
-    rows = generating_poly(r2[..., 0], q2[..., 0, 0], q2[..., 0, 1], (nz * np.arange(poly.shape[-1])).max(-1))
-    out, d = np.zeros(poly.shape, dtype=complex), rows.shape[-1]
+    deg = np.broadcast_to((nz * np.arange(poly.shape[-1])).max(-1), np.shape(s2))  # one per kernel of a stack
+    rows = generating_poly(r2[..., 0], q2[..., 0, 0], q2[..., 0, 1], deg)
+    out, d = np.zeros(deg.shape + poly.shape[-1:], dtype=complex), rows.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
         out[..., :d] = (poly[..., None, :d] @ np.where(nz[..., :d, None], rows, 0))[..., 0, :]
     if not _finite(out):

@@ -25,20 +25,20 @@ GAUSSIAN_NORM_MARGIN = 1e-9
 
 def _as_real_symmetric(a, name: str, tol: float = SYMMETRY_TOL) -> np.ndarray:
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.shape[0] != a.shape[1]:
+    if a.shape[-2] != a.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     amax = float(np.abs(a).max())
     if not amax < np.inf:  # also false for NaN
         raise ValueError(f"{name} must be finite")
-    if np.abs(a - a.T).max() > tol * max(1.0, amax):
+    if np.abs(a - a.swapaxes(-1, -2)).max() > tol * max(1.0, amax):  # a stack against its largest entry
         raise ValueError(f"{name} is not symmetric to tolerance {tol}")
     half = 0.5 * a  # halved first: a + a.T overflows for finite entries above ~9e307
-    return half + half.T
+    return half + half.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
 class SiegelPoint:
-    """Omega = omega1 + i*omega2 with omega1 symmetric, omega2 SPD."""
+    """Omega = omega1 + i*omega2 with omega1 symmetric, omega2 SPD; or a stack (k, 1, n, n) of them, each checked."""
 
     weight = 1.0  # sections carry exp(-|z|^2 / 2)
     omega1: np.ndarray
@@ -46,8 +46,7 @@ class SiegelPoint:
     omega: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        o1 = _as_real_symmetric(self.omega1, "omega1")
-        o2 = _as_real_symmetric(self.omega2, "omega2")
+        o1, o2 = _as_real_symmetric(self.omega1, "omega1"), _as_real_symmetric(self.omega2, "omega2")
         if o1.shape != o2.shape:
             raise ValueError("omega1 and omega2 must have the same shape")
         if np.linalg.eigvalsh(o2).min() <= 0:
@@ -55,18 +54,24 @@ class SiegelPoint:
         omega = o1 + 1j * o2
         for arr in (o1, o2, omega):
             arr.flags.writeable = False
-        object.__setattr__(self, "omega1", o1)
-        object.__setattr__(self, "omega2", o2)
-        object.__setattr__(self, "omega", omega)
+        vars(self).update(omega1=o1, omega2=o2, omega=omega)
 
     @classmethod
     def from_complex(cls, omega) -> "SiegelPoint":
         omega = np.atleast_2d(np.asarray(omega, dtype=complex))
         return cls(omega.real, omega.imag)
 
+    def _points(self) -> list["SiegelPoint"]:
+        """The points of a stack point, checked, each sharing its arrays."""
+        out = [object.__new__(SiegelPoint) for _ in self.omega]
+        for j, point in enumerate(out):
+            vars(point).update(omega1=self.omega1[j, 0], omega2=self.omega2[j, 0], omega=self.omega[j, 0],
+                               _imag_eigh=tuple(a[j, 0] for a in self._imag_eigh))
+        return out
+
     @property
     def n(self) -> int:
-        return self.omega1.shape[0]
+        return self.omega1.shape[-1]
 
     def to_json(self) -> dict:
         return {"omega1": self.omega1.tolist(), "omega2": self.omega2.tolist()}
@@ -82,11 +87,11 @@ class SiegelPoint:
     def imag_sqrt(self) -> np.ndarray:
         """Symmetric positive square root of the imaginary part."""
         root, v = self._imag_eigh
-        return (v * root) @ v.T
+        return (v * root[..., None, :]) @ v.swapaxes(-1, -2)
 
     def imag_inv_sqrt(self) -> np.ndarray:
         root, v = self._imag_eigh
-        return (v / root) @ v.T
+        return (v / root[..., None, :]) @ v.swapaxes(-1, -2)
 
     @cached_property
     def coord_matrix(self) -> np.ndarray:
@@ -94,7 +99,7 @@ class SiegelPoint:
         past the float range."""
         half = self.imag_inv_sqrt() / np.sqrt(2.0)
         with np.errstate(all="ignore"):
-            e = np.hstack([half, -half @ np.conj(self.omega)])
+            e = np.concatenate([half, -half @ np.conj(self.omega)], axis=-1)
         if not np.isfinite(e).all():
             raise NonFiniteError(f"the coordinates of {self!r} are not finite")
         e.flags.writeable = False
@@ -106,7 +111,7 @@ class SiegelPoint:
         total = sum(map(abs, self.coord_matrix.ravel().tolist()))  # n total^2 bounds each entry and partial sum of G
         if not self.n * total * total < np.inf:
             raise NonFiniteError(f"the Gram matrix of {self!r} is not finite: its coordinates sum to {total:.1e}")
-        g = (self.coord_matrix.conj().T @ self.coord_matrix).real
+        g = (self.coord_matrix.conj().swapaxes(-1, -2) @ self.coord_matrix).real
         g.flags.writeable = False
         return g
 

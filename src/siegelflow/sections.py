@@ -189,6 +189,13 @@ def _stack(psis) -> GaussianSection:
     return out
 
 
+def _require_kind(what: str, kind: type, *sections) -> None:
+    """ValueError naming the entry ``what`` unless every section is a ``kind``."""
+    for psi in sections:
+        if not isinstance(psi, kind):
+            raise ValueError(f"{what} takes a {kind.__name__}, not a {type(psi).__name__}")
+
+
 def _as_stack(x, kind: type | None = None, what: str = "") -> tuple[list, bool]:
     """(sections, whether ``x`` is one): one plain or corrected section as a list of one, or a non-empty sequence
     of them over one frame object (else ValueError) as a list, for the entries that take either and give back the
@@ -197,8 +204,7 @@ def _as_stack(x, kind: type | None = None, what: str = "") -> tuple[list, bool]:
     if not xs:
         raise ValueError("a stack takes at least one section")
     for psi in xs:
-        if kind is not None and not isinstance(psi, kind):
-            raise ValueError(f"{what} takes a {kind.__name__}, not a {type(psi).__name__}")
+        _require_kind(what, kind or object, psi)
         if psi.frame is not xs[0].frame:
             raise ValueError(f"a stack takes sections over one frame object, not {[p.frame for p in xs]!r}")
     return xs, one
@@ -293,7 +299,8 @@ def bergman_project(psi: GaussianSection, omega_p: SiegelPoint) -> GaussianSecti
 class _Kernel:
     """A Gaussian integral operator: p(z) exp((1/2) z^T m z + b^T z + c) over a frame with z = E v goes to the section
     exp((1/2) w^T k22 w - log_pref) (normalised) integral p(z) exp((1/2) v^T S v + (cross w + E^T b)^T v + c) dv
-    over ``target`` in its coordinates w, S = sym(E^T m E - inner) - outer (one matrix for both moves the floors)."""
+    over ``target`` in its coordinates w, S = sym(E^T m E - inner) - outer (one matrix for both moves the floors).
+    A list of k targets makes it k kernels, whose fields carry the axes (k, 1, ...), the 1 for the section stack."""
 
     def __init__(self, e, inner, outer, cross, target, k22=0.0):
         self.e, self.inner, self.outer, self.cross, self.target, self.k22 = e, inner, outer, cross, target, k22
@@ -301,19 +308,24 @@ class _Kernel:
     def apply(self, psi: GaussianSection, log_pref: complex = 0.0) -> GaussianSection:
         return self.apply_all([psi], log_pref)[0]
 
-    def apply_all(self, psis, log_pref) -> list[GaussianSection]:
-        """Sections over one frame object (else ValueError), each less log_pref, one value or a list of one per
-        section, through one ``kernel_apply_poly`` and one check; several go as one ``_stack``, cut back to each
-        input's degree (the rows are lower-triangular)."""
-        e, st = self.e, _stack(psis)
+    def apply_all(self, psis, log_pref):
+        """Sections over one frame object (else ValueError), each less log_pref (a value, one per section or an array
+        against their c), through one ``kernel_apply_poly`` and one check per target, as a list, a list per target for
+        k; several go as one ``_stack``, cut back to each input's degree (the rows are lower-triangular)."""
+        e, st, stack = self.e, _stack(psis), np.shape(self.cross)[:-2]
+        e = np.broadcast_to(e, stack + e.shape) if e.ndim == 2 and stack else e  # one per kernel
         if isinstance(log_pref, list):  # one per section, against the stack's c; a stack of one keeps a scalar
             log_pref = log_pref[0] if len(psis) == 1 else np.array(log_pref)
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # finite data can overflow; kernel_apply_poly raises
-                s, b = e.T @ st.m @ e - self.inner, st.b @ e
+                s, b = e.swapaxes(-1, -2) @ st.m @ e - self.inner, st.b @ e
             s = 0.5 * (s + s.swapaxes(-1, -2)) - self.outer
-            q, r, c, poly = kernel_apply_poly(s, self.cross, b, st.c, st.coeffs, e[0])
-            return _sections(self.target, q + self.k22, r, c - log_pref, poly, psis)
+            q, r, c, poly = kernel_apply_poly(s, self.cross, b.reshape(s.shape[:-1]), st.c, st.coeffs, e[..., 0, :])
+            if not isinstance(self.target, list):
+                return _sections(self.target, q + self.k22, r, c - log_pref, poly, psis)
+            fields = [q + self.k22, r, c - log_pref, np.broadcast_to(poly, np.shape(c) + poly.shape[-1:])]
+            fields = [f[:, 0] for f in fields] if len(psis) == 1 else fields  # one section, as its own push gives it
+            return [_sections(t, *x, psis) for t, *x in zip(self.target, *fields)]
         except (NotIntegrableError, NonFiniteError) as exc:
             raise type(exc)(f"{exc}, in the push from {st.frame!r} to {self.target!r}") from exc
 
@@ -360,6 +372,7 @@ def fock_coefficients(psi: GaussianSection, n_trunc: int = N_TRUNC_DEFAULT) -> n
     <z^j, z^k>_{Gaussian} = k! delta_{jk}, so the coefficients are scaled
     Taylor coefficients of p(z) exp((1/2) m z^2 + b z).  ``n_trunc`` below 1 raises ValueError.
     """
+    _require_kind("fock_coefficients", GaussianSection, psi)
     if psi.n != 1 or not isinstance(psi.frame, SiegelPoint):
         raise ValueError(f"Fock expansion implemented for n = 1 Kaehler frames, not {psi.frame!r}")
     if not n_trunc >= 1:
@@ -523,6 +536,7 @@ def oracle_inner_product(psi1: GaussianSection, psi2: GaussianSection, nodes: in
         raise ValueError(f"nodes must be a positive integer, not {nodes!r}")
     if tol is not None and not 0.0 < tol < np.inf:  # NaN fails too
         raise ValueError(f"tol must be positive and finite, not {tol}")
+    _require_kind("oracle_inner_product", GaussianSection, psi1, psi2)
     _require_frame("the quadrature oracle", SiegelPoint, psi1, psi2)
     _same_space(psi1.frame, psi2.frame)
     if psi1.n > 3:
@@ -664,6 +678,7 @@ def _complex_array_from_json(data, field: str, shape: tuple) -> np.ndarray:
 
 
 def section_to_json(psi: GaussianSection) -> dict:
+    _require_kind("section_to_json", GaussianSection, psi)
     _require_frame("section_to_json", SiegelPoint, psi)
     out = {
         "frame": psi.frame.to_json(),

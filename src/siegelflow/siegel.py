@@ -87,6 +87,8 @@ class GeodesicSpec:
         lam = np.atleast_1d(np.asarray(self.lam, dtype=float)).copy()
         if lam.shape != (self.g.n,) or not (lam >= 0.0).all() or not (lam < np.inf).all():  # NaN fails both
             raise ValueError(f"geodesic rates {lam.tolist()} must be {self.g.n} finite numbers >= 0")
+        if not all(isinstance(p, SiegelPoint) and p.n == self.g.n for p in (self.omega_start, self.omega_end)):
+            raise ValueError(f"endpoints {self.omega_start!r} and {self.omega_end!r} must be points of n = {self.g.n}")
         lam.flags.writeable = False
         object.__setattr__(self, "lam", lam)
 
@@ -137,6 +139,8 @@ def geodesic_between(omega: SiegelPoint, omega_p: SiegelPoint) -> GeodesicSpec:
     fixing i*I, is one product checked once against the symplectic relation.
     Lambda is sorted descending; for equal endpoints it is 0.
     """
+    if bad := [p for p in (omega, omega_p) if not isinstance(p, SiegelPoint)]:
+        raise ValueError(f"a geodesic joins two points of the upper half-space, not {bad[0]!r}")
     if omega.n != omega_p.n:
         raise ValueError(f"{omega!r} and {omega_p!r} are frames of different spaces")
     n = omega.n

@@ -108,14 +108,23 @@ def compose(g1: SymplecticMap, g2: SymplecticMap) -> SymplecticMap:
     return object.__new__(SymplecticMap)._store(g1.matrix @ g2.matrix, COMPOSE_TOL, "composition left the group")
 
 
-def _moebius(g: SymplecticMap, z: np.ndarray) -> np.ndarray:
-    """(A Z + B)(C Z + D)^{-1} of a complex symmetric Z, symmetrized."""
-    res = np.linalg.solve((g.c @ z + g.d).T, (g.a @ z + g.b).T).T
-    return 0.5 * (res + res.T)
+def _blocks(g) -> tuple:
+    """(A, B, C, D) of a map or of a stack of map matrices (k, 1, 2n, 2n)."""
+    if isinstance(g, SymplecticMap):
+        return g.a, g.b, g.c, g.d
+    n = g.shape[-1] // 2
+    return g[..., :n, :n], g[..., :n, n:], g[..., n:, :n], g[..., n:, n:]
 
 
-def act_on_siegel(g: SymplecticMap, omega: SiegelPoint) -> SiegelPoint:
-    """Fractional linear action (A Omega + B)(C Omega + D)^{-1}."""
+def _moebius(g, z: np.ndarray) -> np.ndarray:
+    """(A Z + B)(C Z + D)^{-1} of a complex symmetric Z, symmetrized; either or both may be a stack (``_blocks``)."""
+    a, b, c, d = _blocks(g)
+    res = np.linalg.solve((c @ z + d).swapaxes(-1, -2), (a @ z + b).swapaxes(-1, -2)).swapaxes(-1, -2)
+    return 0.5 * (res + res.swapaxes(-1, -2))
+
+
+def act_on_siegel(g, omega: SiegelPoint) -> SiegelPoint:
+    """Fractional linear action (A Omega + B)(C Omega + D)^{-1}; a stack of maps or of points gives a stack point."""
     return SiegelPoint.from_complex(_moebius(g, omega.omega))
 
 
@@ -124,18 +133,27 @@ def xi_matrix(omega: SiegelPoint, omega_p: SiegelPoint) -> np.ndarray:
     return (omega.omega - np.conj(omega_p.omega)) / 2j
 
 
-def transform_z_coords(g: SymplecticMap, omega: SiegelPoint, target: SiegelPoint) -> np.ndarray:
-    """Unitary T with z_Omega o g^{-1} = T z_{g.Omega}; ``target`` is g.Omega.
+def transform_z_coords(g, omega: SiegelPoint, target: SiegelPoint) -> np.ndarray:
+    """Unitary T with z_Omega o g^{-1} = T z_{g.Omega}; ``target`` is g.Omega, for stacks as ``act_on_siegel``.
 
     Computed as Omega_2^{-1/2} (C Omega + D)^dagger (g.Omega)_2^{1/2}; the
     equivalent expression Omega_2^{1/2} (C Omega + D)^{-1} (g.Omega)_2^{-1/2}
     is used as a cross-check in the test suite.
     """
-    t = omega.imag_inv_sqrt() @ g.cz_plus_d(omega).conj().T @ target.imag_sqrt()
-    res = np.abs(t.conj().T @ t - np.eye(omega.n)).max()
+    _, _, c, d = _blocks(g)
+    t = omega.imag_inv_sqrt() @ (c @ omega.omega + d).conj().swapaxes(-1, -2) @ target.imag_sqrt()
+    res = np.abs(t.conj().swapaxes(-1, -2) @ t - np.eye(omega.n)).max()
     if res > UNITARITY_TOL:
         raise NonUnitaryError(f"coordinate change not unitary: residual {res:.3e}")
     return t
+
+
+def _branch_phase(branch, anchor_conj: np.ndarray, z: np.ndarray, image: np.ndarray):
+    """``phase_at``'s unit phase at Z given the image g Z, anchor_conj = conj(g . i*I); any argument may be a stack."""
+    here = half_logdet((z + 1j * np.eye(z.shape[-1])) / 2j)
+    moved = half_logdet((image - anchor_conj) / 2j)
+    phase = branch * np.exp(-1j * (here - moved).imag)
+    return phase / abs(phase)
 
 
 @dataclass(frozen=True)
@@ -179,10 +197,7 @@ class MetaplecticElement:
         ``steps`` is ignored; ``perfbench/tracer.py`` counts evaluations from
         it (steps + 1, one per call) and it goes with that counter.
         """
-        here = half_logdet((omega.omega + 1j * np.eye(omega.n)) / 2j)
-        moved = half_logdet((_moebius(self.g, omega.omega) - self._moved_anchor_conj) / 2j)
-        phase = self.branch * np.exp(-1j * (here - moved).imag)
-        return complex(phase / abs(phase))
+        return complex(_branch_phase(self.branch, self._moved_anchor_conj, omega.omega, _moebius(self.g, omega.omega)))
 
     def inverse(self) -> "MetaplecticElement":
         return self._inverse

@@ -33,10 +33,10 @@ import numpy as np
 
 from ._point import SiegelPoint, diagonal_point, standard_point
 from .errors import NoBoundaryLimitError, NonTransverseError, PolarizationMismatchError
-from .sections import (CorrectedSection, GaussianSection, _as_stack, _Kernel, _require_frame, _sections, _stack,
-                       difference_norm, norm)
+from .sections import (CorrectedSection, GaussianSection, _as_stack, _Kernel, _require_frame, _require_kind, _sections,
+                       _stack, difference_norm, norm)
 from .siegel import RATE_TOL, BoundaryPolarization, GeodesicSpec
-from .sympl import MetaplecticElement, act_on_siegel, transform_z_coords
+from .sympl import MetaplecticElement, _branch_phase, _moebius, act_on_siegel, transform_z_coords
 from .transport import _xi_kernel, metaplectic_act, transport_corrected
 
 def _flipped(frame: BoundaryPolarization, m, b, c: complex, coeffs) -> GaussianSection:
@@ -74,52 +74,64 @@ def from_momentum_profile(profile: GaussianSection) -> CorrectedSection:
 # the pairing map: corrected transport with one end at L-, either way
 
 
-def _pair(shats, target) -> list[CorrectedSection]:
-    """The corrected Xi kernel from the frame of ``shats``, sections over one frame object, to ``target``, one of
-    the two a polarization with reference R: from it, the kernel from L- to Omega0 = R^{-1} . Omega and then R, onto
-    R . Omega0; onto it, R^{-1} and then the kernel to L-.  The map is built once for the stack, with one prefactor:
-    the half-form root and the map's unit branch phase, which lands in each result's c."""
+def _pair(shats, targets: list) -> list[list[CorrectedSection]]:
+    """The corrected Xi kernels from the frame of ``shats``, sections over one frame object, to each of ``targets``,
+    of one kind and one n, the source or the targets polarizations with references R: from one, the kernel from L- to
+    Omega0 = R^{-1} . Omega and then R, onto R . Omega0; onto one, R^{-1} and then the kernel to L-.  All targets take
+    one stacked frame pass (each Moebius image solved once and checked as a stack point) and one push of the stack;
+    each kernel has one prefactor, the half-form root and the map's unit branch phase, which lands in each c."""
     source = shats[0].frame
-    if isinstance(source, BoundaryPolarization) == isinstance(target, BoundaryPolarization) or source.n != target.n:
-        raise ValueError(f"a pairing map needs a polarization and a point of one space, not {source!r}, {target!r}")
+    if not targets or len({(type(t), t.n) for t in targets}) > 1:
+        raise ValueError(f"a pairing map takes targets of one kind and one n, not {targets!r}")
+    if isinstance(source, BoundaryPolarization) == isinstance(target := targets[0], BoundaryPolarization) \
+            or source.n != target.n:
+        raise ValueError(f"a pairing map needs a polarization and a point of one space, not {source!r}, {targets!r}")
     if isinstance(source, BoundaryPolarization):
         ref = source.reference
-        om0 = act_on_siegel(ref.g.inverse(), target)
+        om0 = SiegelPoint.from_complex(_moebius(ref.g.inverse(), np.array([[t.omega] for t in targets])))
         # R's own image of Omega0, not the caller's Omega, a round trip away: with it identity rows grow to 1e-11
-        target, phase = act_on_siegel(ref.g, om0), ref.phase_at(om0)
-        # the push to Omega0 and the change to the target's coordinates, in one kernel
-        kernel, log_h = _xi_kernel(source, om0, out=(target, transform_z_coords(ref.g, om0, target)))
+        moved = act_on_siegel(ref.g, om0)
+        phase = _branch_phase(ref.branch, ref._moved_anchor_conj, om0.omega, moved.omega)
+        # the push to Omega0 and the change to the targets' coordinates, in one kernel each
+        kernel, log_h = _xi_kernel(source, om0, out=(moved._points(), transform_z_coords(ref.g, om0, moved)))
     else:
-        back = target.reference.inverse()
-        pulled, phase = act_on_siegel(back.g, source), back.phase_at(source)
-        # the change to the pulled point's coordinates and the push, in one kernel
-        kernel, log_h = _xi_kernel(pulled, target, t_in=transform_z_coords(back.g, source, pulled))
+        backs = [t.reference.inverse() for t in targets]
+        g = np.array([[b.g.matrix] for b in backs])
+        pulled = act_on_siegel(g, source)
+        phase = _branch_phase(np.array([[b.branch] for b in backs]), np.array([[b._moved_anchor_conj] for b in backs]),
+                              source.omega, pulled.omega)
+        # the change to the pulled points' coordinates and the push, in one kernel each
+        kernel, log_h = _xi_kernel(pulled, target, t_in=transform_z_coords(g, source, pulled),
+                                   out=(targets, np.eye(source.n)))
     out = kernel.apply_all([s.section for s in shats], np.conj(log_h) - 1j * np.angle(phase))
-    return [CorrectedSection(x) for x in out]
+    return [[CorrectedSection(x) for x in row] for row in out]
 
 
-def segal_bargmann(shat, omega: SiegelPoint):
+def _pairing_map(what: str, kind: type, x, targets):
+    """An entry's ``_pair`` of one section or several, to one target (None: the position polarization) or several."""
+    xs, one = _as_stack(x, CorrectedSection, what)
+    _require_frame(what, kind, xs[0])
+    targets = BoundaryPolarization.position(xs[0].frame.n) if targets is None else targets
+    many = not isinstance(targets, (SiegelPoint, BoundaryPolarization))
+    out = [row[0] if one else row for row in _pair(xs, list(targets) if many else [targets])]
+    return out if many else out[0]
+
+
+def segal_bargmann(shat, omegas):
     """Unitary map of a polarized section into the corrected space over
     Omega, via the reference lift; a sequence of sections over one frame
-    object goes through one map, as a list.
+    object goes through one map, as a list, and several points through one pass, as a list of what each gives.
 
     In standard position it is the corrected Xi kernel from L- to Omega0."""
-    shats, one = _as_stack(shat, CorrectedSection, "segal_bargmann")
-    _require_frame("segal_bargmann", BoundaryPolarization, shats[0])
-    out = _pair(shats, omega)
-    return out[0] if one else out
+    return _pairing_map("segal_bargmann", BoundaryPolarization, shat, omegas)
 
 
-def segal_bargmann_inverse(psihat, polarization: BoundaryPolarization | None = None):
+def segal_bargmann_inverse(psihat, polarizations=None):
     """Inverse pairing map; defaults to the standard position polarization.
-    A sequence of sections over one frame object goes through one map, as a list.
+    Sections over one frame object go through one map, and several polarizations through one pass, as lists.
 
     In standard position it is the corrected Xi kernel from Omega0 to L-."""
-    psihats, one = _as_stack(psihat, CorrectedSection, "segal_bargmann_inverse")
-    _require_frame("segal_bargmann_inverse", SiegelPoint, psihats[0])
-    target = BoundaryPolarization.position(psihats[0].frame.n) if polarization is None else polarization
-    out = _pair(psihats, target)
-    return out[0] if one else out
+    return _pairing_map("segal_bargmann_inverse", SiegelPoint, psihat, polarizations)
 
 
 def fourier(shat: CorrectedSection) -> CorrectedSection:
@@ -145,7 +157,7 @@ def fourier_general(shat, target: BoundaryPolarization):
     _require_frame("fourier_general", BoundaryPolarization, shats[0])
     if not shats[0].frame.transverse_to(target):
         raise NonTransverseError("polarizations must be transverse")
-    out = _pair(_pair(shats, standard_point(shats[0].frame.n)), target)
+    out = _pair(_pair(shats, [standard_point(shats[0].frame.n)])[0], [target])[0]
     return out[0] if one else out
 
 
@@ -214,6 +226,7 @@ def transport_limits(psihat: CorrectedSection, spec: GeodesicSpec, depths) -> tu
     inverse pairing map, with the absorbed factor det(sqrt(2) e^{Lambda t})^{1/2};
     toward +infinity it is the ``fourier`` transform of that one map's result,
     with det(sqrt(2) e^{-Lambda t})^{1/2}.  No depth, or one that is not positive and finite, raises ValueError."""
+    _require_kind("transport_limits", CorrectedSection, psihat)
     if not (depths := sorted(float(d) for d in depths)):
         raise ValueError("depths must name at least one depth")
     if bad := [d for d in depths if not 0.0 < d < np.inf]:
@@ -286,14 +299,16 @@ def composition_identities_check(
     # each profile's data, in standard position over pol_l, checked once as a stack
     stack = _stack(profiles)
     sections = [CorrectedSection(s) for s in _sections(pol_l, stack.m, stack.b, stack.c, stack.coeffs, profiles)]
-    # the profiles go through each public map together: 9 pairing maps and 1 projection per check
-    paired, moved = segal_bargmann(sections, omega), segal_bargmann(sections, omega_p)
+    # the profiles go through each public map together, all targets of one source in one pass: 6 pairing passes
+    # and 7 pushes per check
+    paired, moved, via_i = segal_bargmann(sections, [omega, omega_p, standard_point(omega.n)])
+    on_lp, on_lpp = segal_bargmann_inverse(paired, [pol_lp, pol_lpp])
     sides = (
         (moved, transport_corrected(paired, omega_p)),
-        # the Fourier operator L -> L' through i I
-        (fourier_general(sections, pol_lp), segal_bargmann_inverse(paired, pol_lp)),
+        # the Fourier operator L -> L' through i I: fourier_general's two legs
+        (segal_bargmann_inverse(via_i, pol_lp), on_lp),
         # L -> L' via Omega', then L' -> L''
-        (segal_bargmann_inverse(paired, pol_lpp), fourier_general(segal_bargmann_inverse(moved, pol_lp), pol_lpp)),
+        (on_lpp, fourier_general(segal_bargmann_inverse(moved, pol_lp), pol_lpp)),
     )
     scales = _profile_scales()
     return IdentityReport(*(max(d / w for d, w in zip(difference_norm(a, b), scales)) for a, b in sides))

@@ -33,6 +33,7 @@ from .sections import (
     _as_stack,
     _bergman,
     _Kernel,
+    _require_kind,
     bergman_project,  # noqa: F401  unused here, but perfbench/tests/test_harness.py:83-84 pins this binding
     coherent_state,
     difference_norm,
@@ -74,7 +75,7 @@ def _xi_kernel(omega, omega_p, t_in=None, out=None) -> tuple[_Kernel, complex]:
     pairing maps); frames of two n raise the root's ValueError.  Two unitary coordinate changes fold in exactly:
     ``t_in`` for psi over a frame with z = t_in z_Omega (E -> t_in E), and ``out = (target, t)`` for a result over
     ``target`` with z_Omega' = t z'' (K12 -> K12 t, K22 -> t^T K22 t, as t^T (-L^T S^{-1} L) t = -(L t)^T S^{-1} (L t);
-    for n = 1 the push gives a polynomial its t^k factors)."""
+    for n = 1 the push gives a polynomial its t^k factors).  A stack point (k, 1, n, n) gives k kernels."""
     log_h = _halfform_log(omega, omega_p)
     eye = np.eye(omega.n)
     r, rp = omega.imag_sqrt(), omega_p.imag_sqrt()
@@ -86,7 +87,8 @@ def _xi_kernel(omega, omega_p, t_in=None, out=None) -> tuple[_Kernel, complex]:
     # integrate over v, z = E v, against the frame's full weight exp(-v^T G v)
     ebar = np.conj(omega.coord_matrix)
     e = omega.coord_matrix if t_in is None else t_in @ omega.coord_matrix
-    kernel = _Kernel(e, 2.0 * omega.gram_matrix - ebar.T @ k11 @ ebar, 0.0, ebar.T @ k12 @ t, target, t.T @ k22 @ t)
+    ebar_t, t_t = ebar.swapaxes(-1, -2), t.swapaxes(-1, -2)
+    kernel = _Kernel(e, 2.0 * omega.gram_matrix - ebar_t @ k11 @ ebar, 0.0, ebar_t @ k12 @ t, target, t_t @ k22 @ t)
     return kernel, log_h
 
 
@@ -164,6 +166,7 @@ def transport_kernel_apply(
     only, with the Xi blocks inside the integral: ``transport_coherent``'s
     push.  Both take polynomial sections.
     """
+    _require_kind("transport_kernel_apply", GaussianSection, phi)
     if not phi.frame.close_to(omega, tol=1e-12):
         raise ValueError("section must live at the source point")
     if kernel == "bergman":

@@ -20,11 +20,14 @@ from siegelflow import (
     PolarizationMismatchError,
     SymplecticMap,
     diagonal_point,
+    fock_coefficients,
     fourier,
     from_momentum_profile,
+    geodesic_between,
     geodesic_eval,
     momentum_profile,
     oracle_inner_product,
+    section_to_json,
     standard_point,
     takagi,
     transform_z_coords,
@@ -116,3 +119,38 @@ def test_structures_route_names_frames_of_two_spaces():
     with pytest.raises(ValueError, match=rf"^{re.escape(repr(I1))} and {re.escape(repr(two))} are frames of "
                                          "different spaces$"):
         bogoliubov_scale_via_structures(I1, two)
+
+
+def test_geodesic_spec_takes_endpoints_of_its_space():
+    # a 1 x 1 map with 2 x 2 endpoints once gave an endpoint residual of 7.389 by broadcasting
+    two = standard_point(2)
+    with pytest.raises(ValueError, match=rf"^endpoints {re.escape(repr(two))} and {re.escape(repr(two))} "
+                                         "must be points of n = 1$"):
+        GeodesicSpec(SymplecticMap.identity(1), [1.0], two, two)
+
+
+@pytest.mark.parametrize("ends", [(I1, BoundaryPolarization.position(1)), (BoundaryPolarization.position(1), I1)],
+                         ids=["to-a-polarization", "from-a-polarization"])
+def test_geodesic_between_takes_points_not_polarizations(ends):
+    # a polarization at the end once gave rates of 17.6, at the start an AttributeError
+    pol = BoundaryPolarization.position(1)
+    with pytest.raises(ValueError, match=rf"^a geodesic joins two points of the upper half-space, not "
+                                         rf"{re.escape(repr(pol))}$"):
+        geodesic_between(*ends)
+
+
+PLAIN, CORRECTED = vacuum(I1), CorrectedSection(vacuum(I1))
+
+
+@pytest.mark.parametrize("call, entry, want, got", [
+    (lambda: transport_limits(PLAIN, GeodesicSpec(SymplecticMap.identity(1), [1.0], I1, diagonal_point([np.e**2])),
+                              [1.0]), "transport_limits", "CorrectedSection", "GaussianSection"),
+    (lambda: transport_kernel_apply(CORRECTED, I1, diagonal_point([2.0])), "transport_kernel_apply",
+     "GaussianSection", "CorrectedSection"),
+    (lambda: fock_coefficients(CORRECTED), "fock_coefficients", "GaussianSection", "CorrectedSection"),
+    (lambda: oracle_inner_product(PLAIN, CORRECTED), "oracle_inner_product", "GaussianSection", "CorrectedSection"),
+    (lambda: section_to_json(CORRECTED), "section_to_json", "GaussianSection", "CorrectedSection"),
+], ids=["transport_limits", "transport_kernel_apply", "fock_coefficients", "oracle_inner_product", "section_to_json"])
+def test_a_section_of_the_wrong_kind_raises_naming_the_entry(call, entry, want, got):
+    with pytest.raises(ValueError, match=f"^{entry} takes a {want}, not a {got}$"):
+        call()

@@ -715,3 +715,88 @@ class TestFoldedMaps:
             assert BoundaryPolarization.position(n) is BoundaryPolarization.position(n)
             assert BoundaryPolarization.momentum(n) is BoundaryPolarization.momentum(n)
             assert not BoundaryPolarization.position(n).close_to(BoundaryPolarization.momentum(n))
+
+
+def _fields_equal(got: CorrectedSection, want: CorrectedSection) -> bool:
+    """The same section data bit for bit, over frames of equal coordinates."""
+    a, b = got.section, want.section
+    same_frame = got.frame is want.frame or np.array_equal(got.frame.omega, want.frame.omega)
+    return same_frame and all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("m", "b", "c", "coeffs"))
+
+
+class TestTargetStacks:
+    """Both pairing maps take a sequence of targets: one stacked frame pass and one push, whose entries are the
+    one-target calls bit for bit."""
+
+    @staticmethod
+    def _sources(n, rng):
+        pol = _random_polarization(rng, n)
+        if n == 1:
+            profiles = default_test_profiles()
+        else:
+            profiles = [random_profile(rng, n, frame=BoundaryPolarization.position(n)) for _ in range(3)]
+        polarized = [CorrectedSection(scaled(GaussianSection(pol, p.m, p.b, p.c, p.coeffs), _unit(rng)))
+                     for p in profiles]
+        om = random_siegel(rng, n)
+        kaehler = [CorrectedSection(scaled(random_gaussian_section(rng, om), _unit(rng))) for _ in range(3)]
+        if n == 1:
+            kaehler = segal_bargmann(polarized, om)
+        return polarized, kaehler
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+    def test_each_target_equals_its_one_target_call(self, n, inverse):
+        rng = np.random.default_rng(70 + n + 10 * inverse)
+        polarized, kaehler = self._sources(n, rng)
+        apply, sections = (segal_bargmann_inverse, kaehler) if inverse else (segal_bargmann, polarized)
+        draw = _random_polarization if inverse else random_siegel
+        targets = [draw(rng, n) for _ in range(3)]
+        for given in (sections[0], sections):
+            got = apply(given, targets)
+            assert type(got) is list and len(got) == len(targets)
+            for target, row in zip(targets, got):
+                want = apply(given, target)
+                pairs = [(row, want)] if isinstance(given, CorrectedSection) else list(zip(row, want, strict=True))
+                assert all(_fields_equal(a, b) for a, b in pairs)
+
+    @pytest.mark.parametrize("apply, given, targets", [
+        (segal_bargmann, POLARIZED_SECTION, []),
+        (segal_bargmann, POLARIZED_SECTION, [I1, BoundaryPolarization.position(1)]),
+        (segal_bargmann, POLARIZED_SECTION, [I1, standard_point(2)]),
+        (segal_bargmann_inverse, KAEHLER_SECTION, [BoundaryPolarization.position(1), BoundaryPolarization.position(2)]),
+    ], ids=["empty", "two-kinds", "two-n", "two-n-inverse"])
+    def test_bad_targets_raise_naming_them_before_frame_work(self, apply, given, targets, monkeypatch):
+        for name in ("_moebius", "act_on_siegel", "_xi_kernel"):
+            monkeypatch.setattr(transforms, name, lambda *a, **k: pytest.fail("frame work done"))
+        with pytest.raises(ValueError, match="takes targets of one kind and one n") as exc:
+            apply(given, targets)
+        assert exc.type is ValueError and all(repr(t) in str(exc.value) for t in targets)
+
+    def test_a_check_makes_six_passes_seven_pushes_and_no_repeated_moebius_image(self, monkeypatch):
+        rng = np.random.default_rng(17)  # the draws of suite_identities(seed=17, trials=1)
+        g = random_symplectic(rng, 1)
+        pols = (BoundaryPolarization(MetaplecticElement.principal_lift(g)),
+                BoundaryPolarization.from_span(g.matrix[:, :1]),
+                BoundaryPolarization.from_span(np.vstack([np.eye(1), [[rng.normal()]]])))
+        frames = (random_siegel(rng, 1), random_siegel(rng, 1), *pols)
+        composition_identities_check(*frames)  # fills the frames' cached inverse lifts and anchors
+        calls, images = {"_pair": 0, "apply_all": 0}, []
+        pair, apply_all, moebius = transforms._pair, sections._Kernel.apply_all, sympl._moebius
+
+        def counted(name, fn):
+            return lambda *a: calls.__setitem__(name, calls[name] + 1) or fn(*a)
+
+        def recorded(g, z):
+            m = g.matrix if isinstance(g, SymplecticMap) else g
+            batch = np.broadcast_shapes(m.shape[:-2], z.shape[:-2])
+            for mi, zi in zip(*(np.broadcast_to(x, batch + x.shape[-2:]).reshape(-1, *x.shape[-2:]) for x in (m, z))):
+                images.append((mi.tobytes(), zi.tobytes()))
+            return moebius(g, z)
+
+        monkeypatch.setattr(transforms, "_pair", counted("_pair", pair))
+        monkeypatch.setattr(sections._Kernel, "apply_all", counted("apply_all", apply_all))
+        for module in (sympl, transforms):
+            monkeypatch.setattr(module, "_moebius", recorded)
+        composition_identities_check(*frames)
+        assert calls == {"_pair": 6, "apply_all": 7}
+        assert images and len(set(images)) == len(images)
